@@ -1,8 +1,8 @@
 //! # typhoon-bench — the §6 evaluation harness
 //!
 //! Workload generators, shared stream components and measurement helpers
-//! used by the criterion benches (`benches/`) and the per-figure
-//! experiment binaries (`src/bin/exp_*.rs`). Each binary regenerates one
+//! used by the per-figure experiment binaries (`src/bin/exp_*.rs`) and
+//! the `perf` suite (`src/bin/perf/`). Each `exp_*` binary regenerates one
 //! table or figure of the paper, printing the same rows/series the paper
 //! reports; EXPERIMENTS.md records paper-reported vs measured values.
 //!

@@ -24,7 +24,7 @@
 //! that believes it still reigns is rejected at the datapath. Between
 //! leaders the switches run *headless* — forwarding continues on installed
 //! rules and the megaflow cache while controller-bound events queue for
-//! replay (see `typhoon_switch::datapath`).
+//! replay (see `typhoon_switch::link`).
 //!
 //! Observability: `controller.ha.*` metrics (role, term, failover_ms,
 //! resync_rules, headless_s) on the plane's [`Registry`]; naming is

@@ -26,7 +26,6 @@ use typhoon_model::{
 };
 use typhoon_net::{
     ChaosHandle, FaultInjector, FaultPlan, InMemoryTunnel, KillClass, TcpTunnel, Tunnel,
-    TunnelConfig,
 };
 use typhoon_switch::{Switch, SwitchConfig, SwitchHandle};
 use typhoon_trace::Tracer;
@@ -75,15 +74,10 @@ pub struct TyphoonConfig {
     /// seed reproduces the whole fault sequence. Control it at runtime via
     /// [`TyphoonCluster::chaos_handle`].
     pub chaos: Option<FaultPlan>,
-    /// Write timeout on TCP tunnels (a stalled peer must not wedge the
-    /// datapath's `send`).
-    pub tunnel_write_timeout: Duration,
     /// Epoch interval between stateful-bolt checkpoints; `None` disables
     /// checkpointing. Keep it well below `ack_timeout` (checkpointing
     /// bolts withhold acks until the fold is durable).
     pub checkpoint_interval: Option<Duration>,
-    /// How many checkpoint epochs to retain per task.
-    pub checkpoint_retention: u64,
     /// Heartbeat timeout for the recovery manager's fallback detection;
     /// `None` disables automatic crash recovery entirely. With the
     /// fault-detector app installed, SDN port-status detection writes
@@ -110,9 +104,7 @@ impl TyphoonConfig {
             scheduler: SchedulerKind::Locality,
             trace_sample: 0,
             chaos: None,
-            tunnel_write_timeout: Duration::from_secs(30),
             checkpoint_interval: None,
-            checkpoint_retention: 3,
             recovery_heartbeat: None,
         }
     }
@@ -227,8 +219,9 @@ impl TyphoonCluster {
         let tracer = (config.trace_sample > 0).then(|| Tracer::new(config.trace_sample));
 
         // Hosts: one switch each, put under control-plane management. The
-        // boot channel is dropped — the elected leader connects with its
-        // term as the fencing token when the plane starts.
+        // first (term 0) channel is dropped, so each switch queues its
+        // `PortStatus` events headless until the elected leader connects
+        // with its term as the fencing token when the plane starts.
         let mut switches = Vec::new();
         for h in 0..config.hosts {
             let mut sw_config = SwitchConfig::new(h as u64);
@@ -249,9 +242,7 @@ impl TyphoonCluster {
             for j in (i + 1)..config.hosts {
                 let (mut a, mut b): (Box<dyn Tunnel + Send>, Box<dyn Tunnel + Send>) =
                     if config.remote_tcp {
-                        let (a, b) = TcpTunnel::pair_with(TunnelConfig {
-                            write_timeout: config.tunnel_write_timeout,
-                        })?;
+                        let (a, b) = TcpTunnel::pair()?;
                         (Box::new(a), Box::new(b))
                     } else {
                         let (a, b) = InMemoryTunnel::pair();
@@ -301,12 +292,14 @@ impl TyphoonCluster {
         }
         let agents: BTreeMap<HostId, Arc<WorkerAgent>> =
             hosts.iter().map(|(&h, rt)| (h, rt.agent.clone())).collect();
+        /// Checkpoint epochs retained per task.
+        const CHECKPOINT_RETENTION: u64 = 3;
         let checkpoint_store = config.checkpoint_interval.map(|_| {
             Arc::new(CheckpointStore::new(
                 Arc::new(KvStore::new()),
                 global.coordinator().clone(),
                 ser.clone(),
-                config.checkpoint_retention,
+                CHECKPOINT_RETENTION,
             ))
         });
         let manager = Arc::new(StreamingManager::new(

@@ -99,25 +99,14 @@ impl IoLayer {
     /// Retunes the batch size (the `BATCH_SIZE` control tuple). Lowering
     /// the knob flushes every batch already at or above the new threshold
     /// immediately — without this, buffered tuples would sit until the next
-    /// push or the delay timer (the `Batcher::poll_flush_at` bug, fixed in
-    /// both places).
+    /// push or the delay timer.
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch_size = n.max(1);
         self.registry
             .gauge("io.batch_size")
             .set(self.batch_size as i64);
-        let due: Vec<MacAddr> = self
-            .batches
-            .iter()
-            .filter(|(_, b)| b.blobs.len() >= self.batch_size)
-            .map(|(&d, _)| d)
-            .collect();
-        for dst in due {
-            let batch = self.batches.get_mut(&dst).unwrap();
-            let blobs = std::mem::take(&mut batch.blobs);
-            let trace = batch.trace;
-            self.send_batch(dst, &blobs, trace);
-        }
+        let threshold = self.batch_size;
+        self.flush_where(|b| b.blobs.len() >= threshold);
     }
 
     /// Frames waiting in the receive ring (the worker's queue depth, the
@@ -154,33 +143,26 @@ impl IoLayer {
     /// Flushes batches whose oldest tuple exceeded the delay bound.
     pub fn flush_due(&mut self) {
         let now = Instant::now();
-        let due: Vec<MacAddr> = self
-            .batches
-            .iter()
-            .filter(|(_, b)| {
-                !b.blobs.is_empty() && now.saturating_duration_since(b.oldest) >= self.batch_delay
-            })
-            .map(|(&d, _)| d)
-            .collect();
-        for dst in due {
-            let batch = self.batches.get_mut(&dst).unwrap();
-            let blobs = std::mem::take(&mut batch.blobs);
-            let trace = batch.trace;
-            self.send_batch(dst, &blobs, trace);
-        }
+        let delay = self.batch_delay;
+        self.flush_where(|b| now.saturating_duration_since(b.oldest) >= delay);
     }
 
     /// Flushes everything (graceful shutdown: "once the worker finishes
     /// emitting any ongoing tuples, it is removed", §3.5).
     pub fn flush_all(&mut self) {
+        self.flush_where(|_| true);
+    }
+
+    /// Sends every non-empty batch `due` selects.
+    fn flush_where(&mut self, due: impl Fn(&DstBatch) -> bool) {
         let dsts: Vec<MacAddr> = self
             .batches
             .iter()
-            .filter(|(_, b)| !b.blobs.is_empty())
+            .filter(|(_, b)| !b.blobs.is_empty() && due(b))
             .map(|(&d, _)| d)
             .collect();
         for dst in dsts {
-            let batch = self.batches.get_mut(&dst).unwrap();
+            let batch = self.batches.get_mut(&dst).expect("selected above");
             let blobs = std::mem::take(&mut batch.blobs);
             let trace = batch.trace;
             self.send_batch(dst, &blobs, trace);

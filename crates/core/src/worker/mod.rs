@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
 use typhoon_metrics::{RateMeter, Registry};
-use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId};
+use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId, VecEmitter};
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
@@ -133,6 +133,10 @@ struct WorkerCtx {
     accum_xor: u64,
     pending: std::collections::HashMap<u64, (Instant, u64)>,
     root_seed: u64,
+    /// Set by anything that must not linger in a batch (acker verdicts,
+    /// metric responses, state re-emissions); the loop flushes everything
+    /// at the end of the round instead of waiting out the delay timer.
+    flush_now: bool,
     // tracing
     trace: TraceCtx,
     current_trace: u64,
@@ -182,6 +186,19 @@ impl WorkerCtx {
         }
     }
 
+    /// Routes what a bolt emits outside `execute` (signal flush, checkpoint
+    /// restore, restate) down the ordinary path, unanchored.
+    fn emit_unanchored(&mut self, emit: impl FnOnce(&mut VecEmitter)) {
+        let mut sink = VecEmitter::default();
+        emit(&mut sink);
+        for (stream, values) in sink.emitted {
+            let tuple = Tuple::on_stream(self.config.task, stream, values);
+            let addressed = self.fw.route(tuple, false);
+            self.dispatch(addressed);
+        }
+        self.flush_now = true;
+    }
+
     fn send_ack(&mut self, root: u64, xor: u64, spout: Option<TaskId>) {
         if let Some(acker) = self.config.acker {
             let msg = Tuple::on_stream(
@@ -212,14 +229,7 @@ impl WorkerCtx {
                 if let Some(bolt) = bolt {
                     // The stateful flush of Listing 2 / Fig. 6(b): emitted
                     // tuples take the ordinary routed path.
-                    let mut sink = SignalEmitter::default();
-                    bolt.on_signal(&mut sink);
-                    for (stream, values) in sink.emitted {
-                        let tuple = Tuple::on_stream(self.config.task, stream, values);
-                        let addressed = self.fw.route(tuple, false);
-                        self.dispatch(addressed);
-                    }
-                    self.io.flush_all();
+                    self.emit_unanchored(|out| bolt.on_signal(out));
                 }
             }
             ControlTuple::MetricReq { request_id } => {
@@ -244,8 +254,7 @@ impl WorkerCtx {
                 .to_tuple(self.config.task);
                 let a = self.fw.to_controller(&resp);
                 self.io.enqueue(a.dst, a.blob, 0);
-                // Metric responses should not linger in a batch.
-                self.io.flush_all();
+                self.flush_now = true;
             }
             ControlTuple::InputRate { tuples_per_sec } => {
                 self.input_rate = (tuples_per_sec > 0).then_some(tuples_per_sec);
@@ -254,7 +263,7 @@ impl WorkerCtx {
             ControlTuple::Deactivate => self.active = false,
             ControlTuple::BatchSize { size } => self.io.set_batch_size(size as usize),
             ControlTuple::MetricResp { .. } => { /* controller-bound only */ }
-            ControlTuple::Replay => { /* spout-only; handled in run_spout */ }
+            ControlTuple::Replay => { /* spout-only; handled by SpoutRole */ }
             ControlTuple::Restate => {
                 // Crash recovery: emissions this bolt made toward a task
                 // that died were lost, and the dedup ledger refuses to
@@ -265,32 +274,13 @@ impl WorkerCtx {
                 if let Some(bolt) = bolt {
                     if bolt.is_stateful() {
                         if let Some(state) = bolt.checkpoint() {
-                            let mut sink = SignalEmitter::default();
-                            bolt.restore(state, &mut sink);
                             self.shared.registry.counter("recovery.restated").inc();
-                            for (stream, values) in sink.emitted {
-                                let tuple = Tuple::on_stream(self.config.task, stream, values);
-                                let addressed = self.fw.route(tuple, false);
-                                self.dispatch(addressed);
-                            }
-                            self.io.flush_all();
+                            self.emit_unanchored(|out| bolt.restore(state, out));
                         }
                     }
                 }
             }
         }
-    }
-}
-
-/// Collects a bolt's emissions during control handling.
-#[derive(Default)]
-struct SignalEmitter {
-    emitted: Vec<(StreamId, Vec<Value>)>,
-}
-
-impl Emitter for SignalEmitter {
-    fn emit_on(&mut self, stream: StreamId, values: Vec<Value>) {
-        self.emitted.push((stream, values));
     }
 }
 
@@ -345,6 +335,7 @@ pub fn run_worker(
         current_root: 0,
         accum_xor: 0,
         pending: std::collections::HashMap::new(),
+        flush_now: false,
         trace,
         current_trace: 0,
         config,
@@ -354,21 +345,37 @@ pub fn run_worker(
         ser,
     };
     match role {
-        Role::Spout(spout) => run_spout(&mut ctx, spout),
-        Role::Bolt(bolt) => run_bolt(&mut ctx, bolt),
-        Role::Acker => run_acker(&mut ctx),
+        Role::Spout(mut spout) => {
+            spout.open();
+            let role = SpoutRole {
+                spout,
+                last_pending_sweep: Instant::now(),
+            };
+            run_loop(&mut ctx, role);
+        }
+        Role::Bolt(mut bolt) => {
+            bolt.prepare();
+            let ckpt = BoltCheckpointer::init(&mut ctx, bolt.as_mut());
+            run_loop(&mut ctx, BoltRole { bolt, ckpt });
+        }
+        Role::Acker => {
+            let role = AckerRole {
+                ledger: AckerLedger::new(),
+                last_expire: Instant::now(),
+                combined: Vec::new(),
+            };
+            run_loop(&mut ctx, role);
+        }
     }
 }
 
 const INGRESS_BUDGET: usize = 256;
 
-/// Drains and decodes pending ingress into (classification, tuple) pairs.
+/// Drains and decodes pending ingress; `None` once the port is detached.
 fn drain_ingress(ctx: &mut WorkerCtx) -> Option<Vec<Tuple>> {
     let mut blobs = Vec::new();
-    match ctx.io.poll_ingress(&mut blobs, INGRESS_BUDGET) {
-        Ok(_) => {}
-        Err(_) => return None, // port detached: the worker was killed
-    }
+    // Err: the port was detached, i.e. the worker was killed.
+    ctx.io.poll_ingress(&mut blobs, INGRESS_BUDGET).ok()?;
     let mut tuples = Vec::with_capacity(blobs.len());
     for (_src, blob) in blobs {
         if let Ok((tuple, _)) = decode_tuple(&blob, &ctx.ser) {
@@ -381,68 +388,104 @@ fn drain_ingress(ctx: &mut WorkerCtx) -> Option<Vec<Tuple>> {
     Some(tuples)
 }
 
-fn run_spout(ctx: &mut WorkerCtx, mut spout: Box<dyn Spout>) {
-    spout.open();
+/// What a role contributes to the one worker loop ([`run_loop`]).
+trait RoleLoop {
+    /// One decoded ingress tuple, already classified.
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple);
+    /// End of every round, after ingress is drained: timers and (for the
+    /// spout) production. Returns `true` when it did work.
+    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool;
+    /// Graceful stop, before the final egress flush.
+    fn on_shutdown(&mut self, _ctx: &mut WorkerCtx) {}
+}
+
+/// The worker loop every role shares: exit checks, ingress, the role's
+/// work, egress flush, dead-port fail-fast, queue gauge, idle backoff.
+fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
+    let queue_depth = ctx.shared.registry.gauge("queue.depth");
     ctx.shared.ready.store(true, Ordering::Release);
-    let mut last_pending_sweep = Instant::now();
     loop {
         if ctx.shared.crash.load(Ordering::Acquire) {
             return; // abrupt: port drops, PortStatus delete fires
         }
         if ctx.shared.shutdown.load(Ordering::Acquire) {
+            role.on_shutdown(ctx);
             ctx.io.flush_all();
             return;
         }
-        let mut busy = false;
-        let tuples = match drain_ingress(ctx) {
-            Some(t) => t,
-            None => return,
+        let Some(tuples) = drain_ingress(ctx) else {
+            return;
         };
+        let mut busy = !tuples.is_empty();
         for tuple in tuples {
-            busy = true;
-            match ctx.fw.classify(&tuple) {
-                Classified::Control(ControlTuple::Replay) => {
-                    // Crash recovery: fail every pending root *now* so the
-                    // spout replays into the recovered task without waiting
-                    // out the ack timeout (§4 — replay is part of the
-                    // recovery critical path, not the slow path).
-                    let roots: Vec<u64> = ctx.pending.keys().copied().collect();
-                    for root in roots {
-                        if ctx.pending.remove(&root).is_some() {
-                            ctx.shared.registry.counter("recovery.replayed_roots").inc();
-                            spout.fail(root);
-                        }
-                    }
-                }
-                Classified::Control(ct) => ctx.handle_control(ct, None),
-                Classified::AckResult => {
-                    let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-                    let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
-                    if let Some((born, trace)) = ctx.pending.remove(&root) {
-                        if ok {
-                            ctx.trace.record(trace, Hop::Ack);
-                            ctx.shared.registry.counter("acks.completed").inc();
-                            ctx.shared
-                                .registry
-                                .histogram("latency")
-                                .record_duration(born.elapsed());
-                            spout.ack(root);
-                        } else {
-                            ctx.shared.registry.counter("acks.failed").inc();
-                            spout.fail(root);
-                        }
-                    }
-                }
-                _ => {}
-            }
+            let class = ctx.fw.classify(&tuple);
+            role.on_tuple(ctx, class, tuple);
         }
+        busy |= role.on_tick(ctx);
+        if std::mem::take(&mut ctx.flush_now) {
+            ctx.io.flush_all();
+        } else {
+            ctx.io.flush_due();
+        }
+        if ctx.io.egress_dead() {
+            return; // the switch side of the port is gone; fail fast
+        }
+        queue_depth.set(ctx.io.queue_depth() as i64);
+        if !busy {
+            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the worker had no tuples to process)
+        }
+    }
+}
+
+struct SpoutRole {
+    spout: Box<dyn Spout>,
+    last_pending_sweep: Instant,
+}
+
+impl RoleLoop for SpoutRole {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+        match class {
+            Classified::Control(ControlTuple::Replay) => {
+                // Crash recovery: fail every pending root *now* so the
+                // spout replays into the recovered task without waiting
+                // out the ack timeout (§4 — replay is part of the
+                // recovery critical path, not the slow path).
+                for (root, _) in ctx.pending.drain() {
+                    ctx.shared.registry.counter("recovery.replayed_roots").inc();
+                    self.spout.fail(root);
+                }
+            }
+            Classified::Control(ct) => ctx.handle_control(ct, None),
+            Classified::AckResult => {
+                let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
+                let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
+                if let Some((born, trace)) = ctx.pending.remove(&root) {
+                    if ok {
+                        ctx.trace.record(trace, Hop::Ack);
+                        ctx.shared.registry.counter("acks.completed").inc();
+                        ctx.shared
+                            .registry
+                            .histogram("latency")
+                            .record_duration(born.elapsed());
+                        self.spout.ack(root);
+                    } else {
+                        ctx.shared.registry.counter("acks.failed").inc();
+                        self.spout.fail(root);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
         // The acker notifies completion/failure exactly once; if that
         // notification frame is lost (a faulty tunnel), the root would
         // otherwise sit in `pending` forever, leaking throttle budget and
         // silently dropping the tuple. Sweep with a margin past the ack
         // timeout so the acker's own expiry path wins when it is healthy.
-        if ctx.config.acking && last_pending_sweep.elapsed() >= Duration::from_millis(100) {
-            last_pending_sweep = Instant::now();
+        if ctx.config.acking && self.last_pending_sweep.elapsed() >= Duration::from_millis(100) {
+            self.last_pending_sweep = Instant::now();
             let give_up = ctx.config.ack_timeout + ctx.config.ack_timeout / 2;
             let expired: Vec<u64> = ctx
                 .pending
@@ -453,39 +496,20 @@ fn run_spout(ctx: &mut WorkerCtx, mut spout: Box<dyn Spout>) {
             for root in expired {
                 ctx.pending.remove(&root);
                 ctx.shared.registry.counter("acks.spout_timeout").inc();
-                spout.fail(root);
+                self.spout.fail(root);
             }
         }
         let throttled = ctx.config.acking && ctx.pending.len() >= ctx.config.max_pending;
-        if ctx.active && !throttled && ctx.rate_allows() {
-            busy |= spout_batch(ctx, spout.as_mut());
-        }
-        ctx.io.flush_due();
-        if ctx.io.egress_dead() {
-            return; // the switch side of the port is gone; fail fast
-        }
-        ctx.shared
-            .registry
-            .gauge("queue.depth")
-            .set(ctx.io.queue_depth() as i64);
-        if !busy {
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the worker had no tuples to process)
-        }
+        ctx.active && !throttled && ctx.rate_allows() && spout_batch(ctx, self.spout.as_mut())
     }
 }
 
 fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
-    struct Collect(Vec<(StreamId, Vec<Value>)>);
-    impl Emitter for Collect {
-        fn emit_on(&mut self, stream: StreamId, values: Vec<Value>) {
-            self.0.push((stream, values));
-        }
-    }
-    let mut collect = Collect(Vec::new());
+    let mut collect = VecEmitter::default();
     let produced = spout.next_batch(&mut collect);
-    let had = !collect.0.is_empty();
-    ctx.rate_consume(collect.0.len() as u32);
-    for (index, (stream, values)) in collect.0.into_iter().enumerate() {
+    let had = !collect.emitted.is_empty();
+    ctx.rate_consume(collect.emitted.len() as u32);
+    for (index, (stream, values)) in collect.emitted.into_iter().enumerate() {
         let trace = ctx.trace.sample();
         ctx.current_trace = trace;
         ctx.trace.record(trace, Hop::SpoutEmit);
@@ -556,14 +580,7 @@ impl BoltCheckpointer {
                 // Reinstall state, then flush it downstream *unanchored*:
                 // the dead task's post-checkpoint in-flight emissions are
                 // lost, so latest-value consumers must reconverge.
-                let mut sink = SignalEmitter::default();
-                bolt.restore(ckpt.state, &mut sink);
-                for (stream, values) in sink.emitted {
-                    let tuple = Tuple::on_stream(ctx.config.task, stream, values);
-                    let addressed = ctx.fw.route(tuple, false);
-                    ctx.dispatch(addressed);
-                }
-                ctx.io.flush_all();
+                ctx.emit_unanchored(|out| bolt.restore(ckpt.state, out));
                 ledger = ckpt.ledger;
                 epoch = ckpt.epoch;
                 ctx.shared.registry.counter("recovery.restored").inc();
@@ -643,148 +660,124 @@ impl BoltCheckpointer {
         for (root, xor) in std::mem::take(&mut self.deferred_acks) {
             ctx.send_ack(root, xor, None);
         }
-        ctx.io.flush_all();
+        ctx.flush_now = true;
     }
 }
 
-fn run_bolt(ctx: &mut WorkerCtx, mut bolt: Box<dyn Bolt>) {
-    bolt.prepare();
-    let mut ckpt = BoltCheckpointer::init(ctx, bolt.as_mut());
-    ctx.shared.ready.store(true, Ordering::Release);
-    loop {
-        if ctx.shared.crash.load(Ordering::Acquire) {
-            return;
-        }
-        if ctx.shared.shutdown.load(Ordering::Acquire) {
-            // Graceful stop: make the final folds durable and release
-            // their acks so a planned kill never forces replays.
-            if let Some(c) = ckpt.as_mut() {
-                c.save_now(ctx, bolt.as_ref());
-            }
-            ctx.io.flush_all();
-            return;
-        }
-        let mut busy = false;
-        let tuples = match drain_ingress(ctx) {
-            Some(t) => t,
-            None => return,
-        };
-        for tuple in tuples {
-            busy = true;
-            match ctx.fw.classify(&tuple) {
-                Classified::Control(ct) => ctx.handle_control(ct, Some(&mut bolt)),
-                Classified::Data => {
-                    ctx.shared.registry.counter("tuples.received").inc();
-                    ctx.shared.meter.mark(1);
-                    let input_id = tuple.meta.message_id;
-                    let input_trace = tuple.meta.trace;
-                    if ctx.config.acking && input_id.is_anchored() {
-                        if let Some(c) = ckpt.as_mut() {
-                            if c.is_duplicate(input_id) {
-                                // Already folded into (checkpointed) state:
-                                // skip execution, complete this branch of
-                                // the ack tree immediately.
-                                ctx.shared.registry.counter("recovery.deduped").inc();
-                                ctx.send_ack(input_id.root, input_id.anchor, None);
-                                continue;
-                            }
+struct BoltRole {
+    bolt: Box<dyn Bolt>,
+    ckpt: Option<BoltCheckpointer>,
+}
+
+impl RoleLoop for BoltRole {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+        match class {
+            Classified::Control(ct) => ctx.handle_control(ct, Some(&mut self.bolt)),
+            Classified::Data => {
+                ctx.shared.registry.counter("tuples.received").inc();
+                ctx.shared.meter.mark(1);
+                let input_id = tuple.meta.message_id;
+                let input_trace = tuple.meta.trace;
+                let anchored = ctx.config.acking && input_id.is_anchored();
+                if anchored {
+                    if let Some(c) = self.ckpt.as_mut() {
+                        if c.is_duplicate(input_id) {
+                            // Already folded into (checkpointed) state:
+                            // skip execution, complete this branch of
+                            // the ack tree immediately.
+                            ctx.shared.registry.counter("recovery.deduped").inc();
+                            ctx.send_ack(input_id.root, input_id.anchor, None);
+                            return;
                         }
                     }
-                    ctx.current_root = input_id.root;
-                    ctx.current_trace = input_trace;
-                    ctx.accum_xor = 0;
-                    bolt.execute(tuple, &mut RoutedEmitter { ctx });
-                    ctx.trace.record(input_trace, Hop::BoltExecute);
-                    if ctx.config.acking && input_id.is_anchored() {
-                        let xor = input_id.anchor ^ ctx.accum_xor;
-                        match ckpt.as_mut() {
-                            Some(c) => c.defer_ack(input_id.root, xor),
-                            None => ctx.send_ack(input_id.root, xor, None),
-                        }
-                    }
-                    ctx.current_root = 0;
-                    ctx.current_trace = 0;
                 }
-                _ => {}
+                ctx.current_root = input_id.root;
+                ctx.current_trace = input_trace;
+                ctx.accum_xor = 0;
+                self.bolt.execute(tuple, &mut RoutedEmitter { ctx });
+                ctx.trace.record(input_trace, Hop::BoltExecute);
+                if anchored {
+                    let xor = input_id.anchor ^ ctx.accum_xor;
+                    match self.ckpt.as_mut() {
+                        Some(c) => c.defer_ack(input_id.root, xor),
+                        None => ctx.send_ack(input_id.root, xor, None),
+                    }
+                }
+                ctx.current_root = 0;
+                ctx.current_trace = 0;
             }
+            _ => {}
         }
-        if let Some(c) = ckpt.as_mut() {
-            c.tick(ctx, bolt.as_ref());
+    }
+
+    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
+        if let Some(c) = self.ckpt.as_mut() {
+            c.tick(ctx, self.bolt.as_ref());
         }
-        ctx.io.flush_due();
-        if ctx.io.egress_dead() {
-            return; // the switch side of the port is gone; fail fast
-        }
-        ctx.shared
-            .registry
-            .gauge("queue.depth")
-            .set(ctx.io.queue_depth() as i64);
-        if !busy {
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the worker had no tuples to process)
+        false
+    }
+
+    /// Makes the final folds durable and releases their acks so a planned
+    /// kill never forces replays.
+    fn on_shutdown(&mut self, ctx: &mut WorkerCtx) {
+        if let Some(c) = self.ckpt.as_mut() {
+            c.save_now(ctx, self.bolt.as_ref());
         }
     }
 }
 
-fn run_acker(ctx: &mut WorkerCtx) {
-    let mut ledger = AckerLedger::new();
-    let mut last_expire = Instant::now();
-    ctx.shared.ready.store(true, Ordering::Release);
-    loop {
-        if ctx.shared.crash.load(Ordering::Acquire) || ctx.shared.shutdown.load(Ordering::Acquire) {
+struct AckerRole {
+    ledger: AckerLedger,
+    last_expire: Instant,
+    /// This round's acks, XOR-folded per root. XOR is associative, so every
+    /// ack for one root within a drained round collapses into a single
+    /// ledger application — O(distinct roots) ledger work per poll instead
+    /// of O(acks). Only the spout's init carries the owner identity; keep
+    /// the first seen.
+    combined: Vec<(u64, u64, Option<TaskId>)>,
+}
+
+impl RoleLoop for AckerRole {
+    fn on_tuple(&mut self, _ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+        if !matches!(class, Classified::Ack) {
             return;
         }
-        let mut busy = false;
-        let tuples = match drain_ingress(ctx) {
-            Some(t) => t,
-            None => return,
-        };
-        // XOR is associative, so every ack for one root within a drained
-        // batch collapses into a single ledger application — the acker does
-        // O(distinct roots) ledger work per poll instead of O(acks). Only
-        // the spout's init carries the owner identity; keep the first seen.
-        let mut combined: Vec<(u64, u64, Option<TaskId>)> = Vec::new();
-        for tuple in tuples {
-            if tuple.meta.stream != StreamId::ACK {
-                continue;
-            }
-            busy = true;
-            let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-            let xor = tuple.get(1).and_then(Value::as_int).unwrap_or(0) as u64;
-            let spout = tuple
-                .get(2)
-                .and_then(Value::as_int)
-                .map(|s| TaskId(s as u32));
-            match combined.iter_mut().find(|(r, _, _)| *r == root) {
-                Some((_, x, s)) => {
-                    *x ^= xor;
-                    if s.is_none() {
-                        *s = spout;
-                    }
+        let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
+        let xor = tuple.get(1).and_then(Value::as_int).unwrap_or(0) as u64;
+        let spout = tuple
+            .get(2)
+            .and_then(Value::as_int)
+            .map(|s| TaskId(s as u32));
+        match self.combined.iter_mut().find(|(r, _, _)| *r == root) {
+            Some((_, x, s)) => {
+                *x ^= xor;
+                if s.is_none() {
+                    *s = spout;
                 }
-                None => combined.push((root, xor, spout)),
             }
+            None => self.combined.push((root, xor, spout)),
         }
-        for (root, xor, spout) in combined {
-            if let Some((owner, outcome)) = ledger.apply(root, xor, spout, Instant::now()) {
+    }
+
+    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
+        let now = Instant::now();
+        for (root, xor, spout) in self.combined.drain(..) {
+            if let Some((owner, outcome)) = self.ledger.apply(root, xor, spout, now) {
                 acker_notify(ctx, owner, root, outcome);
             }
         }
-        if last_expire.elapsed() >= Duration::from_millis(100) {
-            last_expire = Instant::now();
-            for (root, owner, outcome) in ledger.expire(ctx.config.ack_timeout, Instant::now()) {
+        if self.last_expire.elapsed() >= Duration::from_millis(100) {
+            self.last_expire = now;
+            for (root, owner, outcome) in self.ledger.expire(ctx.config.ack_timeout, now) {
                 acker_notify(ctx, owner, root, outcome);
             }
         }
-        ctx.io.flush_due();
-        if ctx.io.egress_dead() {
-            return; // the switch side of the port is gone; fail fast
-        }
-        if !busy {
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the worker had no tuples to process)
-        }
+        false
     }
 }
 
+/// Queues a verdict for `spout`; the loop flushes them all once this round
+/// ends, so N verdicts for one spout share ⌈N / batch_size⌉ frames.
 fn acker_notify(ctx: &mut WorkerCtx, spout: TaskId, root: u64, outcome: AckOutcome) {
     let msg = Tuple::on_stream(
         ctx.config.task,
@@ -796,5 +789,5 @@ fn acker_notify(ctx: &mut WorkerCtx, spout: TaskId, root: u64, outcome: AckOutco
     );
     let a = ctx.fw.direct(&msg, spout);
     ctx.io.enqueue(a.dst, a.blob, 0);
-    ctx.io.flush_all();
+    ctx.flush_now = true;
 }

@@ -7,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use typhoon_controller::control::{ControlTuple, CONTROLLER_TASK};
 use typhoon_core::worker::{self, IoConfig, Role, Route, WorkerConfig, WorkerShared};
-use typhoon_model::{AppId, Bolt, Emitter, Grouping, RoutingState, TaskId};
+use typhoon_model::{AppId, Bolt, Emitter, Grouping, RoutingState, Spout, TaskId};
 use typhoon_net::{Depacketizer, MacAddr, Packetizer};
 use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo};
 use typhoon_switch::{ControlChannel, Switch, SwitchConfig};
@@ -26,16 +26,47 @@ fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
     ch.to_switch.send(wire::encode(&msg)).unwrap();
 }
 
-/// Spawns an Echo bolt worker (task 1) wired: port1 ← test, port2 → test.
-/// Returns the switch, control channel, shared handles and the thread.
-fn spawn_echo_worker() -> (
+/// A spout with exactly one tuple to give.
+struct Once(bool);
+
+impl Spout for Once {
+    fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
+        let fresh = std::mem::take(&mut self.0);
+        if fresh {
+            out.emit(vec![Value::Int(7)]);
+        }
+        fresh
+    }
+}
+
+type Spawned = (
     Switch,
     ControlChannel,
     WorkerShared,
     std::thread::JoinHandle<()>,
     typhoon_switch::WorkerPort, // the "downstream" endpoint (port 2)
     typhoon_switch::WorkerPort, // the "upstream" endpoint (port 3)
-) {
+);
+
+/// A batch delay only an explicit flush beats.
+const NEVER: Duration = Duration::from_secs(60);
+
+fn io(batch_size: usize, batch_delay: Duration) -> IoConfig {
+    IoConfig {
+        batch_size,
+        batch_delay,
+        mtu: 1500,
+    }
+}
+
+/// An Echo bolt that flushes every tuple at once.
+fn spawn_echo_worker() -> Spawned {
+    spawn_worker(Role::Bolt(Box::new(Echo)), io(1, Duration::from_millis(1)))
+}
+
+/// Spawns a worker (task 1) wired: port1 ← test, port2 → test.
+/// Returns the switch, control channel, shared handles and the thread.
+fn spawn_worker(role: Role, io: IoConfig) -> Spawned {
     let (sw, ch) = Switch::new(SwitchConfig::new(1));
     let worker_port = sw.attach_worker(PortNo(1));
     let downstream = sw.attach_worker(PortNo(2));
@@ -75,11 +106,7 @@ fn spawn_echo_worker() -> (
         task: TaskId(1),
         node: "echo".into(),
         component: "echo".into(),
-        io: IoConfig {
-            batch_size: 1,
-            batch_delay: Duration::from_millis(1),
-            mtu: 1500,
-        },
+        io,
         acking: false,
         acker: None,
         ack_timeout: Duration::from_secs(30),
@@ -97,7 +124,7 @@ fn spawn_echo_worker() -> (
     let thread = std::thread::spawn(move || {
         worker::run_worker(
             config,
-            Role::Bolt(Box::new(Echo)),
+            role,
             worker_port,
             routes,
             ser,
@@ -110,46 +137,70 @@ fn spawn_echo_worker() -> (
 
 /// Sends one tuple into the worker as if from task 3.
 fn inject(upstream: &typhoon_switch::WorkerPort, values: Vec<Value>, stream: StreamId) {
+    inject_all(upstream, vec![(values, stream)]);
+}
+
+/// Sends tuples into the worker as if from task 3, muxed into as few
+/// frames as the MTU allows (one frame reaches the worker in one poll).
+fn inject_all(upstream: &typhoon_switch::WorkerPort, tuples: Vec<(Vec<Value>, StreamId)>) {
     let ser = SerStats::default();
-    let tuple = Tuple::on_stream(TaskId(3), stream, values);
-    let blob = Bytes::from(encode_tuple_vec(&tuple, &ser));
+    let blobs: Vec<Bytes> = tuples
+        .into_iter()
+        .map(|(values, stream)| Tuple::on_stream(TaskId(3), stream, values))
+        .map(|tuple| Bytes::from(encode_tuple_vec(&tuple, &ser)))
+        .collect();
     let p = Packetizer::new(1500);
     for f in p.pack(
         MacAddr::worker(1, TaskId(3)),
         MacAddr::worker(1, TaskId(1)),
-        std::slice::from_ref(&blob),
+        &blobs,
     ) {
         upstream.tx.push(f).unwrap();
     }
 }
 
 fn recv_tuple(port: &typhoon_switch::WorkerPort, deadline: Duration) -> Option<Tuple> {
+    recv_tuples(port, 1, deadline).into_iter().next()
+}
+
+/// Receives until `want` tuples arrived or `deadline` passed.
+fn recv_tuples(port: &typhoon_switch::WorkerPort, want: usize, deadline: Duration) -> Vec<Tuple> {
     let ser = SerStats::default();
     let mut d = Depacketizer::new();
+    let mut got = Vec::new();
     let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if let Ok(Some(frame)) = port.rx.pop() {
-            if let Ok(blobs) = d.push(&frame) {
-                if let Some((_, blob)) = blobs.into_iter().next() {
-                    return decode_tuple(&blob, &ser).ok().map(|(t, _)| t);
+    while got.len() < want && Instant::now() < end {
+        match port.rx.pop() {
+            Ok(Some(frame)) => {
+                for (_, blob) in d.push(&frame).unwrap_or_default() {
+                    got.extend(decode_tuple(&blob, &ser).ok().map(|(t, _)| t));
                 }
             }
+            _ => std::thread::sleep(Duration::from_micros(100)),
         }
-        std::thread::sleep(Duration::from_micros(100));
     }
-    None
+    got
+}
+
+/// An init-and-complete ack for `root`, owned by the spout on task 2.
+fn complete_ack(root: i64) -> (Vec<Value>, StreamId) {
+    let values = vec![Value::Int(root), Value::Int(0), Value::Int(2)];
+    (values, StreamId::ACK)
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
 fn bolt_worker_echoes_through_all_three_layers() {
     let (sw, _ch, shared, thread, downstream, upstream) = spawn_echo_worker();
     let handle = sw.spawn();
-    assert!(
-        shared.ready.load(Ordering::Acquire) || {
-            std::thread::sleep(Duration::from_millis(200));
-            shared.ready.load(Ordering::Acquire)
-        }
-    );
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
     inject(
         &upstream,
         vec![Value::Int(5), Value::Str("x".into())],
@@ -204,16 +255,13 @@ fn routing_control_tuple_rewires_a_live_worker() {
     }
     // The controller→worker rule: dl_dst=worker(1) output port1.
     // (Installed in spawn_echo_worker.)
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while shared
-        .registry
-        .snapshot()
-        .counter("control.routing_applied")
-        == 0
-    {
-        assert!(Instant::now() < deadline, "ROUTING never applied");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("ROUTING applied", || {
+        shared
+            .registry
+            .snapshot()
+            .counter("control.routing_applied")
+            > 0
+    });
     // Now the echo goes to task 3 instead of task 2.
     inject(&upstream, vec![Value::Int(9)], StreamId::DEFAULT);
     let rerouted = recv_tuple(&upstream, Duration::from_secs(5)).expect("rerouted");
@@ -228,16 +276,71 @@ fn routing_control_tuple_rewires_a_live_worker() {
 }
 
 #[test]
-fn crash_flag_exits_without_flushing() {
-    let (sw, _ch, shared, thread, _downstream, _upstream) = spawn_echo_worker();
+fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
+    for name in ["spout", "bolt", "acker"] {
+        for exit in ["crash", "shutdown", "detach"] {
+            let case = format!("{name}/{exit}");
+            let role = match name {
+                "spout" => Role::Spout(Box::new(Once(true))),
+                "bolt" => Role::Bolt(Box::new(Echo)),
+                _ => Role::Acker,
+            };
+            let (sw, _ch, shared, thread, downstream, upstream) =
+                spawn_worker(role, io(1000, NEVER));
+            let handle = sw.spawn();
+            // One tuple of egress per role: the spout's only emission, the
+            // bolt's echo (both left in a batch), the acker's verdict
+            // (flushed at the end of its round).
+            match name {
+                "bolt" => inject(&upstream, vec![Value::Int(1)], StreamId::DEFAULT),
+                "acker" => inject_all(&upstream, vec![complete_ack(9)]),
+                _ => {}
+            }
+            let counters = || shared.registry.snapshot();
+            wait_until(&case, || {
+                counters().counter("tuples.emitted") + counters().counter("io.frames_tx") == 1
+            });
+            let flushed_before_exit = u64::from(name == "acker");
+            assert_eq!(counters().counter("io.frames_tx"), flushed_before_exit);
+            match exit {
+                "crash" => shared.crash.store(true, Ordering::Release),
+                "shutdown" => shared.shutdown.store(true, Ordering::Release),
+                _ => sw.detach_worker(PortNo(1)),
+            }
+            wait_until(&case, || thread.is_finished());
+            thread.join().unwrap();
+            // Only a graceful stop flushes what is still batched.
+            let flushed = flushed_before_exit.max(u64::from(exit == "shutdown"));
+            assert_eq!(counters().counter("io.frames_tx"), flushed, "{case}");
+            if exit == "shutdown" {
+                assert!(recv_tuple(&downstream, Duration::from_secs(5)).is_some());
+            }
+            handle.stop();
+        }
+    }
+}
+
+#[test]
+fn acker_verdicts_of_one_round_share_frames() {
+    const N: usize = 20;
+    const BATCH: usize = 8;
+    let (sw, _ch, shared, thread, spout_port, upstream) =
+        spawn_worker(Role::Acker, io(BATCH, NEVER));
     let handle = sw.spawn();
-    std::thread::sleep(Duration::from_millis(100));
-    shared.crash.store(true, Ordering::Release);
-    let t0 = Instant::now();
-    thread.join().unwrap();
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "crash exit is prompt"
+    // One frame carries all N acks, so one drained round completes N roots.
+    inject_all(&upstream, (1..=N as i64).map(complete_ack).collect());
+    let verdicts = recv_tuples(&spout_port, N, Duration::from_secs(5));
+    assert_eq!(verdicts.len(), N);
+    assert!(verdicts
+        .iter()
+        .all(|t| t.meta.stream == StreamId::ACK_RESULT));
+    let frames = shared.registry.snapshot().counter("io.frames_tx");
+    assert_eq!(
+        frames,
+        N.div_ceil(BATCH) as u64,
+        "one frame per batch, not per verdict"
     );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
     handle.stop();
 }

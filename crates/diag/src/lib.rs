@@ -209,21 +209,22 @@ pub mod rank {
     pub const CTRL_BARRIER_WAITERS: LockRank = LockRank(490);
     /// `typhoon-controller` `controller.rs` — SDN controller state.
     pub const CONTROLLER: LockRank = LockRank(500);
-    /// `typhoon-switch` `datapath.rs` — software switch state.
+    /// `typhoon-switch` flow table (all `DP_*` locks live in `datapath.rs`'s
+    /// `Inner`; taken by `forward.rs` lookups and `link.rs` FlowMods).
     pub const DATAPATH: LockRank = LockRank(600);
-    /// `typhoon-switch` `datapath.rs` — wire-port table.
+    /// `typhoon-switch` `forward.rs` — wire-port table.
     pub const DP_PORTS: LockRank = LockRank(610);
-    /// `typhoon-switch` `datapath.rs` — group table.
+    /// `typhoon-switch` `forward.rs` — group table.
     pub const DP_GROUPS: LockRank = LockRank(620);
-    /// `typhoon-switch` `datapath.rs` — tuple-trace recorder.
+    /// `typhoon-switch` `forward.rs` — tuple-trace recorder.
     pub const DP_TRACE: LockRank = LockRank(630);
     /// `typhoon-switch` `datapath.rs` — flow-expiry clock.
     pub const DP_EXPIRE: LockRank = LockRank(640);
-    /// `typhoon-switch` `datapath.rs` — tunnel map; held across
+    /// `typhoon-switch` `forward.rs` — tunnel map; held across
     /// `Tunnel::send`/`recv_batch`, so it stays below `CHAOS_STATE` and
     /// `TUNNEL`.
     pub const DP_TUNNELS: LockRank = LockRank(650);
-    /// `typhoon-switch` `datapath.rs` — the controller link (channel
+    /// `typhoon-switch` `link.rs` — the controller link (channel
     /// endpoints, fencing term, headless event queue). A leaf among the
     /// datapath locks: every other `DP_*` lock may be held when a frame
     /// or event reaches the link, and the link never takes them back.

@@ -17,8 +17,6 @@
 //! * [`tunnel`] — host-level tunnels that carry frames between compute
 //!   hosts: a real TCP implementation (loopback in experiments) and an
 //!   in-memory implementation behind one trait.
-//! * [`batch`] — the configurable batching used throughout the I/O layer
-//!   for the latency/throughput trade-off studied in Figs. 8(c)/(d).
 //! * [`fault`] — the chaos layer: a [`FaultInjector`] tunnel wrapper with
 //!   a seeded, deterministic, runtime-switchable [`FaultPlan`] (drop /
 //!   delay / duplicate / corrupt / stall / hard-partition per direction)
@@ -27,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod batch;
 pub mod fault;
 pub mod frame;
 pub mod packetize;
@@ -35,7 +32,6 @@ pub mod ring;
 pub mod tunnel;
 
 pub use backoff::{retry, BackoffPolicy, RetryError};
-pub use batch::Batcher;
 pub use fault::{
     ChaosHandle, ChaosStats, FaultInjector, FaultPlan, FaultSpec, KillClass, KillSpec,
 };

@@ -40,7 +40,7 @@ pub struct TunnelConfig {
     /// peer that *stopped reading*, not against transient backpressure or
     /// scheduler starvation on a loaded box — a false positive here tears
     /// a healthy tunnel down. Deployments wanting faster stall detection
-    /// lower it explicitly (see `TyphoonConfig::tunnel_write_timeout`).
+    /// lower it explicitly ([`TcpTunnel::pair_with`]).
     pub write_timeout: Duration,
 }
 

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{RateMeter, Registry};
-use typhoon_model::{Bolt, Emitter, RouteDecision, RoutingState, Spout, TaskId};
+use typhoon_model::{Bolt, Emitter, RouteDecision, RoutingState, Spout, TaskId, VecEmitter};
 use typhoon_trace::{Hop, TraceCtx};
 use typhoon_tuple::ser::{decode_tuple, encode_tuple_vec, SerStats};
 use typhoon_tuple::{MessageId, StreamId, Tuple, Value};
@@ -249,53 +249,49 @@ impl Emitter for ExecutorCtx {
 /// heartbeat (the baseline's only failure signal).
 pub fn run(mut ctx: ExecutorCtx, component: Component) {
     match component {
-        Component::Spout(spout) => run_spout(&mut ctx, spout),
-        Component::Bolt(bolt) => run_bolt(&mut ctx, bolt),
-        Component::Acker => run_acker(&mut ctx),
+        Component::Spout(mut spout) => {
+            spout.open();
+            run_loop(&mut ctx, SpoutRole(spout));
+        }
+        Component::Bolt(mut bolt) => {
+            bolt.prepare();
+            run_loop(&mut ctx, BoltRole(bolt));
+        }
+        Component::Acker => {
+            let role = AckerRole {
+                ledger: AckerLedger::new(),
+                last_expire: Instant::now(),
+            };
+            run_loop(&mut ctx, role);
+        }
     }
 }
 
 const DRAIN_BATCH: usize = 256;
 
-fn run_spout(ctx: &mut ExecutorCtx, mut spout: Box<dyn Spout>) {
-    spout.open();
+/// What a component contributes to the one executor loop ([`run_loop`]).
+trait ExecutorRole {
+    /// Start of every round: timers and (for the spout) production.
+    /// Returns `true` when it did work.
+    fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool;
+    /// One decoded inbox tuple.
+    fn on_tuple(&mut self, ctx: &mut ExecutorCtx, tuple: Tuple);
+}
+
+/// The executor loop every component shares: heartbeat, the role's tick,
+/// inbox drain, transfer flush, idle backoff.
+fn run_loop(ctx: &mut ExecutorCtx, mut role: impl ExecutorRole) {
     while !ctx.shutdown.load(Ordering::Acquire) {
         ctx.heartbeat();
-        let mut busy = false;
-        // Ack results from the acker.
+        let mut busy = role.on_tick(ctx);
         for _ in 0..DRAIN_BATCH {
-            let blob = match ctx.inbox.try_recv() {
-                Ok(b) => b,
-                Err(_) => break,
+            let Ok(blob) = ctx.inbox.try_recv() else {
+                break;
             };
             busy = true;
-            let (tuple, _) = match decode_tuple(&blob, &ctx.ser) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            if tuple.meta.stream == StreamId::ACK_RESULT {
-                let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-                let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
-                if let Some((born, trace)) = ctx.pending.remove(&root) {
-                    if ok {
-                        ctx.registry.counter("acks.completed").inc();
-                        ctx.registry
-                            .histogram("latency")
-                            .record_duration(born.elapsed());
-                        ctx.trace.record(trace, Hop::Ack);
-                        spout.ack(root);
-                    } else {
-                        ctx.registry.counter("acks.failed").inc();
-                        spout.fail(root);
-                    }
-                }
+            if let Ok((tuple, _)) = decode_tuple(&blob, &ctx.ser) {
+                role.on_tuple(ctx, tuple);
             }
-        }
-        // Emit when allowed.
-        let throttled = ctx.acker.is_some() && ctx.pending.len() >= ctx.max_pending;
-        if !throttled && ctx.rate_allows() {
-            let emitted = next_batch_rooted(ctx, spout.as_mut());
-            busy |= emitted;
         }
         ctx.flush_transfers(false);
         if !busy {
@@ -306,21 +302,46 @@ fn run_spout(ctx: &mut ExecutorCtx, mut spout: Box<dyn Spout>) {
     }
 }
 
+struct SpoutRole(Box<dyn Spout>);
+
+impl ExecutorRole for SpoutRole {
+    fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool {
+        let throttled = ctx.acker.is_some() && ctx.pending.len() >= ctx.max_pending;
+        !throttled && ctx.rate_allows() && next_batch_rooted(ctx, self.0.as_mut())
+    }
+
+    /// Ack results from the acker.
+    fn on_tuple(&mut self, ctx: &mut ExecutorCtx, tuple: Tuple) {
+        if tuple.meta.stream != StreamId::ACK_RESULT {
+            return;
+        }
+        let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
+        let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
+        if let Some((born, trace)) = ctx.pending.remove(&root) {
+            if ok {
+                ctx.registry.counter("acks.completed").inc();
+                ctx.registry
+                    .histogram("latency")
+                    .record_duration(born.elapsed());
+                ctx.trace.record(trace, Hop::Ack);
+                self.0.ack(root);
+            } else {
+                ctx.registry.counter("acks.failed").inc();
+                self.0.fail(root);
+            }
+        }
+    }
+}
+
 /// Calls the spout once; each top-level emission becomes its own root tree
 /// when acking is on.
 fn next_batch_rooted(ctx: &mut ExecutorCtx, spout: &mut dyn Spout) -> bool {
     // Collect emissions first so each can get its own root.
-    struct Collect(Vec<(StreamId, Vec<Value>)>);
-    impl Emitter for Collect {
-        fn emit_on(&mut self, stream: StreamId, values: Vec<Value>) {
-            self.0.push((stream, values));
-        }
-    }
-    let mut collect = Collect(Vec::new());
+    let mut collect = VecEmitter::default();
     let produced = spout.next_batch(&mut collect);
-    let had_emissions = !collect.0.is_empty();
-    ctx.rate_consume(collect.0.len() as u32);
-    for (index, (stream, values)) in collect.0.into_iter().enumerate() {
+    let had_emissions = !collect.emitted.is_empty();
+    ctx.rate_consume(collect.emitted.len() as u32);
+    for (index, (stream, values)) in collect.emitted.into_iter().enumerate() {
         let trace = ctx.trace.sample();
         ctx.current_trace = trace;
         ctx.trace.record(trace, Hop::SpoutEmit);
@@ -345,10 +366,10 @@ fn next_batch_rooted(ctx: &mut ExecutorCtx, spout: &mut dyn Spout) -> bool {
     produced || had_emissions
 }
 
-fn run_bolt(ctx: &mut ExecutorCtx, mut bolt: Box<dyn Bolt>) {
-    bolt.prepare();
-    while !ctx.shutdown.load(Ordering::Acquire) {
-        ctx.heartbeat();
+struct BoltRole(Box<dyn Bolt>);
+
+impl ExecutorRole for BoltRole {
+    fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool {
         let depth = ctx.inbox.len();
         ctx.registry.gauge("queue.depth").set(depth as i64);
         if let Some(cap) = ctx.mem_cap_items {
@@ -361,93 +382,67 @@ fn run_bolt(ctx: &mut ExecutorCtx, mut bolt: Box<dyn Bolt>) {
                 panic!("simulated OutOfMemoryError in {}", ctx.node);
             }
         }
-        let mut busy = false;
-        for _ in 0..DRAIN_BATCH {
-            let blob = match ctx.inbox.try_recv() {
-                Ok(b) => b,
-                Err(_) => break,
-            };
-            busy = true;
-            let (tuple, _) = match decode_tuple(&blob, &ctx.ser) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            if tuple.meta.stream == StreamId::CTRL_SIGNAL {
-                ctx.current_root = 0;
-                bolt.on_signal(ctx);
-                continue;
-            }
-            ctx.registry.counter("tuples.received").inc();
-            ctx.meter.mark(1);
-            let input_id = tuple.meta.message_id;
-            let input_trace = tuple.meta.trace;
-            ctx.trace.record(input_trace, Hop::Deserialize);
-            ctx.current_root = input_id.root;
-            ctx.current_trace = input_trace;
-            ctx.accum_xor = 0;
-            bolt.execute(tuple, ctx);
-            ctx.trace.record(input_trace, Hop::BoltExecute);
-            // Auto-ack (Storm's BasicBolt discipline): input anchor XOR
-            // the anchors of everything emitted during execute.
-            if input_id.is_anchored() {
-                let xor = input_id.anchor ^ ctx.accum_xor;
-                ctx.send_acker(input_id.root, xor, None);
-            }
+        false
+    }
+
+    fn on_tuple(&mut self, ctx: &mut ExecutorCtx, tuple: Tuple) {
+        if tuple.meta.stream == StreamId::CTRL_SIGNAL {
             ctx.current_root = 0;
-            ctx.current_trace = 0;
+            self.0.on_signal(ctx);
+            return;
         }
-        ctx.flush_transfers(false);
-        if !busy {
-            ctx.flush_transfers(true);
-            ctx.outbound.flush_all();
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the executor had no input)
+        ctx.registry.counter("tuples.received").inc();
+        ctx.meter.mark(1);
+        let input_id = tuple.meta.message_id;
+        let input_trace = tuple.meta.trace;
+        ctx.trace.record(input_trace, Hop::Deserialize);
+        ctx.current_root = input_id.root;
+        ctx.current_trace = input_trace;
+        ctx.accum_xor = 0;
+        self.0.execute(tuple, ctx);
+        ctx.trace.record(input_trace, Hop::BoltExecute);
+        // Auto-ack (Storm's BasicBolt discipline): input anchor XOR
+        // the anchors of everything emitted during execute.
+        if input_id.is_anchored() {
+            let xor = input_id.anchor ^ ctx.accum_xor;
+            ctx.send_acker(input_id.root, xor, None);
         }
+        ctx.current_root = 0;
+        ctx.current_trace = 0;
     }
 }
 
-fn run_acker(ctx: &mut ExecutorCtx) {
-    let mut ledger = AckerLedger::new();
-    let mut last_expire = Instant::now();
-    while !ctx.shutdown.load(Ordering::Acquire) {
-        ctx.heartbeat();
-        let mut busy = false;
-        for _ in 0..DRAIN_BATCH {
-            let blob = match ctx.inbox.try_recv() {
-                Ok(b) => b,
-                Err(_) => break,
-            };
-            busy = true;
-            let (tuple, _) = match decode_tuple(&blob, &ctx.ser) {
-                Ok(t) => t,
-                Err(_) => continue,
-            };
-            if tuple.meta.stream != StreamId::ACK {
-                continue;
-            }
-            let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-            let xor = tuple.get(1).and_then(Value::as_int).unwrap_or(0) as u64;
-            let spout = tuple
-                .get(2)
-                .and_then(Value::as_int)
-                .map(|s| TaskId(s as u32));
-            if let Some((owner, outcome)) = ledger.apply(root, xor, spout, Instant::now()) {
-                notify_spout(ctx, owner, root, outcome);
-            }
-        }
-        if last_expire.elapsed() >= Duration::from_millis(100) {
-            last_expire = Instant::now();
-            for (root, owner, outcome) in ledger.expire(ctx.ack_timeout, Instant::now()) {
+struct AckerRole {
+    ledger: AckerLedger,
+    last_expire: Instant,
+}
+
+impl ExecutorRole for AckerRole {
+    fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool {
+        if self.last_expire.elapsed() >= Duration::from_millis(100) {
+            self.last_expire = Instant::now();
+            for (root, owner, outcome) in self.ledger.expire(ctx.ack_timeout, Instant::now()) {
                 notify_spout(ctx, owner, root, outcome);
             }
         }
         ctx.registry
             .gauge("acker.pending")
-            .set(ledger.pending() as i64);
-        ctx.flush_transfers(false);
-        if !busy {
-            ctx.flush_transfers(true);
-            ctx.outbound.flush_all();
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the executor had no input)
+            .set(self.ledger.pending() as i64);
+        false
+    }
+
+    fn on_tuple(&mut self, ctx: &mut ExecutorCtx, tuple: Tuple) {
+        if tuple.meta.stream != StreamId::ACK {
+            return;
+        }
+        let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
+        let xor = tuple.get(1).and_then(Value::as_int).unwrap_or(0) as u64;
+        let spout = tuple
+            .get(2)
+            .and_then(Value::as_int)
+            .map(|s| TaskId(s as u32));
+        if let Some((owner, outcome)) = self.ledger.apply(root, xor, spout, Instant::now()) {
+            notify_spout(ctx, owner, root, outcome);
         }
     }
 }

@@ -14,7 +14,7 @@
 //! Slots are seqlock-protected sets of `AtomicU64`s, so the structure is
 //! lock-free and safe (no `unsafe` anywhere) even though in steady state a
 //! single datapath thread is both the only writer and the dominant reader.
-//! The seqlock keeps concurrent manual `process_frame` callers (tests,
+//! The seqlock keeps concurrent manual `process_frames` callers (tests,
 //! `PacketOut`) from ever observing a torn entry: a reader validates the
 //! slot sequence number before and after reading, and retries as a miss on
 //! mismatch.

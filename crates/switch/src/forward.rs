@@ -1,0 +1,591 @@
+//! The frame path: poll ports and tunnels, resolve each *batch run* of
+//! same-headed frames once against the [`FlowCache`](crate::FlowCache)
+//! (falling back to the flow table on a miss) and execute the matched
+//! action list. Broadcast and mirror replication clone the frame, whose
+//! payload is [`bytes::Bytes`] — a refcount bump, "negligible packet copy
+//! overhead in OVS" (§6.1).
+
+use crate::cache::{Displaced, Probe};
+use crate::datapath::{Switch, POLL_BUDGET};
+use crate::table::FlowTable;
+use std::sync::atomic::Ordering;
+use std::time::Instant;
+use typhoon_net::{Frame, NetError};
+use typhoon_openflow::{Action, FrameMeta, OfMessage, PacketInReason, PortNo, PortStatusReason};
+use typhoon_trace::Hop;
+
+/// True when a tunnel error is unrecoverable (the link is gone or the
+/// stream is poisoned) rather than transient backpressure.
+fn tunnel_error_is_fatal(e: &NetError) -> bool {
+    matches!(
+        e,
+        NetError::Disconnected | NetError::Broken(_) | NetError::Io(_)
+    )
+}
+
+impl Switch {
+    pub(crate) fn poll_ports(&self) -> bool {
+        let mut batches = Vec::new();
+        let dead = self.inner.ports.lock().poll(POLL_BUDGET, &mut batches);
+        for port in dead {
+            // The fault detector's trigger: an unexpected port removal.
+            self.send_event(OfMessage::PortStatus {
+                reason: PortStatusReason::Delete,
+                port,
+            });
+        }
+        let busy = !batches.is_empty();
+        for (port, frames) in batches {
+            self.process_frames(port, frames);
+        }
+        busy
+    }
+
+    pub(crate) fn poll_tunnels(&self) -> bool {
+        let mut frames = Vec::new();
+        let mut dead = Vec::new();
+        {
+            let tunnels = self.inner.tunnels.lock();
+            for (&host, tunnel) in tunnels.iter() {
+                // recv_batch appends whatever arrived before an error, so
+                // buffered frames are still delivered on the poll that
+                // detects the teardown.
+                if let Err(e) = tunnel.recv_batch(&mut frames, POLL_BUDGET) {
+                    if tunnel_error_is_fatal(&e) {
+                        dead.push(host);
+                    }
+                }
+            }
+        }
+        for host in dead {
+            self.tunnel_down(host);
+        }
+        let busy = !frames.is_empty();
+        self.process_frames(PortNo::TUNNEL, frames);
+        busy
+    }
+
+    /// Tears down the tunnel to `host` and reports it to the controller as
+    /// a `PortStatus` delete on the tunnel-peer pseudo-port, so a lost
+    /// host link reaches the fault detector through the exact same channel
+    /// as a dead worker port (Fig. 10).
+    fn tunnel_down(&self, host: u32) {
+        let removed = self.inner.tunnels.lock().remove(&host).is_some();
+        if removed {
+            self.inner.tunnel_downs.fetch_add(1, Ordering::Relaxed);
+            self.inner.cache.invalidate_all();
+            self.send_event(OfMessage::PortStatus {
+                reason: PortStatusReason::Delete,
+                port: PortNo::tunnel_peer(host),
+            });
+        }
+    }
+
+    /// Sends `frames` to peer `host` under one tunnel-map lock, tearing the
+    /// tunnel down (after the lock drops) on the first fatal error. Frames
+    /// cross one by one so the fault injector keeps its per-frame semantics
+    /// (mid-batch drop/corrupt/partition stays reachable).
+    fn send_to_tunnel(&self, host: u32, frames: &[Frame]) {
+        let mut dead = false;
+        {
+            let tunnels = self.inner.tunnels.lock();
+            if let Some(t) = tunnels.get(&host) {
+                for frame in frames {
+                    // LINT: allow-send-under-lock(Tunnel::send is a socket write, not a channel op; the per-tunnel writer lock ranks above this map lock)
+                    if let Err(e) = t.send(frame) {
+                        if tunnel_error_is_fatal(&e) {
+                            dead = true;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        if dead {
+            self.tunnel_down(host);
+        }
+    }
+
+    /// Runs a batch of frames that arrived on `in_port` through the
+    /// datapath. Consecutive frames with identical headers form a *run*
+    /// that is resolved once — one cache probe (or one table lookup on
+    /// miss), one trace-lock visit, one port-lock visit — instead of
+    /// paying every cost per tuple.
+    pub fn process_frames(&self, in_port: PortNo, frames: Vec<Frame>) {
+        let mut it = frames.into_iter().peekable();
+        while let Some(first) = it.next() {
+            let key = (first.src, first.dst, first.ethertype);
+            let mut run = vec![first];
+            while let Some(f) = it.next_if(|f| (f.src, f.dst, f.ethertype) == key) {
+                run.push(f);
+            }
+            self.process_run(in_port, run);
+        }
+    }
+
+    /// Resolves and forwards one same-headed run.
+    fn process_run(&self, in_port: PortNo, run: Vec<Frame>) {
+        // Untraced frames (the overwhelming majority) pay one u64 compare;
+        // traced ones share a single trace-lock acquisition per run.
+        if run.iter().any(|f| f.trace != 0) {
+            let trace = self.inner.trace.lock();
+            for f in run.iter().filter(|f| f.trace != 0) {
+                trace.record(f.trace, Hop::SwitchMatch);
+            }
+        }
+        let meta = FrameMeta {
+            in_port,
+            dl_src: run[0].src,
+            dl_dst: run[0].dst,
+            ether_type: run[0].ethertype,
+        };
+        let bytes: u64 = run.iter().map(|f| f.wire_len() as u64).sum();
+        let actions = match self.resolve(&meta, run.len() as u64, bytes) {
+            Some(a) => a,
+            None => return, // table miss: drop the whole run (counted)
+        };
+        // Fast paths for the two Table 3 staples, paying one lock per run.
+        // Everything else (broadcast, groups, controller) falls back to the
+        // general per-frame executor.
+        match actions[..] {
+            [Action::Output(p)] if p.is_physical() && p != PortNo::TUNNEL => {
+                self.inner.ports.lock().transmit(p, run);
+            }
+            [Action::SetTunDst(host), Action::Output(PortNo::TUNNEL)] => {
+                self.send_to_tunnel(host, &run);
+            }
+            _ => {
+                for frame in run {
+                    self.execute(&actions, in_port, frame, 0);
+                }
+            }
+        }
+    }
+
+    /// Resolves a run's actions: flow cache first, table on a miss (which
+    /// also installs the result — positive or negative — for the next run).
+    fn resolve(&self, meta: &FrameMeta, packets: u64, bytes: u64) -> Option<Vec<Action>> {
+        let now = self.now_for_expiry();
+        match self.inner.cache.probe(meta, packets, bytes, now) {
+            Probe::Hit(actions) => Some(actions),
+            Probe::NegativeHit => {
+                self.inner.misses.fetch_add(packets, Ordering::Relaxed);
+                None
+            }
+            Probe::Miss => {
+                let mut table = self.inner.table.lock();
+                match table.lookup_credit(meta, packets, bytes, now) {
+                    Some(cf) => {
+                        let displaced = self.inner.cache.insert(
+                            meta,
+                            &cf.actions,
+                            cf.idle_timeout,
+                            cf.hard_remaining,
+                            now,
+                        );
+                        Self::credit_displaced(&mut table, displaced, now);
+                        Some(cf.actions)
+                    }
+                    None => {
+                        self.inner.misses.fetch_add(packets, Ordering::Relaxed);
+                        let displaced = self.inner.cache.insert_negative(meta, now);
+                        Self::credit_displaced(&mut table, displaced, now);
+                        None
+                    }
+                }
+            }
+        }
+    }
+
+    /// Credits pending hits displaced from an overwritten cache slot back
+    /// to the table (whose lock the caller already holds).
+    fn credit_displaced(table: &mut FlowTable, displaced: Option<Displaced>, now: Instant) {
+        if let Some(d) = displaced {
+            table.credit(&d.meta, d.packets, d.bytes, now);
+        }
+    }
+
+    fn execute(&self, actions: &[Action], in_port: PortNo, mut frame: Frame, depth: u8) {
+        if depth > 4 {
+            return; // group recursion guard
+        }
+        let mut tun_dst: Option<u32> = None;
+        for action in actions {
+            match *action {
+                Action::SetDlDst(mac) => {
+                    frame.dst = mac;
+                }
+                Action::SetTunDst(host) => {
+                    tun_dst = Some(host);
+                }
+                Action::Output(PortNo::TUNNEL) => {
+                    if let Some(host) = tun_dst {
+                        self.send_to_tunnel(host, std::slice::from_ref(&frame));
+                    }
+                }
+                Action::Output(PortNo::CONTROLLER) | Action::ToController => {
+                    self.send_event(OfMessage::PacketIn {
+                        in_port,
+                        reason: PacketInReason::Action,
+                        frame: frame.encode(),
+                    });
+                }
+                Action::Output(PortNo::ALL) => {
+                    let mut ports = self.inner.ports.lock();
+                    for p in ports.port_numbers() {
+                        if p != in_port {
+                            // Payload is shared Bytes: this clone is O(1).
+                            ports.transmit(p, std::iter::once(frame.clone()));
+                        }
+                    }
+                }
+                Action::Output(p) => {
+                    self.inner
+                        .ports
+                        .lock()
+                        .transmit(p, std::iter::once(frame.clone()));
+                }
+                Action::Group(g) => {
+                    // Bind first: an `if let` on the lock temporary would
+                    // hold the group-table guard across the recursive call
+                    // and deadlock on self-referential groups.
+                    let bucket_actions = self.inner.groups.lock().select(g);
+                    if let Some(bucket_actions) = bucket_actions {
+                        self.execute(&bucket_actions, in_port, frame.clone(), depth + 1);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::datapath::testutil::*;
+    use crate::{Switch, SwitchConfig, WorkerPort};
+    use bytes::Bytes;
+    use typhoon_net::{Frame, InMemoryTunnel, MacAddr, TYPHOON_ETHERTYPE};
+    use typhoon_openflow::{Action, FlowMatch, FlowMod, OfMessage, PacketInReason, PortNo};
+
+    #[test]
+    fn local_transfer_follows_table3_rule() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        sw.process_round(); // control
+        wp1.tx.push(data_frame(10, w(20), 0xaa)).unwrap();
+        sw.process_round(); // forward
+        let got = wp2.rx.pop().unwrap().expect("delivered");
+        assert_eq!(got.payload[0], 0xaa);
+        assert_eq!(got.dst, w(20));
+        assert_eq!(sw.miss_count(), 0);
+    }
+
+    #[test]
+    fn table_miss_drops_and_counts() {
+        let (sw, _ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        wp1.tx.push(data_frame(10, w(20), 1)).unwrap();
+        sw.process_round();
+        assert!(wp2.rx.pop().unwrap().is_none());
+        assert_eq!(sw.miss_count(), 1);
+    }
+
+    #[test]
+    fn broadcast_replicates_without_copying_payload() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let src = sw.attach_worker(PortNo(1));
+        let sinks: Vec<WorkerPort> = (2..=5).map(|p| sw.attach_worker(PortNo(p))).collect();
+        // Table 3 one-to-many rule: broadcast dst → all sink ports.
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any()
+                    .in_port(PortNo(1))
+                    .dl_dst(MacAddr::BROADCAST)
+                    .ether_type(TYPHOON_ETHERTYPE),
+                (2..=5).map(|p| Action::Output(PortNo(p))).collect(),
+            )),
+        );
+        sw.process_round();
+        let frame = data_frame(10, MacAddr::BROADCAST, 0xbb);
+        let payload_ptr = frame.payload.as_ptr();
+        src.tx.push(frame).unwrap();
+        sw.process_round();
+        for sink in &sinks {
+            let got = sink.rx.pop().unwrap().expect("replica delivered");
+            assert_eq!(got.payload.as_ptr(), payload_ptr, "shared payload");
+        }
+    }
+
+    #[test]
+    fn remote_transfer_via_tunnel_pair() {
+        // Two hosts: sender switch 1, receiver switch 2, joined by a tunnel.
+        let (sw1, ch1) = Switch::new(SwitchConfig::new(1));
+        let (sw2, ch2) = Switch::new(SwitchConfig::new(2));
+        let (t1, t2) = InMemoryTunnel::pair();
+        sw1.add_tunnel(2, Box::new(t1));
+        sw2.add_tunnel(1, Box::new(t2));
+        let src = sw1.attach_worker(PortNo(1));
+        let dst = sw2.attach_worker(PortNo(1));
+        send_ctrl(&ch1, remote_rule(10, 20, 2)); // Table 3 remote transfer (sender)
+                                                 // Table 3 remote transfer (receiver).
+        send_ctrl(
+            &ch2,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any()
+                    .in_port(PortNo::TUNNEL)
+                    .dl_src(w(10))
+                    .dl_dst(w(20)),
+                vec![Action::Output(PortNo(1))],
+            )),
+        );
+        sw1.process_round();
+        sw2.process_round();
+        src.tx.push(data_frame(10, w(20), 0xcc)).unwrap();
+        sw1.process_round(); // sender forwards into tunnel
+        sw2.process_round(); // receiver drains tunnel
+        let got = dst.rx.pop().unwrap().expect("crossed hosts");
+        assert_eq!(got.payload[0], 0xcc);
+    }
+
+    #[test]
+    fn to_controller_action_produces_packet_in() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp = sw.attach_worker(PortNo(1));
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                20,
+                FlowMatch::any().dl_dst(MacAddr::CONTROLLER),
+                vec![Action::ToController],
+            )),
+        );
+        sw.process_round();
+        let _ = drain_events(&ch); // discard the PortStatus add
+        wp.tx
+            .push(data_frame(10, MacAddr::CONTROLLER, 0xdd))
+            .unwrap();
+        sw.process_round();
+        let events = drain_events(&ch);
+        match &events[..] {
+            [OfMessage::PacketIn {
+                in_port,
+                reason,
+                frame,
+            }] => {
+                assert_eq!(*in_port, PortNo(1));
+                assert_eq!(*reason, PacketInReason::Action);
+                let decoded = Frame::decode(frame.clone()).unwrap();
+                assert_eq!(decoded.payload[0], 0xdd);
+            }
+            other => panic!("expected one PacketIn, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dead_tunnel_on_send_reports_tunnel_peer_delete() {
+        use typhoon_net::{FaultInjector, FaultPlan, FaultSpec};
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let (t1, _t2) = InMemoryTunnel::pair();
+        // TX-only partition: receive stays clean, so only the send path in
+        // `execute` can observe the fault.
+        let (inj, _handle) = FaultInjector::wrap(
+            Box::new(t1),
+            FaultPlan::tx_only(1, FaultSpec::CLEAN.partitioned()),
+        );
+        sw.add_tunnel(2, Box::new(inj));
+        let src = sw.attach_worker(PortNo(1));
+        send_ctrl(&ch, remote_rule(10, 20, 2));
+        sw.process_round();
+        let _ = drain_events(&ch);
+        assert!(sw.tunnel_alive(2));
+        src.tx.push(data_frame(10, w(20), 1)).unwrap();
+        sw.process_round();
+        assert!(!sw.tunnel_alive(2), "dead tunnel removed");
+        assert_eq!(sw.tunnel_down_count(), 1);
+        assert!(port_deleted(&ch, PortNo::tunnel_peer(2)));
+    }
+
+    #[test]
+    fn partitioned_tunnel_on_recv_reports_tunnel_peer_delete() {
+        use typhoon_net::{FaultInjector, FaultPlan, FaultSpec};
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let (t1, _t2) = InMemoryTunnel::pair();
+        let (inj, handle) = FaultInjector::wrap(Box::new(t1), FaultPlan::clean(1));
+        sw.add_tunnel(2, Box::new(inj));
+        let _ = drain_events(&ch);
+        sw.process_round();
+        assert!(sw.tunnel_alive(2), "healthy tunnel stays up");
+        handle.set_rx(FaultSpec::CLEAN.partitioned());
+        sw.process_round();
+        assert!(!sw.tunnel_alive(2), "partitioned tunnel torn down");
+        assert!(port_deleted(&ch, PortNo::tunnel_peer(2)));
+    }
+
+    #[test]
+    fn group_action_rewrites_destination_with_wrr() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let src = sw.attach_worker(PortNo(1));
+        let s1 = sw.attach_worker(PortNo(2));
+        let s2 = sw.attach_worker(PortNo(3));
+        use typhoon_openflow::{Bucket, GroupId, GroupMod};
+        send_ctrl(
+            &ch,
+            OfMessage::GroupMod(GroupMod::add(
+                GroupId(1),
+                vec![
+                    Bucket {
+                        weight: 1,
+                        actions: vec![Action::SetDlDst(w(21)), Action::Output(PortNo(2))],
+                    },
+                    Bucket {
+                        weight: 1,
+                        actions: vec![Action::SetDlDst(w(22)), Action::Output(PortNo(3))],
+                    },
+                ],
+            )),
+        );
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any().in_port(PortNo(1)),
+                vec![Action::Group(GroupId(1))],
+            )),
+        );
+        sw.process_round();
+        for i in 0..4u8 {
+            src.tx.push(data_frame(10, w(99), i)).unwrap();
+        }
+        sw.process_round();
+        let mut to1 = Vec::new();
+        let mut to2 = Vec::new();
+        while let Ok(Some(f)) = s1.rx.pop() {
+            assert_eq!(f.dst, w(21), "group rewrote destination");
+            to1.push(f);
+        }
+        while let Ok(Some(f)) = s2.rx.pop() {
+            assert_eq!(f.dst, w(22));
+            to2.push(f);
+        }
+        assert_eq!(to1.len(), 2);
+        assert_eq!(to2.len(), 2);
+    }
+
+    #[test]
+    fn flow_cache_hits_after_first_run_and_keeps_stats_exact() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        sw.process_round();
+        let _ = drain_events(&ch);
+        // Round 1: cold cache — the run resolves via the table and is
+        // installed. Round 2: the run must hit the cache.
+        for round in 0..2u8 {
+            for i in 0..5u8 {
+                wp1.tx.push(data_frame(10, w(20), round * 10 + i)).unwrap();
+            }
+            sw.process_round();
+        }
+        let stats = sw.cache_stats();
+        assert_eq!(stats.hits, 5, "second run hit the cache");
+        assert_eq!(stats.misses, 5, "first run was the cold miss");
+        // FlowStats must still be exact: the cached hits are flushed into
+        // the table before the reply is built.
+        send_ctrl(&ch, OfMessage::FlowStatsRequest);
+        sw.process_round();
+        let replies = drain_events(&ch);
+        match &replies[0] {
+            OfMessage::FlowStatsReply(stats) => assert_eq!(stats[0].packets, 10),
+            other => panic!("unexpected {other:?}"),
+        }
+        for _ in 0..10 {
+            assert!(wp2.rx.pop().unwrap().is_some(), "all frames forwarded");
+        }
+    }
+
+    #[test]
+    fn flow_mod_invalidates_the_cache() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        let wp3 = sw.attach_worker(PortNo(3));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        sw.process_round();
+        // Warm the cache toward port 2.
+        wp1.tx.push(data_frame(10, w(20), 1)).unwrap();
+        sw.process_round();
+        assert!(wp2.rx.pop().unwrap().is_some());
+        // Re-steer the flow to port 3 at higher priority; the cached
+        // decision must not survive the rule change.
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                20,
+                FlowMatch::any().in_port(PortNo(1)).dl_dst(w(20)),
+                vec![Action::Output(PortNo(3))],
+            )),
+        );
+        sw.process_round();
+        wp1.tx.push(data_frame(10, w(20), 2)).unwrap();
+        sw.process_round();
+        assert!(wp2.rx.pop().unwrap().is_none(), "old path no longer used");
+        assert!(wp3.rx.pop().unwrap().is_some(), "new rule took effect");
+        assert!(sw.cache_stats().invalidations >= 1);
+    }
+
+    #[test]
+    fn negative_cache_still_counts_per_frame_misses() {
+        let (sw, _ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        // Two separate rounds of the same unmatched flow: the second round
+        // hits the negative entry yet must still count 3 misses.
+        for round in 0..2u8 {
+            for i in 0..3u8 {
+                wp1.tx.push(data_frame(10, w(20), round * 3 + i)).unwrap();
+            }
+            sw.process_round();
+        }
+        assert_eq!(sw.miss_count(), 6);
+        assert_eq!(sw.cache_stats().negative_hits, 3);
+    }
+
+    #[test]
+    fn mixed_batch_splits_into_runs() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        let wp3 = sw.attach_worker(PortNo(3));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        send_ctrl(&ch, local_rule(11, 1, 30, 3));
+        sw.process_round();
+        // Interleave two flows in one port batch: A A B B A.
+        for (src, dst, n) in [
+            (10, 20, 0),
+            (10, 20, 1),
+            (11, 30, 2),
+            (11, 30, 3),
+            (10, 20, 4),
+        ] {
+            wp1.tx
+                .push(Frame::typhoon(w(src), w(dst), Bytes::from(vec![n; 8])))
+                .unwrap();
+        }
+        sw.process_round();
+        let mut a = 0;
+        while wp2.rx.pop().unwrap().is_some() {
+            a += 1;
+        }
+        let mut b = 0;
+        while wp3.rx.pop().unwrap().is_some() {
+            b += 1;
+        }
+        assert_eq!((a, b), (3, 2));
+    }
+}

@@ -18,10 +18,14 @@
 //!   (the SDN load balancer's mechanism, §4).
 //! * [`port`] — the port registry: worker ports backed by rings, attach/
 //!   detach with `PortStatus` events (the fault detector's signal).
-//! * [`datapath`] — the forwarding engine: polls ports, tunnels and the
-//!   controller channel; executes action lists; replicates broadcast frames
-//!   by cloning [`bytes::Bytes`] payloads (a refcount bump, not a copy —
-//!   the serialization-free one-to-many mechanism of §3.3.1).
+//! * [`datapath`] — the switch itself: configuration, shared state, the
+//!   poll round (control, ports, tunnels, expiry) and its thread.
+//! * [`link`] — the controller link: term-fenced connect, headless mode
+//!   with a bounded replay queue, and OpenFlow message handling.
+//! * [`forward`] — the frame path: batch runs resolved once against the
+//!   cache, action execution, tunnel teardown; broadcast replicates by
+//!   cloning [`bytes::Bytes`] payloads (a refcount bump, not a copy — the
+//!   serialization-free one-to-many mechanism of §3.3.1).
 //!
 //! The controller channel carries *encoded* OpenFlow messages
 //! ([`typhoon_openflow::wire`]), so the protocol codec is exercised on every
@@ -31,12 +35,15 @@
 
 pub mod cache;
 pub mod datapath;
+pub mod forward;
 pub mod group_table;
+pub mod link;
 pub mod port;
 pub mod table;
 
 pub use cache::{CacheStats, FlowCache};
-pub use datapath::{ControlChannel, StaleLeader, Switch, SwitchConfig, SwitchHandle};
+pub use datapath::{Switch, SwitchConfig, SwitchHandle};
 pub use group_table::GroupTable;
+pub use link::{ControlChannel, StaleLeader};
 pub use port::WorkerPort;
 pub use table::{FlowEntry, FlowTable};

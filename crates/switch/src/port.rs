@@ -72,36 +72,13 @@ impl Ports {
         self.entries.remove(&port).is_some()
     }
 
-    /// Sends a frame out `port`, updating TX stats. Overflow counts as a
-    /// TX drop (§8's switch-level loss); a closed ring means the worker
-    /// died and is reported to the caller.
-    pub(crate) fn transmit(&mut self, port: PortNo, frame: Frame) -> Result<(), NetError> {
-        let entry = match self.entries.get_mut(&port) {
-            Some(e) => e,
-            None => return Err(NetError::Disconnected),
-        };
-        let len = frame.wire_len() as u64;
-        match entry.to_worker.push(frame) {
-            Ok(()) => {
-                entry.stats.tx_packets += 1;
-                entry.stats.tx_bytes += len;
-                Ok(())
-            }
-            Err(NetError::RingFull) => {
-                entry.stats.tx_dropped += 1;
-                Err(NetError::RingFull)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Sends a whole batch out `port` with one registry lookup, updating TX
-    /// stats per frame (overflow counts as a TX drop, a closed ring drops
-    /// silently — the next `poll` reaps the dead port and reports it).
-    pub(crate) fn transmit_batch(&mut self, port: PortNo, frames: Vec<Frame>) {
-        let entry = match self.entries.get_mut(&port) {
-            Some(e) => e,
-            None => return,
+    /// Sends `frames` out `port` with one registry lookup, updating TX stats
+    /// per frame. Overflow counts as a TX drop (§8's switch-level loss); a
+    /// missing port or closed ring drops silently — the worker died, and
+    /// the next `poll` reaps the dead port and reports it.
+    pub(crate) fn transmit(&mut self, port: PortNo, frames: impl IntoIterator<Item = Frame>) {
+        let Some(entry) = self.entries.get_mut(&port) else {
+            return;
         };
         for frame in frames {
             let len = frame.wire_len() as u64;
@@ -177,7 +154,7 @@ mod tests {
     fn attach_transmit_receive() {
         let mut ports = Ports::new(16);
         let wp = ports.attach(PortNo(1));
-        ports.transmit(PortNo(1), frame(7)).unwrap();
+        ports.transmit(PortNo(1), [frame(7)]);
         let got = wp.rx.pop().unwrap().unwrap();
         assert_eq!(got.payload[0], 7);
         let stats = ports.stats();
@@ -210,27 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn transmit_to_missing_port_is_disconnected() {
-        let mut ports = Ports::new(4);
-        assert!(matches!(
-            ports.transmit(PortNo(9), frame(0)),
-            Err(NetError::Disconnected)
-        ));
-    }
-
-    #[test]
-    fn overflow_counts_tx_drop() {
-        let mut ports = Ports::new(1);
-        let _wp = ports.attach(PortNo(1));
-        ports.transmit(PortNo(1), frame(1)).unwrap();
-        assert!(matches!(
-            ports.transmit(PortNo(1), frame(2)),
-            Err(NetError::RingFull)
-        ));
-        assert_eq!(ports.stats()[0].tx_dropped, 1);
-    }
-
-    #[test]
     #[should_panic(expected = "reserved port")]
     fn reserved_ports_cannot_be_attached() {
         let mut ports = Ports::new(4);
@@ -238,7 +194,7 @@ mod tests {
     }
 
     #[test]
-    fn per_port_poll_budget_is_respected() {
+    fn per_port_poll_limit_is_respected() {
         let mut ports = Ports::new(64);
         let wp = ports.attach(PortNo(1));
         for i in 0..10 {
@@ -251,15 +207,30 @@ mod tests {
     }
 
     #[test]
-    fn transmit_batch_amortizes_the_lookup_with_exact_stats() {
+    fn transmit_accounts_per_frame_for_batches_and_single_frames() {
         let mut ports = Ports::new(2);
         let wp = ports.attach(PortNo(1));
-        ports.transmit_batch(PortNo(1), (0..4).map(frame).collect());
+        ports.transmit(PortNo(1), (0..4).map(frame));
         let stats = ports.stats();
         assert_eq!(stats[0].tx_packets, 2);
+        assert_eq!(stats[0].tx_bytes, 2 * frame(0).wire_len() as u64);
         assert_eq!(stats[0].tx_dropped, 2, "overflow counted per frame");
         assert_eq!(wp.rx.pop().unwrap().unwrap().payload[0], 0);
-        // A batch to a missing port is a silent no-op (poll reaps it).
-        ports.transmit_batch(PortNo(9), vec![frame(1)]);
+        // Single frames (`execute`) take the same path: ring-full counts.
+        ports.transmit(PortNo(1), std::iter::once(frame(4)));
+        ports.transmit(PortNo(1), std::iter::once(frame(5)));
+        let stats = ports.stats();
+        assert_eq!((stats[0].tx_packets, stats[0].tx_dropped), (3, 3));
+        // A dead worker's ring is not a TX drop; the next poll reaps it.
+        drop(wp);
+        ports.transmit(PortNo(1), [frame(6)]);
+        let stats = ports.stats();
+        assert_eq!((stats[0].tx_packets, stats[0].tx_dropped), (3, 3));
+        let mut out = Vec::new();
+        assert_eq!(ports.poll(8, &mut out), vec![PortNo(1)]);
+        // A detached (missing) port is a silent no-op.
+        ports.transmit(PortNo(1), [frame(7)]);
+        ports.transmit(PortNo(9), [frame(8)]);
+        assert!(ports.stats().is_empty());
     }
 }
