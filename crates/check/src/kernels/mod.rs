@@ -26,6 +26,7 @@
 
 pub mod batch;
 pub mod checkpoint;
+pub mod doorbell;
 pub mod election;
 pub mod recovery;
 pub mod ring;

@@ -21,7 +21,8 @@
 //!
 //! The [`kernels`] module holds faithful extractions of the
 //! workspace's real protocols — ring close/pop, tunnel send/teardown,
-//! checkpoint snapshot/fold, recovery re-steer/ack — each in pre-fix
+//! checkpoint snapshot/fold, recovery re-steer/ack, the doorbell's
+//! arm/re-check/park — each in pre-fix
 //! and fixed flavours, so the checker doubles as a regression pin on
 //! historical races. Compile with `--no-default-features` and the same
 //! kernels run against real primitives as stress tests.

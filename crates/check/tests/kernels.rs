@@ -10,7 +10,7 @@
 #![cfg(feature = "model")]
 
 use std::sync::Arc;
-use typhoon_check::kernels::{batch, checkpoint, election, recovery, ring, tunnel};
+use typhoon_check::kernels::{batch, checkpoint, doorbell, election, recovery, ring, tunnel};
 use typhoon_check::sync::{thread, Mutex};
 use typhoon_check::{Checker, Replay};
 
@@ -107,6 +107,51 @@ fn pop_batch_close_fixed_logic_passes() {
             batch::pop_batch_close_scenario(true)
         })
         .assert_ok();
+}
+
+// ------------------------------------------------------ doorbell (PR 14)
+
+#[test]
+fn doorbell_lost_wakeup_is_found_on_prefix_logic() {
+    let failure = Checker::default()
+        .check("doorbell-two-producers-close/prefix", || {
+            doorbell::two_producers_and_close_scenario(false)
+        })
+        .expect_failure();
+    println!("found the doorbell lost wake-up:\n{failure}");
+    // The model has no park timeout: a consumer parked on a non-empty (or
+    // closed) ring with nobody left to ring is a deadlock.
+    assert!(
+        failure.message.contains("deadlock"),
+        "unexpected failure: {}",
+        failure.message
+    );
+    // Replayable: the same schedule fails the same way.
+    let again = Checker::default()
+        .check("doorbell-two-producers-close/prefix", || {
+            doorbell::two_producers_and_close_scenario(false)
+        })
+        .expect_failure();
+    assert_eq!(
+        format!("{:?}", failure.replay),
+        format!("{:?}", again.replay)
+    );
+}
+
+#[test]
+fn doorbell_arm_recheck_park_passes_exhaustively() {
+    let report = Checker::default().check("doorbell-two-producers-close/fixed", || {
+        doorbell::two_producers_and_close_scenario(true)
+    });
+    println!(
+        "doorbell-two-producers-close/fixed: {} schedule(s), exhausted={}",
+        report.schedules, report.exhausted
+    );
+    report.assert_ok();
+    assert!(
+        report.exhausted,
+        "the bounded schedule tree must be covered"
+    );
 }
 
 // ---------------------------------------------------------- tunnel (PR 3)

@@ -6,7 +6,7 @@
 
 #![cfg(not(feature = "model"))]
 
-use typhoon_check::kernels::{batch, checkpoint, election, recovery, ring, tunnel};
+use typhoon_check::kernels::{batch, checkpoint, doorbell, election, recovery, ring, tunnel};
 
 const RUNS: usize = 200;
 
@@ -28,6 +28,13 @@ fn batch_push_close_fixed_stress() {
 fn batch_pop_close_fixed_stress() {
     for _ in 0..RUNS {
         batch::pop_batch_close_scenario(true);
+    }
+}
+
+#[test]
+fn doorbell_two_producers_close_fixed_stress() {
+    for _ in 0..RUNS {
+        doorbell::two_producers_and_close_scenario(true);
     }
 }
 

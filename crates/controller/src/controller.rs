@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
 use typhoon_model::{AppId, HostId, LogicalTopology, PhysicalTopology, TaskId};
-use typhoon_net::{Depacketizer, Frame, MacAddr, Packetizer};
+use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, Packetizer};
 use typhoon_openflow::{
     wire, DatapathId, FlowMod, FlowStats, OfMessage, PortNo, PortStats, PortStatusReason,
 };
@@ -48,6 +48,9 @@ struct CtlInner {
     packetizer: Packetizer,
     next_xid: AtomicU32,
     shutdown: AtomicBool,
+    /// What the spawned pump loop waits on; every registered switch rings
+    /// it after an event or reply.
+    bell: Doorbell,
     /// HA write-through: successful rule sends are recorded here so a
     /// successor leader can re-install them (None outside an HA plane).
     ledger: Option<Arc<crate::ha::RuleLedger>>,
@@ -106,6 +109,7 @@ impl Controller {
                 packetizer: Packetizer::default(),
                 next_xid: AtomicU32::new(1),
                 shutdown: AtomicBool::new(false),
+                bell: Doorbell::new(),
                 ledger,
             }),
         }
@@ -122,8 +126,10 @@ impl Controller {
     }
 
     /// Registers a switch session (the OpenFlow handshake of a real
-    /// deployment, collapsed to channel registration here).
+    /// deployment, collapsed to channel registration here). From now on
+    /// the switch wakes this controller's pump loop.
     pub fn register_switch(&self, host: HostId, dpid: DatapathId, channel: ControlChannel) {
+        channel.set_doorbell(self.inner.bell.clone());
         self.inner.switches.write().insert(
             host,
             SwitchBinding {
@@ -153,17 +159,17 @@ impl Controller {
     }
 
     fn send_to_switch(&self, host: HostId, msg: &OfMessage) -> bool {
-        // Clone the sender and release the switches lock before the
+        // Clone the channel and release the switches lock before the
         // blocking send: a switch with a full inbox must not stall every
         // thread that needs the switch table (TL008).
-        let tx = {
+        let channel = {
             let switches = self.inner.switches.read();
             match switches.get(&host) {
-                Some(b) => b.channel.to_switch.clone(),
+                Some(b) => b.channel.clone(),
                 None => return false,
             }
         };
-        let ok = tx.send(wire::encode(msg)).is_ok();
+        let ok = channel.send(wire::encode(msg)).is_ok();
         if ok {
             if let Some(ledger) = &self.inner.ledger {
                 ledger.record(host, msg);
@@ -430,22 +436,27 @@ impl Controller {
         }
     }
 
-    /// Spawns the controller loop: pump events continuously, tick apps at
-    /// `tick_interval`.
+    /// Spawns the controller loop: pump events while there are any, tick
+    /// apps at `tick_interval`, and wait on the bell (rung by the switches)
+    /// until the next tick in between.
     pub fn spawn(&self, tick_interval: Duration) -> ControllerHandle {
         let ctl = self.clone();
         let thread = std::thread::Builder::new()
             .name("sdn-controller".into())
             .spawn(move || {
+                let stop = || ctl.inner.shutdown.load(Ordering::Acquire);
                 let mut last_tick = Instant::now();
-                while !ctl.inner.shutdown.load(Ordering::Acquire) {
+                while !stop() {
                     let handled = ctl.pump();
                     if last_tick.elapsed() >= tick_interval {
                         last_tick = Instant::now();
                         ctl.tick_apps();
                     }
                     if handled == 0 {
-                        std::thread::sleep(Duration::from_micros(200)); // LINT: allow-sleep(idle backoff in the controller event loop when no messages were handled)
+                        let next_tick = last_tick + tick_interval;
+                        ctl.inner
+                            .bell
+                            .wait(next_tick, || !stop() && ctl.pump() == 0);
                     }
                 }
             })
@@ -459,6 +470,7 @@ impl Controller {
     /// Requests the controller loop to stop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.bell.ring();
     }
 }
 

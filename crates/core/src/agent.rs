@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
 use typhoon_model::{AppId, ComponentRegistry, HostInfo, NodeKind, TaskId};
+use typhoon_net::Doorbell;
 use typhoon_openflow::PortNo;
 use typhoon_switch::Switch;
 use typhoon_trace::{TraceCtx, Tracer};
@@ -28,7 +29,24 @@ pub struct WorkerEntry {
     pub shared: WorkerShared,
     /// The switch port the worker occupies.
     pub port: PortNo,
+    /// The worker loop's bell (its port's `rx.bell()`), rung after setting
+    /// a stop flag so a parked worker reacts now, not at its next deadline.
+    bell: Doorbell,
     thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl WorkerEntry {
+    /// Graceful stop: the worker drains its egress, then exits.
+    fn request_shutdown(&self) {
+        self.shared.shutdown.store(true, Ordering::Release);
+        self.bell.ring();
+    }
+
+    /// Abrupt stop: the worker exits at once, dropping its port.
+    fn request_crash(&self) {
+        self.shared.crash.store(true, Ordering::Release);
+        self.bell.ring();
+    }
 }
 
 /// The per-host worker agent.
@@ -126,6 +144,7 @@ impl WorkerAgent {
             return Err(CoreError::Timeout("agent on a live host"));
         }
         let worker_port = self.switch.attach_worker(port);
+        let bell = worker_port.rx.bell().clone();
         let shared = WorkerShared::new();
         let shared2 = shared.clone();
         let panic_registry = shared.registry.clone();
@@ -153,6 +172,7 @@ impl WorkerAgent {
             WorkerEntry {
                 shared: shared.clone(),
                 port,
+                bell,
                 thread: Some(thread),
             },
         );
@@ -197,7 +217,7 @@ impl WorkerAgent {
     pub fn kill(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
         if let Some(mut e) = entry {
-            e.shared.shutdown.store(true, Ordering::Release);
+            e.request_shutdown();
             if let Some(t) = e.thread.take() {
                 let _ = t.join();
             }
@@ -212,7 +232,7 @@ impl WorkerAgent {
     pub fn crash(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
         if let Some(mut e) = entry {
-            e.shared.crash.store(true, Ordering::Release);
+            e.request_crash();
             if let Some(t) = e.thread.take() {
                 let _ = t.join();
             }
@@ -229,7 +249,7 @@ impl WorkerAgent {
     pub fn crash_detached(&self, app: AppId, task: TaskId) {
         let workers = self.workers.lock();
         if let Some(e) = workers.get(&(app, task)) {
-            e.shared.crash.store(true, Ordering::Release);
+            e.request_crash();
         }
     }
 
@@ -238,7 +258,7 @@ impl WorkerAgent {
     pub fn crash_all_detached(&self) {
         let workers = self.workers.lock();
         for e in workers.values() {
-            e.shared.crash.store(true, Ordering::Release);
+            e.request_crash();
         }
     }
 

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use typhoon_metrics::Registry;
-use typhoon_net::{Depacketizer, Frame, MacAddr, NetError, Packetizer};
+use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, NetError, Packetizer};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
 
@@ -115,6 +115,19 @@ impl IoLayer {
         self.port.rx.len()
     }
 
+    /// The bell the switch rings after pushing into this worker's receive
+    /// ring (and on detach): what the worker loop waits on when idle.
+    pub fn bell(&self) -> &Doorbell {
+        self.port.rx.bell()
+    }
+
+    /// True while the receive ring is empty and still attached — the
+    /// ingress half of the worker loop's re-check before it parks. A
+    /// detached ring is not idle: the loop must see it and exit.
+    pub fn ingress_idle(&self) -> bool {
+        self.port.rx.is_empty() && !self.port.rx.is_closed()
+    }
+
     /// Queues one serialized tuple for `dst`, flushing if the batch fills.
     /// `trace` is the tuple's trace id (0 = untraced).
     pub fn enqueue(&mut self, dst: MacAddr, blob: Bytes, trace: u64) {
@@ -145,6 +158,18 @@ impl IoLayer {
         let now = Instant::now();
         let delay = self.batch_delay;
         self.flush_where(|b| now.saturating_duration_since(b.oldest) >= delay);
+    }
+
+    /// When the delay timer next forces a flush: the earliest `oldest +
+    /// batch_delay` over **non-empty** batches (entries outlive their
+    /// blobs), `None` when nothing is buffered. The worker loop parks no
+    /// longer than this.
+    pub fn next_flush_due(&self) -> Option<Instant> {
+        self.batches
+            .values()
+            .filter(|b| !b.blobs.is_empty())
+            .map(|b| b.oldest + self.batch_delay)
+            .min()
     }
 
     /// Flushes everything (graceful shutdown: "once the worker finishes
@@ -283,6 +308,24 @@ mod tests {
         std::thread::sleep(Duration::from_millis(3));
         io.flush_due();
         assert_eq!(io.registry.snapshot().counter("io.frames_tx"), 1);
+    }
+
+    #[test]
+    fn next_flush_due_tracks_the_oldest_non_empty_batch() {
+        let (mut io, _sw) = io_on_switch(2);
+        assert_eq!(io.next_flush_due(), None);
+        let (d1, d2) = (MacAddr::worker(1, TaskId(2)), MacAddr::worker(1, TaskId(3)));
+        let before = Instant::now();
+        io.enqueue(d1, Bytes::from_static(b"a"), 0);
+        let due = io.next_flush_due().expect("one tuple buffered");
+        assert!(due >= before + io.batch_delay && due <= Instant::now() + io.batch_delay);
+        io.enqueue(d2, Bytes::from_static(b"b"), 0);
+        assert_eq!(io.next_flush_due(), Some(due), "the older batch decides");
+        // d1 fills and leaves; its emptied entry must not hold the timer.
+        io.enqueue(d1, Bytes::from_static(b"c"), 0);
+        assert!(io.next_flush_due().expect("d2 still buffered") > due);
+        io.flush_all();
+        assert_eq!(io.next_flush_due(), None);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! unchanged application computation layer, and routes emissions back down
 //! through framework serialization and I/O batching. Table 2 control
 //! tuples — injected by the SDN controller — reconfigure all of this at
-//! runtime without stopping the loop.
+//! runtime without stopping the loop. A round that found nothing to do
+//! waits on the port's doorbell (rung by the switch) until the next batch
+//! flush falls due, instead of sleeping.
 
 pub mod framework;
 pub mod io;
@@ -21,6 +23,7 @@ use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
 use typhoon_metrics::{RateMeter, Registry};
 use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId, VecEmitter};
+use typhoon_net::Doorbell;
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
@@ -395,16 +398,25 @@ trait RoleLoop {
     /// End of every round, after ingress is drained: timers and (for the
     /// spout) production. Returns `true` when it did work.
     fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool;
+    /// True while the role has a source of work that cannot ring the bell
+    /// and so must be polled (only a spout that may produce).
+    fn must_poll(&self, _ctx: &WorkerCtx) -> bool {
+        false
+    }
     /// Graceful stop, before the final egress flush.
     fn on_shutdown(&mut self, _ctx: &mut WorkerCtx) {}
 }
 
 /// The worker loop every role shares: exit checks, ingress, the role's
-/// work, egress flush, dead-port fail-fast, queue gauge, idle backoff.
+/// work, egress flush, dead-port fail-fast, queue gauge, idle wait.
 fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
     let queue_depth = ctx.shared.registry.gauge("queue.depth");
+    let rounds = ctx.shared.registry.counter("loop.rounds");
+    let parks = ctx.shared.registry.counter("loop.parks");
+    let bell = ctx.io.bell().clone();
     ctx.shared.ready.store(true, Ordering::Release);
     loop {
+        rounds.inc();
         if ctx.shared.crash.load(Ordering::Acquire) {
             return; // abrupt: port drops, PortStatus delete fires
         }
@@ -431,9 +443,34 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
             return; // the switch side of the port is gone; fail fast
         }
         queue_depth.set(ctx.io.queue_depth() as i64);
-        if !busy {
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the worker had no tuples to process)
+        if busy {
+            continue;
         }
+        if role.must_poll(ctx) {
+            // The one poll left: `Spout::next_batch` has no "next due", and
+            // paced sources rely on being asked again promptly. Lengthening
+            // it adds half the period to every tuple's latency.
+            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff of an active spout, whose next_batch cannot ring a doorbell)
+            continue;
+        }
+        // Everything else that can give this worker work ends in a frame
+        // on its port (data, control tuples, ack results) or a flag set by
+        // the agent, and both ring. Park until then, or until the next
+        // batch flush is due; `MAX_PARK` covers the roles' 100 ms timers.
+        let deadline = ctx
+            .io
+            .next_flush_due()
+            .unwrap_or_else(|| Instant::now() + Doorbell::MAX_PARK);
+        let (io, shared) = (&ctx.io, &ctx.shared);
+        bell.wait(deadline, || {
+            let idle = io.ingress_idle()
+                && !shared.crash.load(Ordering::Acquire)
+                && !shared.shutdown.load(Ordering::Acquire);
+            if idle {
+                parks.inc();
+            }
+            idle
+        });
     }
 }
 
@@ -499,9 +536,23 @@ impl RoleLoop for SpoutRole {
                 self.spout.fail(root);
             }
         }
-        let throttled = ctx.config.acking && ctx.pending.len() >= ctx.config.max_pending;
-        ctx.active && !throttled && ctx.rate_allows() && spout_batch(ctx, self.spout.as_mut())
+        ctx.active
+            && !spout_throttled(ctx)
+            && ctx.rate_allows()
+            && spout_batch(ctx, self.spout.as_mut())
     }
+
+    /// A deactivated spout, or one throttled by `max_pending`, waits on the
+    /// bell like a bolt: both states end with an ingress frame (`Activate`,
+    /// an ack result).
+    fn must_poll(&self, ctx: &WorkerCtx) -> bool {
+        ctx.active && !spout_throttled(ctx)
+    }
+}
+
+/// True while acking back-pressure (`max_pending`) holds the spout.
+fn spout_throttled(ctx: &WorkerCtx) -> bool {
+    ctx.config.acking && ctx.pending.len() >= ctx.config.max_pending
 }
 
 fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {

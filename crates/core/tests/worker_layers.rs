@@ -23,7 +23,7 @@ impl Bolt for Echo {
 }
 
 fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
-    ch.to_switch.send(wire::encode(&msg)).unwrap();
+    ch.send(wire::encode(&msg)).unwrap();
 }
 
 /// A spout with exactly one tuple to give.
@@ -64,9 +64,13 @@ fn spawn_echo_worker() -> Spawned {
     spawn_worker(Role::Bolt(Box::new(Echo)), io(1, Duration::from_millis(1)))
 }
 
-/// Spawns a worker (task 1) wired: port1 ← test, port2 → test.
+/// Spawns an active worker (task 1) wired: port1 ← test, port2 → test.
 /// Returns the switch, control channel, shared handles and the thread.
 fn spawn_worker(role: Role, io: IoConfig) -> Spawned {
+    spawn_worker_with(role, io, true)
+}
+
+fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
     let (sw, ch) = Switch::new(SwitchConfig::new(1));
     let worker_port = sw.attach_worker(PortNo(1));
     let downstream = sw.attach_worker(PortNo(2));
@@ -111,7 +115,7 @@ fn spawn_worker(role: Role, io: IoConfig) -> Spawned {
         acker: None,
         ack_timeout: Duration::from_secs(30),
         max_pending: 64,
-        start_active: true,
+        start_active,
         checkpoint: None,
         restore: false,
     };
@@ -141,21 +145,43 @@ fn inject(upstream: &typhoon_switch::WorkerPort, values: Vec<Value>, stream: Str
 }
 
 /// Sends tuples into the worker as if from task 3, muxed into as few
-/// frames as the MTU allows (one frame reaches the worker in one poll).
-fn inject_all(upstream: &typhoon_switch::WorkerPort, tuples: Vec<(Vec<Value>, StreamId)>) {
+/// frames as the MTU allows and handed over with one `push_batch` (one
+/// ring). Returns the frame count: a single frame reaches the worker in
+/// one poll whatever the timing.
+fn inject_all(upstream: &typhoon_switch::WorkerPort, tuples: Vec<(Vec<Value>, StreamId)>) -> usize {
     let ser = SerStats::default();
     let blobs: Vec<Bytes> = tuples
         .into_iter()
         .map(|(values, stream)| Tuple::on_stream(TaskId(3), stream, values))
         .map(|tuple| Bytes::from(encode_tuple_vec(&tuple, &ser)))
         .collect();
-    let p = Packetizer::new(1500);
-    for f in p.pack(
+    let mut frames = Packetizer::new(1500).pack(
         MacAddr::worker(1, TaskId(3)),
         MacAddr::worker(1, TaskId(1)),
         &blobs,
+    );
+    let pushed = upstream.tx.push_batch(&mut frames);
+    assert!(!pushed.disconnected && pushed.dropped == 0);
+    pushed.enqueued
+}
+
+/// Delivers a control tuple to the worker via `PacketOut`, as the
+/// controller would.
+fn send_control_tuple(ch: &ControlChannel, ct: ControlTuple) {
+    let ser = SerStats::default();
+    let blob = Bytes::from(encode_tuple_vec(&ct.to_tuple(CONTROLLER_TASK), &ser));
+    for f in Packetizer::new(1500).pack(
+        MacAddr::CONTROLLER,
+        MacAddr::worker(1, TaskId(1)),
+        std::slice::from_ref(&blob),
     ) {
-        upstream.tx.push(f).unwrap();
+        send_ctrl(
+            ch,
+            OfMessage::PacketOut {
+                in_port: PortNo::CONTROLLER,
+                frame: f.encode(),
+            },
+        );
     }
 }
 
@@ -230,29 +256,14 @@ fn routing_control_tuple_rewires_a_live_worker() {
     );
     let handle = sw.spawn();
     std::thread::sleep(Duration::from_millis(100));
-    // Inject a ROUTING control tuple via PacketOut as the controller would.
-    let ct = ControlTuple::Routing {
-        downstream: "down".into(),
-        next_hops: Some(vec![TaskId(3)]),
-        policy: None,
-    };
-    let ser = SerStats::default();
-    let tuple = ct.to_tuple(CONTROLLER_TASK);
-    let blob = Bytes::from(encode_tuple_vec(&tuple, &ser));
-    let p = Packetizer::new(1500);
-    for f in p.pack(
-        MacAddr::CONTROLLER,
-        MacAddr::worker(1, TaskId(1)),
-        std::slice::from_ref(&blob),
-    ) {
-        send_ctrl(
-            &ch,
-            OfMessage::PacketOut {
-                in_port: PortNo::CONTROLLER,
-                frame: f.encode(),
-            },
-        );
-    }
+    send_control_tuple(
+        &ch,
+        ControlTuple::Routing {
+            downstream: "down".into(),
+            next_hops: Some(vec![TaskId(3)]),
+            policy: None,
+        },
+    );
     // The controller→worker rule: dl_dst=worker(1) output port1.
     // (Installed in spawn_echo_worker.)
     wait_until("ROUTING applied", || {
@@ -293,7 +304,7 @@ fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
             // (flushed at the end of its round).
             match name {
                 "bolt" => inject(&upstream, vec![Value::Int(1)], StreamId::DEFAULT),
-                "acker" => inject_all(&upstream, vec![complete_ack(9)]),
+                "acker" => inject(&upstream, complete_ack(9).0, StreamId::ACK),
                 _ => {}
             }
             let counters = || shared.registry.snapshot();
@@ -327,8 +338,10 @@ fn acker_verdicts_of_one_round_share_frames() {
     let (sw, _ch, shared, thread, spout_port, upstream) =
         spawn_worker(Role::Acker, io(BATCH, NEVER));
     let handle = sw.spawn();
-    // One frame carries all N acks, so one drained round completes N roots.
-    inject_all(&upstream, (1..=N as i64).map(complete_ack).collect());
+    // One frame carries all N acks, so one drained round completes N roots
+    // whether the acker was parked or mid-round when it arrived.
+    let frames_in = inject_all(&upstream, (1..=N as i64).map(complete_ack).collect());
+    assert_eq!(frames_in, 1, "premise: the acks arrive in one poll");
     let verdicts = recv_tuples(&spout_port, N, Duration::from_secs(5));
     assert_eq!(verdicts.len(), N);
     assert!(verdicts
@@ -342,5 +355,159 @@ fn acker_verdicts_of_one_round_share_frames() {
     );
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
+    handle.stop();
+}
+
+/// "Is a thread spinning or asleep?" An idle bolt parks on its bell: about
+/// one round per `MAX_PARK`, where a 20 µs sleep-and-poll ran ≈ 2 800 in the
+/// same 200 ms.
+#[test]
+fn idle_bolt_parks_instead_of_polling() {
+    let (sw, _ch, shared, thread, _downstream, _upstream) = spawn_echo_worker();
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let counters = || shared.registry.snapshot();
+    let (rounds0, parks0) = (
+        counters().counter("loop.rounds"),
+        counters().counter("loop.parks"),
+    );
+    let switch_rounds0 = sw.round_count();
+    std::thread::sleep(Duration::from_millis(200));
+    let rounds = counters().counter("loop.rounds") - rounds0;
+    let parks = counters().counter("loop.parks") - parks0;
+    assert!(
+        rounds <= 400,
+        "{rounds} rounds in 200 ms: the bolt is polling"
+    );
+    assert!(
+        parks >= rounds.saturating_sub(1),
+        "{parks} parks / {rounds}"
+    );
+    let switch_rounds = sw.round_count() - switch_rounds0;
+    assert!(
+        switch_rounds <= 2 * 400,
+        "{switch_rounds} switch rounds in 200 ms: the datapath is polling"
+    );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// The park deadline is the batch's flush time: a lone tuple leaves at
+/// `batch_delay` — not at the park cap (1 ms), and not never.
+#[test]
+fn lone_tuple_is_flushed_at_batch_delay() {
+    const DELAY: Duration = Duration::from_millis(30);
+    let (sw, _ch, shared, thread, downstream, upstream) =
+        spawn_worker(Role::Bolt(Box::new(Echo)), io(1000, DELAY));
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let sent = Instant::now();
+    inject(&upstream, vec![Value::Int(3)], StreamId::DEFAULT);
+    let out = recv_tuple(&downstream, Duration::from_secs(5));
+    let took = sent.elapsed();
+    assert!(out.is_some(), "never flushed");
+    assert!(
+        took >= DELAY,
+        "flushed after {took:?}, before the delay timer"
+    );
+    assert!(took < DELAY + Duration::from_millis(500), "{took:?}");
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// A deactivated spout has nothing to poll for: it parks like a bolt, and
+/// the `Activate` frame's ring resumes it.
+#[test]
+fn deactivated_spout_parks_and_resumes_on_activate() {
+    let (sw, ch, shared, thread, downstream, _upstream) = spawn_worker_with(
+        Role::Spout(Box::new(Once(true))),
+        io(1, Duration::from_millis(1)),
+        false,
+    );
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let rounds = || shared.registry.snapshot().counter("loop.rounds");
+    let before = rounds();
+    std::thread::sleep(Duration::from_millis(100));
+    let idle_rounds = rounds() - before;
+    assert!(
+        idle_rounds <= 200,
+        "{idle_rounds} rounds in 100 ms: polling"
+    );
+    assert_eq!(shared.registry.snapshot().counter("tuples.emitted"), 0);
+    send_control_tuple(&ch, ControlTuple::Activate);
+    let out = recv_tuple(&downstream, Duration::from_secs(5)).expect("resumed");
+    assert_eq!(out.get(0), Some(&Value::Int(7)));
+    // Active again, the spout is the one role that polls (20 µs).
+    let before = rounds();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(rounds() - before > 200, "an active spout keeps its poll");
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// `WorkerAgent::kill` rings the worker's bell after setting the flag: a
+/// parked bolt is gone in far less than a park period. Median over tries —
+/// one try can lose the CPU on a shared box.
+#[test]
+fn parked_bolt_exits_promptly_on_agent_kill() {
+    use typhoon_coordinator::global::GlobalState;
+    use typhoon_coordinator::Coordinator;
+    use typhoon_core::agent::WorkerAgent;
+    use typhoon_model::{ComponentRegistry, HostInfo, NodeKind};
+
+    let mut components = ComponentRegistry::new();
+    components.register_bolt("echo", || Echo);
+    let components = std::sync::Arc::new(typhoon_diag::DiagRwLock::new(components));
+    let global = GlobalState::new(Coordinator::new());
+    let (sw, _ch) = Switch::new(SwitchConfig::new(1));
+    let handle = sw.spawn();
+    let agent = WorkerAgent::new(
+        HostInfo::new(0, "h0", 64),
+        sw.clone(),
+        components,
+        SerStats::shared(),
+        &global,
+        None,
+    )
+    .unwrap();
+    let mut kills = Vec::new();
+    for task in 1..=21 {
+        let port = agent.alloc_port();
+        let config = WorkerConfig {
+            app: AppId(1),
+            task: TaskId(task),
+            node: "echo".into(),
+            component: "echo".into(),
+            io: io(1000, NEVER),
+            acking: false,
+            acker: None,
+            ack_timeout: Duration::from_secs(30),
+            max_pending: 64,
+            start_active: true,
+            checkpoint: None,
+            restore: false,
+        };
+        agent
+            .launch(NodeKind::Bolt, false, port, config, Vec::new())
+            .unwrap();
+        agent
+            .wait_ready(AppId(1), TaskId(task), Duration::from_secs(5))
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(3)); // let it park
+        let t = Instant::now();
+        agent.kill(AppId(1), TaskId(task)); // flag, ring, join, detach
+        kills.push(t.elapsed());
+    }
+    kills.sort();
+    let median = kills[kills.len() / 2];
+    assert!(median < Duration::from_millis(5), "median kill {median:?}");
+    assert!(
+        median < typhoon_net::Doorbell::MAX_PARK / 2,
+        "median kill {median:?}: the worker waited out its park"
+    );
     handle.stop();
 }

@@ -13,7 +13,7 @@
 //! | TL002 | raw `std::sync::Mutex`/`RwLock` or `parking_lot` in hot-path crates instead of `typhoon-diag` wrappers | `// LINT: allow-raw-lock(reason)` |
 //! | TL003 | `unsafe` without a `// SAFETY:` comment | the `// SAFETY:` comment itself |
 //! | TL004 | unbounded channels in non-test code (unbackpressured queues hide overload) | `// LINT: allow-unbounded(reason)` |
-//! | TL005 | `std::thread::sleep` in library code (blocks an executor thread) | `// LINT: allow-sleep(reason)` |
+//! | TL005 | `std::thread::sleep`, `thread::park` or `thread::park_timeout` in library code (blocks an executor thread; a park is a sleep by another name — wait on a `typhoon_net::Doorbell`) | `// LINT: allow-sleep(reason)` |
 //! | TL006 | raw `thread::spawn`/`thread::Builder` in runtime crates instead of `typhoon_diag::spawn_supervised` (a silent thread death is an undetectable fault) | `// LINT: allow-raw-spawn(reason)` |
 //! | TL007 | lock-order violations: unranked Diag locks in hot-path crates, acquisition nesting that contradicts the declared ranks, and cycles in the acquisition-order graph (see [`graph`]) | `// LINT: allow-unranked-lock(reason)` |
 //! | TL008 | blocking channel `.send()`/`.recv()` while a lock guard is held (couples queue backpressure to the lock) | `// LINT: allow-send-under-lock(reason)` |
@@ -100,7 +100,7 @@ pub fn rationale(rule: &str) -> &'static str {
         "TL002" => "Hot-path locks need debug-build deadlock and hold-time diagnostics.",
         "TL003" => "Every unsafe block needs a written proof of the invariants it relies on.",
         "TL004" => "Unbounded queues hide overload instead of applying backpressure.",
-        "TL005" => "Sleeping blocks an executor thread the scheduler believes is live.",
+        "TL005" => "Sleeping or parking blocks an executor thread the scheduler believes is live.",
         "TL006" => "A raw thread dies silently; supervised spawns surface panics to recovery.",
         "TL007" => "A total lock order (strictly increasing ranks) makes deadlock impossible.",
         "TL008" => "Blocking channel ops under a lock couple queue pressure to the lock.",
@@ -447,9 +447,9 @@ pub fn check_source(rel: &str, source: &str) -> Vec<Diagnostic> {
             push(
                 "TL005",
                 i,
-                "`thread::sleep` in library code blocks an executor thread; \
-                 prefer condvars/timeouts, or waive with \
-                 `// LINT: allow-sleep(reason)`"
+                "`thread::sleep`/`thread::park` in library code blocks an executor \
+                 thread; wait on a `Doorbell`, a condvar or a channel timeout, or \
+                 waive with `// LINT: allow-sleep(reason)`"
                     .into(),
             );
         }
@@ -559,8 +559,11 @@ fn has_unbounded(code: &str) -> bool {
     false
 }
 
+/// A sleep, or the same thing spelled as a park (`thread::park` also
+/// matches `thread::park_timeout`; `Thread::unpark` is a method, not a
+/// path, and never matches).
 fn has_sleep(code: &str) -> bool {
-    code.contains("thread::sleep")
+    code.contains("thread::sleep") || code.contains("thread::park")
 }
 
 fn has_raw_spawn(code: &str) -> bool {
@@ -646,6 +649,21 @@ fn main() {
     }
 
     #[test]
+    fn a_park_is_a_sleep_by_another_name() {
+        for call in ["std::thread::park()", "thread::park_timeout(d)"] {
+            let bad = format!("fn f() {{ {call}; }}\n");
+            let d = check_source("crates/core/src/f.rs", &bad);
+            assert_eq!(d.len(), 1, "{call}");
+            assert_eq!(d[0].rule, "TL005");
+            let ok = format!("// LINT: allow-sleep(the doorbell's park)\n{bad}");
+            assert!(check_source("crates/core/src/f.rs", &ok).is_empty());
+        }
+        // Waking is not blocking.
+        let wake = "fn f(t: &std::thread::Thread) { t.unpark(); }\n";
+        assert!(check_source("crates/core/src/f.rs", wake).is_empty());
+    }
+
+    #[test]
     fn lock_unwrap_across_lines() {
         let bad = "fn f() {\n    let g = m\n        .lock()\n        .unwrap();\n}\n";
         let d = check_source("crates/kv/src/f.rs", bad);
@@ -673,7 +691,7 @@ fn main() {
             check_source("crates/storm/src/x.rs", blank)[0].rule,
             "TL005"
         );
-        let ok = "// LINT: allow-sleep(idle backoff)\nstd::thread::sleep(d);\n";
+        let ok = "// LINT: allow-sleep(pacing loop)\nstd::thread::sleep(d);\n";
         assert!(check_source("crates/storm/src/x.rs", ok).is_empty());
     }
 

@@ -29,6 +29,8 @@ fn lib_reports_exact_rules_and_lines_for_bad_fixture() {
             ("TL002", "crates/storm/src/raw_lock.rs", 5),
             ("TL008", "crates/storm/src/send_under_lock.rs", 11),
             ("TL007", "cycle.rs", 18),
+            ("TL005", "parked.rs", 5),
+            ("TL005", "parked.rs", 9),
             ("TL001", "violations.rs", 5),
             ("TL005", "violations.rs", 9),
             ("TL004", "violations.rs", 13),
@@ -69,14 +71,16 @@ fn binary_json_output_and_exit_codes() {
         r#""rule":"TL007","path":"crates/storm/src/lock_order.rs","line":21"#,
         r#""rule":"TL008","path":"crates/storm/src/send_under_lock.rs","line":11"#,
         r#""rule":"TL007","path":"cycle.rs","line":18"#,
+        r#""rule":"TL005","path":"parked.rs","line":5"#,
+        r#""rule":"TL005","path":"parked.rs","line":9"#,
     ] {
         assert!(json.contains(expected), "missing {expected} in:\n{json}");
     }
-    assert_eq!(json.matches(r#""rule":"#).count(), 13, "no extras:\n{json}");
+    assert_eq!(json.matches(r#""rule":"#).count(), 15, "no extras:\n{json}");
     // Every diagnostic carries a one-line rationale for its rule.
     assert_eq!(
         json.matches(r#""rationale":""#).count(),
-        13,
+        15,
         "every finding needs a rationale:\n{json}"
     );
     assert!(

@@ -16,6 +16,7 @@
 //! fault sequence for a given call sequence, so failing chaos runs replay
 //! deterministically.
 
+use crate::doorbell::Doorbell;
 use crate::frame::Frame;
 use crate::tunnel::Tunnel;
 use crate::{NetError, Result, TeardownCause};
@@ -384,8 +385,8 @@ impl std::fmt::Debug for ChaosHandle {
 /// A [`Tunnel`] wrapper that injects faults per its [`FaultPlan`].
 ///
 /// Delayed and stalled frames are released lazily by later `send`/
-/// `try_recv` calls (the datapath polls its tunnels every round, so in
-/// practice release latency is one poll interval).
+/// `try_recv` calls (an idle datapath still polls its tunnels every
+/// [`Doorbell::MAX_PARK`], so release latency is at most that).
 pub struct FaultInjector {
     inner: Box<dyn Tunnel + Send>,
     shared: Arc<ChaosShared>,
@@ -494,6 +495,13 @@ impl FaultInjector {
 }
 
 impl Tunnel for FaultInjector {
+    /// Arrivals and teardown of the wrapped tunnel ring; frames this
+    /// injector holds back (delay, stall) are released by the poller's
+    /// next `try_recv`, at most one `MAX_PARK` after they fall due.
+    fn set_doorbell(&self, bell: Doorbell) {
+        self.inner.set_doorbell(bell);
+    }
+
     fn send(&self, frame: &Frame) -> Result<()> {
         let (spec, drop, dup, corrupt) = {
             let mut st = self.shared.state.lock();

@@ -14,6 +14,10 @@
 //! * [`mod@ring`] — DPDK-style bounded ring ports connecting workers to their
 //!   host's software switch. Overflow drops are counted, not hidden,
 //!   modelling the TX/RX overflow discussion of §8.
+//! * [`doorbell`] — the wake-up primitive of every poll loop: a consumer
+//!   that found nothing to do arms its [`Doorbell`], re-checks its sources
+//!   and parks; producers ring after handing work over. Rings and tunnels
+//!   ring it, so an idle hop costs a wake-up, not a timer period.
 //! * [`tunnel`] — host-level tunnels that carry frames between compute
 //!   hosts: a real TCP implementation (loopback in experiments) and an
 //!   in-memory implementation behind one trait.
@@ -25,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
+pub mod doorbell;
 pub mod fault;
 pub mod frame;
 pub mod packetize;
@@ -32,12 +37,13 @@ pub mod ring;
 pub mod tunnel;
 
 pub use backoff::{retry, BackoffPolicy, RetryError};
+pub use doorbell::{BellSlot, Doorbell};
 pub use fault::{
     ChaosHandle, ChaosStats, FaultInjector, FaultPlan, FaultSpec, KillClass, KillSpec,
 };
 pub use frame::{Frame, MacAddr, TYPHOON_ETHERTYPE};
 pub use packetize::{Depacketizer, Packetizer};
-pub use ring::{ring, RingConsumer, RingProducer, RingStats};
+pub use ring::{ring, ring_with_bell, RingConsumer, RingProducer, RingStats};
 pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig, TunnelStats};
 
 /// Why a tunnel entered its broken (fail-fast) state.

@@ -7,6 +7,7 @@
 //! and the drop counter grows — the "temporary TX/RX queue overflow" of §8
 //! becomes an observable, testable number instead of silent loss.
 
+use crate::doorbell::Doorbell;
 use crate::frame::Frame;
 use crate::{NetError, Result};
 use crossbeam::queue::ArrayQueue;
@@ -39,6 +40,19 @@ struct Shared {
     queue: ArrayQueue<Frame>,
     stats: RingStats,
     closed: AtomicBool,
+    /// Rung after every hand-over (once per batch) and on close, so the
+    /// consumer can park instead of polling.
+    bell: Doorbell,
+}
+
+impl Shared {
+    /// Closes the ring; the first close rings, so a parked consumer sees
+    /// [`NetError::Disconnected`] now rather than at its next deadline.
+    fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            self.bell.ring();
+        }
+    }
 }
 
 /// Producer half of a ring.
@@ -51,12 +65,21 @@ pub struct RingConsumer {
     shared: Arc<Shared>,
 }
 
-/// Creates a bounded ring of `capacity` frames.
+/// Creates a bounded ring of `capacity` frames with a bell of its own
+/// ([`RingConsumer::bell`]).
 pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
+    ring_with_bell(capacity, Doorbell::new())
+}
+
+/// Creates a bounded ring whose producer rings `bell` — how several rings
+/// wake one consumer thread (every worker → switch ring shares the
+/// switch's bell).
+pub fn ring_with_bell(capacity: usize, bell: Doorbell) -> (RingProducer, RingConsumer) {
     let shared = Arc::new(Shared {
         queue: ArrayQueue::new(capacity),
         stats: RingStats::default(),
         closed: AtomicBool::new(false),
+        bell,
     });
     (
         RingProducer {
@@ -71,6 +94,8 @@ pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
 pub struct BatchPush {
     /// Frames successfully enqueued.
     pub enqueued: usize,
+    /// Wire bytes of the enqueued frames (the port TX byte counter).
+    pub enqueued_bytes: u64,
     /// Frames dropped on overflow (counted in ring stats), like `push`.
     pub dropped: usize,
     /// True when the ring was observed closed mid-batch; the frames not
@@ -88,6 +113,7 @@ impl RingProducer {
         match self.shared.queue.push(frame) {
             Ok(()) => {
                 self.shared.stats.enqueued.fetch_add(1, Ordering::Relaxed);
+                self.shared.bell.ring();
                 Ok(())
             }
             Err(_) => {
@@ -104,7 +130,7 @@ impl RingProducer {
     /// the ring is observed closed mid-batch, the remaining frames are
     /// **left in `batch`** so the caller knows precisely which frames were
     /// never attempted — no frame is silently dropped from a half-consumed
-    /// batch.
+    /// batch. The consumer's bell is rung once, after the last frame.
     pub fn push_batch(&self, batch: &mut Vec<Frame>) -> BatchPush {
         let mut result = BatchPush::default();
         let mut iter = std::mem::take(batch).into_iter();
@@ -118,8 +144,12 @@ impl RingProducer {
                 Some(f) => f,
                 None => break,
             };
+            let len = frame.wire_len() as u64;
             match self.shared.queue.push(frame) {
-                Ok(()) => result.enqueued += 1,
+                Ok(()) => {
+                    result.enqueued += 1;
+                    result.enqueued_bytes += len;
+                }
                 Err(_) => result.dropped += 1,
             }
         }
@@ -128,6 +158,7 @@ impl RingProducer {
                 .stats
                 .enqueued
                 .fetch_add(result.enqueued as u64, Ordering::Relaxed);
+            self.shared.bell.ring();
         }
         if result.dropped > 0 {
             self.shared
@@ -146,7 +177,7 @@ impl RingProducer {
     /// Marks the ring closed; the consumer drains what remains then sees
     /// [`NetError::Disconnected`].
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.shared.close();
     }
 
     /// True once either side closed the ring.
@@ -236,7 +267,18 @@ impl RingConsumer {
 
     /// Marks the ring closed from the consumer side; subsequent pushes fail.
     pub fn close(&self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.shared.close();
+    }
+
+    /// True once either side closed the ring (frames may still be queued).
+    pub fn is_closed(&self) -> bool {
+        self.shared.closed.load(Ordering::Acquire)
+    }
+
+    /// The bell this ring's producer rings: what the consuming thread
+    /// waits on when it has nothing to do.
+    pub fn bell(&self) -> &Doorbell {
+        &self.shared.bell
     }
 }
 
@@ -318,6 +360,7 @@ mod tests {
             res,
             BatchPush {
                 enqueued: 5,
+                enqueued_bytes: 5 * frame(0).wire_len() as u64,
                 dropped: 0,
                 disconnected: false
             }
@@ -414,6 +457,58 @@ mod tests {
             producer.join().unwrap();
             assert_eq!(got, 1, "round {round}: frame lost to the close race");
         }
+    }
+
+    /// Who rings: every hand-over and the first close, once each — a batch
+    /// is one ring, and a batch that enqueued nothing is none.
+    #[test]
+    fn push_batch_and_close_ring_exactly_once() {
+        let bell = Doorbell::new();
+        let (tx, rx) = ring_with_bell(2, bell.clone());
+        tx.push(frame(0)).unwrap();
+        assert_eq!(bell.rings(), 1, "push");
+        let mut batch: Vec<Frame> = (1..4).map(frame).collect();
+        assert_eq!(tx.push_batch(&mut batch).enqueued, 1);
+        assert_eq!(bell.rings(), 2, "a non-empty push_batch rings once");
+        assert!(tx.push(frame(4)).is_err());
+        let mut batch: Vec<Frame> = (5..8).map(frame).collect();
+        assert_eq!(tx.push_batch(&mut batch).dropped, 3);
+        tx.push_batch(&mut Vec::new());
+        assert_eq!(bell.rings(), 2, "nothing enqueued, nobody rung");
+        tx.close();
+        assert_eq!(bell.rings(), 3, "close");
+        tx.close();
+        drop(tx);
+        drop(rx);
+        assert_eq!(bell.rings(), 3, "only the first close rings");
+
+        // The consumer half's close (a dying worker's rx) rings too, and
+        // `ring()` gives the ring a private bell.
+        let (tx, rx) = ring(2);
+        let bell = rx.bell().clone();
+        drop(rx);
+        assert_eq!(bell.rings(), 1);
+        assert!(tx.is_closed());
+    }
+
+    /// The consumer side of the protocol: a parked consumer is woken by a
+    /// push, and by the producer going away.
+    #[test]
+    fn parked_consumer_wakes_on_push_and_on_close() {
+        let (tx, rx) = ring(4);
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let rung = rx.bell().wait(far, || {
+            tx.push(frame(1)).unwrap(); // lands after arming
+            rx.is_empty() // the re-check sees it: no park at all
+        });
+        assert!(rung);
+        assert_eq!(rx.len(), 1);
+        let rung = rx.bell().wait(far, || {
+            drop(tx);
+            true
+        });
+        assert!(rung, "close rings");
+        assert!(rx.is_closed());
     }
 
     #[test]

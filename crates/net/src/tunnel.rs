@@ -13,6 +13,7 @@
 //! * [`InMemoryTunnel`] — a channel-backed pipe with identical semantics,
 //!   used for deterministic tests and as a faster LOCAL-style transport.
 
+use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
 use crate::{NetError, Result, TeardownCause};
 use bytes::Bytes;
@@ -177,6 +178,8 @@ impl BrokenFlag {
 struct TunnelShared {
     broken: BrokenFlag,
     stats: TunnelStats,
+    /// The bell of whoever polls this endpoint ([`Tunnel::set_doorbell`]).
+    bell: BellSlot,
 }
 
 impl TunnelShared {
@@ -184,6 +187,8 @@ impl TunnelShared {
         if self.broken.poison(cause) {
             self.stats.record_teardown(cause);
         }
+        // The poller learns of the teardown from its next `try_recv`.
+        self.bell.ring();
     }
 }
 
@@ -209,6 +214,13 @@ pub trait Tunnel: Send {
         }
         Ok(n)
     }
+
+    /// Registers the bell of the thread that polls this endpoint: it is
+    /// rung when a frame arrives and when the tunnel is torn down, so the
+    /// poller may park between the two. The default ignores it — an
+    /// implementation that cannot ring is still polled every
+    /// [`Doorbell::MAX_PARK`].
+    fn set_doorbell(&self, _bell: Doorbell) {}
 }
 
 // ------------------------------------------------------------- in-memory
@@ -218,6 +230,20 @@ pub trait Tunnel: Send {
 pub struct InMemoryTunnel {
     tx: Sender<Frame>,
     rx: Receiver<Frame>,
+    bell: Arc<BellSlot>,
+    /// Declared after `tx`: fields drop in order, so the peer is rung once
+    /// its `try_recv` already reports `Disconnected`.
+    peer_bell: RingOnDrop,
+}
+
+/// The peer's bell; dropping it (endpoint teardown) rings.
+#[derive(Debug)]
+struct RingOnDrop(Arc<BellSlot>);
+
+impl Drop for RingOnDrop {
+    fn drop(&mut self) {
+        self.0.ring();
+    }
 }
 
 impl InMemoryTunnel {
@@ -225,9 +251,20 @@ impl InMemoryTunnel {
     pub fn pair() -> (InMemoryTunnel, InMemoryTunnel) {
         let (a_tx, a_rx) = unbounded(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
         let (b_tx, b_rx) = unbounded(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
+        let (a_bell, b_bell) = (Arc::<BellSlot>::default(), Arc::<BellSlot>::default());
         (
-            InMemoryTunnel { tx: a_tx, rx: b_rx },
-            InMemoryTunnel { tx: b_tx, rx: a_rx },
+            InMemoryTunnel {
+                tx: a_tx,
+                rx: b_rx,
+                bell: a_bell.clone(),
+                peer_bell: RingOnDrop(b_bell.clone()),
+            },
+            InMemoryTunnel {
+                tx: b_tx,
+                rx: a_rx,
+                bell: b_bell,
+                peer_bell: RingOnDrop(a_bell),
+            },
         )
     }
 }
@@ -236,7 +273,13 @@ impl Tunnel for InMemoryTunnel {
     fn send(&self, frame: &Frame) -> Result<()> {
         self.tx
             .send(frame.clone())
-            .map_err(|_| NetError::Disconnected)
+            .map_err(|_| NetError::Disconnected)?;
+        self.peer_bell.0.ring();
+        Ok(())
+    }
+
+    fn set_doorbell(&self, bell: Doorbell) {
+        self.bell.set(bell);
     }
 
     fn try_recv(&self) -> Result<Option<Frame>> {
@@ -350,6 +393,7 @@ impl TcpTunnel {
                     if tx.send(frame).is_err() {
                         return; // our own endpoint dropped; not a fault
                     }
+                    shared.bell.ring();
                 }
                 Err(_) => {
                     shared.teardown(TeardownCause::DecodeError);
@@ -439,6 +483,10 @@ impl Tunnel for TcpTunnel {
                 Some(cause) => Err(Self::broken_error(cause)),
             },
         }
+    }
+
+    fn set_doorbell(&self, bell: Doorbell) {
+        self.shared.bell.set(bell);
     }
 }
 

@@ -12,8 +12,8 @@ use bytes::Bytes;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use typhoon_net::{
-    FaultInjector, FaultPlan, Frame, InMemoryTunnel, MacAddr, NetError, TcpTunnel, TeardownCause,
-    Tunnel, TunnelConfig,
+    Doorbell, FaultInjector, FaultPlan, Frame, InMemoryTunnel, MacAddr, NetError, TcpTunnel,
+    TeardownCause, Tunnel, TunnelConfig,
 };
 use typhoon_tuple::tuple::TaskId;
 
@@ -96,6 +96,73 @@ fn fault_injector_buffers_survive_peer_drop() {
         let (ia, _ha) = FaultInjector::wrap(Box::new(a), FaultPlan::clean(1));
         let (ib, _hb) = FaultInjector::wrap(Box::new(b), FaultPlan::clean(2));
         (Box::new(ia), Box::new(ib))
+    });
+}
+
+// ------------------------------------------------------------ doorbells
+
+/// Waits on `bell` until a ringer wakes it (each wait is capped at
+/// `MAX_PARK`, so a ring that takes longer is caught by a later wait).
+/// `trigger` runs once, after the first arming. Panics if nobody rings.
+fn wait_until_rung(bell: &Doorbell, trigger: impl FnOnce()) {
+    let end = Instant::now() + Duration::from_secs(10);
+    let mut trigger = Some(trigger);
+    loop {
+        let rung = bell.wait(end, || {
+            if let Some(t) = trigger.take() {
+                t();
+            }
+            true
+        });
+        if rung {
+            return;
+        }
+        assert!(Instant::now() < end, "the poller's bell was never rung");
+    }
+}
+
+/// A poller that registered its bell is rung when a frame arrives and when
+/// the tunnel is torn down — so it may park between the two.
+fn arrival_and_teardown_ring(make: impl FnOnce() -> (Box<dyn Tunnel>, Box<dyn Tunnel>)) {
+    let (a, b) = make();
+    let bell = Doorbell::new();
+    b.set_doorbell(bell.clone());
+    wait_until_rung(&bell, || a.send(&frame(1)).expect("send while peer alive"));
+    assert!(
+        b.try_recv().expect("tunnel up").is_some(),
+        "the ring follows the hand-over"
+    );
+    wait_until_rung(&bell, || drop(a));
+    assert!(b.try_recv().is_err(), "rung for the teardown");
+}
+
+#[test]
+fn in_memory_arrival_and_teardown_ring() {
+    arrival_and_teardown_ring(|| {
+        let (a, b) = InMemoryTunnel::pair();
+        (Box::new(a), Box::new(b))
+    });
+}
+
+#[test]
+fn tcp_arrival_and_teardown_ring() {
+    arrival_and_teardown_ring(|| {
+        let (a, b) = TcpTunnel::pair().expect("loopback pair");
+        (Box::new(a), Box::new(b))
+    });
+}
+
+#[test]
+fn fault_injector_forwards_the_doorbell() {
+    arrival_and_teardown_ring(|| {
+        let (a, b) = InMemoryTunnel::pair();
+        let (ib, _hb) = FaultInjector::wrap(Box::new(b), FaultPlan::clean(2));
+        (Box::new(a), Box::new(ib))
+    });
+    arrival_and_teardown_ring(|| {
+        let (a, b) = TcpTunnel::pair().expect("loopback pair");
+        let (ib, _hb) = FaultInjector::wrap(Box::new(b), FaultPlan::clean(2));
+        (Box::new(a), Box::new(ib))
     });
 }
 

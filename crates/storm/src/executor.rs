@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{RateMeter, Registry};
 use typhoon_model::{Bolt, Emitter, RouteDecision, RoutingState, Spout, TaskId, VecEmitter};
+use typhoon_net::Doorbell;
 use typhoon_trace::{Hop, TraceCtx};
 use typhoon_tuple::ser::{decode_tuple, encode_tuple_vec, SerStats};
 use typhoon_tuple::{MessageId, StreamId, Tuple, Value};
@@ -271,6 +272,9 @@ const DRAIN_BATCH: usize = 256;
 
 /// What a component contributes to the one executor loop ([`run_loop`]).
 trait ExecutorRole {
+    /// True for the component whose work does not arrive on the inbox: an
+    /// idle spout is polled, everything else blocks on the inbox.
+    const POLLS: bool = false;
     /// Start of every round: timers and (for the spout) production.
     /// Returns `true` when it did work.
     fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool;
@@ -279,8 +283,13 @@ trait ExecutorRole {
 }
 
 /// The executor loop every component shares: heartbeat, the role's tick,
-/// inbox drain, transfer flush, idle backoff.
-fn run_loop(ctx: &mut ExecutorCtx, mut role: impl ExecutorRole) {
+/// inbox drain, transfer flush, idle wait.
+fn run_loop<R: ExecutorRole>(ctx: &mut ExecutorCtx, mut role: R) {
+    fn deliver(ctx: &mut ExecutorCtx, role: &mut impl ExecutorRole, blob: Bytes) {
+        if let Ok((tuple, _)) = decode_tuple(&blob, &ctx.ser) {
+            role.on_tuple(ctx, tuple);
+        }
+    }
     while !ctx.shutdown.load(Ordering::Acquire) {
         ctx.heartbeat();
         let mut busy = role.on_tick(ctx);
@@ -289,15 +298,22 @@ fn run_loop(ctx: &mut ExecutorCtx, mut role: impl ExecutorRole) {
                 break;
             };
             busy = true;
-            if let Ok((tuple, _)) = decode_tuple(&blob, &ctx.ser) {
-                role.on_tuple(ctx, tuple);
-            }
+            deliver(ctx, &mut role, blob);
         }
         ctx.flush_transfers(false);
         if !busy {
             ctx.flush_transfers(true);
             ctx.outbound.flush_all();
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff when the executor had no input)
+            if R::POLLS {
+                std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff of the spout executor, whose next_batch cannot wake it)
+            } else if let Ok(blob) = ctx.inbox.recv_timeout(Doorbell::MAX_PARK) {
+                // Like the Typhoon worker (and real Storm's blocking
+                // disruptor wait strategy): block until input arrives.
+                // Everything buffered was just flushed, so the only other
+                // deadlines are the 100 ms timers and the shutdown flag,
+                // which the Typhoon side's park cap covers as well.
+                deliver(ctx, &mut role, blob);
+            }
         }
     }
 }
@@ -305,6 +321,8 @@ fn run_loop(ctx: &mut ExecutorCtx, mut role: impl ExecutorRole) {
 struct SpoutRole(Box<dyn Spout>);
 
 impl ExecutorRole for SpoutRole {
+    const POLLS: bool = true;
+
     fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool {
         let throttled = ctx.acker.is_some() && ctx.pending.len() >= ctx.max_pending;
         !throttled && ctx.rate_allows() && next_batch_rooted(ctx, self.0.as_mut())

@@ -2,7 +2,10 @@
 //!
 //! One datapath thread per host runs [`Switch::process_round`]: controller
 //! messages ([`crate::link`]), then worker ports and tunnel ingress
-//! ([`crate::forward`]), then the rule-expiry sweep.
+//! ([`crate::forward`]), then the rule-expiry sweep. It polls while rounds
+//! find work and waits on the switch's [`Doorbell`] when one does not:
+//! every worker → switch ring, every registered tunnel and
+//! [`ControlChannel::send`] ring it.
 
 use crate::cache::{CacheStats, FlowCache};
 use crate::group_table::GroupTable;
@@ -15,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
-use typhoon_net::Tunnel;
+use typhoon_net::{Doorbell, Tunnel};
 use typhoon_openflow::{DatapathId, OfMessage, PortNo, PortStatusReason};
 use typhoon_trace::TraceCtx;
 
@@ -66,6 +69,10 @@ pub(crate) struct Inner {
     pub(crate) headless_ms: AtomicU64,
     /// Events replayed to reconnecting leaders.
     pub(crate) replayed: AtomicU64,
+    /// What the datapath thread waits on when a round moved nothing.
+    pub(crate) bell: Doorbell,
+    /// Poll rounds run so far (observability: `switch.rounds`).
+    rounds: AtomicU64,
     shutdown: AtomicBool,
     last_expire: Mutex<Instant>,
     pub(crate) trace: Mutex<TraceCtx>,
@@ -91,13 +98,14 @@ impl Switch {
     /// controller: the switch queues its events and freezes expiry until
     /// [`Switch::connect_controller`] binds a leader.
     pub fn new(config: SwitchConfig) -> (Switch, ControlChannel) {
-        let (link, channel) = ControllerLink::connect(0);
+        let bell = Doorbell::new();
+        let (link, channel) = ControllerLink::connect(0, &bell);
         let switch = Switch {
             inner: Arc::new(Inner {
                 ports: Mutex::with_rank(
                     rank::DP_PORTS,
                     "switch.datapath.ports",
-                    Ports::new(config.ring_capacity),
+                    Ports::new(config.ring_capacity, bell.clone()),
                 ),
                 table: Mutex::with_rank(rank::DATAPATH, "switch.datapath.table", FlowTable::new()),
                 cache: FlowCache::new(),
@@ -118,6 +126,8 @@ impl Switch {
                 headless: AtomicBool::new(false),
                 headless_ms: AtomicU64::new(0),
                 replayed: AtomicU64::new(0),
+                bell,
+                rounds: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 last_expire: Mutex::with_rank(
                     rank::DP_EXPIRE,
@@ -161,12 +171,16 @@ impl Switch {
         }
     }
 
-    /// Registers the tunnel used to reach peer host `host`.
+    /// Registers the tunnel used to reach peer host `host`; its arrivals
+    /// and teardown ring the datapath thread from now on.
     pub fn add_tunnel(&self, host: u32, tunnel: Box<dyn Tunnel + Send>) {
+        tunnel.set_doorbell(self.inner.bell.clone());
         self.inner.tunnels.lock().insert(host, tunnel);
         // Topology changed: cached tunnel-output decisions may now be
         // reachable again (e.g. recovery re-registering a torn-down link).
         self.inner.cache.invalidate_all();
+        // Whatever the tunnel buffered before it had a bell to ring.
+        self.inner.bell.ring();
     }
 
     /// True while the tunnel to `host` is registered (i.e. not torn down).
@@ -204,9 +218,17 @@ impl Switch {
         self.inner.cache.stats()
     }
 
+    /// Poll rounds run so far (observability: `switch.rounds`). A parked
+    /// datapath adds about one per [`Doorbell::MAX_PARK`]; a rate far above
+    /// the frame rate is a thread spinning.
+    pub fn round_count(&self) -> u64 {
+        self.inner.rounds.load(Ordering::Relaxed)
+    }
+
     /// Runs one poll round: control messages, port RX, tunnel RX, expiry.
     /// Returns `true` when any work was done (idle detection).
     pub fn process_round(&self) -> bool {
+        self.inner.rounds.fetch_add(1, Ordering::Relaxed);
         let mut busy = false;
         busy |= self.handle_control();
         busy |= self.poll_ports();
@@ -249,20 +271,21 @@ impl Switch {
         }
     }
 
-    /// Spawns the forwarding loop on its own thread.
+    /// Spawns the forwarding loop on its own thread: poll while rounds
+    /// find work, wait on the bell when one does not. The re-check after
+    /// arming is simply one more round.
     pub fn spawn(&self) -> SwitchHandle {
-        /// Spin-down when a full round moved nothing.
-        const IDLE_BACKOFF: Duration = Duration::from_micros(50);
         let switch = self.clone();
-        let loop_switch = self.clone();
+        let sw = self.clone();
         let thread = typhoon_diag::spawn_supervised(
             &format!("datapath-{}", self.dpid()),
             |_event| { /* diag's panic log + counters suffice; no extra callback */ },
             move || {
-                while !loop_switch.inner.shutdown.load(Ordering::Acquire) {
-                    if !loop_switch.process_round() {
-                        // LINT: allow-sleep(idle backoff when the datapath processed nothing this round)
-                        std::thread::sleep(IDLE_BACKOFF);
+                let stop = || sw.inner.shutdown.load(Ordering::Acquire);
+                while !stop() {
+                    if !sw.process_round() {
+                        let cap = Instant::now() + Doorbell::MAX_PARK;
+                        sw.inner.bell.wait(cap, || !stop() && !sw.process_round());
                     }
                 }
             },
@@ -276,6 +299,7 @@ impl Switch {
     /// Requests the forwarding loop to stop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.bell.ring();
     }
 }
 
@@ -328,7 +352,7 @@ pub(crate) mod testutil {
     }
 
     pub(crate) fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
-        ch.to_switch.send(wire::encode(&msg)).unwrap();
+        ch.send(wire::encode(&msg)).unwrap();
     }
 
     /// True when the switch reported `port` gone to the controller.
@@ -377,7 +401,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::*;
     use super::*;
-    use typhoon_openflow::{Action, FlowMatch, FlowMod};
+    use typhoon_openflow::{wire, Action, FlowMatch, FlowMod};
 
     #[test]
     fn dead_worker_triggers_port_status_delete() {
@@ -424,6 +448,83 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         sw.process_round();
         assert_eq!(sw.rule_count(), 0, "expiry resumed after reconnect");
+    }
+
+    /// A parked datapath is woken by each of its three sources — a port
+    /// ring, a tunnel, the control channel — in far less than `MAX_PARK`.
+    /// Without the rings every try would wait out the rest of a park
+    /// (uniform in 0–1 ms, median ≈ 500 µs); asserted on the median because
+    /// one try can lose the CPU on a shared box.
+    #[test]
+    fn parked_datapath_is_woken_by_ports_tunnels_and_control() {
+        const TRIES: usize = 50;
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        let (near, far) = typhoon_net::InMemoryTunnel::pair();
+        sw.add_tunnel(2, Box::new(near));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any().in_port(PortNo::TUNNEL).dl_dst(w(20)),
+                vec![Action::Output(PortNo(2))],
+            )),
+        );
+        let handle = sw.spawn();
+        let _ = drain_events(&ch);
+
+        // Runs `kick` against a datapath that had time to park, and times
+        // until `done` holds.
+        let measure = |kick: &dyn Fn(usize), done: &dyn Fn() -> bool| -> Duration {
+            let mut took = Vec::with_capacity(TRIES);
+            for i in 0..TRIES {
+                std::thread::sleep(Duration::from_micros(300));
+                let t = Instant::now();
+                kick(i);
+                while !done() {
+                    assert!(t.elapsed() < Duration::from_secs(5), "never woken");
+                    std::thread::yield_now();
+                }
+                took.push(t.elapsed());
+            }
+            took.sort();
+            took[TRIES / 2]
+        };
+        let delivered = || wp2.rx.pop().unwrap().is_some();
+        let bound = Doorbell::MAX_PARK / 2;
+
+        let port = measure(
+            &|i| wp1.tx.push(data_frame(10, w(20), i as u8)).unwrap(),
+            &delivered,
+        );
+        assert!(port < bound, "port ring: median {port:?}");
+
+        use typhoon_net::Tunnel as _;
+        let tunnel = measure(
+            &|i| far.send(&data_frame(30, w(20), i as u8)).unwrap(),
+            &delivered,
+        );
+        assert!(tunnel < bound, "tunnel: median {tunnel:?}");
+
+        let control = measure(
+            &|i| {
+                ch.send(wire::encode(&local_rule(40 + i as u32, 1, 20, 2)))
+                    .unwrap();
+                ch.send(wire::encode(&OfMessage::Barrier { xid: i as u32 }))
+                    .unwrap();
+            },
+            &|| {
+                ch.from_switch
+                    .try_iter()
+                    .any(|b| matches!(wire::decode(b), Ok((OfMessage::BarrierReply { .. }, _))))
+            },
+        );
+        assert!(control < bound, "FlowMod + Barrier: median {control:?}");
+        println!("woken in: port {port:?}, tunnel {tunnel:?}, control {control:?}");
+        assert_eq!(sw.rule_count(), 2 + TRIES);
+        handle.stop();
     }
 
     #[test]

@@ -8,21 +8,49 @@
 
 use crate::datapath::{Switch, POLL_BUDGET};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError, TrySendError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
-use typhoon_net::Frame;
+use typhoon_net::{BellSlot, Doorbell, Frame};
 use typhoon_openflow::{wire, OfMessage};
 
 /// The controller's ends of one switch's control channel. Messages are
 /// encoded OpenFlow bytes in both directions.
+///
+/// Both directions have a bell: [`ControlChannel::send`] rings the
+/// datapath thread, and the switch rings whatever the controller
+/// registered with [`ControlChannel::set_doorbell`] after each event or
+/// reply. Code that drives the switch with
+/// [`process_round`](Switch::process_round) itself may use the raw
+/// `to_switch`/`from_switch` ends — nobody is parked there.
 #[derive(Debug, Clone)]
 pub struct ControlChannel {
     /// Controller → switch.
     pub to_switch: Sender<Bytes>,
     /// Switch → controller (replies and async events).
     pub from_switch: Receiver<Bytes>,
+    switch_bell: Doorbell,
+    controller_bell: Arc<BellSlot>,
+}
+
+impl ControlChannel {
+    /// Sends one encoded message to the switch and wakes its datapath
+    /// thread if it is parked.
+    pub fn send(&self, msg: Bytes) -> Result<(), SendError<Bytes>> {
+        self.to_switch.send(msg)?;
+        self.switch_bell.ring();
+        Ok(())
+    }
+
+    /// Registers the bell of the thread that drains `from_switch`, and
+    /// rings it once for whatever the switch queued before (a reconnect
+    /// replays the headless backlog into the fresh channel).
+    pub fn set_doorbell(&self, bell: Doorbell) {
+        self.controller_bell.set(bell);
+        self.controller_bell.ring();
+    }
 }
 
 /// A reconnect attempt carried a fencing term older than the one already
@@ -60,21 +88,27 @@ pub(crate) struct ControllerLink {
     term: u64,
     tx: Sender<Bytes>,
     rx: Receiver<Bytes>,
+    /// The connected controller's bell, once it registered one; rung
+    /// after every hand-over on `tx`.
+    controller_bell: Arc<BellSlot>,
     headless_since: Option<Instant>,
     queued: VecDeque<Bytes>,
     dropped: u64,
 }
 
 impl ControllerLink {
-    /// A connected link at `term` plus the controller's ends of it.
-    pub(crate) fn connect(term: u64) -> (ControllerLink, ControlChannel) {
+    /// A connected link at `term` plus the controller's ends of it, which
+    /// ring `switch_bell`.
+    pub(crate) fn connect(term: u64, switch_bell: &Doorbell) -> (ControllerLink, ControlChannel) {
         let (to_switch, rx) = bounded(65536);
         let (tx, from_switch) = bounded(65536);
+        let controller_bell = Arc::<BellSlot>::default();
         (
             ControllerLink {
                 term,
                 tx,
                 rx,
+                controller_bell: controller_bell.clone(),
                 headless_since: None,
                 queued: VecDeque::new(),
                 dropped: 0,
@@ -82,6 +116,8 @@ impl ControllerLink {
             ControlChannel {
                 to_switch,
                 from_switch,
+                switch_bell: switch_bell.clone(),
+                controller_bell,
             },
         )
     }
@@ -106,9 +142,10 @@ impl Switch {
         }
         // LINT: allow-send-under-lock(try_send on a bounded channel never blocks; the link lock is a leaf among the datapath locks)
         match link.tx.try_send(bytes) {
+            Ok(()) => link.controller_bell.ring(),
             // A congested controller must never stall the data plane;
             // events are best-effort like real OpenFlow async messages.
-            Ok(()) | Err(TrySendError::Full(_)) => {}
+            Err(TrySendError::Full(_)) => {}
             Err(TrySendError::Disconnected(bytes)) => {
                 self.enter_headless(&mut link);
                 link.queue(bytes);
@@ -125,7 +162,9 @@ impl Switch {
             return;
         }
         // LINT: allow-send-under-lock(try_send on a bounded channel never blocks; the link lock is a leaf among the datapath locks)
-        let _ = link.tx.try_send(wire::encode(&msg));
+        if link.tx.try_send(wire::encode(&msg)).is_ok() {
+            link.controller_bell.ring();
+        }
     }
 
     /// Marks the link headless (caller holds the link lock). Forwarding
@@ -169,7 +208,7 @@ impl Switch {
                 .fetch_add(window.as_millis() as u64, Ordering::Relaxed);
         }
         drop(table);
-        let (mut fresh, channel) = ControllerLink::connect(term);
+        let (mut fresh, channel) = ControllerLink::connect(term, &self.inner.bell);
         fresh.dropped = link.dropped;
         for bytes in std::mem::take(&mut link.queued) {
             // LINT: allow-send-under-lock(try_send on a freshly created bounded channel never blocks; the link lock is a leaf among the datapath locks)

@@ -6,7 +6,7 @@
 //! delete — the "unexpected port removal event" the fault detector uses.
 
 use std::collections::BTreeMap;
-use typhoon_net::{ring, Frame, NetError, RingConsumer, RingProducer};
+use typhoon_net::{ring, ring_with_bell, Doorbell, Frame, RingConsumer, RingProducer};
 use typhoon_openflow::{PortNo, PortStats};
 
 /// The worker-side endpoints of an attached port.
@@ -33,22 +33,28 @@ pub(crate) struct PortEntry {
 pub(crate) struct Ports {
     pub(crate) entries: BTreeMap<PortNo, PortEntry>,
     ring_capacity: usize,
+    /// The datapath thread's bell: every worker → switch ring rings it.
+    bell: Doorbell,
 }
 
 impl Ports {
-    pub(crate) fn new(ring_capacity: usize) -> Self {
+    pub(crate) fn new(ring_capacity: usize, bell: Doorbell) -> Self {
         Ports {
             entries: BTreeMap::new(),
             ring_capacity,
+            bell,
         }
     }
 
     /// Attaches a worker to `port`, returning the worker-side endpoints.
-    /// Re-attaching an occupied port replaces the old (dead) entry.
+    /// Re-attaching an occupied port replaces the old (dead) entry. The
+    /// switch → worker ring gets a bell of its own, which the worker waits
+    /// on (`rx.bell()`); the worker → switch ring rings the switch's.
     pub(crate) fn attach(&mut self, port: PortNo) -> WorkerPort {
         assert!(port.is_physical(), "cannot attach to reserved port {port}");
         let (to_worker_tx, to_worker_rx) = ring(self.ring_capacity);
-        let (from_worker_tx, from_worker_rx) = ring(self.ring_capacity);
+        let (from_worker_tx, from_worker_rx) =
+            ring_with_bell(self.ring_capacity, self.bell.clone());
         self.entries.insert(
             port,
             PortEntry {
@@ -72,7 +78,8 @@ impl Ports {
         self.entries.remove(&port).is_some()
     }
 
-    /// Sends `frames` out `port` with one registry lookup, updating TX stats
+    /// Sends `frames` out `port` with one registry lookup and one
+    /// `push_batch` — the worker is rung once per run — updating TX stats
     /// per frame. Overflow counts as a TX drop (§8's switch-level loss); a
     /// missing port or closed ring drops silently — the worker died, and
     /// the next `poll` reaps the dead port and reports it.
@@ -80,17 +87,10 @@ impl Ports {
         let Some(entry) = self.entries.get_mut(&port) else {
             return;
         };
-        for frame in frames {
-            let len = frame.wire_len() as u64;
-            match entry.to_worker.push(frame) {
-                Ok(()) => {
-                    entry.stats.tx_packets += 1;
-                    entry.stats.tx_bytes += len;
-                }
-                Err(NetError::RingFull) => entry.stats.tx_dropped += 1,
-                Err(_) => {}
-            }
-        }
+        let pushed = entry.to_worker.push_batch(&mut Vec::from_iter(frames));
+        entry.stats.tx_packets += pushed.enqueued as u64;
+        entry.stats.tx_bytes += pushed.enqueued_bytes;
+        entry.stats.tx_dropped += pushed.dropped as u64;
     }
 
     /// Polls every port for received frames (up to `per_port` each),
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn attach_transmit_receive() {
-        let mut ports = Ports::new(16);
+        let mut ports = Ports::new(16, Doorbell::new());
         let wp = ports.attach(PortNo(1));
         ports.transmit(PortNo(1), [frame(7)]);
         let got = wp.rx.pop().unwrap().unwrap();
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn worker_to_switch_direction_polls() {
-        let mut ports = Ports::new(16);
+        let mut ports = Ports::new(16, Doorbell::new());
         let wp = ports.attach(PortNo(2));
         wp.tx.push(frame(9)).unwrap();
         let mut out = Vec::new();
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn dead_worker_detected_on_poll() {
-        let mut ports = Ports::new(16);
+        let mut ports = Ports::new(16, Doorbell::new());
         let wp = ports.attach(PortNo(3));
         drop(wp); // the worker dies, dropping its ring endpoints
         let mut out = Vec::new();
@@ -189,13 +189,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved port")]
     fn reserved_ports_cannot_be_attached() {
-        let mut ports = Ports::new(4);
+        let mut ports = Ports::new(4, Doorbell::new());
         let _ = ports.attach(PortNo::CONTROLLER);
     }
 
     #[test]
     fn per_port_poll_limit_is_respected() {
-        let mut ports = Ports::new(64);
+        let mut ports = Ports::new(64, Doorbell::new());
         let wp = ports.attach(PortNo(1));
         for i in 0..10 {
             wp.tx.push(frame(i)).unwrap();
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn transmit_accounts_per_frame_for_batches_and_single_frames() {
-        let mut ports = Ports::new(2);
+        let mut ports = Ports::new(2, Doorbell::new());
         let wp = ports.attach(PortNo(1));
         ports.transmit(PortNo(1), (0..4).map(frame));
         let stats = ports.stats();

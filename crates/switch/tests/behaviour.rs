@@ -20,7 +20,7 @@ fn frame(src: u32, dst: MacAddr, n: u8) -> Frame {
 }
 
 fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
-    ch.to_switch.send(wire::encode(&msg)).unwrap();
+    ch.send(wire::encode(&msg)).unwrap();
 }
 
 #[test]
