@@ -79,13 +79,23 @@ fn storm_forwarding(
     (rate, cdf)
 }
 
+/// What one Typhoon forwarding run measured.
+struct TyphoonRun {
+    rate: f64,
+    cdf: Vec<(u64, f64)>,
+    hit_ratio: f64,
+    /// Tuple serializations, cluster-wide, per tuple the sink received
+    /// over the whole run: an exact count, not a timing.
+    ser_per_tuple: f64,
+}
+
 fn typhoon_forwarding(
     cfg: &Cfg,
     remote: bool,
     acking: bool,
     batch: usize,
     rate_cap: Option<u32>,
-) -> (f64, Vec<(u64, f64)>, f64) {
+) -> TyphoonRun {
     let mut reg = ComponentRegistry::new();
     let (sink, _) = register_standard(&mut reg, PAYLOAD, SPOUT_BATCH);
     let mut config = if remote {
@@ -124,8 +134,14 @@ fn typhoon_forwarding(
         .map(|w| w.registry.histogram("latency").cdf())
         .unwrap_or_default();
     let hit_ratio = cluster.cache_stats().hit_ratio();
+    let ser_per_tuple = cluster.ser_stats().counts().0 as f64 / sink.count().max(1) as f64;
     cluster.shutdown();
-    (rate, cdf, hit_ratio)
+    TyphoonRun {
+        rate,
+        cdf,
+        hit_ratio,
+        ser_per_tuple,
+    }
 }
 
 fn fig8a(cfg: &Cfg, report: &mut Report) {
@@ -137,15 +153,15 @@ fn fig8a(cfg: &Cfg, report: &mut Report) {
         print_rate_row(&format!("STORM          ({place})"), storm);
         report.throughput(format!("throughput.{tag}.storm"), storm);
         for &batch in cfg.batches {
-            let (typhoon, _, hit_ratio) = typhoon_forwarding(cfg, remote, false, batch, None);
-            print_rate_row(&format!("TYPHOON({batch:<4})  ({place})"), typhoon);
-            println!("    flow-cache hit ratio: {:.4}", hit_ratio);
-            report.throughput(format!("throughput.{tag}.typhoon.b{batch}"), typhoon);
+            let run = typhoon_forwarding(cfg, remote, false, batch, None);
+            print_rate_row(&format!("TYPHOON({batch:<4})  ({place})"), run.rate);
+            println!("    flow-cache hit ratio: {:.4}", run.hit_ratio);
+            report.throughput(format!("throughput.{tag}.typhoon.b{batch}"), run.rate);
             // The megaflow fast path: steady state must resolve the vast
             // majority of frames without the flow-table lock.
             report.metric(
                 format!("cache.hit_ratio.{tag}.typhoon.b{batch}"),
-                hit_ratio,
+                run.hit_ratio,
                 "ratio",
                 Direction::HigherIsBetter,
                 0.1,
@@ -172,12 +188,25 @@ fn fig8b_cd(cfg: &Cfg, report: &mut Report, print_throughput: bool, print_latenc
         }
         cdfs.push(("STORM".into(), remote, storm_cdf));
         for &batch in cfg.batches {
-            let (typhoon, cdf, _) = typhoon_forwarding(cfg, remote, true, batch, rate_cap);
+            let run = typhoon_forwarding(cfg, remote, true, batch, rate_cap);
             if print_throughput {
-                print_rate_row(&format!("TYPHOON({batch:<4})+ACK ({place})"), typhoon);
-                report.throughput(format!("throughput_ack.{tag}.typhoon.b{batch}"), typhoon);
+                print_rate_row(&format!("TYPHOON({batch:<4})+ACK ({place})"), run.rate);
+                report.throughput(format!("throughput_ack.{tag}.typhoon.b{batch}"), run.rate);
+                if !remote && batch == cfg.batches[0] {
+                    // Reliability must not multiply serializations: acks
+                    // are packed records, so the acked path stays near one
+                    // per tuple (a tuple per ack would make it 4).
+                    println!("    serializations per tuple: {:.3}", run.ser_per_tuple);
+                    report.metric(
+                        "ser_per_tuple.ack.local.typhoon",
+                        run.ser_per_tuple,
+                        "count",
+                        Direction::LowerIsBetter,
+                        0.1,
+                    );
+                }
             }
-            cdfs.push((format!("TYPHOON({batch})"), remote, cdf));
+            cdfs.push((format!("TYPHOON({batch})"), remote, run.cdf));
         }
     }
     if print_latency {

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-use typhoon_metrics::Registry;
+use typhoon_metrics::{Counter, Histogram, Registry};
 use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, NetError, Packetizer};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
@@ -56,6 +56,10 @@ pub struct IoLayer {
     batch_size: usize,
     batch_delay: Duration,
     registry: Registry,
+    /// `io.frames_tx` / `io.batch_occupancy`, resolved once: every flush
+    /// updates them.
+    frames_tx: Counter,
+    batch_occupancy: Histogram,
     trace: TraceCtx,
     egress_dead: bool,
 }
@@ -71,6 +75,8 @@ impl IoLayer {
             batches: HashMap::new(),
             batch_size: config.batch_size.max(1),
             batch_delay: config.batch_delay,
+            frames_tx: registry.counter("io.frames_tx"),
+            batch_occupancy: registry.histogram("io.batch_occupancy"),
             registry,
             trace: TraceCtx::disabled(),
             egress_dead: false,
@@ -94,6 +100,17 @@ impl IoLayer {
     /// Currently configured batch size.
     pub fn batch_size(&self) -> usize {
         self.batch_size
+    }
+
+    /// The oldest-tuple age that forces a flush.
+    pub fn batch_delay(&self) -> Duration {
+        self.batch_delay
+    }
+
+    /// Frames this layer has pushed into the switch so far
+    /// (`io.frames_tx`).
+    pub fn frames_sent(&self) -> u64 {
+        self.frames_tx.get()
     }
 
     /// Retunes the batch size (the `BATCH_SIZE` control tuple). Lowering
@@ -194,26 +211,33 @@ impl IoLayer {
         }
     }
 
-    /// The worker's source address (derived by the caller; stored on the
-    /// frames by `send_batch`'s packetizer call).
+    /// Sends one message that is already a batch (packed ack records) to
+    /// `dst` at once, past the per-destination batcher. It is not a batch
+    /// of tuples, so `io.batch_occupancy` does not see it.
+    pub fn send_now(&mut self, dst: MacAddr, blob: Bytes) {
+        self.transmit(dst, &[blob], 0);
+    }
+
     fn send_batch(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64) {
-        let src = self.src_mac;
-        self.trace.record(trace, Hop::NetHop);
         // Batch occupancy at flush time: full batches mean the size knob is
         // the binding constraint (throughput mode), small ones mean the
         // delay timer is (latency mode).
-        self.registry
-            .histogram("io.batch_occupancy")
-            .record(blobs.len() as u64);
+        self.batch_occupancy.record(blobs.len() as u64);
+        self.transmit(dst, blobs, trace);
+    }
+
+    /// Packetizes `blobs` from this worker's address and pushes the frames
+    /// into the switch port.
+    fn transmit(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64) {
+        let src = self.src_mac;
+        self.trace.record(trace, Hop::NetHop);
         let mut frames = self.packetizer.pack(src, dst, blobs);
         for frame in &mut frames {
             frame.trace = trace;
         }
         let pushed = self.port.tx.push_batch(&mut frames);
         if pushed.enqueued > 0 {
-            self.registry
-                .counter("io.frames_tx")
-                .add(pushed.enqueued as u64);
+            self.frames_tx.add(pushed.enqueued as u64);
         }
         if pushed.dropped > 0 {
             // §8: switch-level loss is possible under bursts; the worker

@@ -8,8 +8,11 @@
 //! tuples — injected by the SDN controller — reconfigure all of this at
 //! runtime without stopping the loop. A round that found nothing to do
 //! waits on the port's doorbell (rung by the switch) until the next batch
-//! flush falls due, instead of sleeping.
+//! flush falls due, instead of sleeping. Guaranteed processing rides the
+//! same loop as packed records ([`acks`]): one `ACK` message per worker per
+//! round, one `ACK_RESULT` per spout per acker round.
 
+pub mod acks;
 pub mod framework;
 pub mod io;
 
@@ -17,11 +20,12 @@ pub use framework::{Addressed, Classified, FrameworkLayer, Route};
 pub use io::{IoConfig, IoLayer};
 
 use crate::checkpoint::{CheckpointStore, DedupLedger};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
-use typhoon_metrics::{RateMeter, Registry};
+use typhoon_metrics::{Counter, Gauge, Histogram, RateMeter, Registry};
 use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId, VecEmitter};
 use typhoon_net::Doorbell;
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
@@ -134,12 +138,22 @@ struct WorkerCtx {
     // acking scratch
     current_root: u64,
     accum_xor: u64,
-    pending: std::collections::HashMap<u64, (Instant, u64)>,
+    pending: HashMap<u64, (Instant, u64)>,
     root_seed: u64,
-    /// Set by anything that must not linger in a batch (acker verdicts,
-    /// metric responses, state re-emissions); the loop flushes everything
-    /// at the end of the round instead of waiting out the delay timer.
+    /// Ack records bound for the acker; [`WorkerCtx::flush_acks`] decides
+    /// when they leave.
+    acks: acks::AckBuffer,
+    /// Whether those records are a spout's inits (else a bolt's acks).
+    acks_init: bool,
+    /// `IoLayer::frames_sent` as of the last `flush_acks`: a difference
+    /// means a batch left since.
+    acks_frames_mark: u64,
+    /// Set by anything that must not linger in a batch (metric responses,
+    /// state re-emissions); the loop flushes everything at the end of the
+    /// round instead of waiting out the delay timer.
     flush_now: bool,
+    /// `tuples.emitted`, resolved once: every emission counts.
+    emitted: Counter,
     // tracing
     trace: TraceCtx,
     current_trace: u64,
@@ -202,20 +216,40 @@ impl WorkerCtx {
         self.flush_now = true;
     }
 
-    fn send_ack(&mut self, root: u64, xor: u64, spout: Option<TaskId>) {
-        if let Some(acker) = self.config.acker {
-            let msg = Tuple::on_stream(
-                self.config.task,
-                StreamId::ACK,
-                vec![
-                    Value::Int(root as i64),
-                    Value::Int(xor as i64),
-                    spout.map_or(Value::Nil, |s| Value::Int(s.0 as i64)),
-                ],
-            );
-            let a = self.fw.direct(&msg, acker);
-            self.io.enqueue(a.dst, a.blob, 0);
+    fn send_ack(&mut self, root: u64, xor: u64) {
+        if self.config.acker.is_some() {
+            self.acks.push(root, xor);
         }
+    }
+
+    /// When the buffered ack records must leave by the delay rule.
+    fn acks_due(&self) -> Option<Instant> {
+        self.acks.oldest().map(|t| t + self.io.batch_delay())
+    }
+
+    /// Sends the buffered ack records as one `ACK` message, once they are
+    /// due. A bolt's are due at the end of the round that produced them:
+    /// the drained round is the batch. A spout's round is a 20 µs poll, so
+    /// its inits follow the batcher's rules (`batch_size` records, or
+    /// `batch_delay` after the oldest) and are never later than the data
+    /// they root: they also leave when any batch left since the last call.
+    /// `force` is the graceful stop.
+    fn flush_acks(&mut self, force: bool) {
+        let batch_left = self.io.frames_sent() != self.acks_frames_mark;
+        if let (Some(due), Some(acker)) = (self.acks_due(), self.config.acker) {
+            if force
+                || !self.acks_init
+                || batch_left
+                || self.acks.len() >= self.io.batch_size()
+                || Instant::now() >= due
+            {
+                let records = self.acks.take();
+                let msg = acks::ack_message(self.config.task, self.acks_init, records);
+                let a = self.fw.direct(&msg, acker);
+                self.io.send_now(a.dst, a.blob);
+            }
+        }
+        self.acks_frames_mark = self.io.frames_sent();
     }
 
     fn handle_control(&mut self, ct: ControlTuple, bolt: Option<&mut Box<dyn Bolt>>) {
@@ -304,7 +338,7 @@ impl Emitter for RoutedEmitter<'_> {
         }
         let acking = self.ctx.config.acking;
         let addressed = self.ctx.fw.route(tuple, acking);
-        self.ctx.shared.registry.counter("tuples.emitted").inc();
+        self.ctx.emitted.inc();
         self.ctx.dispatch(addressed);
     }
 }
@@ -337,8 +371,12 @@ pub fn run_worker(
         rate_window_count: 0,
         current_root: 0,
         accum_xor: 0,
-        pending: std::collections::HashMap::new(),
+        pending: HashMap::new(),
+        acks: acks::AckBuffer::new(),
+        acks_init: matches!(role, Role::Spout(_)),
+        acks_frames_mark: 0,
         flush_now: false,
+        emitted: shared.registry.counter("tuples.emitted"),
         trace,
         current_trace: 0,
         config,
@@ -353,19 +391,28 @@ pub fn run_worker(
             let role = SpoutRole {
                 spout,
                 last_pending_sweep: Instant::now(),
+                completed: ctx.shared.registry.counter("acks.completed"),
+                latency: ctx.shared.registry.histogram("latency"),
             };
             run_loop(&mut ctx, role);
         }
         Role::Bolt(mut bolt) => {
             bolt.prepare();
             let ckpt = BoltCheckpointer::init(&mut ctx, bolt.as_mut());
-            run_loop(&mut ctx, BoltRole { bolt, ckpt });
+            let received = ctx.shared.registry.counter("tuples.received");
+            let role = BoltRole {
+                bolt,
+                ckpt,
+                received,
+            };
+            run_loop(&mut ctx, role);
         }
         Role::Acker => {
             let role = AckerRole {
                 ledger: AckerLedger::new(),
                 last_expire: Instant::now(),
-                combined: Vec::new(),
+                verdicts: HashMap::new(),
+                pending: ctx.shared.registry.gauge("acker.pending"),
             };
             run_loop(&mut ctx, role);
         }
@@ -422,6 +469,7 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
         }
         if ctx.shared.shutdown.load(Ordering::Acquire) {
             role.on_shutdown(ctx);
+            ctx.flush_acks(true);
             ctx.io.flush_all();
             return;
         }
@@ -439,6 +487,7 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
         } else {
             ctx.io.flush_due();
         }
+        ctx.flush_acks(false);
         if ctx.io.egress_dead() {
             return; // the switch side of the port is gone; fail fast
         }
@@ -456,10 +505,12 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
         // Everything else that can give this worker work ends in a frame
         // on its port (data, control tuples, ack results) or a flag set by
         // the agent, and both ring. Park until then, or until the next
-        // batch flush is due; `MAX_PARK` covers the roles' 100 ms timers.
-        let deadline = ctx
-            .io
-            .next_flush_due()
+        // batch flush (or a throttled spout's inits) is due; `MAX_PARK`
+        // covers the roles' 100 ms timers.
+        let deadline = [ctx.io.next_flush_due(), ctx.acks_due()]
+            .into_iter()
+            .flatten()
+            .min()
             .unwrap_or_else(|| Instant::now() + Doorbell::MAX_PARK);
         let (io, shared) = (&ctx.io, &ctx.shared);
         bell.wait(deadline, || {
@@ -477,6 +528,9 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
 struct SpoutRole {
     spout: Box<dyn Spout>,
     last_pending_sweep: Instant,
+    /// `acks.completed` / `latency`, resolved once: every ack updates them.
+    completed: Counter,
+    latency: Histogram,
 }
 
 impl RoleLoop for SpoutRole {
@@ -494,16 +548,18 @@ impl RoleLoop for SpoutRole {
             }
             Classified::Control(ct) => ctx.handle_control(ct, None),
             Classified::AckResult => {
-                let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-                let ok = tuple.get(1).and_then(Value::as_bool).unwrap_or(false);
-                if let Some((born, trace)) = ctx.pending.remove(&root) {
+                let Some(verdicts) = acks::parse_verdict_message(&tuple) else {
+                    ctx.shared.registry.counter("acks.malformed").inc();
+                    return;
+                };
+                for (root, ok) in verdicts {
+                    let Some((born, trace)) = ctx.pending.remove(&root) else {
+                        continue;
+                    };
                     if ok {
                         ctx.trace.record(trace, Hop::Ack);
-                        ctx.shared.registry.counter("acks.completed").inc();
-                        ctx.shared
-                            .registry
-                            .histogram("latency")
-                            .record_duration(born.elapsed());
+                        self.completed.inc();
+                        self.latency.record_duration(born.elapsed());
                         self.spout.ack(root);
                     } else {
                         ctx.shared.registry.counter("acks.failed").inc();
@@ -577,7 +633,7 @@ fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
             ctx.accum_xor = 0;
             RoutedEmitter { ctx }.emit_on(stream, values);
             let xor = ctx.accum_xor;
-            ctx.send_ack(root, xor, Some(ctx.config.task));
+            ctx.send_ack(root, xor);
             ctx.pending.insert(root, (Instant::now(), trace));
             ctx.current_root = 0;
             spout.emitted(index, root);
@@ -709,15 +765,16 @@ impl BoltCheckpointer {
         self.dirty = false;
         ctx.shared.registry.counter("recovery.checkpoints").inc();
         for (root, xor) in std::mem::take(&mut self.deferred_acks) {
-            ctx.send_ack(root, xor, None);
+            ctx.send_ack(root, xor);
         }
-        ctx.flush_now = true;
     }
 }
 
 struct BoltRole {
     bolt: Box<dyn Bolt>,
     ckpt: Option<BoltCheckpointer>,
+    /// `tuples.received`, resolved once: every input counts.
+    received: Counter,
 }
 
 impl RoleLoop for BoltRole {
@@ -725,7 +782,7 @@ impl RoleLoop for BoltRole {
         match class {
             Classified::Control(ct) => ctx.handle_control(ct, Some(&mut self.bolt)),
             Classified::Data => {
-                ctx.shared.registry.counter("tuples.received").inc();
+                self.received.inc();
                 ctx.shared.meter.mark(1);
                 let input_id = tuple.meta.message_id;
                 let input_trace = tuple.meta.trace;
@@ -737,7 +794,7 @@ impl RoleLoop for BoltRole {
                             // skip execution, complete this branch of
                             // the ack tree immediately.
                             ctx.shared.registry.counter("recovery.deduped").inc();
-                            ctx.send_ack(input_id.root, input_id.anchor, None);
+                            ctx.send_ack(input_id.root, input_id.anchor);
                             return;
                         }
                     }
@@ -751,7 +808,7 @@ impl RoleLoop for BoltRole {
                     let xor = input_id.anchor ^ ctx.accum_xor;
                     match self.ckpt.as_mut() {
                         Some(c) => c.defer_ack(input_id.root, xor),
-                        None => ctx.send_ack(input_id.root, xor, None),
+                        None => ctx.send_ack(input_id.root, xor),
                     }
                 }
                 ctx.current_root = 0;
@@ -780,65 +837,52 @@ impl RoleLoop for BoltRole {
 struct AckerRole {
     ledger: AckerLedger,
     last_expire: Instant,
-    /// This round's acks, XOR-folded per root. XOR is associative, so every
-    /// ack for one root within a drained round collapses into a single
-    /// ledger application — O(distinct roots) ledger work per poll instead
-    /// of O(acks). Only the spout's init carries the owner identity; keep
-    /// the first seen.
-    combined: Vec<(u64, u64, Option<TaskId>)>,
+    /// This round's verdict records per owning spout (completions and
+    /// expiries alike); each leaves as one `ACK_RESULT` message when the
+    /// round ends.
+    verdicts: HashMap<TaskId, Vec<u8>>,
+    /// `acker.pending`: trees in flight, published once per round.
+    pending: Gauge,
+}
+
+impl AckerRole {
+    fn notify(&mut self, owner: TaskId, root: u64, outcome: AckOutcome) {
+        let records = self.verdicts.entry(owner).or_default();
+        acks::push_verdict(records, root, outcome == AckOutcome::Complete);
+    }
 }
 
 impl RoleLoop for AckerRole {
-    fn on_tuple(&mut self, _ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
         if !matches!(class, Classified::Ack) {
             return;
         }
-        let root = tuple.get(0).and_then(Value::as_int).unwrap_or(0) as u64;
-        let xor = tuple.get(1).and_then(Value::as_int).unwrap_or(0) as u64;
-        let spout = tuple
-            .get(2)
-            .and_then(Value::as_int)
-            .map(|s| TaskId(s as u32));
-        match self.combined.iter_mut().find(|(r, _, _)| *r == root) {
-            Some((_, x, s)) => {
-                *x ^= xor;
-                if s.is_none() {
-                    *s = spout;
-                }
+        let Some((init_owner, records)) = acks::parse_ack_message(&tuple) else {
+            ctx.shared.registry.counter("acks.malformed").inc();
+            return;
+        };
+        let now = Instant::now();
+        for (root, xor) in records {
+            if let Some((owner, outcome)) = self.ledger.apply(root, xor, init_owner, now) {
+                self.notify(owner, root, outcome);
             }
-            None => self.combined.push((root, xor, spout)),
         }
     }
 
     fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
-        let now = Instant::now();
-        for (root, xor, spout) in self.combined.drain(..) {
-            if let Some((owner, outcome)) = self.ledger.apply(root, xor, spout, now) {
-                acker_notify(ctx, owner, root, outcome);
-            }
-        }
         if self.last_expire.elapsed() >= Duration::from_millis(100) {
+            let now = Instant::now();
             self.last_expire = now;
             for (root, owner, outcome) in self.ledger.expire(ctx.config.ack_timeout, now) {
-                acker_notify(ctx, owner, root, outcome);
+                self.notify(owner, root, outcome);
             }
         }
+        for (owner, records) in self.verdicts.drain() {
+            let msg = acks::verdict_message(ctx.config.task, records);
+            let a = ctx.fw.direct(&msg, owner);
+            ctx.io.send_now(a.dst, a.blob);
+        }
+        self.pending.set(self.ledger.pending() as i64);
         false
     }
-}
-
-/// Queues a verdict for `spout`; the loop flushes them all once this round
-/// ends, so N verdicts for one spout share ⌈N / batch_size⌉ frames.
-fn acker_notify(ctx: &mut WorkerCtx, spout: TaskId, root: u64, outcome: AckOutcome) {
-    let msg = Tuple::on_stream(
-        ctx.config.task,
-        StreamId::ACK_RESULT,
-        vec![
-            Value::Int(root as i64),
-            Value::Bool(outcome == AckOutcome::Complete),
-        ],
-    );
-    let a = ctx.fw.direct(&msg, spout);
-    ctx.io.enqueue(a.dst, a.blob, 0);
-    ctx.flush_now = true;
 }

@@ -6,13 +6,13 @@ use bytes::Bytes;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use typhoon_controller::control::{ControlTuple, CONTROLLER_TASK};
-use typhoon_core::worker::{self, IoConfig, Role, Route, WorkerConfig, WorkerShared};
+use typhoon_core::worker::{self, acks, IoConfig, Role, Route, WorkerConfig, WorkerShared};
 use typhoon_model::{AppId, Bolt, Emitter, Grouping, RoutingState, Spout, TaskId};
 use typhoon_net::{Depacketizer, MacAddr, Packetizer};
 use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo};
 use typhoon_switch::{ControlChannel, Switch, SwitchConfig};
 use typhoon_tuple::ser::{decode_tuple, encode_tuple_vec, SerStats};
-use typhoon_tuple::{StreamId, Tuple, Value};
+use typhoon_tuple::{MessageId, StreamId, Tuple, Value};
 
 struct Echo;
 
@@ -45,8 +45,12 @@ type Spawned = (
     WorkerShared,
     std::thread::JoinHandle<()>,
     typhoon_switch::WorkerPort, // the "downstream" endpoint (port 2)
-    typhoon_switch::WorkerPort, // the "upstream" endpoint (port 3)
+    typhoon_switch::WorkerPort, // the "upstream" endpoint (port 3); the acker's, when acking
 );
+
+/// The task behind port 3: upstream of the worker, and its acker when a
+/// test turns acking on.
+const UPSTREAM: TaskId = TaskId(3);
 
 /// A batch delay only an explicit flush beats.
 const NEVER: Duration = Duration::from_secs(60);
@@ -71,12 +75,31 @@ fn spawn_worker(role: Role, io: IoConfig) -> Spawned {
 }
 
 fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
+    spawn_custom(role, io, |config, _| config.start_active = start_active)
+}
+
+/// A worker in guaranteed-processing mode whose acker is [`UPSTREAM`], with
+/// `routes` copies of its one edge (each emission then sends that many
+/// tuples downstream).
+fn spawn_acking_worker(role: Role, io: IoConfig, routes: usize) -> Spawned {
+    spawn_custom(role, io, |config, r| {
+        config.acking = true;
+        config.acker = Some(UPSTREAM);
+        r.resize_with(routes, route_down);
+    })
+}
+
+fn spawn_custom(
+    role: Role,
+    io: IoConfig,
+    customize: impl FnOnce(&mut WorkerConfig, &mut Vec<Route>),
+) -> Spawned {
     let (sw, ch) = Switch::new(SwitchConfig::new(1));
     let worker_port = sw.attach_worker(PortNo(1));
     let downstream = sw.attach_worker(PortNo(2));
     let upstream = sw.attach_worker(PortNo(3));
-    // Rules: worker(task 1) → downstream(task 2); upstream(task 3) →
-    // worker; controller → worker; worker → controller.
+    // Rules: one port per task (worker 1, downstream 2, upstream 3);
+    // worker → controller.
     send_ctrl(
         &ch,
         OfMessage::FlowMod(FlowMod::add(
@@ -96,6 +119,14 @@ fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
     send_ctrl(
         &ch,
         OfMessage::FlowMod(FlowMod::add(
+            50,
+            FlowMatch::any().dl_dst(MacAddr::worker(1, UPSTREAM)),
+            vec![Action::Output(PortNo(3))],
+        )),
+    );
+    send_ctrl(
+        &ch,
+        OfMessage::FlowMod(FlowMod::add(
             100,
             FlowMatch::any().dl_dst(MacAddr::CONTROLLER),
             vec![Action::ToController],
@@ -105,7 +136,7 @@ fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
 
     let shared = WorkerShared::new();
     let shared2 = shared.clone();
-    let config = WorkerConfig {
+    let mut config = WorkerConfig {
         app: AppId(1),
         task: TaskId(1),
         node: "echo".into(),
@@ -115,15 +146,12 @@ fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
         acker: None,
         ack_timeout: Duration::from_secs(30),
         max_pending: 64,
-        start_active,
+        start_active: true,
         checkpoint: None,
         restore: false,
     };
-    let routes = vec![Route {
-        stream: StreamId::DEFAULT,
-        downstream: "down".into(),
-        state: RoutingState::new(Grouping::Global, vec![TaskId(2)], vec![]),
-    }];
+    let mut routes = vec![route_down()];
+    customize(&mut config, &mut routes);
     let ser = SerStats::shared();
     let thread = std::thread::spawn(move || {
         worker::run_worker(
@@ -139,24 +167,32 @@ fn spawn_worker_with(role: Role, io: IoConfig, start_active: bool) -> Spawned {
     (sw, ch, shared, thread, downstream, upstream)
 }
 
-/// Sends one tuple into the worker as if from task 3.
-fn inject(upstream: &typhoon_switch::WorkerPort, values: Vec<Value>, stream: StreamId) {
-    inject_all(upstream, vec![(values, stream)]);
+/// The worker's one edge: everything to task 2.
+fn route_down() -> Route {
+    Route {
+        stream: StreamId::DEFAULT,
+        downstream: "down".into(),
+        state: RoutingState::new(Grouping::Global, vec![TaskId(2)], vec![]),
+    }
 }
 
-/// Sends tuples into the worker as if from task 3, muxed into as few
-/// frames as the MTU allows and handed over with one `push_batch` (one
+/// Sends one tuple into the worker as if from task 3.
+fn inject(upstream: &typhoon_switch::WorkerPort, values: Vec<Value>, stream: StreamId) {
+    inject_all(upstream, vec![Tuple::on_stream(UPSTREAM, stream, values)]);
+}
+
+/// Sends tuples into the worker through task 3's port, muxed into as few
+/// (jumbo) frames as possible and handed over with one `push_batch` (one
 /// ring). Returns the frame count: a single frame reaches the worker in
 /// one poll whatever the timing.
-fn inject_all(upstream: &typhoon_switch::WorkerPort, tuples: Vec<(Vec<Value>, StreamId)>) -> usize {
+fn inject_all(upstream: &typhoon_switch::WorkerPort, tuples: Vec<Tuple>) -> usize {
     let ser = SerStats::default();
     let blobs: Vec<Bytes> = tuples
-        .into_iter()
-        .map(|(values, stream)| Tuple::on_stream(TaskId(3), stream, values))
-        .map(|tuple| Bytes::from(encode_tuple_vec(&tuple, &ser)))
+        .iter()
+        .map(|tuple| Bytes::from(encode_tuple_vec(tuple, &ser)))
         .collect();
-    let mut frames = Packetizer::new(1500).pack(
-        MacAddr::worker(1, TaskId(3)),
+    let mut frames = Packetizer::new(9000).pack(
+        MacAddr::worker(1, UPSTREAM),
         MacAddr::worker(1, TaskId(1)),
         &blobs,
     );
@@ -208,10 +244,34 @@ fn recv_tuples(port: &typhoon_switch::WorkerPort, want: usize, deadline: Duratio
     got
 }
 
-/// An init-and-complete ack for `root`, owned by the spout on task 2.
-fn complete_ack(root: i64) -> (Vec<Value>, StreamId) {
-    let values = vec![Value::Int(root), Value::Int(0), Value::Int(2)];
-    (values, StreamId::ACK)
+/// An `ACK` message of `records` from `src`.
+fn ack_message(src: u32, init: bool, records: impl IntoIterator<Item = (u64, u64)>) -> Tuple {
+    let mut blob = Vec::new();
+    for (root, xor) in records {
+        acks::push_ack(&mut blob, root, xor);
+    }
+    acks::ack_message(TaskId(src), init, blob)
+}
+
+/// The inits of `roots` from the spout on task `owner`, each with no
+/// anchors to wait for: the acker completes them on sight.
+fn complete_inits(owner: u32, roots: impl IntoIterator<Item = u64>) -> Tuple {
+    ack_message(owner, true, roots.into_iter().map(|root| (root, 0)))
+}
+
+/// The records of an `ACK` message as the acker reads them.
+fn ack_records(msg: &Tuple) -> (Option<TaskId>, Vec<(u64, u64)>) {
+    assert_eq!(msg.meta.stream, StreamId::ACK);
+    let (owner, records) = acks::parse_ack_message(msg).expect("a well-formed ack message");
+    (owner, records.collect())
+}
+
+/// The records of an `ACK_RESULT` message as a spout reads them.
+fn verdicts(msg: &Tuple) -> Vec<(u64, bool)> {
+    assert_eq!(msg.meta.stream, StreamId::ACK_RESULT);
+    acks::parse_verdict_message(msg)
+        .expect("a well-formed verdict message")
+        .collect()
 }
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
@@ -243,17 +303,8 @@ fn bolt_worker_echoes_through_all_three_layers() {
 
 #[test]
 fn routing_control_tuple_rewires_a_live_worker() {
+    // Task 3's own port stands in as the sink of the rewired flow.
     let (sw, ch, shared, thread, downstream, upstream) = spawn_echo_worker();
-    // Add a second possible destination on port 3 (task 3's own port used
-    // as a stand-in sink for the rewired flow).
-    send_ctrl(
-        &ch,
-        OfMessage::FlowMod(FlowMod::add(
-            50,
-            FlowMatch::any().dl_dst(MacAddr::worker(1, TaskId(3))),
-            vec![Action::Output(PortNo(3))],
-        )),
-    );
     let handle = sw.spawn();
     std::thread::sleep(Duration::from_millis(100));
     send_control_tuple(
@@ -301,10 +352,10 @@ fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
             let handle = sw.spawn();
             // One tuple of egress per role: the spout's only emission, the
             // bolt's echo (both left in a batch), the acker's verdict
-            // (flushed at the end of its round).
+            // message (sent at the end of its round).
             match name {
                 "bolt" => inject(&upstream, vec![Value::Int(1)], StreamId::DEFAULT),
-                "acker" => inject(&upstream, complete_ack(9).0, StreamId::ACK),
+                "acker" => drop(inject_all(&upstream, vec![complete_inits(2, [9])])),
                 _ => {}
             }
             let counters = || shared.registry.snapshot();
@@ -332,30 +383,224 @@ fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
 }
 
 #[test]
-fn acker_verdicts_of_one_round_share_frames() {
-    const N: usize = 20;
-    const BATCH: usize = 8;
-    let (sw, _ch, shared, thread, spout_port, upstream) =
-        spawn_worker(Role::Acker, io(BATCH, NEVER));
+fn acker_answers_a_round_with_one_message_per_owner() {
+    const N: u64 = 20;
+    let (sw, _ch, shared, thread, spout_port, upstream) = spawn_worker(Role::Acker, io(8, NEVER));
     let handle = sw.spawn();
-    // One frame carries all N acks, so one drained round completes N roots
-    // whether the acker was parked or mid-round when it arrived.
-    let frames_in = inject_all(&upstream, (1..=N as i64).map(complete_ack).collect());
-    assert_eq!(frames_in, 1, "premise: the acks arrive in one poll");
-    let verdicts = recv_tuples(&spout_port, N, Duration::from_secs(5));
-    assert_eq!(verdicts.len(), N);
-    assert!(verdicts
-        .iter()
-        .all(|t| t.meta.stream == StreamId::ACK_RESULT));
-    let frames = shared.registry.snapshot().counter("io.frames_tx");
-    assert_eq!(
-        frames,
-        N.div_ceil(BATCH) as u64,
-        "one frame per batch, not per verdict"
+    // One frame carries both spouts' inits, so one drained round completes
+    // 2 N roots whether the acker was parked or mid-round when it arrived.
+    let frames_in = inject_all(
+        &upstream,
+        vec![complete_inits(2, 1..=N), complete_inits(3, 101..=100 + N)],
     );
+    assert_eq!(frames_in, 1, "premise: the acks arrive in one poll");
+    for (port, first) in [(&spout_port, 1), (&upstream, 101)] {
+        let results = recv_tuples(port, 2, Duration::from_millis(500));
+        assert_eq!(results.len(), 1, "N completions, one ACK_RESULT tuple");
+        let want: Vec<_> = (first..first + N).map(|root| (root, true)).collect();
+        assert_eq!(verdicts(&results[0]), want);
+    }
+    let snap = shared.registry.snapshot();
+    assert_eq!(snap.counter("io.frames_tx"), 2, "one frame per owner");
+    assert_eq!(snap.gauge("acker.pending"), 0);
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();
+}
+
+/// The owner of a tree is whoever sent its init (`meta.src_task`): a
+/// bolt's records never name one, however complete they look.
+#[test]
+fn acker_takes_the_owner_from_the_init_sender_not_from_a_record() {
+    let (sw, _ch, shared, thread, spout_port, upstream) = spawn_worker(Role::Acker, io(8, NEVER));
+    let handle = sw.spawn();
+    let anchors = [(1, 0xa1), (2, 0xa2), (3, 0xa3)];
+    let frames_in = inject_all(
+        &upstream,
+        vec![
+            // Roots 7 and 8 were never initialised: a zero XOR alone must
+            // not complete them.
+            ack_message(3, false, [(1, 0xa1), (7, 0), (2, 0xa2)]),
+            ack_message(2, true, anchors),
+            ack_message(3, false, [(8, 0), (3, 0xa3)]),
+        ],
+    );
+    assert_eq!(frames_in, 1, "premise: one round");
+    let results = recv_tuples(&spout_port, 2, Duration::from_millis(500));
+    assert_eq!(results.len(), 1);
+    let mut done = verdicts(&results[0]);
+    done.sort();
+    assert_eq!(done, vec![(1, true), (2, true), (3, true)]);
+    assert!(recv_tuple(&upstream, Duration::from_millis(100)).is_none());
+    // The ledger depth is published once the round ends.
+    wait_until("acker.pending", || {
+        shared.registry.snapshot().gauge("acker.pending") == 2
+    });
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// Every record goes straight to the ledger: a round of 20 000 distinct
+/// roots is 20 000 hash-map applies, not a quadratic per-round fold.
+#[test]
+fn acker_completes_a_round_of_20_000_distinct_roots() {
+    const ROOTS: u64 = 20_000;
+    let wide = IoConfig {
+        mtu: 9000,
+        ..io(8, NEVER)
+    };
+    let (sw, _ch, shared, thread, spout_port, upstream) = spawn_worker(Role::Acker, wide);
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    // 200 ack messages of 100 roots each, in one ring push.
+    let messages = (0..ROOTS / 100)
+        .map(|m| complete_inits(2, (1..=100).map(|i| m * 100 + i)))
+        .collect();
+    let sent = Instant::now();
+    assert!(inject_all(&upstream, messages) <= 256, "one ingress budget");
+    let mut done = 0;
+    while done < ROOTS as usize {
+        let msg = recv_tuple(&spout_port, Duration::from_secs(5)).expect("verdicts stopped");
+        let records = verdicts(&msg);
+        assert!(records.iter().all(|&(_, ok)| ok));
+        done += records.len();
+    }
+    let took = sent.elapsed();
+    assert_eq!(done, ROOTS as usize);
+    assert!(took < Duration::from_secs(2), "{ROOTS} roots took {took:?}");
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// A corrupted frame can hand either side a blob that is not a whole
+/// number of records (or not an ack message at all): the message is
+/// dropped and counted, and the next one is processed as usual.
+#[test]
+fn malformed_ack_blob_is_counted_not_fatal() {
+    let ragged = |stream, mut values: Vec<Value>| {
+        values.push(Value::Blob(vec![0xff; 17]));
+        Tuple::on_stream(UPSTREAM, stream, values)
+    };
+    let malformed = |shared: &WorkerShared| shared.registry.snapshot().counter("acks.malformed");
+
+    let (sw, _ch, shared, thread, spout_port, upstream) = spawn_worker(Role::Acker, io(8, NEVER));
+    let handle = sw.spawn();
+    inject_all(
+        &upstream,
+        vec![
+            ragged(StreamId::ACK, vec![Value::Bool(true)]),
+            // Ints where the flag and the blob belong.
+            Tuple::on_stream(
+                TaskId(2),
+                StreamId::ACK,
+                vec![Value::Int(5), Value::Int(0), Value::Int(2)],
+            ),
+            complete_inits(2, [5]),
+        ],
+    );
+    let result = recv_tuple(&spout_port, Duration::from_secs(5)).expect("acker survived");
+    assert_eq!(verdicts(&result), vec![(5, true)]);
+    assert_eq!(malformed(&shared), 2);
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+
+    let (sw, _ch, shared, thread, _downstream, acker_port) =
+        spawn_acking_worker(Role::Spout(Box::new(Once(true))), io(1, NEVER), 1);
+    let handle = sw.spawn();
+    let init = recv_tuple(&acker_port, Duration::from_secs(5)).expect("init");
+    let root = ack_records(&init).1[0].0;
+    let mut good = Vec::new();
+    acks::push_verdict(&mut good, root, true);
+    inject_all(
+        &acker_port,
+        vec![
+            ragged(StreamId::ACK_RESULT, vec![]),
+            acks::verdict_message(UPSTREAM, good),
+        ],
+    );
+    wait_until("the well-formed verdict completes the root", || {
+        shared.registry.snapshot().counter("acks.completed") == 1
+    });
+    assert_eq!(malformed(&shared), 1);
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// The drained round is a bolt's ack batch: no timer, one message.
+#[test]
+fn bolt_acks_leave_with_their_round() {
+    let (sw, _ch, shared, thread, downstream, acker_port) =
+        spawn_acking_worker(Role::Bolt(Box::new(Echo)), io(1000, NEVER), 1);
+    let handle = sw.spawn();
+    let anchored = |root: u64| {
+        Tuple::new(UPSTREAM, vec![Value::Int(root as i64)]).with_message_id(MessageId {
+            root,
+            anchor: 0x10_0000 + root,
+        })
+    };
+    // One anchored input: its ack is on the acker port although nothing
+    // will ever flush the batcher (the echo itself stays batched).
+    inject_all(&acker_port, vec![anchored(0x100)]);
+    let ack = recv_tuple(&acker_port, Duration::from_secs(5)).expect("ack left with its round");
+    let (owner, records) = ack_records(&ack);
+    assert_eq!(
+        (owner, records.len()),
+        (None, 1),
+        "a bolt's ack names no owner"
+    );
+    assert_eq!(records[0].0, 0x100);
+    assert_ne!(
+        records[0].1, 0x10_0100,
+        "the echo's new anchor is folded in"
+    );
+    // A 50-tuple frame is one round: one ACK tuple of 50 records.
+    let frames_in = inject_all(&acker_port, (1..=50).map(|i| anchored(i << 8)).collect());
+    assert_eq!(frames_in, 1, "premise: one round");
+    let acks = recv_tuples(&acker_port, 2, Duration::from_millis(500));
+    assert_eq!(acks.len(), 1, "50 acks, one ACK tuple");
+    let roots: Vec<u64> = ack_records(&acks[0]).1.iter().map(|r| r.0).collect();
+    assert_eq!(roots, (1..=50).map(|i| i << 8).collect::<Vec<u64>>());
+    assert!(recv_tuple(&downstream, Duration::from_millis(50)).is_none());
+    assert_eq!(shared.registry.snapshot().counter("io.frames_tx"), 2);
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// A spout's inits follow the batcher's clock, and whatever makes the data
+/// leave makes them leave in the same round.
+#[test]
+fn spout_inits_are_never_later_than_their_data() {
+    const DELAY: Duration = Duration::from_millis(30);
+    // (a) the delay timer flushes the lone data tuple: its init goes too.
+    // (b) every root puts two tuples into a batch of two, so the data
+    // leaves on fill while the init buffer holds one record and no timer
+    // will ever fire: only the data's departure can send it.
+    for (case, io, routes) in [("timer", io(1000, DELAY), 1), ("fill", io(2, NEVER), 2)] {
+        let started = Instant::now();
+        let (sw, _ch, shared, thread, downstream, acker_port) =
+            spawn_acking_worker(Role::Spout(Box::new(Once(true))), io, routes);
+        let handle = sw.spawn();
+        let data = recv_tuples(&downstream, routes, Duration::from_secs(5));
+        assert_eq!(data.len(), routes, "{case}");
+        if case == "timer" {
+            assert!(started.elapsed() >= DELAY, "{case}: data beat its timer");
+        }
+        let init = recv_tuple(&acker_port, Duration::from_secs(1))
+            .unwrap_or_else(|| panic!("{case}: the init stayed behind its data"));
+        let (owner, records) = ack_records(&init);
+        assert_eq!(owner, Some(TaskId(1)), "{case}");
+        let root = data[0].meta.message_id.root;
+        let xor = data.iter().fold(0, |x, t| x ^ t.meta.message_id.anchor);
+        assert_eq!(records, vec![(root, xor)], "{case}");
+        shared.shutdown.store(true, Ordering::Release);
+        thread.join().unwrap();
+        handle.stop();
+    }
 }
 
 /// "Is a thread spinning or asleep?" An idle bolt parks on its bell: about
