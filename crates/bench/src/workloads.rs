@@ -4,13 +4,13 @@
 //! Typhoon — the comparisons vary only the framework underneath, exactly
 //! as the paper's evaluation does (both systems ran the same topologies).
 
-use parking_lot::Mutex;
 use rand::distributions::Distribution;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use typhoon_diag::DiagMutex as Mutex;
 use typhoon_model::{Bolt, ComponentRegistry, Emitter, Fields, Grouping, LogicalTopology, Spout};
 use typhoon_tuple::{Tuple, Value};
 

@@ -1,12 +1,13 @@
 //! Kernel: ring close vs. pop (the PR-3 `typhoon-net` race).
 //!
 //! `crates/net/src/ring.rs` lets a producer push one last frame and then
-//! close (producer drop closes implicitly). The consumer's `pop` observes
-//! the queue and the `closed` flag in two separate atomic steps; before
-//! PR 3 a pop could see the queue empty, lose the CPU to the
-//! push-then-close, and then observe `closed == true` — reporting
-//! `Disconnected` with the final frame still queued. The fix re-checks
-//! the queue *after* observing `closed`.
+//! close (producer drop closes implicitly). Historically the consumer's
+//! `pop` observed the queue and the `closed` flag in two separate steps: a
+//! pop could see the queue empty, lose the CPU to the push-then-close, and
+//! then observe `closed == true` — reporting `Disconnected` with the final
+//! frame still queued. The shipped ring has one cell, not two: `closed` is
+//! written only while the queue lock is held and read under that same lock
+//! after finding the queue empty, so "empty and closed" is final.
 //!
 //! Invariant: **no lost tuple** — every frame pushed before the close is
 //! delivered before `Disconnected`.
@@ -25,8 +26,8 @@ pub enum Pop {
     Disconnected,
 }
 
-/// The ring's shared state, reduced to the two cells the race runs on:
-/// the frame queue and the closed flag.
+/// The ring's shared state, reduced to what the race runs on: the frame
+/// queue and the closed flag.
 pub struct RingKernel {
     queue: Mutex<VecDeque<u32>>,
     closed: AtomicBool,
@@ -50,28 +51,33 @@ impl RingKernel {
     }
 
     /// Producer: close the ring (the `Drop` half of the real producer).
-    pub fn close(&self) {
+    /// `fixed` flips the flag under the queue lock, as shipped; `!fixed`
+    /// is the historical free-standing store.
+    pub fn close(&self, fixed: bool) {
+        let held = fixed.then(|| self.queue.lock());
         self.closed.store(true, Ordering::Release);
+        drop(held);
         self.notify.notify_all();
     }
 
-    /// Consumer: blocking pop. `fixed` selects the post-PR-3 protocol
-    /// (re-check the queue after observing `closed`); `!fixed` is the
-    /// seed-state logic that loses the close/pop race.
+    /// Consumer: blocking pop. `fixed` selects the shipped protocol
+    /// (`closed` read while the empty queue is still locked); `!fixed` is
+    /// the seed-state logic that reads it after the guard is gone and
+    /// loses the close/pop race.
     pub fn pop_wait(&self, fixed: bool) -> Pop {
         loop {
             let seen = self.notify.epoch();
-            if let Some(frame) = self.queue.lock().pop_front() {
+            let mut queue = self.queue.lock();
+            if let Some(frame) = queue.pop_front() {
                 return Pop::Frame(frame);
             }
-            if self.closed.load(Ordering::Acquire) {
-                if fixed {
-                    // A frame enqueued between our empty pop and the
-                    // `closed` load must still be delivered.
-                    if let Some(frame) = self.queue.lock().pop_front() {
-                        return Pop::Frame(frame);
-                    }
-                }
+            // Shipped: `closed` is read while the empty queue is still
+            // locked. Historical: the guard goes first, and a
+            // push-then-close fits in between.
+            let held = fixed.then_some(queue);
+            let closed = self.closed.load(Ordering::Acquire);
+            drop(held);
+            if closed {
                 return Pop::Disconnected;
             }
             self.notify.wait_from(seen);
@@ -93,7 +99,7 @@ pub fn close_pop_scenario(fixed: bool) {
     let producer_ring = Arc::clone(&ring);
     let producer = thread::spawn(move || {
         producer_ring.push(7);
-        producer_ring.close();
+        producer_ring.close(fixed);
     });
     let mut got = 0u32;
     while let Pop::Frame(_) = ring.pop_wait(fixed) {

@@ -10,7 +10,7 @@ use crate::apps::ControlPlaneApp;
 use crate::control::{ControlTuple, CONTROLLER_TASK};
 use crate::rules::build_rules;
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +43,8 @@ struct CtlInner {
     port_stats: Mutex<HashMap<HostId, Vec<PortStats>>>,
     flow_stats: Mutex<HashMap<HostId, Vec<FlowStats>>>,
     depacketizers: Mutex<HashMap<HostId, Depacketizer>>,
-    barrier_waiters: Mutex<HashMap<u32, crossbeam::channel::Sender<()>>>,
+    /// Xids of barriers sent and not yet answered.
+    barrier_waiters: Mutex<HashSet<u32>>,
     ser: Arc<SerStats>,
     packetizer: Packetizer,
     next_xid: AtomicU32,
@@ -103,7 +104,7 @@ impl Controller {
                 barrier_waiters: Mutex::with_rank(
                     rank::CTRL_BARRIER_WAITERS,
                     "controller.barrier_waiters",
-                    HashMap::new(),
+                    HashSet::new(),
                 ),
                 ser: SerStats::shared(),
                 packetizer: Packetizer::default(),
@@ -227,26 +228,27 @@ impl Controller {
 
     /// Fences a switch: sends a barrier and waits for its reply (or the
     /// timeout). The reply may be consumed by any pumping thread (the
-    /// spawned controller loop or this caller) — a waiter registry routes
-    /// it back here either way.
+    /// spawned controller loop or this caller) — whichever sees it strikes
+    /// the xid from the waiter registry, and a struck xid is the answer.
     pub fn sync_switch(&self, host: HostId, timeout: Duration) -> bool {
         let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        self.inner.barrier_waiters.lock().insert(xid, tx);
+        let pending = &self.inner.barrier_waiters;
+        pending.lock().insert(xid);
         if !self.send_to_switch(host, &OfMessage::Barrier { xid }) {
-            self.inner.barrier_waiters.lock().remove(&xid);
+            pending.lock().remove(&xid);
             return false;
         }
         let deadline = Instant::now() + timeout;
         loop {
-            if rx.try_recv().is_ok() {
-                return true;
-            }
             // Pump ourselves too, so fencing works without a spawned loop.
             self.pump_once(host);
+            if !pending.lock().contains(&xid) {
+                return true;
+            }
             if Instant::now() > deadline {
-                self.inner.barrier_waiters.lock().remove(&xid);
-                return false;
+                // Still ours to remove means no reply; already gone means
+                // it raced the deadline and won.
+                return !pending.lock().remove(&xid);
             }
             std::thread::sleep(Duration::from_micros(100)); // LINT: allow-sleep(barrier poll backoff, bounded by the deadline check above)
         }
@@ -363,9 +365,7 @@ impl Controller {
         };
         match &msg {
             OfMessage::BarrierReply { xid } => {
-                if let Some(tx) = self.inner.barrier_waiters.lock().remove(xid) {
-                    let _ = tx.send(());
-                }
+                self.inner.barrier_waiters.lock().remove(xid);
             }
             OfMessage::PortStatsReply(stats) => {
                 self.inner.port_stats.lock().insert(host, stats.clone());

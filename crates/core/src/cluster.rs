@@ -757,7 +757,6 @@ impl TyphoonTopologyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PMutex;
     use std::time::Instant;
     use typhoon_model::{Bolt, Emitter, Fields, Grouping, ReconfigOp, Spout};
     use typhoon_tuple::{Tuple, Value};
@@ -789,7 +788,7 @@ mod tests {
 
     #[derive(Clone, Default)]
     struct SinkState {
-        seen: Arc<PMutex<Vec<i64>>>,
+        seen: Arc<DiagMutex<Vec<i64>>>,
     }
 
     struct SinkBolt {

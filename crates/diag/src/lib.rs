@@ -1,6 +1,6 @@
 //! # typhoon-diag — deadlock and race instrumentation for Typhoon's locks
 //!
-//! Typhoon's dataplane is concurrency-heavy: SPSC rings, refcounted
+//! Typhoon's dataplane is concurrency-heavy: shared rings, refcounted
 //! broadcast payloads, ZooKeeper-style watches, and a controller that
 //! reconfigures running workers. A single mis-ordered lock acquisition can
 //! deadlock the whole pipeline, and a lock held across tunnel I/O silently

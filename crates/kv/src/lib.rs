@@ -9,10 +9,10 @@
 
 #![warn(missing_docs)]
 
-use parking_lot::RwLock;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
+use typhoon_diag::DiagRwLock as RwLock;
 
 const SHARDS: usize = 16;
 

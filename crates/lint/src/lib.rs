@@ -4,19 +4,20 @@
 //! Typhoon workspace relies on (see `docs/CONCURRENCY.md`). It is not a
 //! Rust parser: it tokenizes just enough (comments and string literals
 //! stripped, `#[cfg(test)]` regions tracked by brace matching) to make the
-//! eight rules below reliable on idiomatic code, and it runs in
+//! nine rules below reliable on idiomatic code, and it runs in
 //! milliseconds with zero dependencies so CI can gate on it.
 //!
 //! | Rule  | What it flags | Waiver |
 //! |-------|---------------|--------|
 //! | TL001 | `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` in non-test code (poisoning panics propagate) | `// LINT: allow-lock-unwrap(reason)` |
-//! | TL002 | raw `std::sync::Mutex`/`RwLock` or `parking_lot` in hot-path crates instead of `typhoon-diag` wrappers | `// LINT: allow-raw-lock(reason)` |
+//! | TL002 | raw `std::sync::Mutex`/`RwLock` in hot-path crates instead of `typhoon-diag` wrappers | `// LINT: allow-raw-lock(reason)` |
 //! | TL003 | `unsafe` without a `// SAFETY:` comment | the `// SAFETY:` comment itself |
 //! | TL004 | unbounded channels in non-test code (unbackpressured queues hide overload) | `// LINT: allow-unbounded(reason)` |
 //! | TL005 | `std::thread::sleep`, `thread::park` or `thread::park_timeout` in library code (blocks an executor thread; a park is a sleep by another name — wait on a `typhoon_net::Doorbell`) | `// LINT: allow-sleep(reason)` |
 //! | TL006 | raw `thread::spawn`/`thread::Builder` in runtime crates instead of `typhoon_diag::spawn_supervised` (a silent thread death is an undetectable fault) | `// LINT: allow-raw-spawn(reason)` |
 //! | TL007 | lock-order violations: unranked Diag locks in hot-path crates, acquisition nesting that contradicts the declared ranks, and cycles in the acquisition-order graph (see [`graph`]) | `// LINT: allow-unranked-lock(reason)` |
 //! | TL008 | blocking channel `.send()`/`.recv()` while a lock guard is held (couples queue backpressure to the lock) | `// LINT: allow-send-under-lock(reason)` |
+//! | TL009 | a `[dependencies]`/`[dev-dependencies]` entry in a workspace member's manifest that no `.rs` file of that package names (see [`manifest`]) | `# LINT: allow-unused-dep(reason)` |
 //!
 //! Waivers go on the offending line or the line directly above it, and
 //! must carry a reason in parentheses.
@@ -29,6 +30,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub mod graph;
+pub mod manifest;
 
 /// Crates whose `src/` must use `typhoon-diag` wrappers instead of raw
 /// locks (TL002). These sit on the dataplane or control loops where an
@@ -57,7 +59,7 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 /// One linter finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier, `TL001`..`TL006`.
+    /// Rule identifier, `TL001`..`TL009`.
     pub rule: &'static str,
     /// Path relative to the scanned root.
     pub path: String,
@@ -104,6 +106,7 @@ pub fn rationale(rule: &str) -> &'static str {
         "TL006" => "A raw thread dies silently; supervised spawns surface panics to recovery.",
         "TL007" => "A total lock order (strictly increasing ranks) makes deadlock impossible.",
         "TL008" => "Blocking channel ops under a lock couple queue pressure to the lock.",
+        "TL009" => "A dependency nothing uses is a build edge and a shim nobody can delete.",
         _ => "Unknown rule.",
     }
 }
@@ -422,7 +425,7 @@ pub fn check_source(rel: &str, source: &str) -> Vec<Diagnostic> {
             push(
                 "TL002",
                 i,
-                "hot-path crate uses a raw std::sync/parking_lot lock; use \
+                "hot-path crate uses a raw std::sync lock; use \
                  typhoon_diag::{DiagMutex, DiagRwLock} so debug builds check \
                  lock discipline (waive: `// LINT: allow-raw-lock(reason)`)"
                     .into(),
@@ -533,9 +536,6 @@ fn has_lock_unwrap(lines: &[Line], i: usize) -> bool {
 }
 
 fn has_raw_lock(code: &str) -> bool {
-    if code.contains("parking_lot") {
-        return true;
-    }
     code.contains("std::sync") && (code.contains("Mutex") || code.contains("RwLock"))
 }
 
@@ -592,7 +592,8 @@ pub(crate) fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
 }
 
 /// Lints every `.rs` file in the workspace rooted at `root` — the
-/// per-file rules plus the whole-tree lock-order analysis (TL007/TL008).
+/// per-file rules plus the whole-tree lock-order analysis (TL007/TL008) —
+/// and the workspace members' manifests (TL009).
 /// Diagnostics are stable-sorted by (path, line, rule).
 pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut files = Vec::new();
@@ -609,6 +610,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         diags.extend(check_source(&rel, &source));
     }
     diags.extend(graph::analyze(root)?.diagnostics);
+    diags.extend(manifest::check_manifests(root)?);
     diags.sort_by(|a, b| {
         a.path
             .cmp(&b.path)
@@ -628,7 +630,7 @@ mod tests {
 fn main() {
     let s = "thread::sleep inside a string";
     // thread::sleep inside a comment
-    /* parking_lot in a block comment */
+    /* std::sync::Mutex in a block comment */
     let r = r#"unbounded( in a raw string"#;
 }
 "##;
@@ -674,7 +676,7 @@ fn main() {
 
     #[test]
     fn raw_lock_only_flagged_in_hot_crates() {
-        let src = "use parking_lot::Mutex;\n";
+        let src = "use std::sync::Mutex;\n";
         assert_eq!(check_source("crates/storm/src/x.rs", src).len(), 1);
         assert!(check_source("crates/metrics/src/x.rs", src).is_empty());
     }
@@ -701,7 +703,7 @@ fn main() {
 fn lib() {}
 #[cfg(test)]
 mod tests {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     fn t() { std::thread::sleep(d); }
 }
 ";

@@ -5,7 +5,7 @@
 //! typhoon-lint graph [--root <dir>] [--out <file>]
 //! ```
 //!
-//! `check` runs every rule (TL001–TL008) and exits 0 clean, 1 on
+//! `check` runs every rule (TL001–TL009) and exits 0 clean, 1 on
 //! violations, 2 on usage or I/O error. `graph` renders the lock
 //! acquisition-order graph as Graphviz DOT (stdout, or `--out` — CI
 //! diffs it against the committed `docs/lock-order.dot`).

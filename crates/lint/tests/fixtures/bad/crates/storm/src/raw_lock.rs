@@ -1,5 +1,5 @@
 //! Hot-crate fixture: raw locks where typhoon-diag wrappers are required.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 static SLOTS: std::sync::RwLock<u32> = std::sync::RwLock::new(0);

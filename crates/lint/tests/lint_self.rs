@@ -23,6 +23,9 @@ fn lib_reports_exact_rules_and_lines_for_bad_fixture() {
         vec![
             ("TL006", "crates/core/src/raw_spawn.rs", 4),
             ("TL006", "crates/core/src/raw_spawn.rs", 8),
+            ("TL009", "crates/kv/Cargo.toml", 7),
+            ("TL009", "crates/kv/Cargo.toml", 10),
+            ("TL009", "crates/kv/Cargo.toml", 12),
             ("TL007", "crates/storm/src/lock_order.rs", 15),
             ("TL007", "crates/storm/src/lock_order.rs", 21),
             ("TL002", "crates/storm/src/raw_lock.rs", 3),
@@ -73,14 +76,17 @@ fn binary_json_output_and_exit_codes() {
         r#""rule":"TL007","path":"cycle.rs","line":18"#,
         r#""rule":"TL005","path":"parked.rs","line":5"#,
         r#""rule":"TL005","path":"parked.rs","line":9"#,
+        r#""rule":"TL009","path":"crates/kv/Cargo.toml","line":7"#,
+        r#""rule":"TL009","path":"crates/kv/Cargo.toml","line":10"#,
+        r#""rule":"TL009","path":"crates/kv/Cargo.toml","line":12"#,
     ] {
         assert!(json.contains(expected), "missing {expected} in:\n{json}");
     }
-    assert_eq!(json.matches(r#""rule":"#).count(), 15, "no extras:\n{json}");
+    assert_eq!(json.matches(r#""rule":"#).count(), 18, "no extras:\n{json}");
     // Every diagnostic carries a one-line rationale for its rule.
     assert_eq!(
         json.matches(r#""rationale":""#).count(),
-        15,
+        18,
         "every finding needs a rationale:\n{json}"
     );
     assert!(

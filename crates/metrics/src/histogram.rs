@@ -6,8 +6,9 @@
 //! small fixed footprint — the same idea as HDR histograms, reimplemented
 //! because no histogram crate is in the sanctioned offline set.
 
-use parking_lot::Mutex;
+use crate::recover;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Sub-buckets per power-of-two range; 16 gives ≤ 6.25 % relative error.
@@ -97,7 +98,7 @@ impl Histogram {
 
     /// Records one raw sample (nanoseconds by convention).
     pub fn record(&self, value: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = recover(self.inner.lock());
         let idx = Self::index_for(value);
         inner.buckets[idx] += 1;
         inner.count += 1;
@@ -113,12 +114,12 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.lock().count
+        recover(self.inner.lock()).count
     }
 
     /// Arithmetic mean of samples (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         if inner.count == 0 {
             0.0
         } else {
@@ -128,13 +129,13 @@ impl Histogram {
 
     /// Smallest recorded sample (`None` when empty).
     pub fn min(&self) -> Option<u64> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         (inner.count > 0).then_some(inner.min)
     }
 
     /// Largest recorded sample (`None` when empty).
     pub fn max(&self) -> Option<u64> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         (inner.count > 0).then_some(inner.max)
     }
 
@@ -144,7 +145,7 @@ impl Histogram {
     /// the smallest recorded sample and `q >= 1.0` the largest, matching
     /// [`Histogram::min`] / [`Histogram::max`].
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         if inner.count == 0 {
             return None;
         }
@@ -172,7 +173,7 @@ impl Histogram {
     /// `(max, 1.0)` exactly rather than the last bucket's upper bound
     /// (which can overshoot the largest sample by a sub-bucket width).
     pub fn cdf(&self) -> Vec<(u64, f64)> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         if inner.count == 0 {
             return Vec::new();
         }
@@ -218,7 +219,7 @@ impl Histogram {
 
     /// Clears all recorded samples.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = recover(self.inner.lock());
         inner.buckets.iter_mut().for_each(|b| *b = 0);
         inner.count = 0;
         inner.sum = 0;

@@ -25,3 +25,12 @@ pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSummary};
 pub use meter::RateMeter;
 pub use registry::{MetricSnapshot, Registry};
+
+/// Takes the guard out of a `std::sync` lock result whether or not a holder
+/// panicked: every update here leaves the instrument valid at each step, so
+/// a poisoned lock must not wedge the registry for every other thread.
+/// (`typhoon-diag`'s non-poisoning wrappers depend on this crate, so it
+/// cannot use them.)
+pub(crate) fn recover<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -4,8 +4,9 @@
 //! into fixed windows relative to its creation instant, producing the same
 //! "tuples/sec over time" series the paper's Figures 10–12 and 14 plot.
 
-use parking_lot::Mutex;
+use crate::recover;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 #[derive(Debug)]
@@ -54,7 +55,7 @@ impl RateMeter {
 
     /// Marks `n` events at an explicit instant (deterministic tests).
     pub fn mark_at(&self, at: Instant, n: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = recover(self.inner.lock());
         let idx = Self::bucket_index(&inner, at);
         if inner.buckets.len() <= idx {
             inner.buckets.resize(idx + 1, 0);
@@ -65,7 +66,7 @@ impl RateMeter {
     /// The recorded series as (window start offset, events in window) pairs.
     /// Trailing never-written windows are absent; interior gaps are zeros.
     pub fn series(&self) -> Vec<(Duration, u64)> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         inner
             .buckets
             .iter()
@@ -95,7 +96,7 @@ impl RateMeter {
     /// [`RateMeter::rates_per_sec`] with an explicit read instant
     /// (deterministic tests).
     pub fn rates_per_sec_at(&self, now: Instant) -> Vec<f64> {
-        let inner = self.inner.lock();
+        let inner = recover(self.inner.lock());
         let secs = inner.window.as_secs_f64();
         let last = inner.buckets.len().wrapping_sub(1);
         let current = Self::bucket_index(&inner, now);
@@ -119,7 +120,7 @@ impl RateMeter {
 
     /// Total events recorded.
     pub fn total(&self) -> u64 {
-        self.inner.lock().buckets.iter().sum()
+        recover(self.inner.lock()).buckets.iter().sum()
     }
 
     /// Mean events/sec over windows `[from, to)` of the recorded series,
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn events_bucket_by_window() {
         let m = RateMeter::with_window(Duration::from_millis(10));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 2);
         m.mark_at(start + Duration::from_millis(5), 1);
         m.mark_at(start + Duration::from_millis(25), 4);
@@ -168,7 +169,7 @@ mod tests {
     #[test]
     fn rates_normalize_by_window() {
         let m = RateMeter::with_window(Duration::from_millis(500));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 100);
         // Read once the window has completed: full-length normalization.
         let done = start + Duration::from_millis(500);
@@ -181,7 +182,7 @@ mod tests {
         // read must report the actual rate (~1000/s), not the full-window
         // normalization (100/s) that understated the final point ~10×.
         let m = RateMeter::with_window(Duration::from_secs(1));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 100);
         let read = start + Duration::from_millis(100);
         let rates = m.rates_per_sec_at(read);
@@ -201,7 +202,7 @@ mod tests {
         // Reading immediately after the window opens must not divide by ~0;
         // the denominator clamps at MIN_PARTIAL_FRACTION of the window.
         let m = RateMeter::with_window(Duration::from_secs(1));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 5);
         let rates = m.rates_per_sec_at(start);
         assert!(rates[0].is_finite());
@@ -217,7 +218,7 @@ mod tests {
         // An interior bucket is never elapsed-normalized, and neither is a
         // final bucket whose window has already passed.
         let m = RateMeter::with_window(Duration::from_secs(1));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 10);
         m.mark_at(start + Duration::from_secs(1), 20);
         let late = start + Duration::from_secs(5);
@@ -230,7 +231,7 @@ mod tests {
         // partial final point contributes ~100/s, keeping the steady-state
         // mean at ~100/s instead of dragging it toward 70/s.
         let m = RateMeter::with_window(Duration::from_secs(1));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 100);
         m.mark_at(start + Duration::from_secs(1), 100);
         m.mark_at(start + Duration::from_secs(2), 10); // first 100 ms worth
@@ -242,7 +243,7 @@ mod tests {
     #[test]
     fn mean_rate_excludes_warmup() {
         let m = RateMeter::with_window(Duration::from_secs(1));
-        let start = m.inner.lock().start;
+        let start = recover(m.inner.lock()).start;
         m.mark_at(start, 1); // warm-up window
         m.mark_at(start + Duration::from_secs(1), 10);
         m.mark_at(start + Duration::from_secs(2), 20);

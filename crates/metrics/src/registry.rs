@@ -5,10 +5,11 @@
 //! pulls a [`MetricSnapshot`] via `METRIC_REQ`/`METRIC_RESP` control tuples
 //! and feeds it to control-plane applications (auto-scaler, load balancer).
 
+use crate::recover;
 use crate::{Counter, Gauge, Histogram};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// A point-in-time view of one registry, ready to serialize into a
 /// `METRIC_RESP` control tuple payload.
@@ -55,11 +56,10 @@ impl Registry {
 
     /// Returns the counter registered under `name`, creating it on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.read().counters.get(name) {
+        if let Some(c) = recover(self.inner.read()).counters.get(name) {
             return c.clone();
         }
-        self.inner
-            .write()
+        recover(self.inner.write())
             .counters
             .entry(name.to_owned())
             .or_default()
@@ -68,11 +68,10 @@ impl Registry {
 
     /// Returns the gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.read().gauges.get(name) {
+        if let Some(g) = recover(self.inner.read()).gauges.get(name) {
             return g.clone();
         }
-        self.inner
-            .write()
+        recover(self.inner.write())
             .gauges
             .entry(name.to_owned())
             .or_default()
@@ -81,11 +80,10 @@ impl Registry {
 
     /// Returns the histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        if let Some(h) = self.inner.read().histograms.get(name) {
+        if let Some(h) = recover(self.inner.read()).histograms.get(name) {
             return h.clone();
         }
-        self.inner
-            .write()
+        recover(self.inner.write())
             .histograms
             .entry(name.to_owned())
             .or_default()
@@ -94,7 +92,7 @@ impl Registry {
 
     /// Captures a consistent-enough snapshot of every metric.
     pub fn snapshot(&self) -> MetricSnapshot {
-        let inner = self.inner.read();
+        let inner = recover(self.inner.read());
         MetricSnapshot {
             counters: inner
                 .counters
@@ -135,6 +133,19 @@ mod tests {
         r.counter("tuples.emitted").add(5);
         r.counter("tuples.emitted").add(2);
         assert_eq!(r.snapshot().counter("tuples.emitted"), 7);
+    }
+
+    #[test]
+    fn a_panicked_holder_does_not_wedge_the_registry() {
+        let r = Registry::new();
+        let r2 = r.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = r2.inner.write();
+            panic!("poison attempt");
+        })
+        .join();
+        r.counter("after").inc();
+        assert_eq!(r.snapshot().counter("after"), 1);
     }
 
     #[test]

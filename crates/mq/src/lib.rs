@@ -14,11 +14,11 @@
 #![warn(missing_docs)]
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use typhoon_diag::{DiagMutex as Mutex, DiagRwLock as RwLock};
 
 /// Errors from queue operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -2,17 +2,26 @@
 //!
 //! Workers attach to their host's software switch through shared-memory
 //! ring buffers in the prototype (Fig. 7: "DPDK Ring Port"); here a ring is
-//! a bounded lock-free queue with explicit overflow accounting. When the
-//! consumer side (the switch, or a slow worker) falls behind, pushes fail
-//! and the drop counter grows — the "temporary TX/RX queue overflow" of §8
-//! becomes an observable, testable number instead of silent loss.
+//! a bounded `VecDeque` under **one ranked lock** (`net.ring`,
+//! [`rank::TUNNEL`]) taken once per `push_batch`/`pop_batch`, with overflow
+//! accounting: when the consumer (the switch, or a slow worker) falls
+//! behind, pushes fail and the drop counter grows — the "temporary TX/RX
+//! queue overflow" of §8 as a testable number instead of silent loss.
+//!
+//! `closed` is only ever *written* while the queue lock is held, so "empty
+//! and closed" seen under that lock is final and a batch is attempted whole
+//! or returned whole. It is an `AtomicBool` only so that `is_closed` (every
+//! worker loop round) is a lock-free load. The lock is a leaf: never held
+//! across `bell.ring()`, another ring or a tunnel write (see
+//! `docs/CONCURRENCY.md`).
 
 use crate::doorbell::Doorbell;
 use crate::frame::Frame;
 use crate::{NetError, Result};
-use crossbeam::queue::ArrayQueue;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use typhoon_diag::{rank, DiagMutex};
 
 /// Counters shared by both ends of a ring.
 #[derive(Debug, Default)]
@@ -37,8 +46,10 @@ impl RingStats {
 }
 
 struct Shared {
-    queue: ArrayQueue<Frame>,
+    queue: DiagMutex<VecDeque<Frame>>,
+    capacity: usize,
     stats: RingStats,
+    /// Written only under `queue`'s lock; loaded without it by `is_closed`.
     closed: AtomicBool,
     /// Rung after every hand-over (once per batch) and on close, so the
     /// consumer can park instead of polling.
@@ -46,12 +57,64 @@ struct Shared {
 }
 
 impl Shared {
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
     /// Closes the ring; the first close rings, so a parked consumer sees
     /// [`NetError::Disconnected`] now rather than at its next deadline.
     fn close(&self) {
-        if !self.closed.swap(true, Ordering::AcqRel) {
+        let first = {
+            let _queue = self.queue.lock();
+            !self.closed.swap(true, Ordering::AcqRel)
+        };
+        if first {
             self.bell.ring();
         }
+    }
+
+    /// The producer protocol, shared by `push` and `push_batch`: one lock
+    /// acquisition, `closed` checked once under it, the bell rung once
+    /// after the guard drops. `frames` is only called on an open ring, so a
+    /// closed one leaves every frame with the caller.
+    fn enqueue<I: Iterator<Item = Frame>>(&self, frames: impl FnOnce() -> I) -> BatchPush {
+        let result = {
+            let mut queue = self.queue.lock();
+            if self.is_closed() {
+                return BatchPush {
+                    disconnected: true,
+                    ..BatchPush::default()
+                };
+            }
+            let len = queue.len();
+            let mut frames = frames();
+            let mut enqueued_bytes = 0;
+            queue.extend(
+                frames
+                    .by_ref()
+                    .take(self.capacity - len)
+                    .inspect(|frame| enqueued_bytes += frame.wire_len() as u64),
+            );
+            BatchPush {
+                enqueued: queue.len() - len,
+                enqueued_bytes,
+                // Whatever did not fit is dropped here, and counted.
+                dropped: frames.count(),
+                disconnected: false,
+            }
+        };
+        if result.enqueued > 0 {
+            self.stats
+                .enqueued
+                .fetch_add(result.enqueued as u64, Ordering::Relaxed);
+            self.bell.ring();
+        }
+        if result.dropped > 0 {
+            self.stats
+                .dropped
+                .fetch_add(result.dropped as u64, Ordering::Relaxed);
+        }
+        result
     }
 }
 
@@ -75,8 +138,10 @@ pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
 /// wake one consumer thread (every worker → switch ring shares the
 /// switch's bell).
 pub fn ring_with_bell(capacity: usize, bell: Doorbell) -> (RingProducer, RingConsumer) {
+    assert!(capacity > 0, "capacity must be non-zero");
     let shared = Arc::new(Shared {
-        queue: ArrayQueue::new(capacity),
+        queue: DiagMutex::with_rank(rank::TUNNEL, "net.ring", VecDeque::with_capacity(capacity)),
+        capacity,
         stats: RingStats::default(),
         closed: AtomicBool::new(false),
         bell,
@@ -89,7 +154,9 @@ pub fn ring_with_bell(capacity: usize, bell: Doorbell) -> (RingProducer, RingCon
     )
 }
 
-/// Outcome of a [`RingProducer::push_batch`] call.
+/// Outcome of a [`RingProducer::push_batch`] call: the whole batch was
+/// attempted (`enqueued + dropped` = frames offered, the vector emptied) or
+/// the ring was closed (`disconnected`, the vector untouched) — never a mix.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPush {
     /// Frames successfully enqueued.
@@ -98,8 +165,7 @@ pub struct BatchPush {
     pub enqueued_bytes: u64,
     /// Frames dropped on overflow (counted in ring stats), like `push`.
     pub dropped: usize,
-    /// True when the ring was observed closed mid-batch; the frames not
-    /// yet attempted remain in the caller's vector.
+    /// The ring was closed; every frame is still in the caller's vector.
     pub disconnected: bool,
 }
 
@@ -107,66 +173,23 @@ impl RingProducer {
     /// Enqueues a frame. On overflow the frame is dropped (and counted),
     /// mirroring a full hardware TX queue.
     pub fn push(&self, frame: Frame) -> Result<()> {
-        if self.shared.closed.load(Ordering::Acquire) {
-            return Err(NetError::Disconnected);
-        }
-        match self.shared.queue.push(frame) {
-            Ok(()) => {
-                self.shared.stats.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.shared.bell.ring();
-                Ok(())
-            }
-            Err(_) => {
-                self.shared.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                Err(NetError::RingFull)
-            }
+        let pushed = self.shared.enqueue(|| std::iter::once(frame));
+        if pushed.disconnected {
+            Err(NetError::Disconnected)
+        } else if pushed.dropped > 0 {
+            Err(NetError::RingFull)
+        } else {
+            Ok(())
         }
     }
 
-    /// Enqueues `batch` in order, pairing [`RingConsumer::pop_batch`]. The
-    /// `closed` flag is checked before every frame (exactly like `push`),
-    /// but its cost and the per-call bookkeeping are amortized over the
-    /// batch. Overflowed frames are dropped and counted like `push`; when
-    /// the ring is observed closed mid-batch, the remaining frames are
-    /// **left in `batch`** so the caller knows precisely which frames were
-    /// never attempted — no frame is silently dropped from a half-consumed
-    /// batch. The consumer's bell is rung once, after the last frame.
+    /// Enqueues `batch` in order under one lock acquisition, pairing
+    /// [`RingConsumer::pop_batch`]. Overflowed frames are dropped and
+    /// counted like `push`; on a closed ring the frames are **left in
+    /// `batch`**, so the caller knows none was attempted. The consumer's
+    /// bell is rung once, after the hand-over.
     pub fn push_batch(&self, batch: &mut Vec<Frame>) -> BatchPush {
-        let mut result = BatchPush::default();
-        let mut iter = std::mem::take(batch).into_iter();
-        loop {
-            if self.shared.closed.load(Ordering::Acquire) {
-                result.disconnected = true;
-                *batch = iter.collect();
-                break;
-            }
-            let frame = match iter.next() {
-                Some(f) => f,
-                None => break,
-            };
-            let len = frame.wire_len() as u64;
-            match self.shared.queue.push(frame) {
-                Ok(()) => {
-                    result.enqueued += 1;
-                    result.enqueued_bytes += len;
-                }
-                Err(_) => result.dropped += 1,
-            }
-        }
-        if result.enqueued > 0 {
-            self.shared
-                .stats
-                .enqueued
-                .fetch_add(result.enqueued as u64, Ordering::Relaxed);
-            self.shared.bell.ring();
-        }
-        if result.dropped > 0 {
-            self.shared
-                .stats
-                .dropped
-                .fetch_add(result.dropped as u64, Ordering::Relaxed);
-        }
-        result
+        self.shared.enqueue(|| batch.drain(..))
     }
 
     /// Shared statistics.
@@ -182,7 +205,7 @@ impl RingProducer {
 
     /// True once either side closed the ring.
     pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+        self.shared.is_closed()
     }
 }
 
@@ -196,68 +219,44 @@ impl RingConsumer {
     /// Dequeues one frame if available. `Ok(None)` means "empty right now";
     /// [`NetError::Disconnected`] means closed *and* drained.
     pub fn pop(&self) -> Result<Option<Frame>> {
-        match self.shared.queue.pop() {
-            Some(f) => {
-                self.shared.stats.dequeued.fetch_add(1, Ordering::Relaxed);
-                Ok(Some(f))
-            }
-            None => {
-                if self.shared.closed.load(Ordering::Acquire) {
-                    // The producer may have pushed and then closed between
-                    // our empty pop above and the `closed` load; a frame
-                    // enqueued before the close must still be delivered, so
-                    // re-check the queue after observing `closed`.
-                    match self.shared.queue.pop() {
-                        Some(f) => {
-                            self.shared.stats.dequeued.fetch_add(1, Ordering::Relaxed);
-                            Ok(Some(f))
-                        }
-                        None => Err(NetError::Disconnected),
-                    }
-                } else {
-                    Ok(None)
-                }
-            }
-        }
+        let mut one = Vec::new();
+        self.pop_batch(&mut one, 1)?;
+        Ok(one.pop())
     }
 
-    /// Dequeues up to `max` frames into `out` (batch-amortized polling, as
-    /// the southbound library "polls for incoming packets in shared memory
-    /// RX ring buffers"). Returns the number appended.
+    /// Dequeues up to `max` frames into `out` under one lock acquisition
+    /// (batch-amortized polling, as the southbound library "polls for
+    /// incoming packets in shared memory RX ring buffers"). Returns the
+    /// number appended.
     ///
-    /// When the ring disconnects mid-drain, frames already appended are
-    /// **kept** and `Ok(n)` is returned — `Disconnected` only surfaces on a
-    /// call that drained nothing. (An earlier version propagated the error
-    /// after a partial drain, and callers holding the output vector in a
-    /// local dropped the final batch of a closing worker on the floor.)
+    /// Frames queued before a close are still delivered: `Disconnected`
+    /// only surfaces on a call that found the ring closed **and** empty,
+    /// never in place of frames it could have drained.
     pub fn pop_batch(&self, out: &mut Vec<Frame>, max: usize) -> Result<usize> {
-        let mut n = 0;
-        while n < max {
-            match self.pop() {
-                Ok(Some(f)) => {
-                    out.push(f);
-                    n += 1;
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    if n == 0 {
-                        return Err(e);
-                    }
-                    break;
-                }
-            }
+        let mut queue = self.shared.queue.lock();
+        let n = queue.len().min(max);
+        if n == 0 && max > 0 && self.shared.is_closed() {
+            return Err(NetError::Disconnected);
+        }
+        out.extend(queue.drain(..n));
+        drop(queue);
+        if n > 0 {
+            self.shared
+                .stats
+                .dequeued
+                .fetch_add(n as u64, Ordering::Relaxed);
         }
         Ok(n)
     }
 
     /// Frames currently queued.
     pub fn len(&self) -> usize {
-        self.shared.queue.len()
+        self.shared.queue.lock().len()
     }
 
     /// True when no frames are queued.
     pub fn is_empty(&self) -> bool {
-        self.shared.queue.is_empty()
+        self.len() == 0
     }
 
     /// Shared statistics.
@@ -272,7 +271,7 @@ impl RingConsumer {
 
     /// True once either side closed the ring (frames may still be queued).
     pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+        self.shared.is_closed()
     }
 
     /// The bell this ring's producer rings: what the consuming thread
@@ -456,6 +455,36 @@ mod tests {
             }
             producer.join().unwrap();
             assert_eq!(got, 1, "round {round}: frame lost to the close race");
+        }
+    }
+
+    /// The batch twin of the race above: the producer hands over one batch
+    /// of `k` frames and drops; the consumer `pop_batch`es until
+    /// `Disconnected`. Exactly `k` arrive, in order — the close can land
+    /// before, between or after the consumer's polls, never inside one.
+    #[test]
+    fn close_pop_batch_race_never_loses_part_of_a_batch() {
+        for round in 0..2000usize {
+            let k = 1 + round % 4;
+            let (tx, rx) = ring(4);
+            let producer = std::thread::spawn(move || {
+                let mut batch: Vec<Frame> = (0..k as u8).map(frame).collect();
+                assert_eq!(tx.push_batch(&mut batch).enqueued, k);
+                // tx drops here, closing the ring right after the batch.
+            });
+            let mut got = Vec::new();
+            loop {
+                match rx.pop_batch(&mut got, 3) {
+                    Ok(0) => std::hint::spin_loop(),
+                    Ok(_) => {}
+                    Err(NetError::Disconnected) => break,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+            producer.join().unwrap();
+            let tags: Vec<u8> = got.iter().map(|f| f.payload[0]).collect();
+            let sent: Vec<u8> = (0..k as u8).collect();
+            assert_eq!(tags, sent, "round {round}: batch torn by the close race");
         }
     }
 

@@ -568,7 +568,6 @@ impl TopologyHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PMutex;
     use std::sync::Arc as SArc;
     use typhoon_model::{Bolt, Emitter, Fields, Spout};
     use typhoon_tuple::{Tuple, Value};
@@ -600,7 +599,7 @@ mod tests {
 
     #[derive(Clone, Default)]
     struct SinkState {
-        seen: SArc<PMutex<Vec<i64>>>,
+        seen: SArc<Mutex<Vec<i64>>>,
     }
 
     struct SinkBolt {
@@ -743,7 +742,7 @@ mod tests {
         // must land on the same physical task.
         #[derive(Clone, Default)]
         struct KeySink {
-            per_key: SArc<PMutex<HashMap<String, Vec<u32>>>>,
+            per_key: SArc<Mutex<HashMap<String, Vec<u32>>>>,
         }
         struct KeyBolt {
             id: u32,
@@ -775,7 +774,7 @@ mod tests {
             }
         }
         let sink = KeySink::default();
-        let instance_counter = SArc::new(PMutex::new(0u32));
+        let instance_counter = SArc::new(Mutex::new(0u32));
         let mut reg = ComponentRegistry::new();
         reg.register_spout("words", || WordSpout { i: 0 });
         let s2 = sink.clone();

@@ -1,8 +1,7 @@
 //! Multiple concurrent topologies on one Storm cluster: independent app
 //! IDs, independent task directories, independent results.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon_model::{Bolt, ComponentRegistry, Emitter, Fields, Grouping, LogicalTopology, Spout};
 use typhoon_storm::{StormCluster, StormConfig};
@@ -36,7 +35,7 @@ struct SumSink {
 impl Bolt for SumSink {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(v) = input.get(0).and_then(Value::as_int) {
-            *self.sums.by_value.lock().entry(v).or_insert(0) += 1;
+            *self.sums.by_value.lock().unwrap().entry(v).or_insert(0) += 1;
         }
     }
 }
@@ -77,7 +76,7 @@ fn two_topologies_do_not_interfere() {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         {
-            let sums = sums.by_value.lock();
+            let sums = sums.by_value.lock().unwrap();
             let a = sums.get(&1).copied().unwrap_or(0);
             let b = sums.get(&2).copied().unwrap_or(0);
             if a == N && b == N {

@@ -4,9 +4,8 @@
 //! at-least-once contract (§6.1, "if any input tuple is not fully
 //! processed, it is replayed from input workers").
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon_model::{Bolt, ComponentRegistry, Emitter, Fields, Grouping, LogicalTopology, Spout};
 use typhoon_storm::{StormCluster, StormConfig};
@@ -78,7 +77,7 @@ struct CollectSink {
 impl Bolt for CollectSink {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(n) = input.get(0).and_then(Value::as_int) {
-            self.seen.seqs.lock().push(n);
+            self.seen.seqs.lock().unwrap().push(n);
         }
     }
 }
@@ -119,7 +118,7 @@ fn worker_crash_triggers_replay_until_complete() {
     // Let some tuples flow, then murder one relay: tuples queued in its
     // inbox vanish with it.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while seen.seqs.lock().len() < 200 {
+    while seen.seqs.lock().unwrap().len() < 200 {
         assert!(Instant::now() < deadline, "pipeline never started");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -131,7 +130,7 @@ fn worker_crash_triggers_replay_until_complete() {
     let deadline = Instant::now() + Duration::from_secs(40);
     loop {
         {
-            let mut seqs = seen.seqs.lock().clone();
+            let mut seqs = seen.seqs.lock().unwrap().clone();
             seqs.sort_unstable();
             seqs.dedup();
             if seqs.len() == LIMIT as usize {
@@ -151,7 +150,7 @@ fn worker_crash_triggers_replay_until_complete() {
         "the victim was never restarted"
     );
     // Replay really happened: total received ≥ distinct (usually >).
-    let total = seen.seqs.lock().len();
+    let total = seen.seqs.lock().unwrap().len();
     assert!(total >= LIMIT as usize);
     cluster.shutdown();
 }

@@ -2,10 +2,10 @@
 
 use crate::report::{HopStat, TraceDump, TraceRecord};
 use crate::span::{Hop, RawSpan, Sampler, SpanBuf, TraceCtx};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use typhoon_diag::DiagMutex as Mutex;
 use typhoon_metrics::Registry;
 
 /// Most slowest-complete traces retained between dumps.

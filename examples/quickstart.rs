@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use typhoon::prelude::*;
 
@@ -55,7 +54,7 @@ impl Bolt for Count {
         if let Some(w) = input.get(0).and_then(Value::as_str) {
             let c = self.counts.entry(w.to_owned()).or_insert(0);
             *c += 1;
-            self.shared.lock().insert(w.to_owned(), *c);
+            self.shared.lock().unwrap().insert(w.to_owned(), *c);
         }
     }
 
@@ -95,7 +94,7 @@ fn main() {
 
     std::thread::sleep(Duration::from_secs(3));
     println!("\ntop words after 3s:");
-    let mut top: Vec<(String, i64)> = results.lock().clone().into_iter().collect();
+    let mut top: Vec<(String, i64)> = results.lock().unwrap().clone().into_iter().collect();
     top.sort_by_key(|(_, c)| -c);
     for (word, count) in top.iter().take(5) {
         println!("  {word:<10} {count}");
@@ -114,7 +113,7 @@ fn main() {
     println!("split tasks now: {:?}", handle.tasks_of("split"));
 
     std::thread::sleep(Duration::from_secs(2));
-    let total: i64 = results.lock().values().sum();
+    let total: i64 = results.lock().unwrap().values().sum();
     println!("\nstill counting after the reconfig: {total} total word occurrences");
     cluster.shutdown();
     println!("done.");

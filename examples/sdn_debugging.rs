@@ -11,9 +11,8 @@
 //! cargo run --release --example sdn_debugging
 //! ```
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use typhoon::controller::apps::LiveDebugger;
 use typhoon::openflow::PortNo;
@@ -54,7 +53,7 @@ impl Bolt for DebugProbe {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         self.n += 1;
         if self.n % 10_000 == 1 {
-            self.captured.lock().push(format!(
+            self.captured.lock().unwrap().push(format!(
                 "[probe] tuple #{}: seq={} kind={}",
                 self.n,
                 input.get(0).and_then(Value::as_int).unwrap_or(-1),
@@ -111,16 +110,20 @@ fn main() {
     );
     std::thread::sleep(Duration::from_secs(2));
     println!("probe captured while mirroring:");
-    for line in captured.lock().iter() {
+    for line in captured.lock().unwrap().iter() {
         println!("  {line}");
     }
 
     debugger.unmirror(&cluster.controller());
     // Let in-flight mirrored frames drain, then confirm the tap is silent.
     std::thread::sleep(Duration::from_millis(500));
-    let snapshot = captured.lock().len();
+    let snapshot = captured.lock().unwrap().len();
     std::thread::sleep(Duration::from_secs(1));
-    assert_eq!(snapshot, captured.lock().len(), "mirror fully detached");
+    assert_eq!(
+        snapshot,
+        captured.lock().unwrap().len(),
+        "mirror fully detached"
+    );
     println!("\nmirror detached; pipeline was never interrupted:");
     println!(
         "  {} tuples delivered in total",

@@ -133,7 +133,7 @@ fn batch_size_control_tuple_retunes_the_io_layer() {
 
 #[test]
 fn metric_req_round_trips_through_packet_in() {
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     use typhoon::controller::{ControlPlaneApp, Controller};
     use typhoon::model::{AppId, TaskId};
 
@@ -156,7 +156,10 @@ fn metric_req_round_trips_through_packet_in() {
             _request_id: u64,
             metrics: &[(String, i64)],
         ) {
-            self.responses.lock().push((app, task, metrics.to_vec()));
+            self.responses
+                .lock()
+                .unwrap()
+                .push((app, task, metrics.to_vec()));
         }
     }
 
@@ -174,7 +177,7 @@ fn metric_req_round_trips_through_packet_in() {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         {
-            let got = captured.lock();
+            let got = captured.lock().unwrap();
             if let Some((app, task, metrics)) = got.first() {
                 assert_eq!(*app, handle.app());
                 assert_eq!(*task, sink);

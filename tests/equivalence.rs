@@ -2,9 +2,8 @@
 //! same results on the Storm baseline and on Typhoon — the property that
 //! makes the paper's comparisons meaningful.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon::prelude::*;
 
@@ -51,7 +50,7 @@ struct CountSink {
 impl Bolt for CountSink {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(w) = input.get(0).and_then(Value::as_str) {
-            *self.counts.map.lock().entry(w.into()).or_insert(0) += 1;
+            *self.counts.map.lock().unwrap().entry(w.into()).or_insert(0) += 1;
         }
     }
 }
@@ -90,7 +89,7 @@ fn expected() -> HashMap<String, i64> {
 fn wait_for_total(counts: &Counts, total: i64, timeout: Duration) -> bool {
     let deadline = Instant::now() + timeout;
     while Instant::now() < deadline {
-        if counts.map.lock().values().sum::<i64>() >= total {
+        if counts.map.lock().unwrap().values().sum::<i64>() >= total {
             return true;
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -107,9 +106,9 @@ fn storm_word_count_matches_expected() {
     assert!(
         wait_for_total(&counts, total, Duration::from_secs(20)),
         "storm got {:?}",
-        counts.map.lock().values().sum::<i64>()
+        counts.map.lock().unwrap().values().sum::<i64>()
     );
-    assert_eq!(*counts.map.lock(), expected());
+    assert_eq!(*counts.map.lock().unwrap(), expected());
     cluster.shutdown();
 }
 
@@ -122,9 +121,9 @@ fn typhoon_word_count_matches_expected() {
     assert!(
         wait_for_total(&counts, total, Duration::from_secs(20)),
         "typhoon got {:?}",
-        counts.map.lock().values().sum::<i64>()
+        counts.map.lock().unwrap().values().sum::<i64>()
     );
-    assert_eq!(*counts.map.lock(), expected());
+    assert_eq!(*counts.map.lock().unwrap(), expected());
     cluster.shutdown();
 }
 
@@ -140,8 +139,8 @@ fn typhoon_tcp_tunnels_preserve_results_across_hosts() {
     assert!(
         wait_for_total(&counts, total, Duration::from_secs(30)),
         "typhoon/tcp got {:?}",
-        counts.map.lock().values().sum::<i64>()
+        counts.map.lock().unwrap().values().sum::<i64>()
     );
-    assert_eq!(*counts.map.lock(), expected());
+    assert_eq!(*counts.map.lock().unwrap(), expected());
     cluster.shutdown();
 }

@@ -3,9 +3,8 @@
 //! app, and agent bookkeeping is keyed by (app, task) — so two topologies
 //! with numerically identical task IDs never interfere.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon::prelude::*;
 
@@ -37,7 +36,7 @@ struct SumSink {
 impl Bolt for SumSink {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(v) = input.get(0).and_then(Value::as_int) {
-            *self.sums.by_value.lock().entry(v).or_insert(0) += 1;
+            *self.sums.by_value.lock().unwrap().entry(v).or_insert(0) += 1;
         }
     }
 }
@@ -81,7 +80,7 @@ fn two_applications_share_a_cluster_without_interference() {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
         {
-            let sums = sums.by_value.lock();
+            let sums = sums.by_value.lock().unwrap();
             let a = sums.get(&1).copied().unwrap_or(0);
             let b = sums.get(&2).copied().unwrap_or(0);
             if a == N && b == N {

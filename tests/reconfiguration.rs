@@ -4,10 +4,9 @@
 //! changes and logic swaps must not lose tuples (stateless path) nor break
 //! key affinity (stateful path with SIGNAL flushes).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon::prelude::*;
 
@@ -62,7 +61,7 @@ struct Collect {
 impl Bolt for Collect {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(n) = input.get(0).and_then(Value::as_int) {
-            self.set.seen.lock().push(n);
+            self.set.seen.lock().unwrap().push(n);
         }
     }
 }
@@ -93,7 +92,7 @@ fn setup(mid: usize) -> (TyphoonCluster, TyphoonTopologyHandle, SeqSet) {
 }
 
 fn assert_complete(set: &SeqSet) {
-    let mut seen = set.seen.lock().clone();
+    let mut seen = set.seen.lock().unwrap().clone();
     seen.sort_unstable();
     seen.dedup();
     assert_eq!(
@@ -113,6 +112,7 @@ fn scale_up_mid_stream_loses_nothing() {
     assert!(wait_until(Duration::from_secs(5), || !set
         .seen
         .lock()
+        .unwrap()
         .is_empty()));
     handle
         .reconfigure(ReconfigRequest::single(
@@ -124,10 +124,10 @@ fn scale_up_mid_stream_loses_nothing() {
         ))
         .unwrap();
     assert!(
-        wait_until(Duration::from_secs(30), || set.seen.lock().len()
+        wait_until(Duration::from_secs(30), || set.seen.lock().unwrap().len()
             >= LIMIT as usize),
         "only {} arrived",
-        set.seen.lock().len()
+        set.seen.lock().unwrap().len()
     );
     assert_complete(&set);
     cluster.shutdown();
@@ -139,6 +139,7 @@ fn scale_down_mid_stream_loses_nothing() {
     assert!(wait_until(Duration::from_secs(5), || !set
         .seen
         .lock()
+        .unwrap()
         .is_empty()));
     // Fig. 6(a) removal ordering: predecessors rerouted first, victims
     // drained, then killed — no tuple may vanish.
@@ -153,10 +154,10 @@ fn scale_down_mid_stream_loses_nothing() {
         .unwrap();
     assert_eq!(handle.tasks_of("mid").len(), 1);
     assert!(
-        wait_until(Duration::from_secs(30), || set.seen.lock().len()
+        wait_until(Duration::from_secs(30), || set.seen.lock().unwrap().len()
             >= LIMIT as usize),
         "only {} arrived",
-        set.seen.lock().len()
+        set.seen.lock().unwrap().len()
     );
     assert_complete(&set);
     cluster.shutdown();
@@ -168,6 +169,7 @@ fn routing_policy_change_mid_stream_loses_nothing() {
     assert!(wait_until(Duration::from_secs(5), || !set
         .seen
         .lock()
+        .unwrap()
         .is_empty()));
     handle
         .reconfigure(ReconfigRequest::single(
@@ -180,10 +182,10 @@ fn routing_policy_change_mid_stream_loses_nothing() {
         ))
         .unwrap();
     assert!(
-        wait_until(Duration::from_secs(30), || set.seen.lock().len()
+        wait_until(Duration::from_secs(30), || set.seen.lock().unwrap().len()
             >= LIMIT as usize),
         "only {} arrived",
-        set.seen.lock().len()
+        set.seen.lock().unwrap().len()
     );
     assert_complete(&set);
     cluster.shutdown();
@@ -224,7 +226,7 @@ fn stateful_update_flushes_cache_before_rerouting() {
                 input.get(0).and_then(Value::as_str),
                 input.get(1).and_then(Value::as_int),
             ) {
-                self.flushed.events.lock().push((w.into(), c));
+                self.flushed.events.lock().unwrap().push((w.into(), c));
             }
         }
     }
@@ -268,7 +270,10 @@ fn stateful_update_flushes_cache_before_rerouting() {
 
     // Let the whole finite stream be absorbed into worker caches.
     std::thread::sleep(Duration::from_secs(3));
-    assert!(flushed.events.lock().is_empty(), "no flush before update");
+    assert!(
+        flushed.events.lock().unwrap().is_empty(),
+        "no flush before update"
+    );
     handle
         .reconfigure(ReconfigRequest::single(
             "stateful",
@@ -282,7 +287,7 @@ fn stateful_update_flushes_cache_before_rerouting() {
     // word must equal the full input (1000 each).
     assert!(
         wait_until(Duration::from_secs(10), || {
-            let events = flushed.events.lock();
+            let events = flushed.events.lock().unwrap();
             let mut sums: HashMap<String, i64> = HashMap::new();
             for (w, c) in events.iter() {
                 *sums.entry(w.clone()).or_insert(0) += c;
@@ -292,7 +297,7 @@ fn stateful_update_flushes_cache_before_rerouting() {
                 .all(|w| sums.get(*w).copied().unwrap_or(0) == 1_000)
         }),
         "flushed state incomplete: {:?}",
-        flushed.events.lock()
+        flushed.events.lock().unwrap()
     );
     cluster.shutdown();
 }

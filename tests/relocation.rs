@@ -7,7 +7,7 @@
 //! target host, predecessors are rerouted, no tuple is lost, and
 //! externally-stored state survives the move.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use typhoon::kv::KvStore;
 use typhoon::model::HostId;
@@ -78,7 +78,7 @@ impl Bolt for DurableCounter {
 
 #[derive(Clone, Default)]
 struct Seen {
-    seqs: Arc<parking_lot::Mutex<Vec<i64>>>,
+    seqs: Arc<Mutex<Vec<i64>>>,
 }
 
 struct Collect {
@@ -88,7 +88,7 @@ struct Collect {
 impl Bolt for Collect {
     fn execute(&mut self, input: Tuple, _out: &mut dyn Emitter) {
         if let Some(n) = input.get(0).and_then(Value::as_int) {
-            self.seen.seqs.lock().push(n);
+            self.seen.seqs.lock().unwrap().push(n);
         }
     }
 }
@@ -133,6 +133,7 @@ fn relocation_moves_the_worker_without_losing_tuples_or_state() {
     assert!(wait_until(Duration::from_secs(10), || !seen
         .seqs
         .lock()
+        .unwrap()
         .is_empty()));
 
     // Relocate mid to host 1, mid-stream.
@@ -154,12 +155,12 @@ fn relocation_moves_the_worker_without_losing_tuples_or_state() {
 
     // The stream completes without losing a single tuple.
     assert!(
-        wait_until(Duration::from_secs(30), || seen.seqs.lock().len()
+        wait_until(Duration::from_secs(30), || seen.seqs.lock().unwrap().len()
             >= LIMIT as usize),
         "only {} of {LIMIT} arrived",
-        seen.seqs.lock().len()
+        seen.seqs.lock().unwrap().len()
     );
-    let mut seqs = seen.seqs.lock().clone();
+    let mut seqs = seen.seqs.lock().unwrap().clone();
     seqs.sort_unstable();
     seqs.dedup();
     assert_eq!(seqs.len(), LIMIT as usize, "tuples lost across relocation");
