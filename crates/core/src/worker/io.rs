@@ -23,7 +23,9 @@ pub struct IoConfig {
     pub mtu: usize,
     /// Tuples buffered per destination before a flush.
     pub batch_size: usize,
-    /// Oldest-tuple age forcing a flush regardless of batch fill.
+    /// How long a batch may wait for company **while the worker stays
+    /// busy**: the oldest-tuple age forcing a flush regardless of fill. A
+    /// worker whose input runs dry flushes at once and never waits this out.
     pub batch_delay: Duration,
 }
 
@@ -35,6 +37,16 @@ impl Default for IoConfig {
             batch_delay: Duration::from_millis(2),
         }
     }
+}
+
+/// Why a batch left (`io.flush.*`, one count per batch flush). A forced
+/// flush (`flush_all`, a `BATCH_SIZE` retune) counts as `Idle`: it too left
+/// before the timer because waiting bought nothing.
+#[derive(Clone, Copy)]
+enum Flush {
+    Fill,
+    Delay,
+    Idle,
 }
 
 struct DstBatch {
@@ -56,10 +68,13 @@ pub struct IoLayer {
     batch_size: usize,
     batch_delay: Duration,
     registry: Registry,
-    /// `io.frames_tx` / `io.batch_occupancy`, resolved once: every flush
-    /// updates them.
+    /// `io.frames_tx` / `io.frames_rx` / `io.batch_occupancy` /
+    /// `io.flush.{fill,delay,idle}` (indexed by [`Flush`]), resolved once:
+    /// every flush or productive poll updates them.
     frames_tx: Counter,
+    frames_rx: Counter,
     batch_occupancy: Histogram,
+    flushes: [Counter; 3],
     trace: TraceCtx,
     egress_dead: bool,
 }
@@ -76,7 +91,10 @@ impl IoLayer {
             batch_size: config.batch_size.max(1),
             batch_delay: config.batch_delay,
             frames_tx: registry.counter("io.frames_tx"),
+            frames_rx: registry.counter("io.frames_rx"),
             batch_occupancy: registry.histogram("io.batch_occupancy"),
+            flushes: ["io.flush.fill", "io.flush.delay", "io.flush.idle"]
+                .map(|name| registry.counter(name)),
             registry,
             trace: TraceCtx::disabled(),
             egress_dead: false,
@@ -102,7 +120,7 @@ impl IoLayer {
         self.batch_size
     }
 
-    /// The oldest-tuple age that forces a flush.
+    /// The oldest-tuple age that forces a busy worker's flush.
     pub fn batch_delay(&self) -> Duration {
         self.batch_delay
     }
@@ -123,7 +141,7 @@ impl IoLayer {
             .gauge("io.batch_size")
             .set(self.batch_size as i64);
         let threshold = self.batch_size;
-        self.flush_where(|b| b.blobs.len() >= threshold);
+        self.flush_where(Flush::Idle, |b| b.blobs.len() >= threshold);
     }
 
     /// Frames waiting in the receive ring (the worker's queue depth, the
@@ -166,37 +184,29 @@ impl IoLayer {
         if batch.blobs.len() >= self.batch_size {
             let blobs = std::mem::take(&mut batch.blobs);
             let batch_trace = batch.trace;
-            self.send_batch(dst, &blobs, batch_trace);
+            self.send_batch(dst, &blobs, batch_trace, Flush::Fill);
         }
     }
 
-    /// Flushes batches whose oldest tuple exceeded the delay bound.
+    /// Flushes batches whose oldest tuple exceeded the delay bound: the
+    /// end of a round that did work.
     pub fn flush_due(&mut self) {
         let now = Instant::now();
         let delay = self.batch_delay;
-        self.flush_where(|b| now.saturating_duration_since(b.oldest) >= delay);
+        self.flush_where(Flush::Delay, |b| {
+            now.saturating_duration_since(b.oldest) >= delay
+        });
     }
 
-    /// When the delay timer next forces a flush: the earliest `oldest +
-    /// batch_delay` over **non-empty** batches (entries outlive their
-    /// blobs), `None` when nothing is buffered. The worker loop parks no
-    /// longer than this.
-    pub fn next_flush_due(&self) -> Option<Instant> {
-        self.batches
-            .values()
-            .filter(|b| !b.blobs.is_empty())
-            .map(|b| b.oldest + self.batch_delay)
-            .min()
-    }
-
-    /// Flushes everything (graceful shutdown: "once the worker finishes
-    /// emitting any ongoing tuples, it is removed", §3.5).
+    /// Flushes everything: the end of a round that found no input (waiting
+    /// buys no more batching), and graceful shutdown ("once the worker
+    /// finishes emitting any ongoing tuples, it is removed", §3.5).
     pub fn flush_all(&mut self) {
-        self.flush_where(|_| true);
+        self.flush_where(Flush::Idle, |_| true);
     }
 
     /// Sends every non-empty batch `due` selects.
-    fn flush_where(&mut self, due: impl Fn(&DstBatch) -> bool) {
+    fn flush_where(&mut self, why: Flush, due: impl Fn(&DstBatch) -> bool) {
         let dsts: Vec<MacAddr> = self
             .batches
             .iter()
@@ -207,7 +217,7 @@ impl IoLayer {
             let batch = self.batches.get_mut(&dst).expect("selected above");
             let blobs = std::mem::take(&mut batch.blobs);
             let trace = batch.trace;
-            self.send_batch(dst, &blobs, trace);
+            self.send_batch(dst, &blobs, trace, why);
         }
     }
 
@@ -218,11 +228,13 @@ impl IoLayer {
         self.transmit(dst, &[blob], 0);
     }
 
-    fn send_batch(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64) {
-        // Batch occupancy at flush time: full batches mean the size knob is
-        // the binding constraint (throughput mode), small ones mean the
-        // delay timer is (latency mode).
+    fn send_batch(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64, why: Flush) {
+        // Batch occupancy at flush time, and why it left: all `fill` is
+        // throughput mode (the size knob binds), all `idle` is latency mode
+        // (the input ran dry first), `delay` is a busy worker trickling to
+        // this destination.
         self.batch_occupancy.record(blobs.len() as u64);
+        self.flushes[why as usize].inc();
         self.transmit(dst, blobs, trace);
     }
 
@@ -270,7 +282,7 @@ impl IoLayer {
         self.port.rx.pop_batch(&mut frames, max_frames)?;
         let n = frames.len();
         if n > 0 {
-            self.registry.counter("io.frames_rx").add(n as u64);
+            self.frames_rx.add(n as u64);
         }
         for frame in &frames {
             match self.depacketizer.push(frame) {
@@ -319,6 +331,7 @@ mod tests {
             1,
             "3 tuples mux into 1 frame"
         );
+        assert_eq!(io.registry.snapshot().counter("io.flush.fill"), 1);
     }
 
     #[test]
@@ -332,24 +345,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(3));
         io.flush_due();
         assert_eq!(io.registry.snapshot().counter("io.frames_tx"), 1);
-    }
-
-    #[test]
-    fn next_flush_due_tracks_the_oldest_non_empty_batch() {
-        let (mut io, _sw) = io_on_switch(2);
-        assert_eq!(io.next_flush_due(), None);
-        let (d1, d2) = (MacAddr::worker(1, TaskId(2)), MacAddr::worker(1, TaskId(3)));
-        let before = Instant::now();
-        io.enqueue(d1, Bytes::from_static(b"a"), 0);
-        let due = io.next_flush_due().expect("one tuple buffered");
-        assert!(due >= before + io.batch_delay && due <= Instant::now() + io.batch_delay);
-        io.enqueue(d2, Bytes::from_static(b"b"), 0);
-        assert_eq!(io.next_flush_due(), Some(due), "the older batch decides");
-        // d1 fills and leaves; its emptied entry must not hold the timer.
-        io.enqueue(d1, Bytes::from_static(b"c"), 0);
-        assert!(io.next_flush_due().expect("d2 still buffered") > due);
-        io.flush_all();
-        assert_eq!(io.next_flush_due(), None);
+        assert_eq!(io.registry.snapshot().counter("io.flush.delay"), 1);
     }
 
     #[test]
@@ -391,6 +387,7 @@ mod tests {
         let (samples, mean, _, _) = snap.histograms["io.batch_occupancy"];
         assert_eq!(samples, 1, "flush recorded one batch occupancy sample");
         assert_eq!(mean, 5.0, "all five buffered tuples left in one batch");
+        assert_eq!(snap.counter("io.flush.idle"), 1, "a forced flush");
     }
 
     #[test]
@@ -431,5 +428,6 @@ mod tests {
         io.enqueue(MacAddr::worker(1, TaskId(3)), Bytes::from_static(b"b"), 0);
         io.flush_all();
         assert_eq!(io.registry.snapshot().counter("io.frames_tx"), 2);
+        assert_eq!(io.registry.snapshot().counter("io.flush.idle"), 2);
     }
 }

@@ -7,8 +7,10 @@
 //! through framework serialization and I/O batching. Table 2 control
 //! tuples — injected by the SDN controller — reconfigure all of this at
 //! runtime without stopping the loop. A round that found nothing to do
-//! waits on the port's doorbell (rung by the switch) until the next batch
-//! flush falls due, instead of sleeping. Guaranteed processing rides the
+//! flushes everything it has buffered — waiting buys no more batching once
+//! the input ran dry — and then waits on the port's doorbell (rung by the
+//! switch) instead of sleeping; only a worker that stays busy holds a
+//! batch for `batch_size` or `batch_delay`. Guaranteed processing rides the
 //! same loop as packed records ([`acks`]): one `ACK` message per worker per
 //! round, one `ACK_RESULT` per spout per acker round.
 
@@ -150,7 +152,7 @@ struct WorkerCtx {
     acks_frames_mark: u64,
     /// Set by anything that must not linger in a batch (metric responses,
     /// state re-emissions); the loop flushes everything at the end of the
-    /// round instead of waiting out the delay timer.
+    /// round, however busy, instead of waiting out the delay timer.
     flush_now: bool,
     /// `tuples.emitted`, resolved once: every emission counts.
     emitted: Counter,
@@ -188,7 +190,7 @@ impl WorkerCtx {
             self.rate_window_start = now;
             self.rate_window_count = 0;
         }
-        self.rate_window_count < cap / 10
+        self.rate_window_count < cap.div_ceil(10)
     }
 
     /// Debits actual emissions from the window budget.
@@ -229,11 +231,12 @@ impl WorkerCtx {
 
     /// Sends the buffered ack records as one `ACK` message, once they are
     /// due. A bolt's are due at the end of the round that produced them:
-    /// the drained round is the batch. A spout's round is a 20 µs poll, so
-    /// its inits follow the batcher's rules (`batch_size` records, or
-    /// `batch_delay` after the oldest) and are never later than the data
-    /// they root: they also leave when any batch left since the last call.
-    /// `force` is the graceful stop.
+    /// the drained round is the batch. A spout's inits leave with the idle
+    /// round that flushes their data (`force`, as on the graceful stop);
+    /// while the spout stays busy they follow the batcher's rules
+    /// (`batch_size` records, or `batch_delay` after the oldest) and are
+    /// never later than the data they root: they also leave when any batch
+    /// left since the last call.
     fn flush_acks(&mut self, force: bool) {
         let batch_left = self.io.frames_sent() != self.acks_frames_mark;
         if let (Some(due), Some(acker)) = (self.acks_due(), self.config.acker) {
@@ -421,6 +424,17 @@ pub fn run_worker(
 
 const INGRESS_BUDGET: usize = 256;
 
+/// How long an active spout with nothing due sleeps before it asks
+/// `next_batch` again. Nothing is buffered while it sleeps (an idle round
+/// flushes), so this is the flush period of a paced source: half of it
+/// (+ timer slack) is the mean wait of a paced tuple, and 1/period is the
+/// wake-up rate of the source *and of every thread its flush wakes
+/// downstream*. 250 µs is the shortest measured period at which every
+/// `BENCHMARK.json` workload's CPU per tuple stays within +10 % of what a
+/// 20 µs poll feeding a 2 ms timer cost (CHANGES.md, PR 19); not
+/// configurable.
+const SPOUT_IDLE_POLL: Duration = Duration::from_micros(250);
+
 /// Drains and decodes pending ingress; `None` once the port is detached.
 fn drain_ingress(ctx: &mut WorkerCtx) -> Option<Vec<Tuple>> {
     let mut blobs = Vec::new();
@@ -482,12 +496,15 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
             role.on_tuple(ctx, class, tuple);
         }
         busy |= role.on_tick(ctx);
-        if std::mem::take(&mut ctx.flush_now) {
+        // While input keeps coming, batches fill or leave at `batch_delay`;
+        // the round that finds none sends everything, data before the acks
+        // that root it.
+        if std::mem::take(&mut ctx.flush_now) || !busy {
             ctx.io.flush_all();
         } else {
             ctx.io.flush_due();
         }
-        ctx.flush_acks(false);
+        ctx.flush_acks(!busy);
         if ctx.io.egress_dead() {
             return; // the switch side of the port is gone; fail fast
         }
@@ -496,24 +513,18 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
             continue;
         }
         if role.must_poll(ctx) {
-            // The one poll left: `Spout::next_batch` has no "next due", and
-            // paced sources rely on being asked again promptly. Lengthening
-            // it adds half the period to every tuple's latency.
-            std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff of an active spout, whose next_batch cannot ring a doorbell)
+            // The one poll left: `Spout::next_batch` has no "next due". It
+            // is a blind sleep — ack results wait for the next poll rather
+            // than re-clock it.
+            std::thread::sleep(SPOUT_IDLE_POLL); // LINT: allow-sleep(idle backoff of an active spout, whose next_batch cannot ring a doorbell)
             continue;
         }
         // Everything else that can give this worker work ends in a frame
         // on its port (data, control tuples, ack results) or a flag set by
-        // the agent, and both ring. Park until then, or until the next
-        // batch flush (or a throttled spout's inits) is due; `MAX_PARK`
-        // covers the roles' 100 ms timers.
-        let deadline = [ctx.io.next_flush_due(), ctx.acks_due()]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or_else(|| Instant::now() + Doorbell::MAX_PARK);
+        // the agent, and both ring. Nothing is buffered, so park until
+        // then; `MAX_PARK` covers the roles' 100 ms timers.
         let (io, shared) = (&ctx.io, &ctx.shared);
-        bell.wait(deadline, || {
+        bell.wait(Instant::now() + Doorbell::MAX_PARK, || {
             let idle = io.ingress_idle()
                 && !shared.crash.load(Ordering::Acquire)
                 && !shared.shutdown.load(Ordering::Acquire);

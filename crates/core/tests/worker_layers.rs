@@ -39,6 +39,34 @@ impl Spout for Once {
     }
 }
 
+/// A spout that is never idle: `next_batch` always reports work, so its
+/// worker never takes the idle branch of the loop. It emits one tuple per
+/// call until `budget` is out, and blocks for `pause` in every call — a
+/// source that waits inside `next_batch` keeps its worker busy without
+/// taking a core from the timing tests beside it.
+struct Busy {
+    budget: u64,
+    pause: Duration,
+}
+
+/// A trickle: ≈ 3 000 calls per second.
+const TRICKLE: Duration = Duration::from_micros(250);
+
+impl Spout for Busy {
+    fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
+        if self.budget > 0 {
+            self.budget -= 1;
+            out.emit(vec![Value::Int(self.budget as i64)]);
+        }
+        std::thread::sleep(self.pause);
+        true
+    }
+}
+
+/// `core::worker`'s `SPOUT_IDLE_POLL` (private there): the sleep of an
+/// active spout with nothing due.
+const IDLE_POLL: Duration = Duration::from_micros(250);
+
 type Spawned = (
     Switch,
     ControlChannel,
@@ -343,27 +371,31 @@ fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
         for exit in ["crash", "shutdown", "detach"] {
             let case = format!("{name}/{exit}");
             let role = match name {
-                "spout" => Role::Spout(Box::new(Once(true))),
+                "spout" => Role::Spout(Box::new(Busy {
+                    budget: 1,
+                    pause: TRICKLE,
+                })),
                 "bolt" => Role::Bolt(Box::new(Echo)),
                 _ => Role::Acker,
             };
             let (sw, _ch, shared, thread, downstream, upstream) =
                 spawn_worker(role, io(1000, NEVER));
             let handle = sw.spawn();
-            // One tuple of egress per role: the spout's only emission, the
-            // bolt's echo (both left in a batch), the acker's verdict
-            // message (sent at the end of its round).
+            // One tuple of egress per role. The spout is never idle, so its
+            // only emission stays in a batch neither fill nor timer will
+            // ever send; the bolt's echo left when its input ran dry, the
+            // acker's verdict message at the end of its round.
             match name {
                 "bolt" => inject(&upstream, vec![Value::Int(1)], StreamId::DEFAULT),
                 "acker" => drop(inject_all(&upstream, vec![complete_inits(2, [9])])),
                 _ => {}
             }
             let counters = || shared.registry.snapshot();
+            let flushed_before_exit = u64::from(name != "spout");
             wait_until(&case, || {
-                counters().counter("tuples.emitted") + counters().counter("io.frames_tx") == 1
+                counters().counter("tuples.emitted") == u64::from(name != "acker")
+                    && counters().counter("io.frames_tx") == flushed_before_exit
             });
-            let flushed_before_exit = u64::from(name == "acker");
-            assert_eq!(counters().counter("io.frames_tx"), flushed_before_exit);
             match exit {
                 "crash" => shared.crash.store(true, Ordering::Release),
                 "shutdown" => shared.shutdown.store(true, Ordering::Release),
@@ -371,10 +403,11 @@ fn every_role_leaves_the_one_loop_on_crash_shutdown_and_detach() {
             }
             wait_until(&case, || thread.is_finished());
             thread.join().unwrap();
-            // Only a graceful stop flushes what is still batched.
+            // Only a graceful stop flushes what a busy worker still holds;
+            // crash and detach drop it.
             let flushed = flushed_before_exit.max(u64::from(exit == "shutdown"));
             assert_eq!(counters().counter("io.frames_tx"), flushed, "{case}");
-            if exit == "shutdown" {
+            if exit == "shutdown" && name != "acker" {
                 assert!(recv_tuple(&downstream, Duration::from_secs(5)).is_some());
             }
             handle.stop();
@@ -530,7 +563,8 @@ fn malformed_ack_blob_is_counted_not_fatal() {
     handle.stop();
 }
 
-/// The drained round is a bolt's ack batch: no timer, one message.
+/// The drained round is a bolt's ack batch and, once its input ran dry,
+/// its data batch: no timer, one ack message, one flush.
 #[test]
 fn bolt_acks_leave_with_their_round() {
     let (sw, _ch, shared, thread, downstream, acker_port) =
@@ -542,8 +576,8 @@ fn bolt_acks_leave_with_their_round() {
             anchor: 0x10_0000 + root,
         })
     };
-    // One anchored input: its ack is on the acker port although nothing
-    // will ever flush the batcher (the echo itself stays batched).
+    // One anchored input: its ack is on the acker port and its echo
+    // downstream although neither fill nor timer will ever flush.
     inject_all(&acker_port, vec![anchored(0x100)]);
     let ack = recv_tuple(&acker_port, Duration::from_secs(5)).expect("ack left with its round");
     let (owner, records) = ack_records(&ack);
@@ -564,39 +598,59 @@ fn bolt_acks_leave_with_their_round() {
     assert_eq!(acks.len(), 1, "50 acks, one ACK tuple");
     let roots: Vec<u64> = ack_records(&acks[0]).1.iter().map(|r| r.0).collect();
     assert_eq!(roots, (1..=50).map(|i| i << 8).collect::<Vec<u64>>());
-    assert!(recv_tuple(&downstream, Duration::from_millis(50)).is_none());
-    assert_eq!(shared.registry.snapshot().counter("io.frames_tx"), 2);
+    // The echoes left with that round too: the lone one, then all 50.
+    let echoed = recv_tuples(&downstream, 51, Duration::from_secs(5));
+    let values: Vec<_> = echoed.iter().map(|t| t.get(0).cloned()).collect();
+    let sent = std::iter::once(0x100).chain((1..=50).map(|i| i << 8));
+    assert_eq!(
+        values,
+        sent.map(|v| Some(Value::Int(v))).collect::<Vec<_>>()
+    );
+    let snap = shared.registry.snapshot();
+    assert_eq!(
+        snap.counter("io.flush.idle"),
+        2,
+        "one flush per drained round"
+    );
+    assert_eq!(
+        snap.counter("io.flush.fill") + snap.counter("io.flush.delay"),
+        0
+    );
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();
 }
 
-/// A spout's inits follow the batcher's clock, and whatever makes the data
-/// leave makes them leave in the same round.
+/// Whatever makes a spout's data leave makes its inits leave in the same
+/// round, data first. The acker here is the downstream task, so one port
+/// sees both in the order they were sent.
 #[test]
 fn spout_inits_are_never_later_than_their_data() {
-    const DELAY: Duration = Duration::from_millis(30);
-    // (a) the delay timer flushes the lone data tuple: its init goes too.
+    // (a) the spout runs dry: the idle round flushes the lone data tuple,
+    // then forces the init out.
     // (b) every root puts two tuples into a batch of two, so the data
     // leaves on fill while the init buffer holds one record and no timer
     // will ever fire: only the data's departure can send it.
-    for (case, io, routes) in [("timer", io(1000, DELAY), 1), ("fill", io(2, NEVER), 2)] {
-        let started = Instant::now();
-        let (sw, _ch, shared, thread, downstream, acker_port) =
-            spawn_acking_worker(Role::Spout(Box::new(Once(true))), io, routes);
+    for (case, io, routes) in [("idle", io(1000, NEVER), 1), ("fill", io(2, NEVER), 2)] {
+        let (sw, _ch, shared, thread, downstream, _upstream) =
+            spawn_custom(Role::Spout(Box::new(Once(true))), io, |config, r| {
+                config.acking = true;
+                config.acker = Some(TaskId(2));
+                r.resize_with(routes, route_down);
+            });
         let handle = sw.spawn();
-        let data = recv_tuples(&downstream, routes, Duration::from_secs(5));
-        assert_eq!(data.len(), routes, "{case}");
-        if case == "timer" {
-            assert!(started.elapsed() >= DELAY, "{case}: data beat its timer");
-        }
-        let init = recv_tuple(&acker_port, Duration::from_secs(1))
-            .unwrap_or_else(|| panic!("{case}: the init stayed behind its data"));
+        let mut data = recv_tuples(&downstream, routes + 1, Duration::from_secs(5));
+        assert_eq!(data.len(), routes + 1, "{case}: the init stayed behind");
+        let init = data.pop().expect("counted above");
         let (owner, records) = ack_records(&init);
         assert_eq!(owner, Some(TaskId(1)), "{case}");
+        assert!(data.iter().all(|t| t.meta.stream == StreamId::DEFAULT));
         let root = data[0].meta.message_id.root;
         let xor = data.iter().fold(0, |x, t| x ^ t.meta.message_id.anchor);
         assert_eq!(records, vec![(root, xor)], "{case}");
+        let snap = shared.registry.snapshot();
+        assert_eq!(snap.counter(&format!("io.flush.{case}")), 1, "{case}");
+        assert_eq!(snap.histograms["io.batch_occupancy"].0, 1, "{case}");
         shared.shutdown.store(true, Ordering::Release);
         thread.join().unwrap();
         handle.stop();
@@ -638,25 +692,150 @@ fn idle_bolt_parks_instead_of_polling() {
     handle.stop();
 }
 
-/// The park deadline is the batch's flush time: a lone tuple leaves at
-/// `batch_delay` — not at the park cap (1 ms), and not never.
+/// A worker never sleeps on buffered output: a lone tuple through an
+/// otherwise idle bolt leaves with the round that found the ring empty —
+/// the delay timer (30 ms here) never sees it.
 #[test]
-fn lone_tuple_is_flushed_at_batch_delay() {
-    const DELAY: Duration = Duration::from_millis(30);
-    let (sw, _ch, shared, thread, downstream, upstream) =
-        spawn_worker(Role::Bolt(Box::new(Echo)), io(1000, DELAY));
+fn lone_tuple_leaves_with_its_round() {
+    let (sw, _ch, shared, thread, downstream, upstream) = spawn_worker(
+        Role::Bolt(Box::new(Echo)),
+        io(1000, Duration::from_millis(30)),
+    );
     let handle = sw.spawn();
     wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
-    let sent = Instant::now();
     inject(&upstream, vec![Value::Int(3)], StreamId::DEFAULT);
     let out = recv_tuple(&downstream, Duration::from_secs(5));
-    let took = sent.elapsed();
     assert!(out.is_some(), "never flushed");
-    assert!(
-        took >= DELAY,
-        "flushed after {took:?}, before the delay timer"
+    let snap = shared.registry.snapshot();
+    assert_eq!(snap.counter("io.flush.idle"), 1);
+    assert_eq!(snap.counter("io.flush.delay"), 0, "it waited out the timer");
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// The throughput path is untouched: a spout that is never idle fills every
+/// batch to `batch_size`; only the graceful stop sends a partial one.
+#[test]
+fn a_spout_that_is_never_idle_fills_its_batches() {
+    const TUPLES: u64 = 10_050;
+    let (sw, _ch, shared, thread, downstream, _upstream) = spawn_worker(
+        Role::Spout(Box::new(Busy {
+            budget: TUPLES,
+            pause: Duration::ZERO,
+        })),
+        IoConfig {
+            mtu: 9000,
+            ..io(100, NEVER)
+        },
     );
-    assert!(took < DELAY + Duration::from_millis(500), "{took:?}");
+    let handle = sw.spawn();
+    let full = recv_tuples(&downstream, 10_000, Duration::from_secs(10));
+    assert_eq!(full.len(), 10_000);
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    wait_until("the last 50", || count("tuples.emitted") == TUPLES);
+    assert_eq!(count("io.flush.fill"), 100);
+    assert_eq!(count("io.flush.idle") + count("io.flush.delay"), 0);
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    assert_eq!(
+        recv_tuples(&downstream, 50, Duration::from_secs(5)).len(),
+        50
+    );
+    assert_eq!(count("io.flush.fill"), 100, "every full batch left on fill");
+    assert_eq!(count("io.flush.idle"), 1, "the stop sent the last 50");
+    let (samples, mean, ..) = shared.registry.snapshot().histograms["io.batch_occupancy"];
+    assert_eq!((samples, mean), (101, TUPLES as f64 / 101.0));
+    handle.stop();
+}
+
+/// `batch_delay` still paces a worker that stays busy: a never-idle spout
+/// whose batch cannot fill flushes once per delay, and every flush is the
+/// timer's.
+#[test]
+fn a_busy_round_still_honours_batch_delay() {
+    const DELAY: Duration = Duration::from_millis(5);
+    let (sw, _ch, shared, thread, _downstream, _upstream) = spawn_worker(
+        Role::Spout(Box::new(Busy {
+            budget: u64::MAX,
+            pause: TRICKLE,
+        })),
+        IoConfig {
+            mtu: 9000,
+            ..io(usize::MAX, DELAY)
+        },
+    );
+    let handle = sw.spawn();
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    wait_until("first timer flush", || count("io.flush.delay") > 0);
+    let (started, first) = (Instant::now(), count("io.flush.delay"));
+    std::thread::sleep(20 * DELAY);
+    let timed = count("io.flush.delay") - first;
+    let most = (started.elapsed().as_micros() / DELAY.as_micros()) as u64 + 1;
+    assert!(
+        (2..=most).contains(&timed),
+        "{timed} timer flushes in {:?} at a {DELAY:?} delay",
+        started.elapsed()
+    );
+    assert_eq!(count("io.flush.fill") + count("io.flush.idle"), 0);
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// An active spout with nothing due sleeps `SPOUT_IDLE_POLL` between polls:
+/// ≈ 650 rounds in 200 ms with timer slack, at most 800 — the 20 µs poll it
+/// replaces ran ≈ 2 900.
+#[test]
+fn an_idle_spout_polls_at_the_idle_period() {
+    const WINDOW: Duration = Duration::from_millis(200);
+    let (sw, _ch, shared, thread, _downstream, _upstream) =
+        spawn_worker(Role::Spout(Box::new(Once(false))), io(1, NEVER));
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    let (rounds0, parks0) = (count("loop.rounds"), count("loop.parks"));
+    std::thread::sleep(WINDOW);
+    let rounds = count("loop.rounds") - rounds0;
+    assert!(
+        (200..=2_000).contains(&rounds),
+        "{rounds} rounds in {WINDOW:?} at a {IDLE_POLL:?} idle poll"
+    );
+    assert_eq!(count("loop.parks"), parks0, "it polls, not parks");
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// `InputRate` below 10 t/s still leaves a budget of one tuple per 100 ms
+/// window (it rounded down to none, silencing the spout for good).
+#[test]
+fn input_rate_below_ten_per_second_still_emits() {
+    let (sw, ch, shared, thread, downstream, _upstream) = spawn_worker_with(
+        Role::Spout(Box::new(Busy {
+            budget: u64::MAX,
+            pause: Duration::ZERO,
+        })),
+        io(1, NEVER),
+        false,
+    );
+    let handle = sw.spawn();
+    send_control_tuple(&ch, ControlTuple::InputRate { tuples_per_sec: 5 });
+    wait_until("INPUT_RATE applied", || {
+        shared.registry.snapshot().counter("control.received") == 1
+    });
+    let activated = Instant::now();
+    send_control_tuple(&ch, ControlTuple::Activate);
+    let got = recv_tuples(&downstream, 3, Duration::from_secs(5));
+    assert_eq!(got.len(), 3, "the throttle silenced the spout");
+    // ceil(5 / 10) = 1 per window, and the windows are not aligned with
+    // the activation: n tuples take the tail of one window and n - 2 whole.
+    let emitted = shared.registry.snapshot().counter("tuples.emitted");
+    let windows = activated.elapsed().as_millis() as u64 / 100;
+    assert!(
+        emitted <= windows + 2,
+        "{emitted} tuples in {windows} windows"
+    );
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();
@@ -673,22 +852,30 @@ fn deactivated_spout_parks_and_resumes_on_activate() {
     );
     let handle = sw.spawn();
     wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
-    let rounds = || shared.registry.snapshot().counter("loop.rounds");
-    let before = rounds();
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    let before = count("loop.rounds");
     std::thread::sleep(Duration::from_millis(100));
-    let idle_rounds = rounds() - before;
+    let idle_rounds = count("loop.rounds") - before;
     assert!(
         idle_rounds <= 200,
         "{idle_rounds} rounds in 100 ms: polling"
     );
-    assert_eq!(shared.registry.snapshot().counter("tuples.emitted"), 0);
+    assert_eq!(count("tuples.emitted"), 0);
     send_control_tuple(&ch, ControlTuple::Activate);
     let out = recv_tuple(&downstream, Duration::from_secs(5)).expect("resumed");
     assert_eq!(out.get(0), Some(&Value::Int(7)));
-    // Active again, the spout is the one role that polls (20 µs).
-    let before = rounds();
+    // Active again, the spout is the one role that polls: 100 ms / IDLE_POLL
+    // rounds at best, a quarter of that on a loaded box, and — what tells
+    // them from the ≈ 100 parked rounds above — not one park among them.
+    let (before, parks) = (count("loop.rounds"), count("loop.parks"));
     std::thread::sleep(Duration::from_millis(100));
-    assert!(rounds() - before > 200, "an active spout keeps its poll");
+    let polled = count("loop.rounds") - before;
+    let ideal = (Duration::from_millis(100).as_micros() / IDLE_POLL.as_micros()) as u64;
+    assert!(
+        polled > ideal / 4,
+        "{polled} rounds in 100 ms: the poll stalled"
+    );
+    assert_eq!(count("loop.parks"), parks, "an active spout keeps its poll");
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();

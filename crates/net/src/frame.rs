@@ -132,12 +132,17 @@ impl Frame {
     /// Serializes the frame to contiguous bytes (for tunnels).
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.encode_into(&mut buf);
+        buf.freeze()
+    }
+
+    /// Appends the frame's [`Frame::wire_len`] wire bytes to `buf`.
+    pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_slice(&self.dst.0);
         buf.put_slice(&self.src.0);
         buf.put_u16(self.ethertype);
         buf.put_u64(self.trace);
         buf.put_slice(&self.payload);
-        buf.freeze()
     }
 
     /// Parses a frame from contiguous bytes. The payload is a zero-copy

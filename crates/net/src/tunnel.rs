@@ -16,9 +16,9 @@
 use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
 use crate::{NetError, Result, TeardownCause};
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -366,7 +366,10 @@ impl TcpTunnel {
         self.shared.broken.get()
     }
 
-    fn reader_loop(mut stream: TcpStream, tx: Sender<Frame>, shared: Arc<TunnelShared>) {
+    fn reader_loop(stream: TcpStream, tx: Sender<Frame>, shared: Arc<TunnelShared>) {
+        // Buffered: a prefix and its body — and every frame queued behind
+        // them — cost one `read`, not one each.
+        let mut stream = BufReader::with_capacity(64 * 1024, stream);
         let mut len_buf = [0u8; 4];
         loop {
             if let Err(e) = stream.read_exact(&mut len_buf) {
@@ -379,7 +382,7 @@ impl TcpTunnel {
                 // down so the peer fails fast too instead of writing into
                 // a stream nobody is framing correctly anymore.
                 shared.teardown(TeardownCause::CorruptLength);
-                let _ = stream.shutdown(std::net::Shutdown::Both);
+                let _ = stream.get_ref().shutdown(std::net::Shutdown::Both);
                 return;
             }
             let mut body = vec![0u8; len];
@@ -397,7 +400,7 @@ impl TcpTunnel {
                 }
                 Err(_) => {
                     shared.teardown(TeardownCause::DecodeError);
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    let _ = stream.get_ref().shutdown(std::net::Shutdown::Both);
                     return;
                 }
             }
@@ -432,7 +435,11 @@ impl Tunnel for TcpTunnel {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(Self::broken_error(cause));
         }
-        let encoded = frame.encode();
+        // Prefix and frame in one buffer, one write: with `TCP_NODELAY` a
+        // prefix written alone is its own segment and its own reader wake-up.
+        let mut wire = BytesMut::with_capacity(4 + frame.wire_len());
+        wire.put_u32(frame.wire_len() as u32);
+        frame.encode_into(&mut wire);
         let mut w = self.writer.lock();
         // Re-check under the lock: a concurrent sender may have poisoned
         // the tunnel while we waited (its partial write already misframed
@@ -444,17 +451,14 @@ impl Tunnel for TcpTunnel {
                 .fetch_add(1, Ordering::Relaxed);
             return Err(Self::broken_error(cause));
         }
-        let result = w
-            .write_all(&(encoded.len() as u32).to_be_bytes())
-            .and_then(|()| w.write_all(&encoded));
-        match result {
+        match w.write_all(&wire) {
             Ok(()) => {
                 self.shared.stats.sent.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(e) => {
-                // The prefix (or part of the body) may already be on the
-                // wire: the stream is misframed for good. Poison and shut
+                // Part of the frame may already be on the wire: the
+                // stream is misframed for good. Poison and shut
                 // the socket down so both sides fail fast.
                 let cause = match e.kind() {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {

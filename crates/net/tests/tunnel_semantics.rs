@@ -317,6 +317,44 @@ fn tcp_good_frames_before_corruption_still_deliver() {
     assert_eq!(err, NetError::Broken(TeardownCause::CorruptLength));
 }
 
+/// The reader buffers, so a frame's bytes reach it in whatever pieces TCP
+/// cuts: prefix, half a body and the rest as three segments (flushed apart
+/// by `TCP_NODELAY` and a pause) are still one frame, delivered once and
+/// whole, and the frame written behind them in one piece follows it.
+#[test]
+fn tcp_frame_split_across_writes_is_delivered_once_and_whole() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let raw = TcpStream::connect(addr).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let (server, _) = listener.accept().expect("accept");
+    let tunnel = TcpTunnel::from_stream(server).expect("tunnel");
+    use std::io::Write;
+    let (split, whole) = (frame(7), frame(8));
+    let body = split.encode();
+    let prefix = (body.len() as u32).to_be_bytes();
+    for piece in [
+        &prefix[..],
+        &body[..body.len() / 2],
+        &body[body.len() / 2..],
+    ] {
+        (&raw).write_all(piece).expect("piece");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut wire = prefix.to_vec();
+    wire.extend_from_slice(&whole.encode());
+    (&raw).write_all(&wire).expect("whole frame");
+    let end = Instant::now() + Duration::from_secs(10);
+    let mut got = Vec::new();
+    while got.len() < 2 {
+        assert!(Instant::now() < end, "hang: {} of 2 frames", got.len());
+        got.extend(tunnel.try_recv().expect("healthy tunnel"));
+    }
+    assert_eq!(got, vec![split, whole]);
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(tunnel.try_recv().expect("still healthy"), None);
+}
+
 // ----------------------------------------- batched ring ops vs. close
 
 /// The PR-3 contract, batch edition: every frame `push_batch` reported
