@@ -9,8 +9,14 @@
 //! runtime without stopping the loop. A round that found nothing to do
 //! flushes everything it has buffered — waiting buys no more batching once
 //! the input ran dry — and then waits on the port's doorbell (rung by the
-//! switch) instead of sleeping; only a worker that stays busy holds a
-//! batch for `batch_size` or `batch_delay`. Guaranteed processing rides the
+//! switch) until the role's idle deadline; only a worker that stays busy
+//! holds a batch for `batch_size` or `batch_delay`. That one wait serves
+//! every role. An active spout's deadline is its next poll instant
+//! (`SPOUT_IDLE_POLL` after an empty `next_batch`): a ring before it runs
+//! an ordinary round — ack results, control tuples, timers, flush — in
+//! which `next_batch` is *not* asked, and the spout goes back to wait for
+//! the same instant, so what arrives on the port is served when it arrives
+//! while the source keeps its own clock. Guaranteed processing rides the
 //! same loop as packed records ([`acks`]): one `ACK` message per worker per
 //! round, one `ACK_RESULT` per spout per acker round.
 
@@ -393,6 +399,7 @@ pub fn run_worker(
             spout.open();
             let role = SpoutRole {
                 spout,
+                next_poll: Instant::now(),
                 last_pending_sweep: Instant::now(),
                 completed: ctx.shared.registry.counter("acks.completed"),
                 latency: ctx.shared.registry.histogram("latency"),
@@ -424,15 +431,17 @@ pub fn run_worker(
 
 const INGRESS_BUDGET: usize = 256;
 
-/// How long an active spout with nothing due sleeps before it asks
-/// `next_batch` again. Nothing is buffered while it sleeps (an idle round
-/// flushes), so this is the flush period of a paced source: half of it
-/// (+ timer slack) is the mean wait of a paced tuple, and 1/period is the
-/// wake-up rate of the source *and of every thread its flush wakes
-/// downstream*. 250 µs is the shortest measured period at which every
-/// `BENCHMARK.json` workload's CPU per tuple stays within +10 % of what a
-/// 20 µs poll feeding a 2 ms timer cost (CHANGES.md, PR 19); not
-/// configurable.
+/// The poll period of an active spout with nothing due: how long after an
+/// empty `next_batch` the worker asks again. It waits the period out on its
+/// bell, not in a sleep, and a ring in between serves the port without
+/// moving the poll instant (see [`SpoutRole::next_poll`]). Nothing is
+/// buffered while it waits (an idle round flushes), so this is the flush
+/// period of a paced source: half of it (+ timer slack) is the mean wait
+/// of a paced tuple, and 1/period is the wake-up rate of the source *and of
+/// every thread its flush wakes downstream*. 250 µs is the shortest
+/// measured period at which every `BENCHMARK.json` workload's CPU per tuple
+/// stays within +10 % of what a 20 µs poll feeding a 2 ms timer cost
+/// (CHANGES.md, PR 19); not configurable.
 const SPOUT_IDLE_POLL: Duration = Duration::from_micros(250);
 
 /// Drains and decodes pending ingress; `None` once the port is detached.
@@ -459,10 +468,14 @@ trait RoleLoop {
     /// End of every round, after ingress is drained: timers and (for the
     /// spout) production. Returns `true` when it did work.
     fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool;
-    /// True while the role has a source of work that cannot ring the bell
-    /// and so must be polled (only a spout that may produce).
-    fn must_poll(&self, _ctx: &WorkerCtx) -> bool {
-        false
+    /// When an idle worker runs its next round even if nobody rings its
+    /// bell. Everything that can give a worker work ends in a frame on its
+    /// port (data, control tuples, ack results) or a flag set by the agent,
+    /// and both ring; `MAX_PARK` covers the roles' 100 ms timers. Only a
+    /// spout that may produce has a source that cannot ring, and so a
+    /// deadline of its own.
+    fn idle_deadline(&self, _ctx: &WorkerCtx) -> Instant {
+        Instant::now() + Doorbell::MAX_PARK
     }
     /// Graceful stop, before the final egress flush.
     fn on_shutdown(&mut self, _ctx: &mut WorkerCtx) {}
@@ -474,6 +487,7 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
     let queue_depth = ctx.shared.registry.gauge("queue.depth");
     let rounds = ctx.shared.registry.counter("loop.rounds");
     let parks = ctx.shared.registry.counter("loop.parks");
+    let rung = ctx.shared.registry.counter("loop.rung");
     let bell = ctx.io.bell().clone();
     ctx.shared.ready.store(true, Ordering::Release);
     loop {
@@ -512,19 +526,10 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
         if busy {
             continue;
         }
-        if role.must_poll(ctx) {
-            // The one poll left: `Spout::next_batch` has no "next due". It
-            // is a blind sleep — ack results wait for the next poll rather
-            // than re-clock it.
-            std::thread::sleep(SPOUT_IDLE_POLL); // LINT: allow-sleep(idle backoff of an active spout, whose next_batch cannot ring a doorbell)
-            continue;
-        }
-        // Everything else that can give this worker work ends in a frame
-        // on its port (data, control tuples, ack results) or a flag set by
-        // the agent, and both ring. Nothing is buffered, so park until
-        // then; `MAX_PARK` covers the roles' 100 ms timers.
+        // Nothing is buffered, so park until a ring or the role's deadline.
+        let deadline = role.idle_deadline(ctx);
         let (io, shared) = (&ctx.io, &ctx.shared);
-        bell.wait(Instant::now() + Doorbell::MAX_PARK, || {
+        let woken = bell.wait(deadline, || {
             let idle = io.ingress_idle()
                 && !shared.crash.load(Ordering::Acquire)
                 && !shared.shutdown.load(Ordering::Acquire);
@@ -533,11 +538,20 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
             }
             idle
         });
+        if woken {
+            rung.inc();
+        }
     }
 }
 
 struct SpoutRole {
     spout: Box<dyn Spout>,
+    /// The poll instant: `next_batch` is not asked before it. An empty
+    /// `next_batch` moves it [`SPOUT_IDLE_POLL`] ahead and nothing else
+    /// does — a round run early by a ring leaves it where it is, so the
+    /// source is clocked by its own period, never by what arrives on its
+    /// port. Past (ask at once) while the spout produces.
+    next_poll: Instant,
     last_pending_sweep: Instant,
     /// `acks.completed` / `latency`, resolved once: every ack updates them.
     completed: Counter,
@@ -603,17 +617,25 @@ impl RoleLoop for SpoutRole {
                 self.spout.fail(root);
             }
         }
-        ctx.active
-            && !spout_throttled(ctx)
-            && ctx.rate_allows()
-            && spout_batch(ctx, self.spout.as_mut())
+        if !ctx.active || spout_throttled(ctx) || Instant::now() < self.next_poll {
+            return false;
+        }
+        let produced = ctx.rate_allows() && spout_batch(ctx, self.spout.as_mut());
+        if !produced {
+            self.next_poll = Instant::now() + SPOUT_IDLE_POLL;
+        }
+        produced
     }
 
-    /// A deactivated spout, or one throttled by `max_pending`, waits on the
-    /// bell like a bolt: both states end with an ingress frame (`Activate`,
-    /// an ack result).
-    fn must_poll(&self, ctx: &WorkerCtx) -> bool {
-        ctx.active && !spout_throttled(ctx)
+    /// A spout that may produce waits for its poll instant. Deactivated, or
+    /// throttled by `max_pending`, it waits like a bolt: both states end
+    /// with an ingress frame (`Activate`, an ack result).
+    fn idle_deadline(&self, ctx: &WorkerCtx) -> Instant {
+        if ctx.active && !spout_throttled(ctx) {
+            self.next_poll
+        } else {
+            Instant::now() + Doorbell::MAX_PARK
+        }
     }
 }
 

@@ -3,7 +3,8 @@
 //! the framework↔I/O seams that integration tests only exercise indirectly.
 
 use bytes::Bytes;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::control::{ControlTuple, CONTROLLER_TASK};
 use typhoon_core::worker::{self, acks, IoConfig, Role, Route, WorkerConfig, WorkerShared};
@@ -26,16 +27,49 @@ fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
     ch.send(wire::encode(&msg)).unwrap();
 }
 
-/// A spout with exactly one tuple to give.
-struct Once(bool);
+/// A spout that gives `burst` tuples in its first `next_batch` and nothing
+/// after, and counts what its worker asks of it (clones share the counts).
+#[derive(Clone, Default)]
+struct Asked {
+    burst: usize,
+    /// When the last call came back empty.
+    last_empty: Option<Instant>,
+    calls: Arc<AtomicU64>,
+    /// Calls sooner than [`IDLE_POLL`] after an empty one.
+    early: Arc<AtomicU64>,
+    acked: Arc<AtomicU64>,
+}
 
-impl Spout for Once {
+impl Asked {
+    fn emitting(burst: usize) -> Self {
+        Asked {
+            burst,
+            ..Asked::default()
+        }
+    }
+
+    /// `next_batch` calls so far.
+    fn calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+}
+
+impl Spout for Asked {
     fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
-        let fresh = std::mem::take(&mut self.0);
-        if fresh {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.last_empty.is_some_and(|t| t.elapsed() < IDLE_POLL) {
+            self.early.fetch_add(1, Ordering::Relaxed);
+        }
+        let burst = std::mem::take(&mut self.burst);
+        for _ in 0..burst {
             out.emit(vec![Value::Int(7)]);
         }
-        fresh
+        self.last_empty = (burst == 0).then(Instant::now);
+        burst > 0
+    }
+
+    fn ack(&mut self, _root: u64) {
+        self.acked.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -63,9 +97,15 @@ impl Spout for Busy {
     }
 }
 
-/// `core::worker`'s `SPOUT_IDLE_POLL` (private there): the sleep of an
-/// active spout with nothing due.
+/// `core::worker`'s `SPOUT_IDLE_POLL` (private there): how long after an
+/// empty `next_batch` an active spout is asked again.
 const IDLE_POLL: Duration = Duration::from_micros(250);
+
+/// How many times an idle spout can have been asked in `elapsed`, give or
+/// take the call at either edge.
+fn polls_in(elapsed: Duration) -> u64 {
+    (elapsed.as_micros() / IDLE_POLL.as_micros()) as u64
+}
 
 type Spawned = (
     Switch,
@@ -541,7 +581,7 @@ fn malformed_ack_blob_is_counted_not_fatal() {
     handle.stop();
 
     let (sw, _ch, shared, thread, _downstream, acker_port) =
-        spawn_acking_worker(Role::Spout(Box::new(Once(true))), io(1, NEVER), 1);
+        spawn_acking_worker(Role::Spout(Box::new(Asked::emitting(1))), io(1, NEVER), 1);
     let handle = sw.spawn();
     let init = recv_tuple(&acker_port, Duration::from_secs(5)).expect("init");
     let root = ack_records(&init).1[0].0;
@@ -632,12 +672,15 @@ fn spout_inits_are_never_later_than_their_data() {
     // leaves on fill while the init buffer holds one record and no timer
     // will ever fire: only the data's departure can send it.
     for (case, io, routes) in [("idle", io(1000, NEVER), 1), ("fill", io(2, NEVER), 2)] {
-        let (sw, _ch, shared, thread, downstream, _upstream) =
-            spawn_custom(Role::Spout(Box::new(Once(true))), io, |config, r| {
+        let (sw, _ch, shared, thread, downstream, _upstream) = spawn_custom(
+            Role::Spout(Box::new(Asked::emitting(1))),
+            io,
+            |config, r| {
                 config.acking = true;
                 config.acker = Some(TaskId(2));
                 r.resize_with(routes, route_down);
-            });
+            },
+        );
         let handle = sw.spawn();
         let mut data = recv_tuples(&downstream, routes + 1, Duration::from_secs(5));
         assert_eq!(data.len(), routes + 1, "{case}: the init stayed behind");
@@ -783,25 +826,36 @@ fn a_busy_round_still_honours_batch_delay() {
     handle.stop();
 }
 
-/// An active spout with nothing due sleeps `SPOUT_IDLE_POLL` between polls:
-/// ≈ 650 rounds in 200 ms with timer slack, at most 800 — the 20 µs poll it
-/// replaces ran ≈ 2 900.
+/// An active spout with nothing due is asked again `SPOUT_IDLE_POLL` after
+/// each empty `next_batch`: ≈ 650 calls in 200 ms with timer slack, at most
+/// 800 — the 20 µs poll it replaces ran ≈ 2 900. It waits the period out on
+/// its bell, so every round ends in a park; nothing arrives on its port, so
+/// nothing rings it.
 #[test]
 fn an_idle_spout_polls_at_the_idle_period() {
     const WINDOW: Duration = Duration::from_millis(200);
+    let spout = Asked::default();
     let (sw, _ch, shared, thread, _downstream, _upstream) =
-        spawn_worker(Role::Spout(Box::new(Once(false))), io(1, NEVER));
+        spawn_worker(Role::Spout(Box::new(spout.clone())), io(1, NEVER));
     let handle = sw.spawn();
     wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
     let count = |name: &str| shared.registry.snapshot().counter(name);
-    let (rounds0, parks0) = (count("loop.rounds"), count("loop.parks"));
+    let started = Instant::now();
+    let (calls0, rounds0, parks0) = (spout.calls(), count("loop.rounds"), count("loop.parks"));
     std::thread::sleep(WINDOW);
-    let rounds = count("loop.rounds") - rounds0;
+    let (calls, rounds) = (spout.calls() - calls0, count("loop.rounds") - rounds0);
+    let (parks, rung) = (count("loop.parks") - parks0, count("loop.rung"));
+    let ideal = polls_in(started.elapsed());
     assert!(
-        (200..=2_000).contains(&rounds),
-        "{rounds} rounds in {WINDOW:?} at a {IDLE_POLL:?} idle poll"
+        (ideal / 4..=ideal + 2).contains(&calls),
+        "{calls} polls in {:?} at a {IDLE_POLL:?} idle poll",
+        started.elapsed()
     );
-    assert_eq!(count("loop.parks"), parks0, "it polls, not parks");
+    assert!(
+        rounds <= calls + 2 && parks + 2 >= rounds,
+        "{rounds} rounds, {parks} parks, {calls} polls: every round polls, then parks"
+    );
+    assert_eq!(rung, 0, "nobody rings an unacked spout");
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();
@@ -841,12 +895,13 @@ fn input_rate_below_ten_per_second_still_emits() {
     handle.stop();
 }
 
-/// A deactivated spout has nothing to poll for: it parks like a bolt, and
-/// the `Activate` frame's ring resumes it.
+/// A deactivated spout has nothing to poll for: it parks like a bolt and
+/// is asked nothing, and the `Activate` frame's ring resumes it.
 #[test]
 fn deactivated_spout_parks_and_resumes_on_activate() {
+    let spout = Asked::emitting(1);
     let (sw, ch, shared, thread, downstream, _upstream) = spawn_worker_with(
-        Role::Spout(Box::new(Once(true))),
+        Role::Spout(Box::new(spout.clone())),
         io(1, Duration::from_millis(1)),
         false,
     );
@@ -860,40 +915,164 @@ fn deactivated_spout_parks_and_resumes_on_activate() {
         idle_rounds <= 200,
         "{idle_rounds} rounds in 100 ms: polling"
     );
-    assert_eq!(count("tuples.emitted"), 0);
+    assert_eq!(spout.calls(), 0, "a deactivated spout was asked for tuples");
     send_control_tuple(&ch, ControlTuple::Activate);
     let out = recv_tuple(&downstream, Duration::from_secs(5)).expect("resumed");
     assert_eq!(out.get(0), Some(&Value::Int(7)));
-    // Active again, the spout is the one role that polls: 100 ms / IDLE_POLL
-    // rounds at best, a quarter of that on a loaded box, and — what tells
-    // them from the ≈ 100 parked rounds above — not one park among them.
-    let (before, parks) = (count("loop.rounds"), count("loop.parks"));
+    // Active again, it is asked once per IDLE_POLL: 100 ms / IDLE_POLL calls
+    // at best, a quarter of that on a loaded box.
+    let started = Instant::now();
+    let before = spout.calls();
     std::thread::sleep(Duration::from_millis(100));
-    let polled = count("loop.rounds") - before;
-    let ideal = (Duration::from_millis(100).as_micros() / IDLE_POLL.as_micros()) as u64;
+    let polled = spout.calls() - before;
+    let ideal = polls_in(started.elapsed());
     assert!(
-        polled > ideal / 4,
-        "{polled} rounds in 100 ms: the poll stalled"
+        (ideal / 4..=ideal + 2).contains(&polled),
+        "{polled} polls in {:?}",
+        started.elapsed()
     );
-    assert_eq!(count("loop.parks"), parks, "an active spout keeps its poll");
     shared.shutdown.store(true, Ordering::Release);
     thread.join().unwrap();
     handle.stop();
 }
 
-/// `WorkerAgent::kill` rings the worker's bell after setting the flag: a
-/// parked bolt is gone in far less than a park period. Median over tries —
-/// one try can lose the CPU on a shared box.
+/// An `ACK_RESULT` message as the acker on [`UPSTREAM`] sends it: every
+/// root completed.
+fn completions(roots: impl IntoIterator<Item = u64>) -> Tuple {
+    let mut blob = Vec::new();
+    for root in roots {
+        acks::push_verdict(&mut blob, root, true);
+    }
+    acks::verdict_message(UPSTREAM, blob)
+}
+
+/// The latency the paper plots is spout emit → ack callback: an ack result
+/// is served by the ring that announces it, not by the spout's next poll.
+/// Verdicts arrive one per ≈ 1 ms at a spout with nothing to emit; all reach
+/// `Spout::ack`, and most of them by ending its park.
 #[test]
-fn parked_bolt_exits_promptly_on_agent_kill() {
+fn ack_results_reach_an_idle_spout_between_polls() {
+    const N: usize = 24;
+    let spout = Asked::emitting(N);
+    let (sw, _ch, shared, thread, _downstream, acker_port) =
+        spawn_acking_worker(Role::Spout(Box::new(spout.clone())), io(1000, NEVER), 1);
+    let handle = sw.spawn();
+    // The burst's inits name the roots to answer.
+    let inits = recv_tuple(&acker_port, Duration::from_secs(5)).expect("inits left when idle");
+    let roots: Vec<u64> = ack_records(&inits).1.iter().map(|r| r.0).collect();
+    assert_eq!(roots.len(), N);
+    let rung = || shared.registry.snapshot().counter("loop.rung");
+    let rung0 = rung();
+    for root in roots {
+        std::thread::sleep(Duration::from_millis(1)); // the spout is parked again
+        inject_all(&acker_port, vec![completions([root])]);
+    }
+    wait_until("every verdict acked", || {
+        spout.acked.load(Ordering::Relaxed) == N as u64
+    });
+    let by_ring = rung() - rung0;
+    assert!(
+        by_ring > N as u64 / 2,
+        "{by_ring} of {N} ack results ended a park: the rest waited for a poll"
+    );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// A ring before the poll instant runs a round without `next_batch` and
+/// leaves the instant where it was: under a flood of frames the spout is
+/// never asked sooner than `SPOUT_IDLE_POLL` after an empty `next_batch`
+/// (no re-clock), and still asked (the flood cannot starve the poll).
+#[test]
+fn an_early_ring_does_not_reclock_next_batch() {
+    let spout = Asked::default();
+    let (sw, _ch, shared, thread, _downstream, acker_port) =
+        spawn_acking_worker(Role::Spout(Box::new(spout.clone())), io(1000, NEVER), 1);
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let rung = || shared.registry.snapshot().counter("loop.rung");
+    let started = Instant::now();
+    let (calls0, rung0) = (spout.calls(), rung());
+    // A 20 µs sleep is ≈ 75 µs with timer slack: 2–3 rings per IDLE_POLL
+    // on a quiet box, about one on a loaded one.
+    while started.elapsed() < Duration::from_millis(200) {
+        inject_all(&acker_port, vec![completions([1])]);
+        std::thread::sleep(Duration::from_micros(20));
+    }
+    let (calls, by_ring) = (spout.calls() - calls0, rung() - rung0);
+    let ideal = polls_in(started.elapsed());
+    assert!(
+        by_ring > ideal / 4,
+        "premise: {by_ring} early rings in {ideal} poll periods"
+    );
+    let early = spout.early.load(Ordering::Relaxed);
+    assert_eq!(
+        early, 0,
+        "{early} of {calls} polls came early ({ideal} poll periods, {by_ring} rings)"
+    );
+    assert!(
+        calls >= ideal / 4,
+        "{calls} polls in {ideal} poll periods under {by_ring} rings"
+    );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// A control tuple is served by its ring too. `Deactivate` ends the park of
+/// an active idle spout (most tries: one can find it mid-round), and once
+/// it is counted the spout is asked nothing more.
+#[test]
+fn control_tuple_reaches_an_idle_active_spout_at_once() {
+    const TRIES: u64 = 11;
+    let spout = Asked::default();
+    let (sw, ch, shared, thread, _downstream, _upstream) =
+        spawn_worker(Role::Spout(Box::new(spout.clone())), io(1, NEVER));
+    let handle = sw.spawn();
+    wait_until("worker ready", || shared.ready.load(Ordering::Acquire));
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    let mut by_ring = 0;
+    for try_ in 0..TRIES {
+        let polling = spout.calls();
+        wait_until("active: polled", || spout.calls() > polling + 2);
+        let rung0 = count("loop.rung");
+        send_control_tuple(&ch, ControlTuple::Deactivate);
+        wait_until("DEACTIVATE applied", || {
+            count("control.received") == 2 * try_ + 1
+        });
+        let asked = spout.calls();
+        by_ring += count("loop.rung") - rung0;
+        std::thread::sleep(8 * IDLE_POLL);
+        assert_eq!(spout.calls(), asked, "asked after DEACTIVATE was counted");
+        send_control_tuple(&ch, ControlTuple::Activate);
+        wait_until("ACTIVATE applied", || {
+            count("control.received") == 2 * try_ + 2
+        });
+    }
+    assert!(
+        by_ring > TRIES / 2,
+        "{by_ring} of {TRIES} DEACTIVATEs ended a park: the rest waited for a poll"
+    );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
+/// Launches an idle worker of `kind` on an agent, lets it park, and kills
+/// it, 21 times over. Returns the median `WorkerAgent::kill` (flag, ring,
+/// join, detach) — one try can lose the CPU on a shared box — and how many
+/// of the kills ended the worker's park by their ring.
+fn kill_idle_workers(kind: typhoon_model::NodeKind) -> (Duration, u64) {
     use typhoon_coordinator::global::GlobalState;
     use typhoon_coordinator::Coordinator;
     use typhoon_core::agent::WorkerAgent;
-    use typhoon_model::{ComponentRegistry, HostInfo, NodeKind};
+    use typhoon_model::{ComponentRegistry, HostInfo};
 
     let mut components = ComponentRegistry::new();
-    components.register_bolt("echo", || Echo);
-    let components = std::sync::Arc::new(typhoon_diag::DiagRwLock::new(components));
+    components.register_bolt("idle", || Echo);
+    components.register_spout("idle", Asked::default);
+    let components = Arc::new(typhoon_diag::DiagRwLock::new(components));
     let global = GlobalState::new(Coordinator::new());
     let (sw, _ch) = Switch::new(SwitchConfig::new(1));
     let handle = sw.spawn();
@@ -906,14 +1085,14 @@ fn parked_bolt_exits_promptly_on_agent_kill() {
         None,
     )
     .unwrap();
-    let mut kills = Vec::new();
+    let (mut kills, mut by_ring) = (Vec::new(), 0);
     for task in 1..=21 {
         let port = agent.alloc_port();
         let config = WorkerConfig {
             app: AppId(1),
             task: TaskId(task),
-            node: "echo".into(),
-            component: "echo".into(),
+            node: "idle".into(),
+            component: "idle".into(),
             io: io(1000, NEVER),
             acking: false,
             acker: None,
@@ -923,23 +1102,46 @@ fn parked_bolt_exits_promptly_on_agent_kill() {
             checkpoint: None,
             restore: false,
         };
-        agent
-            .launch(NodeKind::Bolt, false, port, config, Vec::new())
-            .unwrap();
+        let shared = agent.launch(kind, false, port, config, Vec::new()).unwrap();
         agent
             .wait_ready(AppId(1), TaskId(task), Duration::from_secs(5))
             .unwrap();
         std::thread::sleep(Duration::from_millis(3)); // let it park
+        let rung = shared.registry.snapshot().counter("loop.rung");
         let t = Instant::now();
-        agent.kill(AppId(1), TaskId(task)); // flag, ring, join, detach
+        agent.kill(AppId(1), TaskId(task));
         kills.push(t.elapsed());
+        by_ring += shared.registry.snapshot().counter("loop.rung") - rung;
     }
+    handle.stop();
     kills.sort();
-    let median = kills[kills.len() / 2];
+    (kills[kills.len() / 2], by_ring)
+}
+
+/// `WorkerAgent::kill` rings the worker's bell after setting the flag: a
+/// parked bolt is gone in far less than a park period.
+#[test]
+fn parked_bolt_exits_promptly_on_agent_kill() {
+    let (median, by_ring) = kill_idle_workers(typhoon_model::NodeKind::Bolt);
     assert!(median < Duration::from_millis(5), "median kill {median:?}");
     assert!(
         median < typhoon_net::Doorbell::MAX_PARK / 2,
         "median kill {median:?}: the worker waited out its park"
     );
-    handle.stop();
+    assert!(by_ring > 10, "{by_ring} of 21 kills ended a park");
+}
+
+/// An active spout with nothing due waits on the same bell: the kill's ring
+/// ends its park, it does not wait for its next poll.
+#[test]
+fn idle_active_spout_exits_promptly_on_agent_kill() {
+    let (median, by_ring) = kill_idle_workers(typhoon_model::NodeKind::Spout);
+    assert!(
+        median < typhoon_net::Doorbell::MAX_PARK / 2,
+        "median kill {median:?}"
+    );
+    assert!(
+        by_ring > 10,
+        "{by_ring} of 21 kills ended a park: the rest waited for a poll"
+    );
 }

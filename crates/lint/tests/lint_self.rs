@@ -156,3 +156,46 @@ fn real_workspace_is_clean() {
             .join("\n")
     );
 }
+
+/// The sleep-waiver census, pinned: TL005 accepts any reasoned waiver, so a
+/// blind sleep could return to a worker loop under one. Every Typhoon
+/// worker role waits on its doorbell; the one idle backoff left in library
+/// code is the Storm baseline's spout executor.
+#[test]
+fn no_idle_sleep_returns_under_a_waiver() {
+    /// `(file, line)` of every `allow-sleep` waiver in a `.rs` file under `dir`.
+    fn waivers(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                // `perf` builds into a `target` of its own under `src`.
+                if !path.ends_with("target") {
+                    waivers(&path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).expect("read source");
+                let file = path.display().to_string();
+                let hits = source.lines().filter(|l| l.contains("allow-sleep"));
+                out.extend(hits.map(|l| (file.clone(), l.trim().to_owned())));
+            }
+        }
+    }
+    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut library = Vec::new();
+    waivers(&crates, &mut library);
+    library.retain(|(file, _)| file.contains("/src/"));
+    let in_worker: Vec<_> = library
+        .iter()
+        .filter(|(file, _)| file.contains("core/src/worker/"))
+        .collect();
+    assert!(in_worker.is_empty(), "a worker loop sleeps: {in_worker:?}");
+    let backoffs: Vec<_> = library
+        .iter()
+        .filter(|(_, line)| line.contains("allow-sleep(idle backoff"))
+        .collect();
+    assert_eq!(backoffs.len(), 1, "{backoffs:?}");
+    assert!(
+        backoffs[0].0.ends_with("storm/src/executor.rs"),
+        "{backoffs:?}"
+    );
+}

@@ -194,21 +194,20 @@ mod tests {
                 ringer.ring();
             }
         });
-        // Median over tries: one try can lose the CPU on a shared box.
-        let mut waits = Vec::new();
-        for _ in 0..TRIES {
-            let t = Instant::now();
-            bell.wait(far(), || {
-                parking_tx.send(()).unwrap();
-                true
-            });
-            waits.push(t.elapsed());
-        }
+        // By count, not by stopwatch: `wait` says whether the ring ended it
+        // or the `MAX_PARK` cap did. A majority — one try can find the
+        // ringer off the CPU for a whole park on a shared box.
+        let by_ring = (0..TRIES)
+            .filter(|_| {
+                bell.wait(far(), || {
+                    parking_tx.send(()).unwrap();
+                    true
+                })
+            })
+            .count();
         drop(parking_tx);
         thread.join().unwrap();
-        waits.sort();
-        let median = waits[TRIES / 2];
-        assert!(median < Doorbell::MAX_PARK / 2, "median {median:?}");
+        assert!(by_ring > TRIES / 2, "{by_ring} of {TRIES} waits woken");
     }
 
     #[test]

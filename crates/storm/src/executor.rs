@@ -121,7 +121,7 @@ impl ExecutorCtx {
             self.rate_window_start = now;
             self.rate_window_count = 0;
         }
-        self.rate_window_count < cap / 10
+        self.rate_window_count < cap.div_ceil(10)
     }
 
     /// Debits actual emissions from the window budget.

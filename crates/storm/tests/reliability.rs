@@ -197,3 +197,61 @@ fn spout_throttles_at_max_pending() {
     );
     cluster.shutdown();
 }
+
+/// The baseline's rate cap agrees with Typhoon's `InputRate`: below 10 t/s
+/// it still leaves a budget of one tuple per 100 ms window (`cap / 10`
+/// rounded down to none, silencing the spout for good).
+#[test]
+fn input_rate_below_ten_per_second_still_emits() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// Floods once the gate opens, so the cap is in place before the first
+    /// tuple.
+    struct Flood(Arc<AtomicBool>);
+    impl Spout for Flood {
+        fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
+            let open = self.0.load(Ordering::Acquire);
+            if open {
+                out.emit(vec![Value::Int(0)]);
+            }
+            open
+        }
+    }
+    struct Sink;
+    impl Bolt for Sink {
+        fn execute(&mut self, _input: Tuple, _out: &mut dyn Emitter) {}
+    }
+    let gate = Arc::new(AtomicBool::new(false));
+    let mut reg = ComponentRegistry::new();
+    let spout_gate = gate.clone();
+    reg.register_spout("flood", move || Flood(spout_gate.clone()));
+    reg.register_bolt("sink", || Sink);
+    let topo = LogicalTopology::builder("capped")
+        .spout("src", "flood", 1, Fields::new(["n"]))
+        .bolt("out", "sink", 1, Fields::new(["n"]))
+        .edge("src", "out", Grouping::Global)
+        .build()
+        .unwrap();
+    let cluster = StormCluster::new(StormConfig::local(1), reg);
+    let handle = cluster.submit(topo).unwrap();
+    handle.set_input_rate(handle.tasks_of("src")[0], Some(5));
+    let sink = handle.registry(handle.tasks_of("out")[0]).unwrap();
+    let delivered = || sink.snapshot().counter("tuples.received");
+    let opened = Instant::now();
+    gate.store(true, Ordering::Release);
+    while delivered() < 3 {
+        assert!(
+            opened.elapsed() < Duration::from_secs(5),
+            "the throttle silenced the spout"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // ceil(5 / 10) = 1 per window, and the windows are not aligned with
+    // the gate: n tuples take the tail of one window and n - 2 whole.
+    let (delivered, windows) = (delivered(), opened.elapsed().as_millis() as u64 / 100);
+    assert!(
+        delivered <= windows + 2,
+        "{delivered} tuples in {windows} windows"
+    );
+    cluster.shutdown();
+}
