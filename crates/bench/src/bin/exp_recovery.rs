@@ -173,8 +173,12 @@ fn main() {
     // The heartbeat fallback dominates the heartbeat-class detection time,
     // so `--short` shrinks it to keep baseline generation fast.
     let heartbeat = Duration::from_secs(opts.pick(5, 2));
-    let mut report =
-        Report::new("recovery", "crash recovery phase breakdown", opts.mode()).with_seed(seed);
+    let mut report = Report::new(
+        "recovery",
+        "crash recovery phase breakdown (detect_ms includes the harness's 2 ms polls)",
+        opts.mode(),
+    )
+    .with_seed(seed);
 
     let kill_after = Duration::from_millis(300);
     let classes: Vec<(&str, KillSpec, bool)> = vec![
@@ -229,12 +233,12 @@ fn main() {
             );
         }
         println!("    run completed in {:.2}s", o.elapsed.as_secs_f64());
-        // Detection is the SDN claim; the port-status path is fast but
-        // its absolute value is tiny (tens of ms), so relative tolerances
-        // must absorb scheduler jitter. The heartbeat class is dominated
-        // by the (configured) timeout and is therefore much tighter.
-        let detect_tol = if name == "heartbeat" { 1.0 } else { 9.0 };
-        report.time_ms(format!("detect_ms.{name}"), ms(o.detect), detect_tol);
+        // Detection is the SDN claim. Since the manager thread wakes on
+        // the fault record's watch (no 20 ms tick), kill → recovered is a
+        // chain of wake-ups around ≈ 1 ms of work plus this harness's own
+        // two 2 ms polls above — so a doubling is the regression to catch,
+        // for the port-status classes as for the timeout-bound one.
+        report.time_ms(format!("detect_ms.{name}"), ms(o.detect), 1.0);
         report.time_ms(
             format!("total_ms.{name}"),
             o.elapsed.as_secs_f64() * 1e3,

@@ -10,7 +10,7 @@ use crate::apps::ControlPlaneApp;
 use crate::control::{ControlTuple, CONTROLLER_TASK};
 use crate::rules::build_rules;
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,8 +43,8 @@ struct CtlInner {
     port_stats: Mutex<HashMap<HostId, Vec<PortStats>>>,
     flow_stats: Mutex<HashMap<HostId, Vec<FlowStats>>>,
     depacketizers: Mutex<HashMap<HostId, Depacketizer>>,
-    /// Xids of barriers sent and not yet answered.
-    barrier_waiters: Mutex<HashSet<u32>>,
+    /// Barriers sent and not yet answered: xid → the waiter's bell.
+    barrier_waiters: Mutex<HashMap<u32, Doorbell>>,
     ser: Arc<SerStats>,
     packetizer: Packetizer,
     next_xid: AtomicU32,
@@ -104,7 +104,7 @@ impl Controller {
                 barrier_waiters: Mutex::with_rank(
                     rank::CTRL_BARRIER_WAITERS,
                     "controller.barrier_waiters",
-                    HashSet::new(),
+                    HashMap::new(),
                 ),
                 ser: SerStats::shared(),
                 packetizer: Packetizer::default(),
@@ -198,10 +198,7 @@ impl Controller {
             }
         }
         let hosts: Vec<HostId> = plan.flows.keys().copied().collect();
-        for host in hosts {
-            ok &= self.sync_switch(host, Duration::from_secs(5));
-        }
-        ok
+        ok & self.sync_switches(&hosts, Duration::from_secs(5))
     }
 
     /// Removes every rule of a topology by sending per-rule strict deletes.
@@ -229,29 +226,42 @@ impl Controller {
     /// Fences a switch: sends a barrier and waits for its reply (or the
     /// timeout). The reply may be consumed by any pumping thread (the
     /// spawned controller loop or this caller) — whichever sees it strikes
-    /// the xid from the waiter registry, and a struck xid is the answer.
+    /// the xid from the waiter registry and rings the waiter; a struck xid
+    /// is the answer.
     pub fn sync_switch(&self, host: HostId, timeout: Duration) -> bool {
-        let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
-        let pending = &self.inner.barrier_waiters;
-        pending.lock().insert(xid);
-        if !self.send_to_switch(host, &OfMessage::Barrier { xid }) {
-            pending.lock().remove(&xid);
-            return false;
-        }
+        self.sync_switches(&[host], timeout)
+    }
+
+    /// Fences several switches in one round trip: every barrier is sent
+    /// before the first reply is awaited. `false` when any send or reply
+    /// failed.
+    pub fn sync_switches(&self, hosts: &[HostId], timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        loop {
-            // Pump ourselves too, so fencing works without a spawned loop.
-            self.pump_once(host);
-            if !pending.lock().contains(&xid) {
-                return true;
+        let (pending, bell) = (&self.inner.barrier_waiters, Doorbell::new());
+        let barriers: Vec<(HostId, u32, bool)> = hosts
+            .iter()
+            .map(|&host| {
+                let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
+                pending.lock().insert(xid, bell.clone());
+                let sent = self.send_to_switch(host, &OfMessage::Barrier { xid });
+                (host, xid, sent)
+            })
+            .collect();
+        let mut ok = true;
+        for (host, xid, sent) in barriers {
+            let unanswered = || pending.lock().contains_key(&xid);
+            while sent && unanswered() && Instant::now() <= deadline {
+                // Pump ourselves too, so fencing works without a spawned
+                // loop; with one, its pump strikes the xid and rings us.
+                if !self.pump_once(host) {
+                    bell.wait(deadline, unanswered);
+                }
             }
-            if Instant::now() > deadline {
-                // Still ours to remove means no reply; already gone means
-                // it raced the deadline and won.
-                return !pending.lock().remove(&xid);
-            }
-            std::thread::sleep(Duration::from_micros(100)); // LINT: allow-sleep(barrier poll backoff, bounded by the deadline check above)
+            // Still ours to remove means no reply; already gone means it
+            // was answered (perhaps racing the deadline, and winning).
+            ok &= pending.lock().remove(&xid).is_none();
         }
+        ok
     }
 
     /// Injects a control tuple to one worker via `PacketOut` (§3.4).
@@ -365,7 +375,11 @@ impl Controller {
         };
         match &msg {
             OfMessage::BarrierReply { xid } => {
-                self.inner.barrier_waiters.lock().remove(xid);
+                // Ring after the registry guard drops (TL008).
+                let waiter = self.inner.barrier_waiters.lock().remove(xid);
+                if let Some(bell) = waiter {
+                    bell.ring();
+                }
             }
             OfMessage::PortStatsReply(stats) => {
                 self.inner.port_stats.lock().insert(host, stats.clone());
@@ -537,20 +551,12 @@ mod tests {
             let _wp = sw.attach_worker(PortNo(a.switch_port));
             std::mem::forget(_wp); // keep rings alive for the test
         }
-        // Install concurrently with a helper thread driving the switch,
-        // because install_topology blocks on a barrier.
-        let sw2 = sw.clone();
-        let done = Arc::new(AtomicBool::new(false));
-        let done2 = done.clone();
-        let driver = std::thread::spawn(move || {
-            while !done2.load(Ordering::Acquire) {
-                sw2.process_round();
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
-        ctl.install_topology(&word_count_example(), &phys);
-        done.store(true, Ordering::Release);
-        driver.join().unwrap();
+        // The switch runs its own datapath thread while the install waits
+        // on its barrier (nobody rings an unspawned controller's waiter:
+        // it pumps for itself at the park cap).
+        let datapath = sw.spawn();
+        assert!(ctl.install_topology(&word_count_example(), &phys));
+        datapath.stop();
         phys
     }
 
@@ -601,30 +607,20 @@ mod tests {
         let target = phys.tasks_of("split")[0];
         let port = PortNo(phys.assignment(target).unwrap().switch_port);
         let wp = sw.attach_worker(port);
-        // Install only the control rules by installing the whole plan
-        // (driver thread for the barrier).
-        let sw2 = sw.clone();
-        let done = Arc::new(AtomicBool::new(false));
-        let done2 = done.clone();
-        let driver = std::thread::spawn(move || {
-            while !done2.load(Ordering::Acquire) {
-                sw2.process_round();
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
-        ctl.install_topology(&logical, &phys);
+        // Install the whole plan (the switch runs its own datapath thread
+        // for the barrier and the PacketOut).
+        let _datapath = sw.spawn();
+        assert!(ctl.install_topology(&logical, &phys));
         assert!(ctl.send_control(AppId(1), target, &ControlTuple::BatchSize { size: 250 }));
-        // Wait for the frame to arrive at the worker port.
+        // Wait for the frame on the worker port's own bell.
         let deadline = Instant::now() + Duration::from_secs(5);
         let frame = loop {
             if let Ok(Some(f)) = wp.rx.pop() {
                 break f;
             }
             assert!(Instant::now() < deadline, "control tuple never arrived");
-            std::thread::sleep(Duration::from_micros(100));
+            wp.rx.bell().wait(deadline, || wp.rx.is_empty());
         };
-        done.store(true, Ordering::Release);
-        driver.join().unwrap();
         // Depacketize and decode it back into the control tuple.
         let mut d = Depacketizer::new();
         let blobs = d.push(&frame).unwrap();
@@ -641,5 +637,102 @@ mod tests {
     fn send_control_to_unknown_task_fails_cleanly() {
         let (ctl, _sw, _global) = setup_one_host();
         assert!(!ctl.send_control(AppId(9), TaskId(1), &ControlTuple::Signal));
+    }
+
+    #[test]
+    fn a_thousand_barriers_from_two_threads_all_answered_and_none_left() {
+        // The deployed shape: a spawned switch and a spawned controller.
+        let (ctl, sw, _global) = setup_one_host();
+        let (pump, datapath) = (ctl.spawn(Duration::from_millis(100)), sw.spawn());
+        let callers: Vec<_> = (0..2)
+            .map(|_| {
+                let ctl = ctl.clone();
+                std::thread::spawn(move || {
+                    (0..500)
+                        .filter(|_| ctl.sync_switch(HostId(0), Duration::from_secs(10)))
+                        .count()
+                })
+            })
+            .collect();
+        let answered: usize = callers.into_iter().map(|t| t.join().unwrap()).sum();
+        assert_eq!(answered, 1000);
+        assert!(ctl.inner.barrier_waiters.lock().is_empty());
+        pump.stop();
+        datapath.stop();
+    }
+
+    #[test]
+    fn a_switch_that_never_answers_fails_the_fence_at_the_timeout_and_leaves_no_xid() {
+        // Nobody drives the switch: the barrier is never processed.
+        let (ctl, _sw, _global) = setup_one_host();
+        let t = Instant::now();
+        assert!(!ctl.sync_switch(HostId(0), Duration::from_millis(20)));
+        assert!(t.elapsed() >= Duration::from_millis(20));
+        assert!(ctl.inner.barrier_waiters.lock().is_empty());
+        // A host with no switch fails at once, and leaves nothing either.
+        assert!(!ctl.sync_switches(&[HostId(0), HostId(9)], Duration::from_millis(5)));
+        assert!(ctl.inner.barrier_waiters.lock().is_empty());
+    }
+
+    /// The lost-wake-up race of the barrier bell, on the real primitives:
+    /// another thread pumps the reply (strike, then ring) while the caller
+    /// is anywhere between "registered" and "parked". A strike that lands
+    /// before the caller arms finds the bell unarmed and wakes nobody, so
+    /// the re-check must see it; a missed one costs a whole `MAX_PARK`.
+    /// Counted, not timed: parks that nobody rang *and* that lasted a park
+    /// (a stale unpark token from the round before ends a park unrung too,
+    /// but at once) stay a small minority of the rounds.
+    #[test]
+    fn a_reply_pumped_before_the_waiter_arms_is_seen_by_the_recheck() {
+        const ROUNDS: u32 = 10_000;
+        let (ctl, sw, _global) = setup_one_host();
+        let stop = Arc::new(AtomicBool::new(false));
+        // The "other" pumping thread: drives the switch and strikes xids
+        // as fast as it can, so strikes land at every point of the wait.
+        let pumper = {
+            let (ctl, stop) = (ctl.clone(), stop.clone());
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Acquire) {
+                    sw.process_round();
+                    ctl.pump();
+                    std::thread::yield_now();
+                }
+            })
+        };
+        let pending = &ctl.inner.barrier_waiters;
+        let (mut parked, mut capped) = (0u32, 0u32);
+        for round in 0..ROUNDS {
+            // `sync_switches` by hand, so the wait's outcome is visible.
+            let (xid, bell) = (
+                ctl.inner.next_xid.fetch_add(1, Ordering::Relaxed),
+                Doorbell::new(),
+            );
+            pending.lock().insert(xid, bell.clone());
+            assert!(ctl.send_to_switch(HostId(0), &OfMessage::Barrier { xid }));
+            // A varying head start for the striker: from "strikes while we
+            // park" to "struck before we look".
+            for _ in 0..(round % 64) * 50 {
+                std::hint::spin_loop();
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pending.lock().contains_key(&xid) {
+                assert!(Instant::now() < deadline, "barrier {xid} never answered");
+                let (mut did_park, t) = (false, Instant::now());
+                let rung = bell.wait(deadline, || {
+                    did_park = pending.lock().contains_key(&xid);
+                    did_park
+                });
+                parked += u32::from(did_park);
+                capped += u32::from(did_park && !rung && t.elapsed() >= Doorbell::MAX_PARK / 2);
+            }
+        }
+        stop.store(true, Ordering::Release);
+        pumper.join().unwrap();
+        assert!(pending.lock().is_empty());
+        // All but a few (the pumper off the CPU for a whole park).
+        assert!(
+            capped <= ROUNDS / 20,
+            "{capped} of {parked} parks in {ROUNDS} rounds waited out the cap"
+        );
     }
 }

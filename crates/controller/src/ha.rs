@@ -475,28 +475,20 @@ impl ControlPlane {
                 }
             }
         }
-        // Fence each switch so the re-sync is *active* before we publish
-        // leadership. The barrier is retried under the shared backoff
-        // policy: a switch draining its headless replay queue may need a
-        // moment.
-        let mut headless_ms = 0u64;
-        for (host, switch) in &switches {
-            let fenced = retry(
-                &BackoffPolicy::control_plane(),
-                self.inner.cfg.seed ^ term ^ host.0 as u64,
-                |_| {
-                    if controller.sync_switch(*host, Duration::from_millis(500)) {
-                        Ok(())
-                    } else {
-                        Err("barrier timeout")
-                    }
-                },
-            );
-            if fenced.is_err() {
-                reg.counter("controller.ha.resync_fence_giveup").inc();
-            }
-            headless_ms = headless_ms.max(switch.headless_ms());
+        // Fence every switch (one round trip for all of them) so the
+        // re-sync is *active* before we publish leadership. The fence is
+        // retried under the shared backoff policy: a switch draining its
+        // headless replay queue may need a moment.
+        let policy = BackoffPolicy::control_plane();
+        let hosts: Vec<HostId> = switches.keys().copied().collect();
+        let fenced = retry(&policy, self.inner.cfg.seed ^ term, |_| {
+            let ok = controller.sync_switches(&hosts, Duration::from_millis(500));
+            ok.then_some(()).ok_or("barrier timeout")
+        });
+        if fenced.is_err() {
+            reg.counter("controller.ha.resync_fence_giveup").inc();
         }
+        let headless_ms = switches.values().fold(0, |ms, s| ms.max(s.headless_ms()));
         let failover_ms = t0.elapsed().as_millis() as u64;
         reg.counter("controller.ha.elections").inc();
         if term > 1 {
@@ -688,17 +680,7 @@ mod tests {
         let (sw, _boot) = Switch::new(SwitchConfig::new(1));
         plane.manage_switch(HostId(0), sw.clone());
 
-        // Drive the switch like its spawned loop would.
-        let stop = Arc::new(AtomicBool::new(false));
-        let driver = {
-            let (sw, stop) = (sw.clone(), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    sw.process_round();
-                    std::thread::sleep(Duration::from_micros(50)); // LINT: allow-sleep(test driver pacing)
-                }
-            })
-        };
+        let datapath = sw.spawn();
 
         plane.start(Duration::from_millis(1));
         let leader = plane
@@ -730,9 +712,8 @@ mod tests {
         assert!(snap.gauge("controller.ha.resync_rules") >= 1);
         assert_eq!(snap.gauge("controller.ha.term"), 2);
 
-        stop.store(true, Ordering::Relaxed);
-        driver.join().unwrap();
         plane.shutdown();
+        datapath.stop();
     }
 
     #[test]
@@ -746,16 +727,7 @@ mod tests {
         let plane = ControlPlane::new(global, 2, cfg);
         let (sw, _boot) = Switch::new(SwitchConfig::new(1));
         plane.manage_switch(HostId(0), sw.clone());
-        let stop = Arc::new(AtomicBool::new(false));
-        let driver = {
-            let (sw, stop) = (sw.clone(), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    sw.process_round();
-                    std::thread::sleep(Duration::from_micros(50)); // LINT: allow-sleep(test driver pacing)
-                }
-            })
-        };
+        let datapath = sw.spawn();
         plane.start(Duration::from_millis(1));
         let old = plane.wait_leader(Duration::from_secs(5)).expect("leader");
         plane.crash_leader();
@@ -766,8 +738,7 @@ mod tests {
         // cannot write through to the ledger either.
         assert!(!old.send_flow_mod(HostId(0), rule(1, 2, 10)));
         assert_eq!(plane.ledger().rule_count(HostId(0)), 0);
-        stop.store(true, Ordering::Relaxed);
-        driver.join().unwrap();
         plane.shutdown();
+        datapath.stop();
     }
 }

@@ -343,11 +343,6 @@ impl GlobalState {
         }
         Ok(out)
     }
-
-    /// Watch for newly submitted reconfiguration requests.
-    pub fn watch_reconfigs(&self) -> Receiver<WatchEvent> {
-        self.coord.watch(RECONFIG)
-    }
 }
 
 /// Parent of pending reconfiguration requests.
@@ -563,7 +558,7 @@ mod reconfig_tests {
     #[test]
     fn reconfig_watch_fires_on_submit() {
         let g = GlobalState::new(Coordinator::new());
-        let rx = g.watch_reconfigs();
+        let rx = g.coordinator().watch_any(&[AGENTS, RECONFIG]);
         g.submit_reconfig(&sample()).unwrap();
         assert!(rx.try_iter().count() >= 1);
     }

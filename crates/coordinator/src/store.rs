@@ -292,7 +292,22 @@ impl Coordinator {
 
     /// Subscribes to every change under `prefix` (persistent prefix watch).
     pub fn watch(&self, prefix: &str) -> Receiver<WatchEvent> {
-        self.state.lock().watches.subscribe(prefix)
+        self.watch_any(&[prefix])
+    }
+
+    /// One receiver subscribed to every change under any of `prefixes`.
+    pub fn watch_any(&self, prefixes: &[&str]) -> Receiver<WatchEvent> {
+        self.state.lock().watches.subscribe(prefixes)
+    }
+
+    /// Sends `path`'s watchers a synthetic `DataChanged` (version 0), tree
+    /// untouched: how the owner of a thread blocked on a watch ends the wait.
+    pub fn poke(&self, path: &str) {
+        self.state.lock().watches.deliver(&WatchEvent {
+            path: path.to_owned(),
+            kind: WatchKind::DataChanged,
+            version: 0,
+        });
     }
 
     /// Opens a new session.

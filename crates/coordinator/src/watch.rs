@@ -46,13 +46,13 @@ pub(crate) struct WatchTable {
 }
 
 impl WatchTable {
-    /// Registers a prefix watch and returns its event receiver.
-    pub(crate) fn subscribe(&mut self, prefix: &str) -> Receiver<WatchEvent> {
+    /// Registers one watch per prefix, all feeding the returned receiver.
+    pub(crate) fn subscribe(&mut self, prefixes: &[&str]) -> Receiver<WatchEvent> {
         let (tx, rx) = unbounded(); // LINT: allow-unbounded(watch events are low-rate control-plane traffic; dropping notifications would break session semantics)
-        self.subs.push(Subscription {
-            prefix: prefix.to_owned(),
-            tx,
-        });
+        self.subs.extend(prefixes.iter().map(|prefix| Subscription {
+            prefix: (*prefix).to_owned(),
+            tx: tx.clone(),
+        }));
         rx
     }
 
@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn prefix_matching_delivers_only_matching_paths() {
         let mut table = WatchTable::default();
-        let rx = table.subscribe("/topologies/");
+        let rx = table.subscribe(&["/topologies/"]);
         table.deliver(&ev("/topologies/wc/logical", WatchKind::Created));
         table.deliver(&ev("/agents/h0", WatchKind::Created));
         let got: Vec<_> = rx.try_iter().collect();
@@ -95,7 +95,7 @@ mod tests {
     #[test]
     fn dropped_receivers_are_garbage_collected() {
         let mut table = WatchTable::default();
-        let rx = table.subscribe("/a");
+        let rx = table.subscribe(&["/a"]);
         drop(rx);
         table.deliver(&ev("/a/x", WatchKind::Deleted));
         assert_eq!(table.len(), 0);
@@ -104,8 +104,8 @@ mod tests {
     #[test]
     fn multiple_subscribers_each_get_a_copy() {
         let mut table = WatchTable::default();
-        let rx1 = table.subscribe("/");
-        let rx2 = table.subscribe("/");
+        let rx1 = table.subscribe(&["/"]);
+        let rx2 = table.subscribe(&["/"]);
         table.deliver(&ev("/x", WatchKind::DataChanged));
         assert_eq!(rx1.try_iter().count(), 1);
         assert_eq!(rx2.try_iter().count(), 1);
@@ -114,7 +114,7 @@ mod tests {
     #[test]
     fn non_matching_subscriber_survives_delivery() {
         let mut table = WatchTable::default();
-        let _rx = table.subscribe("/b");
+        let _rx = table.subscribe(&["/b"]);
         table.deliver(&ev("/a", WatchKind::Created));
         assert_eq!(table.len(), 1);
     }

@@ -179,22 +179,33 @@ impl WorkerAgent {
         Ok(shared)
     }
 
-    /// Waits for a launched worker to signal readiness.
+    /// Waits for a launched worker to signal readiness, parked on its ready
+    /// bell until that rings (the worker's `ready.rung`), its thread ends or
+    /// `timeout` passes. One thread waits for a worker: the one that launched it.
     pub fn wait_ready(&self, app: AppId, task: TaskId, timeout: Duration) -> Result<()> {
         let deadline = Instant::now() + timeout;
+        let gone = CoreError::WorkerExited(app, task);
+        let late = CoreError::Timeout("worker readiness");
+        let Some(shared) = self.worker(app, task) else {
+            return Err(gone);
+        };
+        let (bell, rung) = (shared.ready_bell, shared.registry.counter("ready.rung"));
+        // (ready, thread ended); a reaped entry counts as ended.
+        let state = || {
+            let workers = self.workers.lock();
+            workers.get(&(app, task)).map_or((false, true), |e| {
+                let ended = e.thread.as_ref().is_none_or(|t| t.is_finished());
+                (e.shared.ready.load(Ordering::Acquire), ended)
+            })
+        };
         loop {
-            {
-                let workers = self.workers.lock();
-                if let Some(e) = workers.get(&(app, task)) {
-                    if e.shared.ready.load(Ordering::Acquire) {
-                        return Ok(());
-                    }
-                }
+            match state() {
+                (true, _) => return Ok(()),
+                (false, true) => return Err(gone),
+                _ if Instant::now() > deadline => return Err(late),
+                _ => {}
             }
-            if Instant::now() > deadline {
-                return Err(CoreError::Timeout("worker readiness"));
-            }
-            std::thread::sleep(Duration::from_micros(200)); // LINT: allow-sleep(worker readiness poll, bounded by the timeout check above)
+            rung.add(u64::from(bell.wait(deadline, || state() == (false, false))));
         }
     }
 

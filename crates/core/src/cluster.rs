@@ -15,8 +15,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use typhoon_controller::apps::FAULTS;
 use typhoon_controller::{ControlPlane, Controller, HaConfig};
-use typhoon_coordinator::global::GlobalState;
+use typhoon_coordinator::global::{GlobalState, RECONFIG};
 use typhoon_coordinator::Coordinator;
 use typhoon_diag::{rank, DiagMutex, DiagRwLock as RwLock};
 use typhoon_kv::KvStore;
@@ -162,6 +163,10 @@ impl TyphoonConfig {
         self
     }
 }
+
+/// How often the manager thread runs the heartbeat fallback scan (and
+/// retries a failed recovery) when no event wakes it sooner.
+const HEARTBEAT_SCAN: Duration = Duration::from_millis(20);
 
 struct HostRuntime {
     switch: Switch,
@@ -329,21 +334,33 @@ impl TyphoonCluster {
 
         // The dynamic-topology-manager loop: drain reconfiguration
         // requests submitted via the coordinator (REST API, auto-scaler)
-        // and run recovery sweeps.
+        // and run recovery sweeps. It blocks on one watch over both, so a
+        // write there (or `shutdown`'s poke) starts the next sweep; only
+        // the heartbeat fallback, which watches nothing, needs a clock.
         let manager_shutdown = Arc::new(AtomicBool::new(false));
         let manager2 = manager.clone();
         let recovery2 = recovery.clone();
         let shutdown2 = manager_shutdown.clone();
+        let inbox = global.coordinator().watch_any(&[FAULTS, RECONFIG]);
         let manager_thread = typhoon_diag::spawn_supervised(
             "typhoon-manager",
             |_| {},
             move || {
+                let sweeps = manager2.registry().counter("manager.sweeps");
+                let rung = manager2.registry().counter("manager.rung");
                 while !shutdown2.load(Ordering::Acquire) {
+                    sweeps.inc();
                     manager2.process_pending();
-                    if let Some(r) = &recovery2 {
-                        r.poll();
-                    }
-                    std::thread::sleep(Duration::from_millis(20)); // LINT: allow-sleep(manager housekeeping tick on a dedicated thread)
+                    let woken = match &recovery2 {
+                        Some(r) => {
+                            r.poll();
+                            inbox.recv_timeout(HEARTBEAT_SCAN).is_ok()
+                        }
+                        None => inbox.recv().is_ok(),
+                    };
+                    rung.add(u64::from(woken));
+                    // One sweep serves every event queued so far.
+                    inbox.try_iter().for_each(drop);
                 }
             },
         );
@@ -539,6 +556,7 @@ impl TyphoonCluster {
     /// Stops the manager loop, every worker, every switch.
     pub fn shutdown(&self) {
         self.inner.manager_shutdown.store(true, Ordering::Release);
+        self.inner.global.coordinator().poke(RECONFIG);
         if let Some(t) = self.inner.manager_thread.lock().take() {
             let _ = t.join();
         }
@@ -1046,6 +1064,74 @@ mod tests {
             wait_until(Duration::from_secs(10), || h.tasks_of("mid").len() == 4),
             "manager loop never applied the request"
         );
+        cluster.shutdown();
+    }
+
+    fn manager_counts(cluster: &TyphoonCluster) -> (u64, u64) {
+        let snap = cluster.manager().registry().snapshot();
+        (snap.counter("manager.sweeps"), snap.counter("manager.rung"))
+    }
+
+    /// Without a heartbeat fallback the manager thread has no clock at all:
+    /// it sweeps when a request is written, not on a tick, and `shutdown`
+    /// ends a wait that would otherwise never end.
+    #[test]
+    fn manager_thread_sleeps_until_a_request_is_written() {
+        let (reg, _sink) = registry(0);
+        let cluster = TyphoonCluster::new(TyphoonConfig::new(1), reg).unwrap();
+        let h = cluster.submit(pipeline()).unwrap();
+        let (sweeps, rung) = manager_counts(&cluster);
+        std::thread::sleep(Duration::from_secs(1));
+        assert_eq!(manager_counts(&cluster), (sweeps, rung), "an idle second");
+        h.reconfigure_async(ReconfigRequest::single(
+            "pipeline",
+            ReconfigOp::SetParallelism {
+                node: "mid".into(),
+                parallelism: 3,
+            },
+        ))
+        .unwrap();
+        assert!(
+            wait_until(Duration::from_secs(10), || h.tasks_of("mid").len() == 3),
+            "the request never woke the manager thread"
+        );
+        assert!(manager_counts(&cluster).1 > rung);
+        // Joins the manager thread: a blocked `recv` nobody poked hangs here.
+        cluster.shutdown();
+    }
+
+    /// With the fallback configured the thread keeps its 50 Hz scan and no
+    /// more, and a fault record is consumed by the sweep its write starts.
+    #[test]
+    fn manager_thread_reacts_to_a_fault_record_and_scans_at_50_hz() {
+        let (reg, _sink) = registry(0);
+        let config = TyphoonConfig::new(1).with_recovery(Duration::from_secs(30));
+        let cluster = TyphoonCluster::new(config, reg).unwrap();
+        let _h = cluster.submit(pipeline()).unwrap();
+        let (sweeps, rung) = manager_counts(&cluster);
+        std::thread::sleep(Duration::from_secs(1));
+        let idle = manager_counts(&cluster);
+        assert!(
+            idle.0 - sweeps <= 60,
+            "{} sweeps in a second",
+            idle.0 - sweeps
+        );
+        assert_eq!(idle.1, rung, "nothing was written");
+        // A stale record (no such task): consumed and deleted, no recovery.
+        let coord = cluster.global().coordinator();
+        let record = format!("{FAULTS}/pipeline/task-99");
+        coord.ensure_path(&format!("{FAULTS}/pipeline")).unwrap();
+        coord
+            .create(
+                &record,
+                b"mid".to_vec(),
+                typhoon_coordinator::CreateMode::Persistent,
+            )
+            .unwrap();
+        assert!(wait_until(Duration::from_secs(10), || !coord.exists(&record)));
+        assert!(manager_counts(&cluster).1 > rung, "the write ended a wait");
+        let detected = cluster.recovery().unwrap().registry().snapshot();
+        assert_eq!(detected.counter("recovery.detected"), 1);
         cluster.shutdown();
     }
 }

@@ -48,6 +48,8 @@ pub enum CoreError {
     UnknownTopology(String),
     /// A deployment step timed out (e.g. a worker never became ready).
     Timeout(&'static str),
+    /// A launched worker's thread ended (panicked) before it became ready.
+    WorkerExited(typhoon_model::AppId, typhoon_model::TaskId),
 }
 
 impl std::fmt::Display for CoreError {
@@ -58,6 +60,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Net(e) => write!(f, "network error: {e}"),
             CoreError::UnknownTopology(t) => write!(f, "unknown topology {t:?}"),
             CoreError::Timeout(what) => write!(f, "timed out waiting for {what}"),
+            CoreError::WorkerExited(a, t) => write!(f, "worker {t} of {a} exited before ready"),
         }
     }
 }

@@ -109,6 +109,7 @@ pub struct StreamingManager {
     agents: BTreeMap<HostId, std::sync::Arc<WorkerAgent>>,
     config: ManagerConfig,
     next_app: Mutex<u16>,
+    registry: Registry,
 }
 
 impl StreamingManager {
@@ -126,7 +127,14 @@ impl StreamingManager {
             agents,
             config,
             next_app: Mutex::with_rank(rank::CORE_APP_IDS, "core.manager.next_app", 1),
+            registry: Registry::new(),
         }
+    }
+
+    /// Manager metrics: `manager.submit_us.{rules,launch,activate}` per
+    /// `submit`, and the manager thread's `manager.sweeps` / `manager.rung`.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// The cluster's global state handle.
@@ -282,18 +290,28 @@ impl StreamingManager {
         self.global.set_logical(&logical)?;
         self.global.set_physical(&physical)?;
         // (iii) Network setup: Table 3 rules (+ acker channels).
+        let mut mark = Instant::now();
+        let mut phase = |name: &str| {
+            let name = format!("manager.submit_us.{name}");
+            let us = mark.elapsed().as_micros() as u64;
+            self.registry.histogram(&name).record(us);
+            mark = Instant::now();
+        };
         if !self.ctl()?.install_topology(&logical, &physical) {
             return Err(CoreError::Timeout("topology install barrier"));
         }
         if let Some(acker) = acker {
             self.install_ack_rules(&physical, acker);
         }
+        phase("rules");
         // (iv) Application setup: launch workers.
         for assignment in &physical.assignments {
             self.launch_assignment(&logical, &physical, assignment, acker, false)?;
         }
+        phase("launch");
         // (v) Activate the topology: unthrottle the first workers.
         self.activate_spouts(app, &logical, &physical);
+        phase("activate");
         Ok(app)
     }
 
@@ -338,10 +356,7 @@ impl StreamingManager {
                 ok &= ctl.send_flow_mod(host, fm);
             }
         }
-        for host in ctl.hosts() {
-            ok &= ctl.sync_switch(host, Duration::from_secs(5));
-        }
-        ok
+        ok & ctl.sync_switches(&ctl.hosts(), Duration::from_secs(5))
     }
 
     /// Incremental reschedule: preserve every surviving task's placement,

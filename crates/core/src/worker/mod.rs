@@ -103,6 +103,8 @@ pub struct CheckpointSpec {
 pub struct WorkerShared {
     /// Set by the worker once it is attached and processing.
     pub ready: Arc<AtomicBool>,
+    /// Rung after `ready` is set and at every exit of the worker: what `wait_ready` parks on.
+    pub(crate) ready_bell: Doorbell,
     /// Graceful stop: drain egress, then exit.
     pub shutdown: Arc<AtomicBool>,
     /// Abrupt stop: exit immediately, dropping the switch port — the
@@ -119,6 +121,7 @@ impl WorkerShared {
     pub fn new() -> Self {
         WorkerShared {
             ready: Arc::new(AtomicBool::new(false)),
+            ready_bell: Doorbell::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
             crash: Arc::new(AtomicBool::new(false)),
             meter: RateMeter::per_second(),
@@ -165,6 +168,13 @@ struct WorkerCtx {
     // tracing
     trace: TraceCtx,
     current_trace: u64,
+}
+
+/// Every exit rings: a worker that dies before it is ready must end its launcher's wait.
+impl Drop for WorkerCtx {
+    fn drop(&mut self) {
+        self.shared.ready_bell.ring();
+    }
 }
 
 impl WorkerCtx {
@@ -490,6 +500,7 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
     let rung = ctx.shared.registry.counter("loop.rung");
     let bell = ctx.io.bell().clone();
     ctx.shared.ready.store(true, Ordering::Release);
+    ctx.shared.ready_bell.ring();
     loop {
         rounds.inc();
         if ctx.shared.crash.load(Ordering::Acquire) {

@@ -1059,49 +1059,66 @@ fn control_tuple_reaches_an_idle_active_spout_at_once() {
     handle.stop();
 }
 
-/// Launches an idle worker of `kind` on an agent, lets it park, and kills
-/// it, 21 times over. Returns the median `WorkerAgent::kill` (flag, ring,
-/// join, detach) — one try can lose the CPU on a shared box — and how many
-/// of the kills ended the worker's park by their ring.
-fn kill_idle_workers(kind: typhoon_model::NodeKind) -> (Duration, u64) {
+/// One agent on a spawned switch, with `bolts` registered beside the idle
+/// `Echo` bolt / `Asked` spout (both named "idle").
+fn test_agent(
+    bolts: impl FnOnce(&mut typhoon_model::ComponentRegistry),
+) -> (
+    Arc<typhoon_core::agent::WorkerAgent>,
+    typhoon_switch::SwitchHandle,
+) {
     use typhoon_coordinator::global::GlobalState;
     use typhoon_coordinator::Coordinator;
-    use typhoon_core::agent::WorkerAgent;
     use typhoon_model::{ComponentRegistry, HostInfo};
 
     let mut components = ComponentRegistry::new();
     components.register_bolt("idle", || Echo);
     components.register_spout("idle", Asked::default);
+    bolts(&mut components);
     let components = Arc::new(typhoon_diag::DiagRwLock::new(components));
     let global = GlobalState::new(Coordinator::new());
     let (sw, _ch) = Switch::new(SwitchConfig::new(1));
     let handle = sw.spawn();
-    let agent = WorkerAgent::new(
+    let agent = typhoon_core::agent::WorkerAgent::new(
         HostInfo::new(0, "h0", 64),
-        sw.clone(),
+        sw,
         components,
         SerStats::shared(),
         &global,
         None,
     )
     .unwrap();
+    (agent, handle)
+}
+
+/// The config of a worker of `component` that nothing ever talks to.
+fn lone_worker(task: u32, component: &str) -> WorkerConfig {
+    WorkerConfig {
+        app: AppId(1),
+        task: TaskId(task),
+        node: component.into(),
+        component: component.into(),
+        io: io(1000, NEVER),
+        acking: false,
+        acker: None,
+        ack_timeout: Duration::from_secs(30),
+        max_pending: 64,
+        start_active: true,
+        checkpoint: None,
+        restore: false,
+    }
+}
+
+/// Launches an idle worker of `kind` on an agent, lets it park, and kills
+/// it, 21 times over. Returns the median `WorkerAgent::kill` (flag, ring,
+/// join, detach) — one try can lose the CPU on a shared box — and how many
+/// of the kills ended the worker's park by their ring.
+fn kill_idle_workers(kind: typhoon_model::NodeKind) -> (Duration, u64) {
+    let (agent, handle) = test_agent(|_| {});
     let (mut kills, mut by_ring) = (Vec::new(), 0);
     for task in 1..=21 {
         let port = agent.alloc_port();
-        let config = WorkerConfig {
-            app: AppId(1),
-            task: TaskId(task),
-            node: "idle".into(),
-            component: "idle".into(),
-            io: io(1000, NEVER),
-            acking: false,
-            acker: None,
-            ack_timeout: Duration::from_secs(30),
-            max_pending: 64,
-            start_active: true,
-            checkpoint: None,
-            restore: false,
-        };
+        let config = lone_worker(task, "idle");
         let shared = agent.launch(kind, false, port, config, Vec::new()).unwrap();
         agent
             .wait_ready(AppId(1), TaskId(task), Duration::from_secs(5))
@@ -1144,4 +1161,90 @@ fn idle_active_spout_exits_promptly_on_agent_kill() {
         by_ring > 10,
         "{by_ring} of 21 kills ended a park: the rest waited for a poll"
     );
+}
+
+/// A bolt whose worker-side construction takes a moment (so the launcher is
+/// parked when `ready` comes) or panics.
+struct SlowToPrepare {
+    panics: bool,
+}
+
+impl Bolt for SlowToPrepare {
+    fn prepare(&mut self) {
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(!self.panics, "this bolt cannot be constructed");
+    }
+
+    fn execute(&mut self, _input: Tuple, _out: &mut dyn Emitter) {}
+}
+
+/// `wait_ready` parks on the worker's ready bell: over 21 launches the
+/// worker's ring — not a timed re-check, and never the deadline — ends the
+/// wait. By count: `ready.rung` says which waits the ring ended.
+#[test]
+fn wait_ready_is_ended_by_the_workers_ring() {
+    let (agent, handle) =
+        test_agent(|c| c.register_bolt("slow", || SlowToPrepare { panics: false }));
+    let mut by_ring = 0;
+    for task in 1..=21 {
+        let config = lone_worker(task, "slow");
+        let kind = typhoon_model::NodeKind::Bolt;
+        let shared = agent
+            .launch(kind, false, agent.alloc_port(), config, Vec::new())
+            .unwrap();
+        // None by the deadline …
+        agent
+            .wait_ready(AppId(1), TaskId(task), Duration::from_secs(10))
+            .unwrap();
+        assert!(shared.ready.load(Ordering::Acquire));
+        // … and the last wait of most by the ring (`MAX_PARK` caps a park,
+        // so a 2 ms construction is two or three waits).
+        by_ring += shared.registry.snapshot().counter("ready.rung").min(1);
+        agent.kill(AppId(1), TaskId(task));
+    }
+    handle.stop();
+    assert!(by_ring > 10, "{by_ring} of 21 waits were ended by the ring");
+}
+
+/// A worker that dies before it is ready fails the launch when it dies, by
+/// a typed error that names it — not after `ready_timeout`. The bound is
+/// the 10 s timeout itself: three orders of magnitude above the 2 ms the
+/// construction takes.
+#[test]
+fn a_worker_that_dies_before_it_is_ready_fails_the_launch_at_once() {
+    let (agent, handle) =
+        test_agent(|c| c.register_bolt("doomed", || SlowToPrepare { panics: true }));
+    let timeout = Duration::from_secs(10);
+    let kind = typhoon_model::NodeKind::Bolt;
+    let shared = agent
+        .launch(
+            kind,
+            false,
+            agent.alloc_port(),
+            lone_worker(7, "doomed"),
+            Vec::new(),
+        )
+        .unwrap();
+    let t = Instant::now();
+    let err = agent.wait_ready(AppId(1), TaskId(7), timeout).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            typhoon_core::CoreError::WorkerExited(AppId(1), TaskId(7))
+        ),
+        "{err}"
+    );
+    assert!(err.to_string().contains("t7"), "{err}");
+    assert!(t.elapsed() < timeout / 10, "waited {:?}", t.elapsed());
+    assert!(!shared.ready.load(Ordering::Acquire));
+    assert_eq!(shared.registry.snapshot().counter("recovery.panics"), 1);
+    // The dead worker is the heartbeat scan's to find, and reapable.
+    assert_eq!(agent.dead_workers(), vec![(AppId(1), TaskId(7))]);
+    agent.reap(AppId(1), TaskId(7));
+    // A worker nobody launched is "gone" too, at once.
+    assert!(matches!(
+        agent.wait_ready(AppId(1), TaskId(8), timeout),
+        Err(typhoon_core::CoreError::WorkerExited(_, TaskId(8)))
+    ));
+    handle.stop();
 }

@@ -189,6 +189,29 @@ fn no_idle_sleep_returns_under_a_waiver() {
         .filter(|(file, _)| file.contains("core/src/worker/"))
         .collect();
     assert!(in_worker.is_empty(), "a worker loop sleeps: {in_worker:?}");
+    // Readiness and barriers are rung (PR 21): the launcher and the fence
+    // park on a bell, so neither file has a sleep left to waive.
+    let rung: Vec<_> = library
+        .iter()
+        .filter(|(file, _)| {
+            file.ends_with("core/src/agent.rs") || file.ends_with("controller/src/controller.rs")
+        })
+        .collect();
+    assert!(rung.is_empty(), "a deploy or fence wait sleeps: {rung:?}");
+    // What `typhoon-core` still sleeps on: the chaos killer (×2, a test
+    // fixture's clock) and `reconfigure`'s three quiesce / drain waits —
+    // ROADMAP item 2's open half (acknowledged SIGNAL / Deactivate, the
+    // end-of-route marker), which should take this to 2.
+    let in_core: Vec<_> = library
+        .iter()
+        .filter(|(file, _)| file.contains("/core/src/"))
+        .collect();
+    assert_eq!(in_core.len(), 5, "{in_core:?}");
+    let in_reconfigure = in_core
+        .iter()
+        .filter(|(file, line)| file.ends_with("manager.rs") && line.contains("_wait)"))
+        .count();
+    assert_eq!(in_reconfigure, 3, "{in_core:?}");
     let backoffs: Vec<_> = library
         .iter()
         .filter(|(_, line)| line.contains("allow-sleep(idle backoff"))
