@@ -161,8 +161,7 @@ impl Controller {
 
     fn send_to_switch(&self, host: HostId, msg: &OfMessage) -> bool {
         // Clone the channel and release the switches lock before the
-        // blocking send: a switch with a full inbox must not stall every
-        // thread that needs the switch table (TL008).
+        // send (TL008); a switch with a full inbox fails it, never blocks.
         let channel = {
             let switches = self.inner.switches.read();
             match switches.get(&host) {
@@ -361,7 +360,7 @@ impl Controller {
         let raw: Option<Bytes> = {
             let switches = self.inner.switches.read();
             match switches.get(&host) {
-                Some(b) => b.channel.from_switch.try_recv().ok(),
+                Some(b) => b.channel.try_recv(),
                 None => None,
             }
         };
@@ -659,6 +658,11 @@ mod tests {
         assert!(ctl.inner.barrier_waiters.lock().is_empty());
         pump.stop();
         datapath.stop();
+        // Three threads pumped one ring (both callers and the spawned
+        // loop): every reply was popped, by exactly one of them.
+        let (pushed, popped, shed) = ctl.inner.switches.read()[&HostId(0)].channel.stats();
+        assert!(pushed >= 1000, "{pushed}");
+        assert_eq!((popped, shed), (pushed, 0));
     }
 
     #[test]

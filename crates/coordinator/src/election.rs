@@ -19,7 +19,7 @@
 use crate::store::{Coordinator, CreateMode};
 use crate::wire::{Reader, Writer};
 use crate::{CoordError, Result, SessionId, WatchEvent};
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 
 /// Default election prefix under the coordinator root.
 pub const ELECTION_PREFIX: &str = "/typhoon/election";

@@ -14,7 +14,7 @@
 use crate::store::{Coordinator, CreateMode};
 use crate::wire::{Reader, Writer};
 use crate::{CoordError, Result, SessionId, WatchEvent};
-use crossbeam::channel::Receiver;
+use std::sync::mpsc::Receiver;
 use typhoon_model::{
     AppId, EdgeSpec, Grouping, HostId, HostInfo, LogicalTopology, NodeKind, NodeSpec,
     PhysicalTopology, ReconfigOp, ReconfigRequest, TaskAssignment,

@@ -3,8 +3,8 @@
 use crate::session::{SessionId, SessionState};
 use crate::watch::{WatchEvent, WatchKind, WatchTable};
 use crate::{CoordError, Result};
-use crossbeam::channel::Receiver;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex};

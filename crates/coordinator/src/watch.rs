@@ -6,7 +6,7 @@
 //! ZooKeeper one-shot watches, subscriptions here are persistent prefix
 //! watches — simpler for subscribers and strictly more informative.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// What happened to a znode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,7 @@ pub(crate) struct WatchTable {
 impl WatchTable {
     /// Registers one watch per prefix, all feeding the returned receiver.
     pub(crate) fn subscribe(&mut self, prefixes: &[&str]) -> Receiver<WatchEvent> {
-        let (tx, rx) = unbounded(); // LINT: allow-unbounded(watch events are low-rate control-plane traffic; dropping notifications would break session semantics)
+        let (tx, rx) = channel(); // LINT: allow-unbounded(watch events are low-rate control-plane traffic; dropping notifications would break session semantics)
         self.subs.extend(prefixes.iter().map(|prefix| Subscription {
             prefix: (*prefix).to_owned(),
             tx: tx.clone(),

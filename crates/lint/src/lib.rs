@@ -12,7 +12,7 @@
 //! | TL001 | `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` in non-test code (poisoning panics propagate) | `// LINT: allow-lock-unwrap(reason)` |
 //! | TL002 | raw `std::sync::Mutex`/`RwLock` in hot-path crates instead of `typhoon-diag` wrappers | `// LINT: allow-raw-lock(reason)` |
 //! | TL003 | `unsafe` without a `// SAFETY:` comment | the `// SAFETY:` comment itself |
-//! | TL004 | unbounded channels in non-test code (unbackpressured queues hide overload) | `// LINT: allow-unbounded(reason)` |
+//! | TL004 | unbounded channels (`mpsc::channel()`, `unbounded()`) in non-test code (unbackpressured queues hide overload) | `// LINT: allow-unbounded(reason)` |
 //! | TL005 | `std::thread::sleep`, `thread::park` or `thread::park_timeout` in library code (blocks an executor thread; a park is a sleep by another name — wait on a `typhoon_net::Doorbell`) | `// LINT: allow-sleep(reason)` |
 //! | TL006 | raw `thread::spawn`/`thread::Builder` in runtime crates instead of `typhoon_diag::spawn_supervised` (a silent thread death is an undetectable fault) | `// LINT: allow-raw-spawn(reason)` |
 //! | TL007 | lock-order violations: unranked Diag locks in hot-path crates, acquisition nesting that contradicts the declared ranks, and cycles in the acquisition-order graph (see [`graph`]) | `// LINT: allow-unranked-lock(reason)` |
@@ -438,8 +438,8 @@ pub fn check_source(rel: &str, source: &str) -> Vec<Diagnostic> {
                 "TL004",
                 i,
                 "unbounded channel in non-test code hides overload instead of \
-                 applying backpressure; use `bounded(n)` or waive with \
-                 `// LINT: allow-unbounded(reason)`"
+                 applying backpressure; use the ring or `sync_channel(n)`, or \
+                 waive with `// LINT: allow-unbounded(reason)`"
                     .into(),
             );
         }
@@ -539,24 +539,21 @@ fn has_raw_lock(code: &str) -> bool {
     code.contains("std::sync") && (code.contains("Mutex") || code.contains("RwLock"))
 }
 
+/// A call of an unbounded-channel constructor: `std`'s `mpsc::channel` (by
+/// path or imported) or anything named `unbounded`. `sync_channel(n)` is
+/// bounded and a `.channel()` method is not a constructor; neither matches.
 fn has_unbounded(code: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find("unbounded") {
-        let abs = start + pos;
-        let before_ok = abs == 0
-            || !code[..abs]
+    ["channel", "unbounded"].iter().any(|ctor| {
+        code.match_indices(ctor).any(|(at, _)| {
+            let free_path = !code[..at]
                 .chars()
                 .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let rest = &code[abs + "unbounded".len()..];
-        // `unbounded(…)` or `unbounded::<T>(…)` — a call, not a mention.
-        let call = rest.trim_start().starts_with('(') || rest.trim_start().starts_with("::<");
-        if before_ok && call {
-            return true;
-        }
-        start = abs + "unbounded".len();
-    }
-    false
+                .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.');
+            // `ctor(…)` or `ctor::<T>(…)` — a call, not a mention.
+            let rest = code[at + ctor.len()..].trim_start();
+            free_path && (rest.starts_with('(') || rest.starts_with("::<"))
+        })
+    })
 }
 
 /// A sleep, or the same thing spelled as a park (`thread::park` also
@@ -722,10 +719,22 @@ mod tests {
 
     #[test]
     fn unbounded_call_flagged_mention_not() {
-        let bad = "let (tx, rx) = unbounded();\n";
-        assert_eq!(check_source("crates/mq/src/x.rs", bad)[0].rule, "TL004");
-        let mention = "/// unbounded channels are discouraged\nfn f(unbounded_ok: u8) {}\n";
-        assert!(check_source("crates/mq/src/x.rs", mention).is_empty());
+        for bad in [
+            "let (tx, rx) = unbounded();\n",
+            "let (tx, rx) = std::sync::mpsc::channel();\n",
+            "let (tx, rx) = mpsc::channel::<u8>();\n",
+            "let (tx, rx) = channel();\n",
+        ] {
+            assert_eq!(check_source("crates/mq/src/x.rs", bad)[0].rule, "TL004");
+        }
+        for fine in [
+            "/// unbounded channels are discouraged\nfn f(unbounded_ok: u8) {}\n",
+            "use std::sync::mpsc::{channel, Receiver};\n",
+            "let (tx, rx) = mpsc::sync_channel(8);\n",
+            "let ch = link.channel();\n",
+        ] {
+            assert_eq!(check_source("crates/mq/src/x.rs", fine), vec![], "{fine}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ fn sleepy() {
 }
 
 fn chan() {
-    let (_tx, _rx) = crossbeam::channel::unbounded::<u8>();
+    let (_tx, _rx) = std::sync::mpsc::channel::<u8>();
 }
 
 unsafe fn danger() {}
@@ -20,4 +20,9 @@ fn blocky() {
     unsafe {
         let _ = *p;
     }
+}
+
+fn imported_chan() {
+    use std::sync::mpsc::channel;
+    let (_tx, _rx) = channel::<u8>();
 }

@@ -11,7 +11,8 @@ fn sleepy() {
 }
 
 fn chan() {
-    let (_tx, _rx) = crossbeam::channel::unbounded::<u8>(); // LINT: allow-unbounded(fixture control channel)
+    let (_tx, _rx) = std::sync::mpsc::channel::<u8>(); // LINT: allow-unbounded(fixture control channel)
+    let (_tx, _rx) = std::sync::mpsc::sync_channel::<u8>(8);
 }
 
 fn blocky() {

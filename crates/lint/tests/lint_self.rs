@@ -39,6 +39,7 @@ fn lib_reports_exact_rules_and_lines_for_bad_fixture() {
             ("TL004", "violations.rs", 13),
             ("TL003", "violations.rs", 16),
             ("TL003", "violations.rs", 20),
+            ("TL004", "violations.rs", 27),
         ],
     );
 }
@@ -66,6 +67,7 @@ fn binary_json_output_and_exit_codes() {
         r#""rule":"TL004","path":"violations.rs","line":13"#,
         r#""rule":"TL003","path":"violations.rs","line":16"#,
         r#""rule":"TL003","path":"violations.rs","line":20"#,
+        r#""rule":"TL004","path":"violations.rs","line":27"#,
         r#""rule":"TL002","path":"crates/storm/src/raw_lock.rs","line":3"#,
         r#""rule":"TL002","path":"crates/storm/src/raw_lock.rs","line":5"#,
         r#""rule":"TL006","path":"crates/core/src/raw_spawn.rs","line":4"#,
@@ -82,11 +84,11 @@ fn binary_json_output_and_exit_codes() {
     ] {
         assert!(json.contains(expected), "missing {expected} in:\n{json}");
     }
-    assert_eq!(json.matches(r#""rule":"#).count(), 18, "no extras:\n{json}");
+    assert_eq!(json.matches(r#""rule":"#).count(), 19, "no extras:\n{json}");
     // Every diagnostic carries a one-line rationale for its rule.
     assert_eq!(
         json.matches(r#""rationale":""#).count(),
-        18,
+        19,
         "every finding needs a rationale:\n{json}"
     );
     assert!(
@@ -157,33 +159,79 @@ fn real_workspace_is_clean() {
     );
 }
 
+/// `(file, line)` of every `tag` waiver in library code (`crates/*/src`).
+fn library_waivers(tag: &str) -> Vec<(String, String)> {
+    fn walk(dir: &std::path::Path, tag: &str, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                // `perf` builds into a `target` of its own under `src`.
+                if !path.ends_with("target") {
+                    walk(&path, tag, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let source = std::fs::read_to_string(&path).expect("read source");
+                let file = path.display().to_string();
+                let hits = source.lines().filter(|l| l.contains(tag));
+                out.extend(hits.map(|l| (file.clone(), l.trim().to_owned())));
+            }
+        }
+    }
+    let mut library = Vec::new();
+    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+    walk(&crates, tag, &mut library);
+    library.retain(|(file, _)| file.contains("/src/"));
+    library
+}
+
+/// The unbounded-queue census, pinned: a queue is the ring (bounded,
+/// overflow counted) or a `std::sync::mpsc` channel, and TL004 accepts any
+/// reasoned waiver — so the unbounded ones are counted here: tunnel ×3,
+/// Storm inbox ×2, coordinator watch ×1.
+#[test]
+fn the_unbounded_queues_are_the_six_we_know() {
+    let mut waived = library_waivers("LINT: allow-unbounded(");
+    waived.retain(|(file, _)| !file.contains("/lint/src/")); // the rule's own text
+    let in_file = |suffix: &str| waived.iter().filter(|(f, _)| f.ends_with(suffix)).count();
+    assert_eq!(in_file("net/src/tunnel.rs"), 3, "{waived:?}");
+    assert_eq!(in_file("storm/src/transport.rs"), 2, "{waived:?}");
+    assert_eq!(in_file("coordinator/src/watch.rs"), 1, "{waived:?}");
+    assert_eq!(waived.len(), 6, "{waived:?}");
+}
+
+/// TL009 only says a declared dependency must be used; this says the
+/// channel shim may not be declared again, and what `vendor/` holds.
+#[test]
+fn no_manifest_names_crossbeam_and_vendor_is_three_shims() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut vendored = Vec::new();
+    for dir in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(dir))
+            .expect("read_dir")
+            .flatten()
+        {
+            manifests.push(entry.path().join("Cargo.toml"));
+            if dir == "vendor" {
+                vendored.push(entry.file_name().to_string_lossy().into_owned());
+            }
+        }
+    }
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        assert!(!text.contains("crossbeam"), "{}", manifest.display());
+    }
+    vendored.sort();
+    assert_eq!(vendored, ["bytes", "proptest", "rand"]);
+}
+
 /// The sleep-waiver census, pinned: TL005 accepts any reasoned waiver, so a
 /// blind sleep could return to a worker loop under one. Every Typhoon
 /// worker role waits on its doorbell; the one idle backoff left in library
 /// code is the Storm baseline's spout executor.
 #[test]
 fn no_idle_sleep_returns_under_a_waiver() {
-    /// `(file, line)` of every `allow-sleep` waiver in a `.rs` file under `dir`.
-    fn waivers(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
-        for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                // `perf` builds into a `target` of its own under `src`.
-                if !path.ends_with("target") {
-                    waivers(&path, out);
-                }
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                let source = std::fs::read_to_string(&path).expect("read source");
-                let file = path.display().to_string();
-                let hits = source.lines().filter(|l| l.contains("allow-sleep"));
-                out.extend(hits.map(|l| (file.clone(), l.trim().to_owned())));
-            }
-        }
-    }
-    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
-    let mut library = Vec::new();
-    waivers(&crates, &mut library);
-    library.retain(|(file, _)| file.contains("/src/"));
+    let library = library_waivers("allow-sleep");
     let in_worker: Vec<_> = library
         .iter()
         .filter(|(file, _)| file.contains("core/src/worker/"))

@@ -51,9 +51,8 @@ impl Doorbell {
     /// The longest a waiter parks, whatever deadline it asked for. It
     /// bounds everything that still legitimately needs a poll — the
     /// [`FaultInjector`](crate::FaultInjector)'s lazily released frames,
-    /// role timers that tick at 100 ms, a dropped control channel, a flag
-    /// flipped without a ring — and turns a lost wake-up from a hang into
-    /// a 1 ms delay.
+    /// role timers that tick at 100 ms, a flag flipped without a ring —
+    /// and turns a lost wake-up from a hang into a 1 ms delay.
     pub const MAX_PARK: Duration = Duration::from_millis(1);
 
     /// A bell nobody waits on yet.

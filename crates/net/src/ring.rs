@@ -8,6 +8,11 @@
 //! behind, pushes fail and the drop counter grows — the "temporary TX/RX
 //! queue overflow" of §8 as a testable number instead of silent loss.
 //!
+//! The ring is generic over what it carries: [`Frame`]s on the worker
+//! ports (the default), encoded OpenFlow [`Bytes`] on the switch ↔
+//! controller channel — one queue mechanism, one close, one checked
+//! protocol for every hand-off whose consumer is a doorbell-driven loop.
+//!
 //! `closed` is only ever *written* while the queue lock is held, so "empty
 //! and closed" seen under that lock is final and a batch is attempted whole
 //! or returned whole. It is an `AtomicBool` only so that `is_closed` (every
@@ -18,6 +23,7 @@
 use crate::doorbell::Doorbell;
 use crate::frame::Frame;
 use crate::{NetError, Result};
+use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,8 +51,27 @@ impl RingStats {
     }
 }
 
-struct Shared {
-    queue: DiagMutex<VecDeque<Frame>>,
+/// What a ring can carry: anything with a size on the wire (the port TX
+/// byte counter, [`BatchPush::enqueued_bytes`]).
+pub trait RingItem {
+    /// Bytes this item occupies on the wire.
+    fn wire_len(&self) -> usize;
+}
+
+impl RingItem for Frame {
+    fn wire_len(&self) -> usize {
+        Frame::wire_len(self)
+    }
+}
+
+impl RingItem for Bytes {
+    fn wire_len(&self) -> usize {
+        self.len()
+    }
+}
+
+struct Shared<T> {
+    queue: DiagMutex<VecDeque<T>>,
     capacity: usize,
     stats: RingStats,
     /// Written only under `queue`'s lock; loaded without it by `is_closed`.
@@ -56,7 +81,7 @@ struct Shared {
     bell: Doorbell,
 }
 
-impl Shared {
+impl<T: RingItem> Shared<T> {
     fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
@@ -77,7 +102,7 @@ impl Shared {
     /// acquisition, `closed` checked once under it, the bell rung once
     /// after the guard drops. `frames` is only called on an open ring, so a
     /// closed one leaves every frame with the caller.
-    fn enqueue<I: Iterator<Item = Frame>>(&self, frames: impl FnOnce() -> I) -> BatchPush {
+    fn enqueue<I: Iterator<Item = T>>(&self, frames: impl FnOnce() -> I) -> BatchPush {
         let result = {
             let mut queue = self.queue.lock();
             if self.is_closed() {
@@ -119,25 +144,28 @@ impl Shared {
 }
 
 /// Producer half of a ring.
-pub struct RingProducer {
-    shared: Arc<Shared>,
+pub struct RingProducer<T: RingItem = Frame> {
+    shared: Arc<Shared<T>>,
 }
 
 /// Consumer half of a ring.
-pub struct RingConsumer {
-    shared: Arc<Shared>,
+pub struct RingConsumer<T: RingItem = Frame> {
+    shared: Arc<Shared<T>>,
 }
 
 /// Creates a bounded ring of `capacity` frames with a bell of its own
 /// ([`RingConsumer::bell`]).
-pub fn ring(capacity: usize) -> (RingProducer, RingConsumer) {
+pub fn ring<T: RingItem>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>) {
     ring_with_bell(capacity, Doorbell::new())
 }
 
 /// Creates a bounded ring whose producer rings `bell` — how several rings
 /// wake one consumer thread (every worker → switch ring shares the
 /// switch's bell).
-pub fn ring_with_bell(capacity: usize, bell: Doorbell) -> (RingProducer, RingConsumer) {
+pub fn ring_with_bell<T: RingItem>(
+    capacity: usize,
+    bell: Doorbell,
+) -> (RingProducer<T>, RingConsumer<T>) {
     assert!(capacity > 0, "capacity must be non-zero");
     let shared = Arc::new(Shared {
         queue: DiagMutex::with_rank(rank::TUNNEL, "net.ring", VecDeque::with_capacity(capacity)),
@@ -169,10 +197,10 @@ pub struct BatchPush {
     pub disconnected: bool,
 }
 
-impl RingProducer {
+impl<T: RingItem> RingProducer<T> {
     /// Enqueues a frame. On overflow the frame is dropped (and counted),
     /// mirroring a full hardware TX queue.
-    pub fn push(&self, frame: Frame) -> Result<()> {
+    pub fn push(&self, frame: T) -> Result<()> {
         let pushed = self.shared.enqueue(|| std::iter::once(frame));
         if pushed.disconnected {
             Err(NetError::Disconnected)
@@ -188,7 +216,7 @@ impl RingProducer {
     /// counted like `push`; on a closed ring the frames are **left in
     /// `batch`**, so the caller knows none was attempted. The consumer's
     /// bell is rung once, after the hand-over.
-    pub fn push_batch(&self, batch: &mut Vec<Frame>) -> BatchPush {
+    pub fn push_batch(&self, batch: &mut Vec<T>) -> BatchPush {
         self.shared.enqueue(|| batch.drain(..))
     }
 
@@ -209,16 +237,16 @@ impl RingProducer {
     }
 }
 
-impl Drop for RingProducer {
+impl<T: RingItem> Drop for RingProducer<T> {
     fn drop(&mut self) {
         self.close();
     }
 }
 
-impl RingConsumer {
+impl<T: RingItem> RingConsumer<T> {
     /// Dequeues one frame if available. `Ok(None)` means "empty right now";
     /// [`NetError::Disconnected`] means closed *and* drained.
-    pub fn pop(&self) -> Result<Option<Frame>> {
+    pub fn pop(&self) -> Result<Option<T>> {
         let mut one = Vec::new();
         self.pop_batch(&mut one, 1)?;
         Ok(one.pop())
@@ -232,7 +260,7 @@ impl RingConsumer {
     /// Frames queued before a close are still delivered: `Disconnected`
     /// only surfaces on a call that found the ring closed **and** empty,
     /// never in place of frames it could have drained.
-    pub fn pop_batch(&self, out: &mut Vec<Frame>, max: usize) -> Result<usize> {
+    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> Result<usize> {
         let mut queue = self.shared.queue.lock();
         let n = queue.len().min(max);
         if n == 0 && max > 0 && self.shared.is_closed() {
@@ -281,20 +309,20 @@ impl RingConsumer {
     }
 }
 
-impl Drop for RingConsumer {
+impl<T: RingItem> Drop for RingConsumer<T> {
     fn drop(&mut self) {
         self.close();
     }
 }
 
-impl std::fmt::Debug for RingProducer {
+impl<T: RingItem> std::fmt::Debug for RingProducer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (e, d, x) = self.stats();
         write!(f, "RingProducer(enq={e}, deq={d}, drop={x})")
     }
 }
 
-impl std::fmt::Debug for RingConsumer {
+impl<T: RingItem> std::fmt::Debug for RingConsumer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let (e, d, x) = self.stats();
         write!(f, "RingConsumer(enq={e}, deq={d}, drop={x})")
@@ -513,7 +541,7 @@ mod tests {
 
         // The consumer half's close (a dying worker's rx) rings too, and
         // `ring()` gives the ring a private bell.
-        let (tx, rx) = ring(2);
+        let (tx, rx) = ring::<Frame>(2);
         let bell = rx.bell().clone();
         drop(rx);
         assert_eq!(bell.rings(), 1);

@@ -12,15 +12,19 @@
 //!   the REMOTE configuration of Fig. 8.
 //! * [`InMemoryTunnel`] — a channel-backed pipe with identical semantics,
 //!   used for deterministic tests and as a faster LOCAL-style transport.
+//!
+//! Both queue received frames on a `std::sync::mpsc` channel, not on a
+//! ring: a tunnel is a reliable ordered pipe that mirrors socket buffering,
+//! and a ring sheds on overflow.
 
 use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
 use crate::{NetError, Result, TeardownCause};
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 use typhoon_diag::{rank, DiagMutex as Mutex};
@@ -192,6 +196,12 @@ impl TunnelShared {
     }
 }
 
+/// The receive end of a tunnel's frame queue, behind a leaf lock so an
+/// endpoint can be shared between a sending and a polling thread.
+fn rx_lock(rx: Receiver<Frame>) -> Mutex<Receiver<Frame>> {
+    Mutex::with_rank(rank::TUNNEL, "net.tunnel.rx", rx)
+}
+
 /// A reliable, ordered, bidirectional frame pipe between two hosts.
 pub trait Tunnel: Send {
     /// Sends one frame to the peer host.
@@ -229,7 +239,7 @@ pub trait Tunnel: Send {
 #[derive(Debug)]
 pub struct InMemoryTunnel {
     tx: Sender<Frame>,
-    rx: Receiver<Frame>,
+    rx: Mutex<Receiver<Frame>>,
     bell: Arc<BellSlot>,
     /// Declared after `tx`: fields drop in order, so the peer is rung once
     /// its `try_recv` already reports `Disconnected`.
@@ -249,19 +259,19 @@ impl Drop for RingOnDrop {
 impl InMemoryTunnel {
     /// Creates a connected endpoint pair.
     pub fn pair() -> (InMemoryTunnel, InMemoryTunnel) {
-        let (a_tx, a_rx) = unbounded(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
-        let (b_tx, b_rx) = unbounded(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
+        let (a_tx, a_rx) = channel(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
+        let (b_tx, b_rx) = channel(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
         let (a_bell, b_bell) = (Arc::<BellSlot>::default(), Arc::<BellSlot>::default());
         (
             InMemoryTunnel {
                 tx: a_tx,
-                rx: b_rx,
+                rx: rx_lock(b_rx),
                 bell: a_bell.clone(),
                 peer_bell: RingOnDrop(b_bell.clone()),
             },
             InMemoryTunnel {
                 tx: b_tx,
-                rx: a_rx,
+                rx: rx_lock(a_rx),
                 bell: b_bell,
                 peer_bell: RingOnDrop(a_bell),
             },
@@ -283,7 +293,7 @@ impl Tunnel for InMemoryTunnel {
     }
 
     fn try_recv(&self) -> Result<Option<Frame>> {
-        match self.rx.try_recv() {
+        match self.rx.lock().try_recv() {
             Ok(f) => Ok(Some(f)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
@@ -305,7 +315,7 @@ impl Tunnel for InMemoryTunnel {
 /// misframes and never hangs.
 pub struct TcpTunnel {
     writer: Arc<Mutex<TcpStream>>,
-    rx: Receiver<Frame>,
+    rx: Mutex<Receiver<Frame>>,
     shared: Arc<TunnelShared>,
 }
 
@@ -320,7 +330,7 @@ impl TcpTunnel {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(config.write_timeout))?;
         let reader_stream = stream.try_clone()?;
-        let (tx, rx) = unbounded(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
+        let (tx, rx) = channel(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
         let shared = Arc::new(TunnelShared::default());
         let reader_shared = shared.clone();
         std::thread::Builder::new()
@@ -329,7 +339,7 @@ impl TcpTunnel {
             .map_err(NetError::Io)?;
         Ok(TcpTunnel {
             writer: Arc::new(Mutex::with_rank(rank::TUNNEL, "net.tunnel.writer", stream)),
-            rx,
+            rx: rx_lock(rx),
             shared,
         })
     }
@@ -476,7 +486,7 @@ impl Tunnel for TcpTunnel {
     fn try_recv(&self) -> Result<Option<Frame>> {
         // Buffered frames stay deliverable after any teardown; the typed
         // error only surfaces once the queue is drained.
-        match self.rx.try_recv() {
+        match self.rx.lock().try_recv() {
             Ok(f) => Ok(Some(f)),
             Err(TryRecvError::Empty) => match self.shared.broken.get() {
                 None => Ok(None),
@@ -504,7 +514,7 @@ impl Drop for TcpTunnel {
 
 impl std::fmt::Debug for TcpTunnel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TcpTunnel(pending={})", self.rx.len())
+        write!(f, "TcpTunnel(broken={:?})", self.shared.broken.get())
     }
 }
 

@@ -8,9 +8,8 @@
 //! per tuple (Fig. 12's Storm curve).
 
 use crate::acker::{AckOutcome, AckerLedger};
-use crate::transport::Outbound;
+use crate::transport::{Inbox, Outbound};
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -55,8 +54,8 @@ pub struct ExecutorCtx {
     pub routes: Vec<Route>,
     /// Connection cache to other tasks.
     pub outbound: Outbound,
-    /// This task's inbox.
-    pub inbox: Receiver<Bytes>,
+    /// This task's inbox (owned: its listener lives as long as we do).
+    pub inbox: Inbox,
     /// Cluster-wide serialization meter.
     pub ser: Arc<SerStats>,
     /// Liveness: updated every loop iteration, watched by Nimbus.
@@ -294,7 +293,7 @@ fn run_loop<R: ExecutorRole>(ctx: &mut ExecutorCtx, mut role: R) {
         ctx.heartbeat();
         let mut busy = role.on_tick(ctx);
         for _ in 0..DRAIN_BATCH {
-            let Ok(blob) = ctx.inbox.try_recv() else {
+            let Some(blob) = ctx.inbox.try_recv() else {
                 break;
             };
             busy = true;
@@ -306,7 +305,7 @@ fn run_loop<R: ExecutorRole>(ctx: &mut ExecutorCtx, mut role: R) {
             ctx.outbound.flush_all();
             if R::POLLS {
                 std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff of the spout executor, whose next_batch cannot wake it)
-            } else if let Ok(blob) = ctx.inbox.recv_timeout(Doorbell::MAX_PARK) {
+            } else if let Some(blob) = ctx.inbox.recv_timeout(Doorbell::MAX_PARK) {
                 // Like the Typhoon worker (and real Storm's blocking
                 // disruptor wait strategy): block until input arrives.
                 // Everything buffered was just flushed, so the only other
@@ -388,14 +387,14 @@ struct BoltRole(Box<dyn Bolt>);
 
 impl ExecutorRole for BoltRole {
     fn on_tick(&mut self, ctx: &mut ExecutorCtx) -> bool {
-        let depth = ctx.inbox.len();
+        let depth = ctx.inbox.depth();
         ctx.registry.gauge("queue.depth").set(depth as i64);
         if let Some(cap) = ctx.mem_cap_items {
             if depth > cap {
                 // Model of the JVM worker's OutOfMemoryError under
                 // overload (Fig. 11): drop the queue and die; Nimbus will
                 // restart the worker after the heartbeat timeout.
-                while ctx.inbox.try_recv().is_ok() {}
+                while ctx.inbox.try_recv().is_some() {}
                 ctx.registry.counter("oom.crashes").inc();
                 panic!("simulated OutOfMemoryError in {}", ctx.node);
             }
@@ -485,7 +484,7 @@ pub fn make_ctx(
     node: &str,
     routes: Vec<Route>,
     outbound: Outbound,
-    inbox: Receiver<Bytes>,
+    inbox: Inbox,
     ser: Arc<SerStats>,
     heartbeats: Arc<Mutex<HashMap<TaskId, Instant>>>,
     meter: RateMeter,
@@ -536,7 +535,7 @@ pub fn make_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{Directory, Inbox};
+    use crate::transport::Directory;
     use typhoon_model::Grouping;
 
     fn harness(grouping: Grouping, hops: Vec<TaskId>) -> (ExecutorCtx, Vec<Inbox>, Arc<SerStats>) {
@@ -558,7 +557,7 @@ mod tests {
                 state: RoutingState::new(grouping, hops, vec![]),
             }],
             Outbound::new(dir),
-            my_inbox.rx.clone(),
+            my_inbox,
             ser.clone(),
             Arc::new(Mutex::new(HashMap::new())),
             RateMeter::per_second(),
@@ -580,7 +579,7 @@ mod tests {
         // The headline baseline cost: 4 destinations = 4 serializations.
         assert_eq!(ser.counts().0, 4);
         for ib in &inboxes {
-            assert!(ib.rx.try_recv().is_ok(), "every sink got a copy");
+            assert!(ib.try_recv().is_some(), "every sink got a copy");
         }
     }
 
@@ -610,7 +609,7 @@ mod tests {
         ctx.emit_tuple(StreamId::DEFAULT, vec![Value::Int(1)]);
         ctx.flush_transfers(true);
         assert_eq!(ser.counts().0, 2, "base send + mirror send");
-        let mirrored = dbg_inbox.rx.try_recv().unwrap();
+        let mirrored = dbg_inbox.try_recv().unwrap();
         let (t, _) = decode_tuple(&mirrored, &ser).unwrap();
         assert_eq!(t.meta.stream, StreamId::DEBUG_MIRROR);
     }
@@ -628,13 +627,43 @@ mod tests {
         // anchors on the wire equals the accumulated value.
         let mut wire_xor = 0u64;
         for ib in &inboxes {
-            let blob = ib.rx.try_recv().unwrap();
+            let blob = ib.try_recv().unwrap();
             let (t, _) = decode_tuple(&blob, &ser).unwrap();
             assert_eq!(t.meta.message_id.root, 42);
             wire_xor ^= t.meta.message_id.anchor;
         }
         assert_eq!(wire_xor, ctx.accum_xor);
         assert_ne!(ctx.accum_xor, 0);
+    }
+
+    /// Fig. 11's overload model, on the inbox's own depth count: a bolt
+    /// whose backlog passes `mem_cap_items` reports the depth, counts one
+    /// crash, drops the backlog and dies.
+    #[test]
+    fn a_bolt_over_its_memory_cap_reports_the_depth_and_dies() {
+        struct Idle;
+        impl Bolt for Idle {
+            fn execute(&mut self, _input: Tuple, _out: &mut dyn Emitter) {}
+        }
+        let (mut ctx, _inboxes, _ser) = harness(Grouping::Shuffle, vec![]);
+        ctx.mem_cap_items = Some(3);
+        let (task, registry) = (ctx.task, ctx.registry.clone());
+        let to_self = Directory::new();
+        to_self.register(task, ctx.inbox.addr.clone());
+        let backlog = Outbound::new(to_self);
+        for _ in 0..5 {
+            assert!(backlog.send(task, &Bytes::from_static(b"blob")));
+        }
+        assert_eq!(ctx.inbox.depth(), 5);
+        let executor = std::thread::spawn(move || run(ctx, Component::Bolt(Box::new(Idle))));
+        assert!(executor.join().is_err(), "the executor thread died");
+        let seen = registry.snapshot();
+        assert_eq!(seen.gauge("queue.depth"), 5);
+        assert_eq!(seen.counter("oom.crashes"), 1);
+        assert!(
+            !backlog.send(task, &Bytes::from_static(b"late")),
+            "the inbox went with the executor"
+        );
     }
 
     #[test]

@@ -342,7 +342,7 @@ impl StormCluster {
             &bp.node,
             routes,
             Outbound::new(self.inner.directory.clone()),
-            inbox.rx.clone(),
+            inbox,
             self.inner.ser.clone(),
             self.inner.heartbeats.clone(),
             meter,
@@ -392,11 +392,9 @@ impl StormCluster {
             }
         };
         topo.shutdowns.lock().insert(task, shutdown);
-        // Keep the inbox alive for the executor's lifetime: move it in.
         std::thread::Builder::new()
             .name(format!("storm-{}-{}", bp.node, task))
             .spawn(move || {
-                let _inbox = inbox;
                 let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     executor::run(ctx, component);
                 }));

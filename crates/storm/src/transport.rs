@@ -9,10 +9,11 @@
 //! serialization, see [`crate::executor`]) per destination.
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
@@ -25,7 +26,7 @@ const MAX_BLOB: usize = 64 * 1024 * 1024;
 #[derive(Debug, Clone)]
 pub enum InboxAddr {
     /// Same-process channel.
-    Local(Sender<Bytes>),
+    Local(InboxSender),
     /// TCP endpoint (the worker's listener).
     Tcp(SocketAddr),
 }
@@ -61,11 +62,32 @@ impl Directory {
     }
 }
 
+/// The send end of an inbox. It counts what it queues, because an `mpsc`
+/// channel cannot report its depth and the executor's `queue.depth` gauge
+/// and overload model (Fig. 11) need it.
+#[derive(Debug, Clone)]
+pub struct InboxSender {
+    tx: Sender<Bytes>,
+    depth: Arc<AtomicUsize>,
+}
+
+impl InboxSender {
+    /// Queues one blob; `false` when the inbox (and with it the only
+    /// reader of `depth`) is gone.
+    fn send(&self, blob: Bytes) -> bool {
+        // Counted before the hand-over, so the receiver's decrement never
+        // runs ahead of it.
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.tx.send(blob).is_ok()
+    }
+}
+
 /// A worker's receiving side: a channel plus, in TCP mode, a listener
-/// thread feeding it.
+/// thread feeding it. The executor owns it, so the listener lives exactly
+/// as long as the executor does.
 pub struct Inbox {
-    /// The receive end the executor drains.
-    pub rx: Receiver<Bytes>,
+    rx: Receiver<Bytes>,
+    depth: Arc<AtomicUsize>,
     /// The address to publish in the [`Directory`].
     pub addr: InboxAddr,
     _listener: Option<ListenerGuard>,
@@ -85,12 +107,35 @@ impl Drop for ListenerGuard {
 impl Inbox {
     /// A purely local inbox.
     pub fn local() -> Inbox {
-        let (tx, rx) = unbounded(); // LINT: allow-unbounded(inbox mirrors socket buffering; acker windows bound in-flight tuples)
+        let (tx, rx) = channel(); // LINT: allow-unbounded(inbox mirrors socket buffering; acker windows bound in-flight tuples)
+        let depth = Arc::<AtomicUsize>::default();
         Inbox {
             rx,
-            addr: InboxAddr::Local(tx),
+            depth: depth.clone(),
+            addr: InboxAddr::Local(InboxSender { tx, depth }),
             _listener: None,
         }
+    }
+
+    /// The next queued blob, if any.
+    pub fn try_recv(&self) -> Option<Bytes> {
+        self.took(self.rx.try_recv().ok())
+    }
+
+    /// Blocks up to `timeout` for the next blob.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Bytes> {
+        self.took(self.rx.recv_timeout(timeout).ok())
+    }
+
+    /// Blobs queued and not yet received.
+    pub fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
+    fn took(&self, got: Option<Bytes>) -> Option<Bytes> {
+        got.inspect(|_| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+        })
     }
 
     /// A TCP inbox listening on an ephemeral loopback port. Accepts any
@@ -100,7 +145,12 @@ impl Inbox {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (tx, rx) = unbounded(); // LINT: allow-unbounded(inbox mirrors socket buffering; acker windows bound in-flight tuples)
+        let (tx, rx) = channel(); // LINT: allow-unbounded(inbox mirrors socket buffering; acker windows bound in-flight tuples)
+        let depth = Arc::<AtomicUsize>::default();
+        let tx = InboxSender {
+            tx,
+            depth: depth.clone(),
+        };
         let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let shutdown2 = shutdown.clone();
         std::thread::Builder::new()
@@ -127,13 +177,14 @@ impl Inbox {
             .expect("spawn inbox acceptor");
         Ok(Inbox {
             rx,
+            depth,
             addr: InboxAddr::Tcp(addr),
             _listener: Some(ListenerGuard { shutdown }),
         })
     }
 }
 
-fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>) {
+fn reader_loop(mut stream: TcpStream, tx: InboxSender) {
     let mut len_buf = [0u8; 4];
     loop {
         if stream.read_exact(&mut len_buf).is_err() {
@@ -147,7 +198,7 @@ fn reader_loop(mut stream: TcpStream, tx: Sender<Bytes>) {
         if stream.read_exact(&mut body).is_err() {
             return;
         }
-        if tx.send(Bytes::from(body)).is_err() {
+        if !tx.send(Bytes::from(body)) {
             return;
         }
     }
@@ -186,7 +237,7 @@ impl Outbound {
     /// acker-driven replay recovers them in guaranteed mode).
     pub fn send(&self, task: TaskId, blob: &Bytes) -> bool {
         match self.directory.lookup(task) {
-            Some(InboxAddr::Local(tx)) => tx.send(blob.clone()).is_ok(),
+            Some(InboxAddr::Local(tx)) => tx.send(blob.clone()),
             Some(InboxAddr::Tcp(addr)) => self.send_tcp(task, addr, blob),
             None => false,
         }
@@ -247,8 +298,8 @@ mod tests {
     use super::*;
     use std::time::{Duration, Instant};
 
-    fn recv_timeout(rx: &Receiver<Bytes>) -> Bytes {
-        rx.recv_timeout(Duration::from_secs(5)).expect("blob")
+    fn recv_timeout(inbox: &Inbox) -> Bytes {
+        inbox.recv_timeout(Duration::from_secs(5)).expect("blob")
     }
 
     #[test]
@@ -261,7 +312,7 @@ mod tests {
             assert!(out.send(TaskId(1), &Bytes::from(vec![i])));
         }
         for i in 0..10u8 {
-            assert_eq!(recv_timeout(&inbox.rx)[0], i);
+            assert_eq!(recv_timeout(&inbox)[0], i);
         }
     }
 
@@ -272,7 +323,7 @@ mod tests {
         dir.register(TaskId(2), inbox.addr.clone());
         let out = Outbound::new(dir);
         assert!(out.send(TaskId(2), &Bytes::from(vec![42u8; 1000])));
-        let got = recv_timeout(&inbox.rx);
+        let got = recv_timeout(&inbox);
         assert_eq!(got.len(), 1000);
         assert_eq!(got[0], 42);
     }
@@ -305,7 +356,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut count = 0;
         while count < 400 && Instant::now() < deadline {
-            if inbox.rx.try_recv().is_ok() {
+            if inbox.try_recv().is_some() {
                 count += 1;
             } else {
                 std::thread::sleep(Duration::from_micros(100));
@@ -325,7 +376,7 @@ mod tests {
         let new = Inbox::local();
         dir.register(TaskId(4), new.addr.clone());
         out.send(TaskId(4), &Bytes::from_static(b"new"));
-        assert_eq!(&recv_timeout(&old.rx)[..], b"old");
-        assert_eq!(&recv_timeout(&new.rx)[..], b"new");
+        assert_eq!(&recv_timeout(&old)[..], b"old");
+        assert_eq!(&recv_timeout(&new)[..], b"new");
     }
 }

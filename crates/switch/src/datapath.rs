@@ -364,8 +364,7 @@ pub(crate) mod testutil {
     }
 
     pub(crate) fn drain_events(ch: &ControlChannel) -> Vec<OfMessage> {
-        ch.from_switch
-            .try_iter()
+        std::iter::from_fn(|| ch.try_recv())
             .map(|b| wire::decode(b).unwrap().0)
             .collect()
     }
@@ -516,8 +515,7 @@ mod tests {
                     .unwrap();
             },
             &|| {
-                ch.from_switch
-                    .try_iter()
+                std::iter::from_fn(|| ch.try_recv())
                     .any(|b| matches!(wire::decode(b), Ok((OfMessage::BarrierReply { .. }, _))))
             },
         );

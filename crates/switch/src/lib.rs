@@ -44,6 +44,6 @@ pub mod table;
 pub use cache::{CacheStats, FlowCache};
 pub use datapath::{Switch, SwitchConfig, SwitchHandle};
 pub use group_table::GroupTable;
-pub use link::{ControlChannel, StaleLeader};
+pub use link::{ControlChannel, StaleLeader, ToSwitch};
 pub use port::WorkerPort;
 pub use table::{FlowEntry, FlowTable};

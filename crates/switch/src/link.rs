@@ -8,43 +8,73 @@
 
 use crate::datapath::{Switch, POLL_BUDGET};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, SendError, Sender, TryRecvError, TrySendError};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use typhoon_net::{BellSlot, Doorbell, Frame};
+use typhoon_net::{
+    ring, ring_with_bell, BellSlot, Doorbell, Frame, NetError, RingConsumer, RingProducer,
+};
 use typhoon_openflow::{wire, OfMessage};
 
-/// The controller's ends of one switch's control channel. Messages are
-/// encoded OpenFlow bytes in both directions.
+/// Messages queued per direction of one control channel before the ring
+/// sheds (and counts) the overflow.
+const CONTROL_RING_CAP: usize = 65536;
+
+/// The controller's ends of one switch's control channel: two rings of
+/// encoded OpenFlow bytes, one per direction. Clones share the ends; the
+/// channel closes — and the switch goes headless — when the last clone
+/// drops.
 ///
 /// Both directions have a bell: [`ControlChannel::send`] rings the
 /// datapath thread, and the switch rings whatever the controller
 /// registered with [`ControlChannel::set_doorbell`] after each event or
-/// reply. Code that drives the switch with
-/// [`process_round`](Switch::process_round) itself may use the raw
-/// `to_switch`/`from_switch` ends — nobody is parked there.
+/// reply.
 #[derive(Debug, Clone)]
 pub struct ControlChannel {
-    /// Controller → switch.
-    pub to_switch: Sender<Bytes>,
+    /// Controller → switch. Transitional: public only for the `perf`
+    /// probe, which predates [`ControlChannel::send`]; goes private when a
+    /// benchmark PR moves the probe.
+    pub to_switch: ToSwitch,
     /// Switch → controller (replies and async events).
-    pub from_switch: Receiver<Bytes>,
-    switch_bell: Doorbell,
+    from_switch: Arc<RingConsumer<Bytes>>,
     controller_bell: Arc<BellSlot>,
+}
+
+/// The controller → switch producer; its `send` *is*
+/// [`ControlChannel::send`].
+#[derive(Debug, Clone)]
+pub struct ToSwitch(Arc<RingProducer<Bytes>>);
+
+impl ToSwitch {
+    /// See [`ControlChannel::send`].
+    pub fn send(&self, msg: Bytes) -> Result<(), NetError> {
+        self.0.push(msg)
+    }
 }
 
 impl ControlChannel {
     /// Sends one encoded message to the switch and wakes its datapath
-    /// thread if it is parked.
-    pub fn send(&self, msg: Bytes) -> Result<(), SendError<Bytes>> {
-        self.to_switch.send(msg)?;
-        self.switch_bell.ring();
-        Ok(())
+    /// thread if it is parked. Never blocks: a full switch inbox fails the
+    /// send with [`NetError::RingFull`] (counted in the ring's drop
+    /// counter), a switch that replaced or lost this link with
+    /// [`NetError::Disconnected`].
+    pub fn send(&self, msg: Bytes) -> Result<(), NetError> {
+        self.to_switch.send(msg)
     }
 
-    /// Registers the bell of the thread that drains `from_switch`, and
+    /// The next reply or event from the switch, if one is queued.
+    pub fn try_recv(&self) -> Option<Bytes> {
+        self.from_switch.pop().ok().flatten()
+    }
+
+    /// `(enqueued, dequeued, dropped)` of the switch → controller ring;
+    /// `dropped` is what the switch shed because nobody drained this side.
+    pub fn stats(&self) -> (u64, u64, u64) {
+        self.from_switch.stats()
+    }
+
+    /// Registers the bell of the thread that drains the channel, and
     /// rings it once for whatever the switch queued before (a reconnect
     /// replays the headless backlog into the fresh channel).
     pub fn set_doorbell(&self, bell: Doorbell) {
@@ -86,8 +116,8 @@ const HEADLESS_QUEUE_CAP: usize = 4096;
 /// handed out by [`Switch::new`] is simply the first connection, term 0.
 pub(crate) struct ControllerLink {
     term: u64,
-    tx: Sender<Bytes>,
-    rx: Receiver<Bytes>,
+    tx: RingProducer<Bytes>,
+    rx: RingConsumer<Bytes>,
     /// The connected controller's bell, once it registered one; rung
     /// after every hand-over on `tx`.
     controller_bell: Arc<BellSlot>,
@@ -97,11 +127,11 @@ pub(crate) struct ControllerLink {
 }
 
 impl ControllerLink {
-    /// A connected link at `term` plus the controller's ends of it, which
-    /// ring `switch_bell`.
+    /// A connected link at `term` plus the controller's ends of it, whose
+    /// pushes (and close) ring `switch_bell`.
     pub(crate) fn connect(term: u64, switch_bell: &Doorbell) -> (ControllerLink, ControlChannel) {
-        let (to_switch, rx) = bounded(65536);
-        let (tx, from_switch) = bounded(65536);
+        let (to_switch, rx) = ring_with_bell(CONTROL_RING_CAP, switch_bell.clone());
+        let (tx, from_switch) = ring(CONTROL_RING_CAP);
         let controller_bell = Arc::<BellSlot>::default();
         (
             ControllerLink {
@@ -114,9 +144,8 @@ impl ControllerLink {
                 dropped: 0,
             },
             ControlChannel {
-                to_switch,
-                from_switch,
-                switch_bell: switch_bell.clone(),
+                to_switch: ToSwitch(Arc::new(to_switch)),
+                from_switch: Arc::new(from_switch),
                 controller_bell,
             },
         )
@@ -140,16 +169,16 @@ impl Switch {
             link.queue(bytes);
             return;
         }
-        // LINT: allow-send-under-lock(try_send on a bounded channel never blocks; the link lock is a leaf among the datapath locks)
-        match link.tx.try_send(bytes) {
+        match link.tx.push(bytes.clone()) {
             Ok(()) => link.controller_bell.ring(),
-            // A congested controller must never stall the data plane;
-            // events are best-effort like real OpenFlow async messages.
-            Err(TrySendError::Full(_)) => {}
-            Err(TrySendError::Disconnected(bytes)) => {
+            Err(NetError::Disconnected) => {
                 self.enter_headless(&mut link);
                 link.queue(bytes);
             }
+            // A congested controller must never stall the data plane;
+            // events are best-effort like real OpenFlow async messages,
+            // and the ring counted the one it shed.
+            Err(_) => {}
         }
     }
 
@@ -161,8 +190,7 @@ impl Switch {
         if link.headless_since.is_some() {
             return;
         }
-        // LINT: allow-send-under-lock(try_send on a bounded channel never blocks; the link lock is a leaf among the datapath locks)
-        if link.tx.try_send(wire::encode(&msg)).is_ok() {
+        if link.tx.push(wire::encode(&msg)).is_ok() {
             link.controller_bell.ring();
         }
     }
@@ -210,14 +238,12 @@ impl Switch {
         drop(table);
         let (mut fresh, channel) = ControllerLink::connect(term, &self.inner.bell);
         fresh.dropped = link.dropped;
-        for bytes in std::mem::take(&mut link.queued) {
-            // LINT: allow-send-under-lock(try_send on a freshly created bounded channel never blocks; the link lock is a leaf among the datapath locks)
-            if fresh.tx.try_send(bytes).is_err() {
-                fresh.dropped += 1;
-            } else {
-                self.inner.replayed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let mut queued: Vec<Bytes> = std::mem::take(&mut link.queued).into();
+        let replayed = fresh.tx.push_batch(&mut queued);
+        fresh.dropped += replayed.dropped as u64;
+        self.inner
+            .replayed
+            .fetch_add(replayed.enqueued as u64, Ordering::Relaxed);
         *link = fresh;
         self.inner.headless.store(false, Ordering::Relaxed);
         Ok(channel)
@@ -285,15 +311,9 @@ impl Switch {
         let mut raws = Vec::new();
         {
             let mut link = self.inner.link.lock();
-            for _ in 0..POLL_BUDGET {
-                match link.rx.try_recv() {
-                    Ok(b) => raws.push(b),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.enter_headless(&mut link);
-                        break;
-                    }
-                }
+            if link.rx.pop_batch(&mut raws, POLL_BUDGET).is_err() {
+                // Closed and drained: the last controller clone is gone.
+                self.enter_headless(&mut link);
             }
         }
         let busy = !raws.is_empty();
@@ -521,6 +541,65 @@ mod tests {
         sw.process_round();
         assert!(wp2.rx.pop().unwrap().is_some(), "headless forwarding works");
         assert!(sw.headless_queue_len() >= 1, "event queued for replay");
+    }
+
+    /// Only the last clone's drop closes the channel (the controller sends
+    /// on a clone it drops right after): the switch stays connected until
+    /// then, and is headless one round later.
+    #[test]
+    fn the_channel_closes_with_its_last_clone_and_not_before() {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        drop(ch.clone());
+        let other = ch.clone();
+        drop(ch);
+        sw.process_round();
+        assert!(!sw.is_headless(), "a surviving clone keeps the link up");
+        send_ctrl(&other, OfMessage::Barrier { xid: 3 });
+        sw.process_round();
+        assert_eq!(drain_events(&other), [OfMessage::BarrierReply { xid: 3 }]);
+        drop(other);
+        sw.process_round();
+        assert!(sw.is_headless(), "the last drop is seen within one round");
+    }
+
+    /// A controller that stopped draining: the switch sheds what does not
+    /// fit and the ring counts it — `process_round` keeps returning and
+    /// the installed rule keeps forwarding.
+    #[test]
+    fn an_undrained_controller_costs_counted_events_and_no_forwarding() {
+        const OVERFLOW: usize = 100;
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let wp1 = sw.attach_worker(PortNo(1));
+        let wp2 = sw.attach_worker(PortNo(2));
+        send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        // OpenFlow's table-miss entry: what nothing else matches goes up.
+        let table_miss = FlowMod::add(0, FlowMatch::any(), vec![Action::ToController]);
+        send_ctrl(&ch, OfMessage::FlowMod(table_miss));
+        sw.process_round();
+        // The two `PortStatus` adds are queued already.
+        let mut misses = CONTROL_RING_CAP - 2 + OVERFLOW;
+        while misses > 0 {
+            let n = misses.min(POLL_BUDGET);
+            for i in 0..n {
+                wp1.tx.push(data_frame(11, w(20), i as u8)).unwrap();
+            }
+            sw.process_round();
+            misses -= n;
+        }
+        let (queued, _, shed) = ch.stats();
+        assert_eq!((queued, shed), (CONTROL_RING_CAP as u64, OVERFLOW as u64));
+        assert!(!sw.is_headless(), "full is not disconnected");
+        wp1.tx.push(data_frame(10, w(20), 7)).unwrap();
+        sw.process_round();
+        assert_eq!(wp2.rx.pop().unwrap().unwrap().payload[0], 7);
+        // The other direction: a switch that stopped draining fails the
+        // controller's send instead of blocking it.
+        let barrier = wire::encode(&OfMessage::Barrier { xid: 0 });
+        let sent = (0..=CONTROL_RING_CAP)
+            .take_while(|_| ch.send(barrier.clone()).is_ok())
+            .count();
+        assert_eq!(sent, CONTROL_RING_CAP);
+        assert_eq!(ch.send(barrier).unwrap_err(), NetError::RingFull);
     }
 
     #[test]
