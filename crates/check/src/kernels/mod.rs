@@ -1,10 +1,10 @@
 //! Extracted concurrency kernels.
 //!
-//! A *kernel* is the smallest faithful restatement of one of the
-//! workspace's concurrency protocols, written against the
-//! [`crate::sync`] facade so the same source runs under the model
-//! checker (`model` feature, the default) or real primitives
-//! (`--no-default-features`).
+//! A *kernel* is the smallest faithful restatement of a concurrency
+//! protocol whose own crate cannot run under the checker yet, written
+//! against [`crate::sync`]. A protocol that *can* — `typhoon-net`'s ring
+//! and doorbell — has no kernel: it is checked as shipped, by the
+//! scenarios in `crates/net/tests/model.rs`.
 //!
 //! Each kernel ships **both** the current (fixed) protocol and the
 //! pre-fix protocol of the race it guards against, selected by a
@@ -18,16 +18,13 @@
 //!
 //! * Keep only the shared state and the statements that touch it; drop
 //!   I/O, metrics and error plumbing.
-//! * Replace spin loops with [`crate::sync::Notify`] — the model
-//!   scheduler explores *choices*, and an unbounded spin is an
+//! * Replace spin loops with a blocking primitive (a channel, a park) —
+//!   the model scheduler explores *choices*, and an unbounded spin is an
 //!   unbounded choice tree.
 //! * State every invariant as an `assert!` inside the scenario; the
 //!   checker reports the schedule that broke it.
 
-pub mod batch;
 pub mod checkpoint;
-pub mod doorbell;
 pub mod election;
 pub mod recovery;
-pub mod ring;
 pub mod tunnel;

@@ -87,6 +87,8 @@ pub(crate) struct ExecState {
     priorities: Vec<u64>,
     /// Per model thread: stack of (rank, name) for held ranked locks.
     held_ranks: Vec<Vec<(u16, &'static str)>>,
+    /// Per model thread: `std::thread`'s park token.
+    park_tokens: Vec<bool>,
     failure: Option<String>,
     abort: bool,
     trace: VecDeque<String>,
@@ -128,11 +130,29 @@ impl Execution {
         panic::panic_any(AbortToken);
     }
 
+    /// True when the calling thread is already unwinding — its assertion
+    /// failed, or an abort is tearing it down — and has reached a model
+    /// primitive from a destructor (a real type's `Drop` takes a lock and
+    /// rings). A second panic there would kill the process and a hand-over
+    /// would park a thread that must finish, so the execution is aborted
+    /// here and every thread runs its destructors freely from now on.
+    fn unwinding(&self, st: &mut ExecState) -> bool {
+        let unwinding = std::thread::panicking();
+        if unwinding {
+            st.abort = true;
+            self.cv.notify_all();
+        }
+        unwinding
+    }
+
     /// The heart of the engine: a schedule point. Marks the calling
     /// thread runnable, lets the strategy pick the next thread, and
     /// blocks until this thread is chosen again.
     pub(crate) fn schedule_point(&self, tid: usize, label: &str) {
         let mut st = self.lock();
+        if self.unwinding(&mut st) {
+            return;
+        }
         if st.abort {
             drop(st);
             panic::panic_any(AbortToken);
@@ -140,9 +160,8 @@ impl Execution {
         st.steps += 1;
         if st.steps > st.max_steps {
             let msg = format!(
-                "step budget ({}) exceeded at `{label}` — unbounded spin loop in the kernel? \
-                 model kernels must use blocking primitives (channel/Notify) instead of \
-                 spinning",
+                "step budget ({}) exceeded at `{label}` — unbounded spin loop in the scenario? \
+                 checked code must block (channel, park) instead of spinning",
                 st.max_steps
             );
             drop(st);
@@ -161,6 +180,12 @@ impl Execution {
     /// calls [`Execution::unblock`] on it.
     pub(crate) fn block_on(&self, tid: usize, resource: u64, label: &str) {
         let mut st = self.lock();
+        if self.unwinding(&mut st) {
+            // Whoever holds what the destructor wants is unwinding too.
+            drop(st);
+            std::thread::yield_now();
+            return;
+        }
         if st.abort {
             drop(st);
             panic::panic_any(AbortToken);
@@ -196,6 +221,7 @@ impl Execution {
             let tid = st.statuses.len();
             st.statuses.push(Status::Runnable);
             st.held_ranks.push(Vec::new());
+            st.park_tokens.push(false);
             st.spawn_bodies.push(Some(body));
             let pri = match &mut st.ctrl {
                 Ctrl::Random { rng } => rng.next_u64(),
@@ -257,6 +283,17 @@ impl Execution {
         }
     }
 
+    /// Sets `target`'s park token and makes it runnable if it is parked.
+    pub(crate) fn unpark(&self, target: usize) {
+        self.lock().park_tokens[target] = true;
+        self.unblock(thread_park_resource(target));
+    }
+
+    /// Takes the caller's park token; `false` means it must block.
+    pub(crate) fn take_park_token(&self, tid: usize) -> bool {
+        std::mem::take(&mut self.lock().park_tokens[tid])
+    }
+
     /// True once model thread `tid` has finished (used by `join`).
     pub(crate) fn thread_finished(&self, tid: usize) -> bool {
         self.lock().statuses[tid] == Status::Finished
@@ -265,6 +302,12 @@ impl Execution {
     /// Picks the next thread to run. Must be called with the state lock
     /// held by `st`; updates `st.current`.
     fn pick_next(&self, st: &mut ExecState, tid: usize) {
+        if st.abort {
+            // Threads finish in OS order from here on: recording their
+            // hand-overs would make the replay trace differ run to run.
+            self.cv.notify_all();
+            return;
+        }
         let enabled: Vec<usize> = st
             .statuses
             .iter()
@@ -296,11 +339,17 @@ impl Execution {
         let prev = st.current;
         // Preemption bound: once the budget is spent, a still-runnable
         // previous thread keeps running.
-        let enabled = if st.preemptions >= st.max_preemptions && enabled.contains(&prev) {
+        let mut enabled = if st.preemptions >= st.max_preemptions && enabled.contains(&prev) {
             vec![prev]
         } else {
             enabled
         };
+        // The running thread goes first, so that index 0 is "no preemption"
+        // and the DFS, which only ever advances an index, still reaches
+        // every other thread (also those with a lower id).
+        if let Some(at) = enabled.iter().position(|&t| t == prev) {
+            enabled[..=at].rotate_right(1);
+        }
         let depth = st.choices.len();
         let chosen_idx = match &mut st.ctrl {
             Ctrl::Dfs { prefix } => {
@@ -313,9 +362,9 @@ impl Execution {
                     );
                     idx
                 } else {
-                    // Prefer continuing the previous thread (fewest
-                    // preemptions explored first).
-                    enabled.iter().position(|&t| t == prev).unwrap_or(0)
+                    // Continue the previous thread (fewest preemptions
+                    // explored first).
+                    0
                 }
             }
             Ctrl::Random { rng } => {
@@ -402,22 +451,19 @@ pub(crate) fn thread_exit_resource(tid: usize) -> u64 {
     (1u64 << 48) + tid as u64
 }
 
+/// Resource id a parked thread blocks on, beside the exit resources.
+pub(crate) fn thread_park_resource(tid: usize) -> u64 {
+    (1u64 << 49) + tid as u64
+}
+
 fn run_model_thread(exec: &Arc<Execution>, tid: usize, body: Box<dyn FnOnce() + Send>) {
     CONTEXT.with(|c| *c.borrow_mut() = Some((Arc::clone(exec), tid)));
-    // Park until first scheduled.
-    {
-        let st = exec.lock();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.wait_for_turn(st, tid);
-        }));
-        if result.is_err() {
-            // Aborted before ever running.
-            exec.finish(tid, Ok(()));
-            CONTEXT.with(|c| *c.borrow_mut() = None);
-            return;
-        }
-    }
-    let outcome = panic::catch_unwind(AssertUnwindSafe(body));
+    // An abort before the first turn unwinds through here too, so the
+    // body's captures are dropped while the context is still set.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        exec.wait_for_turn(exec.lock(), tid);
+        body()
+    }));
     // An abort unwind is not a new failure; pass it through as clean.
     let outcome = match outcome {
         Err(p) if p.downcast_ref::<AbortToken>().is_some() => Ok(()),
@@ -571,6 +617,7 @@ impl Checker {
                 next_resource: 0,
                 priorities: Vec::new(),
                 held_ranks: Vec::new(),
+                park_tokens: Vec::new(),
                 failure: None,
                 abort: false,
                 trace: VecDeque::new(),

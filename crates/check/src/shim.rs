@@ -115,12 +115,9 @@ impl<T> Drop for MutexGuard<'_, T> {
         self.lock.locked.store(false, StdOrdering::SeqCst);
         self.exec.pop_rank(self.tid, self.lock.name);
         self.exec.unblock(resource(&self.lock.res, &self.exec));
-        // The release is itself a schedule point — but never while this
-        // thread is unwinding (a schedule point can abort, and a panic
-        // inside a panic-drop would abort the process).
-        if !std::thread::panicking() {
-            self.exec.schedule_point(self.tid, "unlock");
-        }
+        // The release is itself a schedule point (one that never panics
+        // in a thread that is already unwinding — see the engine).
+        self.exec.schedule_point(self.tid, "unlock");
     }
 }
 
@@ -222,9 +219,7 @@ impl<T> Drop for RwLockReadGuard<'_, T> {
         self.lock.readers.fetch_sub(1, StdOrdering::SeqCst);
         self.exec.pop_rank(self.tid, self.lock.name);
         self.exec.unblock(resource(&self.lock.res, &self.exec));
-        if !std::thread::panicking() {
-            self.exec.schedule_point(self.tid, "read-unlock");
-        }
+        self.exec.schedule_point(self.tid, "read-unlock");
     }
 }
 
@@ -255,9 +250,7 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
         self.lock.writer.store(false, StdOrdering::SeqCst);
         self.exec.pop_rank(self.tid, self.lock.name);
         self.exec.unblock(resource(&self.lock.res, &self.exec));
-        if !std::thread::panicking() {
-            self.exec.schedule_point(self.tid, "write-unlock");
-        }
+        self.exec.schedule_point(self.tid, "write-unlock");
     }
 }
 
@@ -270,6 +263,11 @@ pub mod atomic {
 
     use super::context;
     use std::sync::atomic::Ordering as StdOrdering;
+
+    /// Model `fence`: nothing to do. Every model atomic is `SeqCst` and
+    /// every interleaving of them is explored, which is the order a fence
+    /// makes the hardware honour.
+    pub fn fence(_order: Ordering) {}
 
     /// Model `AtomicBool`.
     #[derive(Debug, Default)]
@@ -541,58 +539,13 @@ impl<T> Receiver<T> {
     }
 }
 
-// ------------------------------------------------------------------ notify
-
-/// Epoch-based wakeup primitive (condvar-shaped, race-free): read
-/// [`Notify::epoch`], re-check your predicate, then [`Notify::wait_from`]
-/// that epoch — a notify between the check and the wait is never lost.
-#[derive(Default)]
-pub struct Notify {
-    epoch: std::sync::atomic::AtomicU64,
-    res: OnceLock<u64>,
-}
-
-impl Notify {
-    /// A fresh notifier.
-    pub fn new() -> Self {
-        Notify::default()
-    }
-
-    /// Current notification epoch (not a schedule point; pair it with
-    /// [`Notify::wait_from`]).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(StdOrdering::SeqCst)
-    }
-
-    /// Blocks until the epoch advances past `seen`. Returns immediately
-    /// when a notify already happened since `seen` was read.
-    pub fn wait_from(&self, seen: u64) {
-        let (exec, tid) = context();
-        let res = resource(&self.res, &exec);
-        loop {
-            exec.schedule_point(tid, "notify.wait");
-            if self.epoch.load(StdOrdering::SeqCst) != seen {
-                return;
-            }
-            exec.block_on(tid, res, "notify");
-        }
-    }
-
-    /// Wakes every waiter (schedule point).
-    pub fn notify_all(&self) {
-        let (exec, tid) = context();
-        exec.schedule_point(tid, "notify.notify_all");
-        self.epoch.fetch_add(1, StdOrdering::SeqCst);
-        exec.unblock(resource(&self.res, &exec));
-    }
-}
-
 // ------------------------------------------------------------------ thread
 
 /// Model threads.
 pub mod thread {
     use super::context;
-    use crate::sched::thread_exit_resource;
+    use crate::sched::{thread_exit_resource, thread_park_resource};
+    use std::time::Duration;
 
     /// Handle to a model thread.
     pub struct JoinHandle {
@@ -622,6 +575,46 @@ pub mod thread {
         exec.schedule_point(tid, "spawn");
         let child = exec.spawn_thread(Box::new(f));
         JoinHandle { tid: child }
+    }
+
+    /// A model thread as others see it: the `std::thread::Thread` stand-in.
+    #[derive(Debug, Clone)]
+    pub struct Thread {
+        tid: usize,
+    }
+
+    impl Thread {
+        /// The model thread id.
+        pub fn id(&self) -> usize {
+            self.tid
+        }
+
+        /// Sets the thread's park token (schedule point): its current or
+        /// next park returns.
+        pub fn unpark(&self) {
+            let (exec, tid) = context();
+            exec.schedule_point(tid, "unpark");
+            exec.unpark(self.tid);
+        }
+    }
+
+    /// The calling model thread.
+    pub fn current() -> Thread {
+        Thread { tid: context().1 }
+    }
+
+    /// Blocks until the caller's park token is set, and takes it. The
+    /// model has no clock, so the timeout never fires: a park nobody ends
+    /// is a deadlock, and the checker reports the schedule that led to it.
+    pub fn park_timeout(_timeout: Duration) {
+        let (exec, tid) = context();
+        loop {
+            exec.schedule_point(tid, "park");
+            if exec.take_park_token(tid) {
+                return;
+            }
+            exec.block_on(tid, thread_park_resource(tid), "park");
+        }
     }
 
     /// Voluntary yield: a bare schedule point.

@@ -1,22 +1,18 @@
-//! The primitive facade the kernels compile against.
+//! The primitives a checked scenario runs on: the checker's controlled
+//! stand-ins for the `typhoon-diag` locks, std atomics and std threads,
+//! each with a schedule point in front of every visible effect. Code
+//! that names them can only run inside [`crate::Checker::check`].
 //!
-//! With the `model` feature (default) every name here resolves to the
-//! checker's controlled primitives in `crate::shim`; without it, to the
-//! real thing — `typhoon-diag` locks, std atomics and threads, and a
-//! condvar-backed bounded channel — so the *same kernel source* runs
-//! either under exhaustive schedule exploration or as a plain
-//! multi-threaded stress test.
-//!
-//! API surface (mirrors the `typhoon-diag` wrappers plus the workspace's
-//! channel idiom):
+//! API surface (mirrors the `typhoon-diag` wrappers, `std::sync::atomic`,
+//! `std::thread` and the workspace's channel idiom):
 //!
 //! * [`Mutex`] / [`RwLock`] — `with_rank(LockRank, name, value)`, `new`,
 //!   `lock` / `read` / `write`.
-//! * [`atomic`] — `AtomicBool`, `AtomicU64` with std signatures.
+//! * [`atomic`] — `AtomicBool`, `AtomicU64`, `fence` with std signatures.
 //! * [`bounded`] — blocking bounded channel with explicit `close`.
-//! * [`Notify`] — epoch-based wakeup (`epoch` / `wait_from` /
-//!   `notify_all`), the race-free replacement for condition spinning.
-//! * [`thread`] — `spawn` / `JoinHandle::join` / `yield_now`.
+//! * [`thread`] — `spawn` / `JoinHandle::join` / `yield_now`, and the park
+//!   token: `current` / `Thread::unpark` / `park_timeout`. The model has
+//!   no clock, so a park nobody ends is a reported deadlock.
 
 /// Error returned by channel operations after `close`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,17 +24,7 @@ impl std::fmt::Display for Closed {
     }
 }
 
-#[cfg(feature = "model")]
 pub use crate::shim::{
-    atomic, bounded, thread, Mutex, MutexGuard, Notify, Receiver, RwLock, RwLockReadGuard,
-    RwLockWriteGuard, Sender,
-};
-
-#[cfg(not(feature = "model"))]
-mod real;
-
-#[cfg(not(feature = "model"))]
-pub use real::{
-    atomic, bounded, thread, Mutex, MutexGuard, Notify, Receiver, RwLock, RwLockReadGuard,
+    atomic, bounded, thread, Mutex, MutexGuard, Receiver, RwLock, RwLockReadGuard,
     RwLockWriteGuard, Sender,
 };

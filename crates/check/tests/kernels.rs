@@ -2,157 +2,16 @@
 //! both flavours. The `fixed` variants (the code the workspace ships
 //! today) must survive every schedule; the `prefix` (pre-fix) variants
 //! must fail — each pins a historical race so a regression that
-//! reintroduces it flips a deterministic test.
+//! reintroduces it flips a deterministic test. The ring and the doorbell
+//! have no kernel: `crates/net/tests/model.rs` checks the shipped files.
 //!
 //! Failing runs print their replay recipe (`CHECK_TRACE=…` /
 //! `CHECK_SEED=…`); run with `--nocapture` to capture it from CI logs.
 
-#![cfg(feature = "model")]
-
 use std::sync::Arc;
-use typhoon_check::kernels::{batch, checkpoint, doorbell, election, recovery, ring, tunnel};
+use typhoon_check::kernels::{checkpoint, election, recovery, tunnel};
 use typhoon_check::sync::{thread, Mutex};
-use typhoon_check::{Checker, Replay};
-
-// ------------------------------------------------------------ ring (PR 3)
-
-#[test]
-fn ring_close_pop_race_is_found_on_prefix_logic() {
-    let failure = Checker::default()
-        .check("ring-close-pop/prefix", || ring::close_pop_scenario(false))
-        .expect_failure();
-    println!("found the PR-3 ring race:\n{failure}");
-    assert!(
-        failure.message.contains("close/pop race"),
-        "unexpected failure: {}",
-        failure.message
-    );
-    assert!(
-        matches!(&failure.replay, Replay::Trace(t) if !t.is_empty()),
-        "DFS phase should find this race deterministically"
-    );
-}
-
-#[test]
-fn ring_close_pop_race_reproduces_deterministically() {
-    // Same kernel, same checker config → byte-identical replay trace.
-    let first = Checker::default()
-        .check("ring-close-pop/prefix", || ring::close_pop_scenario(false))
-        .expect_failure();
-    let second = Checker::default()
-        .check("ring-close-pop/prefix", || ring::close_pop_scenario(false))
-        .expect_failure();
-    let (Replay::Trace(a), Replay::Trace(b)) = (&first.replay, &second.replay) else {
-        panic!("expected DFS traces from both runs");
-    };
-    assert_eq!(a, b, "the checker must be schedule-deterministic");
-}
-
-#[test]
-fn ring_close_pop_fixed_logic_passes() {
-    let report =
-        Checker::default().check("ring-close-pop/fixed", || ring::close_pop_scenario(true));
-    println!(
-        "ring-close-pop/fixed: {} schedule(s), exhausted={}",
-        report.schedules, report.exhausted
-    );
-    report.assert_ok();
-}
-
-// ------------------------------------------------- batched rings (this PR)
-
-#[test]
-fn push_batch_remainder_drop_is_found_on_prefix_logic() {
-    let failure = Checker::default()
-        .check("batch-push-close/prefix", || {
-            batch::push_batch_close_scenario(false)
-        })
-        .expect_failure();
-    println!("found the push_batch remainder drop:\n{failure}");
-    assert!(
-        failure.message.contains("batch accounting"),
-        "unexpected failure: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn push_batch_close_fixed_logic_passes() {
-    Checker::default()
-        .check("batch-push-close/fixed", || {
-            batch::push_batch_close_scenario(true)
-        })
-        .assert_ok();
-}
-
-#[test]
-fn pop_batch_partial_drain_loss_is_found_on_prefix_logic() {
-    let failure = Checker::default()
-        .check("batch-pop-close/prefix", || {
-            batch::pop_batch_close_scenario(false)
-        })
-        .expect_failure();
-    println!("found the pop_batch partial-drain loss:\n{failure}");
-    assert!(
-        failure.message.contains("half-consumed batch"),
-        "unexpected failure: {}",
-        failure.message
-    );
-}
-
-#[test]
-fn pop_batch_close_fixed_logic_passes() {
-    Checker::default()
-        .check("batch-pop-close/fixed", || {
-            batch::pop_batch_close_scenario(true)
-        })
-        .assert_ok();
-}
-
-// ------------------------------------------------------ doorbell (PR 14)
-
-#[test]
-fn doorbell_lost_wakeup_is_found_on_prefix_logic() {
-    let failure = Checker::default()
-        .check("doorbell-two-producers-close/prefix", || {
-            doorbell::two_producers_and_close_scenario(false)
-        })
-        .expect_failure();
-    println!("found the doorbell lost wake-up:\n{failure}");
-    // The model has no park timeout: a consumer parked on a non-empty (or
-    // closed) ring with nobody left to ring is a deadlock.
-    assert!(
-        failure.message.contains("deadlock"),
-        "unexpected failure: {}",
-        failure.message
-    );
-    // Replayable: the same schedule fails the same way.
-    let again = Checker::default()
-        .check("doorbell-two-producers-close/prefix", || {
-            doorbell::two_producers_and_close_scenario(false)
-        })
-        .expect_failure();
-    assert_eq!(
-        format!("{:?}", failure.replay),
-        format!("{:?}", again.replay)
-    );
-}
-
-#[test]
-fn doorbell_arm_recheck_park_passes_exhaustively() {
-    let report = Checker::default().check("doorbell-two-producers-close/fixed", || {
-        doorbell::two_producers_and_close_scenario(true)
-    });
-    println!(
-        "doorbell-two-producers-close/fixed: {} schedule(s), exhausted={}",
-        report.schedules, report.exhausted
-    );
-    report.assert_ok();
-    assert!(
-        report.exhausted,
-        "the bounded schedule tree must be covered"
-    );
-}
+use typhoon_check::Checker;
 
 // ---------------------------------------------------------- tunnel (PR 3)
 
@@ -295,6 +154,32 @@ fn sequential_body_explores_exactly_one_schedule() {
     assert!(report.exhausted, "a single-thread body has one schedule");
 }
 
+/// The DFS must reach every thread at every choice point, also one with a
+/// lower id than the thread that is running: here the parent has to take
+/// the CPU back from its child between the child's two stores.
+#[test]
+fn a_lower_id_thread_can_preempt_a_higher_one() {
+    use typhoon_check::sync::atomic::{AtomicU64, Ordering};
+    let failure = Checker::default()
+        .check("self/preempt-the-child", || {
+            let cell = Arc::new(AtomicU64::new(0));
+            let childs = Arc::clone(&cell);
+            let child = thread::spawn(move || {
+                childs.store(1, Ordering::SeqCst);
+                childs.store(2, Ordering::SeqCst);
+            });
+            let seen = cell.load(Ordering::SeqCst);
+            child.join();
+            assert_ne!(seen, 1, "seen between the stores");
+        })
+        .expect_failure();
+    assert!(
+        failure.message.contains("seen between the stores"),
+        "unexpected failure: {}",
+        failure.message
+    );
+}
+
 #[test]
 fn abba_deadlock_is_detected() {
     let failure = Checker::default()
@@ -364,4 +249,68 @@ fn spin_loops_hit_the_step_budget_not_a_hang() {
         "unexpected failure: {}",
         failure.message
     );
+}
+
+#[test]
+fn an_unpark_before_the_park_is_kept_and_a_park_nobody_ends_is_a_deadlock() {
+    use std::time::Duration;
+    let far = Duration::from_secs(3600);
+    Checker::default()
+        .check("self/park-token", move || {
+            let parent = thread::current();
+            let child = thread::spawn(move || parent.unpark());
+            thread::park_timeout(far);
+            child.join();
+        })
+        .assert_ok();
+    let failure = Checker::default()
+        .check("self/park-forever", move || thread::park_timeout(far))
+        .expect_failure();
+    assert!(
+        failure.message.contains("deadlock"),
+        "the model has no clock: {}",
+        failure.message
+    );
+}
+
+/// What a shipped type's `Drop` does (`RingProducer`: lock, flip, ring):
+/// a schedule point reached from a destructor of a thread that is already
+/// unwinding — torn down by an abort, or by its own failed assertion —
+/// must not panic again, which would kill the process.
+#[test]
+fn destructors_that_lock_survive_an_aborted_execution() {
+    struct LocksOnDrop(Arc<Mutex<u32>>);
+    impl Drop for LocksOnDrop {
+        fn drop(&mut self) {
+            *self.0.lock() += 1;
+        }
+    }
+    for _ in 0..100 {
+        let failure = Checker::default()
+            .check("self/drop-under-abort", || {
+                let cell = Arc::new(Mutex::new(0));
+                let held = LocksOnDrop(Arc::clone(&cell));
+                let child = thread::spawn(move || {
+                    let _held = held;
+                    thread::park_timeout(std::time::Duration::MAX);
+                });
+                let _mine = LocksOnDrop(cell);
+                child.join();
+            })
+            .expect_failure();
+        assert!(failure.message.contains("deadlock"), "{}", failure.message);
+        let failure = Checker::default()
+            .check("self/drop-under-panic", || {
+                let cell = Arc::new(Mutex::new(0));
+                let _mine = LocksOnDrop(Arc::clone(&cell));
+                let guard = cell.lock();
+                assert_eq!(*guard, 1, "nobody dropped yet");
+            })
+            .expect_failure();
+        assert!(
+            failure.message.contains("nobody dropped yet"),
+            "{}",
+            failure.message
+        );
+    }
 }

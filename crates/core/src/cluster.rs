@@ -321,7 +321,6 @@ impl TyphoonCluster {
                 checkpoint_interval: config
                     .checkpoint_interval
                     .unwrap_or(ManagerConfig::default().checkpoint_interval),
-                ..ManagerConfig::default()
             },
         ));
         let recovery = config
@@ -1132,6 +1131,47 @@ mod tests {
         assert!(manager_counts(&cluster).1 > rung, "the write ended a wait");
         let detected = cluster.recovery().unwrap().registry().snapshot();
         assert_eq!(detected.counter("recovery.detected"), 1);
+        cluster.shutdown();
+    }
+
+    /// `recovery.detected` is "fault records consumed": a fault that cannot
+    /// be placed stays on record and is retried by every sweep, and those
+    /// retries are `recovery.failed`, not new detections.
+    #[test]
+    fn a_fault_nobody_can_place_is_detected_once_however_often_it_is_retried() {
+        let (reg, _sink) = registry(0);
+        // Two hosts, one slot each, two tasks: whichever host dies, the
+        // survivor is full.
+        let mut config = TyphoonConfig::new(2).with_recovery(Duration::from_millis(200));
+        config.slots_per_host = 1;
+        let cluster = TyphoonCluster::new(config, reg).unwrap();
+        let two_tasks = LogicalTopology::builder("pipeline")
+            .spout("src", "numbers", 1, Fields::new(["n"]))
+            .bolt("out", "sink", 1, Fields::new(["n"]))
+            .edge("src", "out", Grouping::Global)
+            .build()
+            .unwrap();
+        let h = cluster.submit(two_tasks).unwrap();
+        let physical = cluster.global().get_physical("pipeline").unwrap();
+        let victim = physical.assignment(h.tasks_of("out")[0]).unwrap().host;
+        cluster.kill_host(victim);
+        let counts = || {
+            let snap = cluster.recovery().unwrap().registry().snapshot();
+            (
+                snap.counter("recovery.failed"),
+                snap.counter("recovery.detected"),
+            )
+        };
+        assert!(
+            wait_until(Duration::from_secs(10), || counts().0 >= 2),
+            "the unplaceable fault was never retried: {:?}",
+            counts()
+        );
+        let (failed, detected) = counts();
+        assert!(
+            detected <= 1,
+            "one fault, {failed} failed sweeps, {detected} detections"
+        );
         cluster.shutdown();
     }
 }

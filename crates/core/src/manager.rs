@@ -62,12 +62,6 @@ pub struct ManagerConfig {
     pub ack_timeout: Duration,
     /// Max in-flight spout roots.
     pub max_pending: usize,
-    /// Wait for launched workers to become ready.
-    pub ready_timeout: Duration,
-    /// Settling time after `SIGNAL` flushes before routing updates.
-    pub signal_wait: Duration,
-    /// Drain time between rerouting and killing removed workers.
-    pub drain_wait: Duration,
     /// Placement strategy (ablation hook; Typhoon defaults to locality).
     pub scheduler: SchedulerKind,
     /// Checkpoint store for stateful-bolt snapshots; `None` disables
@@ -87,9 +81,6 @@ impl Default for ManagerConfig {
             acking: false,
             ack_timeout: Duration::from_secs(30),
             max_pending: 1024,
-            ready_timeout: Duration::from_secs(10),
-            signal_wait: Duration::from_millis(50),
-            drain_wait: Duration::from_millis(100),
             scheduler: SchedulerKind::default(),
             checkpoint_store: None,
             checkpoint_interval: Duration::from_millis(200),
@@ -101,6 +92,13 @@ impl Default for ManagerConfig {
 /// fails with a typed timeout. Comfortably longer than a failover window
 /// (session timeout + re-sync), far shorter than any test bound.
 const LEADER_WAIT: Duration = Duration::from_secs(5);
+
+/// Wait for launched workers to become ready.
+const READY_TIMEOUT: Duration = Duration::from_secs(10);
+/// Settling time after `SIGNAL` flushes before routing updates.
+const SIGNAL_WAIT: Duration = Duration::from_millis(50);
+/// Drain time between rerouting and killing removed workers.
+const DRAIN_WAIT: Duration = Duration::from_millis(100);
 
 /// The streaming manager.
 pub struct StreamingManager {
@@ -236,7 +234,7 @@ impl StreamingManager {
             config,
             routes,
         )?;
-        agent.wait_ready(physical.app, assignment.task, self.config.ready_timeout)?;
+        agent.wait_ready(physical.app, assignment.task, READY_TIMEOUT)?;
         Ok(())
     }
 
@@ -477,7 +475,7 @@ impl StreamingManager {
         // 0. Pause the stream for relocations (pause-and-resume, §8).
         if relocating {
             self.deactivate_spouts(app, &old_logical, &old_physical);
-            std::thread::sleep(self.config.signal_wait); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
+            std::thread::sleep(SIGNAL_WAIT); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
         }
         // 1. Launch the new workers first (Fig. 6(a) step 1) — they are
         //    born with the *new* routing table.
@@ -507,7 +505,7 @@ impl StreamingManager {
             ctl.send_control(app, task, &ControlTuple::Signal);
         }
         if !plan.signals.is_empty() {
-            std::thread::sleep(self.config.signal_wait); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
+            std::thread::sleep(SIGNAL_WAIT); // LINT: allow-sleep(reconfiguration quiesce wait from the live-migration protocol)
         }
         // 3b/3c. Re-route the predecessors via ROUTING control tuples.
         for (task, downstream, hops) in &plan.routing_updates {
@@ -534,7 +532,7 @@ impl StreamingManager {
         }
         // 4. Drain, then retire removed workers and their rules.
         if !plan.removals.is_empty() {
-            std::thread::sleep(self.config.drain_wait); // LINT: allow-sleep(drain wait before retiring removed workers)
+            std::thread::sleep(DRAIN_WAIT); // LINT: allow-sleep(drain wait before retiring removed workers)
             for assignment in &plan.removals {
                 if let Ok(agent) = self.agent(assignment.host) {
                     agent.kill(app, assignment.task);
@@ -763,9 +761,12 @@ impl RecoveryManager {
                     None => continue,
                 };
                 let path = format!("{base}/{child}");
-                self.registry.counter("recovery.detected").inc();
                 match self.recover_task(&topo, task) {
                     Ok(report) => {
+                        // Counted where the record is consumed: a fault that
+                        // cannot be placed yet is one detection however many
+                        // sweeps retry it (those are `recovery.failed`).
+                        self.registry.counter("recovery.detected").inc();
                         let _ = coord.delete(&path);
                         if let Some(report) = report {
                             recovered += 1;

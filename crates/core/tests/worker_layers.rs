@@ -1207,7 +1207,7 @@ fn wait_ready_is_ended_by_the_workers_ring() {
 }
 
 /// A worker that dies before it is ready fails the launch when it dies, by
-/// a typed error that names it — not after `ready_timeout`. The bound is
+/// a typed error that names it — not after `READY_TIMEOUT`. The bound is
 /// the 10 s timeout itself: three orders of magnitude above the 2 ms the
 /// construction takes.
 #[test]

@@ -535,8 +535,18 @@ fn has_lock_unwrap(lines: &[Line], i: usize) -> bool {
     false
 }
 
+/// `std::sync` and a lock type on one line — the type by its own name, not
+/// as the tail of a wrapper's (`DiagMutex` beside `std::sync::atomic`).
 fn has_raw_lock(code: &str) -> bool {
-    code.contains("std::sync") && (code.contains("Mutex") || code.contains("RwLock"))
+    let names = |ty: &str| {
+        code.match_indices(ty).any(|(at, _)| {
+            !code[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        })
+    };
+    code.contains("std::sync") && (names("Mutex") || names("RwLock"))
 }
 
 /// A call of an unbounded-channel constructor: `std`'s `mpsc::channel` (by
@@ -676,6 +686,11 @@ fn main() {
         let src = "use std::sync::Mutex;\n";
         assert_eq!(check_source("crates/storm/src/x.rs", src).len(), 1);
         assert!(check_source("crates/metrics/src/x.rs", src).is_empty());
+        // The wrapper's name beside a `std::sync` path is not a raw lock.
+        let seam = "use {std::sync::atomic, std::thread, typhoon_diag::DiagMutex};\n";
+        assert!(check_source("crates/net/src/x.rs", seam).is_empty());
+        let braced = "use std::sync::{Arc, RwLock};\n";
+        assert_eq!(check_source("crates/net/src/x.rs", braced).len(), 1);
     }
 
     #[test]

@@ -257,7 +257,7 @@ fn no_idle_sleep_returns_under_a_waiver() {
     assert_eq!(in_core.len(), 5, "{in_core:?}");
     let in_reconfigure = in_core
         .iter()
-        .filter(|(file, line)| file.ends_with("manager.rs") && line.contains("_wait)"))
+        .filter(|(file, line)| file.ends_with("manager.rs") && line.contains("_WAIT)"))
         .count();
     assert_eq!(in_reconfigure, 3, "{in_core:?}");
     let backoffs: Vec<_> = library
@@ -268,5 +268,62 @@ fn no_idle_sleep_returns_under_a_waiver() {
     assert!(
         backoffs[0].0.ends_with("storm/src/executor.rs"),
         "{backoffs:?}"
+    );
+}
+
+/// `ring.rs` and `doorbell.rs` are model-checked as shipped
+/// (`crates/net/tests/model.rs`) only as long as every primitive their
+/// protocols run on comes from `crate::sync`: a lock, atomic flag, fence,
+/// park or unpark taken from `std` or `typhoon-diag` directly is one the
+/// model scheduler cannot see, and the next edit would leave the model
+/// without a test noticing. And the checker has no build-time switch of its
+/// own: the one option is `typhoon-net/model`.
+#[test]
+fn the_checked_files_take_their_primitives_from_the_sync_seam() {
+    // `thread` covers `park_timeout` / `unpark`: both are reached through it.
+    const PRIMITIVES: [&str; 7] = [
+        "AtomicBool",
+        "fence",
+        "thread",
+        "Thread",
+        "Mutex",
+        "RwLock",
+        "Condvar",
+    ];
+    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+    for file in ["ring.rs", "doorbell.rs"] {
+        let text = std::fs::read_to_string(crates.join("net/src").join(file)).expect("read");
+        let shipped = text
+            .split("\n#[cfg(test)]\nmod tests")
+            .next()
+            .expect("non-test part");
+        let code: Vec<&str> = shipped
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        let mut from_seam = 0;
+        for line in &code {
+            if line.starts_with("use ") && PRIMITIVES.iter().any(|p| line.contains(p)) {
+                assert!(line.starts_with("use crate::sync::"), "{file}: `{line}`");
+                from_seam += 1;
+            }
+            // No path around the imports either.
+            let qualified = PRIMITIVES
+                .iter()
+                .any(|p| line.contains(&format!("::{p}::")))
+                || ["AtomicBool", "fence", "Mutex", "RwLock", "Condvar"]
+                    .iter()
+                    .any(|p| line.contains(&format!("::{p}")));
+            assert!(
+                !qualified || line.starts_with("use crate::sync::"),
+                "{file}: `{line}`"
+            );
+        }
+        assert!(from_seam > 0, "{file} imports nothing from `crate::sync`");
+    }
+    let manifest = std::fs::read_to_string(crates.join("check/Cargo.toml")).expect("read");
+    assert!(
+        !manifest.contains("[features]"),
+        "typhoon-check is always the checker: no feature of its own"
     );
 }

@@ -21,12 +21,13 @@
 //! least one side sees the other's store — either the re-check finds the
 //! work, or the ringer finds the bell armed and unparks. A ring that lands
 //! between the re-check and the park leaves `std::thread`'s park token set,
-//! and the park returns at once. The protocol is model-checked by the
-//! `doorbell` kernel of `typhoon-check` (see `docs/CONCURRENCY.md`).
+//! and the park returns at once. This file is what `typhoon-check` explores:
+//! `armed`, the fences and the park token come from `crate::sync`, and
+//! `tests/model.rs` runs the scenarios (see `docs/CONCURRENCY.md`).
 
-use std::sync::atomic::{fence, AtomicBool, Ordering};
+use crate::sync::atomic::{fence, AtomicBool, Ordering};
+use crate::sync::thread::{self, Thread};
 use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 struct Inner {
@@ -91,10 +92,10 @@ impl Doorbell {
     ///
     /// Every bell has exactly one waiting thread for its lifetime.
     pub fn wait(&self, deadline: Instant, still_idle: impl FnOnce() -> bool) -> bool {
-        let waiter = self.inner.waiter.get_or_init(std::thread::current);
+        let waiter = self.inner.waiter.get_or_init(thread::current);
         debug_assert_eq!(
             waiter.id(),
-            std::thread::current().id(),
+            thread::current().id(),
             "a doorbell has one waiting thread for its lifetime"
         );
         self.inner.armed.store(true, Ordering::SeqCst);
@@ -105,7 +106,7 @@ impl Doorbell {
                 .min(Self::MAX_PARK);
             if !timeout.is_zero() {
                 // LINT: allow-sleep(the doorbell's park: the one blocking wait of the poll loops, ended by `ring` or the caller's deadline)
-                std::thread::park_timeout(timeout);
+                thread::park_timeout(timeout);
             }
         }
         // Disarm on every exit; finding the bell already disarmed means a
@@ -170,15 +171,16 @@ mod tests {
     #[test]
     fn ring_before_wait_returns_at_once() {
         // The ring lands after arming (inside the re-check): its unpark
-        // token is pending when the park starts.
+        // token is pending when the park starts. That the park then returns
+        // on the token, not on `MAX_PARK`, is what `tests/model.rs` checks —
+        // a stopwatch here could not tell the two apart.
         let bell = Doorbell::new();
-        let t = Instant::now();
         let rung = bell.wait(far(), || {
             bell.ring();
             true
         });
         assert!(rung);
-        assert!(t.elapsed() < Doorbell::MAX_PARK / 2, "{:?}", t.elapsed());
+        assert!(!bell.inner.armed.load(Ordering::Relaxed), "taken");
     }
 
     #[test]
@@ -231,12 +233,12 @@ mod tests {
 
     #[test]
     fn a_failed_recheck_never_parks() {
+        // "Never parks" itself is a `tests/model.rs` scenario (a park there
+        // is a deadlock); here: nobody rang, and the bell is left disarmed.
         let bell = Doorbell::new();
-        let t = Instant::now();
         for _ in 0..100 {
             assert!(!bell.wait(far(), || false));
         }
-        assert!(t.elapsed() < Doorbell::MAX_PARK * 50);
         // And the bell is disarmed again: a ring is the cheap path.
         bell.ring();
         assert!(!bell.inner.armed.load(Ordering::Relaxed));

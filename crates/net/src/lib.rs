@@ -34,6 +34,7 @@ pub mod fault;
 pub mod frame;
 pub mod packetize;
 pub mod ring;
+mod sync;
 pub mod tunnel;
 
 pub use backoff::{retry, BackoffPolicy, RetryError};

@@ -19,15 +19,22 @@
 //! worker loop round) is a lock-free load. The lock is a leaf: never held
 //! across `bell.ring()`, another ring or a tunnel write (see
 //! `docs/CONCURRENCY.md`).
+//!
+//! The lock and `closed` come from `crate::sync`, so under the `model`
+//! feature this file runs on the model checker's primitives and
+//! `tests/model.rs` explores its close/pop and batch/close interleavings as
+//! shipped. The [`RingStats`] counters steer nothing and stay plain `std`.
 
 use crate::doorbell::Doorbell;
 use crate::frame::Frame;
+use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::sync::DiagMutex;
 use crate::{NetError, Result};
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use typhoon_diag::{rank, DiagMutex};
+use typhoon_diag::rank;
 
 /// Counters shared by both ends of a ring.
 #[derive(Debug, Default)]

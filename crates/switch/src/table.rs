@@ -63,7 +63,7 @@ pub struct CacheableFlow {
 }
 
 /// A priority-ordered flow table.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FlowTable {
     entries: Vec<FlowEntry>,
     /// Frames that matched no rule (dropped), for observability. With the
