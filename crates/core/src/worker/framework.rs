@@ -6,9 +6,10 @@
 //! rewrite `nextHops`/policy in place, `INPUT_RATE`/`ACTIVATE`/`DEACTIVATE`
 //! gate the spout, `BATCH_SIZE` retunes the I/O layer.
 //!
-//! The crucial difference from the Storm executor: [`FrameworkLayer::route`]
-//! serializes a tuple **once**, even for one-to-many delivery — a broadcast
-//! is one blob addressed to `ff:ff:ff:ff:ff:ff`, replicated by the switch.
+//! The crucial difference from the Storm executor:
+//! [`FrameworkLayer::route_each`] hands out one emission per copy that must
+//! be serialized — **one**, even for one-to-many delivery: a broadcast is
+//! one tuple addressed to `ff:ff:ff:ff:ff:ff`, replicated by the switch.
 
 use bytes::Bytes;
 use std::sync::Arc;
@@ -52,6 +53,9 @@ pub struct FrameworkLayer {
     registry: Registry,
     rng_state: u64,
     trace: TraceCtx,
+    /// Scratch for the broadcast hops of one `route_each` call, kept for
+    /// its capacity.
+    broadcast_hops: Vec<TaskId>,
     // Emission-position scope for anchor stamping: `emission_seq` counts
     // anchors handed out while routing tuples of `seq_root`, and resets
     // when the root changes (= a new input is being processed).
@@ -76,6 +80,7 @@ impl FrameworkLayer {
             registry,
             rng_state: (task.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1,
             trace: TraceCtx::disabled(),
+            broadcast_hops: Vec::new(),
             seq_root: 0,
             emission_seq: 0,
         }
@@ -122,90 +127,83 @@ impl FrameworkLayer {
         }
     }
 
-    /// Routes one outgoing tuple, returning serialized, addressed blobs.
+    /// Stamps the next emission of `root` with its anchor (0 unanchored).
+    fn stamp(&mut self, tuple: &mut Tuple, anchored: bool, root: u64) -> u64 {
+        if !anchored {
+            return 0;
+        }
+        let anchor = self.scoped_anchor(root);
+        tuple.meta.message_id = MessageId { root, anchor };
+        anchor
+    }
+
+    /// Routes one outgoing tuple, calling `emit(dst, anchor, &tuple)` once
+    /// per copy that must be serialized — the caller encodes each exactly
+    /// once, wherever it likes (the worker: into the destination's frame).
     ///
-    /// * Unicast decision → one serialization, one blob.
-    /// * Broadcast decision → **one serialization**, one blob addressed to
-    ///   broadcast; the SDN data plane replicates it (§3.3.1). When the
-    ///   tuple is anchored (acking), broadcast falls back to
-    ///   per-destination blobs because each copy needs a distinct anchor —
-    ///   the paper never combines broadcast and guaranteed processing.
-    pub fn route(&mut self, mut tuple: Tuple, acking: bool) -> Vec<Addressed> {
+    /// * Unicast decision → one emission, stamped with its anchor.
+    /// * Broadcast decision → **one emission** addressed to broadcast; the
+    ///   SDN data plane replicates it (§3.3.1). When the tuple is anchored
+    ///   (acking), broadcast falls back to one emission per destination
+    ///   because each copy needs a distinct anchor — the paper never
+    ///   combines broadcast and guaranteed processing.
+    ///
+    /// Unicasts are emitted in route order, broadcast copies after them.
+    /// A call allocates nothing once the broadcast scratch list has grown.
+    pub fn route_each(
+        &mut self,
+        mut tuple: Tuple,
+        acking: bool,
+        mut emit: impl FnMut(MacAddr, u64, &Tuple),
+    ) {
         let anchored = acking && tuple.meta.message_id.root != 0;
         let root = tuple.meta.message_id.root;
-        let trace = tuple.meta.trace;
-        self.trace.record(trace, Hop::Serialize);
-        // Collect decisions first: routing mutates per-route state.
-        let mut unicasts: Vec<TaskId> = Vec::new();
-        let mut broadcast_hops: Option<Vec<TaskId>> = None;
-        for route in &mut self.routes {
+        self.trace.record(tuple.meta.trace, Hop::Serialize);
+        let app = self.app.0;
+        let mut hops = std::mem::take(&mut self.broadcast_hops);
+        for i in 0..self.routes.len() {
+            let route = &mut self.routes[i];
             if route.stream != tuple.meta.stream {
                 continue;
             }
             match route.state.route(&tuple) {
-                RouteDecision::One(dst) => unicasts.push(dst),
-                RouteDecision::Broadcast => {
-                    broadcast_hops
-                        .get_or_insert_with(Vec::new)
-                        .extend_from_slice(route.state.next_hops());
+                RouteDecision::One(dst) => {
+                    let anchor = self.stamp(&mut tuple, anchored, root);
+                    emit(MacAddr::worker(app, dst), anchor, &tuple);
                 }
-                RouteDecision::Drop => {
-                    self.registry.counter("tuples.unroutable").inc();
-                }
+                RouteDecision::Broadcast => hops.extend_from_slice(route.state.next_hops()),
+                RouteDecision::Drop => self.registry.counter("tuples.unroutable").inc(),
             }
         }
-        // The dominant case — one unicast emission, nothing to broadcast —
-        // skips the batch encoder's bookkeeping entirely: one encode, one
-        // buffer, straight to the I/O layer.
-        if unicasts.len() == 1 && broadcast_hops.is_none() {
-            let dst = unicasts[0];
-            let anchor = if anchored {
-                let anchor = self.scoped_anchor(root);
-                tuple.meta.message_id = MessageId { root, anchor };
-                anchor
-            } else {
-                0
-            };
-            return vec![Addressed {
-                dst: MacAddr::worker(self.app.0, dst),
-                blob: Bytes::from(encode_tuple_vec(&tuple, &self.ser)),
-                anchor_xor: anchor,
-                trace,
-            }];
+        if anchored {
+            // Per-destination anchors require per-destination copies.
+            for &dst in &hops {
+                let anchor = self.stamp(&mut tuple, anchored, root);
+                emit(MacAddr::worker(app, dst), anchor, &tuple);
+            }
+        } else if !hops.is_empty() {
+            // The Typhoon fast path: serialize once, broadcast address,
+            // network-layer replication.
+            tuple.meta.message_id = MessageId::NONE;
+            emit(MacAddr::BROADCAST, 0, &tuple);
         }
-        // Every emission of this call encodes into one shared buffer; the
-        // blobs handed to the I/O layer are refcounted slices of it, so a
-        // multi-destination emission costs one allocation end to end.
+        hops.clear();
+        self.broadcast_hops = hops;
+    }
+
+    /// [`FrameworkLayer::route_each`] into serialized, addressed blobs.
+    /// Every emission of the call encodes into one shared buffer; the blobs
+    /// are refcounted slices of it, so a multi-destination emission costs
+    /// one allocation.
+    pub fn route(&mut self, tuple: Tuple, acking: bool) -> Vec<Addressed> {
+        let trace = tuple.meta.trace;
+        let ser = Arc::clone(&self.ser);
         let mut enc = BatchEncoder::new();
-        let mut addressed: Vec<(MacAddr, u64)> = Vec::new();
-        for dst in unicasts {
-            let anchor = if anchored {
-                let anchor = self.scoped_anchor(root);
-                tuple.meta.message_id = MessageId { root, anchor };
-                anchor
-            } else {
-                0
-            };
-            addressed.push((MacAddr::worker(self.app.0, dst), anchor));
-            enc.push(&tuple, &self.ser);
-        }
-        if let Some(hops) = broadcast_hops {
-            if anchored {
-                // Per-destination anchors require per-destination blobs.
-                for dst in hops {
-                    let anchor = self.scoped_anchor(root);
-                    tuple.meta.message_id = MessageId { root, anchor };
-                    addressed.push((MacAddr::worker(self.app.0, dst), anchor));
-                    enc.push(&tuple, &self.ser);
-                }
-            } else if !hops.is_empty() {
-                // The Typhoon fast path: serialize once, broadcast address,
-                // network-layer replication.
-                tuple.meta.message_id = MessageId::NONE;
-                addressed.push((MacAddr::BROADCAST, 0));
-                enc.push(&tuple, &self.ser);
-            }
-        }
+        let mut addressed = Vec::new();
+        self.route_each(tuple, acking, |dst, anchor_xor, tuple| {
+            addressed.push((dst, anchor_xor));
+            enc.push(tuple, &ser);
+        });
         addressed
             .into_iter()
             .zip(enc.finish())

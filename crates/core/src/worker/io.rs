@@ -1,15 +1,16 @@
 //! The Typhoon I/O layer (§3.3.1, Fig. 7).
 //!
 //! Interposes between the framework layer and the host's software SDN
-//! switch: serialized tuple blobs are batched per destination (the
-//! northbound library's "configurable batching"), packetized into custom
-//! Ethernet frames (multiplexing + segmentation, the southbound library),
-//! and pushed into the worker's DPDK-style ring port. Ingress reverses the
-//! path. The batch size is runtime-tunable — the `BATCH_SIZE` control
-//! tuple's hook — trading latency for throughput (Figs. 8(c)/(d)).
+//! switch: tuples are batched per destination (the northbound library's
+//! "configurable batching") and encoded straight into that destination's
+//! frame under construction — records multiplexed into MTU-bounded custom
+//! Ethernet frames, only a tuple larger than a frame segmented (the
+//! southbound library) — then pushed into the worker's DPDK-style ring port.
+//! Ingress reverses the path. The batch size is runtime-tunable — the
+//! `BATCH_SIZE` control tuple's hook — trading latency for throughput
+//! (Figs. 8(c)/(d)).
 
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use typhoon_metrics::{Counter, Histogram, Registry};
 use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, NetError, Packetizer};
@@ -49,10 +50,19 @@ enum Flush {
     Idle,
 }
 
+/// One destination's batch: the frames it has encoded so far.
 struct DstBatch {
-    blobs: Vec<Bytes>,
+    /// Payload of the frame under construction ([`Packetizer::push_record`]).
+    open: Vec<u8>,
+    /// Frames the batch filled before it left; they precede `open`. Kept
+    /// across flushes for its capacity.
+    full: Vec<Frame>,
+    /// Tuples in the batch (`io.batch_occupancy` at flush).
+    tuples: usize,
+    /// When the batch opened: the clock is read once per batch, not per
+    /// tuple.
     oldest: Instant,
-    /// First nonzero trace id among batched blobs; stamped on the frames
+    /// First nonzero trace id among batched tuples; stamped on the frames
     /// carrying this batch so the switch can record its span.
     trace: u64,
 }
@@ -64,7 +74,9 @@ pub struct IoLayer {
     port: WorkerPort,
     packetizer: Packetizer,
     depacketizer: Depacketizer,
-    batches: HashMap<MacAddr, DstBatch>,
+    /// Open batches by destination: a worker has a handful, so a scan
+    /// beats hashing the address for every tuple.
+    batches: Vec<(MacAddr, DstBatch)>,
     batch_size: usize,
     batch_delay: Duration,
     registry: Registry,
@@ -87,7 +99,7 @@ impl IoLayer {
             port,
             packetizer: Packetizer::new(config.mtu),
             depacketizer: Depacketizer::new(),
-            batches: HashMap::new(),
+            batches: Vec::new(),
             batch_size: config.batch_size.max(1),
             batch_delay: config.batch_delay,
             frames_tx: registry.counter("io.frames_tx"),
@@ -141,7 +153,7 @@ impl IoLayer {
             .gauge("io.batch_size")
             .set(self.batch_size as i64);
         let threshold = self.batch_size;
-        self.flush_where(Flush::Idle, |b| b.blobs.len() >= threshold);
+        self.flush_where(Flush::Idle, |b| b.tuples >= threshold);
     }
 
     /// Frames waiting in the receive ring (the worker's queue depth, the
@@ -163,29 +175,45 @@ impl IoLayer {
         self.port.rx.is_empty() && !self.port.rx.is_closed()
     }
 
-    /// Queues one serialized tuple for `dst`, flushing if the batch fills.
+    /// Queues one tuple for `dst`, `encode` writing its serialized bytes
+    /// straight into the batch's frame; flushes if the batch fills.
     /// `trace` is the tuple's trace id (0 = untraced).
-    pub fn enqueue(&mut self, dst: MacAddr, blob: Bytes, trace: u64) {
+    pub fn enqueue_with(&mut self, dst: MacAddr, trace: u64, encode: impl FnOnce(&mut Vec<u8>)) {
         self.trace.record(trace, Hop::QueueOut);
-        let now = Instant::now();
-        let batch = self.batches.entry(dst).or_insert_with(|| DstBatch {
-            blobs: Vec::new(),
-            oldest: now,
-            trace: 0,
-        });
-        if batch.blobs.is_empty() {
-            batch.oldest = now;
+        let i = match self.batches.iter().position(|(d, _)| *d == dst) {
+            Some(i) => i,
+            None => {
+                let batch = DstBatch {
+                    open: Vec::new(),
+                    full: Vec::new(),
+                    tuples: 0,
+                    oldest: Instant::now(),
+                    trace: 0,
+                };
+                self.batches.push((dst, batch));
+                self.batches.len() - 1
+            }
+        };
+        let batch = &mut self.batches[i].1;
+        if batch.tuples == 0 {
+            batch.oldest = Instant::now();
             batch.trace = 0;
         }
         if batch.trace == 0 {
             batch.trace = trace;
         }
-        batch.blobs.push(blob);
-        if batch.blobs.len() >= self.batch_size {
-            let blobs = std::mem::take(&mut batch.blobs);
-            let batch_trace = batch.trace;
-            self.send_batch(dst, &blobs, batch_trace, Flush::Fill);
+        self.packetizer
+            .push_record(self.src_mac, dst, &mut batch.open, &mut batch.full, encode);
+        batch.tuples += 1;
+        if batch.tuples >= self.batch_size {
+            self.send_batch(i, Flush::Fill);
         }
+    }
+
+    /// Queues one already-serialized tuple for `dst`: [`IoLayer::enqueue_with`]
+    /// copying `blob` into the frame.
+    pub fn enqueue(&mut self, dst: MacAddr, blob: Bytes, trace: u64) {
+        self.enqueue_with(dst, trace, |buf| buf.extend_from_slice(&blob));
     }
 
     /// Flushes batches whose oldest tuple exceeded the delay bound: the
@@ -207,17 +235,11 @@ impl IoLayer {
 
     /// Sends every non-empty batch `due` selects.
     fn flush_where(&mut self, why: Flush, due: impl Fn(&DstBatch) -> bool) {
-        let dsts: Vec<MacAddr> = self
-            .batches
-            .iter()
-            .filter(|(_, b)| !b.blobs.is_empty() && due(b))
-            .map(|(&d, _)| d)
-            .collect();
-        for dst in dsts {
-            let batch = self.batches.get_mut(&dst).expect("selected above");
-            let blobs = std::mem::take(&mut batch.blobs);
-            let trace = batch.trace;
-            self.send_batch(dst, &blobs, trace, why);
+        for i in 0..self.batches.len() {
+            let batch = &self.batches[i].1;
+            if batch.tuples > 0 && due(batch) {
+                self.send_batch(i, why);
+            }
         }
     }
 
@@ -225,29 +247,34 @@ impl IoLayer {
     /// `dst` at once, past the per-destination batcher. It is not a batch
     /// of tuples, so `io.batch_occupancy` does not see it.
     pub fn send_now(&mut self, dst: MacAddr, blob: Bytes) {
-        self.transmit(dst, &[blob], 0);
+        let mut frames = self.packetizer.pack(self.src_mac, dst, &[blob]);
+        self.transmit(&mut frames, 0);
     }
 
-    fn send_batch(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64, why: Flush) {
+    fn send_batch(&mut self, i: usize, why: Flush) {
+        let (dst, batch) = &mut self.batches[i];
         // Batch occupancy at flush time, and why it left: all `fill` is
         // throughput mode (the size knob binds), all `idle` is latency mode
         // (the input ran dry first), `delay` is a busy worker trickling to
         // this destination.
-        self.batch_occupancy.record(blobs.len() as u64);
+        self.batch_occupancy.record(batch.tuples as u64);
         self.flushes[why as usize].inc();
-        self.transmit(dst, blobs, trace);
+        batch.tuples = 0;
+        Packetizer::close(self.src_mac, *dst, &mut batch.open, &mut batch.full);
+        let trace = batch.trace;
+        let mut frames = std::mem::take(&mut batch.full);
+        self.transmit(&mut frames, trace);
+        frames.clear(); // what a dead port refused
+        self.batches[i].1.full = frames;
     }
 
-    /// Packetizes `blobs` from this worker's address and pushes the frames
-    /// into the switch port.
-    fn transmit(&mut self, dst: MacAddr, blobs: &[Bytes], trace: u64) {
-        let src = self.src_mac;
+    /// Pushes `frames` into the switch port, stamped with `trace`.
+    fn transmit(&mut self, frames: &mut Vec<Frame>, trace: u64) {
         self.trace.record(trace, Hop::NetHop);
-        let mut frames = self.packetizer.pack(src, dst, blobs);
-        for frame in &mut frames {
+        for frame in frames.iter_mut() {
             frame.trace = trace;
         }
-        let pushed = self.port.tx.push_batch(&mut frames);
+        let pushed = self.port.tx.push_batch(frames);
         if pushed.enqueued > 0 {
             self.frames_tx.add(pushed.enqueued as u64);
         }

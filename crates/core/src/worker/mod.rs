@@ -39,7 +39,7 @@ use typhoon_net::Doorbell;
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
-use typhoon_tuple::ser::{decode_tuple, SerStats};
+use typhoon_tuple::ser::{decode_tuple, encode_tuple, SerStats};
 use typhoon_tuple::{MessageId, StreamId, Tuple, Value};
 
 /// What the worker computes.
@@ -214,11 +214,17 @@ impl WorkerCtx {
         self.rate_window_count += n;
     }
 
-    fn dispatch(&mut self, addressed: Vec<Addressed>) {
-        for a in addressed {
-            self.accum_xor ^= a.anchor_xor;
-            self.io.enqueue(a.dst, a.blob, a.trace);
-        }
+    /// Routes one tuple, encoding every copy straight into its
+    /// destination's frame, and folds the copies' anchors into `accum_xor`.
+    fn emit(&mut self, tuple: Tuple, acking: bool) {
+        let (fw, io, ser) = (&mut self.fw, &mut self.io, &self.ser);
+        let accum_xor = &mut self.accum_xor;
+        fw.route_each(tuple, acking, |dst, anchor, tuple| {
+            *accum_xor ^= anchor;
+            io.enqueue_with(dst, tuple.meta.trace, |buf| {
+                encode_tuple(tuple, buf, ser);
+            });
+        });
     }
 
     /// Routes what a bolt emits outside `execute` (signal flush, checkpoint
@@ -228,8 +234,7 @@ impl WorkerCtx {
         emit(&mut sink);
         for (stream, values) in sink.emitted {
             let tuple = Tuple::on_stream(self.config.task, stream, values);
-            let addressed = self.fw.route(tuple, false);
-            self.dispatch(addressed);
+            self.emit(tuple, false);
         }
         self.flush_now = true;
     }
@@ -356,9 +361,8 @@ impl Emitter for RoutedEmitter<'_> {
             };
         }
         let acking = self.ctx.config.acking;
-        let addressed = self.ctx.fw.route(tuple, acking);
+        self.ctx.emit(tuple, acking);
         self.ctx.emitted.inc();
-        self.ctx.dispatch(addressed);
     }
 }
 
@@ -424,6 +428,7 @@ pub fn run_worker(
                 bolt,
                 ckpt,
                 received,
+                unmarked: 0,
             };
             run_loop(&mut ctx, role);
         }
@@ -658,8 +663,8 @@ fn spout_throttled(ctx: &WorkerCtx) -> bool {
 fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
     let mut collect = VecEmitter::default();
     let produced = spout.next_batch(&mut collect);
-    let had = !collect.emitted.is_empty();
-    ctx.rate_consume(collect.emitted.len() as u32);
+    let emitted = collect.emitted.len();
+    ctx.rate_consume(emitted as u32);
     for (index, (stream, values)) in collect.emitted.into_iter().enumerate() {
         let trace = ctx.trace.sample();
         ctx.current_trace = trace;
@@ -685,9 +690,11 @@ fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
             RoutedEmitter { ctx }.emit_on(stream, values);
         }
         ctx.current_trace = 0;
-        ctx.shared.meter.mark(1);
     }
-    produced || had
+    if emitted > 0 {
+        ctx.shared.meter.mark(emitted as u64);
+    }
+    produced || emitted > 0
 }
 
 /// Per-worker epoch checkpointing + replay dedup for a stateful bolt.
@@ -819,6 +826,8 @@ struct BoltRole {
     ckpt: Option<BoltCheckpointer>,
     /// `tuples.received`, resolved once: every input counts.
     received: Counter,
+    /// Data tuples this round, marked on the meter once when it ends.
+    unmarked: u64,
 }
 
 impl RoleLoop for BoltRole {
@@ -827,7 +836,7 @@ impl RoleLoop for BoltRole {
             Classified::Control(ct) => ctx.handle_control(ct, Some(&mut self.bolt)),
             Classified::Data => {
                 self.received.inc();
-                ctx.shared.meter.mark(1);
+                self.unmarked += 1;
                 let input_id = tuple.meta.message_id;
                 let input_trace = tuple.meta.trace;
                 let anchored = ctx.config.acking && input_id.is_anchored();
@@ -863,6 +872,9 @@ impl RoleLoop for BoltRole {
     }
 
     fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
+        if self.unmarked > 0 {
+            ctx.shared.meter.mark(std::mem::take(&mut self.unmarked));
+        }
         if let Some(c) = self.ckpt.as_mut() {
             c.tick(ctx, self.bolt.as_ref());
         }

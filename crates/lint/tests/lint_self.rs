@@ -271,6 +271,21 @@ fn no_idle_sleep_returns_under_a_waiver() {
     );
 }
 
+/// The code lines of `crates/<path>` outside its `mod tests` and comments.
+fn shipped_code(path: &str) -> Vec<String> {
+    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
+    let text = std::fs::read_to_string(crates.join(path)).expect("read");
+    let shipped = text
+        .split("\n#[cfg(test)]\nmod tests")
+        .next()
+        .expect("non-test part");
+    shipped
+        .lines()
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .map(str::to_owned)
+        .collect()
+}
+
 /// `ring.rs` and `doorbell.rs` are model-checked as shipped
 /// (`crates/net/tests/model.rs`) only as long as every primitive their
 /// protocols run on comes from `crate::sync`: a lock, atomic flag, fence,
@@ -290,17 +305,8 @@ fn the_checked_files_take_their_primitives_from_the_sync_seam() {
         "RwLock",
         "Condvar",
     ];
-    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
     for file in ["ring.rs", "doorbell.rs"] {
-        let text = std::fs::read_to_string(crates.join("net/src").join(file)).expect("read");
-        let shipped = text
-            .split("\n#[cfg(test)]\nmod tests")
-            .next()
-            .expect("non-test part");
-        let code: Vec<&str> = shipped
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("//"))
-            .collect();
+        let code = shipped_code(&format!("net/src/{file}"));
         let mut from_seam = 0;
         for line in &code {
             if line.starts_with("use ") && PRIMITIVES.iter().any(|p| line.contains(p)) {
@@ -321,9 +327,31 @@ fn the_checked_files_take_their_primitives_from_the_sync_seam() {
         }
         assert!(from_seam > 0, "{file} imports nothing from `crate::sync`");
     }
+    let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("..");
     let manifest = std::fs::read_to_string(crates.join("check/Cargo.toml")).expect("read");
     assert!(
         !manifest.contains("[features]"),
         "typhoon-check is always the checker: no feature of its own"
     );
+}
+
+/// A worker's emission is encoded straight into its destination's frame
+/// (`route_each` → `enqueue_with`): the worker loop and the I/O layer call
+/// neither the blob-returning `route`, nor a per-tuple `Vec` encoder, nor
+/// `BatchEncoder`, and key no map by destination address — each of those is
+/// an allocation or a hash per tuple coming back.
+#[test]
+fn the_worker_emit_path_encodes_into_the_frame() {
+    for file in ["mod.rs", "io.rs"] {
+        for line in shipped_code(&format!("core/src/worker/{file}")) {
+            for banned in [
+                ".route(",
+                "encode_tuple_vec",
+                "BatchEncoder",
+                "HashMap<MacAddr",
+            ] {
+                assert!(!line.contains(banned), "{file}: `{line}`");
+            }
+        }
+    }
 }

@@ -14,7 +14,9 @@
 //! record := total_len:u32 offset:u32 chunk_len:u32 chunk_bytes
 //! ```
 //!
-//! `offset == 0 && chunk_len == total_len` is the common unsegmented case.
+//! `offset == 0 && chunk_len == total_len` is the common unsegmented case:
+//! the worker's emit path writes it in place ([`Packetizer::push_record`]),
+//! so only a tuple larger than a frame is segmented ([`Packetizer::pack`]).
 //! Reassembly relies on in-order delivery per source, which both rings and
 //! TCP tunnels guarantee.
 
@@ -88,6 +90,56 @@ impl Packetizer {
         }
         flush(&mut payload, &mut frames);
         frames
+    }
+
+    /// Appends one tuple to `open`, the payload of the frame under
+    /// construction `src → dst`, as one whole record whose bytes `encode`
+    /// writes in place. A record that does not fit behind the ones already
+    /// there closes `open` into `full` and starts the next frame; a tuple
+    /// larger than a frame is segmented into `full` by [`Packetizer::pack`].
+    /// Frames in `full` go on the wire before `open`.
+    pub fn push_record(
+        &self,
+        src: MacAddr,
+        dst: MacAddr,
+        open: &mut Vec<u8>,
+        full: &mut Vec<Frame>,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) {
+        let room = self.mtu - HEADER_LEN;
+        if open.capacity() == 0 {
+            open.reserve_exact(room);
+        }
+        let start = open.len();
+        open.extend_from_slice(&[0; RECORD_HEADER]);
+        encode(open);
+        let len = open.len() - start - RECORD_HEADER;
+        // total_len = chunk_len, offset 0: an unsegmented record.
+        open[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+        open[start + 8..start + RECORD_HEADER].copy_from_slice(&(len as u32).to_be_bytes());
+        if open.len() <= room {
+            return;
+        }
+        if RECORD_HEADER + len > room {
+            let tuple = Bytes::from(open[start + RECORD_HEADER..].to_vec());
+            open.truncate(start);
+            Self::close(src, dst, open, full);
+            full.extend(self.pack(src, dst, &[tuple]));
+            return;
+        }
+        let mut next = Vec::with_capacity(room);
+        next.extend_from_slice(&open[start..]);
+        open.truncate(start);
+        let filled = std::mem::replace(open, next);
+        full.push(Frame::typhoon(src, dst, Bytes::from(filled)));
+    }
+
+    /// Closes the frame under construction into `full`, if it holds a
+    /// record; `open` restarts empty.
+    pub fn close(src: MacAddr, dst: MacAddr, open: &mut Vec<u8>, full: &mut Vec<Frame>) {
+        if !open.is_empty() {
+            full.push(Frame::typhoon(src, dst, Bytes::from(std::mem::take(open))));
+        }
     }
 }
 

@@ -254,9 +254,16 @@ impl<T: RingItem> RingConsumer<T> {
     /// Dequeues one frame if available. `Ok(None)` means "empty right now";
     /// [`NetError::Disconnected`] means closed *and* drained.
     pub fn pop(&self) -> Result<Option<T>> {
-        let mut one = Vec::new();
-        self.pop_batch(&mut one, 1)?;
-        Ok(one.pop())
+        let mut queue = self.shared.queue.lock();
+        let item = queue.pop_front();
+        if item.is_none() && self.shared.is_closed() {
+            return Err(NetError::Disconnected);
+        }
+        drop(queue);
+        if item.is_some() {
+            self.shared.stats.dequeued.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(item)
     }
 
     /// Dequeues up to `max` frames into `out` under one lock acquisition

@@ -61,14 +61,26 @@ fn far() -> Instant {
     Instant::now() + Duration::from_secs(3600)
 }
 
-/// The consumer every poll loop in the workspace is: `pop_batch(max)`, and
-/// when a poll came back empty, `bell().wait(..)` with a re-check of the
-/// source; `Disconnected` ends it. `recheck: false` is the misuse — it
-/// trusts the poll it just did.
+/// One poll as the workspace's consumers make it: `pop()` for one item (the
+/// control channel's `try_recv`), `pop_batch(max)` for more (every port).
+fn poll<T: Item>(rx: &RingConsumer<T>, got: &mut Vec<T>, max: usize) -> Result<usize, NetError> {
+    if max > 1 {
+        return rx.pop_batch(got, max);
+    }
+    let item = rx.pop()?;
+    let n = usize::from(item.is_some());
+    got.extend(item);
+    Ok(n)
+}
+
+/// The consumer every poll loop in the workspace is: a [`poll`], and when
+/// it came back empty, `bell().wait(..)` with a re-check of the source;
+/// `Disconnected` ends it. `recheck: false` is the misuse — it trusts the
+/// poll it just did.
 fn drain<T: Item>(rx: &RingConsumer<T>, max: usize, recheck: bool) -> Vec<T> {
     let mut got = Vec::new();
     loop {
-        match rx.pop_batch(&mut got, max) {
+        match poll(rx, &mut got, max) {
             Ok(0) => {
                 rx.bell()
                     .wait(far(), || !recheck || (rx.is_empty() && !rx.is_closed()));
@@ -102,7 +114,8 @@ fn holds_for_frame_and_bytes(name: &str, frame: fn(), bytes: fn()) {
 // ------------------------------------------------------------ ring vs. close
 
 /// The producer pushes `frames` items one by one and goes away (its drop is
-/// the close); the consumer drains `max` at a time. No lost tuple: every
+/// the close); the consumer drains `max` at a time (`max == 1`: `pop`'s own
+/// body, which has no `pop_batch` under it). No lost tuple: every
 /// frame pushed before the close is delivered, in order, before
 /// `Disconnected` — and a partial drain is never traded for the error.
 fn push_then_close<T: Item>(frames: u8, max: usize) {

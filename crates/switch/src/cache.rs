@@ -35,7 +35,10 @@
 //! counters that are flushed into the [`FlowTable`](crate::table::FlowTable)
 //! under its lock before any observer can look: on `FlowStatsRequest`, on
 //! `FlowMod` application, on the periodic expiry sweep, and when an insert
-//! overwrites an occupied slot.
+//! overwrites an occupied slot. A slot remembers when it was filled, and
+//! the flush credits the rule that was live then — the one its key
+//! resolved to — never a higher-priority rule that had already expired,
+//! unswept, when the key was resolved.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -147,6 +150,9 @@ struct Slot {
     hard_deadline: AtomicU64,
     /// Last hit, nanos since the cache epoch (refreshed on every hit).
     last_hit: AtomicU64,
+    /// When the slot was written, nanos since the cache epoch: the instant
+    /// at which its key resolved to the rule its hits belong to.
+    filled: AtomicU64,
     pending_packets: AtomicU64,
     pending_bytes: AtomicU64,
 }
@@ -164,6 +170,7 @@ impl Slot {
             idle_nanos: AtomicU64::new(0),
             hard_deadline: AtomicU64::new(0),
             last_hit: AtomicU64::new(0),
+            filled: AtomicU64::new(0),
             pending_packets: AtomicU64::new(0),
             pending_bytes: AtomicU64::new(0),
         }
@@ -191,6 +198,9 @@ pub struct Displaced {
     pub packets: u64,
     /// Hit bytes not yet reflected in the table.
     pub bytes: u64,
+    /// When the slot was filled: the hits belong to the rule that was live
+    /// then (see [`FlowTable::credit`](crate::table::FlowTable::credit)).
+    pub filled: Instant,
 }
 
 /// Monotonic cache counters (observability: `switch.cache.*`).
@@ -392,7 +402,7 @@ impl FlowCache {
     ) -> Option<Displaced> {
         let (k0, k1, k2) = key_of(meta);
         let slot = &self.slots[slot_index(k0, k1, k2)];
-        let displaced = Self::take_pending(slot);
+        let displaced = self.take_pending(slot);
         let s = slot.seq.load(Ordering::Relaxed);
         slot.seq.store(s.wrapping_add(1) | 1, Ordering::Relaxed);
         fence(Ordering::Release);
@@ -402,6 +412,7 @@ impl FlowCache {
         slot.generation
             .store(self.generation.load(Ordering::Acquire), Ordering::Relaxed);
         slot.last_hit.store(now_n, Ordering::Relaxed);
+        slot.filled.store(now_n, Ordering::Relaxed);
         fill(slot);
         slot.seq
             .store((s.wrapping_add(1) | 1).wrapping_add(1), Ordering::Release);
@@ -410,7 +421,7 @@ impl FlowCache {
     }
 
     /// Swaps out a slot's pending hit counters, if any.
-    fn take_pending(slot: &Slot) -> Option<Displaced> {
+    fn take_pending(&self, slot: &Slot) -> Option<Displaced> {
         if slot.pending_packets.load(Ordering::Relaxed) == 0 {
             return None;
         }
@@ -427,16 +438,17 @@ impl FlowCache {
             ),
             packets,
             bytes,
+            filled: self.epoch + Duration::from_nanos(slot.filled.load(Ordering::Relaxed)),
         })
     }
 
     /// Flushes every slot's pending hit counters through `credit`. Called
     /// with the table lock held before any statistics observer runs, so
     /// per-rule packet/byte counts stay exact despite the cache.
-    pub fn drain_pending(&self, mut credit: impl FnMut(&FrameMeta, u64, u64)) {
+    pub fn drain_pending(&self, mut credit: impl FnMut(&Displaced)) {
         for slot in self.slots.iter() {
-            if let Some(d) = Self::take_pending(slot) {
-                credit(&d.meta, d.packets, d.bytes);
+            if let Some(d) = self.take_pending(slot) {
+                credit(&d);
             }
         }
     }
@@ -580,10 +592,10 @@ mod tests {
         c.probe(&m, 4, 400, now);
         c.probe(&m, 1, 100, now);
         let mut drained = Vec::new();
-        c.drain_pending(|meta, p, b| drained.push((*meta, p, b)));
-        assert_eq!(drained, vec![(m, 5, 500)]);
+        c.drain_pending(|d| drained.push((d.meta, d.packets, d.bytes, d.filled)));
+        assert_eq!(drained, vec![(m, 5, 500, now)]);
         // A second drain finds nothing.
-        c.drain_pending(|_, _, _| panic!("already drained"));
+        c.drain_pending(|_| panic!("already drained"));
     }
 
     #[test]

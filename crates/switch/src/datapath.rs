@@ -256,7 +256,7 @@ impl Switch {
                 // clocks of rules whose traffic never reached the table.
                 self.inner
                     .cache
-                    .drain_pending(|meta, p, b| table.credit(meta, p, b, now));
+                    .drain_pending(|hits| table.credit(hits, now));
                 let evicted = table.expire(now);
                 self.inner
                     .rules

@@ -201,7 +201,7 @@ impl Switch {
     /// to the table (whose lock the caller already holds).
     fn credit_displaced(table: &mut FlowTable, displaced: Option<Displaced>, now: Instant) {
         if let Some(d) = displaced {
-            table.credit(&d.meta, d.packets, d.bytes, now);
+            table.credit(&d, now);
         }
     }
 

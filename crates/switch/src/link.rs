@@ -346,7 +346,7 @@ impl Switch {
                         // rules (a Modify/Delete must not lose or misroute them).
                         self.inner
                             .cache
-                            .drain_pending(|meta, p, b| table.credit(meta, p, b, now));
+                            .drain_pending(|hits| table.credit(hits, now));
                         table.apply(&fm, now);
                         self.inner
                             .rules
@@ -380,7 +380,7 @@ impl Switch {
                 // Flush cache-accumulated hits first so the reply is exact.
                 self.inner
                     .cache
-                    .drain_pending(|meta, p, b| table.credit(meta, p, b, now));
+                    .drain_pending(|hits| table.credit(hits, now));
                 Some(OfMessage::FlowStatsReply(table.stats()))
             }
             OfMessage::PortStatsRequest => {

@@ -1,5 +1,6 @@
 //! The flow table.
 
+use crate::cache::Displaced;
 use std::time::{Duration, Instant};
 use typhoon_openflow::{Action, FlowMatch, FlowMod, FlowModCommand, FlowStats, FrameMeta};
 
@@ -241,14 +242,20 @@ impl FlowTable {
     }
 
     /// Credits hit statistics accumulated in the flow cache back to the
-    /// matching rule. The hits are proof of traffic, so this also refreshes
-    /// the idle clock — without it, a rule whose frames all hit the cache
-    /// would idle-expire under constant load. Skips the expiry check:
-    /// the credited hits happened before any sweep that could run next.
-    pub fn credit(&mut self, meta: &FrameMeta, packets: u64, bytes: u64, now: Instant) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.matcher.matches(meta)) {
-            e.packets += packets;
-            e.bytes += bytes;
+    /// rule they were forwarded by: the first rule matching the key that
+    /// was live when the cache slot was filled — an idle-expired rule the
+    /// sweep has not removed yet was passed over then, and is passed over
+    /// here. The hits are proof of traffic, so this also refreshes that
+    /// rule's idle clock — without it, a rule whose frames all hit the
+    /// cache would idle-expire under constant load.
+    pub fn credit(&mut self, hits: &Displaced, now: Instant) {
+        if let Some(e) = self
+            .entries
+            .iter_mut()
+            .find(|e| !e.is_expired(hits.filled) && e.matcher.matches(&hits.meta))
+        {
+            e.packets += hits.packets;
+            e.bytes += hits.bytes;
             e.last_hit = now;
         }
     }
@@ -296,6 +303,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{FlowCache, Probe};
     use typhoon_net::{MacAddr, TYPHOON_ETHERTYPE};
     use typhoon_openflow::PortNo;
     use typhoon_tuple::tuple::TaskId;
@@ -505,10 +513,58 @@ mod tests {
         );
         // All traffic hit the cache; the credit at t0+1.9s proves the flow
         // is alive and must reset the idle clock.
-        t.credit(&meta(1, w(2)), 100, 1000, t0 + Duration::from_millis(1900));
+        let hits = Displaced {
+            meta: meta(1, w(2)),
+            packets: 100,
+            bytes: 1000,
+            filled: t0,
+        };
+        t.credit(&hits, t0 + Duration::from_millis(1900));
         assert_eq!(t.entries()[0].packets, 100);
         assert_eq!(t.expire(t0 + Duration::from_millis(2100)), 0);
         assert_eq!(t.expire(t0 + Duration::from_millis(4000)), 1);
+    }
+
+    /// A higher-priority rule that idle-expired but was not swept yet is
+    /// passed over by the lookup that fills the cache slot; the hits the
+    /// slot then gathers are the lower rule's, and must not revive the
+    /// expired one.
+    #[test]
+    fn cached_hits_go_to_the_rule_live_when_the_slot_was_filled() {
+        let mut t = FlowTable::new();
+        let cache = FlowCache::new();
+        let t0 = Instant::now();
+        let key = meta(1, w(2));
+        let high = FlowMod::add(
+            9,
+            FlowMatch::any().dl_dst(w(2)),
+            vec![Action::Output(PortNo(9))],
+        );
+        t.apply(&high.with_idle_timeout(Duration::from_secs(1)), t0);
+        t.apply(
+            &FlowMod::add(1, FlowMatch::any(), vec![Action::Output(PortNo(1))]),
+            t0,
+        );
+        let filled = t0 + Duration::from_secs(2);
+        let cf = t.lookup_credit(&key, 1, 100, filled).expect("low rule");
+        assert_eq!(cf.actions, vec![Action::Output(PortNo(1))]);
+        cache.insert(
+            &key,
+            &cf.actions,
+            cf.idle_timeout,
+            cf.hard_remaining,
+            filled,
+        );
+        assert!(matches!(cache.probe(&key, 4, 400, filled), Probe::Hit(_)));
+        let drained = filled + Duration::from_millis(500);
+        cache.drain_pending(|hits| t.credit(hits, drained));
+        let packets: Vec<(u16, u64)> = t
+            .entries()
+            .iter()
+            .map(|e| (e.priority, e.packets))
+            .collect();
+        assert_eq!(packets, [(9, 0), (1, 5)]);
+        assert_eq!(t.expire(drained), 1, "the expired rule stays expired");
     }
 
     #[test]

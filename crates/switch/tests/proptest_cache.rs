@@ -14,10 +14,13 @@
 //!   request), every rule's packet / byte counters equal what direct
 //!   `lookup_credit` calls would have credited it.
 //!
-//! The clock moves only in sweeps. Inside a sweep period the cache's idle
-//! clock is, by design, finer than the table's (cached hits reach the table
-//! at the next drain), so exactness is claimed — and checked — at the
-//! granularity at which the datapath expires rules.
+//! The clock moves in sweeps and in statistics requests, which drain the
+//! cache without expiring anything — so lookups also run while a rule has
+//! idle-expired but is not swept yet, and a drain then credits hits the
+//! cache gathered for the rule the key fell through to. Every clock move
+//! drains: between drains the cache's idle clock is, by design, finer than
+//! the table's (cached hits reach the table at the next drain), so
+//! exactness is claimed — and checked — at the granularity of the drains.
 
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -35,6 +38,9 @@ enum Op {
     Reinstall(usize),
     /// Advances the clock and runs the expiry sweep.
     Sweep(Duration),
+    /// Advances the clock and answers a `FlowStatsRequest`: a drain, no
+    /// sweep.
+    Stats(Duration),
     /// A tunnel came or went.
     TunnelChange,
     /// One same-key run of `packets` frames.
@@ -149,6 +155,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             arb_flow_mod().prop_map(Op::Mod),
             (0usize..8).prop_map(Op::Reinstall),
             (0u64..3000).prop_map(|ms| Op::Sweep(Duration::from_millis(ms))),
+            (0u64..3000).prop_map(|ms| Op::Stats(Duration::from_millis(ms))),
             lookup(),
             lookup(),
             lookup(),
@@ -195,7 +202,7 @@ impl Datapath {
                     None => self.cache.insert_negative(meta, now),
                 };
                 if let Some(d) = displaced {
-                    self.table.credit(&d.meta, d.packets, d.bytes, now);
+                    self.table.credit(&d, now);
                 }
                 found.map(|cf| cf.actions)
             }
@@ -205,8 +212,7 @@ impl Datapath {
     /// What every statistics observer does first.
     fn drain(&mut self) {
         let (table, now) = (&mut self.table, self.now);
-        self.cache
-            .drain_pending(|meta, p, b| table.credit(meta, p, b, now));
+        self.cache.drain_pending(|hits| table.credit(hits, now));
         for e in self.table.entries() {
             let credited = self
                 .ledger
@@ -322,6 +328,10 @@ proptest! {
                     }
                 }
                 Op::Sweep(dt) => dp.sweep(dt),
+                Op::Stats(dt) => {
+                    dp.now += dt;
+                    dp.drain();
+                }
                 Op::TunnelChange => dp.cache.invalidate_all(),
                 Op::Lookup(meta, packets) => dp.lookup(&meta, packets),
             }
