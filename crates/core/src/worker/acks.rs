@@ -85,24 +85,15 @@ pub fn parse_verdict_message(tuple: &Tuple) -> Option<impl Iterator<Item = (u64,
 }
 
 /// The ack records a worker has produced and not yet sent.
+#[derive(Default)]
 pub(crate) struct AckBuffer {
     blob: Vec<u8>,
-    /// When the first buffered record was pushed; stale while empty.
-    oldest: Instant,
+    /// Age stamp, set by the first [`AckBuffer::oldest`] since it emptied.
+    stamp: Option<Instant>,
 }
 
 impl AckBuffer {
-    pub(crate) fn new() -> Self {
-        AckBuffer {
-            blob: Vec::new(),
-            oldest: Instant::now(),
-        }
-    }
-
     pub(crate) fn push(&mut self, root: u64, xor: u64) {
-        if self.blob.is_empty() {
-            self.oldest = Instant::now();
-        }
         push_ack(&mut self.blob, root, xor);
     }
 
@@ -111,13 +102,15 @@ impl AckBuffer {
         self.blob.len() / ACK_RECORD_LEN
     }
 
-    /// When the oldest buffered record was pushed; `None` when empty.
-    pub(crate) fn oldest(&self) -> Option<Instant> {
-        (!self.blob.is_empty()).then_some(self.oldest)
+    /// The records' age stamp: the `now` of the first call that found them,
+    /// the head of the round that pushed the oldest. `None` when empty.
+    pub(crate) fn oldest(&mut self, now: Instant) -> Option<Instant> {
+        (!self.blob.is_empty()).then(|| *self.stamp.get_or_insert(now))
     }
 
     /// Empties the buffer, returning its records as an ack blob.
     pub(crate) fn take(&mut self) -> Vec<u8> {
+        self.stamp = None;
         std::mem::take(&mut self.blob)
     }
 }
@@ -159,15 +152,18 @@ mod tests {
 
     #[test]
     fn buffer_tracks_its_oldest_record() {
-        let mut buf = AckBuffer::new();
-        assert_eq!((buf.len(), buf.oldest()), (0, None));
-        let before = Instant::now();
+        let t0 = Instant::now();
+        let later = t0 + std::time::Duration::from_millis(5);
+        let mut buf = AckBuffer::default();
+        assert_eq!((buf.len(), buf.oldest(t0)), (0, None));
         buf.push(1, 2);
+        assert_eq!(buf.oldest(t0), Some(t0), "stamped by the first look");
         buf.push(3, 4);
-        let oldest = buf.oldest().expect("two records buffered");
-        assert!(oldest >= before && oldest <= Instant::now());
+        assert_eq!(buf.oldest(later), Some(t0), "a later record keeps it");
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.take().len(), 2 * ACK_RECORD_LEN);
-        assert_eq!((buf.len(), buf.oldest()), (0, None));
+        assert_eq!((buf.len(), buf.oldest(later)), (0, None));
+        buf.push(5, 6);
+        assert_eq!(buf.oldest(later), Some(later), "emptied: a fresh stamp");
     }
 }

@@ -51,6 +51,7 @@ enum Flush {
 }
 
 /// One destination's batch: the frames it has encoded so far.
+#[derive(Default)]
 struct DstBatch {
     /// Payload of the frame under construction ([`Packetizer::push_record`]).
     open: Vec<u8>,
@@ -59,9 +60,9 @@ struct DstBatch {
     full: Vec<Frame>,
     /// Tuples in the batch (`io.batch_occupancy` at flush).
     tuples: usize,
-    /// When the batch opened: the clock is read once per batch, not per
-    /// tuple.
-    oldest: Instant,
+    /// Age stamp: the `now` of the first [`IoLayer::flush_due`] that saw it
+    /// open, never later than its first tuple; `None` until then.
+    opened: Option<Instant>,
     /// First nonzero trace id among batched tuples; stamped on the frames
     /// carrying this batch so the switch can record its span.
     trace: u64,
@@ -183,22 +184,11 @@ impl IoLayer {
         let i = match self.batches.iter().position(|(d, _)| *d == dst) {
             Some(i) => i,
             None => {
-                let batch = DstBatch {
-                    open: Vec::new(),
-                    full: Vec::new(),
-                    tuples: 0,
-                    oldest: Instant::now(),
-                    trace: 0,
-                };
-                self.batches.push((dst, batch));
+                self.batches.push((dst, DstBatch::default()));
                 self.batches.len() - 1
             }
         };
         let batch = &mut self.batches[i].1;
-        if batch.tuples == 0 {
-            batch.oldest = Instant::now();
-            batch.trace = 0;
-        }
         if batch.trace == 0 {
             batch.trace = trace;
         }
@@ -216,13 +206,12 @@ impl IoLayer {
         self.enqueue_with(dst, trace, |buf| buf.extend_from_slice(&blob));
     }
 
-    /// Flushes batches whose oldest tuple exceeded the delay bound: the
-    /// end of a round that did work.
-    pub fn flush_due(&mut self) {
-        let now = Instant::now();
+    /// Flushes batches whose age reached the delay bound by `now`, stamping
+    /// the ones it sees for the first time: the end of a round that did work.
+    pub fn flush_due(&mut self, now: Instant) {
         let delay = self.batch_delay;
         self.flush_where(Flush::Delay, |b| {
-            now.saturating_duration_since(b.oldest) >= delay
+            now.saturating_duration_since(*b.opened.get_or_insert(now)) >= delay
         });
     }
 
@@ -234,9 +223,9 @@ impl IoLayer {
     }
 
     /// Sends every non-empty batch `due` selects.
-    fn flush_where(&mut self, why: Flush, due: impl Fn(&DstBatch) -> bool) {
+    fn flush_where(&mut self, why: Flush, mut due: impl FnMut(&mut DstBatch) -> bool) {
         for i in 0..self.batches.len() {
-            let batch = &self.batches[i].1;
+            let batch = &mut self.batches[i].1;
             if batch.tuples > 0 && due(batch) {
                 self.send_batch(i, why);
             }
@@ -260,8 +249,9 @@ impl IoLayer {
         self.batch_occupancy.record(batch.tuples as u64);
         self.flushes[why as usize].inc();
         batch.tuples = 0;
+        batch.opened = None;
         Packetizer::close(self.src_mac, *dst, &mut batch.open, &mut batch.full);
-        let trace = batch.trace;
+        let trace = std::mem::take(&mut batch.trace);
         let mut frames = std::mem::take(&mut batch.full);
         self.transmit(&mut frames, trace);
         frames.clear(); // what a dead port refused
@@ -364,15 +354,25 @@ mod tests {
     #[test]
     fn flush_due_honours_deadline() {
         let (mut io, _sw) = io_on_switch(1000);
-        io.batch_delay = Duration::from_millis(1);
+        let delay = Duration::from_millis(1);
+        io.batch_delay = delay;
         let dst = MacAddr::worker(1, TaskId(2));
         io.enqueue(dst, Bytes::from_static(b"x"), 0);
-        io.flush_due();
-        // Might not be due yet on a fast machine; wait out the deadline.
-        std::thread::sleep(Duration::from_millis(3));
-        io.flush_due();
+        // The first flush_due stamps the batch's age; it is not due yet.
+        let t0 = Instant::now();
+        io.flush_due(t0);
+        io.flush_due(t0 + delay - Duration::from_nanos(1));
+        assert_eq!(io.registry.snapshot().counter("io.frames_tx"), 0);
+        io.flush_due(t0 + delay);
         assert_eq!(io.registry.snapshot().counter("io.frames_tx"), 1);
         assert_eq!(io.registry.snapshot().counter("io.flush.delay"), 1);
+        // A batch opened after the flush carries a fresh stamp.
+        io.enqueue(dst, Bytes::from_static(b"y"), 0);
+        io.flush_due(t0 + 2 * delay - Duration::from_nanos(1));
+        io.flush_due(t0 + 3 * delay - Duration::from_nanos(2));
+        assert_eq!(io.registry.snapshot().counter("io.flush.delay"), 1);
+        io.flush_due(t0 + 3 * delay);
+        assert_eq!(io.registry.snapshot().counter("io.flush.delay"), 2);
     }
 
     #[test]

@@ -6,19 +6,20 @@
 //! unchanged application computation layer, and routes emissions back down
 //! through framework serialization and I/O batching. Table 2 control
 //! tuples — injected by the SDN controller — reconfigure all of this at
-//! runtime without stopping the loop. A round that found nothing to do
-//! flushes everything it has buffered — waiting buys no more batching once
-//! the input ran dry — and then waits on the port's doorbell (rung by the
-//! switch) until the role's idle deadline; only a worker that stays busy
-//! holds a batch for `batch_size` or `batch_delay`. That one wait serves
-//! every role. An active spout's deadline is its next poll instant
-//! (`SPOUT_IDLE_POLL` after an empty `next_batch`): a ring before it runs
-//! an ordinary round — ack results, control tuples, timers, flush — in
-//! which `next_batch` is *not* asked, and the spout goes back to wait for
-//! the same instant, so what arrives on the port is served when it arrives
-//! while the source keeps its own clock. Guaranteed processing rides the
-//! same loop as packed records ([`acks`]): one `ACK` message per worker per
-//! round, one `ACK_RESULT` per spout per acker round.
+//! runtime without stopping the loop.
+//!
+//! A round is a step over `(ingress, now)`, the clock read once at its head.
+//! Every timer is a deadline held in state (the spout's poll and sweep, the
+//! `InputRate` window, the acker's expiry, the next checkpoint); the role's
+//! `next_due` is the earliest one armed. A round that found nothing to do
+//! flushes everything it buffered — waiting buys no more batching once the
+//! input ran dry — and parks on the port's doorbell (rung by the switch)
+//! until `next_due`; only a busy worker holds a batch for `batch_size` or
+//! `batch_delay`. A ring before the deadline runs a round in which nothing
+//! that is not due runs (a spout's `next_batch` included): the port is
+//! served as frames arrive while the source keeps its own clock. Guaranteed
+//! processing rides the same loop as packed records ([`acks`]): one `ACK`
+//! message per worker per round, one `ACK_RESULT` per spout per acker round.
 
 pub mod acks;
 pub mod framework;
@@ -144,7 +145,8 @@ struct WorkerCtx {
     ser: Arc<SerStats>,
     active: bool,
     input_rate: Option<u32>,
-    rate_window_start: Instant,
+    /// When the current `InputRate` window ends and its budget refills.
+    rate_window_end: Instant,
     rate_window_count: u32,
     // acking scratch
     current_root: u64,
@@ -178,6 +180,50 @@ impl Drop for WorkerCtx {
 }
 
 impl WorkerCtx {
+    /// The framework and I/O layers over `port`, every timer counted from `now`.
+    fn new(
+        config: WorkerConfig,
+        port: WorkerPort,
+        routes: Vec<Route>,
+        ser: Arc<SerStats>,
+        shared: WorkerShared,
+        trace: TraceCtx,
+        now: Instant,
+    ) -> Self {
+        let mut fw = FrameworkLayer::new(
+            config.app,
+            config.task,
+            routes,
+            ser.clone(),
+            shared.registry.clone(),
+        );
+        fw.set_trace(trace.clone());
+        let mut io = IoLayer::new(fw.mac(), port, &config.io, shared.registry.clone());
+        io.set_trace(trace.clone());
+        WorkerCtx {
+            root_seed: (config.task.0 as u64).wrapping_mul(0xa076_1d64_78bd_642f) | 1,
+            active: config.start_active,
+            input_rate: None,
+            rate_window_end: now + TIMER_PERIOD,
+            rate_window_count: 0,
+            current_root: 0,
+            accum_xor: 0,
+            pending: HashMap::new(),
+            acks: acks::AckBuffer::default(),
+            acks_init: false,
+            acks_frames_mark: 0,
+            flush_now: false,
+            emitted: shared.registry.counter("tuples.emitted"),
+            trace,
+            current_trace: 0,
+            config,
+            fw,
+            io,
+            shared,
+            ser,
+        }
+    }
+
     fn next_root(&mut self) -> u64 {
         // Fresh roots keep their low byte (the replay-round counter, see
         // `MessageId::ROOT_ROUND_MASK`) zeroed; replays of the same
@@ -195,23 +241,21 @@ impl WorkerCtx {
         }
     }
 
-    /// True when the current 100 ms window still has emission budget.
-    fn rate_allows(&mut self) -> bool {
-        let cap = match self.input_rate {
-            Some(c) => c,
-            None => return true,
-        };
-        let now = Instant::now();
-        if now.duration_since(self.rate_window_start) >= Duration::from_millis(100) {
-            self.rate_window_start = now;
+    /// True when the current 100 ms window still has emission budget; a
+    /// window that ended by `now` rolls over first.
+    fn rate_allows(&mut self, now: Instant) -> bool {
+        if self.input_rate.is_some() && now >= self.rate_window_end {
+            self.rate_window_end = now + TIMER_PERIOD;
             self.rate_window_count = 0;
         }
-        self.rate_window_count < cap.div_ceil(10)
+        self.rate_spent_until().is_none()
     }
 
-    /// Debits actual emissions from the window budget.
-    fn rate_consume(&mut self, n: u32) {
-        self.rate_window_count += n;
+    /// While the window's budget is spent, the window's end: nothing may be
+    /// emitted before it.
+    fn rate_spent_until(&self) -> Option<Instant> {
+        let cap = self.input_rate?;
+        (self.rate_window_count >= cap.div_ceil(10)).then_some(self.rate_window_end)
     }
 
     /// Routes one tuple, encoding every copy straight into its
@@ -245,11 +289,6 @@ impl WorkerCtx {
         }
     }
 
-    /// When the buffered ack records must leave by the delay rule.
-    fn acks_due(&self) -> Option<Instant> {
-        self.acks.oldest().map(|t| t + self.io.batch_delay())
-    }
-
     /// Sends the buffered ack records as one `ACK` message, once they are
     /// due. A bolt's are due at the end of the round that produced them:
     /// the drained round is the batch. A spout's inits leave with the idle
@@ -258,14 +297,14 @@ impl WorkerCtx {
     /// (`batch_size` records, or `batch_delay` after the oldest) and are
     /// never later than the data they root: they also leave when any batch
     /// left since the last call.
-    fn flush_acks(&mut self, force: bool) {
+    fn flush_acks(&mut self, force: bool, now: Instant) {
         let batch_left = self.io.frames_sent() != self.acks_frames_mark;
-        if let (Some(due), Some(acker)) = (self.acks_due(), self.config.acker) {
+        if let (Some(oldest), Some(acker)) = (self.acks.oldest(now), self.config.acker) {
             if force
                 || !self.acks_init
                 || batch_left
                 || self.acks.len() >= self.io.batch_size()
-                || Instant::now() >= due
+                || now >= oldest + self.io.batch_delay()
             {
                 let records = self.acks.take();
                 let msg = acks::ack_message(self.config.task, self.acks_init, records);
@@ -376,75 +415,23 @@ pub fn run_worker(
     shared: WorkerShared,
     trace: TraceCtx,
 ) {
-    let mut fw = FrameworkLayer::new(
-        config.app,
-        config.task,
-        routes,
-        ser.clone(),
-        shared.registry.clone(),
-    );
-    fw.set_trace(trace.clone());
-    let mut io = IoLayer::new(fw.mac(), port, &config.io, shared.registry.clone());
-    io.set_trace(trace.clone());
-    let mut ctx = WorkerCtx {
-        root_seed: (config.task.0 as u64).wrapping_mul(0xa076_1d64_78bd_642f) | 1,
-        active: config.start_active,
-        input_rate: None,
-        rate_window_start: Instant::now(),
-        rate_window_count: 0,
-        current_root: 0,
-        accum_xor: 0,
-        pending: HashMap::new(),
-        acks: acks::AckBuffer::new(),
-        acks_init: matches!(role, Role::Spout(_)),
-        acks_frames_mark: 0,
-        flush_now: false,
-        emitted: shared.registry.counter("tuples.emitted"),
-        trace,
-        current_trace: 0,
-        config,
-        fw,
-        io,
-        shared,
-        ser,
-    };
+    let now = Instant::now();
+    let mut ctx = WorkerCtx::new(config, port, routes, ser, shared, trace, now);
     match role {
-        Role::Spout(mut spout) => {
-            spout.open();
-            let role = SpoutRole {
-                spout,
-                next_poll: Instant::now(),
-                last_pending_sweep: Instant::now(),
-                completed: ctx.shared.registry.counter("acks.completed"),
-                latency: ctx.shared.registry.histogram("latency"),
-            };
-            run_loop(&mut ctx, role);
-        }
-        Role::Bolt(mut bolt) => {
-            bolt.prepare();
-            let ckpt = BoltCheckpointer::init(&mut ctx, bolt.as_mut());
-            let received = ctx.shared.registry.counter("tuples.received");
-            let role = BoltRole {
-                bolt,
-                ckpt,
-                received,
-                unmarked: 0,
-            };
-            run_loop(&mut ctx, role);
-        }
-        Role::Acker => {
-            let role = AckerRole {
-                ledger: AckerLedger::new(),
-                last_expire: Instant::now(),
-                verdicts: HashMap::new(),
-                pending: ctx.shared.registry.gauge("acker.pending"),
-            };
-            run_loop(&mut ctx, role);
-        }
+        Role::Spout(spout) => run_loop(SpoutRole::new(spout, &mut ctx, now), &mut ctx),
+        Role::Bolt(bolt) => run_loop(BoltRole::new(bolt, &mut ctx, now), &mut ctx),
+        Role::Acker => run_loop(AckerRole::new(&ctx, now), &mut ctx),
     }
 }
 
 const INGRESS_BUDGET: usize = 256;
+
+/// The period of the roles' housekeeping timers: the spout's sweep of roots
+/// the acker never answered, the acker's expiry, and the `InputRate` window.
+const TIMER_PERIOD: Duration = Duration::from_millis(100);
+
+/// Past any park: a worker with nothing due parks until rung, or for `MAX_PARK`.
+const UNDUE: Duration = Duration::from_secs(1);
 
 /// The poll period of an active spout with nothing due: how long after an
 /// empty `next_batch` the worker asks again. It waits the period out on its
@@ -476,29 +463,26 @@ fn drain_ingress(ctx: &mut WorkerCtx) -> Option<Vec<Tuple>> {
     Some(tuples)
 }
 
-/// What a role contributes to the one worker loop ([`run_loop`]).
+/// What a role contributes to the one worker loop ([`run_loop`]); every step
+/// takes the round's `now`.
 trait RoleLoop {
     /// One decoded ingress tuple, already classified.
-    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple);
-    /// End of every round, after ingress is drained: timers and (for the
-    /// spout) production. Returns `true` when it did work.
-    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool;
-    /// When an idle worker runs its next round even if nobody rings its
-    /// bell. Everything that can give a worker work ends in a frame on its
-    /// port (data, control tuples, ack results) or a flag set by the agent,
-    /// and both ring; `MAX_PARK` covers the roles' 100 ms timers. Only a
-    /// spout that may produce has a source that cannot ring, and so a
-    /// deadline of its own.
-    fn idle_deadline(&self, _ctx: &WorkerCtx) -> Instant {
-        Instant::now() + Doorbell::MAX_PARK
-    }
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple, now: Instant);
+    /// End of every round, after ingress is drained: the deadlines `now`
+    /// reached and (for the spout) production. `true` when it did work.
+    fn on_tick(&mut self, ctx: &mut WorkerCtx, now: Instant) -> bool;
+    /// When an idle worker must run a round even if nobody rings its bell:
+    /// the role's earliest armed deadline, if any. Everything else that can
+    /// give a worker work ends in a frame on its port (data, control tuples,
+    /// ack results) or a flag set by the agent, and both ring.
+    fn next_due(&self, ctx: &WorkerCtx) -> Option<Instant>;
     /// Graceful stop, before the final egress flush.
     fn on_shutdown(&mut self, _ctx: &mut WorkerCtx) {}
 }
 
 /// The worker loop every role shares: exit checks, ingress, the role's
 /// work, egress flush, dead-port fail-fast, queue gauge, idle wait.
-fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
+fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
     let queue_depth = ctx.shared.registry.gauge("queue.depth");
     let rounds = ctx.shared.registry.counter("loop.rounds");
     let parks = ctx.shared.registry.counter("loop.parks");
@@ -508,12 +492,13 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
     ctx.shared.ready_bell.ring();
     loop {
         rounds.inc();
+        let now = Instant::now();
         if ctx.shared.crash.load(Ordering::Acquire) {
             return; // abrupt: port drops, PortStatus delete fires
         }
         if ctx.shared.shutdown.load(Ordering::Acquire) {
             role.on_shutdown(ctx);
-            ctx.flush_acks(true);
+            ctx.flush_acks(true, now);
             ctx.io.flush_all();
             return;
         }
@@ -523,18 +508,18 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
         let mut busy = !tuples.is_empty();
         for tuple in tuples {
             let class = ctx.fw.classify(&tuple);
-            role.on_tuple(ctx, class, tuple);
+            role.on_tuple(ctx, class, tuple, now);
         }
-        busy |= role.on_tick(ctx);
+        busy |= role.on_tick(ctx, now);
         // While input keeps coming, batches fill or leave at `batch_delay`;
         // the round that finds none sends everything, data before the acks
         // that root it.
         if std::mem::take(&mut ctx.flush_now) || !busy {
             ctx.io.flush_all();
         } else {
-            ctx.io.flush_due();
+            ctx.io.flush_due(now);
         }
-        ctx.flush_acks(!busy);
+        ctx.flush_acks(!busy, now);
         if ctx.io.egress_dead() {
             return; // the switch side of the port is gone; fail fast
         }
@@ -543,7 +528,7 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
             continue;
         }
         // Nothing is buffered, so park until a ring or the role's deadline.
-        let deadline = role.idle_deadline(ctx);
+        let deadline = role.next_due(ctx).unwrap_or(now + UNDUE);
         let (io, shared) = (&ctx.io, &ctx.shared);
         let woken = bell.wait(deadline, || {
             let idle = io.ingress_idle()
@@ -562,20 +547,36 @@ fn run_loop(ctx: &mut WorkerCtx, mut role: impl RoleLoop) {
 
 struct SpoutRole {
     spout: Box<dyn Spout>,
-    /// The poll instant: `next_batch` is not asked before it. An empty
-    /// `next_batch` moves it [`SPOUT_IDLE_POLL`] ahead and nothing else
-    /// does — a round run early by a ring leaves it where it is, so the
-    /// source is clocked by its own period, never by what arrives on its
-    /// port. Past (ask at once) while the spout produces.
+    /// The poll instant: `next_batch` is not asked before it. An empty call
+    /// moves it [`SPOUT_IDLE_POLL`] past its return (read then, not at the
+    /// round's head) and nothing else does — a ring's early round leaves it
+    /// be, so the source is clocked by its own period, never by what arrives
+    /// on its port. Past (ask at once) while the spout produces.
     next_poll: Instant,
-    last_pending_sweep: Instant,
+    /// When `pending` is next swept for roots the acker never answered.
+    next_sweep: Instant,
     /// `acks.completed` / `latency`, resolved once: every ack updates them.
     completed: Counter,
     latency: Histogram,
 }
 
+impl SpoutRole {
+    /// Opens the spout; its ack records are inits.
+    fn new(mut spout: Box<dyn Spout>, ctx: &mut WorkerCtx, now: Instant) -> Self {
+        spout.open();
+        ctx.acks_init = true;
+        SpoutRole {
+            spout,
+            next_poll: now,
+            next_sweep: now + TIMER_PERIOD,
+            completed: ctx.shared.registry.counter("acks.completed"),
+            latency: ctx.shared.registry.histogram("latency"),
+        }
+    }
+}
+
 impl RoleLoop for SpoutRole {
-    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple, now: Instant) {
         match class {
             Classified::Control(ControlTuple::Replay) => {
                 // Crash recovery: fail every pending root *now* so the
@@ -600,7 +601,7 @@ impl RoleLoop for SpoutRole {
                     if ok {
                         ctx.trace.record(trace, Hop::Ack);
                         self.completed.inc();
-                        self.latency.record_duration(born.elapsed());
+                        self.latency.record_duration(now - born);
                         self.spout.ack(root);
                     } else {
                         ctx.shared.registry.counter("acks.failed").inc();
@@ -612,46 +613,45 @@ impl RoleLoop for SpoutRole {
         }
     }
 
-    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
+    fn on_tick(&mut self, ctx: &mut WorkerCtx, now: Instant) -> bool {
         // The acker notifies completion/failure exactly once; if that
         // notification frame is lost (a faulty tunnel), the root would
         // otherwise sit in `pending` forever, leaking throttle budget and
         // silently dropping the tuple. Sweep with a margin past the ack
         // timeout so the acker's own expiry path wins when it is healthy.
-        if ctx.config.acking && self.last_pending_sweep.elapsed() >= Duration::from_millis(100) {
-            self.last_pending_sweep = Instant::now();
+        if now >= self.next_sweep {
+            self.next_sweep = now + TIMER_PERIOD;
             let give_up = ctx.config.ack_timeout + ctx.config.ack_timeout / 2;
-            let expired: Vec<u64> = ctx
+            let expired = ctx
                 .pending
-                .iter()
-                .filter(|(_, (born, _))| born.elapsed() >= give_up)
-                .map(|(&root, _)| root)
-                .collect();
-            for root in expired {
-                ctx.pending.remove(&root);
+                .extract_if(|_, (born, _)| *born + give_up <= now);
+            for (root, _) in expired {
                 ctx.shared.registry.counter("acks.spout_timeout").inc();
                 self.spout.fail(root);
             }
         }
-        if !ctx.active || spout_throttled(ctx) || Instant::now() < self.next_poll {
+        if !ctx.active || spout_throttled(ctx) || now < self.next_poll || !ctx.rate_allows(now) {
             return false;
         }
-        let produced = ctx.rate_allows() && spout_batch(ctx, self.spout.as_mut());
+        let produced = spout_batch(ctx, self.spout.as_mut(), now);
         if !produced {
             self.next_poll = Instant::now() + SPOUT_IDLE_POLL;
         }
         produced
     }
 
-    /// A spout that may produce waits for its poll instant. Deactivated, or
-    /// throttled by `max_pending`, it waits like a bolt: both states end
-    /// with an ingress frame (`Activate`, an ack result).
-    fn idle_deadline(&self, ctx: &WorkerCtx) -> Instant {
-        if ctx.active && !spout_throttled(ctx) {
-            self.next_poll
-        } else {
-            Instant::now() + Doorbell::MAX_PARK
-        }
+    /// A spout that may produce is due at its poll instant, or at the end of
+    /// the `InputRate` window once the window's budget is spent. Deactivated,
+    /// or throttled by `max_pending`, it waits like a bolt: both states end
+    /// with an ingress frame (`Activate`, an ack result). The sweep is armed
+    /// while a root is pending.
+    fn next_due(&self, ctx: &WorkerCtx) -> Option<Instant> {
+        let poll = self
+            .next_poll
+            .max(ctx.rate_spent_until().unwrap_or(self.next_poll));
+        let poll = (ctx.active && !spout_throttled(ctx)).then_some(poll);
+        let sweep = (!ctx.pending.is_empty()).then_some(self.next_sweep);
+        poll.into_iter().chain(sweep).min()
     }
 }
 
@@ -660,11 +660,11 @@ fn spout_throttled(ctx: &WorkerCtx) -> bool {
     ctx.config.acking && ctx.pending.len() >= ctx.config.max_pending
 }
 
-fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
+fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout, now: Instant) -> bool {
     let mut collect = VecEmitter::default();
     let produced = spout.next_batch(&mut collect);
     let emitted = collect.emitted.len();
-    ctx.rate_consume(emitted as u32);
+    ctx.rate_window_count += emitted as u32;
     for (index, (stream, values)) in collect.emitted.into_iter().enumerate() {
         let trace = ctx.trace.sample();
         ctx.current_trace = trace;
@@ -683,7 +683,7 @@ fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout) -> bool {
             RoutedEmitter { ctx }.emit_on(stream, values);
             let xor = ctx.accum_xor;
             ctx.send_ack(root, xor);
-            ctx.pending.insert(root, (Instant::now(), trace));
+            ctx.pending.insert(root, (now, trace));
             ctx.current_root = 0;
             spout.emitted(index, root);
         } else {
@@ -712,7 +712,8 @@ struct BoltCheckpointer {
     ledger: DedupLedger,
     epoch: u64,
     deferred_acks: Vec<(u64, u64)>,
-    last_save: Instant,
+    /// When the next snapshot is due, armed while `dirty`.
+    next_save: Instant,
     dirty: bool,
 }
 
@@ -720,7 +721,7 @@ impl BoltCheckpointer {
     /// Arms checkpointing for a capable stateful bolt (one that reports
     /// state via [`Bolt::checkpoint`]); restores the latest snapshot when
     /// this worker is a crash-recovery replacement.
-    fn init(ctx: &mut WorkerCtx, bolt: &mut dyn Bolt) -> Option<BoltCheckpointer> {
+    fn init(ctx: &mut WorkerCtx, bolt: &mut dyn Bolt, now: Instant) -> Option<BoltCheckpointer> {
         let spec = ctx.config.checkpoint.clone()?;
         // Checkpoint-exact recovery needs all three legs: a stateful bolt
         // that can snapshot itself, and acking (the replay half).
@@ -741,30 +742,22 @@ impl BoltCheckpointer {
                 ctx.emit_unanchored(|out| bolt.restore(ckpt.state, out));
                 ledger = ckpt.ledger;
                 epoch = ckpt.epoch;
-                ctx.shared.registry.counter("recovery.restored").inc();
-                ctx.shared
-                    .registry
-                    .gauge("recovery.restore_epoch")
-                    .set(epoch as i64);
-                let restore_ms = restore_started.elapsed().as_millis() as u64;
-                ctx.shared
-                    .registry
-                    .histogram("recovery.restore_ms")
-                    .record(restore_ms);
+                let registry = &ctx.shared.registry;
+                registry.counter("recovery.restored").inc();
+                registry.gauge("recovery.restore_epoch").set(epoch as i64);
+                let restore_ms = (Instant::now() - restore_started).as_millis() as u64;
+                registry.histogram("recovery.restore_ms").record(restore_ms);
                 // Mirrored as a gauge so the recovery manager can read the
                 // phase latency back out of a snapshot for its report.
-                ctx.shared
-                    .registry
-                    .gauge("recovery.restore_ms")
-                    .set(restore_ms as i64);
+                registry.gauge("recovery.restore_ms").set(restore_ms as i64);
             }
         }
         Some(BoltCheckpointer {
+            next_save: now + spec.interval,
             spec,
             ledger,
             epoch,
             deferred_acks: Vec::new(),
-            last_save: Instant::now(),
             dirty: false,
         })
     }
@@ -787,19 +780,9 @@ impl BoltCheckpointer {
         self.dirty = true;
     }
 
-    /// Checkpoints when the interval elapsed and anything changed.
-    fn tick(&mut self, ctx: &mut WorkerCtx, bolt: &dyn Bolt) {
-        if self.dirty && self.last_save.elapsed() >= self.spec.interval {
-            self.save_now(ctx, bolt);
-        }
-    }
-
-    /// Snapshots state + ledger, then releases the withheld acks.
+    /// Snapshots state + ledger, then releases the withheld acks. Callers
+    /// save only a dirty checkpointer.
     fn save_now(&mut self, ctx: &mut WorkerCtx, bolt: &dyn Bolt) {
-        self.last_save = Instant::now();
-        if !self.dirty {
-            return;
-        }
         let state = match bolt.checkpoint() {
             Some(s) => s,
             None => return,
@@ -830,8 +813,21 @@ struct BoltRole {
     unmarked: u64,
 }
 
+impl BoltRole {
+    /// Prepares the bolt and arms its checkpointing (restoring, on a replacement).
+    fn new(mut bolt: Box<dyn Bolt>, ctx: &mut WorkerCtx, now: Instant) -> Self {
+        bolt.prepare();
+        BoltRole {
+            ckpt: BoltCheckpointer::init(ctx, bolt.as_mut(), now),
+            received: ctx.shared.registry.counter("tuples.received"),
+            bolt,
+            unmarked: 0,
+        }
+    }
+}
+
 impl RoleLoop for BoltRole {
-    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple, _now: Instant) {
         match class {
             Classified::Control(ct) => ctx.handle_control(ct, Some(&mut self.bolt)),
             Classified::Data => {
@@ -871,20 +867,27 @@ impl RoleLoop for BoltRole {
         }
     }
 
-    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
+    fn on_tick(&mut self, ctx: &mut WorkerCtx, now: Instant) -> bool {
         if self.unmarked > 0 {
             ctx.shared.meter.mark(std::mem::take(&mut self.unmarked));
         }
-        if let Some(c) = self.ckpt.as_mut() {
-            c.tick(ctx, self.bolt.as_ref());
+        // Checkpoint when the save is due and anything changed.
+        if let Some(c) = self.ckpt.as_mut().filter(|c| c.dirty && now >= c.next_save) {
+            c.next_save = now + c.spec.interval;
+            c.save_now(ctx, self.bolt.as_ref());
         }
         false
+    }
+
+    /// Only a pending checkpoint is a deadline: every input rings.
+    fn next_due(&self, _ctx: &WorkerCtx) -> Option<Instant> {
+        self.ckpt.as_ref().filter(|c| c.dirty).map(|c| c.next_save)
     }
 
     /// Makes the final folds durable and releases their acks so a planned
     /// kill never forces replays.
     fn on_shutdown(&mut self, ctx: &mut WorkerCtx) {
-        if let Some(c) = self.ckpt.as_mut() {
+        if let Some(c) = self.ckpt.as_mut().filter(|c| c.dirty) {
             c.save_now(ctx, self.bolt.as_ref());
         }
     }
@@ -892,7 +895,8 @@ impl RoleLoop for BoltRole {
 
 struct AckerRole {
     ledger: AckerLedger,
-    last_expire: Instant,
+    /// The next sweep for trees past the ack timeout, armed while one is pending.
+    next_expire: Instant,
     /// This round's verdict records per owning spout (completions and
     /// expiries alike); each leaves as one `ACK_RESULT` message when the
     /// round ends.
@@ -902,6 +906,15 @@ struct AckerRole {
 }
 
 impl AckerRole {
+    fn new(ctx: &WorkerCtx, now: Instant) -> Self {
+        AckerRole {
+            ledger: AckerLedger::new(),
+            next_expire: now + TIMER_PERIOD,
+            verdicts: HashMap::new(),
+            pending: ctx.shared.registry.gauge("acker.pending"),
+        }
+    }
+
     fn notify(&mut self, owner: TaskId, root: u64, outcome: AckOutcome) {
         let records = self.verdicts.entry(owner).or_default();
         acks::push_verdict(records, root, outcome == AckOutcome::Complete);
@@ -909,7 +922,7 @@ impl AckerRole {
 }
 
 impl RoleLoop for AckerRole {
-    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple) {
+    fn on_tuple(&mut self, ctx: &mut WorkerCtx, class: Classified, tuple: Tuple, now: Instant) {
         if !matches!(class, Classified::Ack) {
             return;
         }
@@ -917,7 +930,6 @@ impl RoleLoop for AckerRole {
             ctx.shared.registry.counter("acks.malformed").inc();
             return;
         };
-        let now = Instant::now();
         for (root, xor) in records {
             if let Some((owner, outcome)) = self.ledger.apply(root, xor, init_owner, now) {
                 self.notify(owner, root, outcome);
@@ -925,10 +937,9 @@ impl RoleLoop for AckerRole {
         }
     }
 
-    fn on_tick(&mut self, ctx: &mut WorkerCtx) -> bool {
-        if self.last_expire.elapsed() >= Duration::from_millis(100) {
-            let now = Instant::now();
-            self.last_expire = now;
+    fn on_tick(&mut self, ctx: &mut WorkerCtx, now: Instant) -> bool {
+        if now >= self.next_expire {
+            self.next_expire = now + TIMER_PERIOD;
             for (root, owner, outcome) in self.ledger.expire(ctx.config.ack_timeout, now) {
                 self.notify(owner, root, outcome);
             }
@@ -940,5 +951,194 @@ impl RoleLoop for AckerRole {
         }
         self.pending.set(self.ledger.pending() as i64);
         false
+    }
+
+    fn next_due(&self, _ctx: &WorkerCtx) -> Option<Instant> {
+        (self.ledger.pending() > 0).then_some(self.next_expire)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use typhoon_net::MacAddr;
+    use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo};
+    use typhoon_switch::{Switch, SwitchConfig};
+
+    /// The task whose roots the acker tracks: verdicts are addressed to it.
+    const SPOUT: TaskId = TaskId(7);
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// A worker context over a real port (1) of a switch that forwards
+    /// everything to port 2, whose I/O layer the test reads; every timer is
+    /// counted from the returned instant. Acking, 100 ms ack timeout, two
+    /// roots in flight at most.
+    fn ctx_on_switch(
+        customize: impl FnOnce(&mut WorkerConfig),
+    ) -> (WorkerCtx, Switch, IoLayer, Instant) {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let rule = FlowMod::add(50, FlowMatch::any(), vec![Action::Output(PortNo(2))]);
+        ch.send(wire::encode(&OfMessage::FlowMod(rule))).unwrap();
+        sw.process_round();
+        let mut config = WorkerConfig {
+            app: AppId(1),
+            task: TaskId(1),
+            node: "n".into(),
+            component: "c".into(),
+            io: IoConfig::default(),
+            acking: true,
+            acker: Some(TaskId(2)),
+            ack_timeout: ms(100),
+            max_pending: 2,
+            start_active: true,
+            checkpoint: None,
+            restore: false,
+        };
+        customize(&mut config);
+        let t0 = Instant::now();
+        let ctx = WorkerCtx::new(
+            config,
+            sw.attach_worker(PortNo(1)),
+            Vec::new(),
+            SerStats::shared(),
+            WorkerShared::new(),
+            TraceCtx::disabled(),
+            t0,
+        );
+        let registry = Registry::new();
+        let port2 = sw.attach_worker(PortNo(2));
+        let out = IoLayer::new(
+            MacAddr::worker(1, SPOUT),
+            port2,
+            &IoConfig::default(),
+            registry,
+        );
+        (ctx, sw, out, t0)
+    }
+
+    /// The verdicts that reached port 2.
+    fn verdicts(sw: &Switch, out: &mut IoLayer) -> Vec<(u64, bool)> {
+        sw.process_round();
+        let mut blobs = Vec::new();
+        out.poll_ingress(&mut blobs, 64).unwrap();
+        let ser = SerStats::shared();
+        blobs
+            .iter()
+            .flat_map(|(_, blob)| {
+                let (tuple, _) = decode_tuple(blob, &ser).expect("a tuple");
+                acks::parse_verdict_message(&tuple)
+                    .expect("verdicts")
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    fn counter(ctx: &WorkerCtx, name: &str) -> u64 {
+        ctx.shared.registry.snapshot().counter(name)
+    }
+
+    /// A source with nothing to give.
+    struct Dry;
+
+    impl Spout for Dry {
+        fn next_batch(&mut self, _out: &mut dyn Emitter) -> bool {
+            false
+        }
+    }
+
+    struct Sink;
+
+    impl Bolt for Sink {
+        fn execute(&mut self, _input: Tuple, _out: &mut dyn Emitter) {}
+    }
+
+    #[test]
+    fn acker_expires_a_tree_at_its_sweep_and_not_a_nanosecond_before() {
+        let (mut ctx, sw, mut out, t0) = ctx_on_switch(|_| {});
+        let mut acker = AckerRole::new(&ctx, t0);
+        assert_eq!(acker.next_due(&ctx), None, "no tree: nothing armed");
+        let mut records = Vec::new();
+        acks::push_ack(&mut records, 0x100, 0xa);
+        let init = acks::ack_message(SPOUT, true, records);
+        acker.on_tuple(&mut ctx, Classified::Ack, init, t0);
+        assert_eq!(acker.next_due(&ctx), Some(t0 + ms(100)));
+        acker.on_tick(&mut ctx, t0 + ms(100) - Duration::from_nanos(1));
+        assert_eq!(verdicts(&sw, &mut out), [], "before the sweep");
+        assert_eq!(acker.ledger.pending(), 1);
+        acker.on_tick(&mut ctx, t0 + ms(100));
+        assert_eq!(verdicts(&sw, &mut out), [(0x100, false)], "timed out");
+        assert_eq!(acker.next_due(&ctx), None, "the ledger emptied");
+        assert_eq!(acker.next_expire, t0 + ms(200));
+    }
+
+    #[test]
+    fn spout_sweep_fails_a_root_at_one_and_a_half_ack_timeouts() {
+        // Give up at 300 ms; sweeps at 100, 200 and 300 ms.
+        let (mut ctx, _sw, _out, t0) = ctx_on_switch(|c| c.ack_timeout = ms(200));
+        ctx.active = false;
+        let mut spout = SpoutRole::new(Box::new(Dry), &mut ctx, t0);
+        ctx.pending.insert(1, (t0, 0));
+        ctx.pending.insert(2, (t0 + Duration::from_nanos(1), 0));
+        for step in [100, 200, 250] {
+            spout.on_tick(&mut ctx, t0 + ms(step));
+        }
+        assert_eq!(counter(&ctx, "acks.spout_timeout"), 0);
+        assert_eq!(spout.next_due(&ctx), Some(t0 + ms(300)));
+        spout.on_tick(&mut ctx, t0 + ms(300));
+        assert_eq!(counter(&ctx, "acks.spout_timeout"), 1);
+        assert_eq!(ctx.pending.keys().collect::<Vec<_>>(), [&2], "1 ns short");
+        assert_eq!(spout.next_due(&ctx), Some(t0 + ms(400)));
+        spout.on_tick(&mut ctx, t0 + ms(400));
+        assert_eq!(counter(&ctx, "acks.spout_timeout"), 2);
+        assert_eq!(spout.next_due(&ctx), None, "deactivated, nothing pending");
+    }
+
+    #[test]
+    fn each_spout_state_is_due_at_its_own_deadline() {
+        let (mut ctx, _sw, _out, t0) = ctx_on_switch(|_| {});
+        let spout = SpoutRole::new(Box::new(Dry), &mut ctx, t0);
+        let sweep = t0 + TIMER_PERIOD;
+        assert_eq!(spout.next_due(&ctx), Some(t0), "active: the poll instant");
+        ctx.active = false;
+        assert_eq!(spout.next_due(&ctx), None, "deactivated: `Activate` rings");
+        ctx.pending.insert(1, (t0, 0));
+        assert_eq!(
+            spout.next_due(&ctx),
+            Some(sweep),
+            "a root pending: the sweep"
+        );
+        ctx.active = true;
+        assert_eq!(
+            spout.next_due(&ctx),
+            Some(t0),
+            "the earlier of poll and sweep"
+        );
+        ctx.pending.insert(2, (t0, 0));
+        assert_eq!(
+            spout.next_due(&ctx),
+            Some(sweep),
+            "throttled: an ack result rings"
+        );
+        ctx.pending.clear();
+        ctx.input_rate = Some(5);
+        assert!(ctx.rate_allows(t0));
+        ctx.rate_window_count += 1;
+        assert_eq!(
+            spout.next_due(&ctx),
+            Some(t0 + TIMER_PERIOD),
+            "budget spent: the window's end"
+        );
+        assert!(ctx.rate_allows(t0 + TIMER_PERIOD), "the window rolled over");
+        assert_eq!(spout.next_due(&ctx), Some(t0));
+    }
+
+    #[test]
+    fn a_bolt_without_a_checkpoint_is_never_due() {
+        let (mut ctx, _sw, _out, t0) = ctx_on_switch(|_| {});
+        let bolt = BoltRole::new(Box::new(Sink), &mut ctx, t0);
+        assert_eq!(bolt.next_due(&ctx), None);
     }
 }

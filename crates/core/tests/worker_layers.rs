@@ -895,6 +895,42 @@ fn input_rate_below_ten_per_second_still_emits() {
     handle.stop();
 }
 
+/// A spout whose `InputRate` budget is spent is due when the 100 ms window
+/// ends, not at its next poll period: it parks the window out (one round per
+/// `MAX_PARK`, ≈ 75 per tuple at 5 t/s) instead of waking every
+/// `SPOUT_IDLE_POLL` to find the budget still spent (≈ 260 per tuple).
+#[test]
+fn a_spent_input_rate_budget_parks_until_its_window_ends() {
+    let (sw, ch, shared, thread, downstream, _upstream) = spawn_worker_with(
+        Role::Spout(Box::new(Busy {
+            budget: u64::MAX,
+            pause: Duration::ZERO,
+        })),
+        io(1, NEVER),
+        false,
+    );
+    let handle = sw.spawn();
+    send_control_tuple(&ch, ControlTuple::InputRate { tuples_per_sec: 5 });
+    wait_until("INPUT_RATE applied", || {
+        shared.registry.snapshot().counter("control.received") == 1
+    });
+    let count = |name: &str| shared.registry.snapshot().counter(name);
+    let rounds0 = count("loop.rounds");
+    send_control_tuple(&ch, ControlTuple::Activate);
+    let got = recv_tuples(&downstream, 6, Duration::from_secs(5));
+    assert_eq!(got.len(), 6, "the throttle silenced the spout");
+    let (rounds, emitted) = (count("loop.rounds") - rounds0, count("tuples.emitted"));
+    let per_tuple = rounds / emitted;
+    println!("{rounds} rounds for {emitted} tuples: {per_tuple} rounds per tuple");
+    assert!(
+        per_tuple <= 150,
+        "{rounds} rounds for {emitted} tuples: the spent budget is polled"
+    );
+    shared.shutdown.store(true, Ordering::Release);
+    thread.join().unwrap();
+    handle.stop();
+}
+
 /// A deactivated spout has nothing to poll for: it parks like a bolt and
 /// is asked nothing, and the `Activate` frame's ring resumes it.
 #[test]

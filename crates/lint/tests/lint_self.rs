@@ -355,3 +355,31 @@ fn the_worker_emit_path_encodes_into_the_frame() {
         }
     }
 }
+
+/// A worker round reads the clock once, at its head, and hands that `now`
+/// to every step; every role timer is a deadline held in state. So non-test
+/// `worker/` code names `Instant::now()` only at the round head, the empty
+/// poll's stamp (a poll clocked from the round's head could come early), the
+/// set-up read that starts every timer, and the two ends of the
+/// `recovery.restore_ms` stopwatch; the I/O layer and the ack buffer take
+/// `now` as an argument; and nothing measures `.elapsed()`.
+#[test]
+fn a_worker_round_reads_the_clock_once() {
+    let mut reads = Vec::new();
+    for file in ["mod.rs", "io.rs", "acks.rs", "framework.rs"] {
+        for line in shipped_code(&format!("core/src/worker/{file}")) {
+            assert!(!line.contains(".elapsed()"), "{file}: `{line}`");
+            if line.contains("Instant::now()") {
+                reads.push(format!("{file}: {}", line.trim()));
+            }
+        }
+    }
+    let expected = [
+        "mod.rs: let now = Instant::now();", // run_worker's set-up read
+        "mod.rs: let now = Instant::now();", // the round head
+        "mod.rs: self.next_poll = Instant::now() + SPOUT_IDLE_POLL;",
+        "mod.rs: let restore_started = Instant::now();",
+        "mod.rs: let restore_ms = (Instant::now() - restore_started).as_millis() as u64;",
+    ];
+    assert_eq!(reads, expected);
+}

@@ -51,9 +51,10 @@ pub struct Doorbell {
 impl Doorbell {
     /// The longest a waiter parks, whatever deadline it asked for. It
     /// bounds everything that still legitimately needs a poll — the
-    /// [`FaultInjector`](crate::FaultInjector)'s lazily released frames,
-    /// role timers that tick at 100 ms, a flag flipped without a ring —
-    /// and turns a lost wake-up from a hang into a 1 ms delay.
+    /// [`FaultInjector`](crate::FaultInjector)'s lazily released frames, a
+    /// flag flipped without a ring — and turns a lost wake-up from a hang
+    /// into a 1 ms delay. A timer is not among them: a waiter passes its
+    /// earliest deadline, and the park ends there.
     pub const MAX_PARK: Duration = Duration::from_millis(1);
 
     /// A bell nobody waits on yet.
