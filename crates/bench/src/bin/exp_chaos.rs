@@ -17,8 +17,9 @@ use typhoon_bench::harness::BenchOpts;
 use typhoon_bench::report::{Direction, Report};
 use typhoon_controller::apps::FaultDetector;
 use typhoon_core::{TyphoonCluster, TyphoonConfig};
+use typhoon_metrics::MetricSnapshot;
 use typhoon_model::{ComponentRegistry, Fields, Grouping, LogicalTopology};
-use typhoon_net::{ChaosStats, FaultPlan, FaultSpec, KillClass, KillSpec};
+use typhoon_net::{FaultPlan, FaultSpec, KillClass, KillSpec};
 
 const DEFAULT_SEED: u64 = 0xc4a0_5eed;
 
@@ -37,7 +38,7 @@ struct Outcome {
     completed: u64,
     delivered: u64,
     elapsed: Duration,
-    injected: Vec<(&'static str, u64)>,
+    injected: MetricSnapshot,
     /// Leader-failover latency (elect + rule re-sync), 0 when no
     /// controller kill was armed.
     failover_ms: u64,
@@ -79,20 +80,8 @@ fn run_class(name: &str, plan: FaultPlan, roots: i64) -> Outcome {
         std::thread::sleep(Duration::from_millis(20));
     }
     let elapsed = start.elapsed();
-    // Aggregate injected-fault counters over every directed edge.
-    let mut injected: Vec<(&'static str, u64)> = Vec::new();
-    for from in 0..2u32 {
-        for to in 0..2u32 {
-            if from == to {
-                continue;
-            }
-            if let Some(h) =
-                cluster.chaos_handle(typhoon_model::HostId(from), typhoon_model::HostId(to))
-            {
-                merge(&mut injected, h.stats());
-            }
-        }
-    }
+    // Injected-fault counters over every directed edge, and the kill.
+    let injected = MetricSnapshot::total(&cluster.snapshot(), "chaos/");
     let mut failover_ms = 0;
     if controller_kill {
         // The kill is armed on a delay; make sure the failover actually
@@ -123,15 +112,6 @@ fn run_class(name: &str, plan: FaultPlan, roots: i64) -> Outcome {
     cluster.shutdown();
     let _ = name;
     out
-}
-
-fn merge(acc: &mut Vec<(&'static str, u64)>, stats: &ChaosStats) {
-    for (k, v) in stats.named() {
-        match acc.iter_mut().find(|(name, _)| *name == k) {
-            Some((_, total)) => *total += v,
-            None => acc.push((k, v)),
-        }
-    }
 }
 
 fn main() {
@@ -198,8 +178,9 @@ fn main() {
         let o = run_class(name, plan, roots);
         let injected: Vec<String> = o
             .injected
+            .counters
             .iter()
-            .filter(|(k, v)| *v > 0 && *k != "chaos.forwarded")
+            .filter(|(k, v)| **v > 0 && *k != "chaos.forwarded")
             .map(|(k, v)| format!("{}={v}", k.trim_start_matches("chaos.")))
             .collect();
         println!(

@@ -74,20 +74,13 @@ fn run_class(
         .submit(recovery_word_count_topology(2, 2))
         .expect("submit");
     let recovery = cluster.recovery().expect("recovery manager").clone();
-    let chaos = cluster.cluster_chaos().expect("chaos handle").clone();
     let killed = |class: KillClass| {
         let name = match class {
             KillClass::Worker => "chaos.killed_workers",
             KillClass::Host => "chaos.killed_hosts",
             KillClass::Controller => "chaos.killed_controllers",
         };
-        chaos
-            .stats()
-            .named()
-            .into_iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v)
-            .unwrap_or(0)
+        cluster.snapshot()["chaos/cluster"].counter(name)
     };
     let deadline = Instant::now() + Duration::from_secs(300);
     while killed(kill.class) == 0 && Instant::now() < deadline {

@@ -559,24 +559,29 @@ mod tests {
         phys
     }
 
+    /// `switch.rules`, as a scrape of the switch's registry reads it.
+    fn rules(sw: &Switch) -> i64 {
+        sw.registry().snapshot().gauge("switch.rules")
+    }
+
     #[test]
     fn install_topology_programs_rules_and_fences() {
         let (ctl, sw, global) = setup_one_host();
         deploy_word_count(&ctl, &sw, &global);
-        assert!(sw.rule_count() > 6, "data + control rules installed");
+        assert!(rules(&sw) > 6, "data + control rules installed");
     }
 
     #[test]
     fn uninstall_topology_removes_rules() {
         let (ctl, sw, global) = setup_one_host();
         let phys = deploy_word_count(&ctl, &sw, &global);
-        let before = sw.rule_count();
+        let before = rules(&sw);
         ctl.uninstall_topology(&word_count_example(), &phys);
         for _ in 0..10 {
             sw.process_round();
         }
-        assert!(sw.rule_count() < before);
-        assert_eq!(sw.rule_count(), 0, "strict deletes cover the whole plan");
+        assert!(rules(&sw) < before);
+        assert_eq!(rules(&sw), 0, "strict deletes cover the whole plan");
     }
 
     #[test]

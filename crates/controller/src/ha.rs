@@ -488,7 +488,10 @@ impl ControlPlane {
         if fenced.is_err() {
             reg.counter("controller.ha.resync_fence_giveup").inc();
         }
-        let headless_ms = switches.values().fold(0, |ms, s| ms.max(s.headless_ms()));
+        // The window each switch's `connect_controller` above just closed.
+        let headless_ms = switches.values().fold(0, |ms, s| {
+            ms.max(s.registry().gauge("switch.headless_last_ms").get())
+        });
         let failover_ms = t0.elapsed().as_millis() as u64;
         reg.counter("controller.ha.elections").inc();
         if term > 1 {
@@ -500,10 +503,9 @@ impl ControlPlane {
         }
         reg.gauge("controller.ha.term").set(term as i64);
         reg.gauge("controller.ha.resync_rules").set(resync as i64);
-        reg.gauge("controller.ha.headless_ms")
-            .set(headless_ms as i64);
+        reg.gauge("controller.ha.headless_ms").set(headless_ms);
         reg.gauge("controller.ha.headless_s")
-            .set((headless_ms / 1000) as i64);
+            .set(headless_ms / 1000);
         let mut state = self.inner.state.lock();
         state.leader = Some(idx);
         for (i, slot) in state.replicas.iter().enumerate() {
@@ -623,6 +625,10 @@ mod tests {
     use typhoon_openflow::{Action, FlowMatch, GroupId, PortNo};
     use typhoon_switch::SwitchConfig;
 
+    fn gauge(sw: &Switch, name: &str) -> i64 {
+        sw.registry().snapshot().gauge(name)
+    }
+
     fn rule(port_in: u32, port_out: u32, priority: u16) -> FlowMod {
         FlowMod::add(
             priority,
@@ -687,12 +693,12 @@ mod tests {
             .wait_leader(Duration::from_secs(5))
             .expect("initial leader");
         assert_eq!(plane.term(), 1);
-        assert_eq!(sw.controller_term(), 1);
+        assert_eq!(gauge(&sw, "switch.term"), 1);
         let first = plane.leader_name().expect("leader name");
 
         assert!(leader.send_flow_mod(HostId(0), rule(1, 2, 10)));
         assert!(leader.sync_switch(HostId(0), Duration::from_secs(5)));
-        assert_eq!(sw.rule_count(), 1);
+        assert_eq!(gauge(&sw, "switch.rules"), 1);
 
         let dead = plane.crash_leader().expect("a leader to kill");
         assert_eq!(dead, first);
@@ -701,9 +707,18 @@ mod tests {
             .expect("failover");
         assert_ne!(plane.leader_name().as_deref(), Some(dead.as_str()));
         assert_eq!(plane.term(), 2, "failover bumps the term");
-        assert_eq!(sw.controller_term(), 2, "switch fenced to the new term");
-        assert_eq!(sw.rule_count(), 1, "ledger re-sync reinstalled the rule");
-        assert!(sw.headless_ms() > 0, "switch observed a leaderless window");
+        assert_eq!(
+            gauge(&sw, "switch.term"),
+            2,
+            "switch fenced to the new term"
+        );
+        assert_eq!(
+            gauge(&sw, "switch.rules"),
+            1,
+            "ledger re-sync reinstalled the rule"
+        );
+        let headless_ms = sw.registry().snapshot().counter("switch.headless_ms");
+        assert!(headless_ms > 0, "switch observed a leaderless window");
         assert!(next.sync_switch(HostId(0), Duration::from_secs(5)));
 
         let snap = plane.registry().snapshot();
@@ -712,6 +727,46 @@ mod tests {
         assert!(snap.gauge("controller.ha.resync_rules") >= 1);
         assert_eq!(snap.gauge("controller.ha.term"), 2);
 
+        plane.shutdown();
+        datapath.stop();
+    }
+
+    /// `controller.ha.headless_ms` is the window the last failover closed,
+    /// not the switch's lifetime total: after a second leader kill it
+    /// reads the second window alone.
+    #[test]
+    fn headless_gauge_reads_the_last_window_not_the_total() {
+        let global = GlobalState::new(Coordinator::new());
+        let cfg = HaConfig {
+            session_timeout: Duration::from_millis(100),
+            sweep_interval: Duration::from_millis(5),
+            seed: 13,
+        };
+        let plane = ControlPlane::new(global, 3, cfg);
+        let (sw, _boot) = Switch::new(SwitchConfig::new(1));
+        plane.manage_switch(HostId(0), sw.clone());
+        let datapath = sw.spawn();
+        plane.start(Duration::from_millis(1));
+        plane.wait_leader(Duration::from_secs(5)).expect("leader");
+        let total = || sw.registry().snapshot().counter("switch.headless_ms");
+        let mut windows = Vec::new();
+        for term in [2, 3] {
+            let before = total();
+            plane.crash_leader().expect("a leader to kill");
+            // Published only once the gauges are set.
+            plane
+                .wait_leader(Duration::from_secs(10))
+                .expect("failover");
+            assert_eq!(plane.term(), term);
+            windows.push(total() - before);
+        }
+        assert!(windows.iter().all(|&w| w > 0), "windows {windows:?}");
+        let gauge = plane
+            .registry()
+            .snapshot()
+            .gauge("controller.ha.headless_ms");
+        assert_eq!(gauge, windows[1] as i64, "windows {windows:?}");
+        assert!(gauge < total() as i64, "the total {} holds both", total());
         plane.shutdown();
         datapath.stop();
     }

@@ -54,11 +54,8 @@ fn rules_fan_out_to_every_host_and_barriers_fence_with_live_pump() {
     );
     // Every host got its share of rules (control + data).
     for (h, sw) in switches.iter().enumerate() {
-        assert!(
-            sw.rule_count() > 2,
-            "host {h} got only {} rules",
-            sw.rule_count()
-        );
+        let rules = sw.registry().snapshot().gauge("switch.rules");
+        assert!(rules > 2, "host {h} got only {rules} rules");
     }
     // Cross-host unicast rules exist: round robin guarantees remote edges.
     let remote = phys.remote_edge_pairs(&logical);

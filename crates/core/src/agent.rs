@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
+use typhoon_metrics::Registry;
 use typhoon_model::{AppId, ComponentRegistry, HostInfo, NodeKind, TaskId};
 use typhoon_net::Doorbell;
 use typhoon_openflow::PortNo;
@@ -215,6 +216,16 @@ impl WorkerAgent {
             .lock()
             .get(&(app, task))
             .map(|e| e.shared.clone())
+    }
+
+    /// The metrics registry of every live worker on this host.
+    pub fn worker_registries(&self) -> Vec<(AppId, TaskId, Registry)> {
+        self.workers
+            .lock()
+            .iter()
+            .filter(|(_, e)| e.thread.as_ref().is_some_and(|t| !t.is_finished()))
+            .map(|(&(app, task), e)| (app, task, e.shared.registry.clone()))
+            .collect()
     }
 
     /// The switch port of a worker.

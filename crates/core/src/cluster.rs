@@ -17,10 +17,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::apps::FAULTS;
 use typhoon_controller::{ControlPlane, Controller, HaConfig};
-use typhoon_coordinator::global::{GlobalState, RECONFIG};
+use typhoon_coordinator::global::{GlobalState, RECONFIG, TOPOLOGIES};
 use typhoon_coordinator::Coordinator;
 use typhoon_diag::{rank, DiagMutex, DiagRwLock as RwLock};
 use typhoon_kv::KvStore;
+use typhoon_metrics::{MetricSnapshot, Registry};
 use typhoon_model::{
     AppId, ComponentRegistry, HostId, HostInfo, LogicalTopology, NodeKind, PhysicalTopology,
     ReconfigRequest, TaskId,
@@ -28,7 +29,7 @@ use typhoon_model::{
 use typhoon_net::{
     ChaosHandle, FaultInjector, FaultPlan, InMemoryTunnel, KillClass, TcpTunnel, Tunnel,
 };
-use typhoon_switch::{Switch, SwitchConfig, SwitchHandle};
+use typhoon_switch::{CacheStats, Switch, SwitchConfig, SwitchHandle};
 use typhoon_trace::Tracer;
 
 /// Cluster-wide configuration.
@@ -185,6 +186,10 @@ struct ClusterInner {
     manager_shutdown: Arc<AtomicBool>,
     manager_thread: DiagMutex<Option<std::thread::JoinHandle<()>>>,
     tracer: Option<Arc<Tracer>>,
+    /// The `net.tunnel.*` registry of each TCP tunnel endpoint, keyed
+    /// `(host, peer)`; empty unless built with
+    /// [`TyphoonConfig::with_tcp_tunnels`].
+    tunnels: BTreeMap<(HostId, HostId), Registry>,
     /// Per-directed-edge chaos controls, keyed `(from, to)`; empty unless
     /// the cluster was built with [`TyphoonConfig::with_chaos`].
     chaos: BTreeMap<(HostId, HostId), ChaosHandle>,
@@ -242,12 +247,16 @@ impl TyphoonCluster {
         // wrapped in fault injectors (one per directed edge, each with a
         // seed derived from the cluster seed and the host pair so a single
         // seed reproduces the whole run).
+        let mut tunnels = BTreeMap::new();
         let mut chaos_handles = BTreeMap::new();
         for i in 0..config.hosts {
             for j in (i + 1)..config.hosts {
+                let (hi, hj) = (HostId(i as u32), HostId(j as u32));
                 let (mut a, mut b): (Box<dyn Tunnel + Send>, Box<dyn Tunnel + Send>) =
                     if config.remote_tcp {
                         let (a, b) = TcpTunnel::pair()?;
+                        tunnels.insert((hi, hj), a.registry().clone());
+                        tunnels.insert((hj, hi), b.registry().clone());
                         (Box::new(a), Box::new(b))
                     } else {
                         let (a, b) = InMemoryTunnel::pair();
@@ -265,8 +274,8 @@ impl TyphoonCluster {
                     let (ib, hb) = FaultInjector::wrap(b, edge_plan(j, i));
                     a = Box::new(ia);
                     b = Box::new(ib);
-                    chaos_handles.insert((HostId(i as u32), HostId(j as u32)), ha);
-                    chaos_handles.insert((HostId(j as u32), HostId(i as u32)), hb);
+                    chaos_handles.insert((hi, hj), ha);
+                    chaos_handles.insert((hj, hi), hb);
                 }
                 switches[i].add_tunnel(j as u32, a);
                 switches[j].add_tunnel(i as u32, b);
@@ -397,6 +406,7 @@ impl TyphoonCluster {
                     Some(manager_thread),
                 ),
                 tracer,
+                tunnels,
                 chaos: chaos_handles,
                 cluster_chaos,
             }),
@@ -468,17 +478,47 @@ impl TyphoonCluster {
     /// Cluster-wide flow-cache counters, summed across every host's
     /// switch — the megaflow fast-path evidence (steady state should
     /// resolve ≥ 90% of frames without touching the flow-table lock).
-    pub fn cache_stats(&self) -> typhoon_switch::CacheStats {
-        let mut total = typhoon_switch::CacheStats::default();
-        for rt in self.inner.hosts.values() {
-            let s = rt.switch.cache_stats();
-            total.hits += s.hits;
-            total.negative_hits += s.negative_hits;
-            total.misses += s.misses;
-            total.insertions += s.insertions;
-            total.invalidations += s.invalidations;
+    pub fn cache_stats(&self) -> CacheStats {
+        CacheStats::from(&MetricSnapshot::total(&self.snapshot(), "switch/"))
+    }
+
+    /// One snapshot of every registry in the cluster, keyed by source:
+    /// `switch/<host>`, `tunnel/<host>-<peer>` (TCP tunnel endpoints),
+    /// `chaos/<from>-<to>`, `chaos/cluster`, `control_plane`, `manager`,
+    /// `recovery`, `tracer`, `diag` and `worker/<app>/<task>` (see
+    /// docs/OBSERVABILITY.md). A source the cluster was not built with is
+    /// absent. [`MetricSnapshot::total`] sums one family of sources.
+    pub fn snapshot(&self) -> BTreeMap<String, MetricSnapshot> {
+        let inner = &self.inner;
+        let mut out = BTreeMap::new();
+        let mut add = |label: String, registry: &Registry| {
+            out.insert(label, registry.snapshot());
+        };
+        add("control_plane".into(), inner.plane.registry());
+        add("manager".into(), inner.manager.registry());
+        add("diag".into(), typhoon_diag::registry());
+        if let Some(recovery) = &inner.recovery {
+            add("recovery".into(), recovery.registry());
         }
-        total
+        if let Some(tracer) = &inner.tracer {
+            add("tracer".into(), tracer.registry());
+        }
+        if let Some(handle) = &inner.cluster_chaos {
+            add("chaos/cluster".into(), handle.registry());
+        }
+        for (&(from, to), handle) in &inner.chaos {
+            add(format!("chaos/{}-{}", from.0, to.0), handle.registry());
+        }
+        for (&(host, peer), registry) in &inner.tunnels {
+            add(format!("tunnel/{}-{}", host.0, peer.0), registry);
+        }
+        for (host, rt) in &inner.hosts {
+            add(format!("switch/{}", host.0), rt.switch.registry());
+            for (app, task, registry) in rt.agent.worker_registries() {
+                add(format!("worker/{app}/{task}"), &registry);
+            }
+        }
+        out
     }
 
     /// The chaos control for the directed tunnel edge `from → to`
@@ -575,7 +615,7 @@ impl std::fmt::Debug for TyphoonCluster {
     }
 }
 
-/// The seeded chaos killer: waits for the first topology, sleeps out the
+/// The seeded chaos killer: waits for the first topology, waits out the
 /// armed delay, then executes one kill. The victim derives from the plan
 /// seed over a sorted candidate list, so a fixed `CHAOS_SEED` reproduces
 /// the exact same kill. Spouts and the acker are never direct victims
@@ -594,7 +634,10 @@ fn run_chaos_killer(
         None => return,
     };
     let seed = handle.plan().seed;
-    // Wait for a running topology (the kill delay counts from here).
+    // Wait for a running topology, then for the armed delay, which counts
+    // from it. Both waits block on one watch: a topology write, or
+    // `shutdown`'s poke of `RECONFIG`, ends either.
+    let inbox = global.coordinator().watch_any(&[TOPOLOGIES, RECONFIG]);
     let topo = loop {
         if shutdown.load(Ordering::Acquire) {
             return;
@@ -604,15 +647,15 @@ fn run_chaos_killer(
                 ts.sort();
                 break ts.remove(0);
             }
-            _ => std::thread::sleep(Duration::from_millis(10)), // LINT: allow-sleep(chaos killer waiting for a topology to kill)
+            _ => _ = inbox.recv(),
         }
     };
     let deadline = Instant::now() + spec.after;
-    while Instant::now() < deadline {
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
-        std::thread::sleep(Duration::from_millis(5)); // LINT: allow-sleep(chaos killer arming delay, bounded by the deadline)
+        _ = inbox.recv_timeout(left);
     }
     // Controller kills need no worker victim: the target is whichever
     // replica currently leads. The armed delay above still counts from
@@ -621,7 +664,7 @@ fn run_chaos_killer(
     if spec.class == KillClass::Controller {
         if let Some(name) = plane.crash_leader() {
             eprintln!("typhoon-chaos: killing controller leader {name} (seed {seed:#x})");
-            handle.stats().record_kill(KillClass::Controller);
+            handle.record_kill(KillClass::Controller);
         }
         return;
     }
@@ -663,7 +706,7 @@ fn run_chaos_killer(
                     victim.task.0, victim.node, victim.host.0
                 );
                 agent.crash_detached(physical.app, victim.task);
-                handle.stats().record_kill(KillClass::Worker);
+                handle.record_kill(KillClass::Worker);
             }
         }
         KillClass::Host => {
@@ -695,7 +738,7 @@ fn run_chaos_killer(
                 eprintln!("typhoon-chaos: killing host {} (seed {seed:#x})", host.0);
                 agent.mark_dead();
                 agent.crash_all_detached();
-                handle.stats().record_kill(KillClass::Host);
+                handle.record_kill(KillClass::Host);
             }
         }
         KillClass::Controller => {

@@ -713,7 +713,8 @@ fn idle_bolt_parks_instead_of_polling() {
         counters().counter("loop.rounds"),
         counters().counter("loop.parks"),
     );
-    let switch_rounds0 = sw.round_count();
+    let datapath_rounds = || sw.registry().snapshot().counter("switch.rounds");
+    let switch_rounds0 = datapath_rounds();
     std::thread::sleep(Duration::from_millis(200));
     let rounds = counters().counter("loop.rounds") - rounds0;
     let parks = counters().counter("loop.parks") - parks0;
@@ -725,7 +726,7 @@ fn idle_bolt_parks_instead_of_polling() {
         parks >= rounds.saturating_sub(1),
         "{parks} parks / {rounds}"
     );
-    let switch_rounds = sw.round_count() - switch_rounds0;
+    let switch_rounds = datapath_rounds() - switch_rounds0;
     assert!(
         switch_rounds <= 2 * 400,
         "{switch_rounds} switch rounds in 200 ms: the datapath is polling"

@@ -159,8 +159,9 @@ fn real_workspace_is_clean() {
     );
 }
 
-/// `(file, line)` of every `tag` waiver in library code (`crates/*/src`).
-fn library_waivers(tag: &str) -> Vec<(String, String)> {
+/// `(file, line)` of every line of library code (`crates/*/src`) that
+/// contains `tag`: a waiver, or a shape that must not come back.
+fn library_lines(tag: &str) -> Vec<(String, String)> {
     fn walk(dir: &std::path::Path, tag: &str, out: &mut Vec<(String, String)>) {
         for entry in std::fs::read_dir(dir).expect("read_dir").flatten() {
             let path = entry.path();
@@ -190,7 +191,7 @@ fn library_waivers(tag: &str) -> Vec<(String, String)> {
 /// Storm inbox ×2, coordinator watch ×1.
 #[test]
 fn the_unbounded_queues_are_the_six_we_know() {
-    let mut waived = library_waivers("LINT: allow-unbounded(");
+    let mut waived = library_lines("LINT: allow-unbounded(");
     waived.retain(|(file, _)| !file.contains("/lint/src/")); // the rule's own text
     let in_file = |suffix: &str| waived.iter().filter(|(f, _)| f.ends_with(suffix)).count();
     assert_eq!(in_file("net/src/tunnel.rs"), 3, "{waived:?}");
@@ -231,7 +232,7 @@ fn no_manifest_names_crossbeam_and_vendor_is_three_shims() {
 /// code is the Storm baseline's spout executor.
 #[test]
 fn no_idle_sleep_returns_under_a_waiver() {
-    let library = library_waivers("allow-sleep");
+    let library = library_lines("allow-sleep");
     let in_worker: Vec<_> = library
         .iter()
         .filter(|(file, _)| file.contains("core/src/worker/"))
@@ -246,15 +247,15 @@ fn no_idle_sleep_returns_under_a_waiver() {
         })
         .collect();
     assert!(rung.is_empty(), "a deploy or fence wait sleeps: {rung:?}");
-    // What `typhoon-core` still sleeps on: the chaos killer (×2, a test
-    // fixture's clock) and `reconfigure`'s three quiesce / drain waits —
-    // ROADMAP item 2's open half (acknowledged SIGNAL / Deactivate, the
-    // end-of-route marker), which should take this to 2.
+    // What `typhoon-core` still sleeps on: `reconfigure`'s three quiesce /
+    // drain waits — ROADMAP item 2's open half (acknowledged SIGNAL /
+    // Deactivate, the end-of-route marker), which should take this to 0.
+    // The chaos killer waits on a coordinator watch.
     let in_core: Vec<_> = library
         .iter()
         .filter(|(file, _)| file.contains("/core/src/"))
         .collect();
-    assert_eq!(in_core.len(), 5, "{in_core:?}");
+    assert_eq!(in_core.len(), 3, "{in_core:?}");
     let in_reconfigure = in_core
         .iter()
         .filter(|(file, line)| file.ends_with("manager.rs") && line.contains("_WAIT)"))
@@ -269,6 +270,19 @@ fn no_idle_sleep_returns_under_a_waiver() {
         backoffs[0].0.ends_with("storm/src/executor.rs"),
         "{backoffs:?}"
     );
+}
+
+/// One stats surface: a component counts into a `Registry`, and
+/// `TyphoonCluster::snapshot()` reads them all. A hand-written
+/// `named() -> Vec<(&'static str, u64)>` list beside the registry — what
+/// the tunnels and the fault injectors had — cannot come back.
+#[test]
+fn no_hand_written_name_list_beside_the_registry() {
+    let lists: Vec<_> = library_lines("fn named(")
+        .into_iter()
+        .filter(|(_, line)| line.contains("(&'static str, u64)"))
+        .collect();
+    assert!(lists.is_empty(), "{lists:?}");
 }
 
 /// The code lines of `crates/<path>` outside its `mod tests` and comments.

@@ -33,6 +33,23 @@ impl MetricSnapshot {
     pub fn gauge(&self, name: &str) -> i64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
+
+    /// The counter totals of every snapshot in `sources` whose label
+    /// starts with `prefix`: what one family of registries (every switch,
+    /// every chaos edge) counted together. Gauges and histograms are
+    /// readings of one source and are not summed.
+    pub fn total(sources: &BTreeMap<String, MetricSnapshot>, prefix: &str) -> MetricSnapshot {
+        let mut total = MetricSnapshot::default();
+        for (_, snap) in sources
+            .iter()
+            .filter(|(label, _)| label.starts_with(prefix))
+        {
+            for (name, v) in &snap.counters {
+                *total.counters.entry(name.clone()).or_default() += v;
+            }
+        }
+        total
+    }
 }
 
 #[derive(Debug, Default)]
@@ -167,6 +184,24 @@ mod tests {
         let snap = Registry::new().snapshot();
         assert_eq!(snap.counter("nope"), 0);
         assert_eq!(snap.gauge("nope"), 0);
+    }
+
+    #[test]
+    fn total_sums_the_counters_of_one_family() {
+        let (a, b, other) = (Registry::new(), Registry::new(), Registry::new());
+        a.counter("hits").add(2);
+        b.counter("hits").add(3);
+        b.gauge("depth").set(9);
+        other.counter("hits").add(100);
+        let sources: BTreeMap<String, MetricSnapshot> = [
+            ("switch/0".to_owned(), a.snapshot()),
+            ("switch/1".to_owned(), b.snapshot()),
+            ("worker/0".to_owned(), other.snapshot()),
+        ]
+        .into();
+        let total = MetricSnapshot::total(&sources, "switch/");
+        assert_eq!(total.counter("hits"), 5);
+        assert!(total.gauges.is_empty(), "gauges are not summed");
     }
 
     #[test]

@@ -23,10 +23,10 @@ use crate::{NetError, Result, TeardownCause};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
+use typhoon_metrics::{Counter, Registry};
 
 /// One direction's fault configuration. All probabilities are in `0..=1`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -214,72 +214,6 @@ impl FaultPlan {
     }
 }
 
-/// `chaos.*` counters: what the injector actually did.
-#[derive(Debug, Default)]
-pub struct ChaosStats {
-    /// Frames forwarded unmodified (`chaos.forwarded`).
-    pub forwarded: AtomicU64,
-    /// Frames silently dropped (`chaos.dropped`).
-    pub dropped: AtomicU64,
-    /// Extra copies delivered (`chaos.duplicated`).
-    pub duplicated: AtomicU64,
-    /// Frames with corrupted payloads (`chaos.corrupted`).
-    pub corrupted: AtomicU64,
-    /// Frames held for added latency (`chaos.delayed`).
-    pub delayed: AtomicU64,
-    /// Frames held by an active stall (`chaos.stalled`).
-    pub stalled: AtomicU64,
-    /// Operations refused by a hard partition (`chaos.partitioned`).
-    pub partitioned: AtomicU64,
-    /// Worker threads killed by the chaos runtime (`chaos.killed_workers`).
-    pub killed_workers: AtomicU64,
-    /// Hosts killed by the chaos runtime (`chaos.killed_hosts`).
-    pub killed_hosts: AtomicU64,
-    /// Controller replicas killed by the chaos runtime
-    /// (`chaos.killed_controllers`).
-    pub killed_controllers: AtomicU64,
-}
-
-impl ChaosStats {
-    /// Snapshot as `(metric name, value)` pairs under the `chaos.*`
-    /// namespace.
-    pub fn named(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("chaos.forwarded", self.forwarded.load(Ordering::Relaxed)),
-            ("chaos.dropped", self.dropped.load(Ordering::Relaxed)),
-            ("chaos.duplicated", self.duplicated.load(Ordering::Relaxed)),
-            ("chaos.corrupted", self.corrupted.load(Ordering::Relaxed)),
-            ("chaos.delayed", self.delayed.load(Ordering::Relaxed)),
-            ("chaos.stalled", self.stalled.load(Ordering::Relaxed)),
-            (
-                "chaos.partitioned",
-                self.partitioned.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos.killed_workers",
-                self.killed_workers.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos.killed_hosts",
-                self.killed_hosts.load(Ordering::Relaxed),
-            ),
-            (
-                "chaos.killed_controllers",
-                self.killed_controllers.load(Ordering::Relaxed),
-            ),
-        ]
-    }
-
-    /// Records an executed kill under the matching counter.
-    pub fn record_kill(&self, class: KillClass) {
-        match class {
-            KillClass::Worker => self.killed_workers.fetch_add(1, Ordering::Relaxed),
-            KillClass::Host => self.killed_hosts.fetch_add(1, Ordering::Relaxed),
-            KillClass::Controller => self.killed_controllers.fetch_add(1, Ordering::Relaxed),
-        };
-    }
-}
-
 /// A frame held back by a delay or stall. `due == None` means "until the
 /// stall is switched off".
 struct HeldFrame {
@@ -296,7 +230,60 @@ struct ChaosState {
 
 struct ChaosShared {
     state: Mutex<ChaosState>,
-    stats: ChaosStats,
+    /// The `chaos.*` counters: what the injector actually did.
+    registry: Registry,
+    counters: ChaosCounters,
+}
+
+impl ChaosShared {
+    fn new(plan: FaultPlan) -> Arc<ChaosShared> {
+        let registry = Registry::new();
+        Arc::new(ChaosShared {
+            state: Mutex::with_rank(
+                rank::CHAOS_STATE,
+                "net.fault.state",
+                ChaosState {
+                    rng: SmallRng::seed_from_u64(plan.seed),
+                    plan,
+                    tx_held: VecDeque::new(),
+                    rx_held: VecDeque::new(),
+                },
+            ),
+            counters: ChaosCounters::resolve(&registry),
+            registry,
+        })
+    }
+}
+
+/// The `chaos.*` counters, resolved once from the injector's registry.
+struct ChaosCounters {
+    forwarded: Counter,
+    dropped: Counter,
+    duplicated: Counter,
+    corrupted: Counter,
+    delayed: Counter,
+    stalled: Counter,
+    partitioned: Counter,
+    killed_workers: Counter,
+    killed_hosts: Counter,
+    killed_controllers: Counter,
+}
+
+impl ChaosCounters {
+    fn resolve(registry: &Registry) -> Self {
+        ChaosCounters {
+            forwarded: registry.counter("chaos.forwarded"),
+            dropped: registry.counter("chaos.dropped"),
+            duplicated: registry.counter("chaos.duplicated"),
+            corrupted: registry.counter("chaos.corrupted"),
+            delayed: registry.counter("chaos.delayed"),
+            stalled: registry.counter("chaos.stalled"),
+            partitioned: registry.counter("chaos.partitioned"),
+            killed_workers: registry.counter("chaos.killed_workers"),
+            killed_hosts: registry.counter("chaos.killed_hosts"),
+            killed_controllers: registry.counter("chaos.killed_controllers"),
+        }
+    }
 }
 
 /// Runtime control over a [`FaultInjector`]: switch the plan, heal the
@@ -313,19 +300,7 @@ impl ChaosHandle {
     /// API as link faults.
     pub fn standalone(plan: FaultPlan) -> ChaosHandle {
         ChaosHandle {
-            shared: Arc::new(ChaosShared {
-                state: Mutex::with_rank(
-                    rank::CHAOS_STATE,
-                    "net.fault.state",
-                    ChaosState {
-                        rng: SmallRng::seed_from_u64(plan.seed),
-                        plan,
-                        tx_held: VecDeque::new(),
-                        rx_held: VecDeque::new(),
-                    },
-                ),
-                stats: ChaosStats::default(),
-            }),
+            shared: ChaosShared::new(plan),
         }
     }
 
@@ -371,8 +346,20 @@ impl ChaosHandle {
     }
 
     /// The injector's `chaos.*` counters.
-    pub fn stats(&self) -> &ChaosStats {
-        &self.shared.stats
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
+    }
+
+    /// Records a kill the cluster runtime executed under the matching
+    /// `chaos.killed_*` counter.
+    pub fn record_kill(&self, class: KillClass) {
+        let c = &self.shared.counters;
+        match class {
+            KillClass::Worker => &c.killed_workers,
+            KillClass::Host => &c.killed_hosts,
+            KillClass::Controller => &c.killed_controllers,
+        }
+        .inc();
     }
 }
 
@@ -395,19 +382,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Wraps `inner`, returning the injector and its control handle.
     pub fn wrap(inner: Box<dyn Tunnel + Send>, plan: FaultPlan) -> (FaultInjector, ChaosHandle) {
-        let shared = Arc::new(ChaosShared {
-            state: Mutex::with_rank(
-                rank::CHAOS_STATE,
-                "net.fault.state",
-                ChaosState {
-                    rng: SmallRng::seed_from_u64(plan.seed),
-                    plan,
-                    tx_held: VecDeque::new(),
-                    rx_held: VecDeque::new(),
-                },
-            ),
-            stats: ChaosStats::default(),
-        });
+        let shared = ChaosShared::new(plan);
         let handle = ChaosHandle {
             shared: shared.clone(),
         };
@@ -421,8 +396,8 @@ impl FaultInjector {
         }
     }
 
-    fn stats(&self) -> &ChaosStats {
-        &self.shared.stats
+    fn counters(&self) -> &ChaosCounters {
+        &self.shared.counters
     }
 
     /// Flips two payload bytes — enough to break tuple deserialization
@@ -467,7 +442,7 @@ impl FaultInjector {
             match frame {
                 Some(f) => {
                     self.inner.send(&f)?;
-                    self.stats().forwarded.fetch_add(1, Ordering::Relaxed);
+                    self.counters().forwarded.inc();
                 }
                 None => return Ok(()),
             }
@@ -512,22 +487,22 @@ impl Tunnel for FaultInjector {
             (spec, drop, dup, corrupt)
         };
         if spec.partition {
-            self.stats().partitioned.fetch_add(1, Ordering::Relaxed);
+            self.counters().partitioned.inc();
             return Err(NetError::Broken(TeardownCause::Partitioned));
         }
         self.flush_tx_held()?;
         if drop {
-            self.stats().dropped.fetch_add(1, Ordering::Relaxed);
+            self.counters().dropped.inc();
             return Ok(());
         }
         let frame = if corrupt {
-            self.stats().corrupted.fetch_add(1, Ordering::Relaxed);
+            self.counters().corrupted.inc();
             Self::corrupt_frame(frame)
         } else {
             frame.clone()
         };
         if spec.stall {
-            self.stats().stalled.fetch_add(1, Ordering::Relaxed);
+            self.counters().stalled.inc();
             self.shared
                 .state
                 .lock()
@@ -536,7 +511,7 @@ impl Tunnel for FaultInjector {
             return Ok(());
         }
         if let Some(d) = spec.delay {
-            self.stats().delayed.fetch_add(1, Ordering::Relaxed);
+            self.counters().delayed.inc();
             self.shared.state.lock().tx_held.push_back(HeldFrame {
                 due: Some(Instant::now() + d),
                 frame,
@@ -544,10 +519,10 @@ impl Tunnel for FaultInjector {
             return Ok(());
         }
         self.inner.send(&frame)?;
-        self.stats().forwarded.fetch_add(1, Ordering::Relaxed);
+        self.counters().forwarded.inc();
         if dup {
             self.inner.send(&frame)?;
-            self.stats().duplicated.fetch_add(1, Ordering::Relaxed);
+            self.counters().duplicated.inc();
         }
         Ok(())
     }
@@ -558,7 +533,7 @@ impl Tunnel for FaultInjector {
             st.plan.rx
         };
         if rx_spec.partition {
-            self.stats().partitioned.fetch_add(1, Ordering::Relaxed);
+            self.counters().partitioned.inc();
             return Err(NetError::Broken(TeardownCause::Partitioned));
         }
         // Keep the outbound side moving even when the local worker only
@@ -582,17 +557,17 @@ impl Tunnel for FaultInjector {
                 )
             };
             if drop {
-                self.stats().dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters().dropped.inc();
                 continue;
             }
             let frame = if corrupt {
-                self.stats().corrupted.fetch_add(1, Ordering::Relaxed);
+                self.counters().corrupted.inc();
                 Self::corrupt_frame(&frame)
             } else {
                 frame
             };
             if rx_spec.stall {
-                self.stats().stalled.fetch_add(1, Ordering::Relaxed);
+                self.counters().stalled.inc();
                 self.shared
                     .state
                     .lock()
@@ -601,7 +576,7 @@ impl Tunnel for FaultInjector {
                 continue;
             }
             if let Some(d) = rx_spec.delay {
-                self.stats().delayed.fetch_add(1, Ordering::Relaxed);
+                self.counters().delayed.inc();
                 self.shared.state.lock().rx_held.push_back(HeldFrame {
                     due: Some(Instant::now() + d),
                     frame,
@@ -613,9 +588,9 @@ impl Tunnel for FaultInjector {
                     due: Some(Instant::now()),
                     frame: frame.clone(),
                 });
-                self.stats().duplicated.fetch_add(1, Ordering::Relaxed);
+                self.counters().duplicated.inc();
             }
-            self.stats().forwarded.fetch_add(1, Ordering::Relaxed);
+            self.counters().forwarded.inc();
             return Ok(Some(frame));
         }
     }
@@ -656,6 +631,10 @@ mod tests {
         (inj, handle, b)
     }
 
+    fn count(handle: &ChaosHandle, name: &str) -> u64 {
+        handle.registry().snapshot().counter(name)
+    }
+
     fn drain(t: &dyn Tunnel) -> Vec<Frame> {
         let mut out = Vec::new();
         while let Ok(Some(f)) = t.try_recv() {
@@ -671,8 +650,8 @@ mod tests {
             inj.send(&frame(i)).unwrap();
         }
         assert_eq!(drain(&peer).len(), 10);
-        assert_eq!(handle.stats().forwarded.load(Ordering::Relaxed), 10);
-        assert_eq!(handle.stats().dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(count(&handle, "chaos.forwarded"), 10);
+        assert_eq!(count(&handle, "chaos.dropped"), 0);
     }
 
     #[test]
@@ -701,7 +680,7 @@ mod tests {
             inj.send(&frame(i)).unwrap();
         }
         assert_eq!(drain(&peer).len(), 10);
-        assert_eq!(h.stats().duplicated.load(Ordering::Relaxed), 5);
+        assert_eq!(count(&h, "chaos.duplicated"), 5);
     }
 
     #[test]
@@ -713,7 +692,7 @@ mod tests {
         assert_eq!(got.src, original.src);
         assert_eq!(got.dst, original.dst);
         assert_ne!(got.payload, original.payload);
-        assert_eq!(h.stats().corrupted.load(Ordering::Relaxed), 1);
+        assert_eq!(count(&h, "chaos.corrupted"), 1);
     }
 
     #[test]
@@ -743,7 +722,7 @@ mod tests {
             inj.send(&frame(i)).unwrap();
         }
         assert!(drain(&peer).is_empty(), "stall holds everything");
-        assert_eq!(handle.stats().stalled.load(Ordering::Relaxed), 20);
+        assert_eq!(count(&handle, "chaos.stalled"), 20);
         handle.heal();
         let _ = inj.try_recv(); // release hook
         let released = drain(&peer);
@@ -764,7 +743,7 @@ mod tests {
             inj.try_recv().unwrap_err(),
             NetError::Broken(TeardownCause::Partitioned)
         );
-        assert!(handle.stats().partitioned.load(Ordering::Relaxed) >= 2);
+        assert!(count(&handle, "chaos.partitioned") >= 2);
         // Heal: the link works again (the frame sent during the partition
         // by the peer is still buffered in the underlying tunnel).
         handle.heal();
@@ -780,7 +759,7 @@ mod tests {
             peer.send(&frame(i)).unwrap();
         }
         assert!(inj.try_recv().unwrap().is_none(), "all inbound dropped");
-        assert_eq!(h.stats().dropped.load(Ordering::Relaxed), 5);
+        assert_eq!(count(&h, "chaos.dropped"), 5);
     }
 
     #[test]
@@ -806,11 +785,10 @@ mod tests {
                 after: Duration::from_millis(250),
             })
         );
-        handle.stats().record_kill(KillClass::Worker);
-        handle.stats().record_kill(KillClass::Host);
-        let named = handle.stats().named();
-        assert!(named.contains(&("chaos.killed_workers", 1)));
-        assert!(named.contains(&("chaos.killed_hosts", 1)));
+        handle.record_kill(KillClass::Worker);
+        handle.record_kill(KillClass::Host);
+        assert_eq!(count(&handle, "chaos.killed_workers"), 1);
+        assert_eq!(count(&handle, "chaos.killed_hosts"), 1);
         handle.set_kill(None);
         assert_eq!(handle.kill_spec(), None, "disarmed");
         // A kill spec never perturbs the per-frame fault path.

@@ -39,13 +39,11 @@ pub mod tunnel;
 
 pub use backoff::{retry, BackoffPolicy, RetryError};
 pub use doorbell::{BellSlot, Doorbell};
-pub use fault::{
-    ChaosHandle, ChaosStats, FaultInjector, FaultPlan, FaultSpec, KillClass, KillSpec,
-};
+pub use fault::{ChaosHandle, FaultInjector, FaultPlan, FaultSpec, KillClass, KillSpec};
 pub use frame::{Frame, MacAddr, TYPHOON_ETHERTYPE};
 pub use packetize::{Depacketizer, Packetizer};
 pub use ring::{ring, ring_with_bell, RingConsumer, RingProducer, RingStats};
-pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig, TunnelStats};
+pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig};
 
 /// Why a tunnel entered its broken (fail-fast) state.
 ///

@@ -23,11 +23,12 @@ use crate::{NetError, Result, TeardownCause};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 use typhoon_diag::{rank, DiagMutex as Mutex};
+use typhoon_metrics::{Counter, Registry};
 
 /// Upper bound on a tunnelled frame, to stop a corrupt length prefix from
 /// allocating gigabytes.
@@ -54,81 +55,6 @@ impl Default for TunnelConfig {
         TunnelConfig {
             write_timeout: Duration::from_secs(30),
         }
-    }
-}
-
-/// `net.tunnel.*` counters for one tunnel endpoint: traffic totals plus
-/// one teardown counter per [`TeardownCause`], so operators can tell a
-/// clean peer close from corruption, I/O failure or a write stall.
-#[derive(Debug, Default)]
-pub struct TunnelStats {
-    /// Frames successfully written (`net.tunnel.sent`).
-    pub sent: AtomicU64,
-    /// Frames decoded off the wire (`net.tunnel.received`).
-    pub received: AtomicU64,
-    /// Sends refused because the tunnel was already broken
-    /// (`net.tunnel.rejected_sends`).
-    pub rejected_sends: AtomicU64,
-    /// Teardowns: peer closed cleanly (`net.tunnel.teardown.peer_closed`).
-    pub teardown_peer_closed: AtomicU64,
-    /// Teardowns: oversized length prefix
-    /// (`net.tunnel.teardown.corrupt_len`).
-    pub teardown_corrupt_len: AtomicU64,
-    /// Teardowns: frame decode failure
-    /// (`net.tunnel.teardown.decode_error`).
-    pub teardown_decode_error: AtomicU64,
-    /// Teardowns: socket I/O error (`net.tunnel.teardown.io_error`).
-    pub teardown_io_error: AtomicU64,
-    /// Teardowns: write timeout (`net.tunnel.teardown.write_timeout`).
-    pub teardown_write_timeout: AtomicU64,
-}
-
-impl TunnelStats {
-    fn record_teardown(&self, cause: TeardownCause) {
-        let cell = match cause {
-            TeardownCause::PeerClosed => &self.teardown_peer_closed,
-            TeardownCause::CorruptLength => &self.teardown_corrupt_len,
-            TeardownCause::DecodeError => &self.teardown_decode_error,
-            TeardownCause::Io => &self.teardown_io_error,
-            TeardownCause::WriteTimeout => &self.teardown_write_timeout,
-            // Partitions are injected above the TCP layer and counted by
-            // the injector's own `chaos.*` stats.
-            TeardownCause::Partitioned => return,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot as `(metric name, value)` pairs under the `net.tunnel.*`
-    /// namespace (see docs/OBSERVABILITY.md).
-    pub fn named(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("net.tunnel.sent", self.sent.load(Ordering::Relaxed)),
-            ("net.tunnel.received", self.received.load(Ordering::Relaxed)),
-            (
-                "net.tunnel.rejected_sends",
-                self.rejected_sends.load(Ordering::Relaxed),
-            ),
-            (
-                "net.tunnel.teardown.peer_closed",
-                self.teardown_peer_closed.load(Ordering::Relaxed),
-            ),
-            (
-                "net.tunnel.teardown.corrupt_len",
-                self.teardown_corrupt_len.load(Ordering::Relaxed),
-            ),
-            (
-                "net.tunnel.teardown.decode_error",
-                self.teardown_decode_error.load(Ordering::Relaxed),
-            ),
-            (
-                "net.tunnel.teardown.io_error",
-                self.teardown_io_error.load(Ordering::Relaxed),
-            ),
-            (
-                "net.tunnel.teardown.write_timeout",
-                self.teardown_write_timeout.load(Ordering::Relaxed),
-            ),
-        ]
     }
 }
 
@@ -178,23 +104,60 @@ impl BrokenFlag {
 }
 
 /// State shared between the send path, the reader thread and `Drop`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct TunnelShared {
     broken: BrokenFlag,
-    stats: TunnelStats,
+    /// This endpoint's `net.tunnel.*` counters: traffic totals plus one
+    /// `net.tunnel.teardown.<cause>` per cause the endpoint observes
+    /// itself, so operators can tell a clean peer close from corruption,
+    /// I/O failure or a write stall.
+    registry: Registry,
+    sent: Counter,
+    received: Counter,
+    rejected_sends: Counter,
     /// The bell of whoever polls this endpoint ([`Tunnel::set_doorbell`]).
     bell: BellSlot,
 }
 
 impl TunnelShared {
+    fn new() -> Self {
+        let registry = Registry::new();
+        for cause in OWN_CAUSES {
+            registry.counter(&format!("net.tunnel.teardown.{cause}"));
+        }
+        TunnelShared {
+            broken: BrokenFlag::default(),
+            sent: registry.counter("net.tunnel.sent"),
+            received: registry.counter("net.tunnel.received"),
+            rejected_sends: registry.counter("net.tunnel.rejected_sends"),
+            bell: BellSlot::default(),
+            registry,
+        }
+    }
+
     fn teardown(&self, cause: TeardownCause) {
+        // Looked up before the poison is published: a poller that sees the
+        // cause then finds its count one add later, not one lookup later.
+        let counter = self
+            .registry
+            .counter(&format!("net.tunnel.teardown.{cause}"));
         if self.broken.poison(cause) {
-            self.stats.record_teardown(cause);
+            counter.inc();
         }
         // The poller learns of the teardown from its next `try_recv`.
         self.bell.ring();
     }
 }
+
+/// The causes a TCP endpoint observes itself. Partitions are injected
+/// above the TCP layer and counted by the injector (`chaos.partitioned`).
+const OWN_CAUSES: [TeardownCause; 5] = [
+    TeardownCause::PeerClosed,
+    TeardownCause::CorruptLength,
+    TeardownCause::DecodeError,
+    TeardownCause::Io,
+    TeardownCause::WriteTimeout,
+];
 
 /// The receive end of a tunnel's frame queue, behind a leaf lock so an
 /// endpoint can be shared between a sending and a polling thread.
@@ -331,7 +294,7 @@ impl TcpTunnel {
         stream.set_write_timeout(Some(config.write_timeout))?;
         let reader_stream = stream.try_clone()?;
         let (tx, rx) = channel(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
-        let shared = Arc::new(TunnelShared::default());
+        let shared = Arc::new(TunnelShared::new());
         let reader_shared = shared.clone();
         std::thread::Builder::new()
             .name("tcp-tunnel-reader".into())
@@ -367,8 +330,8 @@ impl TcpTunnel {
     }
 
     /// This endpoint's `net.tunnel.*` counters.
-    pub fn stats(&self) -> &TunnelStats {
-        &self.shared.stats
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
     }
 
     /// The cause that poisoned this tunnel, if any.
@@ -402,7 +365,7 @@ impl TcpTunnel {
             }
             match Frame::decode(Bytes::from(body)) {
                 Ok(frame) => {
-                    shared.stats.received.fetch_add(1, Ordering::Relaxed);
+                    shared.received.inc();
                     if tx.send(frame).is_err() {
                         return; // our own endpoint dropped; not a fault
                     }
@@ -439,10 +402,7 @@ fn read_error_cause(e: &std::io::Error) -> TeardownCause {
 impl Tunnel for TcpTunnel {
     fn send(&self, frame: &Frame) -> Result<()> {
         if let Some(cause) = self.shared.broken.get() {
-            self.shared
-                .stats
-                .rejected_sends
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.rejected_sends.inc();
             return Err(Self::broken_error(cause));
         }
         // Prefix and frame in one buffer, one write: with `TCP_NODELAY` a
@@ -455,15 +415,12 @@ impl Tunnel for TcpTunnel {
         // the tunnel while we waited (its partial write already misframed
         // the stream, so ours must not go out).
         if let Some(cause) = self.shared.broken.get() {
-            self.shared
-                .stats
-                .rejected_sends
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.rejected_sends.inc();
             return Err(Self::broken_error(cause));
         }
         match w.write_all(&wire) {
             Ok(()) => {
-                self.shared.stats.sent.fetch_add(1, Ordering::Relaxed);
+                self.shared.sent.inc();
                 Ok(())
             }
             Err(e) => {

@@ -190,12 +190,7 @@ fn tcp_send_to_shut_down_peer_poisons_the_tunnel() {
     assert!(a.send(&frame(2)).is_err());
     assert!(a.send(&frame(3)).is_err());
     assert!(a.broken_cause().is_some(), "cause recorded");
-    let named = a.stats().named();
-    let rejected = named
-        .iter()
-        .find(|(k, _)| *k == "net.tunnel.rejected_sends")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+    let rejected = a.registry().snapshot().counter("net.tunnel.rejected_sends");
     assert!(rejected >= 2, "rejected_sends={rejected}");
 }
 
@@ -261,12 +256,10 @@ fn tcp_corrupt_length_prefix_is_a_typed_teardown() {
     (&raw).write_all(&u32::MAX.to_be_bytes()).expect("write");
     let err = drain_then_expect_error(&tunnel, 0, Duration::from_secs(10));
     assert_eq!(err, NetError::Broken(TeardownCause::CorruptLength));
-    let named = tunnel.stats().named();
-    let count = named
-        .iter()
-        .find(|(k, _)| *k == "net.tunnel.teardown.corrupt_len")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+    let count = tunnel
+        .registry()
+        .snapshot()
+        .counter("net.tunnel.teardown.corrupt_len");
     assert_eq!(count, 1);
 }
 
@@ -285,12 +278,10 @@ fn tcp_undecodable_body_is_a_typed_teardown() {
     (&raw).write_all(&[0xab; 10]).expect("body");
     let err = drain_then_expect_error(&tunnel, 0, Duration::from_secs(10));
     assert_eq!(err, NetError::Broken(TeardownCause::DecodeError));
-    let named = tunnel.stats().named();
-    let count = named
-        .iter()
-        .find(|(k, _)| *k == "net.tunnel.teardown.decode_error")
-        .map(|(_, v)| *v)
-        .unwrap_or(0);
+    let count = tunnel
+        .registry()
+        .snapshot()
+        .counter("net.tunnel.teardown.decode_error");
     assert_eq!(count, 1);
 }
 

@@ -42,6 +42,7 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use typhoon_metrics::{Counter, MetricSnapshot, Registry};
 use typhoon_net::MacAddr;
 use typhoon_openflow::{Action, FrameMeta, GroupId, PortNo};
 
@@ -203,14 +204,15 @@ pub struct Displaced {
     pub filled: Instant,
 }
 
-/// Monotonic cache counters (observability: `switch.cache.*`).
-#[derive(Debug, Default)]
+/// Monotonic cache counters (observability: `switch.cache.*`), resolved
+/// once from the registry the cache counts into.
+#[derive(Debug)]
 struct Counters {
-    hits: AtomicU64,
-    negative_hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    invalidations: AtomicU64,
+    hits: Counter,
+    negative_hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    invalidations: Counter,
 }
 
 /// A point-in-time view of the cache counters.
@@ -226,6 +228,20 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Generation bumps (whole-cache invalidations).
     pub invalidations: u64,
+}
+
+/// The `switch.cache.*` counters of a snapshot: one switch's registry, or
+/// the total over several.
+impl From<&MetricSnapshot> for CacheStats {
+    fn from(snap: &MetricSnapshot) -> Self {
+        CacheStats {
+            hits: snap.counter("switch.cache.hits"),
+            negative_hits: snap.counter("switch.cache.negative_hits"),
+            misses: snap.counter("switch.cache.misses"),
+            insertions: snap.counter("switch.cache.insertions"),
+            invalidations: snap.counter("switch.cache.invalidations"),
+        }
+    }
 }
 
 impl CacheStats {
@@ -251,14 +267,27 @@ pub struct FlowCache {
 }
 
 impl FlowCache {
-    /// An empty cache whose expiry clock starts now.
+    /// An empty cache whose expiry clock starts now, counting into a
+    /// registry of its own.
     pub fn new() -> Self {
+        Self::with_registry(&Registry::new())
+    }
+
+    /// An empty cache counting its `switch.cache.*` counters into
+    /// `registry` (its switch's).
+    pub fn with_registry(registry: &Registry) -> Self {
         FlowCache {
             slots: (0..SLOTS).map(|_| Slot::new()).collect(),
             // Start at 1 so a zeroed slot generation never matches.
             generation: AtomicU64::new(1),
             epoch: Instant::now(),
-            counters: Counters::default(),
+            counters: Counters {
+                hits: registry.counter("switch.cache.hits"),
+                negative_hits: registry.counter("switch.cache.negative_hits"),
+                misses: registry.counter("switch.cache.misses"),
+                insertions: registry.counter("switch.cache.insertions"),
+                invalidations: registry.counter("switch.cache.invalidations"),
+            },
         }
     }
 
@@ -269,18 +298,7 @@ impl FlowCache {
     /// Logically empties the cache (rule or topology change).
     pub fn invalidate_all(&self) {
         self.generation.fetch_add(1, Ordering::Release);
-        self.counters.invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            negative_hits: self.counters.negative_hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            insertions: self.counters.insertions.load(Ordering::Relaxed),
-            invalidations: self.counters.invalidations.load(Ordering::Relaxed),
-        }
+        self.counters.invalidations.inc();
     }
 
     /// Looks up `meta` for a run of `packets` frames totalling `bytes`.
@@ -317,9 +335,7 @@ impl FlowCache {
             return self.miss(packets);
         }
         if nact == NEGATIVE {
-            self.counters
-                .negative_hits
-                .fetch_add(packets, Ordering::Relaxed);
+            self.counters.negative_hits.add(packets);
             return Probe::NegativeHit;
         }
         // Expiry mirrors `FlowEntry::is_expired`: the idle clock restarts on
@@ -331,7 +347,7 @@ impl FlowCache {
         slot.last_hit.store(now_n, Ordering::Relaxed);
         slot.pending_packets.fetch_add(packets, Ordering::Relaxed);
         slot.pending_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.counters.hits.fetch_add(packets, Ordering::Relaxed);
+        self.counters.hits.add(packets);
         Probe::Hit(
             packed[..nact as usize]
                 .iter()
@@ -341,7 +357,7 @@ impl FlowCache {
     }
 
     fn miss(&self, packets: u64) -> Probe {
-        self.counters.misses.fetch_add(packets, Ordering::Relaxed);
+        self.counters.misses.add(packets);
         Probe::Miss
     }
 
@@ -416,7 +432,7 @@ impl FlowCache {
         fill(slot);
         slot.seq
             .store((s.wrapping_add(1) | 1).wrapping_add(1), Ordering::Release);
-        self.counters.insertions.fetch_add(1, Ordering::Relaxed);
+        self.counters.insertions.inc();
         displaced
     }
 
@@ -462,7 +478,11 @@ impl Default for FlowCache {
 
 impl std::fmt::Debug for FlowCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FlowCache({:?})", self.stats())
+        write!(
+            f,
+            "FlowCache(generation={})",
+            self.generation.load(Ordering::Relaxed)
+        )
     }
 }
 
@@ -509,9 +529,19 @@ mod tests {
         assert_eq!(meta_of(k0, k1, k2), m);
     }
 
+    /// A cache and the registry it counts into.
+    fn counted() -> (FlowCache, Registry) {
+        let registry = Registry::new();
+        (FlowCache::with_registry(&registry), registry)
+    }
+
+    fn stats(registry: &Registry) -> CacheStats {
+        CacheStats::from(&registry.snapshot())
+    }
+
     #[test]
     fn miss_insert_hit_cycle() {
-        let c = FlowCache::new();
+        let (c, registry) = counted();
         let m = meta(1, 2);
         let now = Instant::now();
         assert_eq!(c.probe(&m, 1, 64, now), Probe::Miss);
@@ -520,31 +550,31 @@ mod tests {
             Probe::Hit(a) => assert_eq!(a, vec![Action::Output(PortNo(2))]),
             other => panic!("expected hit, got {other:?}"),
         }
-        let stats = c.stats();
+        let stats = stats(&registry);
         assert_eq!((stats.hits, stats.misses, stats.insertions), (3, 1, 1));
         assert!(stats.hit_ratio() > 0.74 && stats.hit_ratio() < 0.76);
     }
 
     #[test]
     fn negative_entry_caches_a_table_miss() {
-        let c = FlowCache::new();
+        let (c, registry) = counted();
         let m = meta(3, 4);
         let now = Instant::now();
         c.insert_negative(&m, now);
         assert_eq!(c.probe(&m, 2, 10, now), Probe::NegativeHit);
-        assert_eq!(c.stats().negative_hits, 2);
+        assert_eq!(stats(&registry).negative_hits, 2);
     }
 
     #[test]
     fn generation_bump_invalidates_everything() {
-        let c = FlowCache::new();
+        let (c, registry) = counted();
         let m = meta(1, 2);
         let now = Instant::now();
         c.insert(&m, &[Action::ToController], Duration::ZERO, None, now);
         assert!(matches!(c.probe(&m, 1, 1, now), Probe::Hit(_)));
         c.invalidate_all();
         assert_eq!(c.probe(&m, 1, 1, now), Probe::Miss);
-        assert_eq!(c.stats().invalidations, 1);
+        assert_eq!(stats(&registry).invalidations, 1);
     }
 
     #[test]

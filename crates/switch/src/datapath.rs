@@ -13,11 +13,12 @@ use crate::link::{ControlChannel, ControllerLink};
 use crate::port::{Ports, WorkerPort};
 use crate::table::FlowTable;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
+use typhoon_metrics::{Counter, Gauge, Registry};
 use typhoon_net::{Doorbell, Tunnel};
 use typhoon_openflow::{DatapathId, OfMessage, PortNo, PortStatusReason};
 use typhoon_trace::TraceCtx;
@@ -54,28 +55,39 @@ pub(crate) struct Inner {
     pub(crate) cache: FlowCache,
     pub(crate) groups: Mutex<GroupTable>,
     pub(crate) tunnels: Mutex<HashMap<u32, Box<dyn Tunnel + Send>>>,
-    pub(crate) tunnel_downs: AtomicU64,
-    /// Per-frame table-miss total, mirrored from the match path so metrics
-    /// scrapes never contend with the datapath on the table lock.
-    pub(crate) misses: AtomicU64,
-    /// Installed-rule count, refreshed after every table mutation.
-    pub(crate) rules: AtomicU64,
     pub(crate) link: Mutex<ControllerLink>,
-    /// Mirror of the link's headless state so the expiry path (and metrics
-    /// scrapes) never take the link lock.
+    /// Mirror of the link's headless state so the expiry path never takes
+    /// the link lock.
     pub(crate) headless: AtomicBool,
-    /// Milliseconds spent headless across completed windows
-    /// (observability: `switch.headless_ms`).
-    pub(crate) headless_ms: AtomicU64,
-    /// Events replayed to reconnecting leaders.
-    pub(crate) replayed: AtomicU64,
     /// What the datapath thread waits on when a round moved nothing.
     pub(crate) bell: Doorbell,
-    /// Poll rounds run so far (observability: `switch.rounds`).
-    rounds: AtomicU64,
     shutdown: AtomicBool,
     last_expire: Mutex<Instant>,
     pub(crate) trace: Mutex<TraceCtx>,
+    /// The `switch.*` and `switch.cache.*` metrics; the instruments below
+    /// are resolved from it once, so no path looks a name up.
+    registry: Registry,
+    /// Per-frame table-miss total (`switch.misses`), counted on the match
+    /// path so scrapes never contend with the datapath on the table lock.
+    pub(crate) misses: Counter,
+    /// Poll rounds run so far (`switch.rounds`).
+    rounds: Counter,
+    /// Installed-rule count (`switch.rules`), refreshed after every table
+    /// mutation.
+    pub(crate) rules: Gauge,
+    /// Tunnels torn down (`switch.tunnel_downs`).
+    pub(crate) tunnel_downs: Counter,
+    /// Milliseconds spent headless over completed windows
+    /// (`switch.headless_ms`), and the window the last leader connect
+    /// closed (`switch.headless_last_ms`; 0 when the switch was not
+    /// headless).
+    pub(crate) headless_ms: Counter,
+    pub(crate) headless_last_ms: Gauge,
+    /// Events replayed to reconnecting leaders (`switch.replayed_events`).
+    pub(crate) replayed: Counter,
+    /// The election term of the leader the switch is bound to
+    /// (`switch.term`; 0 until a real leader has connected).
+    pub(crate) term: Gauge,
 }
 
 /// A host's software SDN switch. Clone-able handle; the forwarding loop
@@ -100,6 +112,7 @@ impl Switch {
     pub fn new(config: SwitchConfig) -> (Switch, ControlChannel) {
         let bell = Doorbell::new();
         let (link, channel) = ControllerLink::connect(0, &bell);
+        let registry = Registry::new();
         let switch = Switch {
             inner: Arc::new(Inner {
                 ports: Mutex::with_rank(
@@ -108,7 +121,7 @@ impl Switch {
                     Ports::new(config.ring_capacity, bell.clone()),
                 ),
                 table: Mutex::with_rank(rank::DATAPATH, "switch.datapath.table", FlowTable::new()),
-                cache: FlowCache::new(),
+                cache: FlowCache::with_registry(&registry),
                 groups: Mutex::with_rank(
                     rank::DP_GROUPS,
                     "switch.datapath.groups",
@@ -119,15 +132,9 @@ impl Switch {
                     "switch.datapath.tunnels",
                     HashMap::new(),
                 ),
-                tunnel_downs: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                rules: AtomicU64::new(0),
                 link: Mutex::with_rank(rank::DP_CTRL, "switch.datapath.link", link),
                 headless: AtomicBool::new(false),
-                headless_ms: AtomicU64::new(0),
-                replayed: AtomicU64::new(0),
                 bell,
-                rounds: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 last_expire: Mutex::with_rank(
                     rank::DP_EXPIRE,
@@ -140,6 +147,15 @@ impl Switch {
                     TraceCtx::disabled(),
                 ),
                 config,
+                misses: registry.counter("switch.misses"),
+                rounds: registry.counter("switch.rounds"),
+                rules: registry.gauge("switch.rules"),
+                tunnel_downs: registry.counter("switch.tunnel_downs"),
+                headless_ms: registry.counter("switch.headless_ms"),
+                headless_last_ms: registry.gauge("switch.headless_last_ms"),
+                replayed: registry.counter("switch.replayed_events"),
+                term: registry.gauge("switch.term"),
+                registry,
             }),
         };
         (switch, channel)
@@ -183,52 +199,32 @@ impl Switch {
         self.inner.bell.ring();
     }
 
-    /// True while the tunnel to `host` is registered (i.e. not torn down).
-    pub fn tunnel_alive(&self, host: u32) -> bool {
-        self.inner.tunnels.lock().contains_key(&host)
-    }
-
-    /// How many tunnels this switch has torn down (observability:
-    /// `switch.tunnel_downs`).
-    pub fn tunnel_down_count(&self) -> u64 {
-        self.inner.tunnel_downs.load(Ordering::Relaxed)
-    }
-
     /// Installs the tracing context used to record `SwitchMatch` spans for
     /// traced frames (frames whose reserved header field is nonzero).
     pub fn set_trace(&self, ctx: TraceCtx) {
         *self.inner.trace.lock() = ctx;
     }
 
-    /// Flow-table miss count (observability: `switch.misses`). Served from
-    /// a relaxed atomic mirrored on the match path, so metrics scrapes
-    /// never contend with the datapath on the hot table lock.
+    /// This switch's `switch.*` and `switch.cache.*` metrics (see
+    /// docs/OBSERVABILITY.md).
+    pub fn registry(&self) -> &Registry {
+        &self.inner.registry
+    }
+
+    /// `switch.misses`: frames that matched no rule.
     pub fn miss_count(&self) -> u64 {
-        self.inner.misses.load(Ordering::Relaxed)
+        self.inner.misses.get()
     }
 
-    /// Number of installed flow rules (observability: `switch.rules`).
-    /// Refreshed after every table mutation; lock-free to read.
-    pub fn rule_count(&self) -> usize {
-        self.inner.rules.load(Ordering::Relaxed) as usize
-    }
-
-    /// Flow-cache counters (observability: `switch.cache.*`).
+    /// The `switch.cache.*` counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
-    /// Poll rounds run so far (observability: `switch.rounds`). A parked
-    /// datapath adds about one per [`Doorbell::MAX_PARK`]; a rate far above
-    /// the frame rate is a thread spinning.
-    pub fn round_count(&self) -> u64 {
-        self.inner.rounds.load(Ordering::Relaxed)
+        CacheStats::from(&self.inner.registry.snapshot())
     }
 
     /// Runs one poll round: control messages, port RX, tunnel RX, expiry.
     /// Returns `true` when any work was done (idle detection).
     pub fn process_round(&self) -> bool {
-        self.inner.rounds.fetch_add(1, Ordering::Relaxed);
+        self.inner.rounds.inc();
         let mut busy = false;
         busy |= self.handle_control();
         busy |= self.poll_ports();
@@ -258,9 +254,7 @@ impl Switch {
                     .cache
                     .drain_pending(|hits| table.credit(hits, now));
                 let evicted = table.expire(now);
-                self.inner
-                    .rules
-                    .store(table.len() as u64, Ordering::Relaxed);
+                self.inner.rules.set(table.len() as i64);
                 evicted
             };
             if evicted > 0 {
@@ -309,7 +303,7 @@ impl std::fmt::Debug for Switch {
             f,
             "Switch({}, rules={}, misses={})",
             self.dpid(),
-            self.rule_count(),
+            self.inner.rules.get(),
             self.miss_count()
         )
     }
@@ -337,11 +331,26 @@ impl Drop for SwitchHandle {
 /// Frame, rule and channel helpers shared by this crate's unit tests.
 #[cfg(test)]
 pub(crate) mod testutil {
-    use crate::ControlChannel;
+    use crate::{ControlChannel, Switch};
     use bytes::Bytes;
     use typhoon_net::{Frame, MacAddr, TYPHOON_ETHERTYPE};
     use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo, PortStatusReason};
     use typhoon_tuple::tuple::TaskId;
+
+    /// A `switch.*` counter, as a scrape of the switch's registry reads it.
+    pub(crate) fn counter(sw: &Switch, name: &str) -> u64 {
+        sw.registry().snapshot().counter(name)
+    }
+
+    /// A `switch.*` gauge, as a scrape reads it.
+    pub(crate) fn gauge(sw: &Switch, name: &str) -> i64 {
+        sw.registry().snapshot().gauge(name)
+    }
+
+    /// True while the switch forwards without a live controller.
+    pub(crate) fn headless(sw: &Switch) -> bool {
+        sw.inner.headless.load(std::sync::atomic::Ordering::Relaxed)
+    }
 
     pub(crate) fn w(task: u32) -> MacAddr {
         MacAddr::worker(1, TaskId(task))
@@ -431,22 +440,30 @@ mod tests {
             ),
         );
         sw.process_round();
-        assert_eq!(sw.rule_count(), 1);
+        assert_eq!(gauge(&sw, "switch.rules"), 1);
         drop(ch); // leader dies
         sw.attach_worker(PortNo(9)); // discover the dead link
-        assert!(sw.is_headless());
+        assert!(headless(&sw));
         std::thread::sleep(Duration::from_millis(5));
         sw.process_round(); // would expire the idle rule if not headless
-        assert_eq!(sw.rule_count(), 1, "expiry suppressed while headless");
+        assert_eq!(
+            gauge(&sw, "switch.rules"),
+            1,
+            "expiry suppressed while headless"
+        );
         wp1.tx.push(data_frame(10, w(20), 1)).unwrap();
         sw.process_round();
         assert!(wp2.rx.pop().unwrap().is_some(), "idle rule still forwards");
         // A new leader connects: expiry resumes and reaps the idle rule.
         let _ch2 = sw.connect_controller(2).unwrap();
-        assert!(!sw.is_headless());
+        assert!(!headless(&sw));
         std::thread::sleep(Duration::from_millis(5));
         sw.process_round();
-        assert_eq!(sw.rule_count(), 0, "expiry resumed after reconnect");
+        assert_eq!(
+            gauge(&sw, "switch.rules"),
+            0,
+            "expiry resumed after reconnect"
+        );
     }
 
     /// A parked datapath is woken by each of its three sources — a port
@@ -521,7 +538,7 @@ mod tests {
         );
         assert!(control < bound, "FlowMod + Barrier: median {control:?}");
         println!("woken in: port {port:?}, tunnel {tunnel:?}, control {control:?}");
-        assert_eq!(sw.rule_count(), 2 + TRIES);
+        assert_eq!(gauge(&sw, "switch.rules"), 2 + TRIES as i64);
         handle.stop();
     }
 

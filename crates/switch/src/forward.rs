@@ -8,7 +8,6 @@
 use crate::cache::{Displaced, Probe};
 use crate::datapath::{Switch, POLL_BUDGET};
 use crate::table::FlowTable;
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 use typhoon_net::{Frame, NetError};
 use typhoon_openflow::{Action, FrameMeta, OfMessage, PacketInReason, PortNo, PortStatusReason};
@@ -72,7 +71,7 @@ impl Switch {
     fn tunnel_down(&self, host: u32) {
         let removed = self.inner.tunnels.lock().remove(&host).is_some();
         if removed {
-            self.inner.tunnel_downs.fetch_add(1, Ordering::Relaxed);
+            self.inner.tunnel_downs.inc();
             self.inner.cache.invalidate_all();
             self.send_event(OfMessage::PortStatus {
                 reason: PortStatusReason::Delete,
@@ -169,7 +168,7 @@ impl Switch {
         match self.inner.cache.probe(meta, packets, bytes, now) {
             Probe::Hit(actions) => Some(actions),
             Probe::NegativeHit => {
-                self.inner.misses.fetch_add(packets, Ordering::Relaxed);
+                self.inner.misses.add(packets);
                 None
             }
             Probe::Miss => {
@@ -187,7 +186,7 @@ impl Switch {
                         Some(cf.actions)
                     }
                     None => {
-                        self.inner.misses.fetch_add(packets, Ordering::Relaxed);
+                        self.inner.misses.add(packets);
                         let displaced = self.inner.cache.insert_negative(meta, now);
                         Self::credit_displaced(&mut table, displaced, now);
                         None
@@ -266,6 +265,11 @@ mod tests {
     use bytes::Bytes;
     use typhoon_net::{Frame, InMemoryTunnel, MacAddr, TYPHOON_ETHERTYPE};
     use typhoon_openflow::{Action, FlowMatch, FlowMod, OfMessage, PacketInReason, PortNo};
+
+    /// True while the tunnel to `host` is registered (not torn down).
+    fn tunnel_alive(sw: &Switch, host: u32) -> bool {
+        sw.inner.tunnels.lock().contains_key(&host)
+    }
 
     #[test]
     fn local_transfer_follows_table3_rule() {
@@ -403,11 +407,11 @@ mod tests {
         send_ctrl(&ch, remote_rule(10, 20, 2));
         sw.process_round();
         let _ = drain_events(&ch);
-        assert!(sw.tunnel_alive(2));
+        assert!(tunnel_alive(&sw, 2));
         src.tx.push(data_frame(10, w(20), 1)).unwrap();
         sw.process_round();
-        assert!(!sw.tunnel_alive(2), "dead tunnel removed");
-        assert_eq!(sw.tunnel_down_count(), 1);
+        assert!(!tunnel_alive(&sw, 2), "dead tunnel removed");
+        assert_eq!(counter(&sw, "switch.tunnel_downs"), 1);
         assert!(port_deleted(&ch, PortNo::tunnel_peer(2)));
     }
 
@@ -420,10 +424,10 @@ mod tests {
         sw.add_tunnel(2, Box::new(inj));
         let _ = drain_events(&ch);
         sw.process_round();
-        assert!(sw.tunnel_alive(2), "healthy tunnel stays up");
+        assert!(tunnel_alive(&sw, 2), "healthy tunnel stays up");
         handle.set_rx(FaultSpec::CLEAN.partitioned());
         sw.process_round();
-        assert!(!sw.tunnel_alive(2), "partitioned tunnel torn down");
+        assert!(!tunnel_alive(&sw, 2), "partitioned tunnel torn down");
         assert!(port_deleted(&ch, PortNo::tunnel_peer(2)));
     }
 

@@ -11,7 +11,7 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use typhoon_net::{
     ring, ring_with_bell, BellSlot, Doorbell, Frame, NetError, RingConsumer, RingProducer,
 };
@@ -225,25 +225,24 @@ impl Switch {
                 current: link.term,
             });
         }
-        if let Some(since) = link.headless_since {
-            let window = since.elapsed();
-            // The leaderless window must not count against any rule
-            // timeout (expiry was suspended): shift every expiry clock
-            // forward by its duration before time resumes.
-            table.shift_clocks(window);
-            self.inner
-                .headless_ms
-                .fetch_add(window.as_millis() as u64, Ordering::Relaxed);
-        }
+        let window = link
+            .headless_since
+            .map_or(Duration::ZERO, |since| since.elapsed());
+        // The leaderless window must not count against any rule timeout
+        // (expiry was suspended): shift every expiry clock forward by its
+        // duration before time resumes.
+        table.shift_clocks(window);
         drop(table);
+        let window_ms = window.as_millis() as u64;
+        self.inner.headless_ms.add(window_ms);
+        self.inner.headless_last_ms.set(window_ms as i64);
         let (mut fresh, channel) = ControllerLink::connect(term, &self.inner.bell);
         fresh.dropped = link.dropped;
         let mut queued: Vec<Bytes> = std::mem::take(&mut link.queued).into();
         let replayed = fresh.tx.push_batch(&mut queued);
         fresh.dropped += replayed.dropped as u64;
-        self.inner
-            .replayed
-            .fetch_add(replayed.enqueued as u64, Ordering::Relaxed);
+        self.inner.replayed.add(replayed.enqueued as u64);
+        self.inner.term.set(term as i64);
         *link = fresh;
         self.inner.headless.store(false, Ordering::Relaxed);
         Ok(channel)
@@ -261,47 +260,6 @@ impl Switch {
             }
         }
         Instant::now()
-    }
-
-    /// True while the switch forwards without a live controller
-    /// (observability: `switch.headless`).
-    pub fn is_headless(&self) -> bool {
-        self.inner.headless.load(Ordering::Relaxed)
-    }
-
-    /// The election term of the leader this switch is bound to (0 until a
-    /// real leader has connected).
-    pub fn controller_term(&self) -> u64 {
-        self.inner.link.lock().term
-    }
-
-    /// Events currently queued for replay to the next leader.
-    pub fn headless_queue_len(&self) -> usize {
-        self.inner.link.lock().queued.len()
-    }
-
-    /// Events shed from the bounded headless queue (oldest-first).
-    pub fn headless_dropped(&self) -> u64 {
-        self.inner.link.lock().dropped
-    }
-
-    /// Total milliseconds spent headless: completed windows plus the
-    /// ongoing one, if any (observability: `switch.headless_ms`).
-    pub fn headless_ms(&self) -> u64 {
-        let completed = self.inner.headless_ms.load(Ordering::Relaxed);
-        let ongoing = self
-            .inner
-            .link
-            .lock()
-            .headless_since
-            .map_or(0, |s| s.elapsed().as_millis() as u64);
-        completed + ongoing
-    }
-
-    /// Events replayed to reconnecting leaders (observability:
-    /// `switch.replayed_events`).
-    pub fn replayed_events(&self) -> u64 {
-        self.inner.replayed.load(Ordering::Relaxed)
     }
 
     pub(crate) fn handle_control(&self) -> bool {
@@ -348,9 +306,7 @@ impl Switch {
                             .cache
                             .drain_pending(|hits| table.credit(hits, now));
                         table.apply(&fm, now);
-                        self.inner
-                            .rules
-                            .store(table.len() as u64, Ordering::Relaxed);
+                        self.inner.rules.set(table.len() as i64);
                         true
                     } else {
                         // A failover re-sync replays the full rule set;
@@ -401,6 +357,11 @@ mod tests {
     use std::time::Duration;
     use typhoon_net::{MacAddr, TYPHOON_ETHERTYPE};
     use typhoon_openflow::{Action, DatapathId, FlowMatch, FlowMod, PortNo, PortStatusReason};
+
+    /// Events queued for replay to the next leader.
+    fn queued(sw: &Switch) -> usize {
+        sw.inner.link.lock().queued.len()
+    }
 
     #[test]
     fn packet_out_delivers_control_tuple_to_workers() {
@@ -503,15 +464,15 @@ mod tests {
             drop(ch);
             sw.attach_worker(PortNo(1)); // event finds the dead channel
             sw.attach_worker(PortNo(2));
-            assert!(sw.is_headless(), "term {lost_term}");
-            assert_eq!(sw.controller_term(), lost_term);
-            assert_eq!(sw.headless_queue_len(), 2, "events queued, not dropped");
+            assert!(headless(&sw), "term {lost_term}");
+            assert_eq!(gauge(&sw, "switch.term"), lost_term as i64);
+            assert_eq!(queued(&sw), 2, "events queued, not dropped");
             std::thread::sleep(Duration::from_millis(2));
             let next = sw.connect_controller(lost_term + 1).unwrap();
-            assert!(!sw.is_headless());
-            assert_eq!(sw.replayed_events(), 2);
-            assert_eq!(sw.headless_queue_len(), 0);
-            let window = sw.headless_ms();
+            assert!(!headless(&sw));
+            assert_eq!(counter(&sw, "switch.replayed_events"), 2);
+            assert_eq!(queued(&sw), 0);
+            let window = counter(&sw, "switch.headless_ms");
             assert!((1..60_000).contains(&window), "window accounted and closed");
             let add = |port| OfMessage::PortStatus {
                 reason: PortStatusReason::Add,
@@ -534,13 +495,13 @@ mod tests {
         let _ = drain_events(&ch);
         drop(ch); // the leader dies
         let _wp3 = sw.attach_worker(PortNo(3)); // next event finds the dead link
-        assert!(sw.is_headless());
-        assert_eq!(sw.controller_term(), 1);
+        assert!(headless(&sw));
+        assert_eq!(gauge(&sw, "switch.term"), 1);
         // Forwarding continues on the installed rule the whole window.
         wp1.tx.push(data_frame(10, w(20), 7)).unwrap();
         sw.process_round();
         assert!(wp2.rx.pop().unwrap().is_some(), "headless forwarding works");
-        assert!(sw.headless_queue_len() >= 1, "event queued for replay");
+        assert!(queued(&sw) >= 1, "event queued for replay");
     }
 
     /// Only the last clone's drop closes the channel (the controller sends
@@ -553,13 +514,13 @@ mod tests {
         let other = ch.clone();
         drop(ch);
         sw.process_round();
-        assert!(!sw.is_headless(), "a surviving clone keeps the link up");
+        assert!(!headless(&sw), "a surviving clone keeps the link up");
         send_ctrl(&other, OfMessage::Barrier { xid: 3 });
         sw.process_round();
         assert_eq!(drain_events(&other), [OfMessage::BarrierReply { xid: 3 }]);
         drop(other);
         sw.process_round();
-        assert!(sw.is_headless(), "the last drop is seen within one round");
+        assert!(headless(&sw), "the last drop is seen within one round");
     }
 
     /// A controller that stopped draining: the switch sheds what does not
@@ -588,7 +549,7 @@ mod tests {
         }
         let (queued, _, shed) = ch.stats();
         assert_eq!((queued, shed), (CONTROL_RING_CAP as u64, OVERFLOW as u64));
-        assert!(!sw.is_headless(), "full is not disconnected");
+        assert!(!headless(&sw), "full is not disconnected");
         wp1.tx.push(data_frame(10, w(20), 7)).unwrap();
         sw.process_round();
         assert_eq!(wp2.rx.pop().unwrap().unwrap().payload[0], 7);
@@ -614,7 +575,7 @@ mod tests {
                 current: 5
             }
         );
-        assert_eq!(sw.controller_term(), 5, "stale term did not bind");
+        assert_eq!(gauge(&sw, "switch.term"), 5, "stale term did not bind");
         // Equal term is a legitimate reconnect (same leader, new channel).
         assert!(sw.connect_controller(5).is_ok());
     }
@@ -660,11 +621,11 @@ mod tests {
         let (sw, ch) = Switch::new(SwitchConfig::new(1));
         drop(ch);
         sw.attach_worker(PortNo(1)); // → headless
-        assert!(sw.is_headless());
+        assert!(headless(&sw));
         for i in 0..(HEADLESS_QUEUE_CAP as u32 + 10) {
             sw.send_event(OfMessage::EchoRequest(u64::from(i)));
         }
-        assert_eq!(sw.headless_queue_len(), HEADLESS_QUEUE_CAP);
-        assert!(sw.headless_dropped() >= 10, "oldest events shed");
+        assert_eq!(queued(&sw), HEADLESS_QUEUE_CAP);
+        assert!(sw.inner.link.lock().dropped >= 10, "oldest events shed");
     }
 }

@@ -19,6 +19,11 @@ fn frame(src: u32, dst: MacAddr, n: u8) -> Frame {
     Frame::typhoon(w(src), dst, Bytes::from(vec![n; 16]))
 }
 
+/// `switch.rules`, as a scrape of the switch's registry reads it.
+fn rules(sw: &Switch) -> i64 {
+    sw.registry().snapshot().gauge("switch.rules")
+}
+
 fn send_ctrl(ch: &ControlChannel, msg: OfMessage) {
     ch.send(wire::encode(&msg)).unwrap();
 }
@@ -47,10 +52,10 @@ fn idle_rules_expire_in_a_live_datapath() {
         src.tx.push(frame(10, w(20), 1)).unwrap();
         std::thread::sleep(Duration::from_millis(40));
     }
-    assert_eq!(sw.rule_count(), 1, "hits refresh the idle clock");
+    assert_eq!(rules(&sw), 1, "hits refresh the idle clock");
     // …silence kills it.
     std::thread::sleep(Duration::from_millis(300));
-    assert_eq!(sw.rule_count(), 0, "idle timeout evicted the rule");
+    assert_eq!(rules(&sw), 0, "idle timeout evicted the rule");
     // Drain the keep-alive deliveries, then confirm new traffic misses.
     while dst.rx.pop().unwrap().is_some() {}
     let misses_before = sw.miss_count();
@@ -73,17 +78,17 @@ fn strict_delete_leaves_same_match_other_priority_untouched() {
     send_ctrl(&ch, OfMessage::FlowMod(FlowMod::add(50, matcher, vec![])));
     send_ctrl(&ch, OfMessage::FlowMod(FlowMod::add(60, matcher, vec![])));
     sw.process_round();
-    assert_eq!(sw.rule_count(), 2);
+    assert_eq!(rules(&sw), 2);
     // Strict delete at priority 60 only.
     let mut del = FlowMod::delete(matcher);
     del.priority = 60;
     send_ctrl(&ch, OfMessage::FlowMod(del));
     sw.process_round();
-    assert_eq!(sw.rule_count(), 1, "only the priority-60 twin died");
+    assert_eq!(rules(&sw), 1, "only the priority-60 twin died");
     // Wildcard (priority 0) delete removes the rest.
     send_ctrl(&ch, OfMessage::FlowMod(FlowMod::delete(FlowMatch::any())));
     sw.process_round();
-    assert_eq!(sw.rule_count(), 0);
+    assert_eq!(rules(&sw), 0);
 }
 
 #[test]
@@ -204,11 +209,11 @@ fn hard_timeout_expires_despite_constant_traffic() {
     let handle = sw.spawn();
     let deadline = Instant::now() + Duration::from_secs(3);
     // Hammer it with traffic the whole time; the rule must still die.
-    while sw.rule_count() > 0 && Instant::now() < deadline {
+    while rules(&sw) > 0 && Instant::now() < deadline {
         let _ = src.tx.push(frame(1, w(2), 0));
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert_eq!(sw.rule_count(), 0, "hard timeout ignores traffic");
+    assert_eq!(rules(&sw), 0, "hard timeout ignores traffic");
     handle.stop();
     let _ = dst;
 }

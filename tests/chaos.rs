@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use typhoon::controller::apps::{FaultDetector, TUNNEL_FAULTS};
 use typhoon::core::SchedulerKind;
+use typhoon::metrics::MetricSnapshot;
 use typhoon::net::{FaultPlan, FaultSpec, KillSpec};
 use typhoon::prelude::*;
 use typhoon_bench::workloads::{
@@ -249,30 +250,16 @@ fn controller_failover_resyncs_rules_and_completes_inflight_recovery() {
             .map(|w| w.registry.snapshot().counter("acks.completed"))
             .unwrap_or(0)
     };
-    let killed_controllers = || {
-        cluster
-            .cluster_chaos()
-            .map(|h| {
-                h.stats()
-                    .named()
-                    .into_iter()
-                    .find(|(n, _)| *n == "chaos.killed_controllers")
-                    .map(|(_, v)| v)
-                    .unwrap_or(0)
-            })
-            .unwrap_or(0)
-    };
+    let killed_controllers =
+        || cluster.snapshot()["chaos/cluster"].counter("chaos.killed_controllers");
     // Frames actually looked up by the datapaths — the direct measure of
     // forwarding (root completions can stall while a bolt is down, frame
     // processing must not).
     let frames = || {
-        (0..2u32)
-            .filter_map(|h| cluster.switch(HostId(h)))
-            .map(|s| {
-                let c = s.cache_stats();
-                c.hits + c.negative_hits + c.misses
-            })
-            .sum::<u64>()
+        let c = MetricSnapshot::total(&cluster.snapshot(), "switch/");
+        c.counter("switch.cache.hits")
+            + c.counter("switch.cache.negative_hits")
+            + c.counter("switch.cache.misses")
     };
 
     assert_eq!(plane.term(), 1, "boot election did not settle at term 1");
@@ -391,12 +378,8 @@ fn partition_surfaces_as_typed_fault_within_heartbeat_timeout() {
     // link fault in the coordinator — all inside the heartbeat timeout.
     assert!(
         wait_until(HEARTBEAT_TIMEOUT, || {
-            (0..2u32).all(|h| {
-                run.cluster
-                    .switch(HostId(h))
-                    .map(|s| s.tunnel_down_count() >= 1)
-                    .unwrap_or(false)
-            })
+            let snap = run.cluster.snapshot();
+            (0..2u32).all(|h| snap[&format!("switch/{h}")].counter("switch.tunnel_downs") >= 1)
         }),
         "switches never tore the partitioned tunnels down"
     );

@@ -126,17 +126,8 @@ fn completed_roots(run: &RecoveryRun) -> u64 {
 }
 
 fn chaos_stat(run: &RecoveryRun, name: &str) -> u64 {
-    run.cluster
-        .cluster_chaos()
-        .map(|h| {
-            h.stats()
-                .named()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, v)| v)
-                .unwrap_or(0)
-        })
-        .unwrap_or(0)
+    let snap = run.cluster.snapshot();
+    snap.get("chaos/cluster").map_or(0, |s| s.counter(name))
 }
 
 fn recovery_stat(run: &RecoveryRun, name: &str) -> u64 {
