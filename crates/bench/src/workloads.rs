@@ -26,7 +26,6 @@ pub struct SeqSpout {
     replay: Vec<(i64, u64)>,
     inflight: HashMap<u64, i64>,
     last_batch: Vec<i64>,
-    last_prev_roots: Vec<Option<u64>>,
 }
 
 impl SeqSpout {
@@ -40,7 +39,6 @@ impl SeqSpout {
             replay: Vec::new(),
             inflight: HashMap::new(),
             last_batch: Vec::new(),
-            last_prev_roots: Vec::new(),
         }
     }
 
@@ -54,10 +52,9 @@ impl SeqSpout {
 impl Spout for SeqSpout {
     fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
         self.last_batch.clear();
-        self.last_prev_roots.clear();
         let mut emitted = false;
         for _ in 0..self.batch {
-            let (seq, prev_root) = if let Some((seq, prev)) = self.replay.pop() {
+            let (seq, failed_root) = if let Some((seq, prev)) = self.replay.pop() {
                 (seq, Some(prev))
             } else if self.next < self.limit {
                 let s = self.next;
@@ -66,9 +63,12 @@ impl Spout for SeqSpout {
             } else {
                 break;
             };
-            out.emit(vec![Value::Int(seq), Value::Str(self.payload.clone())]);
+            let values = vec![Value::Int(seq), Value::Str(self.payload.clone())];
+            match failed_root {
+                Some(root) => out.emit_replay(values, root),
+                None => out.emit(values),
+            }
             self.last_batch.push(seq);
-            self.last_prev_roots.push(prev_root);
             emitted = true;
         }
         emitted
@@ -78,10 +78,6 @@ impl Spout for SeqSpout {
         if let Some(&seq) = self.last_batch.get(index) {
             self.inflight.insert(root, seq);
         }
-    }
-
-    fn replay_root(&mut self, index: usize) -> Option<u64> {
-        self.last_prev_roots.get(index).copied().flatten()
     }
 
     fn fail(&mut self, root: u64) {
@@ -113,7 +109,6 @@ pub struct ReplaySentenceSpout {
     replay: Vec<(i64, u64)>,
     inflight: HashMap<u64, i64>,
     last_batch: Vec<i64>,
-    last_prev_roots: Vec<Option<u64>>,
 }
 
 impl ReplaySentenceSpout {
@@ -128,7 +123,6 @@ impl ReplaySentenceSpout {
             replay: Vec::new(),
             inflight: HashMap::new(),
             last_batch: Vec::new(),
-            last_prev_roots: Vec::new(),
         }
     }
 
@@ -153,10 +147,9 @@ impl ReplaySentenceSpout {
 impl Spout for ReplaySentenceSpout {
     fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
         self.last_batch.clear();
-        self.last_prev_roots.clear();
         let mut emitted = false;
         for _ in 0..self.batch {
-            let (seq, prev_root) = if let Some((seq, prev)) = self.replay.pop() {
+            let (seq, failed_root) = if let Some((seq, prev)) = self.replay.pop() {
                 (seq, Some(prev))
             } else if self.next < self.limit {
                 let s = self.next;
@@ -165,13 +158,16 @@ impl Spout for ReplaySentenceSpout {
             } else {
                 break;
             };
-            out.emit(vec![Value::Str(Self::sentence(
+            let values = vec![Value::Str(Self::sentence(
                 self.seed,
                 seq,
                 self.words_per_sentence,
-            ))]);
+            ))];
+            match failed_root {
+                Some(root) => out.emit_replay(values, root),
+                None => out.emit(values),
+            }
             self.last_batch.push(seq);
-            self.last_prev_roots.push(prev_root);
             emitted = true;
         }
         emitted
@@ -181,10 +177,6 @@ impl Spout for ReplaySentenceSpout {
         if let Some(&seq) = self.last_batch.get(index) {
             self.inflight.insert(root, seq);
         }
-    }
-
-    fn replay_root(&mut self, index: usize) -> Option<u64> {
-        self.last_prev_roots.get(index).copied().flatten()
     }
 
     fn fail(&mut self, root: u64) {
@@ -624,22 +616,49 @@ mod tests {
         assert_eq!(out.emitted.len(), 2, "cache drained after flush");
     }
 
+    /// Each emission's first value and the failed root it replays, if any.
+    #[derive(Default)]
+    struct Replays(Vec<(i64, Option<u64>)>);
+
+    impl Emitter for Replays {
+        fn emit_on(&mut self, _stream: typhoon_tuple::StreamId, values: Vec<Value>) {
+            self.0.push((values[0].as_int().unwrap_or(-1), None));
+        }
+
+        fn emit_replay(&mut self, values: Vec<Value>, failed_root: u64) {
+            self.0
+                .push((values[0].as_int().unwrap_or(-1), Some(failed_root)));
+        }
+    }
+
     #[test]
     fn seq_spout_replays_with_the_original_root() {
         let mut s = SeqSpout::new(4, 1).with_limit(10);
-        let mut out = VecEmitter::default();
+        let mut out = Replays::default();
         assert!(s.next_batch(&mut out));
-        assert_eq!(s.replay_root(0), None, "fresh emission, fresh root");
+        assert_eq!(out.0, [(0, None)], "fresh emission, fresh root");
         s.emitted(0, 0x7700);
         s.fail(0x7700);
         assert!(s.next_batch(&mut out));
-        let replayed = out.emitted.last().unwrap().1[0].as_int().unwrap();
-        assert_eq!(replayed, 0, "failed seq is replayed");
         assert_eq!(
-            s.replay_root(0),
-            Some(0x7700),
-            "replay carries the failed attempt's root"
+            out.0[1],
+            (0, Some(0x7700)),
+            "the failed seq is replayed with the failed attempt's root"
         );
+    }
+
+    #[test]
+    fn replay_sentence_spout_replays_with_the_original_root() {
+        let mut s = ReplaySentenceSpout::new(1, 2, 4);
+        let mut out = VecEmitter::default();
+        assert!(s.next_batch(&mut out));
+        s.emitted(0, 0x100);
+        s.emitted(1, 0x200);
+        s.fail(0x200);
+        let mut replays = Replays::default();
+        assert!(s.next_batch(&mut replays));
+        assert_eq!(replays.0[0].1, Some(0x200), "the replay comes first");
+        assert_eq!(replays.0[1].1, None, "then the next fresh sentence");
     }
 
     #[test]

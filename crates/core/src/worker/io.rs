@@ -6,7 +6,9 @@
 //! frame under construction — records multiplexed into MTU-bounded custom
 //! Ethernet frames, only a tuple larger than a frame segmented (the
 //! southbound library) — then pushed into the worker's DPDK-style ring port.
-//! Ingress reverses the path. The batch size is runtime-tunable — the
+//! Ingress reverses the path, in place: [`IoLayer::poll`] takes a round's
+//! frames into the worker's [`Ingress`], whose walk hands each record to the
+//! worker as a slice of its frame. The batch size is runtime-tunable — the
 //! `BATCH_SIZE` control tuple's hook — trading latency for throughput
 //! (Figs. 8(c)/(d)).
 
@@ -74,7 +76,9 @@ pub struct IoLayer {
     pub(crate) src_mac: MacAddr,
     port: WorkerPort,
     packetizer: Packetizer,
-    depacketizer: Depacketizer,
+    /// The receive side [`IoLayer::poll_ingress`] walks, made on its first
+    /// call: a worker walks its own.
+    collector: Option<Ingress>,
     /// Open batches by destination: a worker has a handful, so a scan
     /// beats hashing the address for every tuple.
     batches: Vec<(MacAddr, DstBatch)>,
@@ -99,7 +103,7 @@ impl IoLayer {
             src_mac,
             port,
             packetizer: Packetizer::new(config.mtu),
-            depacketizer: Depacketizer::new(),
+            collector: None,
             batches: Vec::new(),
             batch_size: config.batch_size.max(1),
             batch_delay: config.batch_delay,
@@ -287,29 +291,70 @@ impl IoLayer {
         }
     }
 
-    /// Polls up to `max_frames` frames from the switch, reassembling
-    /// complete tuple blobs into `out` as `(source, blob)` pairs.
-    /// `Err(Disconnected)` means the switch detached this port.
+    /// Takes up to `max_frames` frames from the switch into `rx`, for its
+    /// [`Ingress::walk`]. `Err(Disconnected)` means the switch detached this
+    /// port.
+    pub fn poll(&mut self, rx: &mut Ingress, max_frames: usize) -> Result<usize, NetError> {
+        let n = self.port.rx.pop_batch(&mut rx.frames, max_frames)?;
+        if n > 0 {
+            self.frames_rx.add(n as u64);
+        }
+        Ok(n)
+    }
+
+    /// [`IoLayer::poll`] and [`Ingress::walk`] collected into `out` as
+    /// `(source, blob)` pairs, each blob a copy of its record: for callers
+    /// that hold no worker loop.
     pub fn poll_ingress(
         &mut self,
         out: &mut Vec<(MacAddr, Bytes)>,
         max_frames: usize,
     ) -> Result<usize, NetError> {
-        let mut frames: Vec<Frame> = Vec::new();
-        self.port.rx.pop_batch(&mut frames, max_frames)?;
-        let n = frames.len();
-        if n > 0 {
-            self.frames_rx.add(n as u64);
+        let mut rx = self
+            .collector
+            .take()
+            .unwrap_or_else(|| Ingress::new(&self.registry));
+        let polled = self.poll(&mut rx, max_frames);
+        rx.walk(|src, record| out.push((src, Bytes::from(record.to_vec()))));
+        self.collector = Some(rx);
+        polled
+    }
+}
+
+/// The receive side of a worker port: the frames a poll took, kept across
+/// polls for the buffer's capacity, and the reassembler of tuples split
+/// across frames.
+pub struct Ingress {
+    frames: Vec<Frame>,
+    depacketizer: Depacketizer,
+    /// `io.rx_malformed`: frames whose walk a malformed record ended.
+    malformed: Counter,
+}
+
+impl Ingress {
+    /// An empty receive side counting into `registry`.
+    pub fn new(registry: &Registry) -> Self {
+        Ingress {
+            frames: Vec::new(),
+            depacketizer: Depacketizer::new(),
+            malformed: registry.counter("io.rx_malformed"),
         }
-        for frame in &frames {
-            match self.depacketizer.push(frame) {
-                Ok(blobs) => out.extend(blobs),
-                Err(_) => {
-                    self.registry.counter("io.rx_malformed").inc();
-                }
+    }
+
+    /// Hands every tuple record of the polled frames to `each` with its
+    /// source, in arrival order, as a slice of its frame (or of its
+    /// reassembly buffer); a frame is dropped once its records are done. A
+    /// malformed record ends its frame after the records before it, and the
+    /// frame counts once in `io.rx_malformed`.
+    pub fn walk(&mut self, mut each: impl FnMut(MacAddr, &[u8])) {
+        for frame in self.frames.drain(..) {
+            let walked = self
+                .depacketizer
+                .push_each(&frame, |record| each(frame.src, record));
+            if walked.is_err() {
+                self.malformed.inc();
             }
         }
-        Ok(n)
     }
 }
 
@@ -446,6 +491,38 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(&out[0].1[..], b"hi");
         assert_eq!(&out[1].1[..], b"ho");
+    }
+
+    #[test]
+    fn a_malformed_record_keeps_the_records_before_it() {
+        let (sw_tx, worker_rx) = typhoon_net::ring(16);
+        let (worker_tx, _sw_rx) = typhoon_net::ring(16);
+        let port = typhoon_switch::WorkerPort {
+            port: PortNo(1),
+            tx: worker_tx,
+            rx: worker_rx,
+        };
+        let dst = MacAddr::worker(1, TaskId(1));
+        let mut io = IoLayer::new(dst, port, &IoConfig::default(), Registry::new());
+        let src = MacAddr::worker(1, TaskId(9));
+        let good = [Bytes::from_static(b"hi"), Bytes::from_static(b"ho")];
+        let frame = Packetizer::new(9000).pack(src, dst, &good).remove(0);
+        let mut payload = frame.payload.to_vec();
+        payload.extend_from_slice(&[0, 0, 0, 9, 0, 0]); // a truncated third header
+        sw_tx
+            .push(Frame::typhoon(src, dst, payload.into()))
+            .unwrap();
+        sw_tx.push(frame).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(io.poll_ingress(&mut out, 64).unwrap(), 2);
+        let blobs: Vec<&[u8]> = out.iter().map(|(_, b)| &b[..]).collect();
+        assert_eq!(blobs, [b"hi", b"ho", b"hi", b"ho"], "nothing good was lost");
+        let snap = io.registry.snapshot();
+        assert_eq!(
+            snap.counter("io.rx_malformed"),
+            1,
+            "one frame, counted once"
+        );
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! tuples — injected by the SDN controller — reconfigure all of this at
 //! runtime without stopping the loop.
 //!
+//! One tuple is alive at a time. A round's frames are walked record by
+//! record in place ([`Ingress::walk`]); each record is decoded, classified
+//! and executed before the next is read, and its emissions are encoded into
+//! their destinations' frames as they are made. A spout's emissions are
+//! routed likewise while `next_batch` runs, each rooted as it goes (a replay
+//! through [`Emitter::emit_replay`] keeps its failed root's base). So a
+//! tuple's allocations are freed before the next tuple's are made.
+//!
 //! A round is a step over `(ingress, now)`, the clock read once at its head.
 //! Every timer is a deadline held in state (the spout's poll and sweep, the
 //! `InputRate` window, the acker's expiry, the next checkpoint); the role's
@@ -26,7 +34,7 @@ pub mod framework;
 pub mod io;
 
 pub use framework::{Addressed, Classified, FrameworkLayer, Route};
-pub use io::{IoConfig, IoLayer};
+pub use io::{Ingress, IoConfig, IoLayer};
 
 use crate::checkpoint::{CheckpointStore, DedupLedger};
 use std::collections::HashMap;
@@ -35,7 +43,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
 use typhoon_metrics::{Counter, Gauge, Histogram, RateMeter, Registry};
-use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId, VecEmitter};
+use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId};
 use typhoon_net::Doorbell;
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
@@ -273,13 +281,8 @@ impl WorkerCtx {
 
     /// Routes what a bolt emits outside `execute` (signal flush, checkpoint
     /// restore, restate) down the ordinary path, unanchored.
-    fn emit_unanchored(&mut self, emit: impl FnOnce(&mut VecEmitter)) {
-        let mut sink = VecEmitter::default();
-        emit(&mut sink);
-        for (stream, values) in sink.emitted {
-            let tuple = Tuple::on_stream(self.config.task, stream, values);
-            self.emit(tuple, false);
-        }
+    fn emit_unanchored(&mut self, emit: impl FnOnce(&mut dyn Emitter)) {
+        emit(&mut UnanchoredEmitter { ctx: self });
         self.flush_now = true;
     }
 
@@ -384,7 +387,8 @@ impl WorkerCtx {
     }
 }
 
-/// An emitter that routes through the framework + I/O layers.
+/// An emitter that routes through the framework + I/O layers, anchored to
+/// the tuple in hand (`current_root`).
 struct RoutedEmitter<'a> {
     ctx: &'a mut WorkerCtx,
 }
@@ -402,6 +406,69 @@ impl Emitter for RoutedEmitter<'_> {
         let acking = self.ctx.config.acking;
         self.ctx.emit(tuple, acking);
         self.ctx.emitted.inc();
+    }
+}
+
+/// [`WorkerCtx::emit_unanchored`]'s emitter: each emission takes the
+/// ordinary routed path, untraced and unanchored, as it is made.
+struct UnanchoredEmitter<'a> {
+    ctx: &'a mut WorkerCtx,
+}
+
+impl Emitter for UnanchoredEmitter<'_> {
+    fn emit_on(&mut self, stream: StreamId, values: Vec<Value>) {
+        let tuple = Tuple::on_stream(self.ctx.config.task, stream, values);
+        self.ctx.emit(tuple, false);
+    }
+}
+
+/// A spout's emitter: routes each emission while `next_batch` is making
+/// them. With acking, each becomes the root of its own tree as it leaves: a
+/// fresh root, or for a replay the failed root's base with the round byte
+/// bumped (the acker sees a fresh tree, so a half-acked tree from the failed
+/// round can never wedge this one, while downstream dedup keys stay stable
+/// across rounds). Its init record is buffered, the root is pending from
+/// `now`, and `roots` keeps it for [`Spout::emitted`].
+struct SpoutEmitter<'a> {
+    ctx: &'a mut WorkerCtx,
+    roots: &'a mut Vec<u64>,
+    now: Instant,
+    count: u32,
+}
+
+impl SpoutEmitter<'_> {
+    fn emit_rooted(&mut self, stream: StreamId, values: Vec<Value>, failed_root: Option<u64>) {
+        let ctx = &mut *self.ctx;
+        self.count += 1;
+        let trace = ctx.trace.sample();
+        ctx.current_trace = trace;
+        ctx.trace.record(trace, Hop::SpoutEmit);
+        if ctx.config.acking {
+            let root = match failed_root {
+                Some(prev) => MessageId::next_round(prev),
+                None => ctx.next_root(),
+            };
+            ctx.current_root = root;
+            ctx.accum_xor = 0;
+            RoutedEmitter { ctx }.emit_on(stream, values);
+            ctx.send_ack(root, ctx.accum_xor);
+            ctx.pending.insert(root, (self.now, trace));
+            ctx.current_root = 0;
+            self.roots.push(root);
+        } else {
+            RoutedEmitter { ctx }.emit_on(stream, values);
+        }
+        ctx.current_trace = 0;
+    }
+}
+
+impl Emitter for SpoutEmitter<'_> {
+    fn emit_on(&mut self, stream: StreamId, values: Vec<Value>) {
+        self.emit_rooted(stream, values, None);
+    }
+
+    fn emit_replay(&mut self, values: Vec<Value>, failed_root: u64) {
+        self.emit_rooted(StreamId::DEFAULT, values, Some(failed_root));
     }
 }
 
@@ -446,21 +513,18 @@ const UNDUE: Duration = Duration::from_secs(1);
 /// (CHANGES.md, PR 19); not configurable.
 const SPOUT_IDLE_POLL: Duration = Duration::from_micros(250);
 
-/// Drains and decodes pending ingress; `None` once the port is detached.
-fn drain_ingress(ctx: &mut WorkerCtx) -> Option<Vec<Tuple>> {
-    let mut blobs = Vec::new();
-    // Err: the port was detached, i.e. the worker was killed.
-    ctx.io.poll_ingress(&mut blobs, INGRESS_BUDGET).ok()?;
-    let mut tuples = Vec::with_capacity(blobs.len());
-    for (_src, blob) in blobs {
-        if let Ok((tuple, _)) = decode_tuple(&blob, &ctx.ser) {
-            ctx.trace.record(tuple.meta.trace, Hop::Deserialize);
-            tuples.push(tuple);
-        } else {
-            ctx.shared.registry.counter("tuples.undecodable").inc();
-        }
-    }
-    Some(tuples)
+/// Decodes one ingress record, classifies it and hands it to the role:
+/// the tuple is done with before the walk reads the next record. `true`
+/// when the record was a tuple.
+fn receive(ctx: &mut WorkerCtx, role: &mut impl RoleLoop, record: &[u8], now: Instant) -> bool {
+    let Ok((tuple, _)) = decode_tuple(record, &ctx.ser) else {
+        ctx.shared.registry.counter("tuples.undecodable").inc();
+        return false;
+    };
+    ctx.trace.record(tuple.meta.trace, Hop::Deserialize);
+    let class = ctx.fw.classify(&tuple);
+    role.on_tuple(ctx, class, tuple, now);
+    true
 }
 
 /// What a role contributes to the one worker loop ([`run_loop`]); every step
@@ -488,6 +552,7 @@ fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
     let parks = ctx.shared.registry.counter("loop.parks");
     let rung = ctx.shared.registry.counter("loop.rung");
     let bell = ctx.io.bell().clone();
+    let mut rx = Ingress::new(&ctx.shared.registry);
     ctx.shared.ready.store(true, Ordering::Release);
     ctx.shared.ready_bell.ring();
     loop {
@@ -502,14 +567,11 @@ fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
             ctx.io.flush_all();
             return;
         }
-        let Some(tuples) = drain_ingress(ctx) else {
-            return;
-        };
-        let mut busy = !tuples.is_empty();
-        for tuple in tuples {
-            let class = ctx.fw.classify(&tuple);
-            role.on_tuple(ctx, class, tuple, now);
+        if ctx.io.poll(&mut rx, INGRESS_BUDGET).is_err() {
+            return; // the port was detached, i.e. the worker was killed
         }
+        let mut busy = false;
+        rx.walk(|_src, record| busy |= receive(ctx, &mut role, record, now));
         busy |= role.on_tick(ctx, now);
         // While input keeps coming, batches fill or leave at `batch_delay`;
         // the round that finds none sends everything, data before the acks
@@ -547,6 +609,9 @@ fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
 
 struct SpoutRole {
     spout: Box<dyn Spout>,
+    /// The roots of the current `next_batch`'s emissions, in order, for
+    /// [`Spout::emitted`]; kept across rounds for its capacity.
+    roots: Vec<u64>,
     /// The poll instant: `next_batch` is not asked before it. An empty call
     /// moves it [`SPOUT_IDLE_POLL`] past its return (read then, not at the
     /// round's head) and nothing else does — a ring's early round leaves it
@@ -567,11 +632,33 @@ impl SpoutRole {
         ctx.acks_init = true;
         SpoutRole {
             spout,
+            roots: Vec::new(),
             next_poll: now,
             next_sweep: now + TIMER_PERIOD,
             completed: ctx.shared.registry.counter("acks.completed"),
             latency: ctx.shared.registry.histogram("latency"),
         }
+    }
+
+    /// One `next_batch`, each emission routed as it is made; then the roots
+    /// go back to the spout in emission order. `true` when it produced.
+    fn next_batch(&mut self, ctx: &mut WorkerCtx, now: Instant) -> bool {
+        let mut out = SpoutEmitter {
+            ctx,
+            roots: &mut self.roots,
+            now,
+            count: 0,
+        };
+        let produced = self.spout.next_batch(&mut out);
+        let emitted = out.count;
+        ctx.rate_window_count += emitted;
+        for (index, root) in self.roots.drain(..).enumerate() {
+            self.spout.emitted(index, root);
+        }
+        if emitted > 0 {
+            ctx.shared.meter.mark(emitted as u64);
+        }
+        produced || emitted > 0
     }
 }
 
@@ -633,7 +720,7 @@ impl RoleLoop for SpoutRole {
         if !ctx.active || spout_throttled(ctx) || now < self.next_poll || !ctx.rate_allows(now) {
             return false;
         }
-        let produced = spout_batch(ctx, self.spout.as_mut(), now);
+        let produced = self.next_batch(ctx, now);
         if !produced {
             self.next_poll = Instant::now() + SPOUT_IDLE_POLL;
         }
@@ -658,43 +745,6 @@ impl RoleLoop for SpoutRole {
 /// True while acking back-pressure (`max_pending`) holds the spout.
 fn spout_throttled(ctx: &WorkerCtx) -> bool {
     ctx.config.acking && ctx.pending.len() >= ctx.config.max_pending
-}
-
-fn spout_batch(ctx: &mut WorkerCtx, spout: &mut dyn Spout, now: Instant) -> bool {
-    let mut collect = VecEmitter::default();
-    let produced = spout.next_batch(&mut collect);
-    let emitted = collect.emitted.len();
-    ctx.rate_window_count += emitted as u32;
-    for (index, (stream, values)) in collect.emitted.into_iter().enumerate() {
-        let trace = ctx.trace.sample();
-        ctx.current_trace = trace;
-        ctx.trace.record(trace, Hop::SpoutEmit);
-        if ctx.config.acking {
-            // A replayed tuple keeps its original root's base and bumps
-            // the round byte: the acker sees a fresh tree (a half-acked
-            // tree from the failed round can never wedge this one) while
-            // downstream dedup keys stay stable across rounds.
-            let root = match spout.replay_root(index) {
-                Some(prev) => MessageId::next_round(prev),
-                None => ctx.next_root(),
-            };
-            ctx.current_root = root;
-            ctx.accum_xor = 0;
-            RoutedEmitter { ctx }.emit_on(stream, values);
-            let xor = ctx.accum_xor;
-            ctx.send_ack(root, xor);
-            ctx.pending.insert(root, (now, trace));
-            ctx.current_root = 0;
-            spout.emitted(index, root);
-        } else {
-            RoutedEmitter { ctx }.emit_on(stream, values);
-        }
-        ctx.current_trace = 0;
-    }
-    if emitted > 0 {
-        ctx.shared.meter.mark(emitted as u64);
-    }
-    produced || emitted > 0
 }
 
 /// Per-worker epoch checkpointing + replay dedup for a stateful bolt.
@@ -1133,6 +1183,45 @@ mod tests {
         );
         assert!(ctx.rate_allows(t0 + TIMER_PERIOD), "the window rolled over");
         assert_eq!(spout.next_due(&ctx), Some(t0));
+    }
+
+    /// Emits one fresh tuple and one replay of `FAILED`, and reports the
+    /// roots it is given.
+    struct Replayer(std::sync::mpsc::Sender<(usize, u64)>);
+
+    const FAILED: u64 = 0x5a5a_0000_0000_0a03;
+
+    impl Spout for Replayer {
+        fn next_batch(&mut self, out: &mut dyn Emitter) -> bool {
+            out.emit(vec![Value::Int(1)]);
+            out.emit_replay(vec![Value::Int(2)], FAILED);
+            true
+        }
+
+        fn emitted(&mut self, index: usize, root: u64) {
+            self.0.send((index, root)).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_replay_keeps_its_failed_roots_base_and_bumps_the_round() {
+        let (mut ctx, _sw, _out, t0) = ctx_on_switch(|_| {});
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut spout = SpoutRole::new(Box::new(Replayer(tx)), &mut ctx, t0);
+        assert!(spout.on_tick(&mut ctx, t0));
+        let roots: Vec<(usize, u64)> = rx.try_iter().collect();
+        let [(0, fresh), (1, replay)] = roots[..] else {
+            panic!("roots reported in emission order: {roots:?}");
+        };
+        assert_eq!(
+            fresh & MessageId::ROOT_ROUND_MASK,
+            0,
+            "a fresh root is round 0"
+        );
+        assert_eq!(replay, MessageId::next_round(FAILED));
+        assert_eq!(MessageId::base_root(replay), MessageId::base_root(FAILED));
+        assert!(ctx.pending.contains_key(&fresh) && ctx.pending.contains_key(&replay));
+        assert_eq!(ctx.acks.len(), 2, "one init record per root");
     }
 
     #[test]

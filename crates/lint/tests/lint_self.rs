@@ -370,6 +370,20 @@ fn the_worker_emit_path_encodes_into_the_frame() {
     }
 }
 
+/// The worker holds one tuple at a time: ingress records are decoded and
+/// executed one by one as `Ingress::walk` hands them over in place, and a
+/// spout's emissions are routed as `next_batch` makes them. So non-test
+/// `worker/mod.rs` collects neither a round's tuples nor a batch's
+/// emissions, and does not call the collecting `poll_ingress` wrapper.
+#[test]
+fn a_worker_holds_one_tuple_at_a_time() {
+    for line in shipped_code("core/src/worker/mod.rs") {
+        for banned in ["drain_ingress", "Vec<Tuple>", "poll_ingress(", "VecEmitter"] {
+            assert!(!line.contains(banned), "mod.rs: `{line}`");
+        }
+    }
+}
+
 /// A worker round reads the clock once, at its head, and hands that `now`
 /// to every step; every role timer is a deadline held in state. So non-test
 /// `worker/` code names `Instant::now()` only at the round head, the empty

@@ -24,6 +24,17 @@ pub trait Emitter {
     /// Emits values on a specific stream.
     fn emit_on(&mut self, stream: StreamId, values: Vec<Value>);
 
+    /// A reliable spout's replay: emits values on the default stream as the
+    /// retry of the tuple whose tree rooted at `failed_root` failed. The
+    /// worker runtime roots the replay at the failed root's base with the
+    /// round byte bumped, so downstream dedup keys stay stable across
+    /// replays; it does so as the emission is made, which is why the root
+    /// travels with it. Anywhere else (the default) it is a plain
+    /// [`Emitter::emit`].
+    fn emit_replay(&mut self, values: Vec<Value>, _failed_root: u64) {
+        self.emit(values);
+    }
+
     /// Acknowledges an input tuple (guaranteed-processing mode).
     fn ack(&mut self, _input: &Tuple) {}
 
@@ -70,9 +81,11 @@ pub trait Spout: Send {
 
     /// In guaranteed-processing mode the runtime assigns each top-level
     /// emission of the last `next_batch` call a root ID and reports it
-    /// here (`index` is the emission's position within that batch). This
-    /// is the link that lets a reliable spout replay the right tuple on
-    /// [`Spout::fail`] — the counterpart of Storm's spout `messageId`.
+    /// here, in emission order, once `next_batch` has returned (`index` is
+    /// the emission's position within that batch). This is the link that
+    /// lets a reliable spout replay the right tuple on [`Spout::fail`] —
+    /// the counterpart of Storm's spout `messageId`; the replay goes out
+    /// through [`Emitter::emit_replay`].
     fn emitted(&mut self, _index: usize, _root: u64) {}
 
     /// Notification that the tuple tree rooted at `root` completed.
@@ -81,17 +94,6 @@ pub trait Spout: Send {
     /// Notification that the tuple tree rooted at `root` failed; a reliable
     /// spout replays the corresponding tuple.
     fn fail(&mut self, _root: u64) {}
-
-    /// Crash-recovery hook: before assigning a root to the `index`-th
-    /// emission of the current batch, the runtime asks whether this
-    /// emission is a *replay* of a previously failed tuple. A reliable
-    /// spout returns the failed tuple's original root; the runtime then
-    /// derives the replay root from it (same base, bumped round byte) so
-    /// downstream dedup keys stay stable across replays. `None` (the
-    /// default) means a fresh emission with a fresh root.
-    fn replay_root(&mut self, _index: usize) -> Option<u64> {
-        None
-    }
 }
 
 /// A processing node. Receives tuples, emits tuples.
@@ -304,8 +306,12 @@ mod tests {
         let mut out = VecEmitter::default();
         b.restore(vec![("k".into(), Value::Int(1))], &mut out);
         assert!(out.emitted.is_empty());
-        let mut s = OneShotSpout { fired: false };
-        assert!(s.replay_root(0).is_none());
+        out.emit_replay(vec![Value::Int(2)], 0x7700);
+        assert_eq!(
+            out.emitted,
+            [(StreamId::DEFAULT, vec![Value::Int(2)])],
+            "a replay is a plain emission by default"
+        );
     }
 
     #[test]

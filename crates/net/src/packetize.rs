@@ -24,6 +24,7 @@ use crate::frame::{Frame, MacAddr, HEADER_LEN};
 use crate::{NetError, Result};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-record header length.
 const RECORD_HEADER: usize = 12;
@@ -150,6 +151,13 @@ impl Default for Packetizer {
     }
 }
 
+/// A record the walk completed: a range of the frame's payload, or a tuple
+/// reassembled from segments.
+enum Record {
+    InFrame(Range<usize>),
+    Reassembled(BytesMut),
+}
+
 #[derive(Debug, Default)]
 struct Partial {
     total: usize,
@@ -172,29 +180,61 @@ impl Depacketizer {
         Self::default()
     }
 
-    /// Consumes one frame, returning every tuple blob it completed, tagged
-    /// with the source address.
+    /// Walks one frame's records in place, handing `each` every tuple it
+    /// completes, in order; all of them come from `frame.src`. An
+    /// unsegmented record is a slice of the frame; a segmented one is
+    /// reassembled per source and handed over from that buffer. A malformed
+    /// record ends the walk with `Err` after the records before it were
+    /// handed over.
+    pub fn push_each(&mut self, frame: &Frame, mut each: impl FnMut(&[u8])) -> Result<()> {
+        self.walk(frame, |record| match record {
+            Record::InFrame(range) => each(&frame.payload[range]),
+            Record::Reassembled(buf) => each(&buf),
+        })
+    }
+
+    /// [`Depacketizer::push_each`] collected: every tuple blob the frame
+    /// completed, tagged with the source address; an unsegmented one is a
+    /// zero-copy slice of the frame. `Err` on a malformed record, which
+    /// drops the records before it: a caller that must keep them walks.
     pub fn push(&mut self, frame: &Frame) -> Result<Vec<(MacAddr, Bytes)>> {
         let mut out = Vec::new();
-        let mut payload = frame.payload.clone();
-        while !payload.is_empty() {
-            if payload.len() < RECORD_HEADER {
+        self.walk(frame, |record| {
+            out.push((
+                frame.src,
+                match record {
+                    Record::InFrame(range) => frame.payload.slice(range),
+                    Record::Reassembled(buf) => buf.freeze(),
+                },
+            ))
+        })?;
+        Ok(out)
+    }
+
+    /// The one record walk behind [`Depacketizer::push_each`] and
+    /// [`Depacketizer::push`].
+    fn walk(&mut self, frame: &Frame, mut each: impl FnMut(Record)) -> Result<()> {
+        let payload = &frame.payload[..];
+        let mut at = 0;
+        while at < payload.len() {
+            let Some(header) = payload.get(at..at + RECORD_HEADER) else {
                 return Err(NetError::Malformed("record header truncated"));
-            }
-            let total = u32::from_be_bytes(payload[0..4].try_into().unwrap()) as usize;
-            let offset = u32::from_be_bytes(payload[4..8].try_into().unwrap()) as usize;
-            let chunk_len = u32::from_be_bytes(payload[8..12].try_into().unwrap()) as usize;
-            payload.advance_checked(RECORD_HEADER)?;
-            if chunk_len > payload.len() {
+            };
+            let field = |i: usize| u32::from_be_bytes(header[i..i + 4].try_into().unwrap());
+            let (total, offset, chunk_len) =
+                (field(0) as usize, field(4) as usize, field(8) as usize);
+            at += RECORD_HEADER;
+            if chunk_len > payload.len() - at {
                 return Err(NetError::Malformed("record chunk exceeds payload"));
             }
             if offset + chunk_len > total {
                 return Err(NetError::Malformed("record chunk exceeds tuple length"));
             }
-            let chunk = payload.split_to(chunk_len);
+            let chunk = at..at + chunk_len;
+            at = chunk.end;
             if offset == 0 && chunk_len == total {
-                // Fast path: unsegmented tuple, zero-copy slice.
-                out.push((frame.src, chunk));
+                // Fast path: an unsegmented tuple, in place.
+                each(Record::InFrame(chunk));
                 continue;
             }
             let partial = self.partial.entry(frame.src).or_default();
@@ -205,33 +245,18 @@ impl Depacketizer {
                 self.partial.remove(&frame.src);
                 return Err(NetError::Malformed("out-of-order segment"));
             }
-            partial.buf.extend_from_slice(&chunk);
+            partial.buf.extend_from_slice(&payload[chunk]);
             if partial.buf.len() == total {
                 let complete = self.partial.remove(&frame.src).expect("present").buf;
-                out.push((frame.src, complete.freeze()));
+                each(Record::Reassembled(complete));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Number of sources with an incomplete tuple (observability hook).
     pub fn pending_sources(&self) -> usize {
         self.partial.len()
-    }
-}
-
-/// Small helper: `Bytes::advance` with a bounds check instead of a panic.
-trait AdvanceChecked {
-    fn advance_checked(&mut self, n: usize) -> Result<()>;
-}
-
-impl AdvanceChecked for Bytes {
-    fn advance_checked(&mut self, n: usize) -> Result<()> {
-        if n > self.len() {
-            return Err(NetError::Malformed("truncated payload"));
-        }
-        let _ = self.split_to(n);
-        Ok(())
     }
 }
 
@@ -363,6 +388,22 @@ mod tests {
         payload.put_slice(&[0u8; 8]);
         let f = Frame::typhoon(src(), dst(), payload.freeze());
         assert!(d.push(&f).is_err());
+    }
+
+    #[test]
+    fn a_malformed_record_keeps_the_records_before_it() {
+        let good = [Bytes::from_static(b"one"), Bytes::from_static(b"two")];
+        let frame = &Packetizer::default().pack(src(), dst(), &good)[0];
+        let mut payload = BytesMut::new();
+        payload.extend_from_slice(&frame.payload);
+        payload.extend_from_slice(&[0, 0, 1]); // a truncated third header
+        let f = Frame::typhoon(src(), dst(), payload.freeze());
+        let mut d = Depacketizer::new();
+        let mut walked = Vec::new();
+        let err = d.push_each(&f, |record| walked.push(record.to_vec()));
+        assert_eq!(err, Err(NetError::Malformed("record header truncated")));
+        assert_eq!(walked, [b"one".to_vec(), b"two".to_vec()]);
+        assert!(d.push(&f).is_err(), "the collector still reports it");
     }
 
     #[test]
