@@ -43,7 +43,7 @@ use typhoon_coordinator::{Coordinator, LeaderElection, SessionId};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::Registry;
 use typhoon_model::HostId;
-use typhoon_net::{retry, BackoffPolicy};
+use typhoon_net::Doorbell;
 use typhoon_openflow::{wire, FlowMod, FlowModCommand, GroupMod, GroupModCommand, OfMessage};
 use typhoon_switch::Switch;
 
@@ -200,38 +200,18 @@ fn encode_host(rules: &HostRules) -> Vec<u8> {
     out
 }
 
-/// Tuning for the HA plane.
-#[derive(Debug, Clone, Copy)]
-pub struct HaConfig {
-    /// A replica session that misses heartbeats for this long is expired,
-    /// vacating its leadership (the failover detection bound).
-    pub session_timeout: Duration,
-    /// Monitor cadence: heartbeats, expiry checks and (when leaderless)
-    /// campaigns happen at this interval, or sooner on a leader-watch
-    /// event.
-    pub sweep_interval: Duration,
-    /// Seed for retry jitter, derived from the run seed so chaos runs
-    /// replay deterministically.
-    pub seed: u64,
-}
-
-impl Default for HaConfig {
-    fn default() -> Self {
-        HaConfig {
-            session_timeout: Duration::from_millis(400),
-            sweep_interval: Duration::from_millis(25),
-            seed: 0x7f4a_7c15,
-        }
-    }
-}
+/// How long a new leader waits for its switches' barrier replies before it
+/// publishes itself anyway (and counts `controller.ha.resync_fence_giveup`).
+const FENCE_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct ReplicaSlot {
     name: String,
     controller: Controller,
     session: SessionId,
     alive: bool,
-    died_at: Option<Instant>,
-    session_closed: bool,
+    /// When the monitor closes this crashed replica's session: its death
+    /// plus the session timeout. `None` while alive and once closed.
+    session_deadline: Option<Instant>,
     handle: Option<ControllerHandle>,
 }
 
@@ -239,13 +219,16 @@ struct PlaneState {
     replicas: Vec<ReplicaSlot>,
     switches: BTreeMap<HostId, Switch>,
     leader: Option<usize>,
+    /// One bell per thread parked in [`ControlPlane::wait_leader`], rung
+    /// when a leader is published.
+    leader_bells: Vec<Arc<Doorbell>>,
     monitor: Option<JoinHandle<()>>,
 }
 
 struct PlaneInner {
     election: LeaderElection,
     ledger: Arc<RuleLedger>,
-    cfg: HaConfig,
+    session_timeout: Duration,
     registry: Registry,
     state: Mutex<PlaneState>,
     shutdown: AtomicBool,
@@ -254,20 +237,22 @@ struct PlaneInner {
 /// A replicated control plane: N controller replicas, one elected leader.
 ///
 /// The leader owns every switch's control channel; followers idle with no
-/// switches bound. A monitor thread heartbeats live replica sessions,
-/// expires dead ones after [`HaConfig::session_timeout`] (scoped to its
-/// *own* sessions — worker-agent sessions are ephemeral-by-design and
-/// unheartbeated, a global sweep would deregister them), and campaigns
-/// whenever the leader znode is vacant.
+/// switches bound. A monitor thread blocks on the leader znode's watch. It
+/// closes a crashed replica's session once the session timeout has passed
+/// since the crash (only its *own* replicas' sessions: worker agents hold
+/// theirs until they close them), and campaigns whenever the leader znode
+/// is vacant.
 #[derive(Clone)]
 pub struct ControlPlane {
     inner: Arc<PlaneInner>,
 }
 
 impl ControlPlane {
-    /// Builds `replicas` controller replicas over `global`'s coordinator.
-    /// Nothing is elected until [`ControlPlane::start`].
-    pub fn new(global: GlobalState, replicas: usize, cfg: HaConfig) -> Self {
+    /// Builds `replicas` controller replicas over `global`'s coordinator. A
+    /// crashed replica's session is closed `session_timeout` after the
+    /// crash, which bounds the leaderless window from below. Nothing is
+    /// elected until [`ControlPlane::start`].
+    pub fn new(global: GlobalState, replicas: usize, session_timeout: Duration) -> Self {
         let coord = global.coordinator().clone();
         let ledger = Arc::new(RuleLedger::new(coord.clone()));
         let election = LeaderElection::new(coord.clone());
@@ -277,8 +262,7 @@ impl ControlPlane {
                 controller: Controller::with_ledger(global.clone(), Arc::clone(&ledger)),
                 session: coord.create_session(),
                 alive: true,
-                died_at: None,
-                session_closed: false,
+                session_deadline: None,
                 handle: None,
             })
             .collect();
@@ -286,7 +270,7 @@ impl ControlPlane {
             inner: Arc::new(PlaneInner {
                 election,
                 ledger,
-                cfg,
+                session_timeout,
                 registry: Registry::new(),
                 state: Mutex::with_rank(
                     rank::CTRL_HA,
@@ -295,6 +279,7 @@ impl ControlPlane {
                         replicas: slots,
                         switches: BTreeMap::new(),
                         leader: None,
+                        leader_bells: Vec::new(),
                         monitor: None,
                     },
                 ),
@@ -348,66 +333,45 @@ impl ControlPlane {
         self.inner.state.lock().monitor = Some(monitor);
     }
 
+    /// One round per leader-watch event or session deadline. The watch is
+    /// subscribed before the first round reads the state, so a crash or a
+    /// shutdown is either seen by that read or pokes the watch.
     fn monitor_loop(&self) {
         let coord = self.inner.election.coordinator().clone();
         let watch = self.inner.election.watch();
-        let mut beat = 0u64;
-        while !self.inner.shutdown.load(Ordering::Relaxed) {
-            // 1. Heartbeat live replica sessions. A typed give-up is
-            //    counted, not fatal: the session then lapses and the
-            //    election takes its course — which is the correct failure
-            //    semantics for a partitioned replica.
-            let live: Vec<SessionId> = {
-                let state = self.inner.state.lock();
-                state
+        let sweeps = self.inner.registry.counter("controller.ha.sweeps");
+        while !self.inner.shutdown.load(Ordering::Acquire) {
+            sweeps.inc();
+            // 1. Close the sessions of crashed replicas whose deadline has
+            //    passed, vacating the leader znode if one of them held it.
+            let now = Instant::now();
+            let (expired, next_deadline) = {
+                let mut state = self.inner.state.lock();
+                let mut expired = Vec::new();
+                for slot in &mut state.replicas {
+                    if slot.session_deadline.is_some_and(|t| t <= now) {
+                        slot.session_deadline = None;
+                        expired.push(slot.session);
+                    }
+                }
+                let next = state
                     .replicas
                     .iter()
-                    .filter(|s| s.alive && !s.session_closed)
-                    .map(|s| s.session)
-                    .collect()
-            };
-            for sid in live {
-                beat += 1;
-                if retry(
-                    &BackoffPolicy::fail_fast(),
-                    self.inner.cfg.seed ^ beat,
-                    |_| coord.heartbeat(sid),
-                )
-                .is_err()
-                {
-                    self.inner
-                        .registry
-                        .counter("controller.ha.heartbeat_giveup")
-                        .inc();
-                }
-            }
-            // 2. Expire our own dead replicas' sessions once they have
-            //    outlived the session timeout, vacating the leader znode.
-            let expired: Vec<SessionId> = {
-                let mut state = self.inner.state.lock();
-                let timeout = self.inner.cfg.session_timeout;
-                state
-                    .replicas
-                    .iter_mut()
-                    .filter(|s| {
-                        !s.alive
-                            && !s.session_closed
-                            && s.died_at.is_some_and(|t| t.elapsed() >= timeout)
-                    })
-                    .map(|s| {
-                        s.session_closed = true;
-                        s.session
-                    })
-                    .collect()
+                    .filter_map(|s| s.session_deadline)
+                    .min();
+                (expired, next)
             };
             for sid in expired {
                 coord.close_session(sid);
             }
-            // 3. Campaign when the leader znode is vacant.
+            // 2. Campaign when the leader znode is vacant.
             self.elect_if_needed();
-            // 4. Block on the leader watch (or the sweep tick): a deleted
-            //    leader znode wakes us immediately.
-            let _ = watch.recv_timeout(self.inner.cfg.sweep_interval);
+            // 3. Block on the leader watch until the next session deadline,
+            //    or until an event when none is armed.
+            match next_deadline {
+                Some(t) => _ = watch.recv_timeout(t.saturating_duration_since(Instant::now())),
+                None => _ = watch.recv(),
+            }
         }
     }
 
@@ -476,16 +440,10 @@ impl ControlPlane {
             }
         }
         // Fence every switch (one round trip for all of them) so the
-        // re-sync is *active* before we publish leadership. The fence is
-        // retried under the shared backoff policy: a switch draining its
-        // headless replay queue may need a moment.
-        let policy = BackoffPolicy::control_plane();
+        // re-sync is *active* before we publish leadership. A barrier waits
+        // for its own reply, so there is nothing to retry.
         let hosts: Vec<HostId> = switches.keys().copied().collect();
-        let fenced = retry(&policy, self.inner.cfg.seed ^ term, |_| {
-            let ok = controller.sync_switches(&hosts, Duration::from_millis(500));
-            ok.then_some(()).ok_or("barrier timeout")
-        });
-        if fenced.is_err() {
+        if !controller.sync_switches(&hosts, FENCE_TIMEOUT) {
             reg.counter("controller.ha.resync_fence_giveup").inc();
         }
         // The window each switch's `connect_controller` above just closed.
@@ -512,6 +470,9 @@ impl ControlPlane {
             reg.gauge(&format!("controller.ha.role.{}", slot.name))
                 .set(i64::from(i == idx));
         }
+        for bell in &state.leader_bells {
+            bell.ring();
+        }
     }
 
     /// The current leader's controller, if one is published.
@@ -526,17 +487,20 @@ impl ControlPlane {
         state.leader.map(|i| state.replicas[i].name.clone())
     }
 
-    /// Blocks (with backoff) until a leader is published or `timeout`
-    /// passes.
+    /// Blocks until a leader is published or `timeout` passes. The caller
+    /// parks on a bell of its own, which the next leader rings.
     pub fn wait_leader(&self, timeout: Duration) -> Option<Controller> {
-        retry(
-            &BackoffPolicy::control_plane()
-                .with_deadline(timeout)
-                .with_max_attempts(0),
-            self.inner.cfg.seed,
-            |_| self.leader_controller().ok_or(()),
-        )
-        .ok()
+        let deadline = Instant::now() + timeout;
+        let bell = Arc::new(Doorbell::new());
+        self.inner.state.lock().leader_bells.push(Arc::clone(&bell));
+        let mut leader = self.leader_controller();
+        while leader.is_none() && Instant::now() < deadline {
+            bell.wait(deadline, || self.inner.state.lock().leader.is_none());
+            leader = self.leader_controller();
+        }
+        let mut state = self.inner.state.lock();
+        state.leader_bells.retain(|b| !Arc::ptr_eq(b, &bell));
+        leader
     }
 
     /// The highest term reserved so far.
@@ -567,8 +531,8 @@ impl ControlPlane {
 
     /// Kills the current leader the way a crash would: its pump stops,
     /// its switch bindings drop (switches degrade to headless), and its
-    /// session is left to *lapse* — the monitor expires it only after
-    /// [`HaConfig::session_timeout`], so the leaderless window is
+    /// session is left to *lapse* — the monitor closes it only once the
+    /// plane's session timeout has passed, so the leaderless window is
     /// observable exactly as with a real crashed process. Returns the
     /// dead replica's name.
     pub fn crash_leader(&self) -> Option<String> {
@@ -577,7 +541,7 @@ impl ControlPlane {
             let idx = state.leader.take()?;
             let slot = &mut state.replicas[idx];
             slot.alive = false;
-            slot.died_at = Some(Instant::now());
+            slot.session_deadline = Some(Instant::now() + self.inner.session_timeout);
             self.inner
                 .registry
                 .gauge(&format!("controller.ha.role.{}", slot.name))
@@ -588,15 +552,24 @@ impl ControlPlane {
                 slot.handle.take(),
             )
         };
+        // The monitor learns of the new deadline from the leader watch.
+        self.poke_monitor();
         controller.shutdown();
         controller.unregister_all();
         drop(handle);
         Some(name)
     }
 
+    /// Wakes the monitor's wait on the leader watch.
+    fn poke_monitor(&self) {
+        let election = &self.inner.election;
+        election.coordinator().poke(&election.leader_path());
+    }
+
     /// Stops the monitor and every live replica.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Relaxed);
+        self.inner.shutdown.store(true, Ordering::Release);
+        self.poke_monitor();
         let (monitor, replicas) = {
             let mut state = self.inner.state.lock();
             let monitor = state.monitor.take();
@@ -677,12 +650,7 @@ mod tests {
     #[test]
     fn leader_failover_resyncs_rules_while_the_switch_runs_headless() {
         let global = GlobalState::new(Coordinator::new());
-        let cfg = HaConfig {
-            session_timeout: Duration::from_millis(100),
-            sweep_interval: Duration::from_millis(5),
-            seed: 7,
-        };
-        let plane = ControlPlane::new(global, 2, cfg);
+        let plane = ControlPlane::new(global, 2, Duration::from_millis(100));
         let (sw, _boot) = Switch::new(SwitchConfig::new(1));
         plane.manage_switch(HostId(0), sw.clone());
 
@@ -737,12 +705,7 @@ mod tests {
     #[test]
     fn headless_gauge_reads_the_last_window_not_the_total() {
         let global = GlobalState::new(Coordinator::new());
-        let cfg = HaConfig {
-            session_timeout: Duration::from_millis(100),
-            sweep_interval: Duration::from_millis(5),
-            seed: 13,
-        };
-        let plane = ControlPlane::new(global, 3, cfg);
+        let plane = ControlPlane::new(global, 3, Duration::from_millis(100));
         let (sw, _boot) = Switch::new(SwitchConfig::new(1));
         plane.manage_switch(HostId(0), sw.clone());
         let datapath = sw.spawn();
@@ -774,12 +737,7 @@ mod tests {
     #[test]
     fn stale_ex_leader_cannot_send_after_failover() {
         let global = GlobalState::new(Coordinator::new());
-        let cfg = HaConfig {
-            session_timeout: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(5),
-            seed: 11,
-        };
-        let plane = ControlPlane::new(global, 2, cfg);
+        let plane = ControlPlane::new(global, 2, Duration::from_millis(50));
         let (sw, _boot) = Switch::new(SwitchConfig::new(1));
         plane.manage_switch(HostId(0), sw.clone());
         let datapath = sw.spawn();
@@ -795,5 +753,82 @@ mod tests {
         assert_eq!(plane.ledger().rule_count(HostId(0)), 0);
         plane.shutdown();
         datapath.stop();
+    }
+
+    fn sweeps(plane: &ControlPlane) -> u64 {
+        plane.registry().snapshot().counter("controller.ha.sweeps")
+    }
+
+    /// A started plane with its leader elected.
+    fn started(replicas: usize, session_timeout: Duration) -> ControlPlane {
+        let plane = ControlPlane::new(
+            GlobalState::new(Coordinator::new()),
+            replicas,
+            session_timeout,
+        );
+        plane.start(Duration::from_millis(1));
+        plane.wait_leader(Duration::from_secs(5)).expect("leader");
+        plane
+    }
+
+    /// Blocks until the monitor has made `n` rounds.
+    fn await_sweeps(plane: &ControlPlane, n: u64) {
+        let t0 = Instant::now();
+        while sweeps(plane) < n {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "round {n} never ran"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The monitor has no clock of its own: once it has made its first
+    /// round, nothing happening means no rounds at all.
+    #[test]
+    fn idle_monitor_makes_no_rounds() {
+        let plane = started(2, Duration::from_millis(100));
+        await_sweeps(&plane, 1);
+        let before = sweeps(&plane);
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(sweeps(&plane), before, "an idle half second");
+        // Joins the monitor: a blocked `recv` nobody poked hangs here.
+        plane.shutdown();
+    }
+
+    /// A caller parked in `wait_leader` across the leaderless window is
+    /// handed the successor, and takes its bell with it when it returns.
+    #[test]
+    fn parked_wait_leader_returns_the_successor() {
+        let plane = started(2, Duration::from_millis(200));
+        let dead = plane.crash_leader().expect("a leader to kill");
+        let waiter = {
+            let plane = plane.clone();
+            std::thread::spawn(move || plane.wait_leader(Duration::from_secs(60)).is_some())
+        };
+        let t0 = Instant::now();
+        while plane.inner.state.lock().leader_bells.is_empty() {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(waiter.join().unwrap(), "the waiter got no leader");
+        let successor = plane.leader_name().expect("a successor");
+        assert_ne!(successor, dead);
+        assert!(plane.inner.state.lock().leader_bells.is_empty());
+        plane.shutdown();
+    }
+
+    /// `shutdown` ends the monitor's wait even when that wait is armed for
+    /// a session deadline a minute away.
+    #[test]
+    fn shutdown_does_not_wait_out_the_session_timeout() {
+        let plane = started(2, Duration::from_secs(60));
+        await_sweeps(&plane, 1);
+        plane.crash_leader().expect("a leader to kill");
+        // The crash's poke starts the round that arms the 60 s deadline.
+        await_sweeps(&plane, 2);
+        let t0 = Instant::now();
+        plane.shutdown();
+        assert!(t0.elapsed() < Duration::from_secs(30), "{:?}", t0.elapsed());
     }
 }

@@ -37,5 +37,5 @@ pub mod rules;
 pub use apps::{AppCtx, ControlPlaneApp};
 pub use control::ControlTuple;
 pub use controller::{Controller, ControllerHandle, SwitchBinding};
-pub use ha::{ControlPlane, HaConfig, RuleLedger};
+pub use ha::{ControlPlane, RuleLedger};
 pub use rules::{build_rules, unicast_rules, RulePlan, CONTROL_PRIORITY, DATA_PRIORITY};

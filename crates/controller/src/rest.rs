@@ -25,7 +25,7 @@
 //! single JSON line, and `HOPS` prints the per-hop latency breakdown.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use typhoon_coordinator::global::GlobalState;
@@ -118,15 +118,9 @@ pub fn handle_command(global: &GlobalState, line: &str) -> String {
 }
 
 fn submit(global: &GlobalState, topology: &str, op: ReconfigOp) -> String {
-    // The coordinator write can transiently fail while a controller
-    // failover is re-establishing state; retry under the shared fail-fast
-    // envelope and surface the typed give-up to the REST client.
-    let req = ReconfigRequest::single(topology, op);
-    match typhoon_net::retry(&typhoon_net::BackoffPolicy::fail_fast(), 0x5e57, |_| {
-        global.submit_reconfig(&req)
-    }) {
+    match global.submit_reconfig(&ReconfigRequest::single(topology, op)) {
         Ok(()) => "OK submitted".to_owned(),
-        Err(e) => format!("ERR {}", e.last()),
+        Err(e) => format!("ERR {e}"),
     }
 }
 
@@ -195,44 +189,39 @@ impl CommandServer {
     ) -> std::io::Result<CommandServer> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = shutdown.clone();
         let thread = std::thread::Builder::new()
             .name("typhoon-rest".into())
             .spawn(move || {
-                while !shutdown2.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let global = global.clone();
-                            let tracer = tracer.clone();
-                            // One thread per connection: command traffic is
-                            // sparse and human/driver initiated.
-                            std::thread::spawn(move || {
-                                let _ = stream.set_nonblocking(false);
-                                let mut writer = match stream.try_clone() {
-                                    Ok(w) => w,
-                                    Err(_) => return,
-                                };
-                                let reader = BufReader::new(stream);
-                                for line in reader.lines() {
-                                    let line = match line {
-                                        Ok(l) => l,
-                                        Err(_) => break,
-                                    };
-                                    let resp = handle_command_with(&global, tracer.as_ref(), &line);
-                                    if writer.write_all(format!("{resp}\n").as_bytes()).is_err() {
-                                        break;
-                                    }
-                                }
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            // LINT: allow-sleep(nonblocking accept retry backoff on the REST listener thread)
-                            std::thread::sleep(std::time::Duration::from_millis(10));
-                        }
-                        Err(_) => break,
+                // A blocking accept: `Drop` sets the flag, then connects to
+                // wake it.
+                for stream in listener.incoming() {
+                    if shutdown2.load(Ordering::Acquire) {
+                        break;
                     }
+                    let Ok(stream) = stream else { break };
+                    let global = global.clone();
+                    let tracer = tracer.clone();
+                    // One thread per connection: command traffic is
+                    // sparse and human/driver initiated.
+                    std::thread::spawn(move || {
+                        let mut writer = match stream.try_clone() {
+                            Ok(w) => w,
+                            Err(_) => return,
+                        };
+                        let reader = BufReader::new(stream);
+                        for line in reader.lines() {
+                            let line = match line {
+                                Ok(l) => l,
+                                Err(_) => break,
+                            };
+                            let resp = handle_command_with(&global, tracer.as_ref(), &line);
+                            if writer.write_all(format!("{resp}\n").as_bytes()).is_err() {
+                                break;
+                            }
+                        }
+                    });
                 }
             })
             .expect("spawn command server");
@@ -252,6 +241,9 @@ impl CommandServer {
 impl Drop for CommandServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
+        // A connection wakes the accept; nothing to do if it fails, as
+        // then the listener thread has already ended.
+        let _ = TcpStream::connect(self.addr);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

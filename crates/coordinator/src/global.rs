@@ -315,16 +315,15 @@ impl GlobalState {
     /// up. This is how SDN control-plane applications (e.g. the auto-scaler,
     /// §4) trigger topology changes without talking to the manager directly:
     /// everything goes through the coordinator, per Table 1's discipline.
+    /// The request is named by the directory's sequence counter, so
+    /// concurrent submitters never collide and [`GlobalState::take_reconfigs`]
+    /// returns requests in submission order.
     pub fn submit_reconfig(&self, req: &ReconfigRequest) -> Result<()> {
         let dir = format!("{RECONFIG}/{}", req.topology);
         self.coord.ensure_path(&dir)?;
-        // Sequence numbers keep requests ordered and uniquely named.
-        let seq = self.coord.children(&dir)?.len();
-        self.coord.create(
-            &format!("{dir}/req-{seq:06}"),
-            encode_reconfig(req),
-            CreateMode::Persistent,
-        )
+        self.coord
+            .create_sequential(&dir, "req-", encode_reconfig(req))
+            .map(drop)
     }
 
     /// Removes and returns every pending reconfiguration request for

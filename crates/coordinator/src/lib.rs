@@ -19,8 +19,9 @@
 //! * [`watch`] — prefix watches delivering [`WatchEvent`]s over channels;
 //!   this is the "notification" step of the deployment and reconfiguration
 //!   workflows (§3.2 steps (ii)/(iii)).
-//! * [`session`] — client sessions with heartbeats; ephemeral znodes vanish
-//!   when their session expires (how worker liveness is tracked).
+//! * [`session`] — client sessions; ephemeral znodes vanish when their
+//!   session is closed (how a crashed controller replica gives up the
+//!   leader znode).
 //! * [`global`] — typed wrappers storing the Table 1 global states (logical
 //!   and physical topologies, worker-agent registrations) with hand-rolled
 //!   binary codecs (the paper uses language-agnostic Thrift objects; we use
@@ -54,7 +55,7 @@ pub enum CoordError {
         /// Version actually stored.
         actual: u64,
     },
-    /// The session is unknown or already expired.
+    /// The session is unknown or already closed.
     NoSession(SessionId),
     /// A parent path is missing (paths must be created top-down).
     NoParent(String),

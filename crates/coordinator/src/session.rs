@@ -1,15 +1,15 @@
-//! Client sessions and heartbeats.
+//! Client sessions.
 //!
-//! Worker agents (and, in the Storm baseline, workers) hold a session with
-//! the coordinator kept alive by periodic heartbeats. Ephemeral znodes are
-//! bound to a session and are deleted when it expires — which is exactly how
-//! "any worker failure is detected from periodic heartbeats sent by
-//! workers" (§2). The Typhoon fault-detector app (§4) improves on this via
-//! SDN port events; both paths coexist in this reproduction so Fig. 10 can
-//! compare them.
+//! Worker agents and controller replicas each hold a session with the
+//! coordinator. Ephemeral znodes are bound to a session and are deleted when
+//! it is closed ([`Coordinator::close_session`](crate::Coordinator::close_session)),
+//! which fires `Deleted` on their watches: how a crashed controller replica
+//! vacates the leader znode. Sessions are not heartbeated and do not expire
+//! on their own; worker failures are detected by the fault-detector app's
+//! SDN port events (§4), and the Storm baseline keeps its own heartbeat
+//! timeout (§2) so Fig. 10 can compare the two.
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Identifies one coordinator session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,57 +18,5 @@ pub struct SessionId(pub u64);
 impl fmt::Display for SessionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "session-{}", self.0)
-    }
-}
-
-/// Book-keeping for one live session.
-#[derive(Debug)]
-pub(crate) struct SessionState {
-    /// Last heartbeat instant.
-    pub(crate) last_heartbeat: Instant,
-    /// Paths of ephemeral znodes owned by this session.
-    pub(crate) ephemerals: Vec<String>,
-}
-
-impl SessionState {
-    pub(crate) fn new(now: Instant) -> Self {
-        SessionState {
-            last_heartbeat: now,
-            ephemerals: Vec::new(),
-        }
-    }
-
-    /// True when the session has outlived `timeout` without a heartbeat.
-    pub(crate) fn is_expired(&self, now: Instant, timeout: Duration) -> bool {
-        now.saturating_duration_since(self.last_heartbeat) > timeout
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fresh_session_is_not_expired() {
-        let now = Instant::now();
-        let s = SessionState::new(now);
-        assert!(!s.is_expired(now, Duration::from_secs(1)));
-    }
-
-    #[test]
-    fn session_expires_after_timeout() {
-        let now = Instant::now();
-        let s = SessionState::new(now);
-        let later = now + Duration::from_secs(2);
-        assert!(s.is_expired(later, Duration::from_secs(1)));
-        assert!(!s.is_expired(later, Duration::from_secs(5)));
-    }
-
-    #[test]
-    fn heartbeat_refreshes_expiry() {
-        let now = Instant::now();
-        let mut s = SessionState::new(now);
-        s.last_heartbeat = now + Duration::from_secs(10);
-        assert!(!s.is_expired(now + Duration::from_secs(11), Duration::from_secs(5)));
     }
 }

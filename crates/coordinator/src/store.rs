@@ -1,12 +1,11 @@
 //! The znode store: a hierarchical, versioned, watched key-value tree.
 
-use crate::session::{SessionId, SessionState};
+use crate::session::SessionId;
 use crate::watch::{WatchEvent, WatchKind, WatchTable};
 use crate::{CoordError, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex};
 
 /// Whether a created node outlives its creator.
@@ -14,7 +13,7 @@ use typhoon_diag::{rank, DiagMutex};
 pub enum CreateMode {
     /// The node persists until explicitly deleted.
     Persistent,
-    /// The node is deleted automatically when the owning session expires.
+    /// The node is deleted automatically when the owning session closes.
     Ephemeral(SessionId),
 }
 
@@ -32,13 +31,28 @@ struct Node {
     data: Vec<u8>,
     version: u64,
     ephemeral_owner: Option<SessionId>,
+    /// The number [`Coordinator::create_sequential`] gives this node's next
+    /// sequential child; it never goes back down.
+    next_child: u64,
+}
+
+impl Node {
+    fn new(data: Vec<u8>, ephemeral_owner: Option<SessionId>) -> Self {
+        Node {
+            data,
+            version: 1,
+            ephemeral_owner,
+            next_child: 0,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct State {
     nodes: BTreeMap<String, Node>,
     watches: WatchTable,
-    sessions: HashMap<SessionId, SessionState>,
+    /// Live sessions, each with the paths of the ephemerals it owns.
+    sessions: HashMap<SessionId, Vec<String>>,
     next_session: u64,
 }
 
@@ -89,14 +103,11 @@ impl Coordinator {
     /// A fresh, empty coordinator with a root node.
     pub fn new() -> Self {
         let coord = Coordinator::default();
-        coord.state.lock().nodes.insert(
-            "/".to_owned(),
-            Node {
-                data: Vec::new(),
-                version: 1,
-                ephemeral_owner: None,
-            },
-        );
+        coord
+            .state
+            .lock()
+            .nodes
+            .insert("/".to_owned(), Node::new(Vec::new(), None));
         coord
     }
 
@@ -104,7 +115,30 @@ impl Coordinator {
     /// auto-created (use [`Coordinator::ensure_path`]).
     pub fn create(&self, path: &str, data: Vec<u8>, mode: CreateMode) -> Result<()> {
         validate_path(path);
+        Self::insert(&mut self.state.lock(), path, data, mode)
+    }
+
+    /// Creates a persistent child of `dir` named `prefix` followed by
+    /// `dir`'s next sequence number (ZooKeeper's `PERSISTENT_SEQUENTIAL`),
+    /// and returns its path. The number is taken under the same lock as the
+    /// create and never goes back down, so concurrent callers never collide;
+    /// it is zero-padded to a `u64`'s 20 digits, so
+    /// [`Coordinator::children`] lists the children in creation order.
+    pub fn create_sequential(&self, dir: &str, prefix: &str, data: Vec<u8>) -> Result<String> {
+        validate_path(dir);
         let mut st = self.state.lock();
+        let parent = st
+            .nodes
+            .get_mut(dir)
+            .ok_or_else(|| CoordError::NoNode(dir.to_owned()))?;
+        let seq = parent.next_child;
+        parent.next_child += 1;
+        let path = format!("{}/{prefix}{seq:020}", dir.trim_end_matches('/'));
+        Self::insert(&mut st, validate_path(&path), data, CreateMode::Persistent)?;
+        Ok(path)
+    }
+
+    fn insert(st: &mut State, path: &str, data: Vec<u8>, mode: CreateMode) -> Result<()> {
         if st.nodes.contains_key(path) {
             return Err(CoordError::NodeExists(path.to_owned()));
         }
@@ -115,22 +149,16 @@ impl Coordinator {
         let ephemeral_owner = match mode {
             CreateMode::Persistent => None,
             CreateMode::Ephemeral(sid) => {
-                let session = st
+                let ephemerals = st
                     .sessions
                     .get_mut(&sid)
                     .ok_or(CoordError::NoSession(sid))?;
-                session.ephemerals.push(path.to_owned());
+                ephemerals.push(path.to_owned());
                 Some(sid)
             }
         };
-        st.nodes.insert(
-            path.to_owned(),
-            Node {
-                data,
-                version: 1,
-                ephemeral_owner,
-            },
-        );
+        st.nodes
+            .insert(path.to_owned(), Node::new(data, ephemeral_owner));
         let event = WatchEvent {
             path: path.to_owned(),
             kind: WatchKind::Created,
@@ -229,8 +257,8 @@ impl Coordinator {
         }
         let node = st.nodes.remove(path).expect("checked above");
         if let Some(sid) = node.ephemeral_owner {
-            if let Some(session) = st.sessions.get_mut(&sid) {
-                session.ephemerals.retain(|p| p != path);
+            if let Some(ephemerals) = st.sessions.get_mut(&sid) {
+                ephemerals.retain(|p| p != path);
             }
         }
         let event = WatchEvent {
@@ -310,54 +338,19 @@ impl Coordinator {
         });
     }
 
-    /// Opens a new session.
+    /// Opens a new session. It lives until [`Coordinator::close_session`].
     pub fn create_session(&self) -> SessionId {
         let mut st = self.state.lock();
         st.next_session += 1;
         let sid = SessionId(st.next_session);
-        st.sessions.insert(sid, SessionState::new(Instant::now()));
+        st.sessions.insert(sid, Vec::new());
         sid
-    }
-
-    /// Refreshes a session's liveness.
-    pub fn heartbeat(&self, sid: SessionId) -> Result<()> {
-        let mut st = self.state.lock();
-        let session = st
-            .sessions
-            .get_mut(&sid)
-            .ok_or(CoordError::NoSession(sid))?;
-        session.last_heartbeat = Instant::now();
-        Ok(())
-    }
-
-    /// Expires every session silent for longer than `timeout`, deleting its
-    /// ephemerals (with watch notifications). Returns the expired sessions.
-    /// The streaming manager calls this periodically — the heartbeat-timeout
-    /// fault-detection path of the baseline (§6.2, Fig. 10(a)).
-    pub fn expire_stale_sessions(&self, timeout: Duration) -> Vec<SessionId> {
-        let now = Instant::now();
-        let expired: Vec<SessionId> = {
-            let st = self.state.lock();
-            st.sessions
-                .iter()
-                .filter(|(_, s)| s.is_expired(now, timeout))
-                .map(|(&sid, _)| sid)
-                .collect()
-        };
-        for &sid in &expired {
-            self.close_session(sid);
-        }
-        expired
     }
 
     /// Closes a session immediately, deleting its ephemerals.
     pub fn close_session(&self, sid: SessionId) {
-        let ephemerals = {
-            let mut st = self.state.lock();
-            match st.sessions.remove(&sid) {
-                Some(s) => s.ephemerals,
-                None => return,
-            }
+        let Some(ephemerals) = self.state.lock().sessions.remove(&sid) else {
+            return;
         };
         for path in ephemerals {
             // The session is gone, so delete bypasses ephemeral bookkeeping.
@@ -501,27 +494,23 @@ mod tests {
     }
 
     #[test]
-    fn stale_sessions_expire_and_fresh_survive() {
+    fn sequential_names_never_repeat_and_sort_in_creation_order() {
         let c = coord();
-        c.ensure_path("/agents").unwrap();
-        let stale = c.create_session();
-        let fresh = c.create_session();
-        c.create("/agents/stale", vec![], CreateMode::Ephemeral(stale))
-            .unwrap();
-        c.create("/agents/fresh", vec![], CreateMode::Ephemeral(fresh))
-            .unwrap();
-        // Force the stale session's heartbeat into the past.
-        {
-            let mut st = c.state.lock();
-            st.sessions.get_mut(&stale).unwrap().last_heartbeat =
-                Instant::now() - Duration::from_secs(60);
-        }
-        c.heartbeat(fresh).unwrap();
-        let expired = c.expire_stale_sessions(Duration::from_secs(30));
-        assert_eq!(expired, vec![stale]);
-        assert!(!c.exists("/agents/stale"));
-        assert!(c.exists("/agents/fresh"));
-        assert_eq!(c.session_count(), 1);
+        c.ensure_path("/q").unwrap();
+        let first = c.create_sequential("/q", "req-", b"a".to_vec()).unwrap();
+        assert_eq!(first, "/q/req-00000000000000000000");
+        c.delete(&first).unwrap();
+        // A drained directory does not hand the freed number out again.
+        let names: Vec<String> = (0..11)
+            .map(|_| c.create_sequential("/q", "req-", vec![]).unwrap())
+            .collect();
+        assert_eq!(names[0], "/q/req-00000000000000000001");
+        let children: Vec<String> = names.iter().map(|p| p[3..].to_owned()).collect();
+        assert_eq!(c.children("/q").unwrap(), children, "sorted = created");
+        assert!(matches!(
+            c.create_sequential("/missing", "req-", vec![]),
+            Err(CoordError::NoNode(_))
+        ));
     }
 
     #[test]

@@ -15,8 +15,8 @@ pub enum WatchKind {
     Created,
     /// The node's data changed.
     DataChanged,
-    /// The node was deleted (explicitly, or by session expiry for
-    /// ephemerals).
+    /// The node was deleted (explicitly, or by closing the session of an
+    /// ephemeral).
     Deleted,
 }
 

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::apps::FAULTS;
-use typhoon_controller::{ControlPlane, Controller, HaConfig};
+use typhoon_controller::{ControlPlane, Controller};
 use typhoon_coordinator::global::{GlobalState, RECONFIG, TOPOLOGIES};
 use typhoon_coordinator::Coordinator;
 use typhoon_diag::{rank, DiagMutex, DiagRwLock as RwLock};
@@ -57,9 +57,9 @@ pub struct TyphoonConfig {
     /// (chaos `KillSpec::controller`) triggers a failover during which
     /// switches keep forwarding headless on their installed rules.
     pub controller_replicas: usize,
-    /// Session timeout for controller replica liveness: a leader that
-    /// stops heartbeating is deposed after this long (the failover
-    /// detection bound).
+    /// Session timeout for controller replica liveness: a crashed leader's
+    /// session is closed, deposing it, this long after the crash (the
+    /// failover detection bound).
     pub controller_session_timeout: Duration,
     /// Switch port ring capacity (frames). §8 of the paper recommends
     /// large TX/RX queues to avoid switch-level drops under bursts.
@@ -214,11 +214,7 @@ impl TyphoonCluster {
         let plane = ControlPlane::new(
             global.clone(),
             config.controller_replicas,
-            HaConfig {
-                session_timeout: config.controller_session_timeout,
-                seed: config.chaos.map(|p| p.seed).unwrap_or(0x7f4a_7c15),
-                ..HaConfig::default()
-            },
+            config.controller_session_timeout,
         );
         let components = Arc::new(RwLock::with_rank(
             rank::CLUSTER,

@@ -140,9 +140,10 @@ impl StreamingManager {
         &self.global
     }
 
-    /// The current control-plane leader. Blocks (with backoff) across a
-    /// failover window; surfaces a typed timeout when no leader emerges —
-    /// callers leave their work records in place and retry later.
+    /// The current control-plane leader. Blocks across a failover window
+    /// until the successor is published; surfaces a typed timeout when no
+    /// leader emerges — callers leave their work records in place and
+    /// retry later.
     fn ctl(&self) -> Result<Controller> {
         self.plane
             .wait_leader(LEADER_WAIT)

@@ -229,7 +229,8 @@ fn no_manifest_names_crossbeam_and_vendor_is_three_shims() {
 /// The sleep-waiver census, pinned: TL005 accepts any reasoned waiver, so a
 /// blind sleep could return to a worker loop under one. Every Typhoon
 /// worker role waits on its doorbell; the one idle backoff left in library
-/// code is the Storm baseline's spout executor.
+/// code is the Storm baseline's spout executor. The HA control plane waits
+/// on the leader watch and rung bells, with no retry helper to hide a sleep.
 #[test]
 fn no_idle_sleep_returns_under_a_waiver() {
     let library = library_lines("allow-sleep");
@@ -270,6 +271,22 @@ fn no_idle_sleep_returns_under_a_waiver() {
         backoffs[0].0.ends_with("storm/src/executor.rs"),
         "{backoffs:?}"
     );
+    // The controller and the coordinator sleep nowhere (the REST listener
+    // blocks in `accept`); `typhoon-net`'s one park is the doorbell's.
+    for dir in ["/controller/src/", "/coordinator/src/"] {
+        let waived: Vec<_> = library.iter().filter(|(f, _)| f.contains(dir)).collect();
+        assert!(waived.is_empty(), "{waived:?}");
+    }
+    let in_net: Vec<_> = library
+        .iter()
+        .filter(|(file, _)| file.contains("/net/src/"))
+        .collect();
+    assert_eq!(in_net.len(), 1, "{in_net:?}");
+    assert!(in_net[0].0.ends_with("net/src/doorbell.rs"), "{in_net:?}");
+    for retry in ["BackoffPolicy", "typhoon_net::retry"] {
+        let named = library_lines(retry);
+        assert!(named.is_empty(), "{named:?}");
+    }
 }
 
 /// One stats surface: a component counts into a `Registry`, and

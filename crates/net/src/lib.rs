@@ -28,7 +28,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backoff;
 pub mod doorbell;
 pub mod fault;
 pub mod frame;
@@ -37,7 +36,6 @@ pub mod ring;
 mod sync;
 pub mod tunnel;
 
-pub use backoff::{retry, BackoffPolicy, RetryError};
 pub use doorbell::{BellSlot, Doorbell};
 pub use fault::{ChaosHandle, FaultInjector, FaultPlan, FaultSpec, KillClass, KillSpec};
 pub use frame::{Frame, MacAddr, TYPHOON_ETHERTYPE};
