@@ -607,6 +607,11 @@ pub mod thread {
     /// model has no clock, so the timeout never fires: a park nobody ends
     /// is a deadlock, and the checker reports the schedule that led to it.
     pub fn park_timeout(_timeout: Duration) {
+        park();
+    }
+
+    /// Blocks until the caller's park token is set, and takes it.
+    pub fn park() {
         let (exec, tid) = context();
         loop {
             exec.schedule_point(tid, "park");

@@ -130,15 +130,15 @@ impl Controller {
     /// deployment, collapsed to channel registration here). From now on
     /// the switch wakes this controller's pump loop.
     pub fn register_switch(&self, host: HostId, dpid: DatapathId, channel: ControlChannel) {
-        channel.set_doorbell(self.inner.bell.clone());
-        self.inner.switches.write().insert(
+        let binding = SwitchBinding {
             host,
-            SwitchBinding {
-                host,
-                dpid,
-                channel,
-            },
-        );
+            dpid,
+            channel: channel.clone(),
+        };
+        self.inner.switches.write().insert(host, binding);
+        // Pumped from now on, so the bell (rung as it is set) finds what
+        // the switch queued before.
+        channel.set_doorbell(self.inner.bell.clone());
     }
 
     /// Registers a control-plane application (§4).
@@ -223,10 +223,10 @@ impl Controller {
     }
 
     /// Fences a switch: sends a barrier and waits for its reply (or the
-    /// timeout). The reply may be consumed by any pumping thread (the
-    /// spawned controller loop or this caller) — whichever sees it strikes
-    /// the xid from the waiter registry and rings the waiter; a struck xid
-    /// is the answer.
+    /// timeout). The reply is consumed by the pumping thread (the spawned
+    /// controller loop, [`Controller::spawn`]), which strikes the xid from
+    /// the waiter registry and rings the waiter; a struck xid is the
+    /// answer. Without a pump, every fence times out.
     pub fn sync_switch(&self, host: HostId, timeout: Duration) -> bool {
         self.sync_switches(&[host], timeout)
     }
@@ -237,24 +237,20 @@ impl Controller {
     pub fn sync_switches(&self, hosts: &[HostId], timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let (pending, bell) = (&self.inner.barrier_waiters, Doorbell::new());
-        let barriers: Vec<(HostId, u32, bool)> = hosts
+        let barriers: Vec<(u32, bool)> = hosts
             .iter()
             .map(|&host| {
                 let xid = self.inner.next_xid.fetch_add(1, Ordering::Relaxed);
                 pending.lock().insert(xid, bell.clone());
                 let sent = self.send_to_switch(host, &OfMessage::Barrier { xid });
-                (host, xid, sent)
+                (xid, sent)
             })
             .collect();
         let mut ok = true;
-        for (host, xid, sent) in barriers {
+        for (xid, sent) in barriers {
             let unanswered = || pending.lock().contains_key(&xid);
             while sent && unanswered() && Instant::now() <= deadline {
-                // Pump ourselves too, so fencing works without a spawned
-                // loop; with one, its pump strikes the xid and rings us.
-                if !self.pump_once(host) {
-                    bell.wait(deadline, unanswered);
-                }
+                bell.wait(Some(deadline), unanswered);
             }
             // Still ours to remove means no reply; already gone means it
             // was answered (perhaps racing the deadline, and winning).
@@ -454,9 +450,10 @@ impl Controller {
     /// until the next tick in between.
     pub fn spawn(&self, tick_interval: Duration) -> ControllerHandle {
         let ctl = self.clone();
-        let thread = std::thread::Builder::new()
-            .name("sdn-controller".into())
-            .spawn(move || {
+        let thread = typhoon_diag::spawn_supervised(
+            "sdn-controller",
+            |_event| { /* diag's panic log + counters suffice; no extra callback */ },
+            move || {
                 let stop = || ctl.inner.shutdown.load(Ordering::Acquire);
                 let mut last_tick = Instant::now();
                 while !stop() {
@@ -469,11 +466,11 @@ impl Controller {
                         let next_tick = last_tick + tick_interval;
                         ctl.inner
                             .bell
-                            .wait(next_tick, || !stop() && ctl.pump() == 0);
+                            .wait(Some(next_tick), || !stop() && ctl.pump() == 0);
                     }
                 }
-            })
-            .expect("spawn controller");
+            },
+        );
         ControllerHandle {
             controller: self.clone(),
             thread: Some(thread),
@@ -550,11 +547,11 @@ mod tests {
             let _wp = sw.attach_worker(PortNo(a.switch_port));
             std::mem::forget(_wp); // keep rings alive for the test
         }
-        // The switch runs its own datapath thread while the install waits
-        // on its barrier (nobody rings an unspawned controller's waiter:
-        // it pumps for itself at the park cap).
-        let datapath = sw.spawn();
+        // The install waits on its barrier: the switch answers on its own
+        // datapath thread, and the controller's pump strikes the reply.
+        let (pump, datapath) = (ctl.spawn(Duration::from_secs(3600)), sw.spawn());
         assert!(ctl.install_topology(&word_count_example(), &phys));
+        pump.stop();
         datapath.stop();
         phys
     }
@@ -612,8 +609,8 @@ mod tests {
         let port = PortNo(phys.assignment(target).unwrap().switch_port);
         let wp = sw.attach_worker(port);
         // Install the whole plan (the switch runs its own datapath thread
-        // for the barrier and the PacketOut).
-        let _datapath = sw.spawn();
+        // for the barrier and the PacketOut, the controller its pump).
+        let (_pump, _datapath) = (ctl.spawn(Duration::from_secs(3600)), sw.spawn());
         assert!(ctl.install_topology(&logical, &phys));
         assert!(ctl.send_control(AppId(1), target, &ControlTuple::BatchSize { size: 250 }));
         // Wait for the frame on the worker port's own bell.
@@ -623,7 +620,7 @@ mod tests {
                 break f;
             }
             assert!(Instant::now() < deadline, "control tuple never arrived");
-            wp.rx.bell().wait(deadline, || wp.rx.is_empty());
+            wp.rx.bell().wait(Some(deadline), || wp.rx.is_empty());
         };
         // Depacketize and decode it back into the control tuple.
         let mut d = Depacketizer::new();
@@ -663,8 +660,7 @@ mod tests {
         assert!(ctl.inner.barrier_waiters.lock().is_empty());
         pump.stop();
         datapath.stop();
-        // Three threads pumped one ring (both callers and the spawned
-        // loop): every reply was popped, by exactly one of them.
+        // The spawned loop pumped every reply off the ring.
         let (pushed, popped, shed) = ctl.inner.switches.read()[&HostId(0)].channel.stats();
         assert!(pushed >= 1000, "{pushed}");
         assert_eq!((popped, shed), (pushed, 0));
@@ -687,10 +683,10 @@ mod tests {
     /// another thread pumps the reply (strike, then ring) while the caller
     /// is anywhere between "registered" and "parked". A strike that lands
     /// before the caller arms finds the bell unarmed and wakes nobody, so
-    /// the re-check must see it; a missed one costs a whole `MAX_PARK`.
-    /// Counted, not timed: parks that nobody rang *and* that lasted a park
-    /// (a stale unpark token from the round before ends a park unrung too,
-    /// but at once) stay a small minority of the rounds.
+    /// the re-check must see it; a missed one parks the caller until its
+    /// deadline. Counted: no park waits its deadline out, and in all but a
+    /// few rounds the ring ends the last park (an unpark token left by the
+    /// round before ends a park unrung, at once, and the next one is rung).
     #[test]
     fn a_reply_pumped_before_the_waiter_arms_is_seen_by_the_recheck() {
         const ROUNDS: u32 = 10_000;
@@ -709,7 +705,7 @@ mod tests {
             })
         };
         let pending = &ctl.inner.barrier_waiters;
-        let (mut parked, mut capped) = (0u32, 0u32);
+        let (mut parked, mut unrung_last, mut expired) = (0u32, 0u32, 0u32);
         for round in 0..ROUNDS {
             // `sync_switches` by hand, so the wait's outcome is visible.
             let (xid, bell) = (
@@ -723,25 +719,27 @@ mod tests {
             for _ in 0..(round % 64) * 50 {
                 std::hint::spin_loop();
             }
-            let deadline = Instant::now() + Duration::from_secs(10);
+            let (deadline, mut last_park) = (Instant::now() + Duration::from_secs(10), None);
             while pending.lock().contains_key(&xid) {
-                assert!(Instant::now() < deadline, "barrier {xid} never answered");
-                let (mut did_park, t) = (false, Instant::now());
-                let rung = bell.wait(deadline, || {
+                let mut did_park = false;
+                let rung = bell.wait(Some(deadline), || {
                     did_park = pending.lock().contains_key(&xid);
                     did_park
                 });
-                parked += u32::from(did_park);
-                capped += u32::from(did_park && !rung && t.elapsed() >= Doorbell::MAX_PARK / 2);
+                if did_park {
+                    (parked, last_park) = (parked + 1, Some(rung));
+                }
+                expired += u32::from(Instant::now() >= deadline);
             }
+            unrung_last += u32::from(last_park == Some(false));
         }
         stop.store(true, Ordering::Release);
         pumper.join().unwrap();
         assert!(pending.lock().is_empty());
-        // All but a few (the pumper off the CPU for a whole park).
+        assert_eq!(expired, 0, "a strike rang nobody: {parked} parks");
         assert!(
-            capped <= ROUNDS / 20,
-            "{capped} of {parked} parks in {ROUNDS} rounds waited out the cap"
+            unrung_last <= ROUNDS / 20,
+            "{unrung_last} of {ROUNDS} rounds answered without the ring ({parked} parks)"
         );
     }
 }

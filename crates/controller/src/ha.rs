@@ -495,7 +495,7 @@ impl ControlPlane {
         self.inner.state.lock().leader_bells.push(Arc::clone(&bell));
         let mut leader = self.leader_controller();
         while leader.is_none() && Instant::now() < deadline {
-            bell.wait(deadline, || self.inner.state.lock().leader.is_none());
+            bell.wait(Some(deadline), || self.inner.state.lock().leader.is_none());
             leader = self.leader_controller();
         }
         let mut state = self.inner.state.lock();

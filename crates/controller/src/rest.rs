@@ -191,9 +191,10 @@ impl CommandServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let shutdown2 = shutdown.clone();
-        let thread = std::thread::Builder::new()
-            .name("typhoon-rest".into())
-            .spawn(move || {
+        let thread = typhoon_diag::spawn_supervised(
+            "typhoon-rest",
+            |_event| { /* diag's panic log + counters suffice; no extra callback */ },
+            move || {
                 // A blocking accept: `Drop` sets the flag, then connects to
                 // wake it.
                 for stream in listener.incoming() {
@@ -205,7 +206,7 @@ impl CommandServer {
                     let tracer = tracer.clone();
                     // One thread per connection: command traffic is
                     // sparse and human/driver initiated.
-                    std::thread::spawn(move || {
+                    let session = move || {
                         let mut writer = match stream.try_clone() {
                             Ok(w) => w,
                             Err(_) => return,
@@ -221,10 +222,11 @@ impl CommandServer {
                                 break;
                             }
                         }
-                    });
+                    };
+                    typhoon_diag::spawn_supervised("typhoon-rest-conn", |_event| {}, session);
                 }
-            })
-            .expect("spawn command server");
+            },
+        );
         Ok(CommandServer {
             addr,
             shutdown,

@@ -18,7 +18,6 @@ use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
 use typhoon_metrics::Registry;
 use typhoon_model::{AppId, ComponentRegistry, HostInfo, NodeKind, TaskId};
-use typhoon_net::Doorbell;
 use typhoon_openflow::PortNo;
 use typhoon_switch::Switch;
 use typhoon_trace::{TraceCtx, Tracer};
@@ -30,24 +29,7 @@ pub struct WorkerEntry {
     pub shared: WorkerShared,
     /// The switch port the worker occupies.
     pub port: PortNo,
-    /// The worker loop's bell (its port's `rx.bell()`), rung after setting
-    /// a stop flag so a parked worker reacts now, not at its next deadline.
-    bell: Doorbell,
     thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerEntry {
-    /// Graceful stop: the worker drains its egress, then exits.
-    fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.bell.ring();
-    }
-
-    /// Abrupt stop: the worker exits at once, dropping its port.
-    fn request_crash(&self) {
-        self.shared.crash.store(true, Ordering::Release);
-        self.bell.ring();
-    }
 }
 
 /// The per-host worker agent.
@@ -145,10 +127,8 @@ impl WorkerAgent {
             return Err(CoreError::Timeout("agent on a live host"));
         }
         let worker_port = self.switch.attach_worker(port);
-        let bell = worker_port.rx.bell().clone();
         let shared = WorkerShared::new();
-        let shared2 = shared.clone();
-        let panic_registry = shared.registry.clone();
+        let (shared2, panicked) = (shared.clone(), shared.clone());
         let ser = self.ser.clone();
         let trace = self
             .tracer
@@ -159,13 +139,18 @@ impl WorkerAgent {
         // Supervised spawn (TL006): a panicking worker is recorded and
         // counted, then its thread exits — dropping the port so the switch
         // datapath reports the PortStatus delete that drives recovery.
+        // Either way out marks the worker exited last, which ends its
+        // launcher's wait.
         let thread = typhoon_diag::spawn_supervised(
             &format!("typhoon-{}-{}", config.node, config.task),
             move |_event| {
-                panic_registry.counter("recovery.panics").inc();
+                panicked.registry.counter("recovery.panics").inc();
+                panicked.mark_exited();
             },
             move || {
+                let exited = shared2.clone();
                 worker::run_worker(config, role, worker_port, routes, ser, shared2, trace);
+                exited.mark_exited();
             },
         );
         self.workers.lock().insert(
@@ -173,7 +158,6 @@ impl WorkerAgent {
             WorkerEntry {
                 shared: shared.clone(),
                 port,
-                bell,
                 thread: Some(thread),
             },
         );
@@ -181,8 +165,9 @@ impl WorkerAgent {
     }
 
     /// Waits for a launched worker to signal readiness, parked on its ready
-    /// bell until that rings (the worker's `ready.rung`), its thread ends or
-    /// `timeout` passes. One thread waits for a worker: the one that launched it.
+    /// bell until that rings (the worker's `ready.rung`: it is ready, or it
+    /// exited) or `timeout` passes. One thread waits for a worker: the one
+    /// that launched it.
     pub fn wait_ready(&self, app: AppId, task: TaskId, timeout: Duration) -> Result<()> {
         let deadline = Instant::now() + timeout;
         let gone = CoreError::WorkerExited(app, task);
@@ -190,15 +175,8 @@ impl WorkerAgent {
         let Some(shared) = self.worker(app, task) else {
             return Err(gone);
         };
-        let (bell, rung) = (shared.ready_bell, shared.registry.counter("ready.rung"));
-        // (ready, thread ended); a reaped entry counts as ended.
-        let state = || {
-            let workers = self.workers.lock();
-            workers.get(&(app, task)).map_or((false, true), |e| {
-                let ended = e.thread.as_ref().is_none_or(|t| t.is_finished());
-                (e.shared.ready.load(Ordering::Acquire), ended)
-            })
-        };
+        let rung = shared.registry.counter("ready.rung");
+        let state = || (shared.ready.load(Ordering::Acquire), shared.exited());
         loop {
             match state() {
                 (true, _) => return Ok(()),
@@ -206,7 +184,8 @@ impl WorkerAgent {
                 _ if Instant::now() > deadline => return Err(late),
                 _ => {}
             }
-            rung.add(u64::from(bell.wait(deadline, || state() == (false, false))));
+            let idle = || state() == (false, false);
+            rung.add(u64::from(shared.ready_bell.wait(Some(deadline), idle)));
         }
     }
 
@@ -223,7 +202,7 @@ impl WorkerAgent {
         self.workers
             .lock()
             .iter()
-            .filter(|(_, e)| e.thread.as_ref().is_some_and(|t| !t.is_finished()))
+            .filter(|(_, e)| !e.shared.exited())
             .map(|(&(app, task), e)| (app, task, e.shared.registry.clone()))
             .collect()
     }
@@ -239,7 +218,7 @@ impl WorkerAgent {
     pub fn kill(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
         if let Some(mut e) = entry {
-            e.request_shutdown();
+            e.shared.request_shutdown();
             if let Some(t) = e.thread.take() {
                 let _ = t.join();
             }
@@ -254,7 +233,7 @@ impl WorkerAgent {
     pub fn crash(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
         if let Some(mut e) = entry {
-            e.request_crash();
+            e.shared.request_crash();
             if let Some(t) = e.thread.take() {
                 let _ = t.join();
             }
@@ -271,7 +250,7 @@ impl WorkerAgent {
     pub fn crash_detached(&self, app: AppId, task: TaskId) {
         let workers = self.workers.lock();
         if let Some(e) = workers.get(&(app, task)) {
-            e.request_crash();
+            e.shared.request_crash();
         }
     }
 
@@ -280,7 +259,7 @@ impl WorkerAgent {
     pub fn crash_all_detached(&self) {
         let workers = self.workers.lock();
         for e in workers.values() {
-            e.request_crash();
+            e.shared.request_crash();
         }
     }
 
@@ -294,7 +273,7 @@ impl WorkerAgent {
         let workers = self.workers.lock();
         workers
             .iter()
-            .filter(|(_, e)| e.thread.as_ref().map(|t| t.is_finished()).unwrap_or(true))
+            .filter(|(_, e)| e.shared.exited())
             .map(|(k, _)| *k)
             .collect()
     }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
 use typhoon_metrics::{Counter, Gauge, Histogram, RateMeter, Registry};
 use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId};
-use typhoon_net::Doorbell;
+use typhoon_net::{BellSlot, Doorbell};
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
@@ -112,13 +112,18 @@ pub struct CheckpointSpec {
 pub struct WorkerShared {
     /// Set by the worker once it is attached and processing.
     pub ready: Arc<AtomicBool>,
-    /// Rung after `ready` is set and at every exit of the worker: what `wait_ready` parks on.
+    /// Rung after `ready` is set and when the worker exits: what `wait_ready` parks on.
     pub(crate) ready_bell: Doorbell,
-    /// Graceful stop: drain egress, then exit.
-    pub shutdown: Arc<AtomicBool>,
-    /// Abrupt stop: exit immediately, dropping the switch port — the
-    /// switch reports an unexpected `PortStatus` delete (fault injection).
-    pub crash: Arc<AtomicBool>,
+    /// Set by the agent once the worker's thread is done with it, however
+    /// it ended (a panic is counted first), before `ready_bell` rings.
+    exited: Arc<AtomicBool>,
+    /// Graceful stop ([`WorkerShared::request_shutdown`]).
+    shutdown: Arc<AtomicBool>,
+    /// Abrupt stop ([`WorkerShared::request_crash`]).
+    crash: Arc<AtomicBool>,
+    /// The worker loop's bell (its port's), once the worker has a port:
+    /// rung after a stop flag is set.
+    port_bell: Arc<BellSlot>,
     /// Data-tuple meter (spout: emitted; bolt: received).
     pub meter: RateMeter,
     /// Worker metrics.
@@ -131,11 +136,38 @@ impl WorkerShared {
         WorkerShared {
             ready: Arc::new(AtomicBool::new(false)),
             ready_bell: Doorbell::new(),
+            exited: Arc::new(AtomicBool::new(false)),
             shutdown: Arc::new(AtomicBool::new(false)),
             crash: Arc::new(AtomicBool::new(false)),
+            port_bell: Arc::default(),
             meter: RateMeter::per_second(),
             registry: Registry::new(),
         }
+    }
+
+    /// Graceful stop: the worker drains its egress, then exits.
+    pub fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        self.port_bell.ring();
+    }
+
+    /// Abrupt stop: the worker exits at once, dropping its switch port —
+    /// the switch reports an unexpected `PortStatus` delete (fault
+    /// injection).
+    pub fn request_crash(&self) {
+        self.crash.store(true, Ordering::Release);
+        self.port_bell.ring();
+    }
+
+    /// Whether the worker's thread is done, however it ended.
+    pub(crate) fn exited(&self) -> bool {
+        self.exited.load(Ordering::Acquire)
+    }
+
+    /// Marks the worker's thread done and ends its launcher's wait.
+    pub(crate) fn mark_exited(&self) {
+        self.exited.store(true, Ordering::Release);
+        self.ready_bell.ring();
     }
 }
 
@@ -180,13 +212,6 @@ struct WorkerCtx {
     current_trace: u64,
 }
 
-/// Every exit rings: a worker that dies before it is ready must end its launcher's wait.
-impl Drop for WorkerCtx {
-    fn drop(&mut self) {
-        self.shared.ready_bell.ring();
-    }
-}
-
 impl WorkerCtx {
     /// The framework and I/O layers over `port`, every timer counted from `now`.
     fn new(
@@ -208,6 +233,8 @@ impl WorkerCtx {
         fw.set_trace(trace.clone());
         let mut io = IoLayer::new(fw.mac(), port, &config.io, shared.registry.clone());
         io.set_trace(trace.clone());
+        // A stop requested before this is seen by the loop's first round.
+        shared.port_bell.set(io.bell().clone());
         WorkerCtx {
             root_seed: (config.task.0 as u64).wrapping_mul(0xa076_1d64_78bd_642f) | 1,
             active: config.start_active,
@@ -497,9 +524,6 @@ const INGRESS_BUDGET: usize = 256;
 /// the acker never answered, the acker's expiry, and the `InputRate` window.
 const TIMER_PERIOD: Duration = Duration::from_millis(100);
 
-/// Past any park: a worker with nothing due parks until rung, or for `MAX_PARK`.
-const UNDUE: Duration = Duration::from_secs(1);
-
 /// The poll period of an active spout with nothing due: how long after an
 /// empty `next_batch` the worker asks again. It waits the period out on its
 /// bell, not in a sleep, and a ring in between serves the port without
@@ -589,10 +613,10 @@ fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
         if busy {
             continue;
         }
-        // Nothing is buffered, so park until a ring or the role's deadline.
-        let deadline = role.next_due(ctx).unwrap_or(now + UNDUE);
+        // Nothing is buffered, so park until a ring or the role's deadline,
+        // if it has one.
         let (io, shared) = (&ctx.io, &ctx.shared);
-        let woken = bell.wait(deadline, || {
+        let woken = bell.wait(role.next_due(ctx), || {
             let idle = io.ingress_idle()
                 && !shared.crash.load(Ordering::Acquire)
                 && !shared.shutdown.load(Ordering::Acquire);

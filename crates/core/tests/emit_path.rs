@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use typhoon_core::worker::{
@@ -373,7 +373,7 @@ struct Measured {
     window: Option<Window>,
     allocations: Arc<AtomicI64>,
     live: Arc<AtomicI64>,
-    crash: Arc<AtomicBool>,
+    worker: WorkerShared,
 }
 
 impl Spout for Measured {
@@ -393,7 +393,7 @@ impl Spout for Measured {
                 let (made, live) = self.window.take().expect("opened").close();
                 self.allocations.store(made as i64, Ordering::Release);
                 self.live.store(live, Ordering::Release);
-                self.crash.store(true, Ordering::Release);
+                self.worker.request_crash();
                 false
             }
             _ => false,
@@ -413,7 +413,7 @@ fn spout_batch(acking: bool) -> (i64, i64, u64) {
         window: None,
         allocations: allocations.clone(),
         live: live.clone(),
-        crash: shared.crash.clone(),
+        worker: shared.clone(),
     };
     let config = WorkerConfig {
         app: AppId(1),

@@ -50,7 +50,12 @@ pub const HOT_CRATES: &[&str] = &[
 /// uncaught panic silently kills a thread the rest of the system assumes
 /// is alive; the supervised wrapper turns that into a counted, logged
 /// fault the recovery machinery can observe.
-pub const SUPERVISED_CRATES: &[&str] = &["crates/core", "crates/switch"];
+pub const SUPERVISED_CRATES: &[&str] = &[
+    "crates/core",
+    "crates/switch",
+    "crates/controller",
+    "crates/net",
+];
 
 /// Directories never scanned (build output, vendored shims, VCS, and the
 /// linter's own violation fixtures).

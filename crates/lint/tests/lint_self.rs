@@ -289,6 +289,23 @@ fn no_idle_sleep_returns_under_a_waiver() {
     }
 }
 
+/// Every long-lived thread of the runtime is spawned supervised (TL006),
+/// so its panic is logged and counted: the workers, the manager and the
+/// datapaths, and since the doorbell's park lost its cap, the controller
+/// pump, the REST listener and the TCP tunnel reader too — a pump that died
+/// silently would leave every fencer parked until its deadline.
+#[test]
+fn the_runtime_crates_spawn_supervised() {
+    for dir in [
+        "crates/core",
+        "crates/switch",
+        "crates/controller",
+        "crates/net",
+    ] {
+        assert!(typhoon_lint::SUPERVISED_CRATES.contains(&dir), "{dir}");
+    }
+}
+
 /// One stats surface: a component counts into a `Registry`, and
 /// `TyphoonCluster::snapshot()` reads them all. A hand-written
 /// `named() -> Vec<(&'static str, u64)>` list beside the registry — what

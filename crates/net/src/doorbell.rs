@@ -8,12 +8,16 @@
 //!
 //! * The consumer, having found nothing to do, **arms** the bell,
 //!   **re-checks** every source it drains, and **parks** until it is rung
-//!   or its own next deadline. [`Doorbell::wait`] takes the re-check as a
-//!   closure, so arm → re-check → park is the only order a caller can
-//!   write.
+//!   or its own next deadline, if it has one. [`Doorbell::wait`] takes the
+//!   re-check as a closure, so arm → re-check → park is the only order a
+//!   caller can write.
 //! * A producer rings **after** it has handed work over. While the
 //!   consumer is awake that costs one fence and one relaxed load; when it
 //!   is parked, one `unpark`.
+//!
+//! Nothing else ends a park: a source that can give the consumer work
+//! without ringing, or a consumer that forgets a deadline, is a hang, not
+//! a delay.
 //!
 //! Why no wake-up is lost: the consumer stores `armed` and then loads its
 //! sources; the producer stores into a source and then loads `armed`. A
@@ -30,6 +34,7 @@ use crate::sync::thread::{self, Thread};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+#[derive(Debug, Default)]
 struct Inner {
     /// Set while the waiter is (about to be) parked; a ringer that finds it
     /// set clears it and owes the waiter one `unpark`.
@@ -43,30 +48,15 @@ struct Inner {
 
 /// One waiter, any number of ringers. Cheap to clone; clones ring (and
 /// wait on) the same bell.
-#[derive(Clone)]
+#[derive(Clone, Debug, Default)]
 pub struct Doorbell {
     inner: Arc<Inner>,
 }
 
 impl Doorbell {
-    /// The longest a waiter parks, whatever deadline it asked for. It
-    /// bounds everything that still legitimately needs a poll — the
-    /// [`FaultInjector`](crate::FaultInjector)'s lazily released frames, a
-    /// flag flipped without a ring — and turns a lost wake-up from a hang
-    /// into a 1 ms delay. A timer is not among them: a waiter passes its
-    /// earliest deadline, and the park ends there.
-    pub const MAX_PARK: Duration = Duration::from_millis(1);
-
     /// A bell nobody waits on yet.
     pub fn new() -> Self {
-        Doorbell {
-            inner: Arc::new(Inner {
-                armed: AtomicBool::new(false),
-                waiter: OnceLock::new(),
-                #[cfg(test)]
-                rings: std::sync::atomic::AtomicU64::new(0),
-            }),
-        }
+        Self::default()
     }
 
     /// Wakes the waiter if it is parked (or about to park). Call **after**
@@ -87,12 +77,13 @@ impl Doorbell {
     }
 
     /// Parks the calling thread until the bell is rung or `deadline`
-    /// (capped at [`Doorbell::MAX_PARK`] from now) passes — but only if
-    /// `still_idle()`, the caller's re-check of *all* its sources run
-    /// after arming, returns `true`. Returns whether a ringer woke us.
+    /// passes (`None`: until rung) — but only if `still_idle()`, the
+    /// caller's re-check of *all* its sources run after arming, returns
+    /// `true`. Returns whether a ringer woke us; `false` is a deadline, a
+    /// failed re-check, or (rarely) a spurious return of the park.
     ///
     /// Every bell has exactly one waiting thread for its lifetime.
-    pub fn wait(&self, deadline: Instant, still_idle: impl FnOnce() -> bool) -> bool {
+    pub fn wait(&self, deadline: Option<Instant>, still_idle: impl FnOnce() -> bool) -> bool {
         let waiter = self.inner.waiter.get_or_init(thread::current);
         debug_assert_eq!(
             waiter.id(),
@@ -102,12 +93,10 @@ impl Doorbell {
         self.inner.armed.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if still_idle() {
-            let timeout = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Self::MAX_PARK);
-            if !timeout.is_zero() {
+            let timeout = deadline.map(|t| t.saturating_duration_since(Instant::now()));
+            if timeout != Some(Duration::ZERO) {
                 // LINT: allow-sleep(the doorbell's park: the one blocking wait of the poll loops, ended by `ring` or the caller's deadline)
-                thread::park_timeout(timeout);
+                timeout.map_or_else(thread::park, thread::park_timeout);
             }
         }
         // Disarm on every exit; finding the bell already disarmed means a
@@ -123,24 +112,22 @@ impl Doorbell {
     }
 }
 
-impl Default for Doorbell {
-    fn default() -> Self {
-        Doorbell::new()
-    }
-}
-
 /// A place for a consumer to leave its bell after the fact: a tunnel
 /// endpoint or a control channel exists before whoever will poll it does.
 /// Set once by the poller, rung by whoever delivers; ringing an empty slot
-/// is a no-op (the poller's `MAX_PARK` covers what arrived before it
-/// registered).
+/// rings nobody, so `set` rings the bell it registers.
 #[derive(Debug, Default)]
 pub struct BellSlot(OnceLock<Doorbell>);
 
 impl BellSlot {
-    /// Registers the poller's bell; a second registration is ignored.
+    /// Registers the poller's bell and rings it, for whatever was delivered
+    /// while the slot was empty. The poller's re-check must already see the
+    /// source: register it there first, then set its slot. A second
+    /// registration is ignored.
     pub fn set(&self, bell: Doorbell) {
-        let _ = self.0.set(bell);
+        if self.0.set(bell).is_ok() {
+            self.ring();
+        }
     }
 
     /// Rings the registered bell, if any.
@@ -151,32 +138,21 @@ impl BellSlot {
     }
 }
 
-impl std::fmt::Debug for Doorbell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Doorbell(armed={})",
-            self.inner.armed.load(Ordering::Relaxed)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn far() -> Instant {
-        Instant::now() + Duration::from_secs(10)
+    fn far() -> Option<Instant> {
+        Some(Instant::now() + Duration::from_secs(10))
     }
 
     #[test]
     fn ring_before_wait_returns_at_once() {
         // The ring lands after arming (inside the re-check): its unpark
-        // token is pending when the park starts. That the park then returns
-        // on the token, not on `MAX_PARK`, is what `tests/model.rs` checks —
-        // a stopwatch here could not tell the two apart.
+        // token is pending when the park starts, so a park with no deadline
+        // returns (`tests/model.rs` checks it on every schedule).
         let bell = Doorbell::new();
-        let rung = bell.wait(far(), || {
+        let rung = bell.wait(None, || {
             bell.ring();
             true
         });
@@ -196,12 +172,12 @@ mod tests {
                 ringer.ring();
             }
         });
-        // By count, not by stopwatch: `wait` says whether the ring ended it
-        // or the `MAX_PARK` cap did. A majority — one try can find the
-        // ringer off the CPU for a whole park on a shared box.
+        // By count, not by stopwatch: `wait` says whether the ring ended
+        // it. With no deadline only a ring can, bar a spurious return of
+        // the park, which ends one try early and unrung; a majority.
         let by_ring = (0..TRIES)
             .filter(|_| {
-                bell.wait(far(), || {
+                bell.wait(None, || {
                     parking_tx.send(()).unwrap();
                     true
                 })
@@ -213,23 +189,18 @@ mod tests {
     }
 
     #[test]
-    fn no_ring_returns_at_the_deadline_capped_by_max_park() {
+    fn no_ring_returns_at_the_deadline() {
         let bell = Doorbell::new();
         // A near deadline is honoured …
         let t = Instant::now();
-        let rung = bell.wait(t + Duration::from_micros(200), || true);
+        let rung = bell.wait(Some(t + Duration::from_micros(200)), || true);
         assert!(!rung);
         assert!(t.elapsed() >= Duration::from_micros(200));
-        // … a far one is capped.
-        let t = Instant::now();
-        assert!(!bell.wait(far(), || true));
-        let waited = t.elapsed();
-        assert!(waited >= Doorbell::MAX_PARK, "{waited:?}");
-        assert!(waited < Duration::from_secs(5), "{waited:?}");
-        // A deadline already past does not park at all.
-        let t = Instant::now();
-        assert!(!bell.wait(t, || true));
-        assert!(t.elapsed() < Doorbell::MAX_PARK);
+        // … and one already past returns at once (taken for "no deadline",
+        // it would hang here).
+        for _ in 0..100 {
+            assert!(!bell.wait(Some(Instant::now()), || true));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! fault sequence for a given call sequence, so failing chaos runs replay
 //! deterministically.
 
-use crate::doorbell::Doorbell;
+use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
 use crate::tunnel::Tunnel;
 use crate::{NetError, Result, TeardownCause};
@@ -230,6 +230,8 @@ struct ChaosState {
 
 struct ChaosShared {
     state: Mutex<ChaosState>,
+    /// The poller's bell: a plan change can release held frames.
+    bell: BellSlot,
     /// The `chaos.*` counters: what the injector actually did.
     registry: Registry,
     counters: ChaosCounters,
@@ -249,6 +251,7 @@ impl ChaosShared {
                     rx_held: VecDeque::new(),
                 },
             ),
+            bell: BellSlot::default(),
             counters: ChaosCounters::resolve(&registry),
             registry,
         })
@@ -321,28 +324,37 @@ impl ChaosHandle {
 
     /// Replaces the whole plan (reseeding the PRNG from `plan.seed`).
     pub fn set_plan(&self, plan: FaultPlan) {
-        let mut st = self.shared.state.lock();
-        st.rng = SmallRng::seed_from_u64(plan.seed);
-        st.plan = plan;
+        self.update(|st| {
+            st.rng = SmallRng::seed_from_u64(plan.seed);
+            st.plan = plan;
+        });
     }
 
     /// Replaces the outbound spec only (seed and PRNG state are kept, so
     /// mid-run switches stay deterministic).
     pub fn set_tx(&self, spec: FaultSpec) {
-        self.shared.state.lock().plan.tx = spec;
+        self.update(|st| st.plan.tx = spec);
     }
 
     /// Replaces the inbound spec only.
     pub fn set_rx(&self, spec: FaultSpec) {
-        self.shared.state.lock().plan.rx = spec;
+        self.update(|st| st.plan.rx = spec);
     }
 
     /// Clears both directions to [`FaultSpec::CLEAN`]; stalled frames are
-    /// released on the next `send`/`try_recv`.
+    /// released by the poll this rings.
     pub fn heal(&self) {
-        let mut st = self.shared.state.lock();
-        st.plan.tx = FaultSpec::CLEAN;
-        st.plan.rx = FaultSpec::CLEAN;
+        self.update(|st| {
+            st.plan.tx = FaultSpec::CLEAN;
+            st.plan.rx = FaultSpec::CLEAN;
+        });
+    }
+
+    /// Changes the link's faults, then rings the poller: a stall switched
+    /// off releases its frames now.
+    fn update(&self, change: impl FnOnce(&mut ChaosState)) {
+        change(&mut self.shared.state.lock());
+        self.shared.bell.ring();
     }
 
     /// The injector's `chaos.*` counters.
@@ -371,9 +383,9 @@ impl std::fmt::Debug for ChaosHandle {
 
 /// A [`Tunnel`] wrapper that injects faults per its [`FaultPlan`].
 ///
-/// Delayed and stalled frames are released lazily by later `send`/
-/// `try_recv` calls (an idle datapath still polls its tunnels every
-/// [`Doorbell::MAX_PARK`], so release latency is at most that).
+/// Delayed and stalled frames are released by later `send`/`try_recv`
+/// calls: an idle poller wakes for them at [`Tunnel::next_due`] (a delay)
+/// or at the ring of the [`ChaosHandle`] change that ends a stall.
 pub struct FaultInjector {
     inner: Box<dyn Tunnel + Send>,
     shared: Arc<ChaosShared>,
@@ -417,64 +429,50 @@ impl FaultInjector {
         corrupted
     }
 
-    /// Releases outbound frames whose hold expired (delay elapsed, or the
-    /// stall was switched off). Caller must NOT hold the state lock.
+    /// Releases outbound frames whose hold expired. Caller must NOT hold
+    /// the state lock.
     fn flush_tx_held(&self) -> Result<()> {
-        loop {
-            let frame = {
-                let mut st = self.shared.state.lock();
-                let stalled = st.plan.tx.stall;
-                let now = Instant::now();
-                match st.tx_held.front() {
-                    Some(h) => {
-                        let release = match h.due {
-                            Some(due) => due <= now,
-                            None => !stalled,
-                        };
-                        if !release {
-                            return Ok(());
-                        }
-                    }
-                    None => return Ok(()),
-                }
-                st.tx_held.pop_front().map(|h| h.frame)
-            };
-            match frame {
-                Some(f) => {
-                    self.inner.send(&f)?;
-                    self.counters().forwarded.inc();
-                }
-                None => return Ok(()),
-            }
+        while let Some(frame) = self.pop_released(true) {
+            self.inner.send(&frame)?;
+            self.counters().forwarded.inc();
         }
+        Ok(())
     }
 
-    /// Pops an inbound held frame whose hold expired, if any.
-    fn pop_rx_held(&self) -> Option<Frame> {
+    /// Pops the front held frame of one direction if its hold expired
+    /// (delay elapsed, or the stall was switched off).
+    fn pop_released(&self, outbound: bool) -> Option<Frame> {
         let mut st = self.shared.state.lock();
-        let stalled = st.plan.rx.stall;
-        let now = Instant::now();
-        let release = match st.rx_held.front() {
-            Some(h) => match h.due {
-                Some(due) => due <= now,
-                None => !stalled,
-            },
-            None => false,
+        let st = &mut *st;
+        let (held, spec) = match outbound {
+            true => (&mut st.tx_held, st.plan.tx),
+            false => (&mut st.rx_held, st.plan.rx),
         };
-        if release {
-            st.rx_held.pop_front().map(|h| h.frame)
-        } else {
-            None
-        }
+        let released = held
+            .front()?
+            .due
+            .map_or(!spec.stall, |due| due <= Instant::now());
+        released.then(|| held.pop_front())?.map(|h| h.frame)
     }
 }
 
 impl Tunnel for FaultInjector {
-    /// Arrivals and teardown of the wrapped tunnel ring; frames this
-    /// injector holds back (delay, stall) are released by the poller's
-    /// next `try_recv`, at most one `MAX_PARK` after they fall due.
+    /// Arrivals and teardown of the wrapped tunnel ring, and so does every
+    /// [`ChaosHandle`] change; frames held back by a delay fall due at
+    /// [`Tunnel::next_due`].
     fn set_doorbell(&self, bell: Doorbell) {
-        self.inner.set_doorbell(bell);
+        self.inner.set_doorbell(bell.clone());
+        self.shared.bell.set(bell);
+    }
+
+    /// Each held queue releases from its front, so the earlier of the two
+    /// fronts' deadlines; a stalled front has none.
+    fn next_due(&self) -> Option<Instant> {
+        let st = self.shared.state.lock();
+        [&st.tx_held, &st.rx_held]
+            .into_iter()
+            .filter_map(|held| held.front()?.due)
+            .min()
     }
 
     fn send(&self, frame: &Frame) -> Result<()> {
@@ -539,7 +537,7 @@ impl Tunnel for FaultInjector {
         // Keep the outbound side moving even when the local worker only
         // polls: release due delayed/stalled TX frames opportunistically.
         self.flush_tx_held()?;
-        if let Some(frame) = self.pop_rx_held() {
+        if let Some(frame) = self.pop_released(false) {
             return Ok(Some(frame));
         }
         loop {
@@ -729,6 +727,32 @@ mod tests {
         assert_eq!(released.len(), 20, "heal releases all held frames");
         let order: Vec<u8> = released.iter().map(|f| f.payload[0]).collect();
         assert_eq!(order, (0..20).collect::<Vec<u8>>(), "FIFO preserved");
+    }
+
+    #[test]
+    fn a_held_frame_is_due_at_its_release_and_a_plan_change_rings() {
+        let delay = Duration::from_millis(30);
+        let (inj, handle, peer) =
+            wrapped(FaultPlan::symmetric(3, FaultSpec::CLEAN.delaying(delay)));
+        assert_eq!(inj.next_due(), None, "nothing held");
+        let t = Instant::now();
+        inj.send(&frame(1)).unwrap();
+        let tx_due = inj.next_due().expect("a delayed send");
+        assert!(tx_due >= t + delay);
+        // An inbound frame held later falls due later: the earlier front wins.
+        peer.send(&frame(2)).unwrap();
+        assert!(inj.try_recv().unwrap().is_none());
+        assert_eq!(inj.next_due(), Some(tx_due));
+        // Every plan change rings the poller: one may lift a stall, whose
+        // frames have no deadline.
+        let bell = Doorbell::new();
+        inj.set_doorbell(bell.clone());
+        let registered = bell.rings();
+        handle.set_plan(FaultPlan::tx_only(3, FaultSpec::CLEAN.stalled()));
+        handle.set_tx(FaultSpec::CLEAN.stalled());
+        handle.set_rx(FaultSpec::CLEAN);
+        handle.heal();
+        assert_eq!(bell.rings(), registered + 4, "one ring per change");
     }
 
     #[test]

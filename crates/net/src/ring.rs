@@ -567,7 +567,7 @@ mod tests {
     #[test]
     fn parked_consumer_wakes_on_push_and_on_close() {
         let (tx, rx) = ring(4);
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let far = Some(std::time::Instant::now() + std::time::Duration::from_secs(10));
         let rung = rx.bell().wait(far, || {
             tx.push(frame(1)).unwrap(); // lands after arming
             rx.is_empty() // the re-check sees it: no park at all

@@ -26,7 +26,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{Counter, Registry};
 
@@ -189,11 +189,15 @@ pub trait Tunnel: Send {
     }
 
     /// Registers the bell of the thread that polls this endpoint: it is
-    /// rung when a frame arrives and when the tunnel is torn down, so the
-    /// poller may park between the two. The default ignores it — an
-    /// implementation that cannot ring is still polled every
-    /// [`Doorbell::MAX_PARK`].
-    fn set_doorbell(&self, _bell: Doorbell) {}
+    /// rung now, when a frame arrives and when the tunnel is torn down, so
+    /// the poller may park between the two.
+    fn set_doorbell(&self, bell: Doorbell);
+
+    /// When a frame this endpoint holds back falls due, if one is held:
+    /// the poller must run a round by then even if nothing rings.
+    fn next_due(&self) -> Option<Instant> {
+        None
+    }
 }
 
 // ------------------------------------------------------------- in-memory
@@ -296,10 +300,11 @@ impl TcpTunnel {
         let (tx, rx) = channel(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
         let shared = Arc::new(TunnelShared::new());
         let reader_shared = shared.clone();
-        std::thread::Builder::new()
-            .name("tcp-tunnel-reader".into())
-            .spawn(move || Self::reader_loop(reader_stream, tx, reader_shared))
-            .map_err(NetError::Io)?;
+        typhoon_diag::spawn_supervised(
+            "tcp-tunnel-reader",
+            |_event| {},
+            move || Self::reader_loop(reader_stream, tx, reader_shared),
+        );
         Ok(TcpTunnel {
             writer: Arc::new(Mutex::with_rank(rank::TUNNEL, "net.tunnel.writer", stream)),
             rx: rx_lock(rx),

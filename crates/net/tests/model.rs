@@ -5,7 +5,8 @@
 //! fence and park token, so every scenario here explores the code that
 //! runs in production — `ring::<Frame>` on the worker ports, `ring::<Bytes>`
 //! on the switch ↔ controller channel, `Doorbell::wait` under every poll
-//! loop — not a restatement of it. The model has no clock: a park that
+//! loop — not a restatement of it. Every consumer here parks with no
+//! deadline, as the workspace's own do when nothing is due: a park that
 //! nobody ends is a deadlock the checker reports, with the schedule.
 //!
 //! ```sh
@@ -16,12 +17,13 @@
 //! one failing test again to replay exactly that interleaving.
 
 use bytes::Bytes;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use typhoon_check::sync::thread;
+use std::sync::{Arc, OnceLock};
+use typhoon_check::sync::{thread, Mutex};
 use typhoon_check::{Checker, Failure, Replay};
 use typhoon_net::ring::{BatchPush, RingItem};
-use typhoon_net::{ring, ring_with_bell, Doorbell, Frame, MacAddr, NetError, RingConsumer};
+use typhoon_net::{
+    ring, ring_with_bell, BellSlot, Doorbell, Frame, MacAddr, NetError, RingConsumer,
+};
 use typhoon_tuple::tuple::TaskId;
 
 /// What the rings carry in production, made from and read back to a tag.
@@ -56,11 +58,6 @@ fn tags<T: Item>(items: &[T]) -> Vec<u8> {
     items.iter().map(Item::tag).collect()
 }
 
-/// A deadline no scenario reaches: only a ring ends a park.
-fn far() -> Instant {
-    Instant::now() + Duration::from_secs(3600)
-}
-
 /// One poll as the workspace's consumers make it: `pop()` for one item (the
 /// control channel's `try_recv`), `pop_batch(max)` for more (every port).
 fn poll<T: Item>(rx: &RingConsumer<T>, got: &mut Vec<T>, max: usize) -> Result<usize, NetError> {
@@ -83,7 +80,7 @@ fn drain<T: Item>(rx: &RingConsumer<T>, max: usize, recheck: bool) -> Vec<T> {
         match poll(rx, &mut got, max) {
             Ok(0) => {
                 rx.bell()
-                    .wait(far(), || !recheck || (rx.is_empty() && !rx.is_closed()));
+                    .wait(None, || !recheck || (rx.is_empty() && !rx.is_closed()));
             }
             Ok(_) => {}
             Err(NetError::Disconnected) => return got,
@@ -238,7 +235,7 @@ fn two_ports_one_bell() {
         let before = got.len();
         open.retain(|rx| rx.pop_batch(&mut got, 8).is_ok());
         if got.len() == before && !open.is_empty() {
-            bell.wait(far(), || {
+            bell.wait(None, || {
                 open.iter().all(|rx| rx.is_empty() && !rx.is_closed())
             });
         }
@@ -266,7 +263,7 @@ fn arm_recheck_park_loses_neither_a_frame_nor_a_wakeup() {
 fn a_pending_token_ends_the_park_and_a_failed_recheck_never_parks() {
     holds("doorbell-token-pending", || {
         let bell = Doorbell::new();
-        let rung = bell.wait(far(), || {
+        let rung = bell.wait(None, || {
             bell.ring();
             true
         });
@@ -274,12 +271,12 @@ fn a_pending_token_ends_the_park_and_a_failed_recheck_never_parks() {
     });
     holds("doorbell-failed-recheck", || {
         let bell = Doorbell::new();
-        assert!(!bell.wait(far(), || false));
+        assert!(!bell.wait(None, || false));
     });
 }
 
 /// The checker must still *find* bugs in the shipped files: skip the
-/// re-check (`wait(far, || true)` — PR 14's pre-fix order, written as a
+/// re-check (`wait(None, || true)` — PR 14's pre-fix order, written as a
 /// misuse of the real API) and a push that lands between the consumer's
 /// poll and its arming rings nobody.
 fn lost_wakeup() -> Failure {
@@ -314,4 +311,70 @@ fn a_skipped_recheck_reproduces_deterministically() {
         panic!("expected DFS traces from both runs");
     };
     assert_eq!(first, second, "the checker must be schedule-deterministic");
+}
+
+// ---------------------------------------------------------------- bell slot
+
+/// A source registered with its consumer after it was fed: a tunnel the
+/// switch adds, a control channel a controller registers. The registrar
+/// pushes a frame into a fresh ring and rings its slot, which is still
+/// empty and so rings nobody; it then registers the ring with the consumer
+/// and sets the slot to the consumer's bell. The consumer polls the rings
+/// registered with it and, when none had a frame, parks with no deadline
+/// after re-checking them. It must end with the frame: `BellSlot::set`
+/// rings. `set_rings: false` registers the bell the way a `set` that does
+/// not ring would — a plain `OnceLock` fill.
+fn late_registration(set_rings: bool) {
+    let sources = Arc::new(Mutex::new(Vec::<RingConsumer<Frame>>::new()));
+    let bell = Doorbell::new();
+    let registrar = {
+        let (sources, bell) = (Arc::clone(&sources), bell.clone());
+        thread::spawn(move || {
+            let (tx, rx) = ring::<Frame>(8);
+            let slot = BellSlot::default();
+            tx.push(Frame::tagged(1)).expect("open and roomy");
+            slot.ring();
+            sources.lock().push(rx);
+            if set_rings {
+                slot.set(bell);
+            } else {
+                let _ = OnceLock::new().set(bell);
+            }
+        })
+    };
+    let mut got = Vec::new();
+    while got.is_empty() {
+        for rx in sources.lock().iter() {
+            let _ = rx.pop_batch(&mut got, 8);
+        }
+        if got.is_empty() {
+            bell.wait(None, || sources.lock().iter().all(|rx| rx.is_empty()));
+        }
+    }
+    registrar.join();
+    assert_eq!(tags(&got), vec![1]);
+}
+
+#[test]
+fn a_late_registration_rings_what_arrived_before_it() {
+    holds("bell-slot-late-registration", || late_registration(true));
+}
+
+#[test]
+fn a_silent_registration_is_found_as_a_lost_wakeup() {
+    let silent = || {
+        Checker::default()
+            .check("bell-slot-late-registration/silent-set", || {
+                late_registration(false)
+            })
+            .expect_failure()
+    };
+    let failure = silent();
+    println!("found the lost wake-up:\n{failure}");
+    assert!(failure.message.contains("deadlock"), "{}", failure.message);
+    // Replayable: the same schedule, found the same way, both times.
+    let (Replay::Trace(first), Replay::Trace(second)) = (failure.replay, silent().replay) else {
+        panic!("expected DFS traces from both runs");
+    };
+    assert_eq!(first, second);
 }

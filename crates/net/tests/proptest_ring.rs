@@ -78,7 +78,7 @@ fn bytes_seq(b: &Bytes) -> u16 {
 /// returns whether a ringer disarmed it in between.
 fn rang<T>(bell: &Doorbell, op: impl FnOnce() -> T) -> (bool, T) {
     let mut result = None;
-    let rung = bell.wait(Instant::now(), || {
+    let rung = bell.wait(Some(Instant::now()), || {
         result = Some(op());
         true
     });

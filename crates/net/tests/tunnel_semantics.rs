@@ -101,14 +101,15 @@ fn fault_injector_buffers_survive_peer_drop() {
 
 // ------------------------------------------------------------ doorbells
 
-/// Waits on `bell` until a ringer wakes it (each wait is capped at
-/// `MAX_PARK`, so a ring that takes longer is caught by a later wait).
-/// `trigger` runs once, after the first arming. Panics if nobody rings.
+/// Waits on `bell` until a ringer wakes it: a park ends at a ring or at
+/// the 10 s deadline (or spuriously, and the loop parks again), and only a
+/// ring makes `wait` return `true`. `trigger` runs once, after the first
+/// arming. Panics if nobody rings.
 fn wait_until_rung(bell: &Doorbell, trigger: impl FnOnce()) {
     let end = Instant::now() + Duration::from_secs(10);
     let mut trigger = Some(trigger);
     loop {
-        let rung = bell.wait(end, || {
+        let rung = bell.wait(Some(end), || {
             if let Some(t) = trigger.take() {
                 t();
             }

@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{RateMeter, Registry};
 use typhoon_model::{Bolt, Emitter, RouteDecision, RoutingState, Spout, TaskId, VecEmitter};
-use typhoon_net::Doorbell;
 use typhoon_trace::{Hop, TraceCtx};
 use typhoon_tuple::ser::{decode_tuple, encode_tuple_vec, SerStats};
 use typhoon_tuple::{MessageId, StreamId, Tuple, Value};
@@ -269,6 +268,11 @@ pub fn run(mut ctx: ExecutorCtx, component: Component) {
 
 const DRAIN_BATCH: usize = 256;
 
+/// How long an idle bolt or acker executor blocks on its inbox before it
+/// looks at its timers and the shutdown flag again: the baseline's own
+/// poll, part of what Fig. 8/9 measure.
+const INBOX_POLL: Duration = Duration::from_millis(1);
+
 /// What a component contributes to the one executor loop ([`run_loop`]).
 trait ExecutorRole {
     /// True for the component whose work does not arrive on the inbox: an
@@ -305,12 +309,11 @@ fn run_loop<R: ExecutorRole>(ctx: &mut ExecutorCtx, mut role: R) {
             ctx.outbound.flush_all();
             if R::POLLS {
                 std::thread::sleep(Duration::from_micros(20)); // LINT: allow-sleep(idle backoff of the spout executor, whose next_batch cannot wake it)
-            } else if let Some(blob) = ctx.inbox.recv_timeout(Doorbell::MAX_PARK) {
-                // Like the Typhoon worker (and real Storm's blocking
-                // disruptor wait strategy): block until input arrives.
-                // Everything buffered was just flushed, so the only other
-                // deadlines are the 100 ms timers and the shutdown flag,
-                // which the Typhoon side's park cap covers as well.
+            } else if let Some(blob) = ctx.inbox.recv_timeout(INBOX_POLL) {
+                // Like real Storm's blocking disruptor wait strategy: block
+                // until input arrives. Everything buffered was just flushed,
+                // so the only other deadlines are the 100 ms timers and the
+                // shutdown flag, which this poll covers.
                 deliver(ctx, &mut role, blob);
             }
         }

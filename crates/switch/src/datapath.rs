@@ -5,7 +5,8 @@
 //! ([`crate::forward`]), then the rule-expiry sweep. It polls while rounds
 //! find work and waits on the switch's [`Doorbell`] when one does not:
 //! every worker → switch ring, every registered tunnel and
-//! [`ControlChannel::send`] ring it.
+//! [`ControlChannel::send`] ring it, and the wait ends at the next sweep
+//! or held tunnel frame ([`Switch::next_due`]).
 
 use crate::cache::{CacheStats, FlowCache};
 use crate::group_table::GroupTable;
@@ -190,13 +191,15 @@ impl Switch {
     /// Registers the tunnel used to reach peer host `host`; its arrivals
     /// and teardown ring the datapath thread from now on.
     pub fn add_tunnel(&self, host: u32, tunnel: Box<dyn Tunnel + Send>) {
-        tunnel.set_doorbell(self.inner.bell.clone());
         self.inner.tunnels.lock().insert(host, tunnel);
         // Topology changed: cached tunnel-output decisions may now be
         // reachable again (e.g. recovery re-registering a torn-down link).
         self.inner.cache.invalidate_all();
-        // Whatever the tunnel buffered before it had a bell to ring.
-        self.inner.bell.ring();
+        // Polled from now on, so the bell (rung as it is set) finds
+        // whatever the tunnel buffered before it had one.
+        if let Some(tunnel) = self.inner.tunnels.lock().get(&host) {
+            tunnel.set_doorbell(self.inner.bell.clone());
+        }
     }
 
     /// Installs the tracing context used to record `SwitchMatch` spans for
@@ -265,9 +268,21 @@ impl Switch {
         }
     }
 
+    /// When an idle datapath must run a round even if nobody rings: the
+    /// next expiry sweep while it holds rules and is not headless, or the
+    /// earliest frame a tunnel holds back.
+    fn next_due(&self) -> Option<Instant> {
+        let sweep = (!self.inner.headless.load(Ordering::Relaxed) && self.inner.rules.get() > 0)
+            .then(|| *self.inner.last_expire.lock() + self.inner.config.expire_interval);
+        let tunnels = self.inner.tunnels.lock();
+        let held = tunnels.values().filter_map(|t| t.next_due());
+        sweep.into_iter().chain(held).min()
+    }
+
     /// Spawns the forwarding loop on its own thread: poll while rounds
-    /// find work, wait on the bell when one does not. The re-check after
-    /// arming is simply one more round.
+    /// find work, wait on the bell until [`Switch::next_due`] when one does
+    /// not. The re-check after arming is simply one more round, which must
+    /// also leave that deadline where it was.
     pub fn spawn(&self) -> SwitchHandle {
         let switch = self.clone();
         let sw = self.clone();
@@ -278,8 +293,9 @@ impl Switch {
                 let stop = || sw.inner.shutdown.load(Ordering::Acquire);
                 while !stop() {
                     if !sw.process_round() {
-                        let cap = Instant::now() + Doorbell::MAX_PARK;
-                        sw.inner.bell.wait(cap, || !stop() && !sw.process_round());
+                        let due = sw.next_due();
+                        let idle = || !stop() && !sw.process_round() && sw.next_due() == due;
+                        sw.inner.bell.wait(due, idle);
                     }
                 }
             },
@@ -467,14 +483,15 @@ mod tests {
     }
 
     /// A parked datapath is woken by each of its three sources — a port
-    /// ring, a tunnel, the control channel — in far less than `MAX_PARK`.
-    /// Without the rings every try would wait out the rest of a park
-    /// (uniform in 0–1 ms, median ≈ 500 µs); asserted on the median because
-    /// one try can lose the CPU on a shared box.
+    /// ring, a tunnel, the control channel. Its one deadline, the expiry
+    /// sweep, is an hour away, so every delivery is a park a ring ended: a
+    /// missing ring hangs its try into the 5 s assertion.
     #[test]
     fn parked_datapath_is_woken_by_ports_tunnels_and_control() {
         const TRIES: usize = 50;
-        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let mut config = SwitchConfig::new(1);
+        config.expire_interval = Duration::from_secs(3600);
+        let (sw, ch) = Switch::new(config);
         let wp1 = sw.attach_worker(PortNo(1));
         let wp2 = sw.attach_worker(PortNo(2));
         let (near, far) = typhoon_net::InMemoryTunnel::pair();
@@ -491,40 +508,42 @@ mod tests {
         let handle = sw.spawn();
         let _ = drain_events(&ch);
 
-        // Runs `kick` against a datapath that had time to park, and times
-        // until `done` holds.
-        let measure = |kick: &dyn Fn(usize), done: &dyn Fn() -> bool| -> Duration {
-            let mut took = Vec::with_capacity(TRIES);
-            for i in 0..TRIES {
-                std::thread::sleep(Duration::from_micros(300));
-                let t = Instant::now();
-                kick(i);
-                while !done() {
-                    assert!(t.elapsed() < Duration::from_secs(5), "never woken");
-                    std::thread::yield_now();
-                }
-                took.push(t.elapsed());
-            }
-            took.sort();
-            took[TRIES / 2]
+        // Runs `kick` against a datapath that had time to park, and counts
+        // the tries after which `done` came to hold.
+        let woken = |kick: &dyn Fn(usize), done: &dyn Fn() -> bool| -> usize {
+            (0..TRIES)
+                .filter(|&i| {
+                    std::thread::sleep(Duration::from_micros(300));
+                    let t = Instant::now();
+                    kick(i);
+                    loop {
+                        if done() {
+                            return true;
+                        }
+                        if t.elapsed() > Duration::from_secs(5) {
+                            return false;
+                        }
+                        std::thread::yield_now();
+                    }
+                })
+                .count()
         };
         let delivered = || wp2.rx.pop().unwrap().is_some();
-        let bound = Doorbell::MAX_PARK / 2;
 
-        let port = measure(
+        let port = woken(
             &|i| wp1.tx.push(data_frame(10, w(20), i as u8)).unwrap(),
             &delivered,
         );
-        assert!(port < bound, "port ring: median {port:?}");
+        assert_eq!(port, TRIES, "port ring");
 
         use typhoon_net::Tunnel as _;
-        let tunnel = measure(
+        let tunnel = woken(
             &|i| far.send(&data_frame(30, w(20), i as u8)).unwrap(),
             &delivered,
         );
-        assert!(tunnel < bound, "tunnel: median {tunnel:?}");
+        assert_eq!(tunnel, TRIES, "tunnel");
 
-        let control = measure(
+        let control = woken(
             &|i| {
                 ch.send(wire::encode(&local_rule(40 + i as u32, 1, 20, 2)))
                     .unwrap();
@@ -536,8 +555,7 @@ mod tests {
                     .any(|b| matches!(wire::decode(b), Ok((OfMessage::BarrierReply { .. }, _))))
             },
         );
-        assert!(control < bound, "FlowMod + Barrier: median {control:?}");
-        println!("woken in: port {port:?}, tunnel {tunnel:?}, control {control:?}");
+        assert_eq!(control, TRIES, "FlowMod + Barrier");
         assert_eq!(gauge(&sw, "switch.rules"), 2 + TRIES as i64);
         handle.stop();
     }

@@ -75,11 +75,10 @@ impl ControlChannel {
     }
 
     /// Registers the bell of the thread that drains the channel, and
-    /// rings it once for whatever the switch queued before (a reconnect
-    /// replays the headless backlog into the fresh channel).
+    /// rings it for whatever the switch queued before (a reconnect replays
+    /// the headless backlog into the fresh channel).
     pub fn set_doorbell(&self, bell: Doorbell) {
         self.controller_bell.set(bell);
-        self.controller_bell.ring();
     }
 }
 
@@ -245,6 +244,8 @@ impl Switch {
         self.inner.term.set(term as i64);
         *link = fresh;
         self.inner.headless.store(false, Ordering::Relaxed);
+        // Expiry resumes: a parked datapath learns its next sweep.
+        self.inner.bell.ring();
         Ok(channel)
     }
 
