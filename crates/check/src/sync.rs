@@ -11,8 +11,8 @@
 //! * [`atomic`] — `AtomicBool`, `AtomicU64`, `fence` with std signatures.
 //! * [`bounded`] — blocking bounded channel with explicit `close`.
 //! * [`thread`] — `spawn` / `JoinHandle::join` / `yield_now`, and the park
-//!   token: `current` / `Thread::unpark` / `park_timeout`. The model has
-//!   no clock, so a park nobody ends is a reported deadlock.
+//!   token: `current` / `Thread::unpark` / `park` / `park_timeout`. The
+//!   model has no clock, so a park nobody ends is a reported deadlock.
 
 /// Error returned by channel operations after `close`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
