@@ -5,7 +5,8 @@
 //! "configurable batching") and encoded straight into that destination's
 //! frame under construction — records multiplexed into MTU-bounded custom
 //! Ethernet frames, only a tuple larger than a frame segmented (the
-//! southbound library) — then pushed into the worker's DPDK-style ring port.
+//! southbound library) — then pushed into the worker's switch port, which
+//! forwards them on the worker's own thread.
 //! Ingress reverses the path, in place: [`IoLayer::poll`] takes a round's
 //! frames into the worker's [`Ingress`], whose walk hands each record to the
 //! worker as a slice of its frame. The batch size is runtime-tunable — the
@@ -118,9 +119,9 @@ impl IoLayer {
         }
     }
 
-    /// True once an egress push observed the switch side of this worker's
-    /// ring gone (detach or switch shutdown). Every later send would be
-    /// silently lost, so the worker loop uses this to exit instead of
+    /// True once an egress push found this worker's port detached (or
+    /// given to another worker) or its switch gone. Every later send would
+    /// be silently lost, so the worker loop uses this to exit instead of
     /// spinning on a dead port.
     pub fn egress_dead(&self) -> bool {
         self.egress_dead
@@ -142,8 +143,7 @@ impl IoLayer {
         self.batch_delay
     }
 
-    /// Frames this layer has pushed into the switch so far
-    /// (`io.frames_tx`).
+    /// Frames this layer has handed to the switch so far (`io.frames_tx`).
     pub fn frames_sent(&self) -> u64 {
         self.frames_tx.get()
     }
@@ -262,7 +262,10 @@ impl IoLayer {
         self.batches[i].1.full = frames;
     }
 
-    /// Pushes `frames` into the switch port, stamped with `trace`.
+    /// Forwards `frames` through the switch port, stamped with `trace`. The
+    /// switch takes every frame of an attached port; what it cannot
+    /// deliver (§8's switch-level loss: a full output ring) it counts at
+    /// the output port.
     fn transmit(&mut self, frames: &mut Vec<Frame>, trace: u64) {
         self.trace.record(trace, Hop::NetHop);
         for frame in frames.iter_mut() {
@@ -272,18 +275,10 @@ impl IoLayer {
         if pushed.enqueued > 0 {
             self.frames_tx.add(pushed.enqueued as u64);
         }
-        if pushed.dropped > 0 {
-            // §8: switch-level loss is possible under bursts; the worker
-            // counts it and moves on (recovery, if required, is the
-            // acker's job).
-            self.registry
-                .counter("io.tx_dropped")
-                .add(pushed.dropped as u64);
-        }
         if pushed.disconnected {
-            // The switch side of the ring is gone for good — flag it so
-            // the worker loop can exit instead of feeding a dead port.
-            // `frames` still holds the batch remainder push_batch refused.
+            // The port is gone for good — flag it so the worker loop can
+            // exit instead of feeding a dead port. `frames` still holds
+            // the batch push_batch refused.
             self.egress_dead = true;
             self.registry
                 .counter("io.tx_disconnected")
@@ -361,7 +356,7 @@ impl Ingress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use typhoon_openflow::PortNo;
+    use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo};
     use typhoon_switch::{Switch, SwitchConfig};
     use typhoon_tuple::tuple::TaskId;
 
@@ -462,19 +457,28 @@ mod tests {
         assert_eq!(snap.counter("io.flush.idle"), 1, "a forced flush");
     }
 
+    /// An I/O layer on port 1 of a switch that forwards whatever port 2
+    /// sends to port 1, and port 2: the test feeds the worker through it.
+    fn fed_io(dst: MacAddr) -> (IoLayer, WorkerPort, Switch) {
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let port = sw.attach_worker(PortNo(1));
+        let feed = sw.attach_worker(PortNo(2));
+        let to_port_1 = FlowMod::add(
+            1,
+            FlowMatch::any().in_port(PortNo(2)),
+            vec![Action::Output(PortNo(1))],
+        );
+        ch.send(wire::encode(&OfMessage::FlowMod(to_port_1)))
+            .unwrap();
+        sw.process_round();
+        let io = IoLayer::new(dst, port, &IoConfig::default(), Registry::new());
+        (io, feed, sw)
+    }
+
     #[test]
     fn ingress_counts_frames_in_one_add() {
-        // Wire the worker port straight to a pair of rings so the test can
-        // play the switch side.
-        let (sw_tx, worker_rx) = typhoon_net::ring(16);
-        let (worker_tx, _sw_rx) = typhoon_net::ring(16);
-        let port = typhoon_switch::WorkerPort {
-            port: PortNo(1),
-            tx: worker_tx,
-            rx: worker_rx,
-        };
         let dst = MacAddr::worker(1, TaskId(1));
-        let mut io = IoLayer::new(dst, port, &IoConfig::default(), Registry::new());
+        let (mut io, feed, _sw) = fed_io(dst);
         let src = MacAddr::worker(1, TaskId(9));
         let packetizer = Packetizer::new(9000);
         for frame in packetizer.pack(
@@ -482,7 +486,7 @@ mod tests {
             dst,
             &[Bytes::from_static(b"hi"), Bytes::from_static(b"ho")],
         ) {
-            sw_tx.push(frame).unwrap();
+            feed.tx.push(frame).unwrap();
         }
         let mut out = Vec::new();
         let n = io.poll_ingress(&mut out, 64).unwrap();
@@ -495,24 +499,17 @@ mod tests {
 
     #[test]
     fn a_malformed_record_keeps_the_records_before_it() {
-        let (sw_tx, worker_rx) = typhoon_net::ring(16);
-        let (worker_tx, _sw_rx) = typhoon_net::ring(16);
-        let port = typhoon_switch::WorkerPort {
-            port: PortNo(1),
-            tx: worker_tx,
-            rx: worker_rx,
-        };
         let dst = MacAddr::worker(1, TaskId(1));
-        let mut io = IoLayer::new(dst, port, &IoConfig::default(), Registry::new());
+        let (mut io, feed, _sw) = fed_io(dst);
         let src = MacAddr::worker(1, TaskId(9));
         let good = [Bytes::from_static(b"hi"), Bytes::from_static(b"ho")];
         let frame = Packetizer::new(9000).pack(src, dst, &good).remove(0);
         let mut payload = frame.payload.to_vec();
         payload.extend_from_slice(&[0, 0, 0, 9, 0, 0]); // a truncated third header
-        sw_tx
+        feed.tx
             .push(Frame::typhoon(src, dst, payload.into()))
             .unwrap();
-        sw_tx.push(frame).unwrap();
+        feed.tx.push(frame).unwrap();
         let mut out = Vec::new();
         assert_eq!(io.poll_ingress(&mut out, 64).unwrap(), 2);
         let blobs: Vec<&[u8]> = out.iter().map(|(_, b)| &b[..]).collect();

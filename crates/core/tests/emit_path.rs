@@ -17,9 +17,10 @@
 //!   a running worker, acked and unacked, likewise; collecting the batch
 //!   before routing it is the before.
 //! * `batches_frame_like_the_packetizer`: random tuple sizes (0 to 3 × MTU),
-//!   destinations, batch sizes and flush points; what the far end of the
-//!   ring depacketizes is what was enqueued, per destination and in order,
-//!   in frames ≤ MTU, split only where a tuple is larger than a frame.
+//!   destinations, batch sizes and flush points; what the switch delivers
+//!   to a sink port depacketizes to what was enqueued, per destination and
+//!   in order, in frames ≤ MTU, split only where a tuple is larger than a
+//!   frame.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,7 +35,7 @@ use typhoon_metrics::Registry;
 use typhoon_model::{AppId, Emitter, Grouping, RoutingState, Spout, TaskId, VecEmitter};
 use typhoon_net::frame::HEADER_LEN;
 use typhoon_net::{ring, Depacketizer, Frame, MacAddr, Packetizer};
-use typhoon_openflow::PortNo;
+use typhoon_openflow::{wire, Action, FlowMatch, FlowMod, OfMessage, PortNo};
 use typhoon_switch::{Switch, SwitchConfig, WorkerPort};
 use typhoon_trace::TraceCtx;
 use typhoon_tuple::ser::{decode_tuple, encode_tuple, encode_tuple_vec, SerStats};
@@ -228,9 +229,7 @@ proptest! {
         // (destination, length in thousandths of the MTU, flush after it)
         tuples in proptest::collection::vec((0usize..4, 0usize..3000, any::<bool>()), 0..60),
     ) {
-        let (tx, far) = ring(1 << 14);
-        let (_switch_side, rx) = ring(1);
-        let port = WorkerPort { port: PortNo(1), tx, rx };
+        let (port, _feed, far, _sw) = fed_port(1 << 14);
         let registry = Registry::new();
         let config = IoConfig { mtu, batch_size, batch_delay: Duration::from_secs(60) };
         let mut io = IoLayer::new(mac(1), port, &config, registry.clone());
@@ -247,7 +246,7 @@ proptest! {
         io.flush_all();
 
         let mut frames = Vec::new();
-        far.pop_batch(&mut frames, usize::MAX).unwrap();
+        far.rx.pop_batch(&mut frames, usize::MAX).unwrap();
         let mut got = vec![Vec::new(); destinations];
         let mut depacketizers: Vec<Depacketizer> = (0..destinations).map(|_| Depacketizer::new()).collect();
         for frame in &frames {
@@ -280,36 +279,39 @@ fn received_frames(ser: &SerStats) -> Vec<Frame> {
     Packetizer::new(1500).pack(mac(1), mac(2), &blobs)
 }
 
-/// A port whose receive ring the test fills, with its egress kept alive.
-fn fed_port() -> (
-    WorkerPort,
-    typhoon_net::RingProducer,
-    typhoon_net::RingConsumer,
-) {
-    let (feed, rx) = ring(1 << 10);
-    let (tx, egress) = ring(1 << 10);
-    (
-        WorkerPort {
-            port: PortNo(1),
-            tx,
-            rx,
-        },
-        feed,
-        egress,
-    )
+/// A worker's port on a switch that feeds it whatever a feed port sends
+/// and delivers everything it sends to a sink port the test drains, with
+/// `capacity`-frame rings: `(worker, feed, sink, switch)`.
+fn fed_port(capacity: usize) -> (WorkerPort, WorkerPort, WorkerPort, Switch) {
+    let mut config = SwitchConfig::new(1);
+    config.ring_capacity = capacity;
+    let (sw, control) = Switch::new(config);
+    let [worker, feed, sink] = [1, 2, 3].map(|p| sw.attach_worker(PortNo(p)));
+    for (from, to) in [(2, 1), (1, 3)] {
+        let rule = FlowMod::add(
+            1,
+            FlowMatch::any().in_port(PortNo(from)),
+            vec![Action::Output(PortNo(to))],
+        );
+        control
+            .send(wire::encode(&OfMessage::FlowMod(rule)))
+            .unwrap();
+    }
+    sw.process_round();
+    (worker, feed, sink, sw)
 }
 
 #[test]
 fn ingress_tuples_are_executed_one_at_a_time() {
     let ser = SerStats::shared();
-    let (port, feed, _egress) = fed_port();
+    let (port, feed, _sink, _sw) = fed_port(1 << 10);
     let registry = Registry::new();
     let mut io = IoLayer::new(mac(2), port, &IoConfig::default(), registry.clone());
     let mut rx = Ingress::new(&registry);
     let frames = received_frames(&ser);
     let m = frames.len() as u64;
     for frame in frames {
-        feed.push(frame).unwrap();
+        feed.tx.push(frame).unwrap();
     }
     let window = Window::open();
     io.poll(&mut rx, 256).unwrap();
@@ -405,7 +407,7 @@ impl Spout for Measured {
 /// task 3 when `acking`): `(allocations, most alive at once, frames sent)`
 /// for the measured batch.
 fn spout_batch(acking: bool) -> (i64, i64, u64) {
-    let (port, _feed, egress) = fed_port();
+    let (port, _feed, egress, _sw) = fed_port(1 << 10);
     let shared = WorkerShared::new();
     let (allocations, live) = (Arc::new(AtomicI64::new(-1)), Arc::new(AtomicI64::new(-1)));
     let spout = Measured {
@@ -450,7 +452,7 @@ fn spout_batch(acking: bool) -> (i64, i64, u64) {
         2 * TUPLES as u64
     );
     let mut frames = Vec::new();
-    egress.pop_batch(&mut frames, usize::MAX).unwrap();
+    egress.rx.pop_batch(&mut frames, usize::MAX).unwrap();
     (
         allocations.load(Ordering::Acquire),
         live.load(Ordering::Acquire),
@@ -505,7 +507,7 @@ fn a_spout_batch_is_routed_as_it_is_made() {
             made <= (TUPLES as u64 + 2 * m + slack) as i64,
             "acking {acking}: {made} allocations for {TUPLES} tuples in {m} frames"
         );
-        // What stays alive is the frames sent, in an egress ring nobody
+        // What stays alive is the frames sent, in a sink ring nobody
         // drains here.
         assert!(
             live <= (2 * m + 8) as i64,

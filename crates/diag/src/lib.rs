@@ -209,10 +209,17 @@ pub mod rank {
     pub const CTRL_BARRIER_WAITERS: LockRank = LockRank(490);
     /// `typhoon-controller` `controller.rs` — SDN controller state.
     pub const CONTROLLER: LockRank = LockRank(500);
+    /// `typhoon-net` `fault.rs` — a fault injector's hand-off ingress. Held
+    /// while the frames it orders are forwarded, so it sits below every
+    /// datapath lock; forwarding never hands over into an injector (only a
+    /// TCP reader thread and the injector's own poller do), so it never
+    /// nests under itself.
+    pub const CHAOS_INGRESS: LockRank = LockRank(590);
     /// `typhoon-switch` flow table (all `DP_*` locks live in `datapath.rs`'s
     /// `Inner`; taken by `forward.rs` lookups and `link.rs` FlowMods).
     pub const DATAPATH: LockRank = LockRank(600);
-    /// `typhoon-switch` `forward.rs` — wire-port table.
+    /// `typhoon-switch` `port.rs` — the port registry. A port's output is
+    /// cloned out of it and pushed with it released.
     pub const DP_PORTS: LockRank = LockRank(610);
     /// `typhoon-switch` `forward.rs` — group table.
     pub const DP_GROUPS: LockRank = LockRank(620);
@@ -220,9 +227,9 @@ pub mod rank {
     pub const DP_TRACE: LockRank = LockRank(630);
     /// `typhoon-switch` `datapath.rs` — flow-expiry clock.
     pub const DP_EXPIRE: LockRank = LockRank(640);
-    /// `typhoon-switch` `forward.rs` — tunnel map; held across
-    /// `Tunnel::send`/`recv_batch`, so it stays below `CHAOS_STATE` and
-    /// `TUNNEL`.
+    /// `typhoon-switch` `datapath.rs` — tunnel map. Tunnels are cloned out
+    /// of it and used with it released; only `next_due` reads a tunnel's
+    /// held-frame deadline under it, so it stays below `CHAOS_STATE`.
     pub const DP_TUNNELS: LockRank = LockRank(650);
     /// `typhoon-switch` `link.rs` — the controller link (channel
     /// endpoints, fencing term, headless event queue). A leaf among the

@@ -445,3 +445,27 @@ fn a_worker_round_reads_the_clock_once() {
     ];
     assert_eq!(reads, expected);
 }
+
+/// Frames are forwarded on the thread that holds them, with no datapath
+/// lock held: no non-test switch code sends under a lock by waiver, and
+/// the port registry keeps no worker → switch ring for a datapath thread
+/// to drain — a worker's egress is a call.
+#[test]
+fn the_switch_forwards_on_the_thread_that_holds_the_frame() {
+    let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../switch/src");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&src).expect("read_dir").flatten() {
+        let text = std::fs::read_to_string(entry.path()).expect("read");
+        let shipped = text
+            .split("\n#[cfg(test)]\nmod tests")
+            .next()
+            .expect("non-test part");
+        let file = entry.file_name().to_string_lossy().into_owned();
+        assert!(!shipped.contains("allow-send-under-lock"), "{file}");
+        if file == "port.rs" {
+            assert!(!shipped.contains("from_worker"), "{file}");
+        }
+        files += 1;
+    }
+    assert!(files > 5, "scanned {}", src.display());
+}

@@ -18,7 +18,7 @@
 
 use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
-use crate::tunnel::Tunnel;
+use crate::tunnel::{Tunnel, TunnelIngress};
 use crate::{NetError, Result, TeardownCause};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -232,6 +232,11 @@ struct ChaosShared {
     state: Mutex<ChaosState>,
     /// The poller's bell: a plan change can release held frames.
     bell: BellSlot,
+    /// Where inbound frames go when the wrapped endpoint hands over
+    /// ([`Tunnel::set_ingress`]). Held while a batch is delivered, by the
+    /// receiving thread and by the poller releasing held frames alike, so
+    /// the two deliver one after the other, in the order try_recv would.
+    ingress: Mutex<Option<TunnelIngress>>,
     /// The `chaos.*` counters: what the injector actually did.
     registry: Registry,
     counters: ChaosCounters,
@@ -252,9 +257,108 @@ impl ChaosShared {
                 },
             ),
             bell: BellSlot::default(),
+            ingress: Mutex::with_rank(rank::CHAOS_INGRESS, "net.fault.ingress", None),
             counters: ChaosCounters::resolve(&registry),
             registry,
         })
+    }
+
+    /// Pops the front held frame of one direction if its hold expired
+    /// (delay elapsed, or the stall was switched off). Nothing inbound is
+    /// released through a partition.
+    fn pop_released(&self, outbound: bool) -> Option<Frame> {
+        let mut st = self.state.lock();
+        let st = &mut *st;
+        let (held, spec) = match outbound {
+            true => (&mut st.tx_held, st.plan.tx),
+            false => (&mut st.rx_held, st.plan.rx),
+        };
+        let released = (outbound || !spec.partition)
+            && held
+                .front()?
+                .due
+                .map_or(!spec.stall, |due| due <= Instant::now());
+        released.then(|| held.pop_front())?.map(|h| h.frame)
+    }
+
+    /// Applies the inbound faults to one arrival: the frame to deliver
+    /// now, or `None` when it was dropped or held back. A duplicate is held
+    /// due at once, so it follows the original. Arrivals on the hand-off
+    /// path during a partition are held until it lifts.
+    fn admit_rx(&self, frame: Frame) -> Option<Frame> {
+        let (spec, drop, dup, corrupt) = {
+            let mut st = self.state.lock();
+            let spec = st.plan.rx;
+            (
+                spec,
+                spec.drop > 0.0 && st.rng.gen_bool(spec.drop),
+                spec.duplicate > 0.0 && st.rng.gen_bool(spec.duplicate),
+                spec.corrupt > 0.0 && st.rng.gen_bool(spec.corrupt),
+            )
+        };
+        if drop {
+            self.counters.dropped.inc();
+            return None;
+        }
+        let frame = if corrupt {
+            self.counters.corrupted.inc();
+            FaultInjector::corrupt_frame(&frame)
+        } else {
+            frame
+        };
+        let hold = |due: Option<Instant>, frame: Frame| {
+            self.state
+                .lock()
+                .rx_held
+                .push_back(HeldFrame { due, frame });
+        };
+        if spec.partition {
+            self.counters.partitioned.inc();
+            hold(None, frame);
+            return None;
+        }
+        if spec.stall {
+            self.counters.stalled.inc();
+            hold(None, frame);
+            return None;
+        }
+        if let Some(d) = spec.delay {
+            self.counters.delayed.inc();
+            hold(Some(Instant::now() + d), frame);
+            return None;
+        }
+        if dup {
+            hold(Some(Instant::now()), frame.clone());
+            self.counters.duplicated.inc();
+        }
+        self.counters.forwarded.inc();
+        Some(frame)
+    }
+
+    /// Appends every inbound frame whose hold expired to `out`, in order.
+    fn release_rx(&self, out: &mut Vec<Frame>) {
+        out.extend(std::iter::from_fn(|| self.pop_released(false)));
+    }
+
+    /// The hand-off path: `frames` arrived from the wrapped endpoint. Each
+    /// meets the inbound faults behind whatever held frames fell due
+    /// before it, and what survives goes to the ingress — the sequence the
+    /// pull path's `try_recv` calls produce.
+    fn hand_over(&self, frames: &mut Vec<Frame>) {
+        let ingress = self.ingress.lock();
+        let Some(ingress) = ingress.as_ref() else {
+            frames.clear();
+            return;
+        };
+        let mut out = Vec::with_capacity(frames.len());
+        for frame in frames.drain(..) {
+            self.release_rx(&mut out);
+            out.extend(self.admit_rx(frame));
+        }
+        self.release_rx(&mut out);
+        if !out.is_empty() {
+            ingress(&mut out);
+        }
     }
 }
 
@@ -432,27 +536,11 @@ impl FaultInjector {
     /// Releases outbound frames whose hold expired. Caller must NOT hold
     /// the state lock.
     fn flush_tx_held(&self) -> Result<()> {
-        while let Some(frame) = self.pop_released(true) {
+        while let Some(frame) = self.shared.pop_released(true) {
             self.inner.send(&frame)?;
             self.counters().forwarded.inc();
         }
         Ok(())
-    }
-
-    /// Pops the front held frame of one direction if its hold expired
-    /// (delay elapsed, or the stall was switched off).
-    fn pop_released(&self, outbound: bool) -> Option<Frame> {
-        let mut st = self.shared.state.lock();
-        let st = &mut *st;
-        let (held, spec) = match outbound {
-            true => (&mut st.tx_held, st.plan.tx),
-            false => (&mut st.rx_held, st.plan.rx),
-        };
-        let released = held
-            .front()?
-            .due
-            .map_or(!spec.stall, |due| due <= Instant::now());
-        released.then(|| held.pop_front())?.map(|h| h.frame)
     }
 }
 
@@ -463,6 +551,22 @@ impl Tunnel for FaultInjector {
     fn set_doorbell(&self, bell: Doorbell) {
         self.inner.set_doorbell(bell.clone());
         self.shared.bell.set(bell);
+    }
+
+    /// Hands over when the wrapped endpoint does: its arrivals meet the
+    /// inbound faults on its receiving thread, and the frames held back
+    /// are released by the poller's `try_recv` through the same ingress.
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
+        self.shared.bell.set(bell.clone());
+        *self.shared.ingress.lock() = Some(ingress);
+        let shared = self.shared.clone();
+        let handed = self
+            .inner
+            .set_ingress(Arc::new(move |frames| shared.hand_over(frames)), bell);
+        if !handed {
+            *self.shared.ingress.lock() = None;
+        }
+        handed
     }
 
     /// Each held queue releases from its front, so the earlier of the two
@@ -525,71 +629,38 @@ impl Tunnel for FaultInjector {
         Ok(())
     }
 
+    /// On the hand-off path this releases the held frames that fell due
+    /// through the ingress and reports the wrapped endpoint's teardown;
+    /// pulled, it returns the next frame that survives the inbound faults.
     fn try_recv(&self) -> Result<Option<Frame>> {
-        let rx_spec = {
-            let st = self.shared.state.lock();
-            st.plan.rx
-        };
-        if rx_spec.partition {
+        if self.shared.state.lock().plan.rx.partition {
             self.counters().partitioned.inc();
             return Err(NetError::Broken(TeardownCause::Partitioned));
         }
         // Keep the outbound side moving even when the local worker only
         // polls: release due delayed/stalled TX frames opportunistically.
         self.flush_tx_held()?;
-        if let Some(frame) = self.pop_released(false) {
+        let slot = self.shared.ingress.lock();
+        if let Some(ingress) = slot.as_ref() {
+            let mut released = Vec::new();
+            self.shared.release_rx(&mut released);
+            if !released.is_empty() {
+                ingress(&mut released);
+            }
+            drop(slot);
+            return self.inner.try_recv();
+        }
+        drop(slot);
+        if let Some(frame) = self.shared.pop_released(false) {
             return Ok(Some(frame));
         }
         loop {
-            let frame = match self.inner.try_recv()? {
-                Some(f) => f,
-                None => return Ok(None),
+            let Some(frame) = self.inner.try_recv()? else {
+                return Ok(None);
             };
-            let (drop, dup, corrupt) = {
-                let mut st = self.shared.state.lock();
-                let spec = st.plan.rx;
-                (
-                    spec.drop > 0.0 && st.rng.gen_bool(spec.drop),
-                    spec.duplicate > 0.0 && st.rng.gen_bool(spec.duplicate),
-                    spec.corrupt > 0.0 && st.rng.gen_bool(spec.corrupt),
-                )
-            };
-            if drop {
-                self.counters().dropped.inc();
-                continue;
+            if let Some(frame) = self.shared.admit_rx(frame) {
+                return Ok(Some(frame));
             }
-            let frame = if corrupt {
-                self.counters().corrupted.inc();
-                Self::corrupt_frame(&frame)
-            } else {
-                frame
-            };
-            if rx_spec.stall {
-                self.counters().stalled.inc();
-                self.shared
-                    .state
-                    .lock()
-                    .rx_held
-                    .push_back(HeldFrame { due: None, frame });
-                continue;
-            }
-            if let Some(d) = rx_spec.delay {
-                self.counters().delayed.inc();
-                self.shared.state.lock().rx_held.push_back(HeldFrame {
-                    due: Some(Instant::now() + d),
-                    frame,
-                });
-                continue;
-            }
-            if dup {
-                self.shared.state.lock().rx_held.push_back(HeldFrame {
-                    due: Some(Instant::now()),
-                    frame: frame.clone(),
-                });
-                self.counters().duplicated.inc();
-            }
-            self.counters().forwarded.inc();
-            return Ok(Some(frame));
         }
     }
 }

@@ -11,16 +11,17 @@
 //! * [`packetize`] — the southbound transport library's payload format:
 //!   multiplexing several small tuples into one packet, segmenting large
 //!   tuples across packets, and the matching reassembler.
-//! * [`mod@ring`] — DPDK-style bounded ring ports connecting workers to their
-//!   host's software switch. Overflow drops are counted, not hidden,
+//! * [`mod@ring`] — DPDK-style bounded ring ports carrying frames from
+//!   their host's software switch to its workers. Overflow drops are counted, not hidden,
 //!   modelling the TX/RX overflow discussion of §8.
 //! * [`doorbell`] — the wake-up primitive of every poll loop: a consumer
 //!   that found nothing to do arms its [`Doorbell`], re-checks its sources
 //!   and parks; producers ring after handing work over. Rings and tunnels
 //!   ring it, so an idle hop costs a wake-up, not a timer period.
 //! * [`tunnel`] — host-level tunnels that carry frames between compute
-//!   hosts: a real TCP implementation (loopback in experiments) and an
-//!   in-memory implementation behind one trait.
+//!   hosts: a real TCP implementation (loopback in experiments), whose
+//!   reader thread can hand each decoded batch straight to its switch, and
+//!   an in-memory implementation behind one trait.
 //! * [`fault`] — the chaos layer: a [`FaultInjector`] tunnel wrapper with
 //!   a seeded, deterministic, runtime-switchable [`FaultPlan`] (drop /
 //!   delay / duplicate / corrupt / stall / hard-partition per direction)
@@ -41,7 +42,7 @@ pub use fault::{ChaosHandle, FaultInjector, FaultPlan, FaultSpec, KillClass, Kil
 pub use frame::{Frame, MacAddr, TYPHOON_ETHERTYPE};
 pub use packetize::{Depacketizer, Packetizer};
 pub use ring::{ring, ring_with_bell, RingConsumer, RingProducer, RingStats};
-pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig};
+pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig, TunnelIngress};
 
 /// Why a tunnel entered its broken (fail-fast) state.
 ///

@@ -1,11 +1,13 @@
 //! DPDK-style bounded ring ports.
 //!
 //! Workers attach to their host's software switch through shared-memory
-//! ring buffers in the prototype (Fig. 7: "DPDK Ring Port"); here a ring is
-//! a bounded `VecDeque` under **one ranked lock** (`net.ring`,
+//! ring buffers in the prototype (Fig. 7: "DPDK Ring Port"); here a ring
+//! carries the switch → worker direction (the worker → switch direction is
+//! a call that forwards on the worker's thread) and the control channel. A
+//! ring is a bounded `VecDeque` under **one ranked lock** (`net.ring`,
 //! [`rank::TUNNEL`]) taken once per `push_batch`/`pop_batch`, with overflow
-//! accounting: when the consumer (the switch, or a slow worker) falls
-//! behind, pushes fail and the drop counter grows — the "temporary TX/RX
+//! accounting: when the consumer (a slow worker, or a switch behind on
+//! control messages) falls behind, pushes fail and the drop counter grows — the "temporary TX/RX
 //! queue overflow" of §8 as a testable number instead of silent loss.
 //!
 //! The ring is generic over what it carries: [`Frame`]s on the worker
@@ -167,8 +169,8 @@ pub fn ring<T: RingItem>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>) 
 }
 
 /// Creates a bounded ring whose producer rings `bell` — how several rings
-/// wake one consumer thread (every worker → switch ring shares the
-/// switch's bell).
+/// wake one consumer thread (the controller → switch ring rings the
+/// switch's bell, which other sources ring too).
 pub fn ring_with_bell<T: RingItem>(
     capacity: usize,
     bell: Doorbell,

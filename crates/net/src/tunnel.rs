@@ -13,9 +13,13 @@
 //! * [`InMemoryTunnel`] — a channel-backed pipe with identical semantics,
 //!   used for deterministic tests and as a faster LOCAL-style transport.
 //!
-//! Both queue received frames on a `std::sync::mpsc` channel, not on a
-//! ring: a tunnel is a reliable ordered pipe that mirrors socket buffering,
-//! and a ring sheds on overflow.
+//! An endpoint is *pulled* ([`Tunnel::try_recv`]) or *hands over*
+//! ([`Tunnel::set_ingress`]): a TCP reader thread that has a [`TunnelIngress`]
+//! gives it each decoded batch on its own thread, so the frames reach the
+//! switch's match-action path without waking anyone. Pulled endpoints queue
+//! received frames on a `std::sync::mpsc` channel, not on a ring: a tunnel
+//! is a reliable ordered pipe that mirrors socket buffering, and a ring
+//! sheds on overflow.
 
 use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
@@ -165,8 +169,14 @@ fn rx_lock(rx: Receiver<Frame>) -> Mutex<Receiver<Frame>> {
     Mutex::with_rank(rank::TUNNEL, "net.tunnel.rx", rx)
 }
 
-/// A reliable, ordered, bidirectional frame pipe between two hosts.
-pub trait Tunnel: Send {
+/// Where an endpoint that hands over ([`Tunnel::set_ingress`]) puts what it
+/// receives: called on the receiving thread with each batch, in arrival
+/// order. It takes the frames, leaving the vector empty.
+pub type TunnelIngress = Arc<dyn Fn(&mut Vec<Frame>) + Send + Sync>;
+
+/// A reliable, ordered, bidirectional frame pipe between two hosts. Shared
+/// between threads: every forwarding thread sends on it.
+pub trait Tunnel: Send + Sync {
     /// Sends one frame to the peer host.
     fn send(&self, frame: &Frame) -> Result<()>;
 
@@ -192,6 +202,19 @@ pub trait Tunnel: Send {
     /// rung now, when a frame arrives and when the tunnel is torn down, so
     /// the poller may park between the two.
     fn set_doorbell(&self, bell: Doorbell);
+
+    /// Asks the endpoint to hand every frame it receives from now on to
+    /// `ingress`, on the thread that received it, instead of queueing it
+    /// for [`Tunnel::try_recv`]. Returns whether it will: an endpoint with
+    /// no receiving thread of its own (the default), or one already being
+    /// pulled, stays pulled and takes `bell` as [`Tunnel::set_doorbell`]
+    /// does. Either way `bell` is rung on teardown and whenever the poller
+    /// must run, and `try_recv` still reports the teardown.
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
+        let _ = ingress;
+        self.set_doorbell(bell);
+        false
+    }
 
     /// When a frame this endpoint holds back falls due, if one is held:
     /// the poller must run a round by then even if nothing rings.
@@ -272,7 +295,11 @@ impl Tunnel for InMemoryTunnel {
 
 /// One endpoint of a TCP tunnel. Writes are length-prefixed and mutex-
 /// serialized; reads happen on a background thread that decodes frames and
-/// queues them for [`Tunnel::try_recv`].
+/// hands them to the endpoint's [`TunnelIngress`], or queues them for
+/// [`Tunnel::try_recv`]. The thread starts with the endpoint's first
+/// consumer — `set_ingress`, `set_doorbell` or `try_recv` — and reads
+/// nothing off the socket before, so no frame is queued for a poller that
+/// never comes, nor handed over behind one that was.
 ///
 /// Fail-fast discipline: any write error (including a partial write that
 /// left the stream misframed), write timeout, oversized length prefix or
@@ -283,6 +310,8 @@ impl Tunnel for InMemoryTunnel {
 pub struct TcpTunnel {
     writer: Arc<Mutex<TcpStream>>,
     rx: Mutex<Receiver<Frame>>,
+    /// The reader thread's ends, until the first consumer starts it.
+    reader: Mutex<Option<(TcpStream, Sender<Frame>)>>,
     shared: Arc<TunnelShared>,
 }
 
@@ -298,18 +327,27 @@ impl TcpTunnel {
         stream.set_write_timeout(Some(config.write_timeout))?;
         let reader_stream = stream.try_clone()?;
         let (tx, rx) = channel(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
-        let shared = Arc::new(TunnelShared::new());
-        let reader_shared = shared.clone();
-        typhoon_diag::spawn_supervised(
-            "tcp-tunnel-reader",
-            |_event| {},
-            move || Self::reader_loop(reader_stream, tx, reader_shared),
-        );
         Ok(TcpTunnel {
             writer: Arc::new(Mutex::with_rank(rank::TUNNEL, "net.tunnel.writer", stream)),
             rx: rx_lock(rx),
-            shared,
+            reader: Mutex::with_rank(rank::TUNNEL, "net.tunnel.reader", Some((reader_stream, tx))),
+            shared: Arc::new(TunnelShared::new()),
         })
+    }
+
+    /// Starts the reader thread if no consumer has yet, handing over to
+    /// `ingress` if one is given; returns whether this call started it.
+    fn start_reader(&self, ingress: Option<TunnelIngress>) -> bool {
+        let Some((stream, tx)) = self.reader.lock().take() else {
+            return false;
+        };
+        let shared = self.shared.clone();
+        typhoon_diag::spawn_supervised(
+            "tcp-tunnel-reader",
+            |_event| {},
+            move || Self::reader_loop(stream, tx, shared, ingress),
+        );
+        true
     }
 
     /// Creates a connected loopback pair (convenience for tests/benches).
@@ -344,12 +382,41 @@ impl TcpTunnel {
         self.shared.broken.get()
     }
 
-    fn reader_loop(stream: TcpStream, tx: Sender<Frame>, shared: Arc<TunnelShared>) {
+    /// Decodes frames off the socket. What it decoded leaves before any
+    /// read that may block — to `ingress`, or queued for the poller with
+    /// one ring per batch — so a batch is as long as the bytes one read
+    /// brought in.
+    fn reader_loop(
+        stream: TcpStream,
+        tx: Sender<Frame>,
+        shared: Arc<TunnelShared>,
+        ingress: Option<TunnelIngress>,
+    ) {
         // Buffered: a prefix and its body — and every frame queued behind
         // them — cost one `read`, not one each.
         let mut stream = BufReader::with_capacity(64 * 1024, stream);
+        let mut batch = Vec::new();
+        // False once our own endpoint dropped (its queue is gone).
+        let hand_over = |batch: &mut Vec<Frame>| {
+            if batch.is_empty() {
+                return true;
+            }
+            if let Some(ingress) = &ingress {
+                ingress(batch);
+                batch.clear();
+                return true;
+            }
+            if batch.drain(..).any(|frame| tx.send(frame).is_err()) {
+                return false;
+            }
+            shared.bell.ring();
+            true
+        };
         let mut len_buf = [0u8; 4];
         loop {
+            if !holds_frame(stream.buffer()) && !hand_over(&mut batch) {
+                return; // our own endpoint dropped; not a fault
+            }
             if let Err(e) = stream.read_exact(&mut len_buf) {
                 shared.teardown(read_error_cause(&e));
                 return;
@@ -371,12 +438,11 @@ impl TcpTunnel {
             match Frame::decode(Bytes::from(body)) {
                 Ok(frame) => {
                     shared.received.inc();
-                    if tx.send(frame).is_err() {
-                        return; // our own endpoint dropped; not a fault
-                    }
-                    shared.bell.ring();
+                    batch.push(frame);
                 }
                 Err(_) => {
+                    // The frames decoded before it are good: deliver them.
+                    hand_over(&mut batch);
                     shared.teardown(TeardownCause::DecodeError);
                     let _ = stream.get_ref().shutdown(std::net::Shutdown::Both);
                     return;
@@ -393,6 +459,15 @@ impl TcpTunnel {
             TeardownCause::PeerClosed => NetError::Disconnected,
             other => NetError::Broken(other),
         }
+    }
+}
+
+/// True when `buf` holds a whole length-prefixed frame, so decoding it
+/// needs no read.
+fn holds_frame(buf: &[u8]) -> bool {
+    match buf {
+        [a, b, c, d, body @ ..] => body.len() >= u32::from_be_bytes([*a, *b, *c, *d]) as usize,
+        _ => false,
     }
 }
 
@@ -446,8 +521,10 @@ impl Tunnel for TcpTunnel {
     }
 
     fn try_recv(&self) -> Result<Option<Frame>> {
+        self.start_reader(None);
         // Buffered frames stay deliverable after any teardown; the typed
-        // error only surfaces once the queue is drained.
+        // error only surfaces once the queue is drained. An endpoint that
+        // hands over queues nothing, so this reports its teardown alone.
         match self.rx.lock().try_recv() {
             Ok(f) => Ok(Some(f)),
             Err(TryRecvError::Empty) => match self.shared.broken.get() {
@@ -463,6 +540,12 @@ impl Tunnel for TcpTunnel {
 
     fn set_doorbell(&self, bell: Doorbell) {
         self.shared.bell.set(bell);
+        self.start_reader(None);
+    }
+
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
+        self.shared.bell.set(bell);
+        self.start_reader(Some(ingress))
     }
 }
 

@@ -178,11 +178,27 @@ impl Slot {
     }
 }
 
+/// A cached action list, held inline: a hit allocates nothing, so the
+/// worker thread that forwards its own batch pays no allocator call for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CachedActions {
+    len: usize,
+    actions: [Action; MAX_ACTIONS],
+}
+
+impl std::ops::Deref for CachedActions {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        &self.actions[..self.len]
+    }
+}
+
 /// The outcome of a cache probe.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Probe {
     /// Valid entry: execute these actions.
-    Hit(Vec<Action>),
+    Hit(CachedActions),
     /// Valid negative entry: the table is known to miss this key.
     NegativeHit,
     /// No usable entry; consult the flow table.
@@ -348,12 +364,14 @@ impl FlowCache {
         slot.pending_packets.fetch_add(packets, Ordering::Relaxed);
         slot.pending_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.counters.hits.add(packets);
-        Probe::Hit(
-            packed[..nact as usize]
-                .iter()
-                .map(|&v| unpack_action(v))
-                .collect(),
-        )
+        let mut hit = CachedActions {
+            len: nact as usize,
+            actions: [Action::ToController; MAX_ACTIONS],
+        };
+        for (action, &v) in hit.actions.iter_mut().zip(&packed[..hit.len]) {
+            *action = unpack_action(v);
+        }
+        Probe::Hit(hit)
     }
 
     fn miss(&self, packets: u64) -> Probe {
@@ -547,7 +565,7 @@ mod tests {
         assert_eq!(c.probe(&m, 1, 64, now), Probe::Miss);
         c.insert(&m, &[Action::Output(PortNo(2))], Duration::ZERO, None, now);
         match c.probe(&m, 3, 192, now) {
-            Probe::Hit(a) => assert_eq!(a, vec![Action::Output(PortNo(2))]),
+            Probe::Hit(a) => assert_eq!(*a, [Action::Output(PortNo(2))]),
             other => panic!("expected hit, got {other:?}"),
         }
         let stats = stats(&registry);

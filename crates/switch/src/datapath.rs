@@ -1,12 +1,16 @@
 //! The switch itself: configuration, shared state and the poll loop.
 //!
-//! One datapath thread per host runs [`Switch::process_round`]: controller
-//! messages ([`crate::link`]), then worker ports and tunnel ingress
-//! ([`crate::forward`]), then the rule-expiry sweep. It polls while rounds
-//! find work and waits on the switch's [`Doorbell`] when one does not:
-//! every worker → switch ring, every registered tunnel and
-//! [`ControlChannel::send`] ring it, and the wait ends at the next sweep
-//! or held tunnel frame ([`Switch::next_due`]).
+//! Frames are forwarded on the thread that holds them ([`crate::forward`]):
+//! a worker's egress and a TCP tunnel's arrivals never wait for the
+//! datapath thread. That thread — one per host — runs
+//! [`Switch::process_round`] for the rest: controller messages
+//! ([`crate::link`]), reaping ports whose worker died, pulled tunnels,
+//! tunnel teardown and frames a fault injector held back, then the
+//! rule-expiry sweep. It polls while rounds find work and waits on the
+//! switch's [`Doorbell`] when one does not: [`ControlChannel::send`], a
+//! worker end dropping and every registered tunnel's teardown ring it, and
+//! the wait ends at the next sweep or held tunnel frame
+//! ([`Switch::next_due`]).
 
 use crate::cache::{CacheStats, FlowCache};
 use crate::group_table::GroupTable;
@@ -20,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{Counter, Gauge, Registry};
-use typhoon_net::{Doorbell, Tunnel};
+use typhoon_net::{Doorbell, Frame, Tunnel};
 use typhoon_openflow::{DatapathId, OfMessage, PortNo, PortStatusReason};
 use typhoon_trace::TraceCtx;
 
@@ -55,7 +59,7 @@ pub(crate) struct Inner {
     pub(crate) table: Mutex<FlowTable>,
     pub(crate) cache: FlowCache,
     pub(crate) groups: Mutex<GroupTable>,
-    pub(crate) tunnels: Mutex<HashMap<u32, Box<dyn Tunnel + Send>>>,
+    pub(crate) tunnels: Mutex<HashMap<u32, Arc<dyn Tunnel>>>,
     pub(crate) link: Mutex<ControllerLink>,
     /// Mirror of the link's headless state so the expiry path never takes
     /// the link lock.
@@ -71,7 +75,7 @@ pub(crate) struct Inner {
     /// Per-frame table-miss total (`switch.misses`), counted on the match
     /// path so scrapes never contend with the datapath on the table lock.
     pub(crate) misses: Counter,
-    /// Poll rounds run so far (`switch.rounds`).
+    /// Datapath-thread rounds run so far (`switch.rounds`).
     rounds: Counter,
     /// Installed-rule count (`switch.rules`), refreshed after every table
     /// mutation.
@@ -91,9 +95,10 @@ pub(crate) struct Inner {
     pub(crate) term: Gauge,
 }
 
-/// A host's software SDN switch. Clone-able handle; the forwarding loop
-/// runs on the thread started by [`Switch::spawn`] (or is driven manually
-/// with [`Switch::process_round`] in deterministic tests).
+/// A host's software SDN switch. Clone-able handle. Frames are forwarded
+/// by the threads that hold them; the datapath loop runs on the thread
+/// started by [`Switch::spawn`] (or is driven manually with
+/// [`Switch::process_round`] in deterministic tests).
 #[derive(Clone)]
 pub struct Switch {
     pub(crate) inner: Arc<Inner>,
@@ -119,7 +124,7 @@ impl Switch {
                 ports: Mutex::with_rank(
                     rank::DP_PORTS,
                     "switch.datapath.ports",
-                    Ports::new(config.ring_capacity, bell.clone()),
+                    Ports::new(config.ring_capacity),
                 ),
                 table: Mutex::with_rank(rank::DATAPATH, "switch.datapath.table", FlowTable::new()),
                 cache: FlowCache::with_registry(&registry),
@@ -170,7 +175,11 @@ impl Switch {
     /// Attaches a worker to `port` and notifies the controller with a
     /// `PortStatus` add event (§3.2 step (iv)).
     pub fn attach_worker(&self, port: PortNo) -> WorkerPort {
-        let wp = self.inner.ports.lock().attach(port);
+        let wp = self
+            .inner
+            .ports
+            .lock()
+            .attach(port, Arc::downgrade(&self.inner));
         self.send_event(OfMessage::PortStatus {
             reason: PortStatusReason::Add,
             port,
@@ -188,18 +197,30 @@ impl Switch {
         }
     }
 
-    /// Registers the tunnel used to reach peer host `host`; its arrivals
-    /// and teardown ring the datapath thread from now on.
+    /// Registers the tunnel used to reach peer host `host`. An endpoint
+    /// with a receiving thread of its own hands its arrivals to this
+    /// switch's match-action path on that thread; any other is pulled by
+    /// the datapath thread. Either way its teardown rings the datapath
+    /// thread from now on.
     pub fn add_tunnel(&self, host: u32, tunnel: Box<dyn Tunnel + Send>) {
+        let tunnel: Arc<dyn Tunnel> = Arc::<dyn Tunnel + Send>::from(tunnel);
+        // Weak: the endpoint's thread must not keep its switch alive — the
+        // switch owns the endpoint, whose drop is what ends that thread.
+        let switch = Arc::downgrade(&self.inner);
+        tunnel.set_ingress(
+            Arc::new(move |frames: &mut Vec<Frame>| match switch.upgrade() {
+                Some(inner) => Switch { inner }.process_frames(PortNo::TUNNEL, frames),
+                None => frames.clear(),
+            }),
+            self.inner.bell.clone(),
+        );
         self.inner.tunnels.lock().insert(host, tunnel);
         // Topology changed: cached tunnel-output decisions may now be
         // reachable again (e.g. recovery re-registering a torn-down link).
         self.inner.cache.invalidate_all();
-        // Polled from now on, so the bell (rung as it is set) finds
-        // whatever the tunnel buffered before it had one.
-        if let Some(tunnel) = self.inner.tunnels.lock().get(&host) {
-            tunnel.set_doorbell(self.inner.bell.clone());
-        }
+        // A pulled endpoint is polled from now on: this round finds
+        // whatever it buffered before.
+        self.inner.bell.ring();
     }
 
     /// Installs the tracing context used to record `SwitchMatch` spans for
@@ -224,13 +245,13 @@ impl Switch {
         CacheStats::from(&self.inner.registry.snapshot())
     }
 
-    /// Runs one poll round: control messages, port RX, tunnel RX, expiry.
-    /// Returns `true` when any work was done (idle detection).
+    /// Runs one datapath round: control messages, port reaping, tunnels,
+    /// expiry. Returns `true` when a control message or pulled frame was
+    /// handled (idle detection).
     pub fn process_round(&self) -> bool {
         self.inner.rounds.inc();
-        let mut busy = false;
-        busy |= self.handle_control();
-        busy |= self.poll_ports();
+        let mut busy = self.handle_control();
+        self.reap_ports();
         busy |= self.poll_tunnels();
         self.maybe_expire();
         busy
@@ -279,7 +300,7 @@ impl Switch {
         sweep.into_iter().chain(held).min()
     }
 
-    /// Spawns the forwarding loop on its own thread: poll while rounds
+    /// Spawns the datapath loop on its own thread: poll while rounds
     /// find work, wait on the bell until [`Switch::next_due`] when one does
     /// not. The re-check after arming is simply one more round, which must
     /// also leave that deadline where it was.
@@ -287,7 +308,7 @@ impl Switch {
         let switch = self.clone();
         let sw = self.clone();
         let thread = typhoon_diag::spawn_supervised(
-            &format!("datapath-{}", self.dpid()),
+            &thread_name(self.dpid()),
             |_event| { /* diag's panic log + counters suffice; no extra callback */ },
             move || {
                 let stop = || sw.inner.shutdown.load(Ordering::Acquire);
@@ -306,11 +327,18 @@ impl Switch {
         }
     }
 
-    /// Requests the forwarding loop to stop.
+    /// Requests the datapath loop to stop.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::Release);
         self.inner.bell.ring();
     }
+}
+
+/// The datapath thread's name: `datapath-<n>`, which the kernel keeps
+/// whole (15 bytes) for every dpid below a million, so per-thread tools
+/// tell one host's switch from another's.
+fn thread_name(dpid: DatapathId) -> String {
+    format!("datapath-{}", dpid.0)
 }
 
 impl std::fmt::Debug for Switch {
@@ -482,10 +510,11 @@ mod tests {
         );
     }
 
-    /// A parked datapath is woken by each of its three sources — a port
-    /// ring, a tunnel, the control channel. Its one deadline, the expiry
-    /// sweep, is an hour away, so every delivery is a park a ring ended: a
-    /// missing ring hangs its try into the 5 s assertion.
+    /// A parked datapath is woken by each of its three sources — a worker
+    /// end dropping, a pulled tunnel, the control channel. Its one
+    /// deadline, the expiry sweep, is an hour away, so every delivery is a
+    /// park a ring ended: a missing ring hangs its try into the 5 s
+    /// assertion.
     #[test]
     fn parked_datapath_is_woken_by_ports_tunnels_and_control() {
         const TRIES: usize = 50;
@@ -530,11 +559,18 @@ mod tests {
         };
         let delivered = || wp2.rx.pop().unwrap().is_some();
 
-        let port = woken(
-            &|i| wp1.tx.push(data_frame(10, w(20), i as u8)).unwrap(),
-            &delivered,
-        );
-        assert_eq!(port, TRIES, "port ring");
+        let port = woken(&|i| drop(sw.attach_worker(PortNo(100 + i as u32))), &|| {
+            drain_events(&ch).iter().any(|e| {
+                matches!(
+                    e,
+                    OfMessage::PortStatus {
+                        reason: PortStatusReason::Delete,
+                        ..
+                    }
+                )
+            })
+        });
+        assert_eq!(port, TRIES, "worker end dropped");
 
         use typhoon_net::Tunnel as _;
         let tunnel = woken(
@@ -542,6 +578,10 @@ mod tests {
             &delivered,
         );
         assert_eq!(tunnel, TRIES, "tunnel");
+
+        // A worker end forwards on its own thread: no wake-up needed.
+        wp1.tx.push(data_frame(10, w(20), 0)).unwrap();
+        assert!(delivered(), "forwarded before push returned");
 
         let control = woken(
             &|i| {
@@ -561,21 +601,29 @@ mod tests {
     }
 
     #[test]
+    fn the_thread_name_fits_the_kernels_comm() {
+        assert_eq!(thread_name(DatapathId(0)), "datapath-0");
+        assert_eq!(thread_name(DatapathId(7)), "datapath-7");
+        assert!(thread_name(DatapathId(999_999)).len() <= 15);
+    }
+
+    #[test]
     fn spawned_datapath_forwards_in_background() {
         let (sw, ch) = Switch::new(SwitchConfig::new(1));
         let wp1 = sw.attach_worker(PortNo(1));
         let wp2 = sw.attach_worker(PortNo(2));
         send_ctrl(&ch, local_rule(10, 1, 20, 2));
+        send_ctrl(&ch, OfMessage::Barrier { xid: 1 });
         let handle = sw.spawn();
-        wp1.tx.push(data_frame(10, w(20), 0x55)).unwrap();
+        // The datapath thread applies the rule in the background; the
+        // worker end then forwards by it on the pushing thread.
         let deadline = Instant::now() + Duration::from_secs(5);
-        let got = loop {
-            if let Some(f) = wp2.rx.pop().unwrap() {
-                break f;
-            }
-            assert!(Instant::now() < deadline, "frame never delivered");
+        while !drain_events(&ch).contains(&OfMessage::BarrierReply { xid: 1 }) {
+            assert!(Instant::now() < deadline, "rule never applied");
             std::thread::sleep(Duration::from_micros(100));
-        };
+        }
+        wp1.tx.push(data_frame(10, w(20), 0x55)).unwrap();
+        let got = wp2.rx.pop().unwrap().expect("delivered");
         assert_eq!(got.payload[0], 0x55);
         handle.stop();
     }

@@ -1,15 +1,20 @@
-//! The frame path: poll ports and tunnels, resolve each *batch run* of
-//! same-headed frames once against the [`FlowCache`](crate::FlowCache)
-//! (falling back to the flow table on a miss) and execute the matched
-//! action list. Broadcast and mirror replication clone the frame, whose
-//! payload is [`bytes::Bytes`] — a refcount bump, "negligible packet copy
-//! overhead in OVS" (§6.1).
+//! The frame path: resolve each *batch run* of same-headed frames once
+//! against the [`FlowCache`](crate::FlowCache) (falling back to the flow
+//! table on a miss) and execute the matched action list. It runs on the
+//! thread that holds the frames — a worker pushing its batch
+//! ([`PortTx`](crate::port::PortTx)), a TCP tunnel's reader handing over
+//! what it decoded, the datapath thread for `PacketOut`s, pulled tunnels
+//! and frames a fault injector held back — and under no datapath lock:
+//! each lock it takes is taken for one step and released. Broadcast and
+//! mirror replication clone the frame, whose payload is [`bytes::Bytes`] —
+//! a refcount bump, "negligible packet copy overhead in OVS" (§6.1).
 
-use crate::cache::{Displaced, Probe};
+use crate::cache::{CachedActions, Displaced, Probe};
 use crate::datapath::{Switch, POLL_BUDGET};
 use crate::table::FlowTable;
+use std::sync::Arc;
 use std::time::Instant;
-use typhoon_net::{Frame, NetError};
+use typhoon_net::{Frame, MacAddr, NetError, Tunnel};
 use typhoon_openflow::{Action, FrameMeta, OfMessage, PacketInReason, PortNo, PortStatusReason};
 use typhoon_trace::Hop;
 
@@ -22,55 +27,83 @@ fn tunnel_error_is_fatal(e: &NetError) -> bool {
     )
 }
 
+/// A run's resolved actions: inline from the cache, or the table's list.
+enum Resolved {
+    Cached(CachedActions),
+    Table(Vec<Action>),
+}
+
+impl std::ops::Deref for Resolved {
+    type Target = [Action];
+
+    fn deref(&self) -> &[Action] {
+        match self {
+            Resolved::Cached(actions) => actions,
+            Resolved::Table(actions) => actions,
+        }
+    }
+}
+
+/// The header a batch run shares.
+fn run_key(f: &Frame) -> (MacAddr, MacAddr, u16) {
+    (f.src, f.dst, f.ethertype)
+}
+
 impl Switch {
-    pub(crate) fn poll_ports(&self) -> bool {
-        let mut batches = Vec::new();
-        let dead = self.inner.ports.lock().poll(POLL_BUDGET, &mut batches);
+    /// Reaps the ports whose worker end dropped and reports each to the
+    /// controller — the fault detector's trigger: an unexpected port
+    /// removal.
+    pub(crate) fn reap_ports(&self) {
+        let dead = self.inner.ports.lock().reap();
         for port in dead {
-            // The fault detector's trigger: an unexpected port removal.
             self.send_event(OfMessage::PortStatus {
                 reason: PortStatusReason::Delete,
                 port,
             });
         }
-        let busy = !batches.is_empty();
-        for (port, frames) in batches {
-            self.process_frames(port, frames);
-        }
-        busy
     }
 
+    /// Polls every tunnel with the map lock released: a pulled endpoint
+    /// yields its frames, one that hands over releases what its injector
+    /// held back, and either reports a teardown.
     pub(crate) fn poll_tunnels(&self) -> bool {
+        let tunnels: Vec<(u32, Arc<dyn Tunnel>)> = self
+            .inner
+            .tunnels
+            .lock()
+            .iter()
+            .map(|(&host, t)| (host, t.clone()))
+            .collect();
         let mut frames = Vec::new();
-        let mut dead = Vec::new();
-        {
-            let tunnels = self.inner.tunnels.lock();
-            for (&host, tunnel) in tunnels.iter() {
-                // recv_batch appends whatever arrived before an error, so
-                // buffered frames are still delivered on the poll that
-                // detects the teardown.
-                if let Err(e) = tunnel.recv_batch(&mut frames, POLL_BUDGET) {
-                    if tunnel_error_is_fatal(&e) {
-                        dead.push(host);
-                    }
+        for (host, tunnel) in tunnels {
+            // recv_batch appends whatever arrived before an error, so
+            // buffered frames are still delivered on the poll that
+            // detects the teardown.
+            if let Err(e) = tunnel.recv_batch(&mut frames, POLL_BUDGET) {
+                if tunnel_error_is_fatal(&e) {
+                    self.tunnel_down(host, &tunnel);
                 }
             }
         }
-        for host in dead {
-            self.tunnel_down(host);
-        }
         let busy = !frames.is_empty();
-        self.process_frames(PortNo::TUNNEL, frames);
+        self.process_frames(PortNo::TUNNEL, &mut frames);
         busy
     }
 
-    /// Tears down the tunnel to `host` and reports it to the controller as
-    /// a `PortStatus` delete on the tunnel-peer pseudo-port, so a lost
-    /// host link reaches the fault detector through the exact same channel
-    /// as a dead worker port (Fig. 10).
-    fn tunnel_down(&self, host: u32) {
-        let removed = self.inner.tunnels.lock().remove(&host).is_some();
-        if removed {
+    /// Tears down `tunnel`, the link to `host`, if it is still the
+    /// registered one, and reports it to the controller as a `PortStatus`
+    /// delete on the tunnel-peer pseudo-port, so a lost host link reaches
+    /// the fault detector through the exact same channel as a dead worker
+    /// port (Fig. 10). A tunnel registered in its place stays.
+    fn tunnel_down(&self, host: u32, tunnel: &Arc<dyn Tunnel>) {
+        let removed = {
+            let mut tunnels = self.inner.tunnels.lock();
+            let current = tunnels
+                .get(&host)
+                .is_some_and(|t| std::ptr::addr_eq(Arc::as_ptr(t), Arc::as_ptr(tunnel)));
+            current.then(|| tunnels.remove(&host)).flatten()
+        };
+        if removed.is_some() {
             self.inner.tunnel_downs.inc();
             self.inner.cache.invalidate_all();
             self.send_event(OfMessage::PortStatus {
@@ -80,66 +113,65 @@ impl Switch {
         }
     }
 
-    /// Sends `frames` to peer `host` under one tunnel-map lock, tearing the
-    /// tunnel down (after the lock drops) on the first fatal error. Frames
-    /// cross one by one so the fault injector keeps its per-frame semantics
-    /// (mid-batch drop/corrupt/partition stays reachable).
+    /// Sends `frames` to peer `host`, tearing the tunnel down on the first
+    /// fatal error. The tunnel is cloned out of the map and written with
+    /// the map lock released, so threads forwarding to different hosts — or
+    /// to one — never queue on it; the tunnel's own writer lock orders its
+    /// stream. Frames cross one by one so the fault injector keeps its
+    /// per-frame semantics (mid-batch drop/corrupt/partition stays
+    /// reachable).
     fn send_to_tunnel(&self, host: u32, frames: &[Frame]) {
-        let mut dead = false;
-        {
-            let tunnels = self.inner.tunnels.lock();
-            if let Some(t) = tunnels.get(&host) {
-                for frame in frames {
-                    // LINT: allow-send-under-lock(Tunnel::send is a socket write, not a channel op; the per-tunnel writer lock ranks above this map lock)
-                    if let Err(e) = t.send(frame) {
-                        if tunnel_error_is_fatal(&e) {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if dead {
-            self.tunnel_down(host);
+        let Some(tunnel) = self.inner.tunnels.lock().get(&host).cloned() else {
+            return;
+        };
+        let fatal = frames
+            .iter()
+            .any(|frame| tunnel.send(frame).is_err_and(|e| tunnel_error_is_fatal(&e)));
+        if fatal {
+            self.tunnel_down(host, &tunnel);
         }
     }
 
-    /// Runs a batch of frames that arrived on `in_port` through the
-    /// datapath. Consecutive frames with identical headers form a *run*
-    /// that is resolved once — one cache probe (or one table lookup on
-    /// miss), one trace-lock visit, one port-lock visit — instead of
-    /// paying every cost per tuple.
-    pub fn process_frames(&self, in_port: PortNo, frames: Vec<Frame>) {
-        let mut it = frames.into_iter().peekable();
-        while let Some(first) = it.next() {
-            let key = (first.src, first.dst, first.ethertype);
-            let mut run = vec![first];
-            while let Some(f) = it.next_if(|f| (f.src, f.dst, f.ethertype) == key) {
-                run.push(f);
+    /// Runs the frames that arrived on `in_port` through the datapath, in
+    /// order, emptying `frames`. Consecutive frames with identical headers
+    /// form a *run* that is resolved once — one cache probe (or one table
+    /// lookup on miss), one trace-lock visit, one port-lock visit — instead
+    /// of paying every cost per tuple.
+    pub fn process_frames(&self, in_port: PortNo, frames: &mut Vec<Frame>) {
+        while let Some(first) = frames.first() {
+            let key = run_key(first);
+            match frames.iter().position(|f| run_key(f) != key) {
+                // The common batch is one run: forwarded in place.
+                None => self.process_run(in_port, frames),
+                Some(len) => self.process_run(in_port, &mut frames.drain(..len).collect()),
             }
-            self.process_run(in_port, run);
         }
     }
 
-    /// Resolves and forwards one same-headed run.
-    fn process_run(&self, in_port: PortNo, run: Vec<Frame>) {
+    /// Resolves and forwards one same-headed run, emptying `run`.
+    fn process_run(&self, in_port: PortNo, run: &mut Vec<Frame>) {
+        self.forward_run(in_port, run);
+        run.clear(); // a miss, or what a dead port refused
+    }
+
+    fn forward_run(&self, in_port: PortNo, run: &mut Vec<Frame>) {
+        let frames = &run[..];
         // Untraced frames (the overwhelming majority) pay one u64 compare;
         // traced ones share a single trace-lock acquisition per run.
-        if run.iter().any(|f| f.trace != 0) {
+        if frames.iter().any(|f| f.trace != 0) {
             let trace = self.inner.trace.lock();
-            for f in run.iter().filter(|f| f.trace != 0) {
+            for f in frames.iter().filter(|f| f.trace != 0) {
                 trace.record(f.trace, Hop::SwitchMatch);
             }
         }
         let meta = FrameMeta {
             in_port,
-            dl_src: run[0].src,
-            dl_dst: run[0].dst,
-            ether_type: run[0].ethertype,
+            dl_src: frames[0].src,
+            dl_dst: frames[0].dst,
+            ether_type: frames[0].ethertype,
         };
-        let bytes: u64 = run.iter().map(|f| f.wire_len() as u64).sum();
-        let actions = match self.resolve(&meta, run.len() as u64, bytes) {
+        let bytes: u64 = frames.iter().map(|f| f.wire_len() as u64).sum();
+        let actions = match self.resolve(&meta, frames.len() as u64, bytes) {
             Some(a) => a,
             None => return, // table miss: drop the whole run (counted)
         };
@@ -148,13 +180,16 @@ impl Switch {
         // general per-frame executor.
         match actions[..] {
             [Action::Output(p)] if p.is_physical() && p != PortNo::TUNNEL => {
-                self.inner.ports.lock().transmit(p, run);
+                let out = self.inner.ports.lock().output(p);
+                if let Some(out) = out {
+                    out.transmit(run);
+                }
             }
             [Action::SetTunDst(host), Action::Output(PortNo::TUNNEL)] => {
-                self.send_to_tunnel(host, &run);
+                self.send_to_tunnel(host, frames);
             }
             _ => {
-                for frame in run {
+                for frame in run.drain(..) {
                     self.execute(&actions, in_port, frame, 0);
                 }
             }
@@ -163,10 +198,10 @@ impl Switch {
 
     /// Resolves a run's actions: flow cache first, table on a miss (which
     /// also installs the result — positive or negative — for the next run).
-    fn resolve(&self, meta: &FrameMeta, packets: u64, bytes: u64) -> Option<Vec<Action>> {
+    fn resolve(&self, meta: &FrameMeta, packets: u64, bytes: u64) -> Option<Resolved> {
         let now = self.now_for_expiry();
         match self.inner.cache.probe(meta, packets, bytes, now) {
-            Probe::Hit(actions) => Some(actions),
+            Probe::Hit(actions) => Some(Resolved::Cached(actions)),
             Probe::NegativeHit => {
                 self.inner.misses.add(packets);
                 None
@@ -183,7 +218,7 @@ impl Switch {
                             now,
                         );
                         Self::credit_displaced(&mut table, displaced, now);
-                        Some(cf.actions)
+                        Some(Resolved::Table(cf.actions))
                     }
                     None => {
                         self.inner.misses.add(packets);
@@ -230,19 +265,19 @@ impl Switch {
                     });
                 }
                 Action::Output(PortNo::ALL) => {
-                    let mut ports = self.inner.ports.lock();
-                    for p in ports.port_numbers() {
+                    let outputs = self.inner.ports.lock().outputs();
+                    for (p, out) in outputs {
                         if p != in_port {
                             // Payload is shared Bytes: this clone is O(1).
-                            ports.transmit(p, std::iter::once(frame.clone()));
+                            out.transmit(&mut vec![frame.clone()]);
                         }
                     }
                 }
                 Action::Output(p) => {
-                    self.inner
-                        .ports
-                        .lock()
-                        .transmit(p, std::iter::once(frame.clone()));
+                    let out = self.inner.ports.lock().output(p);
+                    if let Some(out) = out {
+                        out.transmit(&mut vec![frame.clone()]);
+                    }
                 }
                 Action::Group(g) => {
                     // Bind first: an `if let` on the lock temporary would
@@ -492,9 +527,10 @@ mod tests {
         // Round 1: cold cache — the run resolves via the table and is
         // installed. Round 2: the run must hit the cache.
         for round in 0..2u8 {
-            for i in 0..5u8 {
-                wp1.tx.push(data_frame(10, w(20), round * 10 + i)).unwrap();
-            }
+            let mut run: Vec<Frame> = (0..5u8)
+                .map(|i| data_frame(10, w(20), round * 10 + i))
+                .collect();
+            assert_eq!(wp1.tx.push_batch(&mut run).enqueued, 5);
             sw.process_round();
         }
         let stats = sw.cache_stats();
@@ -548,12 +584,13 @@ mod tests {
     fn negative_cache_still_counts_per_frame_misses() {
         let (sw, _ch) = Switch::new(SwitchConfig::new(1));
         let wp1 = sw.attach_worker(PortNo(1));
-        // Two separate rounds of the same unmatched flow: the second round
+        // Two separate runs of the same unmatched flow: the second run
         // hits the negative entry yet must still count 3 misses.
         for round in 0..2u8 {
-            for i in 0..3u8 {
-                wp1.tx.push(data_frame(10, w(20), round * 3 + i)).unwrap();
-            }
+            let mut run: Vec<Frame> = (0..3u8)
+                .map(|i| data_frame(10, w(20), round * 3 + i))
+                .collect();
+            wp1.tx.push_batch(&mut run);
             sw.process_round();
         }
         assert_eq!(sw.miss_count(), 6);
@@ -570,26 +607,27 @@ mod tests {
         send_ctrl(&ch, local_rule(11, 1, 30, 3));
         sw.process_round();
         // Interleave two flows in one port batch: A A B B A.
-        for (src, dst, n) in [
+        let mut batch: Vec<Frame> = [
             (10, 20, 0),
             (10, 20, 1),
             (11, 30, 2),
             (11, 30, 3),
             (10, 20, 4),
-        ] {
-            wp1.tx
-                .push(Frame::typhoon(w(src), w(dst), Bytes::from(vec![n; 8])))
-                .unwrap();
-        }
-        sw.process_round();
-        let mut a = 0;
-        while wp2.rx.pop().unwrap().is_some() {
-            a += 1;
-        }
-        let mut b = 0;
-        while wp3.rx.pop().unwrap().is_some() {
-            b += 1;
-        }
-        assert_eq!((a, b), (3, 2));
+        ]
+        .into_iter()
+        .map(|(src, dst, n)| Frame::typhoon(w(src), w(dst), Bytes::from(vec![n; 8])))
+        .collect();
+        wp1.tx.push_batch(&mut batch);
+        assert!(batch.is_empty());
+        let drain = |port: &WorkerPort| {
+            std::iter::from_fn(|| port.rx.pop().unwrap())
+                .map(|f| f.payload[0])
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(drain(&wp2), [0, 1, 4], "three runs, each in order");
+        assert_eq!(drain(&wp3), [2, 3]);
+        let stats = sw.cache_stats();
+        // A A and B B each resolve through the table; the last A hits.
+        assert_eq!((stats.misses, stats.hits, stats.insertions), (4, 1, 2));
     }
 }

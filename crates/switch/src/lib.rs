@@ -16,14 +16,17 @@
 //!   with wildcard subsumption.
 //! * [`group_table`] — select-type groups with smooth weighted round robin
 //!   (the SDN load balancer's mechanism, §4).
-//! * [`port`] — the port registry: worker ports backed by rings, attach/
-//!   detach with `PortStatus` events (the fault detector's signal).
+//! * [`port`] — the port registry: worker ports (a ring toward the
+//!   worker, a forwarding call from it), attach/detach with `PortStatus`
+//!   events (the fault detector's signal).
 //! * [`datapath`] — the switch itself: configuration, shared state, the
-//!   poll round (control, ports, tunnels, expiry) and its thread.
+//!   datapath round (control, port reaping, tunnels, expiry) and its
+//!   thread.
 //! * [`link`] — the controller link: term-fenced connect, headless mode
 //!   with a bounded replay queue, and OpenFlow message handling.
-//! * [`forward`] — the frame path: batch runs resolved once against the
-//!   cache, action execution, tunnel teardown; broadcast replicates by
+//! * [`forward`] — the frame path, run on whichever thread holds the
+//!   frames: batch runs resolved once against the cache, action
+//!   execution, tunnel teardown; broadcast replicates by
 //!   cloning [`bytes::Bytes`] payloads (a refcount bump, not a copy — the
 //!   serialization-free one-to-many mechanism of §3.3.1).
 //!
@@ -45,5 +48,5 @@ pub use cache::{CacheStats, FlowCache};
 pub use datapath::{Switch, SwitchConfig, SwitchHandle};
 pub use group_table::GroupTable;
 pub use link::{ControlChannel, StaleLeader, ToSwitch};
-pub use port::WorkerPort;
+pub use port::{PortTx, WorkerPort};
 pub use table::{FlowEntry, FlowTable};

@@ -327,7 +327,7 @@ impl Switch {
             }
             OfMessage::PacketOut { in_port, frame } => {
                 if let Ok(f) = Frame::decode(frame) {
-                    self.process_frames(in_port, vec![f]);
+                    self.process_frames(in_port, &mut vec![f]);
                 }
                 None
             }

@@ -187,7 +187,7 @@ impl Datapath {
     fn resolve(&mut self, meta: &FrameMeta, packets: u64, bytes: u64) -> Option<Vec<Action>> {
         let now = self.now;
         match self.cache.probe(meta, packets, bytes, now) {
-            Probe::Hit(actions) => Some(actions),
+            Probe::Hit(actions) => Some(actions.to_vec()),
             Probe::NegativeHit => None,
             Probe::Miss => {
                 let found = self.table.lookup_credit(meta, packets, bytes, now);

@@ -74,12 +74,20 @@ struct ChaosRun {
 /// submits the word-count shape. Few slots per host force cross-host
 /// edges, so tuples and acks genuinely cross the faulty tunnels.
 fn launch(plan: FaultPlan) -> ChaosRun {
+    launch_over(plan, false)
+}
+
+/// [`launch`], over TCP tunnels when `tcp`.
+fn launch_over(plan: FaultPlan, tcp: bool) -> ChaosRun {
     let mut reg = ComponentRegistry::new();
     let (sink, _agg) = register_standard(&mut reg, 16, 4);
     let mut config = TyphoonConfig::new(2)
         .with_batch_size(4)
         .with_acking(Duration::from_secs(2), 64)
         .with_chaos(plan);
+    if tcp {
+        config = config.with_tcp_tunnels();
+    }
     config.slots_per_host = 3;
     let cluster = TyphoonCluster::new(config, reg).expect("cluster");
     cluster.controller().add_app(Box::new(FaultDetector::new()));
@@ -172,6 +180,18 @@ fn recovers_from_corrupt_bytes() {
         FaultSpec::CLEAN.corrupting(0.05),
     ));
     assert_recovers(&run, "corrupt");
+}
+
+/// Over TCP each endpoint's reader thread hands what it decodes to its
+/// switch, and the injector applies the inbound faults on that hand-off
+/// path; its held frames are released by the datapath thread.
+#[test]
+fn recovers_over_tcp_from_drops_and_delay_on_the_hand_off_path() {
+    let spec = FaultSpec::CLEAN
+        .dropping(0.05)
+        .delaying(Duration::from_millis(5));
+    let run = launch_over(FaultPlan::symmetric(chaos_seed(), spec), true);
+    assert_recovers(&run, "tcp drop+delay");
 }
 
 #[test]
