@@ -44,12 +44,16 @@ pub struct AutoScaler {
     config: AutoScalerConfig,
     watched_app: Option<AppId>,
     readings: HashMap<TaskId, i64>,
-    last_action: Option<Instant>,
+    /// No scaling action before this instant (the cooldown after the last
+    /// accepted one).
+    quiet_until: Option<Instant>,
     next_request: u64,
-    /// Scale-ups issued (observability).
+    /// Scale-ups the coordinator accepted (observability).
     pub scale_ups: u64,
-    /// Scale-downs issued (observability).
+    /// Scale-downs the coordinator accepted (observability).
     pub scale_downs: u64,
+    /// Scaling requests the coordinator refused; the next tick retries.
+    pub failed_submits: u64,
 }
 
 impl AutoScaler {
@@ -59,16 +63,16 @@ impl AutoScaler {
             config,
             watched_app: None,
             readings: HashMap::new(),
-            last_action: None,
+            quiet_until: None,
             next_request: 1,
             scale_ups: 0,
             scale_downs: 0,
+            failed_submits: 0,
         }
     }
 
-    fn in_cooldown(&self) -> bool {
-        self.last_action
-            .is_some_and(|t| t.elapsed() < self.config.cooldown)
+    fn in_cooldown(&self, now: Instant) -> bool {
+        self.quiet_until.is_some_and(|t| now < t)
     }
 
     /// The scaling decision given current readings and parallelism;
@@ -106,7 +110,7 @@ impl ControlPlaneApp for AutoScaler {
         }
     }
 
-    fn on_tick(&mut self, ctl: &Controller) {
+    fn on_tick(&mut self, ctl: &Controller, now: Instant) {
         let global = ctl.global().clone();
         let (logical, physical) = match (
             global.get_logical(&self.config.topology),
@@ -126,7 +130,7 @@ impl ControlPlaneApp for AutoScaler {
         self.next_request += 1;
         ctl.send_control_many(physical.app, &tasks, &req);
 
-        if self.in_cooldown() {
+        if self.in_cooldown(now) {
             return;
         }
         let current = logical
@@ -134,19 +138,25 @@ impl ControlPlaneApp for AutoScaler {
             .map(|n| n.parallelism)
             .unwrap_or(tasks.len());
         if let Some(target) = self.decide(current) {
-            let _ = global.submit_reconfig(&ReconfigRequest::single(
+            let submitted = global.submit_reconfig(&ReconfigRequest::single(
                 &self.config.topology,
                 ReconfigOp::SetParallelism {
                     node: self.config.node.clone(),
                     parallelism: target,
                 },
             ));
+            if submitted.is_err() {
+                // Nothing was scaled: no cooldown, and the readings stay
+                // for the next tick's retry.
+                self.failed_submits += 1;
+                return;
+            }
             if target > current {
                 self.scale_ups += 1;
             } else {
                 self.scale_downs += 1;
             }
-            self.last_action = Some(Instant::now());
+            self.quiet_until = Some(now + self.config.cooldown);
             self.readings.clear(); // stale after a scale event
         }
     }
@@ -210,10 +220,68 @@ mod tests {
     #[test]
     fn cooldown_suppresses_actions() {
         let mut s = scaler();
-        assert!(!s.in_cooldown());
-        s.last_action = Some(Instant::now());
-        assert!(s.in_cooldown());
-        s.last_action = Some(Instant::now() - Duration::from_secs(10));
-        assert!(!s.in_cooldown());
+        let t0 = Instant::now();
+        assert!(!s.in_cooldown(t0));
+        s.quiet_until = Some(t0 + Duration::from_secs(5));
+        assert!(s.in_cooldown(t0));
+        assert!(s.in_cooldown(t0 + Duration::from_millis(4_999)));
+        assert!(!s.in_cooldown(t0 + Duration::from_secs(5)));
+    }
+
+    /// A scale the coordinator refused is counted as a failure, not as a
+    /// scale event, and starts no cooldown: the next tick retries it.
+    #[test]
+    fn a_refused_submit_is_counted_and_retried_not_counted_as_a_scale() {
+        use typhoon_coordinator::global::{GlobalState, RECONFIG};
+        use typhoon_coordinator::{Coordinator, CreateMode};
+        use typhoon_model::logical::word_count_example;
+        use typhoon_model::{HostInfo, LocalityScheduler, Scheduler};
+
+        let global = GlobalState::new(Coordinator::new());
+        let logical = word_count_example();
+        let physical = LocalityScheduler
+            .schedule(AppId(1), &logical, &[HostInfo::new(0, "h0", 16)])
+            .unwrap();
+        global.set_logical(&logical).unwrap();
+        global.set_physical(&physical).unwrap();
+        // The first request's sequential name is taken, so its create
+        // fails; the directory's counter moves on, so the second succeeds.
+        let coord = global.coordinator();
+        let dir = format!("{RECONFIG}/{}", logical.name);
+        coord.ensure_path(&dir).unwrap();
+        let taken = format!("{dir}/req-{:020}", 0);
+        coord
+            .create(&taken, Vec::new(), CreateMode::Persistent)
+            .unwrap();
+        let ctl = Controller::new(global.clone());
+        let mut s = AutoScaler::new(AutoScalerConfig {
+            topology: logical.name.clone(),
+            ..scaler().config
+        });
+        let split = physical.tasks_of("split");
+        let report = |s: &mut AutoScaler| {
+            for &task in &split {
+                let depth = vec![("queue.depth".to_owned(), 500)];
+                s.on_metric_resp(&ctl, physical.app, task, 1, &depth);
+            }
+        };
+        let t0 = Instant::now();
+        report(&mut s);
+        s.on_tick(&ctl, t0);
+        assert_eq!((s.scale_ups, s.failed_submits), (0, 1), "refused");
+        assert!(!s.in_cooldown(t0), "no cooldown for a scale never made");
+        let requests = || coord.children(&dir).unwrap().len();
+        assert_eq!(requests(), 1, "only the name that was taken");
+        // The next tick retries with the readings it kept.
+        let t1 = t0 + Duration::from_millis(100);
+        s.on_tick(&ctl, t1);
+        assert_eq!((s.scale_ups, s.failed_submits), (1, 1), "accepted");
+        assert!(s.in_cooldown(t1));
+        assert_eq!(requests(), 2);
+        // A third tick inside the cooldown submits nothing.
+        report(&mut s);
+        s.on_tick(&ctl, t1 + Duration::from_secs(1));
+        assert_eq!((s.scale_ups, s.failed_submits), (1, 1));
+        assert_eq!(requests(), 2);
     }
 }

@@ -14,11 +14,9 @@
 use crate::apps::ControlPlaneApp;
 use crate::controller::Controller;
 use crate::rules::DATA_IDLE_TIMEOUT;
-use std::sync::Arc;
 use typhoon_model::{AppId, HostId, TaskId};
 use typhoon_net::{MacAddr, TYPHOON_ETHERTYPE};
 use typhoon_openflow::{Action, FlowMatch, FlowMod, PortNo};
-use typhoon_trace::{HopStat, TraceDump, Tracer};
 
 /// Mirror rules sit above the data rules so they win the lookup.
 pub const MIRROR_PRIORITY: u16 = 60;
@@ -36,7 +34,6 @@ struct Mirror {
 #[derive(Debug, Default)]
 pub struct LiveDebugger {
     sessions: Vec<Mirror>,
-    tracer: Option<Arc<Tracer>>,
 }
 
 impl LiveDebugger {
@@ -102,30 +99,6 @@ impl LiveDebugger {
     /// Number of active mirror sessions.
     pub fn active_sessions(&self) -> usize {
         self.sessions.len()
-    }
-
-    /// Attaches the cluster's end-to-end tuple tracer, making span data
-    /// available through [`LiveDebugger::trace_dump`] and
-    /// [`LiveDebugger::hop_breakdown`].
-    pub fn attach_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = Some(tracer);
-    }
-
-    /// The N slowest complete traces (`None` when no tracer is attached).
-    pub fn trace_dump(&self, n: usize) -> Option<TraceDump> {
-        self.tracer.as_ref().map(|t| t.dump(n))
-    }
-
-    /// Per-hop latency statistics in canonical hop order (empty when no
-    /// tracer is attached or nothing completed yet).
-    pub fn hop_breakdown(&self) -> Vec<HopStat> {
-        match &self.tracer {
-            Some(t) => {
-                t.collect();
-                t.hop_stats()
-            }
-            None => Vec::new(),
-        }
     }
 }
 

@@ -18,6 +18,7 @@ use crate::control::ControlTuple;
 use crate::controller::Controller;
 use crate::rules::group_id_for;
 use std::collections::HashMap;
+use std::time::Instant;
 use typhoon_model::{AppId, TaskId};
 use typhoon_net::MacAddr;
 use typhoon_openflow::{Action, Bucket, GroupMod, PortNo};
@@ -88,7 +89,7 @@ impl ControlPlaneApp for LoadBalancer {
         }
     }
 
-    fn on_tick(&mut self, ctl: &Controller) {
+    fn on_tick(&mut self, ctl: &Controller, _now: Instant) {
         let global = ctl.global().clone();
         let (logical, physical) = match (
             global.get_logical(&self.config.topology),
@@ -153,6 +154,83 @@ mod tests {
         assert!(LoadBalancer::weight_for(10) < LoadBalancer::weight_for(1));
         assert_eq!(LoadBalancer::weight_for(1_000_000), 1);
         assert_eq!(LoadBalancer::weight_for(-5), 100, "negative clamps");
+    }
+
+    /// The balancer by counts, with no window: scripted queue depths in,
+    /// the weights of the `GroupMod`s it sends out, read back from the rule
+    /// ledger that records every send the switch accepted. The straggler's
+    /// weight falls with its depth, never below 1, and comes back when it
+    /// drains; the instants only move forward.
+    #[test]
+    fn the_straggler_weight_falls_with_its_depth_and_never_below_one() {
+        use crate::ha::RuleLedger;
+        use std::sync::Arc;
+        use std::time::Duration;
+        use typhoon_coordinator::global::GlobalState;
+        use typhoon_coordinator::Coordinator;
+        use typhoon_model::{
+            Fields, Grouping, HostId, HostInfo, LocalityScheduler, LogicalTopology, Scheduler,
+        };
+        use typhoon_openflow::OfMessage;
+        use typhoon_switch::{Switch, SwitchConfig};
+
+        let global = GlobalState::new(Coordinator::new());
+        let logical = LogicalTopology::builder("t")
+            .spout("a", "src", 1, Fields::new(["n"]))
+            .bolt("b", "sink", 2, Fields::new(["n"]))
+            .edge("a", "b", Grouping::SdnOffloaded)
+            .build()
+            .unwrap();
+        let physical = LocalityScheduler
+            .schedule(AppId(1), &logical, &[HostInfo::new(0, "h0", 8)])
+            .unwrap();
+        global.set_logical(&logical).unwrap();
+        global.set_physical(&physical).unwrap();
+        let ledger = Arc::new(RuleLedger::with_prefix(global.coordinator().clone(), "/lb"));
+        let ctl = Controller::with_ledger(global, Arc::clone(&ledger));
+        let (sw, ch) = Switch::new(SwitchConfig::new(0));
+        ctl.register_switch(HostId(0), sw.dpid(), ch);
+        let mut lb = LoadBalancer::new(LoadBalancerConfig {
+            topology: "t".into(),
+            from: "a".into(),
+            to: "b".into(),
+            metric: "queue.depth".into(),
+        });
+        let (fast, slow) = match physical.tasks_of("b")[..] {
+            [fast, slow] => (fast, slow),
+            ref other => panic!("two sinks, got {other:?}"),
+        };
+        // The weights of the select group's buckets, in `tasks_of("b")`
+        // order, as last sent.
+        let weights = || -> Vec<u32> {
+            let groups: Vec<_> = ledger
+                .replay_messages(HostId(0))
+                .into_iter()
+                .filter_map(|m| match m {
+                    OfMessage::GroupMod(gm) => Some(gm),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(groups.len(), 1, "one group per upstream task");
+            groups[0].buckets.iter().map(|b| b.weight).collect()
+        };
+        let t0 = std::time::Instant::now();
+        let tick = |lb: &mut LoadBalancer, step: u32, depths: [i64; 2]| {
+            for (task, depth) in [fast, slow].into_iter().zip(depths) {
+                let metrics = [("queue.depth".to_owned(), depth)];
+                lb.on_metric_resp(&ctl, physical.app, task, u64::from(step), &metrics);
+            }
+            lb.on_tick(&ctl, t0 + Duration::from_millis(100) * step);
+            weights()
+        };
+        assert_eq!(tick(&mut lb, 1, [0, 0]), [100, 100], "even while even");
+        let w = tick(&mut lb, 2, [0, 40]);
+        assert_eq!(w, [100, 60], "the straggler's weight falls");
+        let w = tick(&mut lb, 3, [0, 90]);
+        assert!(w[1] < 60 && w[1] >= 1, "{w:?}");
+        assert_eq!(tick(&mut lb, 4, [5, 1_000_000]), [95, 1], "never below 1");
+        assert_eq!(tick(&mut lb, 5, [0, 0]), [100, 100], "drained: even again");
+        assert_eq!(lb.retunes, 5);
     }
 
     #[test]

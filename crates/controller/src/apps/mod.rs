@@ -19,6 +19,7 @@ pub use live_debugger::{LiveDebugger, MIRROR_PRIORITY};
 pub use load_balancer::{LoadBalancer, LoadBalancerConfig};
 
 use crate::controller::Controller;
+use std::time::Instant;
 use typhoon_model::{AppId, HostId, TaskId};
 use typhoon_net::Frame;
 use typhoon_openflow::{PortNo, PortStatusReason};
@@ -62,6 +63,8 @@ pub trait ControlPlaneApp: Send {
     /// A raw frame was punted to the controller.
     fn on_packet_in(&mut self, _ctl: &Controller, _host: HostId, _frame: &Frame) {}
 
-    /// Periodic tick (stats polls, scaling decisions).
-    fn on_tick(&mut self, _ctl: &Controller) {}
+    /// Periodic tick (stats polls, scaling decisions) at `now`, the
+    /// controller round's instant: an app keeps its timers as deadlines
+    /// compared against it and reads no clock of its own.
+    fn on_tick(&mut self, _ctl: &Controller, _now: Instant) {}
 }

@@ -11,13 +11,14 @@ use crate::control::{ControlTuple, CONTROLLER_TASK};
 use crate::rules::build_rules;
 use bytes::Bytes;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
+use typhoon_metrics::Registry;
 use typhoon_model::{AppId, HostId, LogicalTopology, PhysicalTopology, TaskId};
-use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, Packetizer};
+use typhoon_net::{Depacketizer, Doorbell, Frame, MacAddr, Next, Packetizer, Round, Runner, Stop};
 use typhoon_openflow::{
     wire, DatapathId, FlowMod, FlowStats, OfMessage, PortNo, PortStats, PortStatusReason,
 };
@@ -48,10 +49,11 @@ struct CtlInner {
     ser: Arc<SerStats>,
     packetizer: Packetizer,
     next_xid: AtomicU32,
-    shutdown: AtomicBool,
     /// What the spawned pump loop waits on; every registered switch rings
     /// it after an event or reply.
     bell: Doorbell,
+    /// The pump loop's `loop.*`.
+    registry: Registry,
     /// HA write-through: successful rule sends are recorded here so a
     /// successor leader can re-install them (None outside an HA plane).
     ledger: Option<Arc<crate::ha::RuleLedger>>,
@@ -109,8 +111,8 @@ impl Controller {
                 ser: SerStats::shared(),
                 packetizer: Packetizer::default(),
                 next_xid: AtomicU32::new(1),
-                shutdown: AtomicBool::new(false),
                 bell: Doorbell::new(),
+                registry: Registry::new(),
                 ledger,
             }),
         }
@@ -119,6 +121,11 @@ impl Controller {
     /// The coordinator-backed global state (Table 1).
     pub fn global(&self) -> &GlobalState {
         &self.inner.global
+    }
+
+    /// The pump loop's `loop.rounds`, `loop.parks` and `loop.rung`.
+    pub fn registry(&self) -> &Registry {
+        &self.inner.registry
     }
 
     /// Serialization meter for controller-generated control tuples.
@@ -436,51 +443,53 @@ impl Controller {
         }
     }
 
-    /// Ticks every registered app (periodic work: stats polls, scaling
-    /// decisions, weight retuning).
-    pub fn tick_apps(&self) {
-        let mut apps = self.inner.apps.lock();
-        for app in apps.iter_mut() {
-            app.on_tick(self);
-        }
-    }
-
-    /// Spawns the controller loop: pump events while there are any, tick
-    /// apps at `tick_interval`, and wait on the bell (rung by the switches)
-    /// until the next tick in between.
-    pub fn spawn(&self, tick_interval: Duration) -> ControllerHandle {
+    /// Spawns the controller loop on the round runner: pump events while
+    /// there are any, tick apps every `tick_interval`, and park on the bell
+    /// (rung by the switches) until the next tick in between. Dropping the
+    /// returned handle stops and joins it.
+    pub fn spawn(&self, tick_interval: Duration) -> Runner {
         let ctl = self.clone();
-        let thread = typhoon_diag::spawn_supervised(
-            "sdn-controller",
-            |_event| { /* diag's panic log + counters suffice; no extra callback */ },
-            move || {
-                let stop = || ctl.inner.shutdown.load(Ordering::Acquire);
-                let mut last_tick = Instant::now();
-                while !stop() {
-                    let handled = ctl.pump();
-                    if last_tick.elapsed() >= tick_interval {
-                        last_tick = Instant::now();
-                        ctl.tick_apps();
-                    }
-                    if handled == 0 {
-                        let next_tick = last_tick + tick_interval;
-                        ctl.inner
-                            .bell
-                            .wait(Some(next_tick), || !stop() && ctl.pump() == 0);
-                    }
-                }
-            },
-        );
-        ControllerHandle {
-            controller: self.clone(),
-            thread: Some(thread),
+        Runner::spawn("sdn-controller", Stop::new(), self.registry(), move |now| {
+            Box::new(PumpRound {
+                ctl,
+                tick_interval,
+                next_tick: now + tick_interval,
+            })
+        })
+    }
+}
+
+/// The controller loop's round.
+struct PumpRound {
+    ctl: Controller,
+    tick_interval: Duration,
+    next_tick: Instant,
+}
+
+impl Round for PumpRound {
+    fn bell(&self) -> &Doorbell {
+        &self.ctl.inner.bell
+    }
+
+    fn round(&mut self, now: Instant) -> Next {
+        let handled = self.ctl.pump();
+        if now >= self.next_tick {
+            self.next_tick = now + self.tick_interval;
+            let ctl = &self.ctl;
+            ctl.inner
+                .apps
+                .lock()
+                .iter_mut()
+                .for_each(|app| app.on_tick(ctl, now));
+        }
+        match handled {
+            0 => Next::At(self.next_tick),
+            _ => Next::Again,
         }
     }
 
-    /// Requests the controller loop to stop.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.bell.ring();
+    fn idle(&mut self) -> bool {
+        self.ctl.pump() == 0
     }
 }
 
@@ -494,34 +503,10 @@ impl std::fmt::Debug for Controller {
     }
 }
 
-/// Join handle for a spawned controller loop.
-pub struct ControllerHandle {
-    controller: Controller,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ControllerHandle {
-    /// Stops the loop and joins the thread.
-    pub fn stop(mut self) {
-        self.controller.shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ControllerHandle {
-    fn drop(&mut self) {
-        self.controller.shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use typhoon_coordinator::Coordinator;
     use typhoon_model::logical::word_count_example;
     use typhoon_model::{HostInfo, LocalityScheduler, Scheduler};

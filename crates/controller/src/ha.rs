@@ -27,23 +27,21 @@
 //! replay (see `typhoon_switch::link`).
 //!
 //! Observability: `controller.ha.*` metrics (role, term, failover_ms,
-//! resync_rules, headless_s) on the plane's [`Registry`]; naming is
-//! documented in docs/OBSERVABILITY.md.
+//! resync_rules, headless_s) and the monitor loop's `loop.*` on the plane's
+//! [`Registry`]; naming is documented in docs/OBSERVABILITY.md.
 
 use crate::apps::ControlPlaneApp;
-use crate::controller::{Controller, ControllerHandle};
+use crate::controller::Controller;
 use bytes::Bytes;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typhoon_coordinator::global::GlobalState;
 use typhoon_coordinator::{Coordinator, LeaderElection, SessionId};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::Registry;
 use typhoon_model::HostId;
-use typhoon_net::Doorbell;
+use typhoon_net::{Doorbell, Next, Runner, Signal, Stop};
 use typhoon_openflow::{wire, FlowMod, FlowModCommand, GroupMod, GroupModCommand, OfMessage};
 use typhoon_switch::Switch;
 
@@ -212,17 +210,20 @@ struct ReplicaSlot {
     /// When the monitor closes this crashed replica's session: its death
     /// plus the session timeout. `None` while alive and once closed.
     session_deadline: Option<Instant>,
-    handle: Option<ControllerHandle>,
+    /// The replica's pump loop while it runs.
+    pump: Option<Runner>,
 }
 
+/// Dropped in field order: the monitor stops before the pumps it may be
+/// fencing through.
 struct PlaneState {
+    monitor: Option<Runner>,
     replicas: Vec<ReplicaSlot>,
     switches: BTreeMap<HostId, Switch>,
     leader: Option<usize>,
     /// One bell per thread parked in [`ControlPlane::wait_leader`], rung
     /// when a leader is published.
     leader_bells: Vec<Arc<Doorbell>>,
-    monitor: Option<JoinHandle<()>>,
 }
 
 struct PlaneInner {
@@ -230,18 +231,21 @@ struct PlaneInner {
     ledger: Arc<RuleLedger>,
     session_timeout: Duration,
     registry: Registry,
+    /// Raised by every change of the leader znode and by a crash: what the
+    /// monitor loop parks on.
+    monitor_signal: Signal,
     state: Mutex<PlaneState>,
-    shutdown: AtomicBool,
 }
 
 /// A replicated control plane: N controller replicas, one elected leader.
 ///
 /// The leader owns every switch's control channel; followers idle with no
-/// switches bound. A monitor thread blocks on the leader znode's watch. It
+/// switches bound. A monitor loop parks until the leader znode changes. It
 /// closes a crashed replica's session once the session timeout has passed
 /// since the crash (only its *own* replicas' sessions: worker agents hold
 /// theirs until they close them), and campaigns whenever the leader znode
-/// is vacant.
+/// is vacant. The monitor holds the plane weakly: dropping the last handle
+/// stops and joins the monitor and every replica's pump.
 #[derive(Clone)]
 pub struct ControlPlane {
     inner: Arc<PlaneInner>,
@@ -263,7 +267,7 @@ impl ControlPlane {
                 session: coord.create_session(),
                 alive: true,
                 session_deadline: None,
-                handle: None,
+                pump: None,
             })
             .collect();
         ControlPlane {
@@ -272,18 +276,18 @@ impl ControlPlane {
                 ledger,
                 session_timeout,
                 registry: Registry::new(),
+                monitor_signal: Signal::new(),
                 state: Mutex::with_rank(
                     rank::CTRL_HA,
                     "controller.ha.plane",
                     PlaneState {
+                        monitor: None,
                         replicas: slots,
                         switches: BTreeMap::new(),
                         leader: None,
                         leader_bells: Vec::new(),
-                        monitor: None,
                     },
                 ),
-                shutdown: AtomicBool::new(false),
             }),
         }
     }
@@ -313,66 +317,61 @@ impl ControlPlane {
     }
 
     /// Spawns every replica's event pump, elects the initial leader
-    /// synchronously, then starts the monitor thread.
+    /// synchronously, then starts the monitor loop.
     pub fn start(&self, tick: Duration) {
         {
             let mut state = self.inner.state.lock();
             for slot in &mut state.replicas {
-                if slot.handle.is_none() {
-                    slot.handle = Some(slot.controller.spawn(tick));
+                if slot.pump.is_none() {
+                    slot.pump = Some(slot.controller.spawn(tick));
                 }
             }
         }
         self.elect_if_needed();
-        let plane = self.clone();
-        let monitor = typhoon_diag::spawn_supervised(
-            "ctl-ha-monitor",
-            |_event| {},
-            move || plane.monitor_loop(),
-        );
+        // Subscribed before the first round reads the state, so a crash is
+        // either seen by that read or raises the signal.
+        let election = &self.inner.election;
+        let signal = self.inner.monitor_signal.clone();
+        let raise = signal.raiser();
+        let coord = election.coordinator();
+        coord.watch(&[&election.leader_path()], move |_| raise());
+        let plane = Arc::downgrade(&self.inner);
+        let round = move |now| match plane.upgrade() {
+            Some(inner) => Next::until(ControlPlane { inner }.monitor_round(now)),
+            None => Next::Done,
+        };
+        let monitor = Runner::spawn("ctl-ha-monitor", Stop::new(), &self.inner.registry, {
+            move |_now| signal.on_raise(round)
+        });
         self.inner.state.lock().monitor = Some(monitor);
     }
 
-    /// One round per leader-watch event or session deadline. The watch is
-    /// subscribed before the first round reads the state, so a crash or a
-    /// shutdown is either seen by that read or pokes the watch.
-    fn monitor_loop(&self) {
-        let coord = self.inner.election.coordinator().clone();
-        let watch = self.inner.election.watch();
-        let sweeps = self.inner.registry.counter("controller.ha.sweeps");
-        while !self.inner.shutdown.load(Ordering::Acquire) {
-            sweeps.inc();
-            // 1. Close the sessions of crashed replicas whose deadline has
-            //    passed, vacating the leader znode if one of them held it.
-            let now = Instant::now();
-            let (expired, next_deadline) = {
-                let mut state = self.inner.state.lock();
-                let mut expired = Vec::new();
-                for slot in &mut state.replicas {
-                    if slot.session_deadline.is_some_and(|t| t <= now) {
-                        slot.session_deadline = None;
-                        expired.push(slot.session);
-                    }
+    /// One monitor round at `now`; returns the next session deadline.
+    fn monitor_round(&self, now: Instant) -> Option<Instant> {
+        // 1. Close the sessions of crashed replicas whose deadline has
+        //    passed, vacating the leader znode if one of them held it.
+        let (expired, next_deadline) = {
+            let mut state = self.inner.state.lock();
+            let mut expired = Vec::new();
+            for slot in &mut state.replicas {
+                if slot.session_deadline.is_some_and(|t| t <= now) {
+                    slot.session_deadline = None;
+                    expired.push(slot.session);
                 }
-                let next = state
-                    .replicas
-                    .iter()
-                    .filter_map(|s| s.session_deadline)
-                    .min();
-                (expired, next)
-            };
-            for sid in expired {
-                coord.close_session(sid);
             }
-            // 2. Campaign when the leader znode is vacant.
-            self.elect_if_needed();
-            // 3. Block on the leader watch until the next session deadline,
-            //    or until an event when none is armed.
-            match next_deadline {
-                Some(t) => _ = watch.recv_timeout(t.saturating_duration_since(Instant::now())),
-                None => _ = watch.recv(),
-            }
+            let next = state
+                .replicas
+                .iter()
+                .filter_map(|s| s.session_deadline)
+                .min();
+            (expired, next)
+        };
+        for sid in expired {
+            self.inner.election.coordinator().close_session(sid);
         }
+        // 2. Campaign when the leader znode is vacant.
+        self.elect_if_needed();
+        next_deadline
     }
 
     /// Campaigns with the lowest-index live replica when no leader holds
@@ -508,20 +507,17 @@ impl ControlPlane {
         self.inner.election.current_term()
     }
 
-    /// Replicas that have not been crashed.
-    pub fn alive_replicas(&self) -> usize {
-        self.inner
-            .state
-            .lock()
-            .replicas
-            .iter()
-            .filter(|s| s.alive)
-            .count()
-    }
-
-    /// The HA metrics registry (`controller.ha.*`).
+    /// The HA metrics registry (`controller.ha.*`, and the monitor loop's
+    /// `loop.*`).
     pub fn registry(&self) -> &Registry {
         &self.inner.registry
+    }
+
+    /// Each replica's pump-loop registry (`loop.*`), in replica order.
+    pub fn replica_registries(&self) -> Vec<Registry> {
+        let state = self.inner.state.lock();
+        let replicas = state.replicas.iter();
+        replicas.map(|s| s.controller.registry().clone()).collect()
     }
 
     /// The shared rule ledger.
@@ -536,7 +532,7 @@ impl ControlPlane {
     /// observable exactly as with a real crashed process. Returns the
     /// dead replica's name.
     pub fn crash_leader(&self) -> Option<String> {
-        let (name, controller, handle) = {
+        let (name, controller, pump) = {
             let mut state = self.inner.state.lock();
             let idx = state.leader.take()?;
             let slot = &mut state.replicas[idx];
@@ -546,49 +542,26 @@ impl ControlPlane {
                 .registry
                 .gauge(&format!("controller.ha.role.{}", slot.name))
                 .set(0);
-            (
-                slot.name.clone(),
-                slot.controller.clone(),
-                slot.handle.take(),
-            )
+            (slot.name.clone(), slot.controller.clone(), slot.pump.take())
         };
-        // The monitor learns of the new deadline from the leader watch.
-        self.poke_monitor();
-        controller.shutdown();
+        // The monitor arms the new deadline.
+        self.inner.monitor_signal.raise();
+        drop(pump);
         controller.unregister_all();
-        drop(handle);
         Some(name)
     }
 
-    /// Wakes the monitor's wait on the leader watch.
-    fn poke_monitor(&self) {
-        let election = &self.inner.election;
-        election.coordinator().poke(&election.leader_path());
-    }
-
-    /// Stops the monitor and every live replica.
+    /// Stops and joins the monitor, then every replica's pump (what
+    /// dropping the last handle does).
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.poke_monitor();
-        let (monitor, replicas) = {
+        let (monitor, pumps) = {
             let mut state = self.inner.state.lock();
-            let monitor = state.monitor.take();
-            let replicas: Vec<(Controller, Option<ControllerHandle>, bool)> = state
-                .replicas
-                .iter_mut()
-                .map(|s| (s.controller.clone(), s.handle.take(), s.alive))
-                .collect();
-            (monitor, replicas)
+            let pumps: Vec<Option<Runner>> =
+                state.replicas.iter_mut().map(|s| s.pump.take()).collect();
+            (state.monitor.take(), pumps)
         };
-        if let Some(m) = monitor {
-            let _ = m.join();
-        }
-        for (controller, handle, alive) in replicas {
-            if alive {
-                controller.shutdown();
-            }
-            drop(handle);
-        }
+        drop(monitor);
+        drop(pumps);
     }
 }
 
@@ -756,7 +729,7 @@ mod tests {
     }
 
     fn sweeps(plane: &ControlPlane) -> u64 {
-        plane.registry().snapshot().counter("controller.ha.sweeps")
+        plane.registry().snapshot().counter("loop.rounds")
     }
 
     /// A started plane with its leader elected.
@@ -792,7 +765,7 @@ mod tests {
         let before = sweeps(&plane);
         std::thread::sleep(Duration::from_millis(500));
         assert_eq!(sweeps(&plane), before, "an idle half second");
-        // Joins the monitor: a blocked `recv` nobody poked hangs here.
+        // Joins the monitor: a park its stop did not end hangs here.
         plane.shutdown();
     }
 
@@ -825,7 +798,7 @@ mod tests {
         let plane = started(2, Duration::from_secs(60));
         await_sweeps(&plane, 1);
         plane.crash_leader().expect("a leader to kill");
-        // The crash's poke starts the round that arms the 60 s deadline.
+        // The crash raises the monitor's signal: its round arms the 60 s deadline.
         await_sweeps(&plane, 2);
         let t0 = Instant::now();
         plane.shutdown();

@@ -36,6 +36,6 @@ pub mod rules;
 
 pub use apps::{AppCtx, ControlPlaneApp};
 pub use control::ControlTuple;
-pub use controller::{Controller, ControllerHandle, SwitchBinding};
+pub use controller::{Controller, SwitchBinding};
 pub use ha::{ControlPlane, RuleLedger};
 pub use rules::{build_rules, unicast_rules, RulePlan, CONTROL_PRIORITY, DATA_PRIORITY};

@@ -42,13 +42,6 @@ pub struct RulePlan {
     pub groups: BTreeMap<HostId, Vec<GroupMod>>,
 }
 
-impl RulePlan {
-    /// Total number of flow rules across hosts.
-    pub fn flow_count(&self) -> usize {
-        self.flows.values().map(Vec::len).sum()
-    }
-}
-
 struct TaskView {
     task: TaskId,
     host: HostId,

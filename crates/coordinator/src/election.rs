@@ -18,8 +18,7 @@
 
 use crate::store::{Coordinator, CreateMode};
 use crate::wire::{Reader, Writer};
-use crate::{CoordError, Result, SessionId, WatchEvent};
-use std::sync::mpsc::Receiver;
+use crate::{CoordError, Result, SessionId};
 
 /// Default election prefix under the coordinator root.
 pub const ELECTION_PREFIX: &str = "/typhoon/election";
@@ -55,7 +54,7 @@ impl LeaderElection {
         }
     }
 
-    /// The leader znode's path: what [`LeaderElection::watch`] watches.
+    /// The leader znode's path: what followers watch.
     pub fn leader_path(&self) -> String {
         format!("{}/leader", self.prefix)
     }
@@ -142,14 +141,6 @@ impl LeaderElection {
             .unwrap_or(0)
     }
 
-    /// A persistent watch on the leader node: `Created` fires when a
-    /// leader wins, `Deleted` when leadership is vacated (resign or session
-    /// close). The watch outlives any session — re-arming after a reconnect
-    /// is not required.
-    pub fn watch(&self) -> Receiver<WatchEvent> {
-        self.coord.watch(&self.leader_path())
-    }
-
     /// Voluntarily gives up leadership by deleting the leader node (the
     /// watch delivers `Deleted` to every follower). No-op if the node is
     /// already gone.
@@ -166,6 +157,18 @@ impl LeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WatchEvent;
+    use std::sync::mpsc::Receiver;
+
+    /// The leader node's events: `Created` when a leader wins, `Deleted`
+    /// when leadership is vacated (resign or session close).
+    fn leader_events(election: &LeaderElection) -> Receiver<WatchEvent> {
+        let (sink, rx) = crate::watch::testutil::events();
+        election
+            .coordinator()
+            .watch(&[&election.leader_path()], sink);
+        rx
+    }
     use crate::WatchKind;
     use std::time::Duration;
 
@@ -214,7 +217,7 @@ mod tests {
     #[test]
     fn watch_fires_created_then_deleted_across_leader_change() {
         let (coord, election) = setup();
-        let watch = election.watch();
+        let watch = leader_events(&election);
         let sid0 = coord.create_session();
         assert_eq!(election.try_acquire(sid0, "ctl-0").unwrap(), Some(1));
         let ev = watch.recv_timeout(Duration::from_secs(1)).unwrap();
@@ -234,7 +237,7 @@ mod tests {
         let (coord, election) = setup();
         // Replica B arms its watch, then loses its session.
         let sid_b = coord.create_session();
-        let watch_b = election.watch();
+        let watch_b = leader_events(&election);
         coord.close_session(sid_b);
         let _sid_b2 = coord.create_session(); // reconnect
 
@@ -256,11 +259,11 @@ mod tests {
     fn rearmed_watch_after_reconnect_sees_next_election() {
         let (coord, election) = setup();
         let sid_b = coord.create_session();
-        let watch_old = election.watch();
+        let watch_old = leader_events(&election);
         coord.close_session(sid_b);
         drop(watch_old); // client discards the old registration
         let _sid_b2 = coord.create_session();
-        let watch_new = election.watch(); // re-armed after reconnect
+        let watch_new = leader_events(&election); // re-armed after reconnect
 
         let sid_a = coord.create_session();
         assert_eq!(election.try_acquire(sid_a, "ctl-a").unwrap(), Some(1));

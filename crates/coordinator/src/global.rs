@@ -13,8 +13,7 @@
 
 use crate::store::{Coordinator, CreateMode};
 use crate::wire::{Reader, Writer};
-use crate::{CoordError, Result, SessionId, WatchEvent};
-use std::sync::mpsc::Receiver;
+use crate::{CoordError, Result, SessionId};
 use typhoon_model::{
     AppId, EdgeSpec, Grouping, HostId, HostInfo, LogicalTopology, NodeKind, NodeSpec,
     PhysicalTopology, ReconfigOp, ReconfigRequest, TaskAssignment,
@@ -301,16 +300,6 @@ impl GlobalState {
         Ok(out)
     }
 
-    /// Watch every topology change (the notification channel of §3.2).
-    pub fn watch_topologies(&self) -> Receiver<WatchEvent> {
-        self.coord.watch(TOPOLOGIES)
-    }
-
-    /// Watch agent arrivals/departures.
-    pub fn watch_agents(&self) -> Receiver<WatchEvent> {
-        self.coord.watch(AGENTS)
-    }
-
     /// Submits a reconfiguration request for the streaming manager to pick
     /// up. This is how SDN control-plane applications (e.g. the auto-scaler,
     /// §4) trigger topology changes without talking to the manager directly:
@@ -492,7 +481,8 @@ mod tests {
     #[test]
     fn topology_watch_sees_submission_and_reconfiguration() {
         let g = GlobalState::new(Coordinator::new());
-        let rx = g.watch_topologies();
+        let (sink, rx) = crate::watch::testutil::events();
+        g.coordinator().watch(&[TOPOLOGIES], sink);
         let mut t = word_count_example();
         g.set_logical(&t).unwrap();
         t.node_mut("split").unwrap().parallelism = 3;
@@ -557,7 +547,8 @@ mod reconfig_tests {
     #[test]
     fn reconfig_watch_fires_on_submit() {
         let g = GlobalState::new(Coordinator::new());
-        let rx = g.coordinator().watch_any(&[AGENTS, RECONFIG]);
+        let (sink, rx) = crate::watch::testutil::events();
+        g.coordinator().watch(&[AGENTS, RECONFIG], sink);
         g.submit_reconfig(&sample()).unwrap();
         assert!(rx.try_iter().count() >= 1);
     }

@@ -16,7 +16,7 @@
 //!
 //! * [`store`] — the znode tree: create/get/set/delete/children with
 //!   per-node versions and optimistic compare-and-set.
-//! * [`watch`] — prefix watches delivering [`WatchEvent`]s over channels;
+//! * [`watch`] — prefix watches handing [`WatchEvent`]s to a callback;
 //!   this is the "notification" step of the deployment and reconfiguration
 //!   workflows (§3.2 steps (ii)/(iii)).
 //! * [`session`] — client sessions; ephemeral znodes vanish when their

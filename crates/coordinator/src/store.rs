@@ -4,7 +4,6 @@ use crate::session::SessionId;
 use crate::watch::{WatchEvent, WatchKind, WatchTable};
 use crate::{CoordError, Result};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use typhoon_diag::{rank, DiagMutex};
 
@@ -318,24 +317,15 @@ impl Coordinator {
             .collect())
     }
 
-    /// Subscribes to every change under `prefix` (persistent prefix watch).
-    pub fn watch(&self, prefix: &str) -> Receiver<WatchEvent> {
-        self.watch_any(&[prefix])
-    }
-
-    /// One receiver subscribed to every change under any of `prefixes`.
-    pub fn watch_any(&self, prefixes: &[&str]) -> Receiver<WatchEvent> {
-        self.state.lock().watches.subscribe(prefixes)
-    }
-
-    /// Sends `path`'s watchers a synthetic `DataChanged` (version 0), tree
-    /// untouched: how the owner of a thread blocked on a watch ends the wait.
-    pub fn poke(&self, path: &str) {
-        self.state.lock().watches.deliver(&WatchEvent {
-            path: path.to_owned(),
-            kind: WatchKind::DataChanged,
-            version: 0,
-        });
+    /// Hands `sink` every change under any of `prefixes` (persistent
+    /// prefix watches), until it returns `false`. A loop that parks on a
+    /// bell watches the store with a `typhoon_net::Signal`'s raiser.
+    pub fn watch(
+        &self,
+        prefixes: &[&str],
+        sink: impl Fn(&WatchEvent) -> bool + Send + Sync + 'static,
+    ) {
+        self.state.lock().watches.subscribe(prefixes, sink);
     }
 
     /// Opens a new session. It lives until [`Coordinator::close_session`].
@@ -453,7 +443,8 @@ mod tests {
     #[test]
     fn watches_fire_for_create_set_delete_under_prefix() {
         let c = coord();
-        let rx = c.watch("/jobs");
+        let (sink, rx) = crate::watch::testutil::events();
+        c.watch(&["/jobs"], sink);
         c.ensure_path("/jobs").unwrap();
         c.create("/jobs/wc", b"v1".to_vec(), CreateMode::Persistent)
             .unwrap();
@@ -478,7 +469,8 @@ mod tests {
         let sid = c.create_session();
         c.create("/agents/h0", vec![], CreateMode::Ephemeral(sid))
             .unwrap();
-        let rx = c.watch("/agents/h0");
+        let (sink, rx) = crate::watch::testutil::events();
+        c.watch(&["/agents/h0"], sink);
         c.close_session(sid);
         assert!(!c.exists("/agents/h0"));
         assert_eq!(rx.try_iter().next().unwrap().kind, WatchKind::Deleted);

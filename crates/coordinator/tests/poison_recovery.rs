@@ -31,7 +31,8 @@ fn panicked_session_thread_does_not_block_store() {
     coord.delete("/jobs/doomed").expect("delete");
 
     // Sessions and watches keep functioning too.
-    let rx = coord.watch("/jobs");
+    let (tx, rx) = std::sync::mpsc::channel();
+    coord.watch(&["/jobs"], move |event| tx.send(event.clone()).is_ok());
     let sid = coord.create_session();
     coord
         .create("/jobs/eph", vec![], CreateMode::Ephemeral(sid))

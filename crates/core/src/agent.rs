@@ -18,6 +18,7 @@ use typhoon_coordinator::global::GlobalState;
 use typhoon_diag::{rank, DiagMutex as Mutex, DiagRwLock as RwLock};
 use typhoon_metrics::Registry;
 use typhoon_model::{AppId, ComponentRegistry, HostInfo, NodeKind, TaskId};
+use typhoon_net::Runner;
 use typhoon_openflow::PortNo;
 use typhoon_switch::Switch;
 use typhoon_trace::{TraceCtx, Tracer};
@@ -29,7 +30,8 @@ pub struct WorkerEntry {
     pub shared: WorkerShared,
     /// The switch port the worker occupies.
     pub port: PortNo,
-    thread: Option<std::thread::JoinHandle<()>>,
+    /// The worker's loop: dropping it stops the worker and joins its thread.
+    runner: Runner,
 }
 
 /// The per-host worker agent.
@@ -128,7 +130,7 @@ impl WorkerAgent {
         }
         let worker_port = self.switch.attach_worker(port);
         let shared = WorkerShared::new();
-        let (shared2, panicked) = (shared.clone(), shared.clone());
+        let shared2 = shared.clone();
         let ser = self.ser.clone();
         let trace = self
             .tracer
@@ -136,29 +138,23 @@ impl WorkerAgent {
             .map(|t| t.ctx())
             .unwrap_or_else(TraceCtx::disabled);
         let key = (config.app, config.task);
-        // Supervised spawn (TL006): a panicking worker is recorded and
-        // counted, then its thread exits — dropping the port so the switch
-        // datapath reports the PortStatus delete that drives recovery.
-        // Either way out marks the worker exited last, which ends its
-        // launcher's wait.
-        let thread = typhoon_diag::spawn_supervised(
+        // On the round runner (a supervised thread, TL006): a panicking
+        // worker is recorded and counted, then its thread exits — dropping
+        // the port so the switch datapath reports the PortStatus delete
+        // that drives recovery. Either way out marks the worker exited
+        // last, which ends its launcher's wait.
+        let runner = Runner::spawn(
             &format!("typhoon-{}-{}", config.node, config.task),
-            move |_event| {
-                panicked.registry.counter("recovery.panics").inc();
-                panicked.mark_exited();
-            },
-            move || {
-                let exited = shared2.clone();
-                worker::run_worker(config, role, worker_port, routes, ser, shared2, trace);
-                exited.mark_exited();
-            },
+            shared.stop.clone(),
+            &shared.registry,
+            worker::worker_loop(config, role, worker_port, routes, ser, shared2, trace),
         );
         self.workers.lock().insert(
             key,
             WorkerEntry {
                 shared: shared.clone(),
                 port,
-                thread: Some(thread),
+                runner,
             },
         );
         Ok(shared)
@@ -212,16 +208,13 @@ impl WorkerAgent {
         self.workers.lock().get(&(app, task)).map(|e| e.port)
     }
 
-    /// Gracefully stops a worker: flag it, join the thread (it flushes
-    /// in-flight batches first), then detach the port (a *deliberate*
-    /// `PortStatus` delete).
+    /// Gracefully stops a worker: stop its loop and join the thread (it
+    /// flushes in-flight batches first), then detach the port (a
+    /// *deliberate* `PortStatus` delete).
     pub fn kill(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
-        if let Some(mut e) = entry {
-            e.shared.request_shutdown();
-            if let Some(t) = e.thread.take() {
-                let _ = t.join();
-            }
+        if let Some(e) = entry {
+            e.runner.stop();
             self.switch.detach_worker(e.port);
         }
     }
@@ -232,12 +225,11 @@ impl WorkerAgent {
     /// on (§4, Fig. 10).
     pub fn crash(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
-        if let Some(mut e) = entry {
+        if let Some(e) = entry {
+            // Abort, then join. No detach_worker: the datapath must
+            // discover it.
             e.shared.request_crash();
-            if let Some(t) = e.thread.take() {
-                let _ = t.join();
-            }
-            // No detach_worker: the datapath must discover it.
+            e.runner.stop();
         }
     }
 
@@ -283,11 +275,7 @@ impl WorkerAgent {
     /// already discovered — or will discover — the dead port.
     pub fn reap(&self, app: AppId, task: TaskId) {
         let entry = self.workers.lock().remove(&(app, task));
-        if let Some(mut e) = entry {
-            if let Some(t) = e.thread.take() {
-                let _ = t.join();
-            }
-        }
+        drop(entry); // joins, outside the lock
     }
 
     /// Stops every worker on this host.

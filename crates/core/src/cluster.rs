@@ -12,7 +12,6 @@ use crate::manager::{ManagerConfig, RecoveryManager, SchedulerKind, StreamingMan
 use crate::worker::{IoConfig, WorkerShared};
 use crate::{CoreError, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_controller::apps::FAULTS;
@@ -27,9 +26,10 @@ use typhoon_model::{
     ReconfigRequest, TaskId,
 };
 use typhoon_net::{
-    ChaosHandle, FaultInjector, FaultPlan, InMemoryTunnel, KillClass, TcpTunnel, Tunnel,
+    ChaosHandle, FaultInjector, FaultPlan, InMemoryTunnel, KillClass, KillSpec, Next, Runner,
+    Signal, Stop, TcpTunnel, Tunnel,
 };
-use typhoon_switch::{CacheStats, Switch, SwitchConfig, SwitchHandle};
+use typhoon_switch::{CacheStats, Switch, SwitchConfig};
 use typhoon_trace::Tracer;
 
 /// Cluster-wide configuration.
@@ -171,7 +171,6 @@ const HEARTBEAT_SCAN: Duration = Duration::from_millis(20);
 
 struct HostRuntime {
     switch: Switch,
-    _switch_handle: SwitchHandle,
     agent: Arc<WorkerAgent>,
 }
 
@@ -183,8 +182,10 @@ struct ClusterInner {
     components: Arc<RwLock<ComponentRegistry>>,
     manager: Arc<StreamingManager>,
     recovery: Option<Arc<RecoveryManager>>,
-    manager_shutdown: Arc<AtomicBool>,
-    manager_thread: DiagMutex<Option<std::thread::JoinHandle<()>>>,
+    /// The cluster's own loops, in start order: one datapath per host, then
+    /// the manager, then the chaos killer (if armed). [`ClusterInner::stop`]
+    /// takes them.
+    runners: DiagMutex<Vec<Runner>>,
     tracer: Option<Arc<Tracer>>,
     /// The `net.tunnel.*` registry of each TCP tunnel endpoint, keyed
     /// `(host, peer)`; empty unless built with
@@ -198,7 +199,35 @@ struct ClusterInner {
     cluster_chaos: Option<ChaosHandle>,
 }
 
-/// A complete, running Typhoon deployment.
+impl ClusterInner {
+    /// Stops every thread the cluster started, in reverse start order: the
+    /// chaos killer, the manager, the workers it launched, the control
+    /// plane, then each host's datapath. Each is joined before the next
+    /// stops. A second call finds nothing left to stop.
+    fn stop(&self) {
+        let mut loops = std::mem::take(&mut *self.runners.lock());
+        let datapaths: Vec<Runner> = loops.drain(..loops.len().min(self.hosts.len())).collect();
+        loops.into_iter().rev().for_each(Runner::stop);
+        for rt in self.hosts.values() {
+            rt.agent.kill_all();
+        }
+        self.plane.shutdown();
+        datapaths.into_iter().rev().for_each(Runner::stop);
+    }
+}
+
+/// Dropping the last handle is [`TyphoonCluster::shutdown`]: no thread the
+/// cluster started outlives it (a TCP tunnel's reader ends with its switch,
+/// which the datapath loop no longer holds).
+impl Drop for ClusterInner {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// A complete, running Typhoon deployment. Cheap to clone; the cluster
+/// stops when its last handle is dropped. Its threads hold what they need
+/// of it (switches, agents, the manager), never the cluster itself.
 #[derive(Clone)]
 pub struct TyphoonCluster {
     inner: Arc<ClusterInner>,
@@ -279,6 +308,7 @@ impl TyphoonCluster {
         }
         // Agents + datapath threads.
         let mut hosts = BTreeMap::new();
+        let mut runners = Vec::new();
         for (h, switch) in switches.into_iter().enumerate() {
             let host = HostId(h as u32);
             let info = HostInfo::new(h as u32, &format!("host{h}"), config.slots_per_host);
@@ -290,15 +320,8 @@ impl TyphoonCluster {
                 &global,
                 tracer.clone(),
             )?;
-            let handle = switch.spawn();
-            hosts.insert(
-                host,
-                HostRuntime {
-                    switch,
-                    _switch_handle: handle,
-                    agent,
-                },
-            );
+            runners.push(switch.spawn());
+            hosts.insert(host, HostRuntime { switch, agent });
         }
         let agents: BTreeMap<HostId, Arc<WorkerAgent>> =
             hosts.iter().map(|(&h, rt)| (h, rt.agent.clone())).collect();
@@ -338,52 +361,68 @@ impl TyphoonCluster {
 
         // The dynamic-topology-manager loop: drain reconfiguration
         // requests submitted via the coordinator (REST API, auto-scaler)
-        // and run recovery sweeps. It blocks on one watch over both, so a
-        // write there (or `shutdown`'s poke) starts the next sweep; only
-        // the heartbeat fallback, which watches nothing, needs a clock.
-        let manager_shutdown = Arc::new(AtomicBool::new(false));
-        let manager2 = manager.clone();
-        let recovery2 = recovery.clone();
-        let shutdown2 = manager_shutdown.clone();
-        let inbox = global.coordinator().watch_any(&[FAULTS, RECONFIG]);
-        let manager_thread = typhoon_diag::spawn_supervised(
-            "typhoon-manager",
-            |_| {},
-            move || {
-                let sweeps = manager2.registry().counter("manager.sweeps");
-                let rung = manager2.registry().counter("manager.rung");
-                while !shutdown2.load(Ordering::Acquire) {
-                    sweeps.inc();
-                    manager2.process_pending();
-                    let woken = match &recovery2 {
-                        Some(r) => {
-                            r.poll();
-                            inbox.recv_timeout(HEARTBEAT_SCAN).is_ok()
-                        }
-                        None => inbox.recv().is_ok(),
-                    };
-                    rung.add(u64::from(woken));
-                    // One sweep serves every event queued so far.
-                    inbox.try_iter().for_each(drop);
+        // and run recovery sweeps. It parks until a write under either
+        // starts the next round; only the heartbeat fallback, which watches
+        // nothing, needs a deadline.
+        let manager_signal = Signal::new();
+        let raise = manager_signal.raiser();
+        global
+            .coordinator()
+            .watch(&[FAULTS, RECONFIG], move |_| raise());
+        let (manager2, recovery2) = (manager.clone(), recovery.clone());
+        let sweep = move |now| {
+            manager2.process_pending();
+            match &recovery2 {
+                Some(recovery) => {
+                    recovery.poll(now);
+                    Next::At(now + HEARTBEAT_SCAN)
                 }
-            },
-        );
+                None => Next::Woken,
+            }
+        };
+        runners.push(Runner::spawn(
+            "typhoon-manager",
+            Stop::new(),
+            manager.registry(),
+            move |_now| manager_signal.on_raise(sweep),
+        ));
 
-        // Process-kill chaos: a seeded killer thread executes the plan's
-        // one-shot kill once a topology is running.
+        // Process-kill chaos: a seeded killer loop executes the plan's
+        // one-shot kill once a topology has run for the armed delay.
         let cluster_chaos = config.chaos.map(ChaosHandle::standalone);
         if let Some(handle) = cluster_chaos.clone().filter(|h| h.kill_spec().is_some()) {
-            let global2 = global.clone();
-            let agents2 = agents.clone();
-            let plane2 = plane.clone();
-            let shutdown3 = manager_shutdown.clone();
-            typhoon_diag::spawn_supervised(
+            let signal = Signal::new();
+            let raise = signal.raiser();
+            global.coordinator().watch(&[TOPOLOGIES], move |_| raise());
+            let (global2, agents2, plane2) = (global.clone(), agents.clone(), plane.clone());
+            let registry = handle.registry().clone();
+            // The first running topology (sorted by name) and the kill's due
+            // instant, counted from the round that saw it.
+            let mut armed: Option<(String, Instant)> = None;
+            let killer = move |now| {
+                let Some(spec) = handle.kill_spec() else {
+                    return Next::Done;
+                };
+                if armed.is_none() {
+                    let mut topologies = global2.list_topologies().unwrap_or_default();
+                    topologies.sort();
+                    armed = topologies.into_iter().next().map(|t| (t, now + spec.after));
+                }
+                match &armed {
+                    None => Next::Woken,
+                    Some((_, due)) if now < *due => Next::At(*due),
+                    Some((topo, _)) => {
+                        chaos_kill(&global2, &agents2, &plane2, &handle, topo, spec);
+                        Next::Done
+                    }
+                }
+            };
+            runners.push(Runner::spawn(
                 "typhoon-chaos-killer",
-                |_| {},
-                move || {
-                    run_chaos_killer(&global2, &agents2, &plane2, &handle, &shutdown3);
-                },
-            );
+                Stop::new(),
+                &registry,
+                move |_now| signal.on_raise(killer),
+            ));
         }
 
         Ok(TyphoonCluster {
@@ -395,11 +434,10 @@ impl TyphoonCluster {
                 components,
                 manager,
                 recovery,
-                manager_shutdown,
-                manager_thread: DiagMutex::with_rank(
+                runners: DiagMutex::with_rank(
                     rank::CLUSTER_MANAGER,
-                    "core.cluster.manager_thread",
-                    Some(manager_thread),
+                    "core.cluster.runners",
+                    runners,
                 ),
                 tracer,
                 tunnels,
@@ -480,7 +518,8 @@ impl TyphoonCluster {
 
     /// One snapshot of every registry in the cluster, keyed by source:
     /// `switch/<host>`, `tunnel/<host>-<peer>` (TCP tunnel endpoints),
-    /// `chaos/<from>-<to>`, `chaos/cluster`, `control_plane`, `manager`,
+    /// `chaos/<from>-<to>`, `chaos/cluster`, `control_plane`,
+    /// `controller/<replica>`, `manager`,
     /// `recovery`, `tracer`, `diag` and `worker/<app>/<task>` (see
     /// docs/OBSERVABILITY.md). A source the cluster was not built with is
     /// absent. [`MetricSnapshot::total`] sums one family of sources.
@@ -491,6 +530,9 @@ impl TyphoonCluster {
             out.insert(label, registry.snapshot());
         };
         add("control_plane".into(), inner.plane.registry());
+        for (i, registry) in inner.plane.replica_registries().iter().enumerate() {
+            add(format!("controller/{i}"), registry);
+        }
         add("manager".into(), inner.manager.registry());
         add("diag".into(), typhoon_diag::registry());
         if let Some(recovery) = &inner.recovery {
@@ -588,20 +630,11 @@ impl TyphoonCluster {
         None
     }
 
-    /// Stops the manager loop, every worker, every switch.
+    /// Stops and joins every thread the cluster started: what dropping
+    /// the last handle does, made early. The cluster can still be read
+    /// (snapshots, switches) afterwards.
     pub fn shutdown(&self) {
-        self.inner.manager_shutdown.store(true, Ordering::Release);
-        self.inner.global.coordinator().poke(RECONFIG);
-        if let Some(t) = self.inner.manager_thread.lock().take() {
-            let _ = t.join();
-        }
-        for rt in self.inner.hosts.values() {
-            rt.agent.kill_all();
-        }
-        self.inner.plane.shutdown();
-        for rt in self.inner.hosts.values() {
-            rt.switch.shutdown();
-        }
+        self.inner.stop();
     }
 }
 
@@ -611,48 +644,22 @@ impl std::fmt::Debug for TyphoonCluster {
     }
 }
 
-/// The seeded chaos killer: waits for the first topology, waits out the
-/// armed delay, then executes one kill. The victim derives from the plan
-/// seed over a sorted candidate list, so a fixed `CHAOS_SEED` reproduces
-/// the exact same kill. Spouts and the acker are never direct victims
-/// (killing the source of truth for replay is a different experiment);
-/// stateful bolts are preferred — they exercise the checkpoint/restore
-/// path, which is what the chaos kill classes exist to stress.
-fn run_chaos_killer(
+/// The seeded chaos kill, once `topo` has run for the armed delay. The
+/// victim derives from the plan seed over a sorted candidate list, so a
+/// fixed `CHAOS_SEED` reproduces the exact same kill. Spouts and the acker
+/// are never direct victims (killing the source of truth for replay is a
+/// different experiment); stateful bolts are preferred — they exercise the
+/// checkpoint/restore path, which is what the chaos kill classes exist to
+/// stress.
+fn chaos_kill(
     global: &GlobalState,
     agents: &BTreeMap<HostId, Arc<WorkerAgent>>,
     plane: &ControlPlane,
     handle: &ChaosHandle,
-    shutdown: &AtomicBool,
+    topo: &str,
+    spec: KillSpec,
 ) {
-    let spec = match handle.kill_spec() {
-        Some(s) => s,
-        None => return,
-    };
     let seed = handle.plan().seed;
-    // Wait for a running topology, then for the armed delay, which counts
-    // from it. Both waits block on one watch: a topology write, or
-    // `shutdown`'s poke of `RECONFIG`, ends either.
-    let inbox = global.coordinator().watch_any(&[TOPOLOGIES, RECONFIG]);
-    let topo = loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match global.list_topologies() {
-            Ok(mut ts) if !ts.is_empty() => {
-                ts.sort();
-                break ts.remove(0);
-            }
-            _ => _ = inbox.recv(),
-        }
-    };
-    let deadline = Instant::now() + spec.after;
-    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        _ = inbox.recv_timeout(left);
-    }
     // Controller kills need no worker victim: the target is whichever
     // replica currently leads. The armed delay above still counts from
     // the first running topology, so the kill lands mid-deployment-or-
@@ -664,7 +671,7 @@ fn run_chaos_killer(
         }
         return;
     }
-    let (logical, physical) = match (global.get_logical(&topo), global.get_physical(&topo)) {
+    let (logical, physical) = match (global.get_logical(topo), global.get_physical(topo)) {
         (Ok(l), Ok(p)) => (l, p),
         _ => return,
     };
@@ -1107,7 +1114,7 @@ mod tests {
 
     fn manager_counts(cluster: &TyphoonCluster) -> (u64, u64) {
         let snap = cluster.manager().registry().snapshot();
-        (snap.counter("manager.sweeps"), snap.counter("manager.rung"))
+        (snap.counter("loop.rounds"), snap.counter("loop.rung"))
     }
 
     /// Without a heartbeat fallback the manager thread has no clock at all:
@@ -1134,7 +1141,7 @@ mod tests {
             "the request never woke the manager thread"
         );
         assert!(manager_counts(&cluster).1 > rung);
-        // Joins the manager thread: a blocked `recv` nobody poked hangs here.
+        // Joins the manager thread: a park its stop did not end hangs here.
         cluster.shutdown();
     }
 

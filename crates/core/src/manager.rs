@@ -130,7 +130,7 @@ impl StreamingManager {
     }
 
     /// Manager metrics: `manager.submit_us.{rules,launch,activate}` per
-    /// `submit`, and the manager thread's `manager.sweeps` / `manager.rung`.
+    /// `submit`, and the `typhoon-manager` loop's `loop.*`.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -678,10 +678,11 @@ impl RecoveryManager {
         self.reports.lock().clone()
     }
 
-    /// One recovery sweep: run heartbeat fallback detection, then drain
-    /// and act on recorded faults. Returns how many tasks were recovered.
-    pub fn poll(&self) -> usize {
-        self.heartbeat_scan();
+    /// One recovery sweep at `now`: run heartbeat fallback detection, then
+    /// drain and act on recorded faults. Returns how many tasks were
+    /// recovered.
+    pub fn poll(&self, now: Instant) -> usize {
+        self.heartbeat_scan(now);
         self.drain_faults()
     }
 
@@ -690,9 +691,8 @@ impl RecoveryManager {
     /// entry is still registered are suspects; a suspect that stays dead
     /// past the heartbeat timeout gets a fault record synthesized exactly
     /// as the SDN fault detector would have written it.
-    fn heartbeat_scan(&self) {
+    fn heartbeat_scan(&self, now: Instant) {
         let m = &*self.manager;
-        let now = Instant::now();
         let topologies = match m.global.list_topologies() {
             Ok(t) => t,
             Err(_) => return,

@@ -16,13 +16,14 @@
 //! through [`Emitter::emit_replay`] keeps its failed root's base). So a
 //! tuple's allocations are freed before the next tuple's are made.
 //!
-//! A round is a step over `(ingress, now)`, the clock read once at its head.
+//! A round is a step over `(ingress, now)`, the clock read once at its head
+//! by the round runner ([`typhoon_net::round`]) the worker runs on.
 //! Every timer is a deadline held in state (the spout's poll and sweep, the
 //! `InputRate` window, the acker's expiry, the next checkpoint); the role's
 //! `next_due` is the earliest one armed. A round that found nothing to do
 //! flushes everything it buffered — waiting buys no more batching once the
-//! input ran dry — and parks on the port's doorbell (rung by the switch)
-//! until `next_due`; only a busy worker holds a batch for `batch_size` or
+//! input ran dry — and the runner parks on the port's doorbell (rung by the
+//! switch) until `next_due`; only a busy worker holds a batch for `batch_size` or
 //! `batch_delay`. A ring before the deadline runs a round in which nothing
 //! that is not due runs (a spout's `next_batch` included): the port is
 //! served as frames arrive while the source keeps its own clock. Guaranteed
@@ -44,7 +45,7 @@ use std::time::{Duration, Instant};
 use typhoon_controller::ControlTuple;
 use typhoon_metrics::{Counter, Gauge, Histogram, RateMeter, Registry};
 use typhoon_model::{AppId, Bolt, Emitter, Spout, TaskId};
-use typhoon_net::{BellSlot, Doorbell};
+use typhoon_net::{Doorbell, Next, Round, Stop};
 use typhoon_storm::acker::{AckOutcome, AckerLedger};
 use typhoon_switch::WorkerPort;
 use typhoon_trace::{Hop, TraceCtx};
@@ -114,16 +115,13 @@ pub struct WorkerShared {
     pub ready: Arc<AtomicBool>,
     /// Rung after `ready` is set and when the worker exits: what `wait_ready` parks on.
     pub(crate) ready_bell: Doorbell,
-    /// Set by the agent once the worker's thread is done with it, however
-    /// it ended (a panic is counted first), before `ready_bell` rings.
+    /// Set once the worker's thread is done with it, however it ended (a
+    /// panic is counted first), before `ready_bell` rings.
     exited: Arc<AtomicBool>,
-    /// Graceful stop ([`WorkerShared::request_shutdown`]).
-    shutdown: Arc<AtomicBool>,
-    /// Abrupt stop ([`WorkerShared::request_crash`]).
-    crash: Arc<AtomicBool>,
-    /// The worker loop's bell (its port's), once the worker has a port:
-    /// rung after a stop flag is set.
-    port_bell: Arc<BellSlot>,
+    /// The worker loop's stop flag: graceful
+    /// ([`WorkerShared::request_shutdown`]) or abrupt
+    /// ([`WorkerShared::request_crash`]).
+    pub(crate) stop: Stop,
     /// Data-tuple meter (spout: emitted; bolt: received).
     pub meter: RateMeter,
     /// Worker metrics.
@@ -137,9 +135,7 @@ impl WorkerShared {
             ready: Arc::new(AtomicBool::new(false)),
             ready_bell: Doorbell::new(),
             exited: Arc::new(AtomicBool::new(false)),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            crash: Arc::new(AtomicBool::new(false)),
-            port_bell: Arc::default(),
+            stop: Stop::new(),
             meter: RateMeter::per_second(),
             registry: Registry::new(),
         }
@@ -147,16 +143,14 @@ impl WorkerShared {
 
     /// Graceful stop: the worker drains its egress, then exits.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.port_bell.ring();
+        self.stop.stop();
     }
 
     /// Abrupt stop: the worker exits at once, dropping its switch port —
     /// the switch reports an unexpected `PortStatus` delete (fault
     /// injection).
     pub fn request_crash(&self) {
-        self.crash.store(true, Ordering::Release);
-        self.port_bell.ring();
+        self.stop.abort();
     }
 
     /// Whether the worker's thread is done, however it ended.
@@ -233,8 +227,6 @@ impl WorkerCtx {
         fw.set_trace(trace.clone());
         let mut io = IoLayer::new(fw.mac(), port, &config.io, shared.registry.clone());
         io.set_trace(trace.clone());
-        // A stop requested before this is seen by the loop's first round.
-        shared.port_bell.set(io.bell().clone());
         WorkerCtx {
             root_seed: (config.task.0 as u64).wrapping_mul(0xa076_1d64_78bd_642f) | 1,
             active: config.start_active,
@@ -499,7 +491,8 @@ impl Emitter for SpoutEmitter<'_> {
     }
 }
 
-/// Runs a Typhoon worker until shutdown/crash. Call on a dedicated thread.
+/// Runs a Typhoon worker on the calling thread until shutdown, crash or
+/// detach (the agent runs the same round on a [`typhoon_net::Runner`]).
 pub fn run_worker(
     config: WorkerConfig,
     role: Role,
@@ -509,12 +502,47 @@ pub fn run_worker(
     shared: WorkerShared,
     trace: TraceCtx,
 ) {
-    let now = Instant::now();
-    let mut ctx = WorkerCtx::new(config, port, routes, ser, shared, trace, now);
-    match role {
-        Role::Spout(spout) => run_loop(SpoutRole::new(spout, &mut ctx, now), &mut ctx),
-        Role::Bolt(bolt) => run_loop(BoltRole::new(bolt, &mut ctx, now), &mut ctx),
-        Role::Acker => run_loop(AckerRole::new(&ctx, now), &mut ctx),
+    let (stop, registry) = (shared.stop.clone(), shared.registry.clone());
+    let build = worker_loop(config, role, port, routes, ser, shared, trace);
+    typhoon_net::round::run(&stop, &registry, build);
+}
+
+/// A worker loop's build: at `now`, on the thread that will run it, it opens
+/// the role, then marks the worker ready. However the thread ends after
+/// this starts — a panic here included — the worker is marked exited.
+pub(crate) fn worker_loop(
+    config: WorkerConfig,
+    role: Role,
+    port: WorkerPort,
+    routes: Vec<Route>,
+    ser: Arc<SerStats>,
+    shared: WorkerShared,
+    trace: TraceCtx,
+) -> impl FnOnce(Instant) -> Box<dyn Round> + Send {
+    move |now| {
+        let exit = ExitGuard(shared.clone());
+        let mut ctx = WorkerCtx::new(config, port, routes, ser, shared, trace, now);
+        match role {
+            Role::Spout(spout) => {
+                WorkerRound::boxed(SpoutRole::new(spout, &mut ctx, now), ctx, exit)
+            }
+            Role::Bolt(bolt) => WorkerRound::boxed(BoltRole::new(bolt, &mut ctx, now), ctx, exit),
+            Role::Acker => WorkerRound::boxed(AckerRole::new(&ctx, now), ctx, exit),
+        }
+    }
+}
+
+/// Marks its worker exited when dropped: at the end of the worker's
+/// thread, or during a panic's unwind, which it counts first
+/// (`recovery.panics`).
+struct ExitGuard(WorkerShared);
+
+impl Drop for ExitGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.registry.counter("recovery.panics").inc();
+        }
+        self.0.mark_exited();
     }
 }
 
@@ -551,7 +579,7 @@ fn receive(ctx: &mut WorkerCtx, role: &mut impl RoleLoop, record: &[u8], now: In
     true
 }
 
-/// What a role contributes to the one worker loop ([`run_loop`]); every step
+/// What a role contributes to the one worker round ([`WorkerRound`]); every step
 /// takes the round's `now`.
 trait RoleLoop {
     /// One decoded ingress tuple, already classified.
@@ -568,34 +596,47 @@ trait RoleLoop {
     fn on_shutdown(&mut self, _ctx: &mut WorkerCtx) {}
 }
 
-/// The worker loop every role shares: exit checks, ingress, the role's
-/// work, egress flush, dead-port fail-fast, queue gauge, idle wait.
-fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
-    let queue_depth = ctx.shared.registry.gauge("queue.depth");
-    let rounds = ctx.shared.registry.counter("loop.rounds");
-    let parks = ctx.shared.registry.counter("loop.parks");
-    let rung = ctx.shared.registry.counter("loop.rung");
-    let bell = ctx.io.bell().clone();
-    let mut rx = Ingress::new(&ctx.shared.registry);
-    ctx.shared.ready.store(true, Ordering::Release);
-    ctx.shared.ready_bell.ring();
-    loop {
-        rounds.inc();
-        let now = Instant::now();
-        if ctx.shared.crash.load(Ordering::Acquire) {
-            return; // abrupt: port drops, PortStatus delete fires
-        }
-        if ctx.shared.shutdown.load(Ordering::Acquire) {
-            role.on_shutdown(ctx);
-            ctx.flush_acks(true, now);
-            ctx.io.flush_all();
-            return;
-        }
-        if ctx.io.poll(&mut rx, INGRESS_BUDGET).is_err() {
-            return; // the port was detached, i.e. the worker was killed
+/// The worker round every role shares: ingress, the role's work, egress
+/// flush, dead-port fail-fast, queue gauge, then the role's deadline. A
+/// crash (the runner's abort) ends the loop without a flush: the port
+/// drops and the switch reports the `PortStatus` delete.
+struct WorkerRound<R> {
+    role: R,
+    ctx: WorkerCtx,
+    rx: Ingress,
+    queue_depth: Gauge,
+    _exit: ExitGuard,
+}
+
+impl<R: RoleLoop + 'static> WorkerRound<R> {
+    /// The round over an opened role; the worker is ready from here on.
+    fn boxed(role: R, ctx: WorkerCtx, exit: ExitGuard) -> Box<dyn Round> {
+        let round = WorkerRound {
+            rx: Ingress::new(&ctx.shared.registry),
+            queue_depth: ctx.shared.registry.gauge("queue.depth"),
+            role,
+            ctx,
+            _exit: exit,
+        };
+        round.ctx.shared.ready.store(true, Ordering::Release);
+        round.ctx.shared.ready_bell.ring();
+        Box::new(round)
+    }
+}
+
+impl<R: RoleLoop> Round for WorkerRound<R> {
+    fn bell(&self) -> &Doorbell {
+        self.ctx.io.bell()
+    }
+
+    fn round(&mut self, now: Instant) -> Next {
+        let (ctx, role) = (&mut self.ctx, &mut self.role);
+        if ctx.io.poll(&mut self.rx, INGRESS_BUDGET).is_err() {
+            return Next::Done; // the port was detached, i.e. the worker was killed
         }
         let mut busy = false;
-        rx.walk(|_src, record| busy |= receive(ctx, &mut role, record, now));
+        self.rx
+            .walk(|_src, record| busy |= receive(ctx, role, record, now));
         busy |= role.on_tick(ctx, now);
         // While input keeps coming, batches fill or leave at `batch_delay`;
         // the round that finds none sends everything, data before the acks
@@ -607,27 +648,26 @@ fn run_loop(mut role: impl RoleLoop, ctx: &mut WorkerCtx) {
         }
         ctx.flush_acks(!busy, now);
         if ctx.io.egress_dead() {
-            return; // the switch side of the port is gone; fail fast
+            return Next::Done; // the switch side of the port is gone; fail fast
         }
-        queue_depth.set(ctx.io.queue_depth() as i64);
+        self.queue_depth.set(ctx.io.queue_depth() as i64);
         if busy {
-            continue;
+            return Next::Again;
         }
         // Nothing is buffered, so park until a ring or the role's deadline,
         // if it has one.
-        let (io, shared) = (&ctx.io, &ctx.shared);
-        let woken = bell.wait(role.next_due(ctx), || {
-            let idle = io.ingress_idle()
-                && !shared.crash.load(Ordering::Acquire)
-                && !shared.shutdown.load(Ordering::Acquire);
-            if idle {
-                parks.inc();
-            }
-            idle
-        });
-        if woken {
-            rung.inc();
-        }
+        Next::until(role.next_due(ctx))
+    }
+
+    fn idle(&mut self) -> bool {
+        self.ctx.io.ingress_idle()
+    }
+
+    /// Graceful stop: the role's end, then everything buffered leaves.
+    fn on_stop(&mut self, now: Instant) {
+        self.role.on_shutdown(&mut self.ctx);
+        self.ctx.flush_acks(true, now);
+        self.ctx.io.flush_all();
     }
 }
 

@@ -713,7 +713,8 @@ fn idle_bolt_parks_instead_of_polling() {
         counters().counter("loop.rounds"),
         counters().counter("loop.parks"),
     );
-    let datapath_rounds = || sw.registry().snapshot().counter("switch.rounds");
+    // The datapath loop counts its rounds in the switch's registry.
+    let datapath_rounds = || sw.registry().snapshot().counter("loop.rounds");
     let switch_rounds0 = datapath_rounds();
     std::thread::sleep(Duration::from_millis(200));
     let rounds = counters().counter("loop.rounds") - rounds0;
@@ -1100,10 +1101,7 @@ fn control_tuple_reaches_an_idle_active_spout_at_once() {
 /// `Echo` bolt / `Asked` spout (both named "idle").
 fn test_agent(
     bolts: impl FnOnce(&mut typhoon_model::ComponentRegistry),
-) -> (
-    Arc<typhoon_core::agent::WorkerAgent>,
-    typhoon_switch::SwitchHandle,
-) {
+) -> (Arc<typhoon_core::agent::WorkerAgent>, typhoon_net::Runner) {
     use typhoon_coordinator::global::GlobalState;
     use typhoon_coordinator::Coordinator;
     use typhoon_model::{ComponentRegistry, HostInfo};

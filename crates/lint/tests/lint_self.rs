@@ -188,16 +188,16 @@ fn library_lines(tag: &str) -> Vec<(String, String)> {
 /// The unbounded-queue census, pinned: a queue is the ring (bounded,
 /// overflow counted) or a `std::sync::mpsc` channel, and TL004 accepts any
 /// reasoned waiver — so the unbounded ones are counted here: tunnel ×3,
-/// Storm inbox ×2, coordinator watch ×1.
+/// Storm inbox ×2. (Coordinator watches hand each event to a callback, so
+/// they queue nothing.)
 #[test]
-fn the_unbounded_queues_are_the_six_we_know() {
+fn the_unbounded_queues_are_the_five_we_know() {
     let mut waived = library_lines("LINT: allow-unbounded(");
     waived.retain(|(file, _)| !file.contains("/lint/src/")); // the rule's own text
     let in_file = |suffix: &str| waived.iter().filter(|(f, _)| f.ends_with(suffix)).count();
     assert_eq!(in_file("net/src/tunnel.rs"), 3, "{waived:?}");
     assert_eq!(in_file("storm/src/transport.rs"), 2, "{waived:?}");
-    assert_eq!(in_file("coordinator/src/watch.rs"), 1, "{waived:?}");
-    assert_eq!(waived.len(), 6, "{waived:?}");
+    assert_eq!(waived.len(), 5, "{waived:?}");
 }
 
 /// TL009 only says a declared dependency must be used; this says the
@@ -353,7 +353,7 @@ fn the_checked_files_take_their_primitives_from_the_sync_seam() {
         "RwLock",
         "Condvar",
     ];
-    for file in ["ring.rs", "doorbell.rs"] {
+    for file in ["ring.rs", "doorbell.rs", "round.rs"] {
         let code = shipped_code(&format!("net/src/{file}"));
         let mut from_seam = 0;
         for line in &code {
@@ -419,17 +419,25 @@ fn a_worker_holds_one_tuple_at_a_time() {
 }
 
 /// A worker round reads the clock once, at its head, and hands that `now`
-/// to every step; every role timer is a deadline held in state. So non-test
-/// `worker/` code names `Instant::now()` only at the round head, the empty
-/// poll's stamp (a poll clocked from the round's head could come early), the
-/// set-up read that starts every timer, and the two ends of the
-/// `recovery.restore_ms` stopwatch; the I/O layer and the ack buffer take
-/// `now` as an argument; and nothing measures `.elapsed()`.
+/// to every step; every role timer is a deadline held in state. The head
+/// read is the round runner's: `net/src/round.rs` names `Instant::now()`
+/// exactly twice, for the set-up instant its `build` gets and once per
+/// round, and measures nothing. Non-test `worker/` code names it only for
+/// the empty poll's stamp (a poll clocked from the round's head could come
+/// early) and the two ends of the `recovery.restore_ms` stopwatch; the I/O
+/// layer and the ack buffer take `now` as an argument; and nothing measures
+/// `.elapsed()`.
 #[test]
 fn a_worker_round_reads_the_clock_once() {
     let mut reads = Vec::new();
-    for file in ["mod.rs", "io.rs", "acks.rs", "framework.rs"] {
-        for line in shipped_code(&format!("core/src/worker/{file}")) {
+    for file in [
+        "core/src/worker/mod.rs",
+        "core/src/worker/io.rs",
+        "core/src/worker/acks.rs",
+        "core/src/worker/framework.rs",
+        "net/src/round.rs",
+    ] {
+        for line in shipped_code(file) {
             assert!(!line.contains(".elapsed()"), "{file}: `{line}`");
             if line.contains("Instant::now()") {
                 reads.push(format!("{file}: {}", line.trim()));
@@ -437,13 +445,126 @@ fn a_worker_round_reads_the_clock_once() {
         }
     }
     let expected = [
-        "mod.rs: let now = Instant::now();", // run_worker's set-up read
-        "mod.rs: let now = Instant::now();", // the round head
-        "mod.rs: self.next_poll = Instant::now() + SPOUT_IDLE_POLL;",
-        "mod.rs: let restore_started = Instant::now();",
-        "mod.rs: let restore_ms = (Instant::now() - restore_started).as_millis() as u64;",
+        "core/src/worker/mod.rs: self.next_poll = Instant::now() + SPOUT_IDLE_POLL;",
+        "core/src/worker/mod.rs: let restore_started = Instant::now();",
+        "core/src/worker/mod.rs: let restore_ms = (Instant::now() - restore_started).as_millis() as u64;",
+        "net/src/round.rs: let mut round = build(Instant::now());", // the set-up read
+        "net/src/round.rs: let now = Instant::now();",               // the round head
     ];
     assert_eq!(reads, expected);
+}
+
+/// Outside the worker and the round runner, the runtime reads the clock at
+/// exactly these sites: stopwatches of set-up phases and failovers, the
+/// deadlines of calls that block their caller (a fence, `wait_ready`,
+/// `wait_leader`), the switch's hand-driven `process_round` and its expiry
+/// and headless clocks, the fault injector's held frames, and the
+/// doorbell's park. A loop's timer is a deadline against the runner's
+/// `now`, so a new site here is a loop reading a clock of its own.
+#[test]
+fn the_clock_is_read_at_these_sites_outside_the_runner() {
+    let mut sites = Vec::new();
+    for dir in ["controller", "coordinator", "core", "net", "switch"] {
+        let src = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../{dir}/src"));
+        let mut files = Vec::new();
+        let mut stack = vec![src];
+        while let Some(dir) = stack.pop() {
+            for entry in std::fs::read_dir(&dir).expect("read_dir").flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    files.push(path);
+                }
+            }
+        }
+        files.sort();
+        for path in files {
+            let file = path.to_string_lossy().into_owned();
+            let file = file
+                .split("/../")
+                .nth(1)
+                .expect("crate-relative")
+                .to_owned();
+            if file.contains("/worker/") || file.ends_with("net/src/round.rs") {
+                continue;
+            }
+            for line in shipped_code(&file) {
+                if line.contains("Instant::now()") || line.contains(".elapsed()") {
+                    sites.push(format!("{file}: {}", line.trim()));
+                }
+            }
+        }
+    }
+    let expected = [
+        "controller/src/controller.rs: let deadline = Instant::now() + timeout;",
+        "controller/src/controller.rs: while sent && unanswered() && Instant::now() <= deadline {",
+        "controller/src/ha.rs: let t0 = Instant::now();",
+        "controller/src/ha.rs: let failover_ms = t0.elapsed().as_millis() as u64;",
+        "controller/src/ha.rs: let deadline = Instant::now() + timeout;",
+        "controller/src/ha.rs: while leader.is_none() && Instant::now() < deadline {",
+        "controller/src/ha.rs: slot.session_deadline = Some(Instant::now() + self.inner.session_timeout);",
+        "core/src/agent.rs: let deadline = Instant::now() + timeout;",
+        "core/src/agent.rs: _ if Instant::now() > deadline => return Err(late),",
+        "core/src/manager.rs: let mut mark = Instant::now();",
+        "core/src/manager.rs: let us = mark.elapsed().as_micros() as u64;",
+        "core/src/manager.rs: mark = Instant::now();",
+        "core/src/manager.rs: let t0 = Instant::now();",
+        "core/src/manager.rs: let reschedule = t0.elapsed();",
+        "core/src/manager.rs: let t1 = Instant::now();",
+        "core/src/manager.rs: let restart = t1.elapsed();",
+        "core/src/manager.rs: let t2 = Instant::now();",
+        "core/src/manager.rs: let replay = t2.elapsed();",
+        "core/src/manager.rs: total: t0.elapsed(),",
+        "net/src/doorbell.rs: let timeout = deadline.map(|t| t.saturating_duration_since(Instant::now()));",
+        "net/src/fault.rs: .map_or(!spec.stall, |due| due <= Instant::now());",
+        "net/src/fault.rs: hold(Some(Instant::now() + d), frame);",
+        "net/src/fault.rs: hold(Some(Instant::now()), frame.clone());",
+        "net/src/fault.rs: due: Some(Instant::now() + d),",
+        "switch/src/cache.rs: epoch: Instant::now(),",
+        "switch/src/datapath.rs: Instant::now(),",
+        "switch/src/datapath.rs: self.round_at(Instant::now())",
+        "switch/src/link.rs: link.headless_since = Some(Instant::now());",
+        "switch/src/link.rs: .map_or(Duration::ZERO, |since| since.elapsed());",
+        "switch/src/link.rs: Instant::now()",
+        "switch/src/link.rs: let now = Instant::now();",
+        "switch/src/link.rs: let now = Instant::now();",
+    ];
+    assert_eq!(sites, expected);
+}
+
+/// Sleeps in test code, counted: a sleep in a test is a wall-clock window
+/// or a poll, and the suites are moving to counts and events. The ceilings
+/// only fall: lower them when a sleep goes, never raise them.
+#[test]
+fn test_sleeps_only_fall() {
+    let count = |dir: &std::path::Path| -> usize {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return 0;
+        };
+        let sources = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"));
+        sources
+            .map(|p| std::fs::read_to_string(p).expect("read test"))
+            .map(|text| text.matches(concat!("thread::", "sleep")).count())
+            .sum()
+    };
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    const ROOT_CEILING: usize = 27;
+    const CRATES_CEILING: usize = 41;
+    let in_root = count(&root.join("tests"));
+    let in_crates: usize = std::fs::read_dir(root.join("crates"))
+        .expect("read_dir")
+        .flatten()
+        .map(|krate| count(&krate.path().join("tests")))
+        .sum();
+    assert!(in_root <= ROOT_CEILING, "{in_root} in tests/*.rs");
+    assert!(
+        in_crates <= CRATES_CEILING,
+        "{in_crates} in crates/*/tests/*.rs"
+    );
 }
 
 /// Frames are forwarded on the thread that holds them, with no datapath

@@ -18,6 +18,10 @@
 //!   that found nothing to do arms its [`Doorbell`], re-checks its sources
 //!   and parks; producers ring after handing work over. Rings and tunnels
 //!   ring it, so an idle hop costs a wake-up, not a timer period.
+//! * [`round`] — the one loop every long-lived thread runs: a [`Round`]
+//!   says what comes next, [`round::run`] reads the clock, parks on the
+//!   round's doorbell and counts `loop.*`; a [`Runner`] owns it on a thread
+//!   of its own and stops and joins it on drop.
 //! * [`tunnel`] — host-level tunnels that carry frames between compute
 //!   hosts: a real TCP implementation (loopback in experiments), whose
 //!   reader thread can hand each decoded batch straight to its switch, and
@@ -34,6 +38,8 @@ pub mod fault;
 pub mod frame;
 pub mod packetize;
 pub mod ring;
+pub mod round;
+mod runner;
 mod sync;
 pub mod tunnel;
 
@@ -42,6 +48,8 @@ pub use fault::{ChaosHandle, FaultInjector, FaultPlan, FaultSpec, KillClass, Kil
 pub use frame::{Frame, MacAddr, TYPHOON_ETHERTYPE};
 pub use packetize::{Depacketizer, Packetizer};
 pub use ring::{ring, ring_with_bell, RingConsumer, RingProducer, RingStats};
+pub use round::{Next, Round, Signal, Stop};
+pub use runner::Runner;
 pub use tunnel::{InMemoryTunnel, TcpTunnel, Tunnel, TunnelConfig, TunnelIngress};
 
 /// Why a tunnel entered its broken (fail-fast) state.

@@ -4,8 +4,9 @@
 //! hands `ring.rs` and `doorbell.rs` the model checker's lock, atomics,
 //! fence and park token, so every scenario here explores the code that
 //! runs in production — `ring::<Frame>` on the worker ports, `ring::<Bytes>`
-//! on the switch ↔ controller channel, `Doorbell::wait` under every poll
-//! loop — not a restatement of it. Every consumer here parks with no
+//! on the switch ↔ controller channel, `Doorbell::wait` and the round
+//! runner (`round::run`, whose stop flag comes from the same seam) under
+//! every long-lived loop — not a restatement of it. Every consumer here parks with no
 //! deadline, as the workspace's own do when nothing is due: a park that
 //! nobody ends is a deadlock the checker reports, with the schedule.
 //!
@@ -18,11 +19,15 @@
 
 use bytes::Bytes;
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+use typhoon_check::sync::atomic::{AtomicBool, Ordering};
 use typhoon_check::sync::{thread, Mutex};
 use typhoon_check::{Checker, Failure, Replay};
+use typhoon_metrics::Registry;
 use typhoon_net::ring::{BatchPush, RingItem};
 use typhoon_net::{
-    ring, ring_with_bell, BellSlot, Doorbell, Frame, MacAddr, NetError, RingConsumer,
+    ring, ring_with_bell, round, BellSlot, Doorbell, Frame, MacAddr, NetError, Next, RingConsumer,
+    Round, Stop,
 };
 use typhoon_tuple::tuple::TaskId;
 
@@ -377,4 +382,86 @@ fn a_silent_registration_is_found_as_a_lost_wakeup() {
         panic!("expected DFS traces from both runs");
     };
     assert_eq!(first, second);
+}
+
+// ------------------------------------------------------------------- runner
+
+/// The round runner (`round::run`) over a round with one source: a flag a
+/// producer sets and then rings. The round takes the flag and ends the loop
+/// once it has seen it; otherwise it parks until rung. `recheck: false` is
+/// the misuse of a round that trusts its last look.
+struct OneFlag {
+    bell: Doorbell,
+    work: Arc<AtomicBool>,
+    recheck: bool,
+}
+
+impl Round for OneFlag {
+    fn bell(&self) -> &Doorbell {
+        &self.bell
+    }
+    fn round(&mut self, _now: Instant) -> Next {
+        if self.work.swap(false, Ordering::SeqCst) {
+            Next::Done
+        } else {
+            Next::Woken
+        }
+    }
+    fn idle(&mut self) -> bool {
+        !self.recheck || !self.work.load(Ordering::SeqCst)
+    }
+}
+
+/// A producer sets the flag and rings while the runner is anywhere in its
+/// round, its re-check or its park: the loop always ends, so a ring that
+/// lands between the re-check and the park is not lost.
+fn ring_vs_runner(recheck: bool) {
+    let (bell, work) = (Doorbell::new(), Arc::new(AtomicBool::new(false)));
+    let producer = {
+        let (bell, work) = (bell.clone(), Arc::clone(&work));
+        thread::spawn(move || {
+            work.store(true, Ordering::SeqCst);
+            bell.ring();
+        })
+    };
+    let round = OneFlag {
+        bell,
+        work,
+        recheck,
+    };
+    round::run(&Stop::new(), &Registry::new(), move |_| Box::new(round));
+    producer.join();
+}
+
+/// A round with nothing to do parks with no deadline; another thread stops
+/// the loop at any point of that, and the loop returns.
+fn stop_vs_park() {
+    let stop = Stop::new();
+    let stopper = {
+        let stop = stop.clone();
+        thread::spawn(move || stop.stop())
+    };
+    let round = OneFlag {
+        bell: Doorbell::new(),
+        work: Arc::new(AtomicBool::new(false)),
+        recheck: true,
+    };
+    round::run(&stop, &Registry::new(), move |_| Box::new(round));
+    stopper.join();
+}
+
+#[test]
+fn a_stop_during_a_park_ends_the_park() {
+    holds("runner-stop-during-park", stop_vs_park);
+}
+
+#[test]
+fn a_ring_between_the_recheck_and_the_park_is_not_lost() {
+    holds("runner-ring-vs-park", || ring_vs_runner(true));
+    // And the scenario can fail: a round that skips its re-check loses the
+    // ring that lands before the arm.
+    let failure = Checker::default()
+        .check("runner-ring-vs-park/no-recheck", || ring_vs_runner(false))
+        .expect_failure();
+    assert!(failure.message.contains("deadlock"), "{}", failure.message);
 }

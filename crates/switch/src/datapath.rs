@@ -6,11 +6,12 @@
 //! [`Switch::process_round`] for the rest: controller messages
 //! ([`crate::link`]), reaping ports whose worker died, pulled tunnels,
 //! tunnel teardown and frames a fault injector held back, then the
-//! rule-expiry sweep. It polls while rounds find work and waits on the
-//! switch's [`Doorbell`] when one does not: [`ControlChannel::send`], a
-//! worker end dropping and every registered tunnel's teardown ring it, and
-//! the wait ends at the next sweep or held tunnel frame
-//! ([`Switch::next_due`]).
+//! rule-expiry sweep. It runs on the workspace's one round runner
+//! ([`typhoon_net::Runner`]): rounds repeat while they find work, and the
+//! runner parks on the switch's [`Doorbell`] when one does not.
+//! [`ControlChannel::send`], a worker end dropping and every registered
+//! tunnel's teardown ring it, and the park ends at the next sweep or held
+//! tunnel frame ([`Switch::next_due`]).
 
 use crate::cache::{CacheStats, FlowCache};
 use crate::group_table::GroupTable;
@@ -20,11 +21,10 @@ use crate::table::FlowTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{Counter, Gauge, Registry};
-use typhoon_net::{Doorbell, Frame, Tunnel};
+use typhoon_net::{Doorbell, Frame, Next, Round, Runner, Stop, Tunnel};
 use typhoon_openflow::{DatapathId, OfMessage, PortNo, PortStatusReason};
 use typhoon_trace::TraceCtx;
 
@@ -66,17 +66,15 @@ pub(crate) struct Inner {
     pub(crate) headless: AtomicBool,
     /// What the datapath thread waits on when a round moved nothing.
     pub(crate) bell: Doorbell,
-    shutdown: AtomicBool,
     last_expire: Mutex<Instant>,
     pub(crate) trace: Mutex<TraceCtx>,
-    /// The `switch.*` and `switch.cache.*` metrics; the instruments below
-    /// are resolved from it once, so no path looks a name up.
+    /// The `switch.*` and `switch.cache.*` metrics, and the datapath
+    /// loop's `loop.*`; the instruments below are resolved from it once, so
+    /// no path looks a name up.
     registry: Registry,
     /// Per-frame table-miss total (`switch.misses`), counted on the match
     /// path so scrapes never contend with the datapath on the table lock.
     pub(crate) misses: Counter,
-    /// Datapath-thread rounds run so far (`switch.rounds`).
-    rounds: Counter,
     /// Installed-rule count (`switch.rules`), refreshed after every table
     /// mutation.
     pub(crate) rules: Gauge,
@@ -102,12 +100,6 @@ pub(crate) struct Inner {
 #[derive(Clone)]
 pub struct Switch {
     pub(crate) inner: Arc<Inner>,
-}
-
-/// Join handle + shutdown for a spawned datapath thread.
-pub struct SwitchHandle {
-    switch: Switch,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl Switch {
@@ -141,7 +133,6 @@ impl Switch {
                 link: Mutex::with_rank(rank::DP_CTRL, "switch.datapath.link", link),
                 headless: AtomicBool::new(false),
                 bell,
-                shutdown: AtomicBool::new(false),
                 last_expire: Mutex::with_rank(
                     rank::DP_EXPIRE,
                     "switch.datapath.last_expire",
@@ -154,7 +145,6 @@ impl Switch {
                 ),
                 config,
                 misses: registry.counter("switch.misses"),
-                rounds: registry.counter("switch.rounds"),
                 rules: registry.gauge("switch.rules"),
                 tunnel_downs: registry.counter("switch.tunnel_downs"),
                 headless_ms: registry.counter("switch.headless_ms"),
@@ -245,19 +235,23 @@ impl Switch {
         CacheStats::from(&self.inner.registry.snapshot())
     }
 
-    /// Runs one datapath round: control messages, port reaping, tunnels,
-    /// expiry. Returns `true` when a control message or pulled frame was
-    /// handled (idle detection).
+    /// Runs one datapath round now: control messages, port reaping,
+    /// tunnels, expiry. Returns `true` when a control message or pulled
+    /// frame was handled (idle detection). For driving a switch by hand;
+    /// the spawned loop runs the same round at the runner's instant.
     pub fn process_round(&self) -> bool {
-        self.inner.rounds.inc();
+        self.round_at(Instant::now())
+    }
+
+    fn round_at(&self, now: Instant) -> bool {
         let mut busy = self.handle_control();
         self.reap_ports();
         busy |= self.poll_tunnels();
-        self.maybe_expire();
+        self.maybe_expire(now);
         busy
     }
 
-    fn maybe_expire(&self) {
+    fn maybe_expire(&self, now: Instant) {
         // Headless: nobody exists to re-install a rule whose flow happens
         // to go quiet during the failover window, so an expiry sweep here
         // would silently break forwarding with no controller to repair it.
@@ -265,7 +259,6 @@ impl Switch {
         if self.inner.headless.load(Ordering::Relaxed) {
             return;
         }
-        let now = Instant::now();
         let mut last = self.inner.last_expire.lock();
         if now.saturating_duration_since(*last) >= self.inner.config.expire_interval {
             *last = now;
@@ -300,37 +293,52 @@ impl Switch {
         sweep.into_iter().chain(held).min()
     }
 
-    /// Spawns the datapath loop on its own thread: poll while rounds
-    /// find work, wait on the bell until [`Switch::next_due`] when one does
-    /// not. The re-check after arming is simply one more round, which must
-    /// also leave that deadline where it was.
-    pub fn spawn(&self) -> SwitchHandle {
+    /// Spawns the datapath loop on the round runner, counting `loop.*`
+    /// in this switch's registry. Dropping the returned handle stops and
+    /// joins it.
+    pub fn spawn(&self) -> Runner {
         let switch = self.clone();
-        let sw = self.clone();
-        let thread = typhoon_diag::spawn_supervised(
+        Runner::spawn(
             &thread_name(self.dpid()),
-            |_event| { /* diag's panic log + counters suffice; no extra callback */ },
-            move || {
-                let stop = || sw.inner.shutdown.load(Ordering::Acquire);
-                while !stop() {
-                    if !sw.process_round() {
-                        let due = sw.next_due();
-                        let idle = || !stop() && !sw.process_round() && sw.next_due() == due;
-                        sw.inner.bell.wait(due, idle);
-                    }
-                }
+            Stop::new(),
+            self.registry(),
+            move |now| {
+                Box::new(DatapathRound {
+                    switch,
+                    now,
+                    due: None,
+                })
             },
-        );
-        SwitchHandle {
-            switch,
-            thread: Some(thread),
-        }
+        )
+    }
+}
+
+/// The datapath thread's round: repeat while rounds find work, park until
+/// [`Switch::next_due`] when one does not.
+struct DatapathRound {
+    switch: Switch,
+    /// The last round's instant and the deadline it left: the re-check is
+    /// one more round at that instant, which must also leave the deadline
+    /// where it was.
+    now: Instant,
+    due: Option<Instant>,
+}
+
+impl Round for DatapathRound {
+    fn bell(&self) -> &Doorbell {
+        &self.switch.inner.bell
     }
 
-    /// Requests the datapath loop to stop.
-    pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.bell.ring();
+    fn round(&mut self, now: Instant) -> Next {
+        if self.switch.round_at(now) {
+            return Next::Again;
+        }
+        (self.now, self.due) = (now, self.switch.next_due());
+        Next::until(self.due)
+    }
+
+    fn idle(&mut self) -> bool {
+        !self.switch.round_at(self.now) && self.switch.next_due() == self.due
     }
 }
 
@@ -350,25 +358,6 @@ impl std::fmt::Debug for Switch {
             self.inner.rules.get(),
             self.miss_count()
         )
-    }
-}
-
-impl SwitchHandle {
-    /// The underlying switch handle.
-    pub fn switch(&self) -> &Switch {
-        &self.switch
-    }
-
-    /// Stops the loop and joins the thread (what dropping the handle does).
-    pub fn stop(self) {}
-}
-
-impl Drop for SwitchHandle {
-    fn drop(&mut self) {
-        self.switch.shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 

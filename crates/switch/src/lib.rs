@@ -45,7 +45,7 @@ pub mod port;
 pub mod table;
 
 pub use cache::{CacheStats, FlowCache};
-pub use datapath::{Switch, SwitchConfig, SwitchHandle};
+pub use datapath::{Switch, SwitchConfig};
 pub use group_table::GroupTable;
 pub use link::{ControlChannel, StaleLeader, ToSwitch};
 pub use port::{PortTx, WorkerPort};

@@ -4,11 +4,13 @@
 //! every name the naming table documents is registered in a fresh
 //! cluster's [`TyphoonCluster::snapshot`], and every name registered there
 //! is documented. All of them are registered at construction, so the
-//! snapshot is taken before any traffic.
+//! snapshot is taken before any traffic. The same goes for the round
+//! runner's `loop.rounds`, `loop.parks` and `loop.rung`: every source that
+//! owns a long-lived loop registers all three.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
-use typhoon::net::FaultPlan;
+use typhoon::net::{FaultPlan, KillSpec};
 use typhoon::prelude::*;
 use typhoon_model::ComponentRegistry;
 
@@ -67,9 +69,9 @@ fn the_documented_names_are_the_registered_ones() {
     let doc = std::fs::read_to_string(doc_path).expect("read the doc");
     let documented = documented(&doc);
 
-    let config = TyphoonConfig::new(2)
-        .with_tcp_tunnels()
-        .with_chaos(FaultPlan::clean(1));
+    // A kill armed an hour out: the chaos killer's loop exists and waits.
+    let plan = FaultPlan::clean(1).with_kill(KillSpec::worker(Duration::from_secs(3600)));
+    let config = TyphoonConfig::new(2).with_tcp_tunnels().with_chaos(plan);
     let cluster = TyphoonCluster::new(config, ComponentRegistry::new()).expect("cluster");
     let snapshot = cluster.snapshot();
     cluster.shutdown();
@@ -78,6 +80,23 @@ fn the_documented_names_are_the_registered_ones() {
     }
     for source in ["chaos/0-1", "chaos/1-0", "chaos/cluster"] {
         assert!(snapshot.contains_key(source), "no {source} source");
+    }
+    // Each loop's counters, in the source that owns it: the two datapaths,
+    // the one controller replica's pump, the HA monitor, the manager and
+    // the chaos killer.
+    let loops = [
+        "switch/0",
+        "switch/1",
+        "controller/0",
+        "control_plane",
+        "manager",
+        "chaos/cluster",
+    ];
+    for source in loops {
+        let counters = &snapshot[source].counters;
+        for name in ["loop.rounds", "loop.parks", "loop.rung"] {
+            assert!(counters.contains_key(name), "{source} has no {name}");
+        }
     }
     let registered: BTreeSet<String> = snapshot
         .values()
