@@ -209,11 +209,17 @@ pub mod rank {
     pub const CTRL_BARRIER_WAITERS: LockRank = LockRank(490);
     /// `typhoon-controller` `controller.rs` — SDN controller state.
     pub const CONTROLLER: LockRank = LockRank(500);
-    /// `typhoon-net` `fault.rs` — a fault injector's hand-off ingress. Held
-    /// while the frames it orders are forwarded, so it sits below every
-    /// datapath lock; forwarding never hands over into an injector (only a
-    /// TCP reader thread and the injector's own poller do), so it never
-    /// nests under itself.
+    /// `typhoon-net` `tunnel.rs` — an endpoint's inbox, the frames that
+    /// arrived before it was given an ingress. Held while `set_ingress`
+    /// hands them over, so it sits below `CHAOS_INGRESS` and every
+    /// datapath lock.
+    pub const TUNNEL_INBOX: LockRank = LockRank(580);
+    /// `typhoon-net` `fault.rs` — a fault injector's ingress. Held while
+    /// the frames it orders are forwarded, so it sits below every datapath
+    /// lock. A frame that arrived over a tunnel is never forwarded into
+    /// one (split horizon, `typhoon-switch` `forward.rs`), so forwarding
+    /// under it never hands over into another injector and it never nests
+    /// under itself.
     pub const CHAOS_INGRESS: LockRank = LockRank(590);
     /// `typhoon-switch` flow table (all `DP_*` locks live in `datapath.rs`'s
     /// `Inner`; taken by `forward.rs` lookups and `link.rs` FlowMods).

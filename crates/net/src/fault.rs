@@ -159,7 +159,7 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Faults applied to outbound frames (`send`).
     pub tx: FaultSpec,
-    /// Faults applied to inbound frames (`try_recv`).
+    /// Faults applied to inbound frames, on their way to the ingress.
     pub rx: FaultSpec,
     /// Optional one-shot process kill (executed by the cluster runtime).
     pub kill: Option<KillSpec>,
@@ -230,12 +230,13 @@ struct ChaosState {
 
 struct ChaosShared {
     state: Mutex<ChaosState>,
-    /// The poller's bell: a plan change can release held frames.
+    /// The bell given with the ingress: a plan change can release held
+    /// frames.
     bell: BellSlot,
-    /// Where inbound frames go when the wrapped endpoint hands over
-    /// ([`Tunnel::set_ingress`]). Held while a batch is delivered, by the
-    /// receiving thread and by the poller releasing held frames alike, so
-    /// the two deliver one after the other, in the order try_recv would.
+    /// Where inbound frames go ([`Tunnel::set_ingress`]). Held while a
+    /// batch is delivered, by the thread the wrapped endpoint delivers on
+    /// and by the owner's `try_recv` releasing held frames alike, so the
+    /// two deliver one after the other, in arrival order.
     ingress: Mutex<Option<TunnelIngress>>,
     /// The `chaos.*` counters: what the injector actually did.
     registry: Registry,
@@ -281,10 +282,27 @@ impl ChaosShared {
         released.then(|| held.pop_front())?.map(|h| h.frame)
     }
 
+    /// Holds `frame` back in one direction. A frame with a deadline that
+    /// becomes its queue's front rings the owner, whose next `try_recv`
+    /// must now come by that deadline.
+    fn hold(&self, outbound: bool, due: Option<Instant>, frame: Frame) {
+        let mut st = self.state.lock();
+        let held = match outbound {
+            true => &mut st.tx_held,
+            false => &mut st.rx_held,
+        };
+        let front = held.is_empty();
+        held.push_back(HeldFrame { due, frame });
+        drop(st);
+        if front && due.is_some() {
+            self.bell.ring();
+        }
+    }
+
     /// Applies the inbound faults to one arrival: the frame to deliver
     /// now, or `None` when it was dropped or held back. A duplicate is held
-    /// due at once, so it follows the original. Arrivals on the hand-off
-    /// path during a partition are held until it lifts.
+    /// due at once, so it follows the original. Arrivals during a
+    /// partition are held until it lifts.
     fn admit_rx(&self, frame: Frame) -> Option<Frame> {
         let (spec, drop, dup, corrupt) = {
             let mut st = self.state.lock();
@@ -306,29 +324,23 @@ impl ChaosShared {
         } else {
             frame
         };
-        let hold = |due: Option<Instant>, frame: Frame| {
-            self.state
-                .lock()
-                .rx_held
-                .push_back(HeldFrame { due, frame });
-        };
         if spec.partition {
             self.counters.partitioned.inc();
-            hold(None, frame);
+            self.hold(false, None, frame);
             return None;
         }
         if spec.stall {
             self.counters.stalled.inc();
-            hold(None, frame);
+            self.hold(false, None, frame);
             return None;
         }
         if let Some(d) = spec.delay {
             self.counters.delayed.inc();
-            hold(Some(Instant::now() + d), frame);
+            self.hold(false, Some(Instant::now() + d), frame);
             return None;
         }
         if dup {
-            hold(Some(Instant::now()), frame.clone());
+            self.hold(false, Some(Instant::now()), frame.clone());
             self.counters.duplicated.inc();
         }
         self.counters.forwarded.inc();
@@ -340,10 +352,9 @@ impl ChaosShared {
         out.extend(std::iter::from_fn(|| self.pop_released(false)));
     }
 
-    /// The hand-off path: `frames` arrived from the wrapped endpoint. Each
-    /// meets the inbound faults behind whatever held frames fell due
-    /// before it, and what survives goes to the ingress — the sequence the
-    /// pull path's `try_recv` calls produce.
+    /// The one receive path: `frames` arrived from the wrapped endpoint.
+    /// Each meets the inbound faults behind whatever held frames fell due
+    /// before it, and what survives goes to the ingress.
     fn hand_over(&self, frames: &mut Vec<Frame>) {
         let ingress = self.ingress.lock();
         let Some(ingress) = ingress.as_ref() else {
@@ -485,10 +496,12 @@ impl std::fmt::Debug for ChaosHandle {
     }
 }
 
-/// A [`Tunnel`] wrapper that injects faults per its [`FaultPlan`].
+/// A [`Tunnel`] wrapper that injects faults per its [`FaultPlan`]. It
+/// receives only through its ingress: arrivals meet the inbound faults on
+/// the thread the wrapped endpoint delivers them on.
 ///
 /// Delayed and stalled frames are released by later `send`/`try_recv`
-/// calls: an idle poller wakes for them at [`Tunnel::next_due`] (a delay)
+/// calls: an idle owner wakes for them at [`Tunnel::next_due`] (a delay)
 /// or at the ring of the [`ChaosHandle`] change that ends a stall.
 pub struct FaultInjector {
     inner: Box<dyn Tunnel + Send>,
@@ -545,28 +558,17 @@ impl FaultInjector {
 }
 
 impl Tunnel for FaultInjector {
-    /// Arrivals and teardown of the wrapped tunnel ring, and so does every
-    /// [`ChaosHandle`] change; frames held back by a delay fall due at
-    /// [`Tunnel::next_due`].
-    fn set_doorbell(&self, bell: Doorbell) {
-        self.inner.set_doorbell(bell.clone());
-        self.shared.bell.set(bell);
-    }
-
-    /// Hands over when the wrapped endpoint does: its arrivals meet the
-    /// inbound faults on its receiving thread, and the frames held back
-    /// are released by the poller's `try_recv` through the same ingress.
-    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
+    /// The wrapped endpoint's arrivals — what it queued first — meet the
+    /// inbound faults on its delivering thread, and the frames held back
+    /// are released by `try_recv` through the same ingress. The wrapped
+    /// endpoint's teardown rings `bell`, and so does every [`ChaosHandle`]
+    /// change.
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) {
         self.shared.bell.set(bell.clone());
-        *self.shared.ingress.lock() = Some(ingress);
+        self.shared.ingress.lock().get_or_insert(ingress);
         let shared = self.shared.clone();
-        let handed = self
-            .inner
+        self.inner
             .set_ingress(Arc::new(move |frames| shared.hand_over(frames)), bell);
-        if !handed {
-            *self.shared.ingress.lock() = None;
-        }
-        handed
     }
 
     /// Each held queue releases from its front, so the earlier of the two
@@ -605,19 +607,12 @@ impl Tunnel for FaultInjector {
         };
         if spec.stall {
             self.counters().stalled.inc();
-            self.shared
-                .state
-                .lock()
-                .tx_held
-                .push_back(HeldFrame { due: None, frame });
+            self.shared.hold(true, None, frame);
             return Ok(());
         }
         if let Some(d) = spec.delay {
             self.counters().delayed.inc();
-            self.shared.state.lock().tx_held.push_back(HeldFrame {
-                due: Some(Instant::now() + d),
-                frame,
-            });
+            self.shared.hold(true, Some(Instant::now() + d), frame);
             return Ok(());
         }
         self.inner.send(&frame)?;
@@ -629,9 +624,9 @@ impl Tunnel for FaultInjector {
         Ok(())
     }
 
-    /// On the hand-off path this releases the held frames that fell due
-    /// through the ingress and reports the wrapped endpoint's teardown;
-    /// pulled, it returns the next frame that survives the inbound faults.
+    /// Releases the held frames that fell due through the ingress and
+    /// reports the wrapped endpoint's teardown; it returns no frame.
+    /// Before an ingress is set, arrivals wait in the wrapped endpoint.
     fn try_recv(&self) -> Result<Option<Frame>> {
         if self.shared.state.lock().plan.rx.partition {
             self.counters().partitioned.inc();
@@ -641,27 +636,16 @@ impl Tunnel for FaultInjector {
         // polls: release due delayed/stalled TX frames opportunistically.
         self.flush_tx_held()?;
         let slot = self.shared.ingress.lock();
-        if let Some(ingress) = slot.as_ref() {
-            let mut released = Vec::new();
-            self.shared.release_rx(&mut released);
-            if !released.is_empty() {
-                ingress(&mut released);
-            }
-            drop(slot);
-            return self.inner.try_recv();
+        let Some(ingress) = slot.as_ref() else {
+            return Ok(None);
+        };
+        let mut released = Vec::new();
+        self.shared.release_rx(&mut released);
+        if !released.is_empty() {
+            ingress(&mut released);
         }
         drop(slot);
-        if let Some(frame) = self.shared.pop_released(false) {
-            return Ok(Some(frame));
-        }
-        loop {
-            let Some(frame) = self.inner.try_recv()? else {
-                return Ok(None);
-            };
-            if let Some(frame) = self.shared.admit_rx(frame) {
-                return Ok(Some(frame));
-            }
-        }
+        self.inner.try_recv()
     }
 }
 
@@ -710,6 +694,20 @@ mod tests {
             out.push(f);
         }
         out
+    }
+
+    /// Gives `inj` an ingress that passes what it is handed to a channel.
+    fn collecting(inj: &FaultInjector, bell: Doorbell) -> std::sync::mpsc::Receiver<Frame> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        inj.set_ingress(
+            Arc::new(move |frames: &mut Vec<Frame>| {
+                for f in frames.drain(..) {
+                    let _ = tx.send(f);
+                }
+            }),
+            bell,
+        );
+        rx
     }
 
     #[test]
@@ -805,6 +803,8 @@ mod tests {
         let delay = Duration::from_millis(30);
         let (inj, handle, peer) =
             wrapped(FaultPlan::symmetric(3, FaultSpec::CLEAN.delaying(delay)));
+        let bell = Doorbell::new();
+        let got = collecting(&inj, bell.clone());
         assert_eq!(inj.next_due(), None, "nothing held");
         let t = Instant::now();
         inj.send(&frame(1)).unwrap();
@@ -813,11 +813,10 @@ mod tests {
         // An inbound frame held later falls due later: the earlier front wins.
         peer.send(&frame(2)).unwrap();
         assert!(inj.try_recv().unwrap().is_none());
+        assert!(got.try_recv().is_err(), "held back");
         assert_eq!(inj.next_due(), Some(tx_due));
-        // Every plan change rings the poller: one may lift a stall, whose
+        // Every plan change rings the owner: one may lift a stall, whose
         // frames have no deadline.
-        let bell = Doorbell::new();
-        inj.set_doorbell(bell.clone());
         let registered = bell.rings();
         handle.set_plan(FaultPlan::tx_only(3, FaultSpec::CLEAN.stalled()));
         handle.set_tx(FaultSpec::CLEAN.stalled());
@@ -826,9 +825,39 @@ mod tests {
         assert_eq!(bell.rings(), registered + 4, "one ring per change");
     }
 
+    /// A frame held with a deadline that becomes its queue's front moves
+    /// the owner's deadline earlier, so it rings; one held behind it, or
+    /// with no deadline, does not.
+    #[test]
+    fn a_held_front_with_a_deadline_rings_the_owner() {
+        let delaying = FaultSpec::CLEAN.delaying(Duration::from_secs(60));
+        let (inj, _h, peer) = wrapped(FaultPlan::symmetric(3, delaying));
+        let bell = Doorbell::new();
+        let _got = collecting(&inj, bell.clone());
+        let registered = bell.rings();
+        inj.send(&frame(1)).unwrap();
+        assert_eq!(bell.rings(), registered + 1, "a new outbound front");
+        inj.send(&frame(2)).unwrap();
+        assert_eq!(bell.rings(), registered + 1, "behind the front");
+        peer.send(&frame(3)).unwrap();
+        assert_eq!(bell.rings(), registered + 2, "a new inbound front");
+        peer.send(&frame(4)).unwrap();
+        assert_eq!(bell.rings(), registered + 2, "behind the front");
+
+        let stalled = FaultPlan::symmetric(3, FaultSpec::CLEAN.stalled());
+        let (inj, _h, peer) = wrapped(stalled);
+        let bell = Doorbell::new();
+        let _got = collecting(&inj, bell.clone());
+        let registered = bell.rings();
+        inj.send(&frame(1)).unwrap();
+        peer.send(&frame(2)).unwrap();
+        assert_eq!(bell.rings(), registered, "a stall has no deadline");
+    }
+
     #[test]
     fn partition_fails_fast_with_typed_error_both_directions() {
         let (inj, handle, peer) = wrapped(FaultPlan::symmetric(3, FaultSpec::CLEAN.partitioned()));
+        let got = collecting(&inj, Doorbell::new());
         assert_eq!(
             inj.send(&frame(0)).unwrap_err(),
             NetError::Broken(TeardownCause::Partitioned)
@@ -838,22 +867,26 @@ mod tests {
             inj.try_recv().unwrap_err(),
             NetError::Broken(TeardownCause::Partitioned)
         );
+        assert!(got.try_recv().is_err(), "nothing crosses the partition");
         assert!(count(&handle, "chaos.partitioned") >= 2);
         // Heal: the link works again (the frame sent during the partition
-        // by the peer is still buffered in the underlying tunnel).
+        // by the peer is held, and the next `try_recv` releases it).
         handle.heal();
         inj.send(&frame(2)).unwrap();
         assert_eq!(drain(&peer).pop().unwrap().payload[0], 2);
-        assert_eq!(inj.try_recv().unwrap().unwrap().payload[0], 1);
+        assert_eq!(inj.try_recv().unwrap(), None);
+        assert_eq!(got.try_recv().unwrap().payload[0], 1);
     }
 
     #[test]
     fn rx_faults_apply_to_inbound_frames() {
         let (inj, h, peer) = wrapped(FaultPlan::rx_only(11, FaultSpec::CLEAN.dropping(1.0)));
+        let got = collecting(&inj, Doorbell::new());
         for i in 0..5 {
             peer.send(&frame(i)).unwrap();
         }
-        assert!(inj.try_recv().unwrap().is_none(), "all inbound dropped");
+        assert!(inj.try_recv().unwrap().is_none());
+        assert!(got.try_recv().is_err(), "all inbound dropped");
         assert_eq!(count(&h, "chaos.dropped"), 5);
     }
 
@@ -895,6 +928,7 @@ mod tests {
     #[test]
     fn disconnect_propagates_through_the_injector() {
         let (inj, _h, peer) = wrapped(FaultPlan::clean(5));
+        let _got = collecting(&inj, Doorbell::new());
         drop(peer);
         assert_eq!(inj.send(&frame(0)).unwrap_err(), NetError::Disconnected);
         assert_eq!(inj.try_recv().unwrap_err(), NetError::Disconnected);

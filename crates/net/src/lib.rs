@@ -16,16 +16,17 @@
 //!   modelling the TX/RX overflow discussion of §8.
 //! * [`doorbell`] — the wake-up primitive of every poll loop: a consumer
 //!   that found nothing to do arms its [`Doorbell`], re-checks its sources
-//!   and parks; producers ring after handing work over. Rings and tunnels
-//!   ring it, so an idle hop costs a wake-up, not a timer period.
+//!   and parks; producers ring after handing work over. Rings ring it, and
+//!   tunnels on teardown, so an idle hop costs a wake-up, not a timer
+//!   period.
 //! * [`round`] — the one loop every long-lived thread runs: a [`Round`]
 //!   says what comes next, [`round::run`] reads the clock, parks on the
 //!   round's doorbell and counts `loop.*`; a [`Runner`] owns it on a thread
 //!   of its own and stops and joins it on drop.
 //! * [`tunnel`] — host-level tunnels that carry frames between compute
-//!   hosts: a real TCP implementation (loopback in experiments), whose
-//!   reader thread can hand each decoded batch straight to its switch, and
-//!   an in-memory implementation behind one trait.
+//!   hosts: a real TCP implementation (loopback in experiments) and an
+//!   in-memory one behind one trait, each handing what arrives straight to
+//!   its switch on the thread that delivered it.
 //! * [`fault`] — the chaos layer: a [`FaultInjector`] tunnel wrapper with
 //!   a seeded, deterministic, runtime-switchable [`FaultPlan`] (drop /
 //!   delay / duplicate / corrupt / stall / hard-partition per direction)

@@ -10,16 +10,17 @@
 //! * [`TcpTunnel`] — a real TCP connection (loopback in experiments) with
 //!   4-byte length-prefixed framing and a background reader thread. This is
 //!   the REMOTE configuration of Fig. 8.
-//! * [`InMemoryTunnel`] — a channel-backed pipe with identical semantics,
+//! * [`InMemoryTunnel`] — an in-process pipe with identical semantics,
 //!   used for deterministic tests and as a faster LOCAL-style transport.
 //!
-//! An endpoint is *pulled* ([`Tunnel::try_recv`]) or *hands over*
-//! ([`Tunnel::set_ingress`]): a TCP reader thread that has a [`TunnelIngress`]
-//! gives it each decoded batch on its own thread, so the frames reach the
-//! switch's match-action path without waking anyone. Pulled endpoints queue
-//! received frames on a `std::sync::mpsc` channel, not on a ring: a tunnel
-//! is a reliable ordered pipe that mirrors socket buffering, and a ring
-//! sheds on overflow.
+//! Both receive one way: an endpoint given a [`TunnelIngress`]
+//! ([`Tunnel::set_ingress`]) hands each arrival to it on the thread that
+//! delivered it — the TCP reader that decoded the batch, or the in-memory
+//! peer's sender — so frames reach the switch's match-action path without
+//! waking anyone. Until then arrivals queue for [`Tunnel::try_recv`]; the
+//! ingress is handed that backlog first. The queue is unbounded, as a
+//! socket buffer is: a tunnel is a reliable ordered pipe, and a ring sheds
+//! on overflow.
 
 use crate::doorbell::{BellSlot, Doorbell};
 use crate::frame::Frame;
@@ -27,9 +28,9 @@ use crate::{NetError, Result, TeardownCause};
 use bytes::{BufMut, Bytes, BytesMut};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use typhoon_diag::{rank, DiagMutex as Mutex};
 use typhoon_metrics::{Counter, Registry};
@@ -108,7 +109,6 @@ impl BrokenFlag {
 }
 
 /// State shared between the send path, the reader thread and `Drop`.
-#[derive(Debug)]
 struct TunnelShared {
     broken: BrokenFlag,
     /// This endpoint's `net.tunnel.*` counters: traffic totals plus one
@@ -119,8 +119,7 @@ struct TunnelShared {
     sent: Counter,
     received: Counter,
     rejected_sends: Counter,
-    /// The bell of whoever polls this endpoint ([`Tunnel::set_doorbell`]).
-    bell: BellSlot,
+    inbox: Inbox,
 }
 
 impl TunnelShared {
@@ -134,7 +133,7 @@ impl TunnelShared {
             sent: registry.counter("net.tunnel.sent"),
             received: registry.counter("net.tunnel.received"),
             rejected_sends: registry.counter("net.tunnel.rejected_sends"),
-            bell: BellSlot::default(),
+            inbox: Inbox::default(),
             registry,
         }
     }
@@ -148,8 +147,8 @@ impl TunnelShared {
         if self.broken.poison(cause) {
             counter.inc();
         }
-        // The poller learns of the teardown from its next `try_recv`.
-        self.bell.ring();
+        // The owner learns of the teardown from its next `try_recv`.
+        self.inbox.bell.ring();
     }
 }
 
@@ -163,16 +162,86 @@ const OWN_CAUSES: [TeardownCause; 5] = [
     TeardownCause::WriteTimeout,
 ];
 
-/// The receive end of a tunnel's frame queue, behind a leaf lock so an
-/// endpoint can be shared between a sending and a polling thread.
-fn rx_lock(rx: Receiver<Frame>) -> Mutex<Receiver<Frame>> {
-    Mutex::with_rank(rank::TUNNEL, "net.tunnel.rx", rx)
+/// Where an endpoint puts what it receives once given one
+/// ([`Tunnel::set_ingress`]): called on the delivering thread with each
+/// batch, in arrival order. It takes the frames, leaving the vector empty.
+pub type TunnelIngress = Arc<dyn Fn(&mut Vec<Frame>) + Send + Sync>;
+
+/// An endpoint's receive side: what arrives is handed to the ingress on
+/// the delivering thread, or queued until one is set.
+struct Inbox {
+    /// Set only once the backlog was handed over, which it then precedes.
+    ingress: OnceLock<TunnelIngress>,
+    /// The backlog, pushed under `rx`'s lock: `set_ingress` holds it while
+    /// it hands the backlog over, so it ranks below what the ingress takes.
+    tx: Sender<Frame>,
+    rx: Mutex<Receiver<Frame>>,
+    /// The endpoint dropped: deliveries are refused.
+    closed: AtomicBool,
+    /// The bell given with the ingress, rung on teardown.
+    bell: BellSlot,
 }
 
-/// Where an endpoint that hands over ([`Tunnel::set_ingress`]) puts what it
-/// receives: called on the receiving thread with each batch, in arrival
-/// order. It takes the frames, leaving the vector empty.
-pub type TunnelIngress = Arc<dyn Fn(&mut Vec<Frame>) + Send + Sync>;
+impl Default for Inbox {
+    fn default() -> Self {
+        let (tx, rx) = channel(); // LINT: allow-unbounded(a tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
+        Inbox {
+            ingress: OnceLock::new(),
+            tx,
+            rx: Mutex::with_rank(rank::TUNNEL_INBOX, "net.tunnel.inbox", rx),
+            closed: AtomicBool::new(false),
+            bell: BellSlot::default(),
+        }
+    }
+}
+
+impl Inbox {
+    /// Hands `frames` to the ingress, or queues them until one is set;
+    /// either way it empties `frames`. False once the endpoint dropped.
+    fn deliver(&self, frames: &mut Vec<Frame>) -> bool {
+        if self.closed.load(Ordering::Acquire) {
+            return false;
+        }
+        // Unset, the ingress is read again under the lock `set_ingress` holds.
+        let _rx = self.ingress.get().is_none().then(|| self.rx.lock());
+        match self.ingress.get() {
+            Some(ingress) if !frames.is_empty() => {
+                ingress(frames);
+                frames.clear();
+            }
+            Some(_) => {}
+            // LINT: allow-send-under-lock(an unbounded send never blocks; the lock orders it before set_ingress's hand-over)
+            None => frames.drain(..).for_each(|frame| drop(self.tx.send(frame))),
+        }
+        true
+    }
+
+    /// The first ingress wins: it is handed the backlog, then every later
+    /// arrival. `bell` is registered after, and rung by that.
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) {
+        let rx = self.rx.lock();
+        if self.ingress.get().is_none() {
+            let mut backlog: Vec<Frame> = rx.try_iter().collect();
+            if !backlog.is_empty() {
+                ingress(&mut backlog);
+            }
+            let _ = self.ingress.set(ingress);
+        }
+        drop(rx);
+        self.bell.set(bell);
+    }
+
+    /// The next queued frame; once none is left, the error of
+    /// `torn_down`, which the caller reads first: nothing is queued after
+    /// a teardown.
+    fn recv(&self, torn_down: Option<TeardownCause>) -> Result<Option<Frame>> {
+        match (self.rx.lock().try_recv(), torn_down) {
+            (Ok(f), _) => Ok(Some(f)),
+            (Err(_), None) => Ok(None),
+            (Err(_), Some(cause)) => Err(broken_error(cause)),
+        }
+    }
+}
 
 /// A reliable, ordered, bidirectional frame pipe between two hosts. Shared
 /// between threads: every forwarding thread sends on it.
@@ -180,7 +249,9 @@ pub trait Tunnel: Send + Sync {
     /// Sends one frame to the peer host.
     fn send(&self, frame: &Frame) -> Result<()>;
 
-    /// Receives one frame if available; `Ok(None)` when none is pending.
+    /// Receives one frame queued before [`Tunnel::set_ingress`], if any,
+    /// or reports the teardown once none is left: `Ok(None)` while the
+    /// tunnel is up and nothing is queued.
     fn try_recv(&self) -> Result<Option<Frame>>;
 
     /// Drains up to `max` pending frames into `out`; returns the count.
@@ -198,26 +269,15 @@ pub trait Tunnel: Send + Sync {
         Ok(n)
     }
 
-    /// Registers the bell of the thread that polls this endpoint: it is
-    /// rung now, when a frame arrives and when the tunnel is torn down, so
-    /// the poller may park between the two.
-    fn set_doorbell(&self, bell: Doorbell);
-
-    /// Asks the endpoint to hand every frame it receives from now on to
-    /// `ingress`, on the thread that received it, instead of queueing it
-    /// for [`Tunnel::try_recv`]. Returns whether it will: an endpoint with
-    /// no receiving thread of its own (the default), or one already being
-    /// pulled, stays pulled and takes `bell` as [`Tunnel::set_doorbell`]
-    /// does. Either way `bell` is rung on teardown and whenever the poller
-    /// must run, and `try_recv` still reports the teardown.
-    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
-        let _ = ingress;
-        self.set_doorbell(bell);
-        false
-    }
+    /// Hands `ingress` what the endpoint queued so far, then every frame
+    /// it receives from now on, each on the thread that delivered it. The
+    /// first ingress wins. `bell` is rung now, on teardown and when a
+    /// frame the endpoint holds back may be released; `try_recv` reports
+    /// the teardown and releases such frames to the ingress.
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell);
 
     /// When a frame this endpoint holds back falls due, if one is held:
-    /// the poller must run a round by then even if nothing rings.
+    /// its owner must call `try_recv` by then even if nothing rings.
     fn next_due(&self) -> Option<Instant> {
         None
     }
@@ -225,69 +285,54 @@ pub trait Tunnel: Send + Sync {
 
 // ------------------------------------------------------------- in-memory
 
-/// One endpoint of an in-memory tunnel.
-#[derive(Debug)]
+/// One endpoint of an in-memory tunnel. A send hands the frame to the
+/// peer's ingress on the sending thread, or queues it until the peer has
+/// one.
 pub struct InMemoryTunnel {
-    tx: Sender<Frame>,
-    rx: Mutex<Receiver<Frame>>,
-    bell: Arc<BellSlot>,
-    /// Declared after `tx`: fields drop in order, so the peer is rung once
-    /// its `try_recv` already reports `Disconnected`.
-    peer_bell: RingOnDrop,
-}
-
-/// The peer's bell; dropping it (endpoint teardown) rings.
-#[derive(Debug)]
-struct RingOnDrop(Arc<BellSlot>);
-
-impl Drop for RingOnDrop {
-    fn drop(&mut self) {
-        self.0.ring();
-    }
+    /// What the peer sends this endpoint.
+    inbox: Arc<Inbox>,
+    /// What this endpoint sends the peer.
+    peer: Arc<Inbox>,
 }
 
 impl InMemoryTunnel {
     /// Creates a connected endpoint pair.
     pub fn pair() -> (InMemoryTunnel, InMemoryTunnel) {
-        let (a_tx, a_rx) = channel(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
-        let (b_tx, b_rx) = channel(); // LINT: allow-unbounded(in-memory tunnel mirrors TCP socket buffering; rings bound in-flight tuples upstream)
-        let (a_bell, b_bell) = (Arc::<BellSlot>::default(), Arc::<BellSlot>::default());
+        let (a, b) = (Arc::<Inbox>::default(), Arc::<Inbox>::default());
         (
             InMemoryTunnel {
-                tx: a_tx,
-                rx: rx_lock(b_rx),
-                bell: a_bell.clone(),
-                peer_bell: RingOnDrop(b_bell.clone()),
+                inbox: a.clone(),
+                peer: b.clone(),
             },
-            InMemoryTunnel {
-                tx: b_tx,
-                rx: rx_lock(a_rx),
-                bell: b_bell,
-                peer_bell: RingOnDrop(a_bell),
-            },
+            InMemoryTunnel { inbox: b, peer: a },
         )
     }
 }
 
 impl Tunnel for InMemoryTunnel {
     fn send(&self, frame: &Frame) -> Result<()> {
-        self.tx
-            .send(frame.clone())
-            .map_err(|_| NetError::Disconnected)?;
-        self.peer_bell.0.ring();
-        Ok(())
-    }
-
-    fn set_doorbell(&self, bell: Doorbell) {
-        self.bell.set(bell);
+        match self.peer.deliver(&mut vec![frame.clone()]) {
+            true => Ok(()),
+            false => Err(NetError::Disconnected),
+        }
     }
 
     fn try_recv(&self) -> Result<Option<Frame>> {
-        match self.rx.lock().try_recv() {
-            Ok(f) => Ok(Some(f)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
-        }
+        let peer_gone = self.peer.closed.load(Ordering::Acquire);
+        self.inbox
+            .recv(peer_gone.then_some(TeardownCause::PeerClosed))
+    }
+
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) {
+        self.inbox.set_ingress(ingress, bell);
+    }
+}
+
+impl Drop for InMemoryTunnel {
+    fn drop(&mut self) {
+        self.inbox.closed.store(true, Ordering::Release);
+        // The peer's `try_recv` now reports `Disconnected`.
+        self.peer.bell.ring();
     }
 }
 
@@ -295,11 +340,9 @@ impl Tunnel for InMemoryTunnel {
 
 /// One endpoint of a TCP tunnel. Writes are length-prefixed and mutex-
 /// serialized; reads happen on a background thread that decodes frames and
-/// hands them to the endpoint's [`TunnelIngress`], or queues them for
-/// [`Tunnel::try_recv`]. The thread starts with the endpoint's first
-/// consumer — `set_ingress`, `set_doorbell` or `try_recv` — and reads
-/// nothing off the socket before, so no frame is queued for a poller that
-/// never comes, nor handed over behind one that was.
+/// hands them to the endpoint's [`TunnelIngress`], or queues them until it
+/// has one. The thread starts with the endpoint's first consumer —
+/// `set_ingress` or `try_recv` — and reads nothing off the socket before.
 ///
 /// Fail-fast discipline: any write error (including a partial write that
 /// left the stream misframed), write timeout, oversized length prefix or
@@ -309,9 +352,8 @@ impl Tunnel for InMemoryTunnel {
 /// misframes and never hangs.
 pub struct TcpTunnel {
     writer: Arc<Mutex<TcpStream>>,
-    rx: Mutex<Receiver<Frame>>,
-    /// The reader thread's ends, until the first consumer starts it.
-    reader: Mutex<Option<(TcpStream, Sender<Frame>)>>,
+    /// The reader thread's stream, until the first consumer starts it.
+    reader: Mutex<Option<TcpStream>>,
     shared: Arc<TunnelShared>,
 }
 
@@ -326,28 +368,24 @@ impl TcpTunnel {
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(config.write_timeout))?;
         let reader_stream = stream.try_clone()?;
-        let (tx, rx) = channel(); // LINT: allow-unbounded(reader thread decouples socket reads; rings bound in-flight tuples upstream)
         Ok(TcpTunnel {
             writer: Arc::new(Mutex::with_rank(rank::TUNNEL, "net.tunnel.writer", stream)),
-            rx: rx_lock(rx),
-            reader: Mutex::with_rank(rank::TUNNEL, "net.tunnel.reader", Some((reader_stream, tx))),
+            reader: Mutex::with_rank(rank::TUNNEL, "net.tunnel.reader", Some(reader_stream)),
             shared: Arc::new(TunnelShared::new()),
         })
     }
 
-    /// Starts the reader thread if no consumer has yet, handing over to
-    /// `ingress` if one is given; returns whether this call started it.
-    fn start_reader(&self, ingress: Option<TunnelIngress>) -> bool {
-        let Some((stream, tx)) = self.reader.lock().take() else {
-            return false;
+    /// Starts the reader thread if no consumer has yet.
+    fn start_reader(&self) {
+        let Some(stream) = self.reader.lock().take() else {
+            return;
         };
         let shared = self.shared.clone();
         typhoon_diag::spawn_supervised(
             "tcp-tunnel-reader",
             |_event| {},
-            move || Self::reader_loop(stream, tx, shared, ingress),
+            move || Self::reader_loop(stream, shared),
         );
-        true
     }
 
     /// Creates a connected loopback pair (convenience for tests/benches).
@@ -382,39 +420,17 @@ impl TcpTunnel {
         self.shared.broken.get()
     }
 
-    /// Decodes frames off the socket. What it decoded leaves before any
-    /// read that may block — to `ingress`, or queued for the poller with
-    /// one ring per batch — so a batch is as long as the bytes one read
-    /// brought in.
-    fn reader_loop(
-        stream: TcpStream,
-        tx: Sender<Frame>,
-        shared: Arc<TunnelShared>,
-        ingress: Option<TunnelIngress>,
-    ) {
+    /// Decodes frames off the socket. What it decoded is delivered before
+    /// any read that may block, so a batch is as long as the bytes one
+    /// read brought in.
+    fn reader_loop(stream: TcpStream, shared: Arc<TunnelShared>) {
         // Buffered: a prefix and its body — and every frame queued behind
         // them — cost one `read`, not one each.
         let mut stream = BufReader::with_capacity(64 * 1024, stream);
         let mut batch = Vec::new();
-        // False once our own endpoint dropped (its queue is gone).
-        let hand_over = |batch: &mut Vec<Frame>| {
-            if batch.is_empty() {
-                return true;
-            }
-            if let Some(ingress) = &ingress {
-                ingress(batch);
-                batch.clear();
-                return true;
-            }
-            if batch.drain(..).any(|frame| tx.send(frame).is_err()) {
-                return false;
-            }
-            shared.bell.ring();
-            true
-        };
         let mut len_buf = [0u8; 4];
         loop {
-            if !holds_frame(stream.buffer()) && !hand_over(&mut batch) {
+            if !holds_frame(stream.buffer()) && !shared.inbox.deliver(&mut batch) {
                 return; // our own endpoint dropped; not a fault
             }
             if let Err(e) = stream.read_exact(&mut len_buf) {
@@ -442,7 +458,7 @@ impl TcpTunnel {
                 }
                 Err(_) => {
                     // The frames decoded before it are good: deliver them.
-                    hand_over(&mut batch);
+                    shared.inbox.deliver(&mut batch);
                     shared.teardown(TeardownCause::DecodeError);
                     let _ = stream.get_ref().shutdown(std::net::Shutdown::Both);
                     return;
@@ -450,15 +466,15 @@ impl TcpTunnel {
             }
         }
     }
+}
 
-    /// Maps the poisoned state to the error `try_recv`/`send` surface.
-    /// A clean peer close keeps the legacy `Disconnected` shape; every
-    /// other cause is a typed `Broken`.
-    fn broken_error(cause: TeardownCause) -> NetError {
-        match cause {
-            TeardownCause::PeerClosed => NetError::Disconnected,
-            other => NetError::Broken(other),
-        }
+/// Maps the poisoned state to the error `try_recv`/`send` surface. A clean
+/// peer close keeps the legacy `Disconnected` shape; every other cause is a
+/// typed `Broken`.
+fn broken_error(cause: TeardownCause) -> NetError {
+    match cause {
+        TeardownCause::PeerClosed => NetError::Disconnected,
+        other => NetError::Broken(other),
     }
 }
 
@@ -483,7 +499,7 @@ impl Tunnel for TcpTunnel {
     fn send(&self, frame: &Frame) -> Result<()> {
         if let Some(cause) = self.shared.broken.get() {
             self.shared.rejected_sends.inc();
-            return Err(Self::broken_error(cause));
+            return Err(broken_error(cause));
         }
         // Prefix and frame in one buffer, one write: with `TCP_NODELAY` a
         // prefix written alone is its own segment and its own reader wake-up.
@@ -496,7 +512,7 @@ impl Tunnel for TcpTunnel {
         // the stream, so ours must not go out).
         if let Some(cause) = self.shared.broken.get() {
             self.shared.rejected_sends.inc();
-            return Err(Self::broken_error(cause));
+            return Err(broken_error(cause));
         }
         match w.write_all(&wire) {
             Ok(()) => {
@@ -521,36 +537,21 @@ impl Tunnel for TcpTunnel {
     }
 
     fn try_recv(&self) -> Result<Option<Frame>> {
-        self.start_reader(None);
-        // Buffered frames stay deliverable after any teardown; the typed
-        // error only surfaces once the queue is drained. An endpoint that
-        // hands over queues nothing, so this reports its teardown alone.
-        match self.rx.lock().try_recv() {
-            Ok(f) => Ok(Some(f)),
-            Err(TryRecvError::Empty) => match self.shared.broken.get() {
-                None => Ok(None),
-                Some(cause) => Err(Self::broken_error(cause)),
-            },
-            Err(TryRecvError::Disconnected) => match self.shared.broken.get() {
-                None | Some(TeardownCause::PeerClosed) => Err(NetError::Disconnected),
-                Some(cause) => Err(Self::broken_error(cause)),
-            },
-        }
+        self.start_reader();
+        // Queued frames stay deliverable after any teardown; the typed
+        // error only surfaces once the queue is drained.
+        self.shared.inbox.recv(self.shared.broken.get())
     }
 
-    fn set_doorbell(&self, bell: Doorbell) {
-        self.shared.bell.set(bell);
-        self.start_reader(None);
-    }
-
-    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) -> bool {
-        self.shared.bell.set(bell);
-        self.start_reader(Some(ingress))
+    fn set_ingress(&self, ingress: TunnelIngress, bell: Doorbell) {
+        self.shared.inbox.set_ingress(ingress, bell);
+        self.start_reader();
     }
 }
 
 impl Drop for TcpTunnel {
     fn drop(&mut self) {
+        self.shared.inbox.closed.store(true, Ordering::Release);
         // Shut the socket down so the peer's reader sees EOF promptly and
         // our own reader thread unblocks and exits.
         let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);

@@ -3,17 +3,20 @@
 //!
 //! The contract all three implementations must share:
 //!
-//! 1. frames buffered before the peer went away are still deliverable;
+//! 1. frames buffered before the peer went away are still deliverable —
+//!    to `try_recv` before an ingress is set, to the ingress after;
 //! 2. the receiver sees a terminal error only once that buffer is drained;
 //! 3. after the first terminal error, every operation keeps failing fast —
 //!    no hangs, no misframed writes.
 
 use bytes::Bytes;
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use typhoon_net::{
     Doorbell, FaultInjector, FaultPlan, Frame, InMemoryTunnel, MacAddr, NetError, TcpTunnel,
-    TeardownCause, Tunnel, TunnelConfig,
+    TeardownCause, Tunnel, TunnelConfig, TunnelIngress,
 };
 use typhoon_tuple::tuple::TaskId;
 
@@ -89,10 +92,54 @@ fn tcp_buffers_survive_peer_drop() {
     });
 }
 
+/// An ingress that passes what it is handed to a channel, so a test waits
+/// on arrivals instead of polling for them.
+fn collector() -> (TunnelIngress, Receiver<Frame>) {
+    let (tx, rx) = channel();
+    let ingress: TunnelIngress = Arc::new(move |frames: &mut Vec<Frame>| {
+        for f in frames.drain(..) {
+            let _ = tx.send(f);
+        }
+    });
+    (ingress, rx)
+}
+
+/// The shared contract over an ingress, which a fault injector receives
+/// through: every frame sent before the peer dropped is handed over
+/// before the teardown is reported, and the error stays terminal.
+fn handed_frames_survive_peer_drop(make: impl FnOnce() -> (Box<dyn Tunnel>, Box<dyn Tunnel>)) {
+    let (a, b) = make();
+    let (ingress, got) = collector();
+    b.set_ingress(ingress, Doorbell::new());
+    for i in 0..3 {
+        a.send(&frame(i)).expect("send while peer alive");
+    }
+    drop(a);
+    let err = drain_then_expect_error(&*b, 0, Duration::from_secs(10));
+    assert_eq!(
+        err,
+        NetError::Disconnected,
+        "clean peer drop maps to Disconnected"
+    );
+    let handed: Vec<u8> = got.try_iter().map(|f| f.payload[0]).collect();
+    assert_eq!(
+        handed,
+        [0, 1, 2],
+        "terminal error before the buffer drained"
+    );
+    assert!(b.try_recv().is_err(), "error must persist after drain");
+}
+
 #[test]
 fn fault_injector_buffers_survive_peer_drop() {
-    buffered_frames_survive_peer_drop(|| {
+    handed_frames_survive_peer_drop(|| {
         let (a, b) = InMemoryTunnel::pair();
+        let (ia, _ha) = FaultInjector::wrap(Box::new(a), FaultPlan::clean(1));
+        let (ib, _hb) = FaultInjector::wrap(Box::new(b), FaultPlan::clean(2));
+        (Box::new(ia), Box::new(ib))
+    });
+    handed_frames_survive_peer_drop(|| {
+        let (a, b) = TcpTunnel::pair().expect("loopback pair");
         let (ia, _ha) = FaultInjector::wrap(Box::new(a), FaultPlan::clean(1));
         let (ib, _hb) = FaultInjector::wrap(Box::new(b), FaultPlan::clean(2));
         (Box::new(ia), Box::new(ib))
@@ -122,17 +169,18 @@ fn wait_until_rung(bell: &Doorbell, trigger: impl FnOnce()) {
     }
 }
 
-/// A poller that registered its bell is rung when a frame arrives and when
-/// the tunnel is torn down — so it may park between the two.
+/// An endpoint given an ingress and a bell hands each arrival to the
+/// ingress, queueing nothing, and rings the bell when the tunnel is torn
+/// down — so its owner may park between teardowns.
 fn arrival_and_teardown_ring(make: impl FnOnce() -> (Box<dyn Tunnel>, Box<dyn Tunnel>)) {
     let (a, b) = make();
     let bell = Doorbell::new();
-    b.set_doorbell(bell.clone());
-    wait_until_rung(&bell, || a.send(&frame(1)).expect("send while peer alive"));
-    assert!(
-        b.try_recv().expect("tunnel up").is_some(),
-        "the ring follows the hand-over"
-    );
+    let (ingress, got) = collector();
+    b.set_ingress(ingress, bell.clone());
+    a.send(&frame(1)).expect("send while peer alive");
+    let handed = got.recv_timeout(Duration::from_secs(10));
+    assert_eq!(handed.expect("handed over").payload[0], 1);
+    assert_eq!(b.try_recv().expect("tunnel up"), None, "nothing queued");
     wait_until_rung(&bell, || drop(a));
     assert!(b.try_recv().is_err(), "rung for the teardown");
 }

@@ -1,17 +1,16 @@
 //! The switch itself: configuration, shared state and the poll loop.
 //!
 //! Frames are forwarded on the thread that holds them ([`crate::forward`]):
-//! a worker's egress and a TCP tunnel's arrivals never wait for the
-//! datapath thread. That thread — one per host — runs
-//! [`Switch::process_round`] for the rest: controller messages
-//! ([`crate::link`]), reaping ports whose worker died, pulled tunnels,
-//! tunnel teardown and frames a fault injector held back, then the
-//! rule-expiry sweep. It runs on the workspace's one round runner
-//! ([`typhoon_net::Runner`]): rounds repeat while they find work, and the
-//! runner parks on the switch's [`Doorbell`] when one does not.
-//! [`ControlChannel::send`], a worker end dropping and every registered
-//! tunnel's teardown ring it, and the park ends at the next sweep or held
-//! tunnel frame ([`Switch::next_due`]).
+//! a worker's egress and every tunnel's arrivals never wait for the
+//! datapath thread, which receives no frame. That thread — one per host —
+//! runs [`Switch::process_round`] for the rest: controller messages
+//! ([`crate::link`]), reaping ports whose worker died, tunnel teardown and
+//! frames a fault injector held back, then the rule-expiry sweep. It runs
+//! on the workspace's one round runner ([`typhoon_net::Runner`]): rounds
+//! repeat while they find work, and the runner parks on the switch's
+//! [`Doorbell`] when one does not. [`ControlChannel::send`], a worker end
+//! dropping and every registered tunnel's teardown ring it, and the park
+//! ends at the next sweep or held tunnel frame ([`Switch::next_due`]).
 
 use crate::cache::{CacheStats, FlowCache};
 use crate::group_table::GroupTable;
@@ -80,6 +79,9 @@ pub(crate) struct Inner {
     pub(crate) rules: Gauge,
     /// Tunnels torn down (`switch.tunnel_downs`).
     pub(crate) tunnel_downs: Counter,
+    /// Frames that arrived over a tunnel and matched a tunnel output
+    /// (`switch.split_horizon_drops`).
+    pub(crate) split_horizon_drops: Counter,
     /// Milliseconds spent headless over completed windows
     /// (`switch.headless_ms`), and the window the last leader connect
     /// closed (`switch.headless_last_ms`; 0 when the switch was not
@@ -147,6 +149,7 @@ impl Switch {
                 misses: registry.counter("switch.misses"),
                 rules: registry.gauge("switch.rules"),
                 tunnel_downs: registry.counter("switch.tunnel_downs"),
+                split_horizon_drops: registry.counter("switch.split_horizon_drops"),
                 headless_ms: registry.counter("switch.headless_ms"),
                 headless_last_ms: registry.gauge("switch.headless_last_ms"),
                 replayed: registry.counter("switch.replayed_events"),
@@ -187,11 +190,10 @@ impl Switch {
         }
     }
 
-    /// Registers the tunnel used to reach peer host `host`. An endpoint
-    /// with a receiving thread of its own hands its arrivals to this
-    /// switch's match-action path on that thread; any other is pulled by
-    /// the datapath thread. Either way its teardown rings the datapath
-    /// thread from now on.
+    /// Registers the tunnel used to reach peer host `host`. The endpoint
+    /// hands its arrivals to this switch's match-action path on the thread
+    /// that delivers them — what it queued before, on this one — and its
+    /// teardown rings the datapath thread from now on.
     pub fn add_tunnel(&self, host: u32, tunnel: Box<dyn Tunnel + Send>) {
         let tunnel: Arc<dyn Tunnel> = Arc::<dyn Tunnel + Send>::from(tunnel);
         // Weak: the endpoint's thread must not keep its switch alive — the
@@ -208,8 +210,8 @@ impl Switch {
         // Topology changed: cached tunnel-output decisions may now be
         // reachable again (e.g. recovery re-registering a torn-down link).
         self.inner.cache.invalidate_all();
-        // A pulled endpoint is polled from now on: this round finds
-        // whatever it buffered before.
+        // Rung after the insert, so the round it starts finds the endpoint:
+        // one torn down before it was registered is reported then.
         self.inner.bell.ring();
     }
 
@@ -236,17 +238,17 @@ impl Switch {
     }
 
     /// Runs one datapath round now: control messages, port reaping,
-    /// tunnels, expiry. Returns `true` when a control message or pulled
-    /// frame was handled (idle detection). For driving a switch by hand;
-    /// the spawned loop runs the same round at the runner's instant.
+    /// tunnels, expiry. Returns `true` when a control message was handled
+    /// (idle detection). For driving a switch by hand; the spawned loop
+    /// runs the same round at the runner's instant.
     pub fn process_round(&self) -> bool {
         self.round_at(Instant::now())
     }
 
     fn round_at(&self, now: Instant) -> bool {
-        let mut busy = self.handle_control();
+        let busy = self.handle_control();
         self.reap_ports();
-        busy |= self.poll_tunnels();
+        self.tend_tunnels();
         self.maybe_expire(now);
         busy
     }
@@ -397,12 +399,17 @@ pub(crate) mod testutil {
         ch.send(wire::encode(&msg)).unwrap();
     }
 
-    /// True when the switch reported `port` gone to the controller.
-    pub(crate) fn port_deleted(ch: &ControlChannel, port: PortNo) -> bool {
-        drain_events(ch).contains(&OfMessage::PortStatus {
+    /// The event that reports `port` gone to the controller.
+    pub(crate) fn port_delete(port: PortNo) -> OfMessage {
+        OfMessage::PortStatus {
             reason: PortStatusReason::Delete,
             port,
-        })
+        }
+    }
+
+    /// True when the switch reported `port` gone to the controller.
+    pub(crate) fn port_deleted(ch: &ControlChannel, port: PortNo) -> bool {
+        drain_events(ch).contains(&port_delete(port))
     }
 
     pub(crate) fn drain_events(ch: &ControlChannel) -> Vec<OfMessage> {
@@ -500,10 +507,11 @@ mod tests {
     }
 
     /// A parked datapath is woken by each of its three sources — a worker
-    /// end dropping, a pulled tunnel, the control channel. Its one
+    /// end dropping, a tunnel's teardown, the control channel. Its one
     /// deadline, the expiry sweep, is an hour away, so every delivery is a
     /// park a ring ended: a missing ring hangs its try into the 5 s
-    /// assertion.
+    /// assertion. Frames need no wake-up: a worker end and a tunnel each
+    /// forward on the thread that sends.
     #[test]
     fn parked_datapath_is_woken_by_ports_tunnels_and_control() {
         const TRIES: usize = 50;
@@ -514,6 +522,15 @@ mod tests {
         let wp2 = sw.attach_worker(PortNo(2));
         let (near, far) = typhoon_net::InMemoryTunnel::pair();
         sw.add_tunnel(2, Box::new(near));
+        let peers: Vec<u32> = (100..100 + TRIES as u32).collect();
+        let fars: Vec<_> = peers
+            .iter()
+            .map(|&host| {
+                let (near, far) = typhoon_net::InMemoryTunnel::pair();
+                sw.add_tunnel(host, Box::new(near));
+                std::cell::Cell::new(Some(far))
+            })
+            .collect();
         send_ctrl(&ch, local_rule(10, 1, 20, 2));
         send_ctrl(
             &ch,
@@ -561,14 +578,18 @@ mod tests {
         });
         assert_eq!(port, TRIES, "worker end dropped");
 
-        use typhoon_net::Tunnel as _;
-        let tunnel = woken(
-            &|i| far.send(&data_frame(30, w(20), i as u8)).unwrap(),
-            &delivered,
-        );
-        assert_eq!(tunnel, TRIES, "tunnel");
+        let teardown = woken(&|i| drop(fars[i].take()), &|| {
+            let events = drain_events(&ch);
+            peers
+                .iter()
+                .any(|&host| events.contains(&port_delete(PortNo::tunnel_peer(host))))
+        });
+        assert_eq!(teardown, TRIES, "tunnel teardown");
 
-        // A worker end forwards on its own thread: no wake-up needed.
+        // A tunnel and a worker end forward on the sending thread.
+        use typhoon_net::Tunnel as _;
+        far.send(&data_frame(30, w(20), 0)).unwrap();
+        assert!(delivered(), "forwarded before send returned");
         wp1.tx.push(data_frame(10, w(20), 0)).unwrap();
         assert!(delivered(), "forwarded before push returned");
 
@@ -586,6 +607,49 @@ mod tests {
         );
         assert_eq!(control, TRIES, "FlowMod + Barrier");
         assert_eq!(gauge(&sw, "switch.rules"), 2 + TRIES as i64);
+        handle.stop();
+    }
+
+    /// A frame an injector holds back on its way in is released by the
+    /// parked datapath at its deadline: the hold rings the switch, whose
+    /// park then ends at the frame's due instant instead of the expiry
+    /// sweep an hour away.
+    #[test]
+    fn a_parked_datapath_releases_a_delayed_arrival_at_its_deadline() {
+        use typhoon_net::{FaultInjector, FaultPlan, FaultSpec, Tunnel as _};
+        let delay = Duration::from_millis(20);
+        let mut config = SwitchConfig::new(1);
+        config.expire_interval = Duration::from_secs(3600);
+        let (sw, ch) = Switch::new(config);
+        let wp2 = sw.attach_worker(PortNo(2));
+        let (near, far) = typhoon_net::InMemoryTunnel::pair();
+        let plan = FaultPlan::rx_only(1, FaultSpec::CLEAN.delaying(delay));
+        let (inj, _handle) = FaultInjector::wrap(Box::new(near), plan);
+        sw.add_tunnel(2, Box::new(inj));
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any().in_port(PortNo::TUNNEL).dl_dst(w(20)),
+                vec![Action::Output(PortNo(2))],
+            )),
+        );
+        sw.process_round();
+        let handle = sw.spawn();
+        for n in 0..5 {
+            std::thread::sleep(Duration::from_micros(300));
+            let sent = Instant::now();
+            far.send(&data_frame(30, w(20), n)).unwrap();
+            let got = loop {
+                if let Some(f) = wp2.rx.pop().unwrap() {
+                    break f;
+                }
+                assert!(sent.elapsed() < Duration::from_secs(5), "never released");
+                std::thread::yield_now();
+            };
+            assert_eq!(got.payload[0], n);
+            assert!(sent.elapsed() >= delay, "released early");
+        }
         handle.stop();
     }
 

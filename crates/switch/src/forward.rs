@@ -3,14 +3,17 @@
 //! table on a miss) and execute the matched action list. It runs on the
 //! thread that holds the frames — a worker pushing its batch
 //! ([`PortTx`](crate::port::PortTx)), a TCP tunnel's reader handing over
-//! what it decoded, the datapath thread for `PacketOut`s, pulled tunnels
-//! and frames a fault injector held back — and under no datapath lock:
-//! each lock it takes is taken for one step and released. Broadcast and
-//! mirror replication clone the frame, whose payload is [`bytes::Bytes`] —
-//! a refcount bump, "negligible packet copy overhead in OVS" (§6.1).
+//! what it decoded, the peer host's sending thread for an in-memory
+//! tunnel, the datapath thread for `PacketOut`s and frames a fault
+//! injector held back — and under no datapath lock: each lock it takes is
+//! taken for one step and released. A frame that arrived over a tunnel is
+//! never sent into one (split horizon), so a hand-off on a sender's thread
+//! runs one switch deep. Broadcast and mirror replication clone the frame,
+//! whose payload is [`bytes::Bytes`] — a refcount bump, "negligible packet
+//! copy overhead in OVS" (§6.1).
 
 use crate::cache::{CachedActions, Displaced, Probe};
-use crate::datapath::{Switch, POLL_BUDGET};
+use crate::datapath::Switch;
 use crate::table::FlowTable;
 use std::sync::Arc;
 use std::time::Instant;
@@ -63,10 +66,11 @@ impl Switch {
         }
     }
 
-    /// Polls every tunnel with the map lock released: a pulled endpoint
-    /// yields its frames, one that hands over releases what its injector
-    /// held back, and either reports a teardown.
-    pub(crate) fn poll_tunnels(&self) -> bool {
+    /// Visits every tunnel with the map lock released. Each hands its
+    /// arrivals over, so `try_recv` yields no frame here: it releases
+    /// what an injector held back, through the ingress, and reports a
+    /// teardown.
+    pub(crate) fn tend_tunnels(&self) {
         let tunnels: Vec<(u32, Arc<dyn Tunnel>)> = self
             .inner
             .tunnels
@@ -74,20 +78,13 @@ impl Switch {
             .iter()
             .map(|(&host, t)| (host, t.clone()))
             .collect();
-        let mut frames = Vec::new();
         for (host, tunnel) in tunnels {
-            // recv_batch appends whatever arrived before an error, so
-            // buffered frames are still delivered on the poll that
-            // detects the teardown.
-            if let Err(e) = tunnel.recv_batch(&mut frames, POLL_BUDGET) {
-                if tunnel_error_is_fatal(&e) {
-                    self.tunnel_down(host, &tunnel);
-                }
+            match tunnel.try_recv() {
+                Ok(frame) => debug_assert!(frame.is_none(), "a registered tunnel queued a frame"),
+                Err(e) if tunnel_error_is_fatal(&e) => self.tunnel_down(host, &tunnel),
+                Err(_) => {}
             }
         }
-        let busy = !frames.is_empty();
-        self.process_frames(PortNo::TUNNEL, &mut frames);
-        busy
     }
 
     /// Tears down `tunnel`, the link to `host`, if it is still the
@@ -120,7 +117,16 @@ impl Switch {
     /// stream. Frames cross one by one so the fault injector keeps its
     /// per-frame semantics (mid-batch drop/corrupt/partition stays
     /// reachable).
-    fn send_to_tunnel(&self, host: u32, frames: &[Frame]) {
+    ///
+    /// Split horizon, as in OVS full-mesh overlays: frames that came in
+    /// over a tunnel are dropped and counted instead. In a full mesh no
+    /// host relays, and the rule keeps a hand-off on the sender's thread
+    /// one switch deep, so a misconfigured transit rule cannot recurse.
+    fn send_to_tunnel(&self, in_port: PortNo, host: u32, frames: &[Frame]) {
+        if in_port == PortNo::TUNNEL {
+            self.inner.split_horizon_drops.add(frames.len() as u64);
+            return;
+        }
         let Some(tunnel) = self.inner.tunnels.lock().get(&host).cloned() else {
             return;
         };
@@ -186,7 +192,7 @@ impl Switch {
                 }
             }
             [Action::SetTunDst(host), Action::Output(PortNo::TUNNEL)] => {
-                self.send_to_tunnel(host, frames);
+                self.send_to_tunnel(in_port, host, frames);
             }
             _ => {
                 for frame in run.drain(..) {
@@ -254,7 +260,7 @@ impl Switch {
                 }
                 Action::Output(PortNo::TUNNEL) => {
                     if let Some(host) = tun_dst {
-                        self.send_to_tunnel(host, std::slice::from_ref(&frame));
+                        self.send_to_tunnel(in_port, host, std::slice::from_ref(&frame));
                     }
                 }
                 Action::Output(PortNo::CONTROLLER) | Action::ToController => {
@@ -385,11 +391,62 @@ mod tests {
         );
         sw1.process_round();
         sw2.process_round();
+        // The push forwards on this thread through both switches: neither
+        // datapath round runs.
         src.tx.push(data_frame(10, w(20), 0xcc)).unwrap();
-        sw1.process_round(); // sender forwards into tunnel
-        sw2.process_round(); // receiver drains tunnel
         let got = dst.rx.pop().unwrap().expect("crossed hosts");
         assert_eq!(got.payload[0], 0xcc);
+        assert_eq!(counter(&sw2, "switch.split_horizon_drops"), 0);
+    }
+
+    /// A frame that arrived over a tunnel never leaves over one: a transit
+    /// rule's frames are dropped and counted, by the fast path and by the
+    /// general executor alike, while a local worker's frames take the same
+    /// rules out.
+    #[test]
+    fn split_horizon_drops_tunnel_to_tunnel_frames_and_counts_them() {
+        use typhoon_net::Tunnel;
+        let (sw, ch) = Switch::new(SwitchConfig::new(1));
+        let (near2, far2) = InMemoryTunnel::pair();
+        let (near3, far3) = InMemoryTunnel::pair();
+        sw.add_tunnel(2, Box::new(near2));
+        sw.add_tunnel(3, Box::new(near3));
+        let src = sw.attach_worker(PortNo(1));
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any().dl_dst(w(20)),
+                vec![Action::SetTunDst(3), Action::Output(PortNo::TUNNEL)],
+            )),
+        );
+        send_ctrl(
+            &ch,
+            OfMessage::FlowMod(FlowMod::add(
+                10,
+                FlowMatch::any().dl_dst(w(30)),
+                vec![
+                    Action::SetDlDst(w(31)),
+                    Action::SetTunDst(3),
+                    Action::Output(PortNo::TUNNEL),
+                ],
+            )),
+        );
+        sw.process_round();
+        for (dst, n) in [(w(20), 1), (w(30), 2), (w(20), 3)] {
+            far2.send(&data_frame(10, dst, n)).unwrap();
+        }
+        assert_eq!(counter(&sw, "switch.split_horizon_drops"), 3);
+        assert_eq!(far3.try_recv().unwrap(), None, "nothing relayed");
+        src.tx.push(data_frame(10, w(20), 4)).unwrap();
+        src.tx.push(data_frame(10, w(30), 5)).unwrap();
+        let out: Vec<u8> = std::iter::from_fn(|| far3.try_recv().unwrap())
+            .map(|f| f.payload[0])
+            .collect();
+        assert_eq!(out, [4, 5], "a local worker's frames leave");
+        assert_eq!(counter(&sw, "switch.split_horizon_drops"), 3);
+        sw.process_round();
+        assert!(tunnel_alive(&sw, 2) && tunnel_alive(&sw, 3));
     }
 
     #[test]

@@ -81,6 +81,14 @@ fn the_documented_names_are_the_registered_ones() {
     for source in ["chaos/0-1", "chaos/1-0", "chaos/cluster"] {
         assert!(snapshot.contains_key(source), "no {source} source");
     }
+    // Each switch counts what split horizon dropped.
+    for source in ["switch/0", "switch/1"] {
+        let counters = &snapshot[source].counters;
+        assert!(
+            counters.contains_key("switch.split_horizon_drops"),
+            "{source} has no switch.split_horizon_drops"
+        );
+    }
     // Each loop's counters, in the source that owns it: the two datapaths,
     // the one controller replica's pump, the HA monitor, the manager and
     // the chaos killer.
